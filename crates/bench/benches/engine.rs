@@ -2,6 +2,7 @@
 //! checksumming, intersection extraction, and whole save/load pipelines
 //! against the in-memory backend.
 
+use bcp_core::chunks::chunk_hash;
 use bcp_core::engine::iopool::IoPool;
 use bcp_core::engine::pool::PinnedPool;
 use bcp_core::engine::save::{execute_save, SaveConfig};
@@ -25,6 +26,14 @@ fn bench_crc32(c: &mut Criterion) {
     let mut g = c.benchmark_group("crc32");
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("1MiB", |b| b.iter(|| crc32(black_box(&data))));
+    g.finish();
+}
+
+fn bench_chunk_hash(c: &mut Criterion) {
+    let data = vec![0xABu8; 1 << 20];
+    let mut g = c.benchmark_group("chunk_hash");
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("1MiB", |b| b.iter(|| chunk_hash(black_box(&data))));
     g.finish();
 }
 
@@ -110,5 +119,12 @@ fn bench_extract_isect(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_crc32, bench_frames, bench_save_pipeline, bench_extract_isect);
+criterion_group!(
+    benches,
+    bench_crc32,
+    bench_chunk_hash,
+    bench_frames,
+    bench_save_pipeline,
+    bench_extract_isect
+);
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 //! (whole files and split parts) run concurrently as leaf jobs on the
 //! persistent [`IoPool`].
 
-use crate::chunks::FileChunks;
+use crate::chunks::{FileChunks, FileChunksBuilder};
 use crate::engine::iopool::IoPool;
 use crate::engine::pool::{PinnedPool, PooledBytes};
 use crate::fault::FaultHook;
@@ -26,7 +26,7 @@ use crate::{BcpError, Result};
 use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext};
 use bcp_storage::DynBackend;
-use bcp_tensor::checksum::crc32;
+use bcp_tensor::checksum::{crc32, Crc32};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -78,6 +78,22 @@ pub struct SaveStats {
     /// Content-addressed chunk index of this rank's files, derived in
     /// place from the gather segments (empty when `chunk_bytes == 0`).
     pub chunks: Vec<FileChunks>,
+}
+
+/// How much of a payload goes through the CRC before the same bytes go
+/// through the chunk hash: small enough that the second kernel reads the
+/// block from L1/L2, not from memory.
+const SEAL_BLOCK_BYTES: usize = 32 * 1024;
+
+/// One shard file while `save/serialize` builds it.
+struct SealedFile {
+    /// Gather segments in file order: header, payload view, CRC trailer.
+    segments: Vec<Bytes>,
+    /// Bytes serialized so far.
+    len: u64,
+    /// The file's chunk index, fed as the frames are sealed (`None` when
+    /// `chunk_bytes == 0`).
+    index: Option<FileChunksBuilder>,
 }
 
 /// What the upload tail resolves to: (bytes, files, per-file chunk indexes).
@@ -214,58 +230,67 @@ pub fn execute_save_staged(
         // uploads finish and `captured` drops last.
         let captured = captured;
         // Serialize frame *headers* per file, in plan order; payloads stay
-        // as views over the capture buffers.
+        // as views over the capture buffers. This is also the one walk over
+        // the saved bytes: each payload goes block by block through the
+        // frame CRC and, while the block is still in cache, into its file's
+        // streaming chunk index (§ distribution layer) — zero extra copies
+        // between the state dict and the manifest, and no second pass.
         faults.check("save/serialize")?;
         let expected = plan.byte_metas();
-        let mut files: BTreeMap<String, Vec<Bytes>> = BTreeMap::new();
-        let mut cursors: BTreeMap<String, u64> = BTreeMap::new();
+        let mut files: BTreeMap<String, SealedFile> = BTreeMap::new();
         {
             let _t =
                 sink.span_under("save/serialize", rank, step, parent).bytes(plan.total_bytes());
             for ((item, payload), bm) in plan.items.iter().zip(&captured).zip(&expected) {
                 let payload = payload.share();
-                let header = encode_frame_header(&item.shard, item.basic.dtype, payload.len());
-                let cursor = cursors.entry(bm.file.clone()).or_default();
+                let header =
+                    encode_frame_header(&item.shard, item.basic.dtype, payload.len()).freeze();
+                let f = files.entry(bm.file.clone()).or_insert_with(|| SealedFile {
+                    segments: Vec::new(),
+                    len: 0,
+                    index: (cfg2.chunk_bytes > 0)
+                        .then(|| FileChunksBuilder::new(bm.file.clone(), cfg2.chunk_bytes)),
+                });
                 debug_assert_eq!(
-                    *cursor + header.len() as u64,
+                    f.len + header.len() as u64,
                     bm.offset,
                     "planned offset must match serialization"
                 );
-                *cursor += crate::format::frame_len(&item.shard, payload.len()) as u64;
-                let crc = Bytes::copy_from_slice(&crc32(&payload).to_le_bytes());
-                let segs = files.entry(bm.file.clone()).or_default();
-                segs.push(header.freeze());
-                segs.push(payload);
-                segs.push(crc);
+                f.len += crate::format::frame_len(&item.shard, payload.len()) as u64;
+                let crc = match &mut f.index {
+                    Some(index) => {
+                        let mut crc = Crc32::new();
+                        index.update(&header);
+                        for block in payload.chunks(SEAL_BLOCK_BYTES) {
+                            crc.update(block);
+                            index.update(block);
+                        }
+                        let crc = crc.finalize().to_le_bytes();
+                        index.update(&crc);
+                        crc
+                    }
+                    None => crc32(&payload).to_le_bytes(),
+                };
+                let crc = Bytes::copy_from_slice(&crc);
+                f.segments.extend([header, payload, crc]);
             }
         }
         // Dump: hand the per-file segment lists over to upload (the
         // shared-memory staging step — no bytes move here).
-        let staged: Vec<(String, Vec<Bytes>)> = {
+        let mut chunks: Vec<FileChunks> = Vec::new();
+        let mut staged: Vec<(String, Vec<Bytes>)> = Vec::with_capacity(files.len());
+        {
             let mut t = sink.span_under("save/dump", rank, step, parent);
-            let staged: Vec<(String, Vec<Bytes>)> = files.into_iter().collect();
-            t.add_bytes(
-                staged.iter().flat_map(|(_, segs)| segs.iter().map(|s| s.len() as u64)).sum(),
-            );
-            staged
-        };
+            for (file, sealed) in files {
+                t.add_bytes(sealed.len);
+                chunks.extend(sealed.index.map(FileChunksBuilder::finish));
+                staged.push((file, sealed.segments));
+            }
+        }
         // Keep cheap segment views (refcounted `Bytes` clones) so the hot
         // tier can assemble whole-file copies after the uploads succeed.
         let hot_views: Option<Vec<(String, Vec<Bytes>)>> =
             hot_staging.as_ref().map(|_| staged.clone());
-        // Content-addressed chunk index (§ distribution layer): hash chunk
-        // windows across the segment views in place — zero extra copies of
-        // the payload between the state dict and the manifest.
-        let chunks: Vec<FileChunks> = if cfg2.chunk_bytes > 0 {
-            let mut t = sink.span_under("save/chunk_index", rank, step, parent).uncounted();
-            t.set_attr("chunk_bytes", cfg2.chunk_bytes.to_string());
-            staged
-                .iter()
-                .map(|(file, segs)| FileChunks::from_segments(file.clone(), segs, cfg2.chunk_bytes))
-                .collect()
-        } else {
-            Vec::new()
-        };
         // Upload: every whole file and every split part is one leaf job on
         // the shared I/O pool, so files upload concurrently.
         faults.check("save/upload")?;

@@ -2,10 +2,12 @@
 //! file contents, segment splits, and chunk sizes, (a) the manifest
 //! round-trips losslessly through its JSON wire form, (b) segment-streamed
 //! derivation agrees with whole-buffer derivation (the zero-copy path is
-//! not a different hash function), and (c) reassembly from the unique-chunk
-//! store is bitwise-identical to the original files.
+//! not a different hash function), (c) reassembly from the unique-chunk
+//! store is bitwise-identical to the original files, and (d) the streaming
+//! hasher itself gives one id per byte string however `update` calls cut it
+//! (the kernel carries a partial 16-byte block between calls).
 
-use bcp_core::chunks::{ChunkManifest, FileChunks};
+use bcp_core::chunks::{chunk_hash, ChunkHasher, ChunkManifest, FileChunks};
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -30,6 +32,18 @@ fn split_segments(data: &[u8], cuts: &[prop::sample::Index]) -> Vec<Bytes> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn streamed_hash_is_independent_of_update_splits(
+        data in prop::collection::vec(any::<u8>(), 0..600),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
+    ) {
+        let mut h = ChunkHasher::new();
+        for piece in split_segments(&data, &cuts) {
+            h.update(&piece);
+        }
+        prop_assert_eq!(h.finish(), chunk_hash(&data));
+    }
 
     #[test]
     fn manifest_round_trips_and_reassembles_bitwise(

@@ -7,8 +7,17 @@
 use crate::{Result, StorageBackend, StorageError};
 use bytes::Bytes;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// Suffix of the temp file an object is written to before its rename;
+/// [`StorageBackend::list`] hides names ending in it.
+const PARTIAL_SUFFIX: &str = ".tmp.partial";
+
+/// `write_segments` gathers segments below this size into one `write(2)`: a
+/// shard file is thousands of ~50-byte frame headers and 4-byte CRC trailers
+/// between its payloads, and a syscall each costs more than the bytes.
+const COALESCE_BYTES: usize = 256 * 1024;
 
 /// A backend rooted at a directory on the local filesystem.
 pub struct DiskBackend {
@@ -54,6 +63,15 @@ impl DiskBackend {
     }
 }
 
+/// The temp path `p` is written through: the suffix goes after the *whole*
+/// file name, so `x.bin.part0` … `x.bin.part3` (and `x.bin` / `x.json`) each
+/// get their own — `Path::with_extension` would map them all onto one.
+fn partial_path(p: &Path) -> PathBuf {
+    let mut name = p.as_os_str().to_owned();
+    name.push(PARTIAL_SUFFIX);
+    PathBuf::from(name)
+}
+
 fn io_err(e: std::io::Error) -> StorageError {
     StorageError::Io(e.to_string())
 }
@@ -73,7 +91,7 @@ impl StorageBackend for DiskBackend {
         // Write + fsync the temp file, then rename: a crash at any point
         // leaves either the old object or the new one, never a torn file —
         // so a partial COMPLETE marker or global-metadata file is impossible.
-        let tmp = p.with_extension("tmp.partial");
+        let tmp = partial_path(&p);
         {
             let mut f = fs::File::create(&tmp).map_err(io_err)?;
             f.write_all(&data).map_err(io_err)?;
@@ -86,12 +104,16 @@ impl StorageBackend for DiskBackend {
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
         let p = self.resolve(path)?;
         self.ensure_parent(&p)?;
-        let tmp = p.with_extension("tmp.partial");
+        let tmp = partial_path(&p);
         {
-            let mut f = fs::File::create(&tmp).map_err(io_err)?;
+            // Segments of `COALESCE_BYTES` and more bypass the buffer.
+            let total: usize = segments.iter().map(Bytes::len).sum();
+            let f = fs::File::create(&tmp).map_err(io_err)?;
+            let mut w = BufWriter::with_capacity(total.min(COALESCE_BYTES), f);
             for seg in segments {
-                f.write_all(seg).map_err(io_err)?;
+                w.write_all(seg).map_err(io_err)?;
             }
+            let f = w.into_inner().map_err(|e| io_err(e.into_error()))?;
             f.sync_all().map_err(io_err)?;
         }
         fs::rename(&tmp, &p).map_err(io_err)?;
@@ -169,7 +191,7 @@ impl StorageBackend for DiskBackend {
             walk(&start, &mut |p| {
                 if let Ok(rel) = p.strip_prefix(&self.root) {
                     let key = rel.to_string_lossy().replace('\\', "/");
-                    if key.starts_with(prefix) && !key.ends_with(".tmp.partial") {
+                    if key.starts_with(prefix) && !key.ends_with(PARTIAL_SUFFIX) {
                         out.push(key);
                     }
                 }
@@ -205,7 +227,7 @@ impl StorageBackend for DiskBackend {
     fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
         let t = self.resolve(target)?;
         self.ensure_parent(&t)?;
-        let tmp = t.with_extension("tmp.partial");
+        let tmp = partial_path(&t);
         {
             let mut out = fs::File::create(&tmp).map_err(io_err)?;
             for part in parts {

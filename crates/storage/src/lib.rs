@@ -286,7 +286,38 @@ pub(crate) mod conformance {
         rename_moves(b);
         concat_merges_and_removes_parts(b);
         gather_writes(b);
+        concurrent_part_writes_then_concat(b);
         error_cases(b);
+    }
+
+    /// The split-upload shape (§4.3): a file's parts are written at the same
+    /// moment by different threads, then merged. The parts' names differ only
+    /// after the last dot, so a backend that stages writes under a name
+    /// derived from the path must derive a distinct one for each.
+    fn concurrent_part_writes_then_concat(b: &dyn StorageBackend) {
+        let part = |i: usize| -> Vec<Bytes> {
+            let body: Vec<u8> = (0..40_000).map(|j| (j * 31 + i * 7) as u8).collect();
+            vec![
+                Bytes::from(vec![i as u8; 13]),
+                Bytes::from(body),
+                Bytes::from(vec![0xC0 | i as u8; 4]),
+            ]
+        };
+        let names: Vec<String> = (0..4).map(|i| format!("d/x.bin.part{i}")).collect();
+        let gate = std::sync::Barrier::new(names.len());
+        std::thread::scope(|s| {
+            for (i, name) in names.iter().enumerate() {
+                let gate = &gate;
+                s.spawn(move || {
+                    gate.wait();
+                    b.write_segments(name, &part(i)).unwrap();
+                });
+            }
+        });
+        b.concat("d/x.bin", &names).unwrap();
+        let want: Vec<u8> = (0..4).flat_map(|i| part(i).concat()).collect();
+        assert_eq!(&b.read("d/x.bin").unwrap()[..], &want[..]);
+        assert_eq!(b.list("d/").unwrap(), vec!["d/x.bin".to_string()]);
     }
 
     fn gather_writes(b: &dyn StorageBackend) {

@@ -32,6 +32,23 @@ impl MemoryBackend {
     }
 }
 
+/// One object holding `segments` in order. A single segment is stored as the
+/// caller's `Bytes` zero-copy; more pay exactly one copy into a buffer sized
+/// up front (growing by doubling would touch twice the bytes).
+fn stitch(segments: &[Bytes]) -> Bytes {
+    match segments {
+        [one] => one.clone(),
+        _ => {
+            let total: usize = segments.iter().map(Bytes::len).sum();
+            let mut buf = BytesMut::with_capacity(total);
+            for seg in segments {
+                buf.extend_from_slice(seg);
+            }
+            buf.freeze()
+        }
+    }
+}
+
 impl StorageBackend for MemoryBackend {
     fn name(&self) -> &str {
         "memory"
@@ -43,19 +60,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        // Single-segment writes store the caller's Bytes zero-copy; the
-        // multi-segment case pays exactly one concatenation.
-        let data = match segments {
-            [one] => one.clone(),
-            _ => {
-                let total: usize = segments.iter().map(Bytes::len).sum();
-                let mut buf = BytesMut::with_capacity(total);
-                for seg in segments {
-                    buf.extend_from_slice(seg);
-                }
-                buf.freeze()
-            }
-        };
+        let data = stitch(segments);
         self.objects.write().insert(path.to_string(), data);
         Ok(())
     }
@@ -137,16 +142,22 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
+        // Only handle clones and map edits happen under the store-wide lock:
+        // the copy — tens of MB for a split shard file — runs outside it, so
+        // one rank's concat never blocks another rank's part writes.
+        let handles: Vec<Bytes> = {
+            let objects = self.objects.read();
+            parts
+                .iter()
+                .map(|p| objects.get(p).cloned().ok_or_else(|| StorageError::NotFound(p.clone())))
+                .collect::<Result<_>>()?
+        };
+        let merged = stitch(&handles);
         let mut objects = self.objects.write();
-        let mut buf = BytesMut::new();
-        for p in parts {
-            let data = objects.get(p).ok_or_else(|| StorageError::NotFound(p.clone()))?;
-            buf.extend_from_slice(data);
-        }
         for p in parts {
             objects.remove(p);
         }
-        objects.insert(target.to_string(), buf.freeze());
+        objects.insert(target.to_string(), merged);
         Ok(())
     }
 }
@@ -169,6 +180,42 @@ mod tests {
         assert_eq!(m.num_objects(), 2);
         m.delete("a").unwrap();
         assert_eq!(m.total_bytes(), 2);
+    }
+
+    #[test]
+    fn concat_and_concurrent_unrelated_writes_both_land() {
+        // `concat` copies outside the store lock and re-takes it to publish;
+        // a writer to other keys racing that window must lose nothing, and
+        // neither may the merged object.
+        let m = MemoryBackend::new();
+        let names: Vec<String> = (0..4).map(|i| format!("f.bin.part{i}")).collect();
+        let part = |i: usize| Bytes::from(vec![i as u8 + 1; 256 * 1024]);
+        for round in 0..8 {
+            for (i, name) in names.iter().enumerate() {
+                m.write(name, part(i)).unwrap();
+            }
+            let gate = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    gate.wait();
+                    m.concat("f.bin", &names).unwrap();
+                });
+                s.spawn(|| {
+                    gate.wait();
+                    for k in 0..64 {
+                        m.write(&format!("other/{round}/{k}"), Bytes::from(vec![k as u8; 64]))
+                            .unwrap();
+                    }
+                });
+            });
+            let merged = m.read("f.bin").unwrap();
+            let want: Vec<u8> = (0..4).flat_map(|i| part(i).to_vec()).collect();
+            assert!(merged[..] == want[..], "round {round}: merged object differs");
+            assert!(names.iter().all(|n| !m.exists(n).unwrap()), "round {round}: parts remain");
+            for k in 0..64 {
+                assert_eq!(m.read(&format!("other/{round}/{k}")).unwrap()[..], [k as u8; 64]);
+            }
+        }
     }
 
     #[test]

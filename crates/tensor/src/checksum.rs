@@ -2,28 +2,50 @@
 //!
 //! Storage files carry a per-frame CRC so that torn or corrupted writes are
 //! detected at load time instead of silently corrupting training state
-//! (paper Appendix B: integrity guarantee). Hand-rolled to stay within the
-//! approved dependency set; table-driven, one byte at a time — checksumming
-//! is far from the I/O bottleneck.
+//! (paper Appendix B: integrity guarantee). Every saved payload byte passes
+//! through here once, and scrub, `decode_frames` and the hot tier re-verify
+//! through the same function, so the kernel's speed is the save tail's: a
+//! byte-at-a-time table walk runs at 0.4 GB/s on the benchmark host, which
+//! was 40 % of a save's CPU time against a memory backend.
+//!
+//! The kernel is portable slicing-by-16: sixteen compile-time 256-entry tables,
+//! where `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+//! let one step fold sixteen input bytes with sixteen independent lookups
+//! instead of sixteen dependent ones. Same polynomial, same values as zlib /
+//! `crc32fast`; safe Rust, no `std::arch`, hand-rolled to stay within the
+//! approved dependency set.
 
 /// Reflected CRC32 polynomial (same as zlib / `crc32fast`).
 const POLY: u32 = 0xEDB8_8320;
 
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
+/// Input bytes folded per step.
+const SLICES: usize = 16;
+
+static TABLES: [[u32; 256]; SLICES] = {
+    let mut t = [[0u32; 256]; SLICES];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    })
-}
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
 
 /// Streaming CRC32 hasher.
 #[derive(Debug, Clone)]
@@ -45,10 +67,33 @@ impl Crc32 {
 
     /// Feed bytes into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &b in data {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let mut crc = self.state;
+        let (blocks, rest) = data.as_chunks::<SLICES>();
+        for b in blocks {
+            // The running CRC only mixes into the first four bytes; the byte
+            // at position `i` is followed by `15 - i` more bytes of the block.
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = TABLES[15][(lo & 0xFF) as usize]
+                ^ TABLES[14][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[13][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[12][(lo >> 24) as usize]
+                ^ TABLES[11][b[4] as usize]
+                ^ TABLES[10][b[5] as usize]
+                ^ TABLES[9][b[6] as usize]
+                ^ TABLES[8][b[7] as usize]
+                ^ TABLES[7][b[8] as usize]
+                ^ TABLES[6][b[9] as usize]
+                ^ TABLES[5][b[10] as usize]
+                ^ TABLES[4][b[11] as usize]
+                ^ TABLES[3][b[12] as usize]
+                ^ TABLES[2][b[13] as usize]
+                ^ TABLES[1][b[14] as usize]
+                ^ TABLES[0][b[15] as usize];
         }
+        for &b in rest {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Finish and return the checksum value.
@@ -67,6 +112,21 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook bit-at-a-time CRC-32/ISO-HDLC: shares no table and no
+    /// loop with the kernel above, so agreement pins the frame format's
+    /// values to what every earlier checkpoint was written with.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { POLY ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -92,5 +152,44 @@ mod tests {
         let base = crc32(&data);
         data[512] ^= 0x01;
         assert_ne!(crc32(&data), base);
+    }
+
+    #[test]
+    fn every_short_length_matches_the_reference() {
+        // Each length around the 16-byte block size, at each start offset
+        // within a block, so every block/remainder combination is hit.
+        let buf: Vec<u8> =
+            (0..4096u32 + 16).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        for start in 0..16 {
+            for len in (0..=80).chain([255, 256, 257, 4095, 4096]) {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_reference(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn slicing_equals_bytewise_reference(
+            buf in proptest::collection::vec(any::<u8>(), 0..=4096 + 15),
+            start in 0usize..16,
+            cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let data = &buf[start.min(buf.len())..];
+            let want = crc32_reference(data);
+            prop_assert_eq!(crc32(data), want);
+            // Arbitrary `update` split points give the same value.
+            let mut points: Vec<usize> =
+                cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            points.sort_unstable();
+            let mut h = Crc32::new();
+            let mut at = 0;
+            for p in points {
+                h.update(&data[at..p]);
+                at = p;
+            }
+            h.update(&data[at..]);
+            prop_assert_eq!(h.finalize(), want);
+        }
     }
 }

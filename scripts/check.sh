@@ -34,6 +34,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
+echo "==> perf/ builds against this tree (both bins: a public-API break under a layer probe fails here)"
+cargo build --release --offline --manifest-path perf/Cargo.toml
+
 echo "==> bench_engine smoke (writes results/BENCH_engine.json)"
 cargo run --release -p bcp-bench --bin bench_engine -- --smoke --out results/BENCH_engine.json
 

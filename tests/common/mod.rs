@@ -18,6 +18,21 @@ where
     F: Fn(usize, Checkpointer) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
+    run_ranks_with(par, fw, registry, WorkflowOptions::default(), f)
+}
+
+/// [`run_ranks`] with non-default workflow options.
+pub fn run_ranks_with<F, T>(
+    par: Parallelism,
+    fw: Framework,
+    registry: Arc<BackendRegistry>,
+    workflow: WorkflowOptions,
+    f: F,
+) -> Vec<T>
+where
+    F: Fn(usize, Checkpointer) -> T + Send + Sync + 'static,
+    T: Send + 'static,
+{
     let world = CommWorld::new(par.world_size(), Backend::Tree { gpus_per_host: 4, branching: 2 });
     let f = Arc::new(f);
     let handles: Vec<_> = (0..par.world_size())
@@ -25,12 +40,14 @@ where
             let world = world.clone();
             let registry = registry.clone();
             let f = f.clone();
+            let workflow = workflow.clone();
             std::thread::spawn(move || {
                 let comm = world.communicator(rank).unwrap();
                 let ckpt = Checkpointer::builder(comm)
                     .framework(fw)
                     .parallelism(par)
                     .registry(registry)
+                    .workflow(workflow)
                     .build()
                     .unwrap();
                 f(rank, ckpt)

@@ -53,6 +53,41 @@ fn disk_backend_end_to_end_with_real_files() {
 }
 
 #[test]
+fn disk_backend_default_options_split_upload_of_a_large_shard() {
+    // Default `WorkflowOptions` split any file above 8 MiB into four parts
+    // written concurrently and merged by `concat`. The parts' names differ
+    // only after the last dot (`optim_0.bin.part0..3`), which used to land
+    // them all on one temp path on disk.
+    let dir = std::env::temp_dir().join(format!("bcp-it-disk-split-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let registry = registry_for(Scheme::File, disk.clone());
+    let arch =
+        bytecheckpoint::model::TransformerConfig { hidden: 256, vocab: 2048, ..zoo::tiny_gpt() };
+    let fw = Framework::Fsdp { zero3: true };
+    let par = Parallelism::data_parallel(2).unwrap();
+    let path = "file:///job/split-ckpt";
+    let arch2 = arch.clone();
+    run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&arch2, fw, par, rank, 1);
+        ckpt.save(&SaveRequest::new(path, &state, 1)).unwrap().wait().unwrap();
+    });
+    let split = WorkflowOptions::default().save.split_threshold;
+    assert!(disk.size("job/split-ckpt/optim_0.bin").unwrap() > split, "shard must be split");
+    let files = disk.list("job/split-ckpt/").unwrap();
+    assert!(files.iter().any(|f| f.ends_with("COMPLETE")), "{files:?}");
+    assert!(files.iter().all(|f| !f.contains(".part")), "{files:?}");
+    let report = scrub_step(&disk, "job/split-ckpt", 1).unwrap();
+    assert!(report.is_clean(), "{:?}", report.issues);
+    run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&arch, fw, par, rank, true);
+        ckpt.load(&mut LoadRequest::new(path, &mut state)).unwrap();
+        assert_states_eq(&state, &reference_state(&arch, fw, par, rank, 1), rank);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn hdfs_backend_end_to_end_with_metadata_machinery() {
     let hdfs = Arc::new(HdfsBackend::new(HdfsConfig {
         meta_latency: Duration::from_micros(20),
