@@ -1,6 +1,6 @@
 //! Engine hot-path benchmark: quantifies the overlapped, single-copy
 //! execution engine against the pre-PR sequential paths on a latency-bound
-//! (`Throttled`) backend, and emits `results/BENCH_engine.json` for the
+//! (`FaultLayer` delay) backend, and emits `results/BENCH_engine.json` for the
 //! repo's acceptance gates.
 //!
 //! Not a criterion bench on purpose: the interesting numbers are end-to-end
@@ -22,7 +22,7 @@ use bcp_core::planner::balance::AssignedLoadPlan;
 use bcp_model::states::build_train_state;
 use bcp_model::{zoo, Framework, TrainState};
 use bcp_monitor::{MetricsSink, SpanContext};
-use bcp_storage::{DynBackend, MemoryBackend, ThrottleProfile, Throttled};
+use bcp_storage::{fault, DynBackend, FaultLayer, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,12 +32,8 @@ use std::time::{Duration, Instant};
 const OP_LATENCY: Duration = Duration::from_millis(2);
 
 fn throttled_memory() -> DynBackend {
-    let profile = ThrottleProfile {
-        read_bps: f64::INFINITY,
-        write_bps: f64::INFINITY,
-        op_latency: OP_LATENCY,
-    };
-    Arc::new(Throttled::new(Arc::new(MemoryBackend::new()), profile, "throttled-mem"))
+    let profile = fault::throttle(f64::INFINITY, f64::INFINITY, OP_LATENCY);
+    Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, profile).named("throttled-mem"))
 }
 
 fn fresh_state() -> TrainState {
@@ -179,7 +175,7 @@ fn main() {
 
     let improvement_pct = 100.0 * (ms(load_seq) - ms(load_ovl)) / ms(load_seq);
     let scenario = serde_json::json!({
-        "backend": "Throttled(MemoryBackend)",
+        "backend": "FaultLayer(MemoryBackend)",
         "op_latency_ms": OP_LATENCY.as_secs_f64() * 1e3,
         "read_items": items,
         "planned_bytes": planned,

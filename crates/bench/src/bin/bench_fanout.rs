@@ -7,7 +7,7 @@
 //! The checkpoint is produced by the *real* save path (so the commit-time
 //! `chunk_manifest.json` is the one the engine wrote), the backend cap is
 //! the *real* `FairShareScheduler` token bucket (shared across all reader
-//! threads — unlike `Throttled`, aggregate throughput does not scale with
+//! threads — unlike a `FaultLayer` delay, aggregate throughput does not scale with
 //! thread count), and backend traffic is measured by an instrumented
 //! wrapper, not inferred.
 //!
@@ -28,7 +28,7 @@ use bcp_core::workflow::WorkflowOptions;
 use bcp_model::states::build_train_state;
 use bcp_model::{zoo, Framework};
 use bcp_monitor::MetricsSink;
-use bcp_storage::{DynBackend, DynGovernor, GovernedBackend, OpCountingBackend, ReadCache};
+use bcp_storage::{assemble, DynBackend, DynGovernor, OpCountingBackend, ReadCache, StackConfig};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,9 +48,9 @@ fn capped_stack(mem: &DynBackend, rate_bps: u64) -> (Arc<OpCountingBackend>, Dyn
         burst_bytes: 256 * 1024,
         chunk_bytes: 64 * 1024,
     }));
-    let governed: DynBackend =
-        Arc::new(GovernedBackend::new(counting.clone() as DynBackend, governor, "fanout"));
-    (counting, governed)
+    let govern = Some((governor, "fanout".to_string(), MetricsSink::disabled()));
+    let governed = assemble(counting.clone(), StackConfig { govern, ..StackConfig::default() });
+    (counting, governed.top)
 }
 
 struct SweepRow {

@@ -13,7 +13,7 @@ use bcp_dataloader::{DataSource, Dataloader, LoaderReplicatedState};
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, ExtraState, TrainState, TrainerConfig};
 use bcp_monitor::{heatmap, MetricsHub};
-use bcp_storage::{MemoryBackend, ThrottleProfile, Throttled};
+use bcp_storage::{fault, FaultLayer, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,15 +47,9 @@ pub fn fig11_fig12() -> (String, String) {
     let hub = Arc::new(MetricsHub::new());
     // A lightly throttled backend makes phase durations visible and
     // proportional to bytes (scaled-down HDFS profile).
-    let backend = Arc::new(Throttled::new(
-        Arc::new(MemoryBackend::new()),
-        ThrottleProfile {
-            read_bps: 400e6,
-            write_bps: 50e6,
-            op_latency: Duration::from_micros(300),
-        },
-        "hdfs-sim",
-    ));
+    let profile = fault::throttle(400e6, 50e6, Duration::from_micros(300));
+    let backend =
+        Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, profile).named("hdfs-sim"));
     let registry = registry_over(backend);
     let sink = hub.sink();
     run_ranks(par, fw, registry, sink, WorkflowOptions::default(), move |rank, ckpt| {

@@ -13,7 +13,7 @@ use crate::top::{JobTopRow, TopSnapshot};
 use crate::wire::{Request, Response};
 use bcp_core::integrity::{RetryClock, SystemClock};
 use bcp_monitor::{labels, AlertEvent, FrameSink, Labels, MetricsSink, TelemetryFrame};
-use bcp_storage::{DiskBackend, DynBackend, DynGovernor, GovernedBackend};
+use bcp_storage::{assemble, DiskBackend, DynBackend, DynGovernor, StackConfig};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -286,9 +286,8 @@ impl CoordinatorService {
     /// service's fair-share scheduler. Governed waits are folded straight
     /// into the plane (`governor_wait_seconds{job}`).
     pub fn governed_backend(&self, job: &str, inner: DynBackend) -> DynBackend {
-        Arc::new(
-            GovernedBackend::new(inner, self.governor(), job).with_sink(self.fold_sink(job), 0),
-        )
+        let govern = Some((self.governor(), job.to_string(), self.fold_sink(job)));
+        assemble(inner, StackConfig { govern, ..StackConfig::default() }).top
     }
 
     /// A [`MetricsSink`] folding directly into the plane's registry under

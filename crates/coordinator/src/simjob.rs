@@ -15,7 +15,7 @@ use bcp_model::states::build_train_state;
 use bcp_model::{TrainerConfig, TransformerConfig};
 use bcp_monitor::{DynFrameSink, PumpConfig, TelemetryPump};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{DynBackend, DynGovernor, GovernedBackend, MemoryBackend};
+use bcp_storage::{assemble, DynBackend, DynGovernor, MemoryBackend, StackConfig};
 use parking_lot::Mutex;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,12 +189,8 @@ pub fn run_remote_sim_job(
         TelemetryPump::new(spec.job_id.clone(), 0, frames.clone(), PumpConfig::default());
 
     let inner: DynBackend = Arc::new(MemoryBackend::new());
-    let backend: DynBackend = match governor {
-        Some(gov) => Arc::new(
-            GovernedBackend::new(inner, gov, &spec.job_id).with_sink(storage_pump.sink(), 0),
-        ),
-        None => inner,
-    };
+    let govern = governor.map(|gov| (gov, spec.job_id.clone(), storage_pump.sink()));
+    let backend = assemble(inner, StackConfig { govern, ..StackConfig::default() }).top;
     let mut reg = BackendRegistry::new();
     reg.register(Scheme::Memory, backend);
     let registry = Arc::new(reg);

@@ -37,7 +37,7 @@ use bcp_collectives::Communicator;
 use bcp_dataloader::{LoaderReplicatedState, LoaderShardState};
 use bcp_model::{ExtraState, Framework, TrainState};
 use bcp_monitor::{MetricsHub, MetricsSink};
-use bcp_storage::{CheckpointLocation, DynBackend, HotTier, InstrumentedBackend};
+use bcp_storage::{assemble, CheckpointLocation, DynBackend, HotTier, StackConfig};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 
@@ -282,33 +282,6 @@ impl CheckpointerBuilder {
         self
     }
 
-    /// Peer replicas per shard (R) for the hot tier.
-    #[deprecated(since = "0.3.0", note = "use hot_tier(HotTierConfig::enabled().replicas(..))")]
-    pub fn hot_tier_replicas(mut self, replicas: usize) -> CheckpointerBuilder {
-        self.workflow.hot.replicas = replicas;
-        self
-    }
-
-    /// Hot-ring capacity in steps (K).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use hot_tier(HotTierConfig::enabled().capacity_steps(..))"
-    )]
-    pub fn hot_tier_capacity(mut self, steps: usize) -> CheckpointerBuilder {
-        self.workflow.hot.capacity_steps = steps.max(1);
-        self
-    }
-
-    /// Ranks per failure domain (host) for replica placement.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use hot_tier(HotTierConfig::enabled().gpus_per_host(..))"
-    )]
-    pub fn hot_tier_layout(mut self, gpus_per_host: usize) -> CheckpointerBuilder {
-        self.workflow.hot.gpus_per_host = gpus_per_host.max(1);
-        self
-    }
-
     /// Use an externally-owned [`HotTier`] instead of a private one —
     /// modeling host memory that outlives a worker process (the chaos
     /// harness restarts `Checkpointer`s against the same tiers). Implies
@@ -428,10 +401,9 @@ impl Checkpointer {
     /// `storage/<backend>/<op>` span, parented under whichever workflow
     /// phase issued it.
     fn instrumented(&self, backend: DynBackend) -> DynBackend {
-        match &self.telemetry {
-            Some(_) => Arc::new(InstrumentedBackend::new(backend, self.sink.clone(), self.rank())),
-            None => backend,
-        }
+        let instrument = self.telemetry.as_ref().map(|_| self.sink.clone());
+        assemble(backend, StackConfig { rank: self.rank(), instrument, ..StackConfig::default() })
+            .top
     }
 
     /// `bytecheckpoint.save`: checkpoint the given states under the

@@ -621,8 +621,7 @@ fn execute_load_sequential(
 mod tests {
     use super::*;
     use crate::plan::Category;
-    use bcp_storage::flaky::FailureMode;
-    use bcp_storage::{FlakyBackend, MemoryBackend, StorageBackend};
+    use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
     use bytes::BytesMut;
 
     fn whole_file_item(len_elems: usize) -> ReadItem {
@@ -682,7 +681,8 @@ mod tests {
         let payload = Bytes::from(vec![0xCDu8; n * 4]);
         let inner = Arc::new(MemoryBackend::new());
         inner.write("ckpt/model_0.bin", payload.clone()).unwrap();
-        let flaky: DynBackend = Arc::new(FlakyBackend::new(inner, FailureMode::Reads, 2));
+        let fail_twice = vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 2 })];
+        let flaky: DynBackend = Arc::new(FaultLayer::new(inner, 0, fail_twice));
         let cfg = LoadConfig { io_threads: 2, chunk_bytes: 32 * 1024, ..Default::default() };
         let io = IoPool::new(2);
         let log = Arc::new(FailureLog::new());

@@ -515,14 +515,14 @@ mod tests {
     fn async_save_returns_before_upload_finishes() {
         let (plan, state, _) = setup();
         // Slow backend: writes sleep.
-        let slow: DynBackend = Arc::new(bcp_storage::Throttled::new(
+        let slow: DynBackend = Arc::new(bcp_storage::FaultLayer::new(
             Arc::new(MemoryBackend::new()),
-            bcp_storage::ThrottleProfile {
-                read_bps: f64::INFINITY,
-                write_bps: 4.0 * 1024.0 * 1024.0,
-                op_latency: Duration::from_millis(5),
-            },
-            "slow",
+            0,
+            bcp_storage::fault::throttle(
+                f64::INFINITY,
+                4.0 * 1024.0 * 1024.0,
+                Duration::from_millis(5),
+            ),
         ));
         let pool = PinnedPool::new(2);
         let io = IoPool::new(1);
@@ -592,10 +592,13 @@ mod tests {
     #[test]
     fn transient_upload_failures_are_retried() {
         let (plan, state, _) = setup();
-        let flaky: DynBackend = Arc::new(bcp_storage::FlakyBackend::new(
+        let flaky: DynBackend = Arc::new(bcp_storage::FaultLayer::new(
             Arc::new(MemoryBackend::new()),
-            bcp_storage::flaky::FailureMode::Writes,
-            2,
+            0,
+            vec![bcp_storage::FaultRule::new(
+                bcp_storage::OpSet::Writes,
+                bcp_storage::Fault::Fail { times: 2 },
+            )],
         ));
         let pool = PinnedPool::new(2);
         let io = IoPool::new(2);

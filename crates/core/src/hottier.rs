@@ -92,10 +92,6 @@ impl From<bool> for HotTierConfig {
     }
 }
 
-/// Pre-redesign name of [`HotTierConfig`].
-#[deprecated(since = "0.3.0", note = "renamed to HotTierConfig")]
-pub type HotTierOptions = HotTierConfig;
-
 fn placement(comm: &Communicator, opts: &HotTierConfig) -> Result<ReplicaPlacement> {
     ReplicaPlacement::new(comm.size(), opts.gpus_per_host.max(1), opts.replicas)
         .map_err(|e| BcpError::Plan(format!("hot-tier placement: {e}")))

@@ -283,13 +283,18 @@ pub fn is_committed(backend: &DynBackend, prefix: &str) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcp_storage::flaky::FailureMode;
-    use bcp_storage::{FlakyBackend, MemoryBackend, StorageBackend};
+    use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
     use std::sync::Arc;
+
+    /// A memory backend whose first `times` writes to each path fail.
+    fn failing_writes(times: u32) -> FaultLayer {
+        let rules = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times })];
+        FaultLayer::new(Arc::new(MemoryBackend::new()), 0, rules)
+    }
 
     #[test]
     fn retries_absorb_transient_failures_and_log_them() {
-        let flaky = FlakyBackend::new(Arc::new(MemoryBackend::new()), FailureMode::Writes, 2);
+        let flaky = failing_writes(2);
         let log = FailureLog::new();
         let data = bytes::Bytes::from_static(b"payload");
         let result = with_retries(
@@ -311,7 +316,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_the_error() {
-        let flaky = FlakyBackend::new(Arc::new(MemoryBackend::new()), FailureMode::Writes, 10);
+        let flaky = failing_writes(10);
         let log = FailureLog::new();
         let result = with_retries(
             RetryPolicy::fixed(2, Duration::from_millis(1)),
@@ -408,11 +413,7 @@ mod tests {
     #[test]
     fn failover_is_recorded_in_log_and_metrics() {
         let hub = bcp_monitor::MetricsHub::new();
-        let primary: DynBackend = Arc::new(FlakyBackend::new(
-            Arc::new(MemoryBackend::new()),
-            FailureMode::Writes,
-            u32::MAX,
-        ));
+        let primary: DynBackend = Arc::new(failing_writes(u32::MAX));
         let secondary: DynBackend = Arc::new(MemoryBackend::new());
         let fb = FallbackBackend::with_threshold(primary, secondary, 2);
         let log = Arc::new(FailureLog::new());

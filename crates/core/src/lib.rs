@@ -59,8 +59,6 @@ pub use chunks::{ChunkManifest, ChunkRef, ChunkSite, FileChunks, CHUNK_MANIFEST_
 pub use crashsim::{enumerate_crash_states, CrashState};
 pub use distribution::{fetch_step_fanout, DistStats, FanoutOptions};
 pub use fault::{FaultHook, FaultPlan};
-#[allow(deprecated)]
-pub use hottier::HotTierOptions;
 pub use hottier::{HotTierConfig, TierBreakdown};
 pub use manager::QuarantinedStep;
 pub use metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry};

@@ -22,9 +22,8 @@ use bcp_core::registry::BackendRegistry;
 use bcp_core::HotTierConfig;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
-use bcp_storage::flaky::{FailureMode, FlakyBackend};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{DynBackend, HotTier, MemoryBackend};
+use bcp_storage::{DynBackend, Fault, FaultLayer, FaultRule, HotTier, MemoryBackend, OpSet};
 use bcp_topology::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,10 +78,11 @@ impl Cluster {
         let mem: DynBackend = Arc::new(MemoryBackend::new());
         // Every path's first write fails (exercising the retry machinery on
         // every new object) and every data op sleeps a seeded jitter.
-        let flaky: DynBackend = Arc::new(
-            FlakyBackend::new(mem.clone(), FailureMode::Writes, 1)
-                .with_jitter(jitter_seed, Duration::from_micros(200)),
-        );
+        let rules = vec![
+            FaultRule::new(OpSet::Data, Fault::Jitter { max: Duration::from_micros(200) }),
+            FaultRule::new(OpSet::Writes, Fault::Fail { times: 1 }),
+        ];
+        let flaky: DynBackend = Arc::new(FaultLayer::new(mem.clone(), jitter_seed, rules));
         let mut reg = BackendRegistry::new();
         reg.register(Scheme::Memory, flaky);
         Cluster {

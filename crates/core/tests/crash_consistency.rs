@@ -21,7 +21,7 @@ use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::journal::{JournalBackend, JournalOp};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{CorruptingBackend, DynBackend, MemoryBackend};
+use bcp_storage::{DynBackend, FaultLayer, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,7 +233,7 @@ fn bit_flipped_newest_step_is_quarantined_and_previous_step_loads() {
         .map(|e| e.byte.file.clone())
         .next()
         .expect("step 2 references at least one shard file");
-    let corruptor = CorruptingBackend::new(mem.clone(), 0xB1C7);
+    let corruptor = FaultLayer::new(mem.clone(), 0xB1C7, Vec::new());
     corruptor.flip_bit_at_rest(&format!("train/step_2/{shard_file}")).unwrap();
     assert_eq!(corruptor.injected(), 1);
 

@@ -22,8 +22,8 @@ use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
 use bcp_storage::{
-    CircuitState, DynBackend, FallbackBackend, MemoryBackend, ObjectStoreBackend,
-    ObjectStoreConfig, ResilienceConfig, ResilientBackend, RetryClock, StorageBackend,
+    assemble, CircuitState, DynBackend, FallbackBackend, MemoryBackend, ObjectStoreBackend,
+    ObjectStoreConfig, ResilienceConfig, ResilientBackend, RetryClock, StackConfig, StorageBackend,
     StorageErrorKind, TestClock,
 };
 use bcp_topology::Parallelism;
@@ -106,14 +106,26 @@ impl Cluster {
             ..ResilienceConfig::default()
         };
         cfg.breaker.cooldown = Duration::from_secs(10);
-        let resilient =
-            Arc::new(ResilientBackend::with_clock(store.clone() as DynBackend, cfg, clock.clone()));
         let secondary: DynBackend = Arc::new(MemoryBackend::new());
-        let fallback =
-            Arc::new(FallbackBackend::new(resilient.clone() as DynBackend, secondary.clone()));
+        let stack = assemble(
+            store.clone(),
+            StackConfig {
+                resilient: Some(cfg),
+                fallback: Some(secondary.clone()),
+                clock: Some(clock.clone()),
+                ..StackConfig::default()
+            },
+        );
         let mut reg = BackendRegistry::new();
-        reg.register(Scheme::Object, fallback.clone() as DynBackend);
-        Cluster { registry: Arc::new(reg), clock, store, resilient, fallback, secondary }
+        reg.register(Scheme::Object, stack.top);
+        Cluster {
+            registry: Arc::new(reg),
+            clock,
+            store,
+            resilient: stack.resilient.expect("configured"),
+            fallback: stack.fallback.expect("configured"),
+            secondary,
+        }
     }
 }
 

@@ -11,9 +11,10 @@ use bcp_core::registry::BackendRegistry;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_monitor::MetricsHub;
-use bcp_storage::flaky::{FailureMode, FlakyBackend};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{DynBackend, FallbackBackend, MemoryBackend};
+use bcp_storage::{
+    DynBackend, FallbackBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet,
+};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::Duration;
@@ -244,11 +245,9 @@ fn load_latest_on_empty_root_is_a_fresh_start() {
 #[test]
 fn degraded_primary_fails_over_and_is_recorded() {
     let secondary: DynBackend = Arc::new(MemoryBackend::new());
-    let primary: DynBackend = Arc::new(FlakyBackend::new(
-        Arc::new(MemoryBackend::new()),
-        FailureMode::Writes,
-        u32::MAX, // the primary tier is down for good
-    ));
+    // The primary tier is down for good.
+    let dead = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX })];
+    let primary: DynBackend = Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, dead));
     let fallback = Arc::new(FallbackBackend::with_threshold(primary, secondary.clone(), 1));
     let log = Arc::new(FailureLog::new());
     let hub = Arc::new(MetricsHub::new());

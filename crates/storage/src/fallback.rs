@@ -82,6 +82,15 @@ impl FallbackBackend {
         self.failures.load(Ordering::Relaxed)
     }
 
+    /// The tier writes currently target.
+    fn active(&self) -> &DynBackend {
+        if self.is_degraded() {
+            &self.secondary
+        } else {
+            &self.primary
+        }
+    }
+
     /// All downgrade events recorded (at most one per trip).
     pub fn events(&self) -> Vec<FailoverEvent> {
         self.events.lock().clone()
@@ -131,33 +140,34 @@ impl FallbackBackend {
         } else {
             (&self.primary, &self.secondary)
         };
-        op(first.as_ref()).or_else(|_| op(second.as_ref()))
+        // When both fail, the tier that holds the object has the telling
+        // error; the other one only knows it is not there.
+        op(first.as_ref()).or_else(|e1| {
+            op(second.as_ref()).map_err(|e2| match e1 {
+                crate::StorageError::NotFound(_) => e2,
+                _ => e1,
+            })
+        })
     }
 }
 
 impl StorageBackend for FallbackBackend {
     fn name(&self) -> &str {
-        if self.is_degraded() {
-            self.secondary.name()
-        } else {
-            self.primary.name()
-        }
+        self.active().name()
     }
 
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
-        vec![
+        let mut attrs = vec![
             ("degraded", self.is_degraded().to_string()),
             ("primary_failures", self.failures().to_string()),
-        ]
+        ];
+        attrs.extend(self.active().op_attrs());
+        attrs
     }
 
     fn shed_optional_work(&self) -> bool {
         // Brownout is a property of the tier writes currently land on.
-        if self.is_degraded() {
-            self.secondary.shed_optional_work()
-        } else {
-            self.primary.shed_optional_work()
-        }
+        self.active().shed_optional_work()
     }
 
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
@@ -168,8 +178,11 @@ impl StorageBackend for FallbackBackend {
         self.write_op(path, |b| b.write_segments(path, segments))
     }
 
-    // `zero_copy_reads` stays `false` (the default): after a failover, reads
-    // may straddle tiers, so adjacent ranges need not share an allocation.
+    fn zero_copy_reads(&self) -> bool {
+        // Every read of one object is served by one tier (the first that has
+        // it), so views stitch exactly when both tiers' views do.
+        self.primary.zero_copy_reads() && self.secondary.zero_copy_reads()
+    }
 
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
         self.write_op(path, |b| b.append(path, data))
@@ -222,12 +235,12 @@ impl StorageBackend for FallbackBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flaky::{FailureMode, FlakyBackend};
     use crate::memory::MemoryBackend;
-    use crate::StorageError;
+    use crate::{Fault, FaultLayer, FaultRule, OpSet, StorageError};
 
-    fn dead_primary(failures: u32) -> DynBackend {
-        Arc::new(FlakyBackend::new(Arc::new(MemoryBackend::new()), FailureMode::Writes, failures))
+    fn dead_primary(times: u32) -> DynBackend {
+        let rules = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times })];
+        Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, rules))
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! overlay: reads hit the verified hot copies first and fall through to the
 //! persistent (cold) backend on any miss.
 
+use crate::layer;
 use crate::{DynBackend, Result, StorageBackend, StorageError};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -166,37 +167,18 @@ impl TieredReadBackend {
     }
 }
 
-impl StorageBackend for TieredReadBackend {
-    fn name(&self) -> &str {
-        self.cold.name()
+/// A layer over `cold`: mutations, `name` and the capability flags forward
+/// (hot reads are zero-copy slices of one parent allocation per object, so
+/// the zero-copy contract holds exactly when it holds for cold reads).
+impl layer::Layer for TieredReadBackend {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.cold.as_ref()
     }
 
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
         let mut attrs = self.cold.op_attrs();
         attrs.push(("hot_overlay_objects", self.hot.len().to_string()));
         attrs
-    }
-
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.cold.write(path, data)
-    }
-
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        self.cold.write_segments(path, segments)
-    }
-
-    fn shed_optional_work(&self) -> bool {
-        self.cold.shed_optional_work()
-    }
-
-    fn zero_copy_reads(&self) -> bool {
-        // Hot reads are zero-copy slices of one parent allocation per
-        // object; honoring the contract also requires it of cold reads.
-        self.cold.zero_copy_reads()
-    }
-
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.cold.append(path, data)
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
@@ -251,18 +233,6 @@ impl StorageBackend for TieredReadBackend {
         }
         out.sort();
         Ok(out)
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        self.cold.delete(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.cold.rename(from, to)
-    }
-
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.cold.concat(target, parts)
     }
 }
 

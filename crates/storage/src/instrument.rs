@@ -14,11 +14,11 @@
 //!
 //! [`op_attrs`]: StorageBackend::op_attrs
 
+use crate::layer::{self, Op, Reply};
 use crate::{DynBackend, Result, StorageBackend};
-use bcp_monitor::{MetricsSink, SpanGuard};
-use bytes::Bytes;
+use bcp_monitor::MetricsSink;
 
-/// A [`StorageBackend`] decorator that traces every data-plane operation.
+/// A [`StorageBackend`] layer that traces every data-plane operation.
 pub struct InstrumentedBackend {
     inner: DynBackend,
     sink: MetricsSink,
@@ -31,127 +31,40 @@ impl InstrumentedBackend {
     pub fn new(inner: DynBackend, sink: MetricsSink, rank: usize) -> InstrumentedBackend {
         InstrumentedBackend { inner, sink, rank }
     }
+}
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &DynBackend {
-        &self.inner
+impl layer::Layer for InstrumentedBackend {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
     }
 
-    fn start_span(&self, op: &str, path: &str) -> SpanGuard {
+    fn around<T: Reply>(&self, op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        if op.is_probe() {
+            return call();
+        }
         let mut span = self
             .sink
-            .span_in_context(format!("storage/{}/{op}", self.inner.name()), self.rank)
+            .span_in_context(format!("storage/{}/{}", self.inner.name(), op.name()), self.rank)
             .uncounted()
-            .path(path);
+            .path(op.path());
         for (key, value) in self.inner.op_attrs() {
             span.set_attr(key, value);
         }
-        span
-    }
-}
-
-/// Stamp the error text onto the span when the operation failed.
-fn finish<T>(span: &mut SpanGuard, result: &Result<T>) {
-    if let Err(e) = result {
-        span.set_attr("error", e.to_string());
-    }
-}
-
-impl StorageBackend for InstrumentedBackend {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn op_attrs(&self) -> Vec<(&'static str, String)> {
-        self.inner.op_attrs()
-    }
-
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        let mut span = self.start_span("write", path);
-        span.add_bytes(data.len() as u64);
-        let result = self.inner.write(path, data);
-        finish(&mut span, &result);
-        result
-    }
-
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        let mut span = self.start_span("write_segments", path);
-        span.add_bytes(segments.iter().map(|s| s.len() as u64).sum());
-        span.set_attr("segments", segments.len().to_string());
-        let result = self.inner.write_segments(path, segments);
-        finish(&mut span, &result);
-        result
-    }
-
-    fn zero_copy_reads(&self) -> bool {
-        self.inner.zero_copy_reads()
-    }
-
-    fn shed_optional_work(&self) -> bool {
-        self.inner.shed_optional_work()
-    }
-
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        let mut span = self.start_span("append", path);
-        span.add_bytes(data.len() as u64);
-        let result = self.inner.append(path, data);
-        finish(&mut span, &result);
-        result
-    }
-
-    fn read(&self, path: &str) -> Result<Bytes> {
-        let mut span = self.start_span("read", path);
-        let result = self.inner.read(path);
-        if let Ok(data) = &result {
-            span.add_bytes(data.len() as u64);
+        match *op {
+            Op::WriteSegments { segments, .. } => {
+                span.set_attr("segments", segments.len().to_string())
+            }
+            Op::ReadRange { offset, .. } => span.set_attr("offset", offset.to_string()),
+            Op::Rename { to, .. } => span.set_attr("to", to),
+            Op::Concat { parts, .. } => span.set_attr("parts", parts.len().to_string()),
+            _ => {}
         }
-        finish(&mut span, &result);
-        result
-    }
-
-    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let mut span = self.start_span("read_range", path);
-        span.set_attr("offset", offset.to_string());
-        let result = self.inner.read_range(path, offset, len);
-        if let Ok(data) = &result {
-            span.add_bytes(data.len() as u64);
+        span.add_bytes(op.bytes());
+        let mut result = call();
+        match &mut result {
+            Ok(reply) => span.add_bytes(reply.payload().map_or(0, |data| data.len() as u64)),
+            Err(e) => span.set_attr("error", e.to_string()),
         }
-        finish(&mut span, &result);
-        result
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.inner.exists(path)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        let mut span = self.start_span("delete", path);
-        let result = self.inner.delete(path);
-        finish(&mut span, &result);
-        result
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let mut span = self.start_span("rename", from);
-        span.set_attr("to", to);
-        let result = self.inner.rename(from, to);
-        finish(&mut span, &result);
-        result
-    }
-
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        let mut span = self.start_span("concat", target);
-        span.set_attr("parts", parts.len().to_string());
-        let result = self.inner.concat(target, parts);
-        finish(&mut span, &result);
         result
     }
 }
@@ -161,15 +74,8 @@ mod tests {
     use super::*;
     use crate::memory::MemoryBackend;
     use bcp_monitor::MetricsHub;
+    use bytes::Bytes;
     use std::sync::Arc;
-
-    #[test]
-    fn conformance_still_holds_when_instrumented() {
-        let hub = MetricsHub::new();
-        let b = InstrumentedBackend::new(Arc::new(MemoryBackend::new()), hub.sink(), 0);
-        crate::conformance::run_all(&b);
-        assert!(!hub.spans().is_empty());
-    }
 
     #[test]
     fn ops_emit_uncounted_spans_with_bytes_path_and_parent() {

@@ -3,70 +3,82 @@
 //! The paper's Storage I/O layer "encapsulates different storage backends
 //! and manages backend-specific read/write operations and optimizations",
 //! with a unified interface toward the execution engine (Fig. 4). This crate
-//! provides that interface, [`StorageBackend`], and the backends:
+//! provides that interface, [`StorageBackend`], and three kinds of
+//! implementation.
+//!
+//! **Base backends** hold the bytes and implement the trait directly:
 //!
 //! * [`MemoryBackend`] — in-memory object store. Doubles as the engine's
 //!   shared-memory staging area (the paper's `/dev/shm` dump target) and as
 //!   Gemini-style in-memory checkpoint storage.
-//! * [`DiskBackend`] — real files under a root directory (debugging-scale
-//!   jobs and all integration tests).
+//! * [`DiskBackend`] — real files under a root directory.
 //! * [`hdfs::HdfsBackend`] — a simulated HDFS: append-only files, a
 //!   NameNode with per-metadata-op latency, QPS throttling and
 //!   (configurable) serial vs. parallel concat, an NNProxy metadata cache,
 //!   sub-file concatenation (§4.3), and SSD→HDD cool-down tiering (§5.1).
-//! * [`throttle::Throttled`] — wraps any backend with bandwidth/latency
-//!   profiles (used to model NAS and to make monitoring output realistic).
-//! * [`flaky::FlakyBackend`] — failure injection for upload/download retry
-//!   tests (Appendix B).
-//! * [`journal::JournalBackend`] — mutation journal that materializes
-//!   arbitrary post-crash storage states (log prefixes + torn final writes)
-//!   for the crash-consistency explorer.
-//! * [`corrupt::CorruptingBackend`] — seeded bit flips, truncation and
-//!   stale-file substitution, at rest or on read.
-//! * [`fallback::FallbackBackend`] — graceful degradation: writes fail over
-//!   to a secondary tier after repeated primary failures, with the downgrade
-//!   observable for failure logging and metrics.
-//! * [`governor::GovernedBackend`] — tags every transfer with a job name
-//!   and admits it through a [`governor::BandwidthGovernor`] (the
+//! * [`object::ObjectStoreBackend`] — a simulated S3-style object store:
+//!   multipart uploads, list lag, seeded throttling and outages.
+//!
+//! **Routers** choose between children: [`fallback::FallbackBackend`] sends
+//! writes to a secondary tier once the primary has proven itself broken,
+//! with the downgrade observable for failure logging and metrics.
+//!
+//! **Layers** wrap one backend and contain only what they intercept; the
+//! forwarding of everything else is written once, in [`layer`]:
+//!
+//! * [`instrument::InstrumentedBackend`] — one span per data-plane
+//!   operation (`storage/<backend>/<op>`).
+//! * [`governor::GovernedBackend`] — admits every transfer through a
+//!   [`governor::BandwidthGovernor`] tagged with a job name (the
 //!   coordinator's cross-job bandwidth scheduling choke point).
-//! * [`hot::HotTier`] / [`hot::TieredReadBackend`] — the in-process hot
-//!   checkpoint tier (bounded ring of the last K steps, peer-replicated)
-//!   and the read-through overlay the recovery ladder loads through.
-//! * [`readcache::ReadCache`] — single-flight coalescing read cache:
-//!   concurrent readers of one chunk share one backend fetch, with a
-//!   bounded LRU of decoded bytes (the distribution layer's backend shield).
+//! * [`readcache::ReadCache`] — single-flight coalescing read cache, and
+//!   [`readcache::OpCountingBackend`], the read counter its tests measure
+//!   with.
+//! * [`resilient::ResilientBackend`] — retry-after-aware pacing, hedged
+//!   reads, a circuit breaker and brownout shedding.
+//! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
+//!   bandwidth/latency profiles (NAS), jitter, scripted stragglers and read
+//!   or at-rest corruption, from a declarative schedule.
+//! * [`journal::JournalBackend`] — mutation journal that materializes
+//!   arbitrary post-crash storage states for the crash-consistency explorer.
+//! * [`hot::TieredReadBackend`] — the per-load read-through overlay of the
+//!   in-process hot tier ([`hot::HotTier`]) over the cold backend.
+//!
+//! [`stack::assemble`] is the one place layers are composed, always in the
+//! order instrument → govern → cache → fallback → resilient → fault → base
+//! (see [`stack`] for why).
 //!
 //! Paths are slash-separated keys (`checkpoints/step_100/model_3.bin`).
 //! URIs (`hdfs://...`, `file://...`, `mem://...`) are parsed by [`uri`] and
 //! resolved to a backend by the engine, mirroring "the Engine analyzes the
 //! given checkpoint path to determine the appropriate storage backend".
 
-pub mod corrupt;
 pub mod disk;
 pub mod fallback;
-pub mod flaky;
+pub mod fault;
 pub mod governor;
 pub mod hdfs;
 pub mod hot;
 pub mod instrument;
 pub mod journal;
+pub mod layer;
 pub mod memory;
 pub mod object;
 pub mod readcache;
 pub mod resilient;
 pub mod retry;
-pub mod throttle;
+pub mod stack;
 pub mod uri;
 
-pub use corrupt::{CorruptingBackend, Corruption};
 pub use disk::DiskBackend;
 pub use fallback::{FailoverEvent, FallbackBackend};
-pub use flaky::FlakyBackend;
+pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
 pub use governor::{BandwidthGovernor, DynGovernor, GovernedBackend, NoopGovernor, OpClass};
 pub use hdfs::{HdfsBackend, HdfsConfig, NameNodeStats};
 pub use hot::{HotTier, TierHit, TieredReadBackend};
 pub use instrument::InstrumentedBackend;
 pub use journal::{JournalBackend, JournalOp};
+pub use layer::{Layer, Op, Reply};
 pub use memory::MemoryBackend;
 pub use object::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use readcache::{OpCountingBackend, ReadCache, ReadCacheStats};
@@ -74,7 +86,7 @@ pub use resilient::{
     CircuitState, ResilienceConfig, ResilienceEvent, ResilienceSnapshot, ResilientBackend,
 };
 pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock};
-pub use throttle::{ThrottleProfile, Throttled};
+pub use stack::{assemble, Stack, StackConfig};
 pub use uri::{CheckpointLocation, StorageUri};
 
 use bytes::Bytes;
@@ -208,8 +220,8 @@ pub trait StorageBackend: Send + Sync {
     /// Whether this backend (or a resilience wrapper around it) is asking
     /// callers to shed optional work — telemetry artifacts, hot-tier
     /// replication, chunk manifests — so committed saves keep landing under
-    /// sustained throttling or outage (brownout mode). Wrapper backends
-    /// forward this to their inner backend; plain backends never shed.
+    /// sustained throttling or outage (brownout mode). Layers forward this
+    /// to their inner backend; plain backends never shed.
     fn shed_optional_work(&self) -> bool {
         false
     }

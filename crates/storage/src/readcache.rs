@@ -29,6 +29,7 @@
 //! `bcp_monitor::registry::MetricsRegistry` folds into the
 //! `read_cache_*_total` series.
 
+use crate::layer::{self, Op, Reply};
 use crate::{DynBackend, Result, StorageBackend};
 use bcp_monitor::{MetricRecord, MetricsSink};
 use bytes::Bytes;
@@ -303,9 +304,9 @@ impl ReadCache {
     }
 }
 
-impl StorageBackend for ReadCache {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl layer::Layer for ReadCache {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
     }
 
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
@@ -314,27 +315,17 @@ impl StorageBackend for ReadCache {
         attrs
     }
 
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.invalidate_path(path);
-        self.inner.write(path, data)
-    }
-
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        self.invalidate_path(path);
-        self.inner.write_segments(path, segments)
-    }
-
-    fn zero_copy_reads(&self) -> bool {
-        self.inner.zero_copy_reads()
-    }
-
-    fn shed_optional_work(&self) -> bool {
-        self.inner.shed_optional_work()
-    }
-
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.invalidate_path(path);
-        self.inner.append(path, data)
+    /// A mutation drops every cached entry derived from the paths it touches.
+    fn around<T: Reply>(&self, op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        if !op.is_probe() {
+            self.invalidate_path(op.path());
+        }
+        match *op {
+            Op::Rename { to, .. } => self.invalidate_path(to),
+            Op::Concat { parts, .. } => parts.iter().for_each(|p| self.invalidate_path(p)),
+            _ => {}
+        }
+        call()
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
@@ -346,40 +337,9 @@ impl StorageBackend for ReadCache {
         let key = format!("rr:{path}@{offset}+{len}");
         self.get_with(&key, Some(path), || self.inner.read_range(path, offset, len))
     }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.inner.exists(path)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        self.invalidate_path(path);
-        self.inner.delete(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.invalidate_path(from);
-        self.invalidate_path(to);
-        self.inner.rename(from, to)
-    }
-
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.invalidate_path(target);
-        for p in parts {
-            self.invalidate_path(p);
-        }
-        self.inner.concat(target, parts)
-    }
 }
 
-/// A test/bench wrapper that counts backend read operations and bytes —
+/// A test/bench layer that counts backend read operations and bytes —
 /// the instrument the single-flight tests and `bench_fanout` use to prove
 /// "exactly one backend fetch per chunk" and the backend-bytes bound.
 pub struct OpCountingBackend {
@@ -405,67 +365,18 @@ impl OpCountingBackend {
     }
 }
 
-impl StorageBackend for OpCountingBackend {
-    fn name(&self) -> &str {
-        self.inner.name()
+impl layer::Layer for OpCountingBackend {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
     }
 
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.inner.write(path, data)
-    }
-
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        self.inner.write_segments(path, segments)
-    }
-
-    fn zero_copy_reads(&self) -> bool {
-        self.inner.zero_copy_reads()
-    }
-
-    fn shed_optional_work(&self) -> bool {
-        self.inner.shed_optional_work()
-    }
-
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.inner.append(path, data)
-    }
-
-    fn read(&self, path: &str) -> Result<Bytes> {
-        let data = self.inner.read(path)?;
-        self.reads.fetch_add(1, Ordering::SeqCst);
-        self.read_bytes.fetch_add(data.len() as u64, Ordering::SeqCst);
-        Ok(data)
-    }
-
-    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let data = self.inner.read_range(path, offset, len)?;
-        self.reads.fetch_add(1, Ordering::SeqCst);
-        self.read_bytes.fetch_add(data.len() as u64, Ordering::SeqCst);
-        Ok(data)
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.inner.exists(path)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        self.inner.delete(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.inner.concat(target, parts)
+    fn around<T: Reply>(&self, _op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        let mut reply = call()?;
+        if let Some(data) = reply.payload() {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.read_bytes.fetch_add(data.len() as u64, Ordering::SeqCst);
+        }
+        Ok(reply)
     }
 }
 

@@ -28,6 +28,7 @@
 //! *arming* uses the real clock: with a virtual clock the primary returns
 //! instantly in real time, so hedges simply never fire).
 
+use crate::layer::{self, Op, Reply};
 use crate::retry::{site_seed, RetryClock, RetryPolicy, SystemClock};
 use crate::{DynBackend, Result, StorageBackend, StorageError, StorageErrorKind};
 use bytes::Bytes;
@@ -739,7 +740,11 @@ impl ResilientBackend {
     }
 }
 
-impl StorageBackend for ResilientBackend {
+impl layer::Layer for ResilientBackend {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
+    }
+
     fn name(&self) -> &str {
         "resilient"
     }
@@ -761,22 +766,12 @@ impl StorageBackend for ResilientBackend {
             || self.inner.shed_optional_work()
     }
 
-    fn zero_copy_reads(&self) -> bool {
-        self.inner.zero_copy_reads()
+    fn around<T: Reply>(&self, op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        self.guarded(op.name(), op.path(), call)
     }
 
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.guarded("write", path, &mut || self.inner.write(path, data.clone()))
-    }
-
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        self.guarded("write_segments", path, &mut || self.inner.write_segments(path, segments))
-    }
-
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.guarded("append", path, &mut || self.inner.append(path, data))
-    }
-
+    // The two reads may hedge onto another thread, so each attempt owns its
+    // backend handle and path instead of borrowing the caller's.
     fn read(&self, path: &str) -> Result<Bytes> {
         let inner = self.inner.clone();
         let p = path.to_string();
@@ -788,54 +783,24 @@ impl StorageBackend for ResilientBackend {
         let p = path.to_string();
         self.guarded_read("read_range", path, Arc::new(move || inner.read_range(&p, offset, len)))
     }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.guarded("size", path, &mut || self.inner.size(path))
-    }
-
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.guarded("exists", path, &mut || self.inner.exists(path))
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.guarded("list", prefix, &mut || self.inner.list(prefix))
-    }
-
-    fn delete(&self, path: &str) -> Result<()> {
-        self.guarded("delete", path, &mut || self.inner.delete(path))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.guarded("rename", from, &mut || self.inner.rename(from, to))
-    }
-
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.guarded("concat", target, &mut || self.inner.concat(target, parts))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flaky::FailureMode;
     use crate::object::{ObjectStoreBackend, ObjectStoreConfig};
     use crate::retry::TestClock;
-    use crate::{FlakyBackend, MemoryBackend};
+    use crate::{Fault, FaultLayer, FaultRule, MemoryBackend, OpCountingBackend, OpSet};
 
     fn fast_retry() -> RetryPolicy {
         RetryPolicy::fixed(4, Duration::from_millis(1))
     }
 
     #[test]
-    fn conformance() {
-        let b = ResilientBackend::new(Arc::new(MemoryBackend::new()));
-        crate::conformance::run_all(&b);
-    }
-
-    #[test]
     fn retries_absorb_transient_failures_without_tripping_the_breaker() {
+        let fail_twice = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: 2 })];
         let flaky: DynBackend =
-            Arc::new(FlakyBackend::new(Arc::new(MemoryBackend::new()), FailureMode::Writes, 2));
+            Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, fail_twice));
         let b = ResilientBackend::with_config(
             flaky,
             ResilienceConfig { retry: fast_retry(), ..ResilienceConfig::default() },
@@ -963,58 +928,18 @@ mod tests {
 
     #[test]
     fn hedged_read_first_wins_and_loser_is_discarded() {
-        // A backend whose reads block for a scripted real duration.
-        struct SlowReads {
-            inner: MemoryBackend,
-            delays: Mutex<VecDeque<Duration>>,
-            reads: AtomicU64,
-        }
-        impl StorageBackend for SlowReads {
-            fn name(&self) -> &str {
-                "slow"
-            }
-            fn write(&self, p: &str, d: Bytes) -> Result<()> {
-                self.inner.write(p, d)
-            }
-            fn append(&self, p: &str, d: &[u8]) -> Result<()> {
-                self.inner.append(p, d)
-            }
-            fn read(&self, p: &str) -> Result<Bytes> {
-                self.reads.fetch_add(1, Ordering::Relaxed);
-                let d = self.delays.lock().pop_front().unwrap_or(Duration::ZERO);
-                std::thread::sleep(d);
-                self.inner.read(p)
-            }
-            fn read_range(&self, p: &str, o: u64, l: u64) -> Result<Bytes> {
-                self.inner.read_range(p, o, l)
-            }
-            fn size(&self, p: &str) -> Result<u64> {
-                self.inner.size(p)
-            }
-            fn exists(&self, p: &str) -> Result<bool> {
-                self.inner.exists(p)
-            }
-            fn list(&self, p: &str) -> Result<Vec<String>> {
-                self.inner.list(p)
-            }
-            fn delete(&self, p: &str) -> Result<()> {
-                self.inner.delete(p)
-            }
-            fn rename(&self, f: &str, t: &str) -> Result<()> {
-                self.inner.rename(f, t)
-            }
-            fn concat(&self, t: &str, p: &[String]) -> Result<()> {
-                self.inner.concat(t, p)
-            }
-        }
-        let slow = Arc::new(SlowReads {
-            inner: MemoryBackend::new(),
-            delays: Mutex::new(VecDeque::from([Duration::from_millis(300), Duration::ZERO])),
-            reads: AtomicU64::new(0),
-        });
-        slow.inner.write("k", Bytes::from_static(b"payload")).unwrap();
+        // Reads block for a scripted duration — in real time: hedge arming
+        // uses the real clock.
+        let counting = Arc::new(OpCountingBackend::new(Arc::new(MemoryBackend::new())));
+        counting.write("k", Bytes::from_static(b"payload")).unwrap();
+        let script = Fault::Script(vec![Duration::from_millis(300), Duration::ZERO]);
+        let slow: DynBackend = Arc::new(FaultLayer::new(
+            counting.clone(),
+            0,
+            vec![FaultRule::new(OpSet::Reads, script)],
+        ));
         let b = ResilientBackend::with_config(
-            slow.clone(),
+            slow,
             ResilienceConfig {
                 hedge: HedgeConfig {
                     enabled: true,
@@ -1044,7 +969,7 @@ mod tests {
         let s2 = b.stats();
         assert_eq!(s2.backend_reads, 2);
         assert_eq!(s2.hedge_wins, 1);
-        assert_eq!(slow.reads.load(Ordering::Relaxed), 2);
+        assert_eq!(counting.reads(), 2);
     }
 
     #[test]

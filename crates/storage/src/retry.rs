@@ -107,20 +107,24 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// FNV-1a offset basis: the `h` to start [`fnv1a`] from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a state `h`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// FNV-1a over the retry call site, the jitter seed: deterministic per
 /// `(rank, stage, path)`, de-correlated across ranks.
 pub fn site_seed(rank: usize, stage: &str, path: Option<&str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&rank.to_le_bytes());
-    eat(stage.as_bytes());
-    eat(path.unwrap_or("").as_bytes());
-    h
+    let h = fnv1a(FNV_OFFSET, &rank.to_le_bytes());
+    let h = fnv1a(h, stage.as_bytes());
+    fnv1a(h, path.unwrap_or("").as_bytes())
 }
 
 /// Clock abstraction for retry/pacing loops, so tests can verify the exact

@@ -4,8 +4,8 @@
 //! dies mid-fetch hands off to a waiter instead of wedging the flight.
 
 use bcp_storage::{
-    DynBackend, MemoryBackend, OpCountingBackend, ReadCache, StorageBackend, ThrottleProfile,
-    Throttled,
+    assemble, fault, DynBackend, MemoryBackend, OpCountingBackend, ReadCache, StackConfig,
+    StorageBackend,
 };
 use bytes::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,18 +14,21 @@ use std::time::Duration;
 
 const K: usize = 16;
 
-/// memory → op-counting (the measurement) → throttled (per-op latency so
-/// the K readers genuinely overlap inside one fetch) → read cache.
+/// memory → op-counting (the measurement) → per-op latency (so the K
+/// readers genuinely overlap inside one fetch) → read cache.
 fn counted_cache(op_latency: Duration) -> (Arc<OpCountingBackend>, Arc<ReadCache>) {
     let mem = MemoryBackend::new();
     mem.write("obj", Bytes::from(vec![7u8; 4096])).unwrap();
     let counting = Arc::new(OpCountingBackend::new(Arc::new(mem)));
-    let slow: DynBackend = Arc::new(Throttled::new(
-        counting.clone() as DynBackend,
-        ThrottleProfile { read_bps: f64::INFINITY, write_bps: f64::INFINITY, op_latency },
-        "slow",
-    ));
-    (counting, Arc::new(ReadCache::new(slow, 1 << 20)))
+    let stack = assemble(
+        counting.clone(),
+        StackConfig {
+            fault: Some((0, fault::throttle(f64::INFINITY, f64::INFINITY, op_latency))),
+            cache_bytes: Some(1 << 20),
+            ..StackConfig::default()
+        },
+    );
+    (counting, stack.cache.expect("configured"))
 }
 
 #[test]

@@ -13,7 +13,7 @@ use bytecheckpoint::core::telemetry::read_step_telemetry;
 use bytecheckpoint::monitor::analysis::{critical_path, phase_percentiles};
 use bytecheckpoint::monitor::{heatmap, render_breakdown};
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::storage::{ThrottleProfile, Throttled};
+use bytecheckpoint::storage::{fault, FaultLayer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,15 +23,9 @@ fn main() {
 
     // A scaled-down "HDFS": throttled so phase durations are visible and
     // proportional to bytes.
-    let backend: DynBackend = Arc::new(Throttled::new(
-        Arc::new(MemoryBackend::new()),
-        ThrottleProfile {
-            read_bps: 400e6,
-            write_bps: 50e6,
-            op_latency: Duration::from_micros(300),
-        },
-        "hdfs-sim",
-    ));
+    let profile = fault::throttle(400e6, 50e6, Duration::from_micros(300));
+    let backend: DynBackend =
+        Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, profile).named("hdfs-sim"));
     let registry = {
         let mut reg = BackendRegistry::new();
         reg.register(Scheme::Hdfs, backend.clone());

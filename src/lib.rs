@@ -96,9 +96,8 @@ pub mod prelude {
     };
     pub use bcp_storage::uri::Scheme;
     pub use bcp_storage::{
-        CheckpointLocation, CorruptingBackend, Corruption, DiskBackend, DynBackend,
-        FallbackBackend, FlakyBackend, HdfsBackend, InstrumentedBackend, JournalBackend,
-        MemoryBackend, StorageUri,
+        CheckpointLocation, DiskBackend, DynBackend, FallbackBackend, FaultLayer, HdfsBackend,
+        InstrumentedBackend, JournalBackend, MemoryBackend, StorageUri,
     };
     pub use bcp_tensor::{DType, Tensor};
     pub use bcp_topology::{Parallelism, ShardSpec};

@@ -5,9 +5,8 @@
 mod common;
 
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::storage::flaky::FailureMode;
 use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
-use bytecheckpoint::storage::{FlakyBackend, StorageBackend, ThrottleProfile, Throttled};
+use bytecheckpoint::storage::{fault, Fault, FaultLayer, FaultRule, OpSet, StorageBackend};
 use common::{assert_states_eq, reference_state, run_ranks};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,25 +119,18 @@ fn hdfs_backend_end_to_end_with_metadata_machinery() {
 
 #[test]
 fn nas_profile_backend_round_trip() {
-    let nas: DynBackend = Arc::new(Throttled::new(
-        Arc::new(MemoryBackend::new()),
-        ThrottleProfile {
-            read_bps: f64::INFINITY,
-            write_bps: f64::INFINITY,
-            op_latency: Duration::from_micros(50),
-        },
-        "nas",
-    ));
+    let profile = fault::throttle(f64::INFINITY, f64::INFINITY, Duration::from_micros(50));
+    let nas: DynBackend =
+        Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, profile).named("nas"));
     round_trip("nas://mount0/job/nas-ckpt", registry_for(Scheme::Nas, nas));
 }
 
 #[test]
 fn flaky_storage_is_absorbed_by_retries() {
-    let flaky: DynBackend = Arc::new(FlakyBackend::new(
-        Arc::new(MemoryBackend::new()),
-        FailureMode::All,
-        2, // default retry policy allows 3 attempts
-    ));
+    // The default retry policy allows 3 attempts.
+    let fail_twice = vec![FaultRule::new(OpSet::Data, Fault::Fail { times: 2 })];
+    let flaky: DynBackend =
+        Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, fail_twice));
     let registry = registry_for(Scheme::Hdfs, flaky);
     let arch = zoo::tiny_gpt();
     let fw = Framework::Ddp;

@@ -6,7 +6,7 @@
 //! straggler.
 
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::storage::{ThrottleProfile, Throttled};
+use bytecheckpoint::storage::{fault, FaultLayer};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,15 +31,8 @@ fn run_job(dir: &std::path::Path) {
                     // The throttle must dominate filesystem noise on the
                     // tiny test state (a few KB per shard), so it is far
                     // harsher than a realistic slow disk.
-                    Arc::new(Throttled::new(
-                        disk,
-                        ThrottleProfile {
-                            read_bps: 2e6,
-                            write_bps: 4e5,
-                            op_latency: Duration::from_millis(5),
-                        },
-                        "slow-disk",
-                    ))
+                    let profile = fault::throttle(2e6, 4e5, Duration::from_millis(5));
+                    Arc::new(FaultLayer::new(disk, 0, profile).named("slow-disk"))
                 } else {
                     disk
                 };
