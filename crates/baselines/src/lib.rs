@@ -47,7 +47,6 @@ pub fn baseline_workflow_options() -> WorkflowOptions {
         load: LoadConfig {
             io_threads: 1,
             chunk_bytes: u64::MAX, // no multi-threaded ranged reads
-            overlap: false,        // serial read → assemble → all-to-all
             retries: RetryPolicy::default(),
         },
         plan_cache: false,  // replan on every save

@@ -2,18 +2,17 @@
 //! deserialize/extract → local assembly ("H2D") → forwarding of
 //! redundancy-eliminated reads.
 //!
-//! Two execution modes, selected by [`LoadConfig::overlap`]:
-//!
-//! * **Overlapped** (default, the paper's Fig. 10 pipeline): every chunk of
-//!   every assigned read item is submitted to the shared [`IoPool`] up
-//!   front; as each item's last chunk lands it is extracted, applied
-//!   locally and eagerly forwarded to the peers that deduplicated their
-//!   reads onto this rank — while the remaining fetches are still in
-//!   flight. A receiver thread drains inbound forwards concurrently, so
-//!   read I/O and communication overlap instead of serializing.
-//! * **Sequential** (the pre-overlap baseline, kept for comparison and as
-//!   the conservative path): fetch all items, assemble, then one blocking
-//!   all-to-all.
+//! The unit of fetch is the **run** ([`ReadRun`]), not the plan item: a
+//! rank's assigned items are grouped per file and neighbouring byte ranges
+//! are coalesced ([`build_runs`]), so storage operations, retries, spans
+//! and the load artifact scale with the number of runs rather than the
+//! number of tensors. Every piece of every run is submitted to the shared
+//! [`IoPool`] up front; as a run's last piece lands its members are sliced
+//! out (zero-copy), extracted, applied locally and eagerly forwarded to the
+//! peers that deduplicated their reads onto this rank — while the remaining
+//! fetches are still in flight. A receiver thread drains inbound forwards
+//! concurrently, so read I/O and communication overlap instead of
+//! serializing.
 
 use crate::engine::iopool::IoPool;
 use crate::engine::{extract_isect, Assembler};
@@ -36,24 +35,18 @@ use std::time::{Duration, Instant};
 pub struct LoadConfig {
     /// Reader threads per rank.
     pub io_threads: usize,
-    /// Fetches larger than this are split into ranged chunk reads spread
-    /// over the reader threads (§4.3 multi-threaded single-file download).
+    /// Target size of one storage read: neighbouring items are coalesced
+    /// into runs of at most this many bytes, and a run larger than this (one
+    /// oversized item) is split into ranged reads of this size spread over
+    /// the reader threads (§4.3 multi-threaded single-file download).
     pub chunk_bytes: u64,
-    /// Overlap reads, extraction and peer forwarding item-by-item (Fig. 10)
-    /// instead of running read → assemble → all-to-all as serial phases.
-    pub overlap: bool,
     /// Retry policy for downloads.
     pub retries: RetryPolicy,
 }
 
 impl Default for LoadConfig {
     fn default() -> LoadConfig {
-        LoadConfig {
-            io_threads: 4,
-            chunk_bytes: 4 * 1024 * 1024,
-            overlap: true,
-            retries: RetryPolicy::default(),
-        }
+        LoadConfig { io_threads: 4, chunk_bytes: 4 * 1024 * 1024, retries: RetryPolicy::default() }
     }
 }
 
@@ -62,16 +55,15 @@ impl Default for LoadConfig {
 pub struct LoadStats {
     /// End-to-end load time on this rank.
     pub end_to_end: Duration,
-    /// Bytes fetched from storage by this rank.
+    /// Bytes requested from storage by this rank: the sum of its run
+    /// lengths, gaps between coalesced items included (and bytes two
+    /// overlapping items share counted once).
     pub fetched_bytes: u64,
     /// Bytes received from peers instead of storage.
     pub forwarded_bytes: u64,
     /// Number of read items executed locally.
     pub local_reads: usize,
 }
-
-/// Wire format of one rank's sequential-mode all-to-all sends.
-type TransferMsg = Vec<(ReadKey, Bytes)>;
 
 /// Key a receiver uses to match a forwarded payload to its own item.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -93,6 +85,66 @@ impl ReadKey {
             file: item.file.clone(),
         }
     }
+}
+
+/// Two fetch ranges of one file closer together than this are read as one
+/// run, gap included. One small ranged read costs about as much as reading
+/// 10–40 KB more of a file already open (perf's
+/// `storage.disk.read_range_small.us_per_op` ≈ 4 µs against
+/// `roofline.file_read.gbps`), and on HDFS or an object store a request
+/// costs orders of magnitude more, so below this distance the extra bytes
+/// are cheaper than the extra operation.
+pub const RUN_GAP_BYTES: u64 = 32 * 1024;
+
+/// One contiguous byte range of one file, fetched as a unit, and the plan
+/// items whose bytes it carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadRun {
+    /// File name relative to the checkpoint prefix.
+    pub file: String,
+    /// Absolute offset of the run in the file.
+    pub offset: u64,
+    /// Length of the run in bytes.
+    pub len: u64,
+    /// `(index into the reads, offset inside the run, length)` per member.
+    pub members: Vec<(usize, u64, u64)>,
+}
+
+/// Coalesce `reads` into per-file byte runs, sorted by `(file, offset)`.
+///
+/// Per file, items are taken in order of [`ReadItem::fetch_range`]. An item
+/// that overlaps the current run always joins it (no byte of a file is
+/// read twice); an item within [`RUN_GAP_BYTES`] of its end joins it
+/// unless that would grow the run past `chunk_bytes`. A run therefore
+/// grows past `chunk_bytes` only by an item that overlaps it (one oversized
+/// item being the plain case) — and items overlap only inside one stored
+/// shard, which bounds how far.
+pub fn build_runs(reads: &[ReadItem], chunk_bytes: u64) -> Vec<ReadRun> {
+    let mut ranged: Vec<(&str, u64, u64, usize)> = reads
+        .iter()
+        .enumerate()
+        .map(|(idx, item)| {
+            let (offset, len) = item.fetch_range();
+            (item.file.as_str(), offset, len, idx)
+        })
+        .collect();
+    ranged.sort_unstable();
+    let mut runs: Vec<ReadRun> = Vec::new();
+    for (file, offset, len, idx) in ranged {
+        let end = offset + len;
+        if let Some(run) = runs.last_mut().filter(|r| r.file == file) {
+            let run_end = run.offset + run.len;
+            let merged_len = end.max(run_end) - run.offset;
+            let near = offset <= run_end + RUN_GAP_BYTES && merged_len <= chunk_bytes;
+            if offset < run_end || near {
+                run.len = merged_len;
+                run.members.push((idx, offset - run.offset, len));
+                continue;
+            }
+        }
+        runs.push(ReadRun { file: file.to_string(), offset, len, members: vec![(idx, 0, len)] });
+    }
+    runs
 }
 
 /// The ranged chunks a fetch of `[offset, offset + len)` splits into.
@@ -156,86 +208,99 @@ impl AsRef<[u8]> for Stitched {
     }
 }
 
-/// Fetch one item's byte range, chunked across the I/O pool when large.
+/// A run whose pieces are still landing.
+struct PendingRun {
+    pieces: Vec<Option<Bytes>>,
+    remaining: usize,
+    span: Option<SpanGuard>,
+}
+
+/// Put every piece of every run in flight on the I/O pool at once and hand
+/// each run's bytes to `on_run` as its last piece lands (in completion
+/// order). A run no larger than `chunk_bytes` is one ranged read; a larger
+/// one is read in `chunk_bytes` pieces across the reader threads (§4.3: the
+/// optimization that took production HDFS downloads from 400 MB/s to
+/// 2-3 GB/s) and stitched back together. One uncounted `load/fetch` detail
+/// span per run, under `parent` (the `load/read` phase span, which also
+/// supplies rank and step), carries the path, the byte count and the member
+/// count, so slow-I/O alerting and traces work on the load path too.
 #[allow(clippy::too_many_arguments)]
-fn fetch_item(
+fn fetch_runs(
+    runs: &[ReadRun],
     backend: &DynBackend,
     prefix: &str,
-    item: &ReadItem,
     cfg: &LoadConfig,
-    io: &Arc<IoPool>,
+    io: &IoPool,
     log: &Arc<FailureLog>,
-    rank: usize,
     sink: &MetricsSink,
     parent: SpanContext,
-    step: u64,
-) -> Result<Bytes> {
-    let (offset, len) = item.fetch_range();
-    let path = format!("{prefix}/{}", item.file);
-    // Per-item detail span (uncounted: the load/read phase span carries the
-    // time) giving the path and byte count each fetch moved, so slow-I/O
-    // alerting and traces work on the load path too.
-    let mut span =
-        sink.span_under("load/fetch", rank, step, parent).uncounted().path(path.clone()).bytes(len);
-    let _in_fetch = span.enter();
-    if len <= cfg.chunk_bytes || cfg.io_threads <= 1 {
-        return with_retries(cfg.retries, log, rank, "load/read", Some(&path), || {
-            backend.read_range(&path, offset, len)
-        });
-    }
-    // Multi-threaded ranged read of a single file (§4.3): the optimization
-    // that took production HDFS downloads from 400 MB/s to 2-3 GB/s.
-    let ranges = chunk_ranges(offset, len, cfg.chunk_bytes);
-    span.set_attr("chunks", ranges.len().to_string());
-    let fetch_ctx = span.context();
-    let jobs: Vec<Box<dyn FnOnce() -> Result<Bytes> + Send + 'static>> = ranges
-        .into_iter()
-        .map(|(co, cl)| {
+    mut on_run: impl FnMut(&ReadRun, Bytes) -> Result<()>,
+) -> Result<()> {
+    let (rank, step) = (parent.rank(), parent.step());
+    let (piece_tx, piece_rx) = crossbeam::channel::unbounded::<(usize, Result<Bytes>)>();
+    let mut flat: Vec<(usize, usize)> = Vec::new(); // job index -> (run, piece)
+    let mut pending: Vec<PendingRun> = Vec::with_capacity(runs.len());
+    for (ri, run) in runs.iter().enumerate() {
+        let path = format!("{prefix}/{}", run.file);
+        let single = run.len <= cfg.chunk_bytes || cfg.io_threads <= 1;
+        let ranges = if single {
+            vec![(run.offset, run.len)]
+        } else {
+            chunk_ranges(run.offset, run.len, cfg.chunk_bytes)
+        };
+        let mut span = sink
+            .span_under("load/fetch", rank, step, parent)
+            .uncounted()
+            .path(path.clone())
+            .bytes(run.len)
+            .attr("items", run.members.len().to_string());
+        if !single {
+            span.set_attr("chunks", ranges.len().to_string());
+        }
+        let fetch_ctx = span.context();
+        let stage: &'static str = if single { "load/read" } else { "load/read-chunk" };
+        for (pi, &(offset, len)) in ranges.iter().enumerate() {
+            let job = flat.len();
+            flat.push((ri, pi));
             let backend = backend.clone();
             let path = path.clone();
             let log = log.clone();
             let retries = cfg.retries;
-            Box::new(move || {
+            io.submit(piece_tx.clone(), job, move || {
                 // Parent the pool worker's storage spans under the fetch.
                 let _e = enter_context(fetch_ctx);
-                with_retries(retries, &log, rank, "load/read-chunk", Some(&path), || {
-                    backend.read_range(&path, co, cl)
+                with_retries(retries, &log, rank, stage, Some(&path), || {
+                    backend.read_range(&path, offset, len)
                 })
-            }) as Box<dyn FnOnce() -> Result<Bytes> + Send + 'static>
-        })
-        .collect();
-    let pieces: Vec<Bytes> = io.run_batch(jobs).into_iter().collect::<Result<_>>()?;
-    Ok(coalesce_chunks(pieces, len as usize, backend.zero_copy_reads()))
-}
-
-/// Execute a rank's assigned load plan: read local items, forward
-/// deduplicated payloads over `comm`, apply everything to the local state
-/// dicts. Dispatches on [`LoadConfig::overlap`]; all ranks of a job must use
-/// the same mode (the two modes use different communication patterns).
-#[allow(clippy::too_many_arguments)] // the full engine context, passed once per load
-pub fn execute_load(
-    assigned: &AssignedLoadPlan,
-    state: &mut TrainState,
-    backend: DynBackend,
-    prefix: &str,
-    comm: Option<&Communicator>,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    cfg: &LoadConfig,
-    step: u64,
-    faults: &FaultHook,
-    parent: SpanContext,
-) -> Result<LoadStats> {
-    if cfg.overlap {
-        execute_load_overlapped(
-            assigned, state, backend, prefix, comm, io, sink, log, cfg, step, faults, parent,
-        )
-    } else {
-        execute_load_sequential(
-            assigned, state, backend, prefix, comm, io, sink, log, cfg, step, faults, parent,
-        )
+            });
+        }
+        pending.push(PendingRun {
+            pieces: vec![None; ranges.len()],
+            remaining: ranges.len(),
+            span: Some(span),
+        });
     }
+    drop(piece_tx);
+
+    let zero_copy = backend.zero_copy_reads();
+    let mut completed = 0usize;
+    while completed < pending.len() {
+        let (job, res) = piece_rx
+            .recv()
+            .map_err(|_| BcpError::Corrupt("I/O pool dropped a ranged read".into()))?;
+        let (ri, pi) = flat[job];
+        let p = &mut pending[ri];
+        p.pieces[pi] = Some(res?);
+        p.remaining -= 1;
+        if p.remaining == 0 {
+            completed += 1;
+            drop(p.span.take()); // the fetch ends here; extraction is not I/O
+            let pieces: Vec<Bytes> =
+                p.pieces.iter_mut().map(|s| s.take().expect("all pieces fetched")).collect();
+            on_run(&runs[ri], coalesce_chunks(pieces, runs[ri].len as usize, zero_copy))?;
+        }
+    }
+    Ok(())
 }
 
 /// Apply a forwarded payload to every waiting recv item with its key.
@@ -256,11 +321,13 @@ fn apply_forwarded(
     Ok(())
 }
 
-/// Fig. 10 pipeline: all chunk reads in flight on the I/O pool at once;
-/// per-item extraction, local assembly and eager peer forwards as items
-/// complete; inbound forwards drained concurrently by a receiver thread.
-#[allow(clippy::too_many_arguments)]
-fn execute_load_overlapped(
+/// Execute a rank's assigned load plan (the Fig. 10 pipeline): read the
+/// local items run by run with every ranged read in flight on the I/O pool
+/// at once; extract, assemble and eagerly forward each item as its run
+/// completes; drain inbound forwards concurrently on a receiver thread;
+/// apply everything to the local state dicts.
+#[allow(clippy::too_many_arguments)] // the full engine context, passed once per load
+pub fn execute_load(
     assigned: &AssignedLoadPlan,
     state: &mut TrainState,
     backend: DynBackend,
@@ -352,83 +419,19 @@ fn execute_load_overlapped(
     // receiver's distinct-(source, key) expectation.
     let mut sent_pairs: HashSet<(usize, ReadKey)> = HashSet::new();
 
-    struct PendingFetch {
-        pieces: Vec<Option<Bytes>>,
-        remaining: usize,
-        span: Option<SpanGuard>,
-        len: u64,
-    }
-
-    // ---- Read window: every chunk of every item in flight at once. ----
+    // ---- Read window: every piece of every run in flight at once. ----
     {
         let mut t = sink.span_under("load/read", rank, step, parent);
-        let read_ctx = t.context();
-        let (chunk_tx, chunk_rx) = crossbeam::channel::unbounded::<(usize, Result<Bytes>)>();
-        let mut flat: Vec<(usize, usize)> = Vec::new(); // job index -> (item, chunk)
-        let mut pending: Vec<PendingFetch> = Vec::with_capacity(assigned.reads.len());
-        for (idx, item) in assigned.reads.iter().enumerate() {
-            let (offset, len) = item.fetch_range();
-            let path = format!("{prefix}/{}", item.file);
-            let single = len <= cfg.chunk_bytes || cfg.io_threads <= 1;
-            let ranges = if single {
-                vec![(offset, len)]
-            } else {
-                chunk_ranges(offset, len, cfg.chunk_bytes)
-            };
-            let mut span = sink
-                .span_under("load/fetch", rank, step, read_ctx)
-                .uncounted()
-                .path(path.clone())
-                .bytes(len);
-            if !single {
-                span.set_attr("chunks", ranges.len().to_string());
-            }
-            let fetch_ctx = span.context();
-            let stage: &'static str = if single { "load/read" } else { "load/read-chunk" };
-            for (ci, &(co, cl)) in ranges.iter().enumerate() {
-                let flat_idx = flat.len();
-                flat.push((idx, ci));
-                let backend = backend.clone();
-                let path = path.clone();
-                let log = log.clone();
-                let retries = cfg.retries;
-                io.submit(chunk_tx.clone(), flat_idx, move || {
-                    let _e = enter_context(fetch_ctx);
-                    with_retries(retries, &log, rank, stage, Some(&path), || {
-                        backend.read_range(&path, co, cl)
-                    })
-                });
-            }
-            pending.push(PendingFetch {
-                pieces: vec![None; ranges.len()],
-                remaining: ranges.len(),
-                span: Some(span),
-                len,
-            });
-        }
-        drop(chunk_tx);
-
-        let zero_copy = backend.zero_copy_reads();
-        let mut completed = 0usize;
-        while completed < pending.len() {
-            let (flat_idx, res) = chunk_rx
-                .recv()
-                .map_err(|_| BcpError::Corrupt("I/O pool dropped a chunk read".into()))?;
-            let (idx, ci) = flat[flat_idx];
-            let data = res?;
-            let p = &mut pending[idx];
-            p.pieces[ci] = Some(data);
-            p.remaining -= 1;
-            if p.remaining == 0 {
-                completed += 1;
-                let span = p.span.take();
-                let pieces: Vec<Bytes> =
-                    p.pieces.iter_mut().map(|s| s.take().expect("all chunks fetched")).collect();
-                let raw = coalesce_chunks(pieces, p.len as usize, zero_copy);
-                fetched_bytes += raw.len() as u64;
-                t.add_bytes(raw.len() as u64);
+        let runs = build_runs(&assigned.reads, cfg.chunk_bytes);
+        fetch_runs(&runs, &backend, prefix, cfg, io, &log, sink, t.context(), |run, raw| {
+            fetched_bytes += run.len;
+            t.add_bytes(run.len);
+            for &(idx, offset, len) in &run.members {
                 let item = &assigned.reads[idx];
-                let isect = extract_isect(item, &raw)?;
+                // Clamped, so a short read surfaces as `extract_isect`'s
+                // "fetched range too short" rather than a slice panic.
+                let end = ((offset + len) as usize).min(raw.len());
+                let isect = extract_isect(item, &raw.slice((offset as usize).min(end)..end))?;
                 // Local assembly, item-by-item (the fused "H2D").
                 assembler.apply(state, item, &isect)?;
                 for dup in &local_dups[idx] {
@@ -443,27 +446,16 @@ fn execute_load_overlapped(
                         }
                     }
                 }
-                drop(span);
             }
             // Opportunistically drain forwards that already arrived.
-            loop {
-                match fwd_rx.try_recv() {
-                    Ok(Ok((_from, key, payload))) => {
-                        forwarded_bytes += payload.len() as u64;
-                        apply_forwarded(
-                            &mut assembler,
-                            state,
-                            &mut remote_waiting,
-                            &key,
-                            &payload,
-                        )?;
-                        applied_msgs += 1;
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => break,
-                }
+            while let Ok(msg) = fwd_rx.try_recv() {
+                let (_from, key, payload) = msg?;
+                forwarded_bytes += payload.len() as u64;
+                apply_forwarded(&mut assembler, state, &mut remote_waiting, &key, &payload)?;
+                applied_msgs += 1;
             }
-        }
+            Ok(())
+        })?;
     }
 
     // ---- Communication tail: whatever forwards are still inbound. ----
@@ -503,120 +495,6 @@ fn execute_load_overlapped(
     Ok(LoadStats { end_to_end: started.elapsed(), fetched_bytes, forwarded_bytes, local_reads })
 }
 
-/// The pre-overlap baseline: read everything, assemble, then one blocking
-/// all-to-all. Kept selectable so benchmarks can quantify the overlap win
-/// on identical plans.
-#[allow(clippy::too_many_arguments)]
-fn execute_load_sequential(
-    assigned: &AssignedLoadPlan,
-    state: &mut TrainState,
-    backend: DynBackend,
-    prefix: &str,
-    comm: Option<&Communicator>,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    cfg: &LoadConfig,
-    step: u64,
-    faults: &FaultHook,
-    parent: SpanContext,
-) -> Result<LoadStats> {
-    let rank = assigned.rank;
-    let started = Instant::now();
-    let mut fetched_bytes = 0u64;
-
-    // ---- Read phase (+ extraction, pipelined per item). ----
-    faults.check("load/read")?;
-    let mut local_payloads: Vec<(usize, Bytes)> = Vec::with_capacity(assigned.reads.len());
-    {
-        let mut t = sink.span_under("load/read", rank, step, parent);
-        let read_ctx = t.context();
-        for (idx, item) in assigned.reads.iter().enumerate() {
-            let raw =
-                fetch_item(&backend, prefix, item, cfg, io, &log, rank, sink, read_ctx, step)?;
-            fetched_bytes += raw.len() as u64;
-            t.add_bytes(raw.len() as u64);
-            let isect = extract_isect(item, &raw)?;
-            local_payloads.push((idx, isect));
-        }
-    }
-
-    // Keys of local reads, computed once (duplicate-destination matching
-    // used to recompute ReadKey::of per comparison inside a find()).
-    let mut key_to_idx: HashMap<ReadKey, usize> = HashMap::with_capacity(assigned.reads.len());
-    for (idx, item) in assigned.reads.iter().enumerate() {
-        key_to_idx.entry(ReadKey::of(item)).or_insert(idx);
-    }
-
-    // ---- Assembly of locally-read items (the "H2D copy"). ----
-    let mut assembler = Assembler::new();
-    {
-        let _t = sink.span_under("load/h2d", rank, step, parent);
-        for (idx, payload) in &local_payloads {
-            assembler.apply(state, &assigned.reads[*idx], payload)?;
-        }
-        // Duplicate destinations on this same rank (reader re-applies).
-        for (from, item) in &assigned.recvs {
-            if *from == rank {
-                if let Some(&idx) = key_to_idx.get(&ReadKey::of(item)) {
-                    assembler.apply(state, item, &local_payloads[idx].1)?;
-                }
-            }
-        }
-    }
-
-    // ---- All-to-all forwarding of deduplicated reads (§4.1). ----
-    let mut forwarded_bytes = 0u64;
-    if let Some(comm) = comm {
-        let mut t = sink
-            .span_under("load/all2all", rank, step, parent)
-            .attr("collective", comm.backend_info());
-        // Build per-peer outboxes.
-        let mut outbox: Vec<TransferMsg> = vec![Vec::new(); comm.size()];
-        for ((idx, payload), recipients) in local_payloads.iter().zip(assigned.send_to.iter()) {
-            let key = ReadKey::of(&assigned.reads[*idx]);
-            for &peer in recipients {
-                let peer_idx = comm
-                    .members()
-                    .iter()
-                    .position(|&m| m == peer)
-                    .ok_or_else(|| BcpError::Plan(format!("recipient {peer} not in group")))?;
-                outbox[peer_idx].push((key.clone(), payload.clone()));
-            }
-        }
-        let inbox = comm.all_to_all(outbox)?;
-        let mut received: HashMap<ReadKey, Bytes> = Default::default();
-        for msgs in inbox {
-            for (key, payload) in msgs {
-                forwarded_bytes += payload.len() as u64;
-                received.insert(key, payload);
-            }
-        }
-        t.add_bytes(forwarded_bytes);
-        for (from, item) in &assigned.recvs {
-            if *from == rank {
-                continue; // handled above
-            }
-            let key = ReadKey::of(item);
-            let payload = received.get(&key).ok_or_else(|| {
-                BcpError::Missing(format!("{}: expected forwarded payload from {from}", item.fqn))
-            })?;
-            assembler.apply(state, item, payload)?;
-        }
-    } else if !assigned.recvs.iter().all(|(from, _)| *from == rank) {
-        return Err(BcpError::Plan(
-            "plan expects peer forwarding but no communicator was given".into(),
-        ));
-    }
-
-    let local_reads = assigned.reads.len();
-    {
-        let _t = sink.span_under("load/finish", rank, step, parent);
-        assembler.finish(state)?;
-    }
-    Ok(LoadStats { end_to_end: started.elapsed(), fetched_bytes, forwarded_bytes, local_reads })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,13 +502,14 @@ mod tests {
     use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
     use bytes::BytesMut;
 
-    fn whole_file_item(len_elems: usize) -> ReadItem {
+    /// A 1-D f32 item covering `len_elems` elements at `payload_offset`.
+    fn flat_item(fqn: &str, payload_offset: u64, len_elems: usize) -> ReadItem {
         ReadItem {
             category: Category::Model,
-            fqn: "big".into(),
+            fqn: fqn.into(),
             dtype: bcp_tensor::DType::F32,
             file: "model_0.bin".into(),
-            payload_offset: 0,
+            payload_offset,
             stored_offsets: vec![0],
             stored_lengths: vec![len_elems],
             isect_offsets: vec![0],
@@ -641,9 +520,40 @@ mod tests {
         }
     }
 
+    /// Fetch `reads` from `backend` under `ckpt/`, returning each run with
+    /// its bytes in `(file, offset)` order.
+    fn fetch(
+        backend: &DynBackend,
+        reads: &[ReadItem],
+        cfg: &LoadConfig,
+        log: &Arc<FailureLog>,
+    ) -> Vec<(ReadRun, Bytes)> {
+        let io = IoPool::new(cfg.io_threads);
+        let runs = build_runs(reads, cfg.chunk_bytes);
+        let sink = MetricsSink::disabled();
+        let mut got = Vec::new();
+        fetch_runs(
+            &runs,
+            backend,
+            "ckpt",
+            cfg,
+            &io,
+            log,
+            &sink,
+            SpanContext::none(),
+            |run, raw| {
+                got.push((run.clone(), raw));
+                Ok(())
+            },
+        )
+        .unwrap();
+        got.sort_by_key(|(run, _)| run.offset);
+        got
+    }
+
     #[test]
-    fn chunked_multithreaded_fetch_reassembles_exactly() {
-        // A payload large enough to split into many chunks across the pool
+    fn oversized_item_is_read_in_pieces_and_stitched_exactly() {
+        // A payload large enough to split into many pieces across the pool
         // (§4.3's multi-threaded ranged download).
         let n = 100_000usize;
         let mut payload = BytesMut::with_capacity(n * 4);
@@ -654,29 +564,17 @@ mod tests {
         let backend: DynBackend = Arc::new(MemoryBackend::new());
         backend.write("ckpt/model_0.bin", payload.clone()).unwrap();
         let cfg = LoadConfig { io_threads: 4, chunk_bytes: 16 * 1024, ..Default::default() };
-        let io = IoPool::new(4);
-        let log = Arc::new(FailureLog::new());
-        let got = fetch_item(
-            &backend,
-            "ckpt",
-            &whole_file_item(n),
-            &cfg,
-            &io,
-            &log,
-            0,
-            &MetricsSink::disabled(),
-            SpanContext::none(),
-            0,
-        )
-        .unwrap();
-        assert_eq!(&got[..], &payload[..], "chunked reassembly must be byte-exact");
+        let got = fetch(&backend, &[flat_item("big", 0, n)], &cfg, &Arc::new(FailureLog::new()));
+        assert_eq!(got.len(), 1, "an oversized item is a run of its own");
+        let raw = &got[0].1;
+        assert_eq!(&raw[..], &payload[..], "piecewise reassembly must be byte-exact");
         // Memory-backed ranged reads are adjacent views of the stored
-        // object, so the chunks stitch back zero-copy.
-        assert_eq!(got.as_ptr(), payload.as_ptr(), "contiguous chunks must not be copied");
+        // object, so the pieces stitch back zero-copy.
+        assert_eq!(raw.as_ptr(), payload.as_ptr(), "contiguous pieces must not be copied");
     }
 
     #[test]
-    fn chunked_fetch_retries_transient_failures() {
+    fn piecewise_fetch_retries_transient_failures() {
         let n = 50_000usize;
         let payload = Bytes::from(vec![0xCDu8; n * 4]);
         let inner = Arc::new(MemoryBackend::new());
@@ -684,50 +582,56 @@ mod tests {
         let fail_twice = vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 2 })];
         let flaky: DynBackend = Arc::new(FaultLayer::new(inner, 0, fail_twice));
         let cfg = LoadConfig { io_threads: 2, chunk_bytes: 32 * 1024, ..Default::default() };
-        let io = IoPool::new(2);
         let log = Arc::new(FailureLog::new());
-        let got = fetch_item(
-            &flaky,
-            "ckpt",
-            &whole_file_item(n),
-            &cfg,
-            &io,
-            &log,
-            3,
-            &MetricsSink::disabled(),
-            SpanContext::none(),
-            0,
-        )
-        .unwrap();
-        assert_eq!(got.len(), payload.len());
-        assert!(!log.is_empty(), "the injected read failures must be logged");
-        assert!(log.records().iter().all(|r| r.stage.starts_with("load/")));
+        let got = fetch(&flaky, &[flat_item("big", 0, n)], &cfg, &log);
+        assert_eq!(got[0].1.len(), payload.len());
+        assert_eq!(log.records().len(), 2, "the injected read failures must be logged");
+        assert!(log.records().iter().all(|r| r.stage == "load/read-chunk"));
     }
 
     #[test]
-    fn small_fetch_stays_single_threaded_and_zero_copy() {
-        let backend: DynBackend = Arc::new(MemoryBackend::new());
-        let stored = Bytes::from(vec![1u8; 64]);
-        backend.write("ckpt/model_0.bin", stored.clone()).unwrap();
+    fn neighbours_share_one_zero_copy_read() {
+        // Three small tensors 8 bytes apart: one run, one ranged read, and
+        // every member a view of the stored allocation.
+        let stored = Bytes::from((0u8..=255).collect::<Vec<u8>>());
+        let inner = Arc::new(MemoryBackend::new());
+        inner.write("ckpt/model_0.bin", stored.clone()).unwrap();
+        let counting = Arc::new(bcp_storage::OpCountingBackend::new(inner));
+        let backend: DynBackend = counting.clone();
+        let reads = [flat_item("c", 144, 16), flat_item("a", 0, 16), flat_item("b", 72, 16)];
         let cfg = LoadConfig { io_threads: 4, chunk_bytes: 1 << 20, ..Default::default() };
-        let io = IoPool::new(4);
-        let log = Arc::new(FailureLog::new());
-        let got = fetch_item(
-            &backend,
-            "ckpt",
-            &whole_file_item(16),
-            &cfg,
-            &io,
-            &log,
-            0,
-            &MetricsSink::disabled(),
-            SpanContext::none(),
-            0,
-        )
-        .unwrap();
-        assert_eq!(got.len(), 64);
+        let got = fetch(&backend, &reads, &cfg, &Arc::new(FailureLog::new()));
+        assert_eq!(got.len(), 1);
+        let (run, raw) = &got[0];
+        assert_eq!((run.offset, run.len), (0, 208));
+        assert_eq!(run.members, vec![(1, 0, 64), (2, 72, 64), (0, 144, 64)]);
+        assert_eq!(counting.reads(), 1);
         // A single-range memory fetch is a view of the stored allocation.
-        assert_eq!(got.as_ptr(), stored.as_ptr());
+        assert_eq!(raw.as_ptr(), stored.as_ptr());
+        let b = raw.slice(72..136);
+        assert_eq!(b.as_ptr(), stored[72..].as_ptr());
+    }
+
+    #[test]
+    fn runs_close_at_the_gap_and_at_chunk_bytes() {
+        let gap = RUN_GAP_BYTES;
+        let reads = [
+            flat_item("a", 0, 256),                  // [0, 1 KiB)
+            flat_item("b", 1024 + gap, 256),         // exactly the gap away: joins
+            flat_item("c", 3 * 1024 + 2 * gap, 256), // one byte past the gap: new run
+        ];
+        let runs = build_runs(&reads, u64::MAX);
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].members.len(), 2);
+        assert_eq!(runs[1].offset, 3 * 1024 + 2 * gap);
+        // Adjacent items that together exceed chunk_bytes stay apart.
+        let reads = [flat_item("a", 0, 256), flat_item("b", 1024, 256)];
+        assert_eq!(build_runs(&reads, 2048).len(), 1);
+        assert_eq!(build_runs(&reads, 2047).len(), 2);
+        // Overlapping items always share a run, whatever chunk_bytes says.
+        let reads = [flat_item("a", 0, 256), flat_item("b", 512, 256)];
+        let runs = build_runs(&reads, 1024);
+        assert_eq!((runs.len(), runs[0].len), (1, 1536));
     }
 
     #[test]

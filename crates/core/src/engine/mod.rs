@@ -10,9 +10,10 @@
 //!   upload, with the capture being the only training-blocking part in
 //!   async mode; payloads travel as `Bytes` views of pooled capture buffers
 //!   so each tensor byte is copied exactly once.
-//! * [`load`] — ranged multi-threaded reads → intersection extraction →
-//!   local assembly ("H2D") → forwarding of deduplicated reads, with reads,
-//!   extraction and communication overlapped item-by-item.
+//! * [`load`] — each rank's items coalesced into per-file byte runs →
+//!   ranged multi-threaded reads → intersection extraction → local assembly
+//!   ("H2D") → forwarding of deduplicated reads, with reads, extraction and
+//!   communication overlapped run-by-run.
 //!
 //! The helpers here ([`extract_isect`], [`Assembler`]) implement the byte
 //! geometry shared by both pipelines.
@@ -44,8 +45,15 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
     let rank = item.isect_lengths.len();
     let n = item.isect_numel();
     let mut out = BytesMut::with_capacity(n * es);
+    let too_short = |end: usize| {
+        BcpError::Corrupt(format!(
+            "{}: fetched range too short ({} < {end})",
+            item.fqn,
+            fetched.len()
+        ))
+    };
     if rank == 0 {
-        out.extend_from_slice(&fetched[..es]);
+        out.extend_from_slice(fetched.get(..es).ok_or_else(|| too_short(es))?);
         return Ok(out.freeze());
     }
     let run = item.isect_lengths[rank - 1];
@@ -59,14 +67,7 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
         }
         let start = (flat - first_elem) * es;
         let end = start + run * es;
-        if end > fetched.len() {
-            return Err(BcpError::Corrupt(format!(
-                "{}: fetched range too short ({} < {end})",
-                item.fqn,
-                fetched.len()
-            )));
-        }
-        out.extend_from_slice(&fetched[start..end]);
+        out.extend_from_slice(fetched.get(start..end).ok_or_else(|| too_short(end))?);
         for d in (0..rank - 1).rev() {
             coord[d] += 1;
             if coord[d] < item.isect_lengths[d] {

@@ -16,15 +16,20 @@
 use crate::integrity::FailureLog;
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
-use bcp_monitor::{FailureExcerpt, MetricsHub, RankTelemetry, StepTelemetry};
+use bcp_monitor::{FailureExcerpt, MetricsHub, RankTelemetry, SpanRecord, StepTelemetry};
 use bcp_storage::DynBackend;
 use bytes::Bytes;
 
-/// Snapshot one rank's contribution to the step artifact from its private
-/// hub and failure log. Only records and spans stamped with `step` *and*
-/// belonging to `op` (spans: root ancestor named `op`; flat records: name
-/// under the op's prefix) are included, so back-to-back steps — and a save
-/// then a load of the same step — through one `Checkpointer` stay separated.
+/// Cut one rank's contribution to the step artifact out of its private hub
+/// and failure log. A span belongs to the cut when its root span (the
+/// workflow's `op` root; for direct engine use without one, an orphaned
+/// phase span under the op's prefix) is stamped with `rank` and `step`, so
+/// back-to-back steps — and a save then a load of the same step — through
+/// one `Checkpointer` stay separated, while a span that started before a
+/// load knew its step (the metadata read) follows its root and is restamped.
+/// Flat records qualify by their own stamp and name. What is cut leaves the
+/// hub ([`MetricsHub::take_where`]): a handle that lives for a whole
+/// training run holds the operations in flight, not every step it ever ran.
 pub fn collect_rank_telemetry(
     hub: &MetricsHub,
     log: &FailureLog,
@@ -32,38 +37,22 @@ pub fn collect_rank_telemetry(
     step: u64,
     op: &str,
 ) -> RankTelemetry {
-    hub.drain();
     let barrier = format!("sync/{op}_barrier");
     let op_prefix = format!("{op}/");
-    let records = hub
-        .flat_records()
-        .into_iter()
-        .filter(|r| r.step == step && r.rank == rank)
-        .filter(|r| r.name.starts_with(&op_prefix) || r.name == barrier)
-        .collect();
-    let stepped: Vec<_> =
-        hub.spans().into_iter().filter(|s| s.step == step && s.rank == rank).collect();
-    let names: std::collections::HashMap<u64, (Option<u64>, String)> =
-        stepped.iter().map(|s| (s.id, (s.parent, s.name.clone()))).collect();
-    let root_name = |mut id: u64| -> String {
-        loop {
-            match names.get(&id) {
-                Some((Some(parent), _)) if names.contains_key(parent) => id = *parent,
-                Some((_, name)) => return name.clone(),
-                None => return String::new(),
-            }
-        }
-    };
-    // Roots are named exactly `op` in the workflow; orphaned phase spans
-    // (direct engine use, no workflow root) still qualify by prefix.
-    let spans = stepped
-        .iter()
-        .filter(|s| {
-            let root = root_name(s.id);
-            root == op || root.starts_with(&op_prefix) || root == barrier
-        })
-        .cloned()
-        .collect();
+    let phase = |name: &str| name.starts_with(&op_prefix) || name == barrier;
+    // A parentless storage span (always a leaf) is a call made outside any
+    // operation — the previous artifact's own write, dataloader reads after
+    // a load. No cut will ever claim it, so this one takes it and drops it.
+    let stray = |s: &SpanRecord| s.parent.is_none() && s.name.starts_with("storage/");
+    let (records, mut spans) = hub.take_where(
+        |r| r.step == step && r.rank == rank && phase(&r.name),
+        |root| {
+            stray(root)
+                || root.step == step && root.rank == rank && (root.name == op || phase(&root.name))
+        },
+    );
+    spans.retain(|s| !stray(s));
+    spans.iter_mut().for_each(|s| s.step = step);
     let failures = log
         .records()
         .into_iter()

@@ -3,7 +3,7 @@
 //! `io_threads`, and for asynchronous vs synchronous save — because every
 //! worker writes through offsets fixed by `SavePlan::byte_metas()`, never by
 //! arrival order. Restored state must likewise be identical across load
-//! configurations (overlapped vs sequential, any thread count).
+//! configurations (any thread count).
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, LoadRequest, SaveRequest};
@@ -167,15 +167,13 @@ fn restored_state_is_identical_across_load_configurations() {
     assert!(saved.len() > 2);
 
     let mut restored = Vec::new();
-    for (overlap, io_threads) in [(false, 1usize), (false, 8), (true, 1), (true, 8)] {
+    for io_threads in [1usize, 4, 8] {
         let options = WorkflowOptions {
-            load: LoadConfig { overlap, io_threads, ..Default::default() },
+            load: LoadConfig { io_threads, ..Default::default() },
             ..Default::default()
         };
-        restored.push((
-            format!("overlap={overlap},threads={io_threads}"),
-            load_with(registry.clone(), options, "src"),
-        ));
+        restored
+            .push((format!("threads={io_threads}"), load_with(registry.clone(), options, "src")));
     }
     let (_, reference) = &restored[0];
     // All configurations agree with each other AND with the ground truth.

@@ -348,3 +348,36 @@ fn first_replica_baseline_also_round_trips() {
         h.join().unwrap();
     }
 }
+
+/// A `Checkpointer` lives as long as the trainer: cutting a step's artifact
+/// must move that step's spans out of the private hub, or every later save
+/// and load re-walks (and the process retains) everything that came before.
+#[test]
+fn telemetry_hub_stays_bounded_over_many_steps() {
+    let (registry, _mem) = memory_registry();
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let held = run_ranks(2, registry, fw, par, move |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), fw, par, rank, 1);
+        let mut held = Vec::new();
+        for step in 1..=50u64 {
+            let location = format!("mem://job/step_{step}");
+            ckpt.save(&SaveRequest::new(location.as_str(), &state, step)).unwrap().wait().unwrap();
+            let mut target = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+            ckpt.load(&mut LoadRequest::new(location.as_str(), &mut target)).unwrap();
+            assert_states_bitwise_eq(&target, &state, rank);
+            let hub = ckpt.telemetry_hub().expect("telemetry is on by default");
+            held.push(hub.spans().len() + hub.flat_records().len());
+        }
+        held
+    });
+    for (rank, held) in held.iter().enumerate() {
+        assert!(
+            held[49] <= held[4],
+            "rank {rank}: the hub holds {} events after step 50 but held {} after step 5",
+            held[49],
+            held[4]
+        );
+        assert!(held[49] <= 4, "rank {rank}: {} events are left behind per handle", held[49]);
+    }
+}

@@ -211,6 +211,9 @@ pub struct MetricsHub {
     flat: Mutex<Vec<MetricRecord>>,
     span_store: Mutex<Vec<SpanRecord>>,
     dropped: Arc<AtomicU64>,
+    /// Channel capacity of a bounded hub; also what [`MetricsHub::take_where`]
+    /// lets stay behind.
+    capacity: usize,
 }
 
 impl Default for MetricsHub {
@@ -229,6 +232,7 @@ impl MetricsHub {
             flat: Mutex::new(Vec::new()),
             span_store: Mutex::new(Vec::new()),
             dropped: Arc::new(AtomicU64::new(0)),
+            capacity: usize::MAX,
         }
     }
 
@@ -244,6 +248,7 @@ impl MetricsHub {
             flat: Mutex::new(Vec::new()),
             span_store: Mutex::new(Vec::new()),
             dropped: Arc::new(AtomicU64::new(0)),
+            capacity,
         }
     }
 
@@ -284,6 +289,45 @@ impl MetricsHub {
             }
         }
         (std::mem::take(&mut *flat), std::mem::take(&mut *spans))
+    }
+
+    /// Drain the channel, then move out of the hub the flat records `record`
+    /// accepts and the spans whose *root* `root` accepts, leaving the rest
+    /// for whoever they belong to (an operation still in flight on the same
+    /// handle). A span's root is its topmost ancestor the hub holds,
+    /// resolved once per span. This is how a per-step artifact is cut: what
+    /// it takes is gone, so a long-lived hub does not grow with every step.
+    ///
+    /// What no cut ever claims (a failed operation's spans, storage calls
+    /// made outside any operation) would still pile up, so on a bounded hub
+    /// at most `capacity` records and `capacity` spans stay behind; the
+    /// oldest beyond that are dropped and counted in
+    /// [`MetricsHub::dropped_records`].
+    pub fn take_where(
+        &self,
+        record: impl Fn(&MetricRecord) -> bool,
+        root: impl Fn(&SpanRecord) -> bool,
+    ) -> (Vec<MetricRecord>, Vec<SpanRecord>) {
+        self.drain();
+        let mut flat = self.flat.lock();
+        let mut spans = self.span_store.lock();
+        let (taken_flat, mut kept_flat): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *flat).into_iter().partition(|r| record(r));
+        let all = std::mem::take(&mut *spans);
+        let roots = crate::span::root_of_each(&all);
+        let take: Vec<bool> = roots.iter().map(|&r| root(&all[r])).collect();
+        let (mut taken_spans, mut kept_spans) = (Vec::new(), Vec::new());
+        for (span, take) in all.into_iter().zip(take) {
+            if take { &mut taken_spans } else { &mut kept_spans }.push(span);
+        }
+        let excess = kept_flat.len().saturating_sub(self.capacity);
+        kept_flat.drain(..excess);
+        let excess_spans = kept_spans.len().saturating_sub(self.capacity);
+        kept_spans.drain(..excess_spans);
+        self.dropped.fetch_add((excess + excess_spans) as u64, Ordering::Relaxed);
+        *flat = kept_flat;
+        *spans = kept_spans;
+        (taken_flat, taken_spans)
     }
 
     /// Snapshot of all records collected so far: flat records plus every
@@ -551,6 +595,35 @@ mod tests {
             let _t = sink.timer("q", 0, 2);
         }
         assert_eq!(hub.take().0.len(), 1);
+    }
+
+    #[test]
+    fn take_where_cuts_whole_trees_and_caps_what_stays() {
+        let hub = MetricsHub::bounded(4);
+        let sink = hub.sink();
+        let open_phase = sink.span("save/upload", 0, 2); // still in flight
+        {
+            let root = sink.span("load", 0, 1).uncounted();
+            // A child stamped before the load knew its step follows its root.
+            let _early = sink.span_under("load/metadata", 0, 0, root.context());
+            let _late = open_phase.child("save/upload-file");
+        }
+        let (_, cut) = hub.take_where(|_| false, |root| root.name == "load" && root.step == 1);
+        let mut names: Vec<&str> = cut.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["load", "load/metadata"]);
+        // The in-flight save's span stays for its own cut.
+        assert_eq!(hub.spans().len(), 1);
+        // What nothing claims is capped at the hub's capacity, oldest first.
+        for _ in 0..3 {
+            for step in 10..14 {
+                drop(sink.span("orphan", 0, step));
+            }
+            hub.take_where(|_| false, |_| false);
+        }
+        assert_eq!(hub.spans().len(), 4);
+        assert_eq!(hub.dropped_records(), 9);
+        assert!(hub.spans().iter().all(|s| s.name == "orphan"));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::metrics::{MetricsSink, TelemetryEvent};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -102,6 +102,33 @@ impl SpanRecord {
             Some(self.io_bytes as f64 / self.duration.as_secs_f64())
         }
     }
+}
+
+/// For each span, the index of its root: the topmost ancestor present in
+/// `spans` (itself when its parent is absent or it has none). Each chain is
+/// walked once; spans above an already-resolved one reuse its answer.
+pub(crate) fn root_of_each(spans: &[SpanRecord]) -> Vec<usize> {
+    const UNRESOLVED: usize = usize::MAX;
+    let index: HashMap<u64, usize> = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    let mut root = vec![UNRESOLVED; spans.len()];
+    let mut path = Vec::new();
+    for start in 0..spans.len() {
+        let mut at = start;
+        while root[at] == UNRESOLVED {
+            path.push(at);
+            // Ids are issued in creation order and a parent exists before
+            // its child, which also rules out a cycle.
+            match spans[at].parent.filter(|&p| p < spans[at].id).and_then(|p| index.get(&p)) {
+                Some(&up) => at = up,
+                None => root[at] = at,
+            }
+        }
+        let resolved = root[at];
+        for i in path.drain(..) {
+            root[i] = resolved;
+        }
+    }
+    root
 }
 
 /// A copyable reference to an open span, used to parent spans across

@@ -40,7 +40,11 @@ cargo bench --workspace --no-run
 echo "==> perf/ builds against this tree (both bins: a public-API break under a layer probe fails here)"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 
-echo "==> bench_engine smoke (writes results/BENCH_engine.json)"
+echo "==> perf/ smoke (2 s of manytensor_dp2_disk: an engine change that restores wrong bytes stops here)"
+bash perf/run.sh --workload manytensor_dp2_disk --seed 1 --seconds 2 --trace 0 | tail -n 1 |
+  grep -Eq '"correct": ?true' || { echo "perf/ smoke: the result line lacks \"correct\": true"; exit 1; }
+
+echo "==> bench_engine smoke (save pooled vs sequential, one load, single-copy gate; writes results/BENCH_engine.json)"
 cargo run --release -p bcp-bench --bin bench_engine -- --smoke --out results/BENCH_engine.json
 
 echo "==> coordinator smoke (4 concurrent jobs, fairness gate; writes results/BENCH_coordinator.json)"

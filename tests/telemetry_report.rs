@@ -188,3 +188,74 @@ fn persisted_telemetry_drives_offline_report() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The load artifact of a many-tensor step carries one `load/fetch` span per
+/// *run*, so the slow-I/O alerts of `bcpctl report --load` name a handful of
+/// large reads with a bandwidth that means something — a per-tensor span of
+/// a few KB measured the per-op latency and there were thousands of them.
+#[test]
+fn load_report_lists_slow_runs_with_a_real_throughput() {
+    const SLOW_READ_BPS: f64 = 20e6;
+    let dir = std::env::temp_dir().join(format!("bcp-telemetry-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let arch = bytecheckpoint::model::TransformerConfig { layers: 48, ..zoo::tiny_gpt() };
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let world = CommWorld::new(2, Backend::Flat);
+    let handles: Vec<_> = (0..2)
+        .map(|rank| {
+            let (world, dir, arch) = (world.clone(), dir.clone(), arch.clone());
+            std::thread::spawn(move || {
+                let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+                let backend: DynBackend = if rank == 1 {
+                    let slow_reads =
+                        fault::throttle(SLOW_READ_BPS, f64::INFINITY, Duration::from_millis(2));
+                    Arc::new(FaultLayer::new(disk, 0, slow_reads).named("slow-disk"))
+                } else {
+                    disk
+                };
+                let mut registry = BackendRegistry::new();
+                registry.register(Scheme::File, backend);
+                let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
+                    .framework(fw)
+                    .parallelism(par)
+                    .registry(Arc::new(registry))
+                    .build()
+                    .unwrap();
+                let state = build_train_state(&arch, fw, par, rank, true);
+                ckpt.save(&SaveRequest::new("file:///job/step_5", &state, 5))
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                let mut target = build_train_state(&arch, fw, par, rank, true);
+                let out =
+                    ckpt.load(&mut LoadRequest::new("file:///job/step_5", &mut target)).unwrap();
+                out.report.stats.local_reads
+            })
+        })
+        .collect();
+    let items: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(items >= 1000, "the step must carry >= 1000 read items, got {items}");
+
+    let job = dir.join("job").to_string_lossy().to_string();
+    let (ok, text) = bcpctl(&["report", &job, "--load", "--min-mbps", "50"]);
+    assert!(ok, "{text}");
+    assert!(text.contains("step 5 (load)"), "{text}");
+    // "ALERT slow I/O: rank 1 load/fetch 1.2 MiB at 17.3 MB/s (path ...)"
+    let slow_runs: Vec<f64> = text
+        .lines()
+        .filter(|l| l.starts_with("ALERT slow I/O: rank 1 load/fetch "))
+        .map(|l| {
+            let rate = l.split(" at ").nth(1).and_then(|r| r.split(" MB/s").next());
+            rate.and_then(|r| r.parse().ok()).unwrap_or_else(|| panic!("unparsable alert: {l}"))
+        })
+        .collect();
+    assert!(!slow_runs.is_empty(), "the throttled rank's reads must be flagged: {text}");
+    assert!(slow_runs.len() <= 8, "alerts are per run, not per item ({items} items): {text}");
+    for mbps in &slow_runs {
+        // Bounded above by the throttle, and well above what a 2 ms
+        // latency alone allows a few-KB read (< 2 MB/s).
+        assert!((2.0..=SLOW_READ_BPS / 1e6).contains(mbps), "{mbps} MB/s: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
