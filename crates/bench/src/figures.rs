@@ -12,7 +12,7 @@ use bcp_core::workflow::WorkflowOptions;
 use bcp_dataloader::{DataSource, Dataloader, LoaderReplicatedState};
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, ExtraState, TrainState, TrainerConfig};
-use bcp_monitor::{heatmap, MetricsHub};
+use bcp_monitor::{analysis, heatmap, MetricsHub};
 use bcp_storage::{fault, FaultLayer, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
@@ -87,7 +87,8 @@ pub fn fig11_fig12() -> (String, String) {
         }
         ckpt.save(&req).expect("save").wait().expect("save tail");
     });
-    let by_rank = hub.total_by_rank("save/");
+    let spans = hub.spans();
+    let by_rank = analysis::total_by_rank(&spans, "save/");
     let spec = heatmap::HeatmapSpec {
         rows: par.pp,
         cols: par.dp * par.tp,
@@ -99,7 +100,7 @@ pub fn fig11_fig12() -> (String, String) {
     fig11.push_str(&format!(
         "stragglers (>1.3x mean): ranks {stragglers:?} — the dataloader holders (tp=0, pp=0)\n"
     ));
-    let fig12 = bcp_monitor::render_breakdown(0, &hub.breakdown_for_rank(0));
+    let fig12 = bcp_monitor::render_breakdown(0, &analysis::breakdown_for_rank(&spans, 0));
     (fig11, fig12)
 }
 

@@ -35,8 +35,6 @@ pub enum PlaneEvent {
         rank: usize,
         /// The frame's own sequence number.
         frame_seq: u64,
-        /// Metric records carried.
-        records: usize,
         /// Spans carried.
         spans: usize,
         /// Client-side drops reported by the frame.
@@ -96,7 +94,7 @@ pub struct PlaneConfig {
     pub ring_capacity: usize,
     /// Per-subscriber channel bound (overflow drops, counted).
     pub subscriber_capacity: usize,
-    /// Largest records+spans count one pushed frame may carry.
+    /// Most spans one pushed frame may carry.
     pub max_frame_events: usize,
 }
 
@@ -182,7 +180,7 @@ impl TelemetryPlane {
         MetricsSink::folding(self.registry.clone(), base)
     }
 
-    /// Ingest one pushed frame: fold every record/span into the registry
+    /// Ingest one pushed frame: fold every span into the registry
     /// under `{job}`, account client-side drops, publish a ring event, and
     /// evaluate the rules. Returns the alerts that fired.
     pub fn ingest_frame(&self, frame: &TelemetryFrame) -> Vec<AlertEvent> {
@@ -193,17 +191,13 @@ impl TelemetryPlane {
             l.insert("source".into(), "client".into());
             self.registry.add("telemetry_dropped_total", l, frame.dropped as f64);
         }
-        for rec in &frame.records {
-            self.registry.fold_record(rec, &base);
-        }
         for span in &frame.spans {
-            self.registry.fold_span(span, &base);
+            self.registry.fold(span, &base);
         }
         self.publish(PlaneEvent::Frame {
             job: frame.job.clone(),
             rank: frame.rank,
             frame_seq: frame.seq,
-            records: frame.records.len(),
             spans: frame.spans.len(),
             dropped: frame.dropped,
         });
@@ -317,7 +311,7 @@ impl TelemetryPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcp_monitor::MetricRecord;
+    use bcp_monitor::SpanRecord;
     use std::time::Duration;
 
     fn frame(job: &str, dropped: u64) -> TelemetryFrame {
@@ -325,15 +319,14 @@ mod tests {
             job: job.into(),
             rank: 0,
             seq: 0,
-            records: vec![MetricRecord {
+            spans: vec![SpanRecord {
                 name: "save/upload".into(),
-                rank: 0,
                 step: 1,
                 duration: Duration::from_millis(10),
                 io_bytes: 512,
-                path: None,
+                counted: true,
+                ..SpanRecord::default()
             }],
-            spans: Vec::new(),
             dropped,
         }
     }
@@ -443,14 +436,7 @@ mod tests {
     #[test]
     fn plane_event_serde_round_trip() {
         let events = vec![
-            PlaneEvent::Frame {
-                job: "j".into(),
-                rank: 1,
-                frame_seq: 2,
-                records: 3,
-                spans: 4,
-                dropped: 5,
-            },
+            PlaneEvent::Frame { job: "j".into(), rank: 1, frame_seq: 2, spans: 4, dropped: 5 },
             PlaneEvent::Commit { job: "j".into(), step: 1, bytes: 2, wall_ms: 3 },
         ];
         for ev in events {

@@ -546,11 +546,11 @@ impl CoordinatorService {
                     return self.fenced(frame.job, generation, current);
                 }
                 let max = self.plane.config().max_frame_events;
-                if frame.len() > max {
+                if frame.spans.len() > max {
                     return Response::Error {
                         message: format!(
                             "oversized frame: {} events exceeds the {max}-event limit",
-                            frame.len()
+                            frame.spans.len()
                         ),
                     };
                 }
@@ -598,7 +598,7 @@ mod tests {
     use super::*;
     use bcp_core::integrity::TestClock;
     use bcp_core::spec::JobSpec;
-    use bcp_monitor::MetricRecord;
+    use bcp_monitor::SpanRecord;
     use bcp_storage::MemoryBackend;
 
     fn svc(max_jobs: usize) -> Arc<CoordinatorService> {
@@ -681,17 +681,16 @@ mod tests {
             job: job.into(),
             rank: 0,
             seq: 0,
-            records: (0..events)
-                .map(|i| MetricRecord {
+            spans: (0..events)
+                .map(|i| SpanRecord {
                     name: "save/upload".into(),
-                    rank: 0,
                     step: i as u64,
                     duration: Duration::from_millis(1),
                     io_bytes: 10,
-                    path: None,
+                    counted: true,
+                    ..SpanRecord::default()
                 })
                 .collect(),
-            spans: Vec::new(),
             dropped: 0,
         }
     }

@@ -25,13 +25,12 @@
 use crate::chunks::{chunk_hash, ChunkManifest, CHUNK_MANIFEST_FILE};
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
-use bcp_monitor::{MetricRecord, MetricsSink};
+use bcp_monitor::MetricsSink;
 use bcp_storage::{DynBackend, ReadCache};
 use bcp_topology::{ClusterLayout, FanoutPlan};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Tuning for one fan-out session.
 #[derive(Debug, Clone)]
@@ -97,7 +96,6 @@ pub fn fetch_step_fanout(
     opts: &FanoutOptions,
     sink: &MetricsSink,
 ) -> Result<(BTreeMap<String, Bytes>, DistStats)> {
-    let started = Instant::now();
     let members = comm.members().to_vec();
     let world = members.len();
     let me = members
@@ -158,26 +156,19 @@ pub fn fetch_step_fanout(
     let files = manifest.reassemble(&store)?;
     stats.files = files.len();
     stats.assembled_bytes = files.values().map(|b| b.len() as u64).sum();
-    emit_stats(sink, comm.rank(), manifest.step, &stats, started.elapsed());
+    emit_stats(sink, comm.rank(), manifest.step, &stats);
     Ok((files, stats))
 }
 
-/// Emit the session's traffic as `dist/fanout/*` records so the live plane
-/// folds them into `fanout_peer_bytes_total` and friends.
-fn emit_stats(sink: &MetricsSink, rank: usize, step: u64, stats: &DistStats, wall: Duration) {
-    let rec = |name: &str, bytes: u64| MetricRecord {
-        name: name.to_string(),
-        rank,
-        step,
-        duration: wall,
-        io_bytes: bytes,
-        path: None,
-    };
-    if stats.peer_bytes > 0 {
-        sink.record(rec("dist/fanout/peer", stats.peer_bytes));
-    }
-    if stats.backend_bytes > 0 {
-        sink.record(rec("dist/fanout/backend", stats.backend_bytes));
+/// Emit the session's traffic as `dist/fanout/*` point spans so the live
+/// plane folds them into `fanout_peer_bytes_total` and friends.
+fn emit_stats(sink: &MetricsSink, rank: usize, step: u64, stats: &DistStats) {
+    for (name, bytes) in
+        [("dist/fanout/peer", stats.peer_bytes), ("dist/fanout/backend", stats.backend_bytes)]
+    {
+        if bytes > 0 {
+            drop(sink.span(name, rank, step).uncounted().bytes(bytes));
+        }
     }
 }
 

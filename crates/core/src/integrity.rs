@@ -24,30 +24,13 @@
 
 use crate::metadata::COMPLETE_MARKER;
 use crate::{BcpError, Result};
-use bcp_monitor::{MetricRecord, MetricsSink};
+use bcp_monitor::MetricsSink;
 use bcp_storage::fallback::FallbackBackend;
 use bcp_storage::{DynBackend, ResilienceEvent, ResilientBackend, StorageError};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// One logged failure inside a checkpoint pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailureRecord {
-    /// Rank where the failure happened.
-    pub rank: usize,
-    /// Pipeline stage name (e.g. `"save/upload"`).
-    pub stage: String,
-    /// Path involved, when applicable.
-    pub path: Option<String>,
-    /// Attempt number (1-based).
-    pub attempt: u32,
-    /// Error description.
-    pub error: String,
-    /// Whether a retry followed.
-    pub retried: bool,
-}
+pub use bcp_monitor::FailureRecord;
 
 /// Collects [`FailureRecord`]s across engine threads.
 #[derive(Debug, Default)]
@@ -165,8 +148,9 @@ pub const FAILOVER_STAGE: &str = "storage/failover";
 
 /// Wire a [`FallbackBackend`]'s trip event into the failure log and the
 /// metrics stream: the downgrade shows up as a [`FailureRecord`] with stage
-/// [`FAILOVER_STAGE`] and as a `MetricRecord` of the same name, so both the
-/// post-mortem log and live dashboards see the degradation.
+/// [`FAILOVER_STAGE`] and as a point span of the same name (under whichever
+/// operation tripped it), so both the post-mortem log and live dashboards
+/// see the degradation.
 pub fn record_failovers(
     backend: &FallbackBackend,
     log: Arc<FailureLog>,
@@ -185,24 +169,17 @@ pub fn record_failovers(
             ),
             retried: true,
         });
-        sink.record(MetricRecord {
-            name: FAILOVER_STAGE.to_string(),
-            rank,
-            step: 0,
-            duration: Duration::ZERO,
-            io_bytes: 0,
-            path: Some(event.path.clone()),
-        });
+        drop(sink.span_in_context(FAILOVER_STAGE, rank).uncounted().path(event.path.clone()));
     }));
 }
 
-/// Stage-name prefix under which resilience events are streamed as metric
-/// records. `bcp-monitor` folds `resil/*` records into the
+/// Stage-name prefix under which resilience events are streamed as point
+/// spans. `bcp-monitor` folds `resil/*` spans into the
 /// `storage_{retries,hedges,hedge_wins,throttled,circuit_open}_total`
 /// counter series and the `storage_brownout` gauge.
 pub const RESILIENCE_STAGE_PREFIX: &str = "resil/";
 
-/// Metric-record name for a [`ResilienceEvent`].
+/// Span name for a [`ResilienceEvent`].
 fn resilience_record_name(event: &ResilienceEvent) -> &'static str {
     match event {
         ResilienceEvent::Retry { .. } => "resil/retry",
@@ -219,7 +196,8 @@ fn resilience_record_name(event: &ResilienceEvent) -> &'static str {
 
 /// Wire a [`ResilientBackend`]'s event stream into the failure log and the
 /// metrics stream, the resilience analogue of [`record_failovers`]. Every
-/// event becomes a `MetricRecord` named `resil/<event>`; the two
+/// event becomes a point span named `resil/<event>` (a throttle carries the
+/// server's hint as its `retry_after_ms` attribute); the two
 /// *state-degrading* transitions (circuit opened, brownout entered) are
 /// additionally logged as [`FailureRecord`]s so post-mortems see when the
 /// backend went dark or the client started shedding optional work.
@@ -250,19 +228,10 @@ pub fn record_resilience(
             }),
             _ => {}
         }
-        sink.record(MetricRecord {
-            name: name.to_string(),
-            rank,
-            step: 0,
-            duration: match event {
-                ResilienceEvent::Throttled { retry_after_ms } => {
-                    Duration::from_millis(*retry_after_ms)
-                }
-                _ => Duration::ZERO,
-            },
-            io_bytes: 0,
-            path: None,
-        });
+        let mut point = sink.span_in_context(name, rank).uncounted();
+        if let ResilienceEvent::Throttled { retry_after_ms } = event {
+            point.set_attr("retry_after_ms", retry_after_ms.to_string());
+        }
     }));
 }
 
@@ -285,6 +254,7 @@ mod tests {
     use super::*;
     use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A memory backend whose first `times` writes to each path fail.
     fn failing_writes(times: u32) -> FaultLayer {
@@ -433,8 +403,9 @@ mod tests {
 
         let recs = log.records();
         assert!(recs.iter().any(|r| r.stage == FAILOVER_STAGE && r.rank == 7));
-        let metrics = hub.records();
-        assert!(metrics.iter().any(|m| m.name == FAILOVER_STAGE && m.rank == 7));
+        let failover = hub.spans().into_iter().find(|s| s.name == FAILOVER_STAGE).unwrap();
+        assert_eq!((failover.rank, failover.counted), (7, false));
+        assert_eq!(failover.path.as_deref(), Some("f.bin"));
     }
 
     #[test]
@@ -511,12 +482,12 @@ mod tests {
         resilient.write("b", data).unwrap();
         assert!(resilient.stats().throttled > 0, "second write must have throttled");
 
-        let metrics = hub.records();
-        let throttle_records: Vec<_> =
-            metrics.iter().filter(|m| m.name == "resil/throttled" && m.rank == 3).collect();
-        assert!(!throttle_records.is_empty());
-        // The server's retry-after hint rides along as the record duration.
-        assert!(throttle_records.iter().any(|m| m.duration > Duration::ZERO));
+        let spans = hub.spans();
+        let throttled: Vec<_> =
+            spans.iter().filter(|s| s.name == "resil/throttled" && s.rank == 3).collect();
+        assert!(!throttled.is_empty());
+        // The server's retry-after hint rides along as an attribute.
+        assert!(throttled.iter().any(|s| s.attr_num("retry_after_ms") > 0.0));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::integrity::FailureLog;
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
-use bcp_monitor::{FailureExcerpt, MetricsHub, RankTelemetry, SpanRecord, StepTelemetry};
+use bcp_monitor::{MetricsHub, RankTelemetry, SpanRecord, StepTelemetry};
 use bcp_storage::DynBackend;
 use bytes::Bytes;
 
@@ -27,9 +27,11 @@ use bytes::Bytes;
 /// back-to-back steps — and a save then a load of the same step — through
 /// one `Checkpointer` stay separated, while a span that started before a
 /// load knew its step (the metadata read) follows its root and is restamped.
-/// Flat records qualify by their own stamp and name. What is cut leaves the
-/// hub ([`MetricsHub::take_where`]): a handle that lives for a whole
-/// training run holds the operations in flight, not every step it ever ran.
+/// What is cut leaves the hub ([`MetricsHub::take_where`]): a handle that
+/// lives for a whole training run holds the operations in flight, not every
+/// step it ever ran. The line's drop count is likewise cut, not copied
+/// ([`MetricsHub::take_dropped`]): it counts the spans lost since this
+/// rank's previous line.
 pub fn collect_rank_telemetry(
     hub: &MetricsHub,
     log: &FailureLog,
@@ -44,36 +46,20 @@ pub fn collect_rank_telemetry(
     // operation — the previous artifact's own write, dataloader reads after
     // a load. No cut will ever claim it, so this one takes it and drops it.
     let stray = |s: &SpanRecord| s.parent.is_none() && s.name.starts_with("storage/");
-    let (records, mut spans) = hub.take_where(
-        |r| r.step == step && r.rank == rank && phase(&r.name),
-        |root| {
-            stray(root)
-                || root.step == step && root.rank == rank && (root.name == op || phase(&root.name))
-        },
-    );
+    let mut spans = hub.take_where(|root| {
+        stray(root)
+            || root.step == step && root.rank == rank && (root.name == op || phase(&root.name))
+    });
     spans.retain(|s| !stray(s));
     spans.iter_mut().for_each(|s| s.step = step);
-    let failures = log
-        .records()
-        .into_iter()
-        .filter(|f| f.rank == rank)
-        .map(|f| FailureExcerpt {
-            rank: f.rank,
-            stage: f.stage,
-            path: f.path,
-            attempt: f.attempt,
-            error: f.error,
-            retried: f.retried,
-        })
-        .collect();
+    let failures = log.records().into_iter().filter(|f| f.rank == rank).collect();
     RankTelemetry {
         rank,
         step,
         op: op.to_string(),
-        records,
         spans,
         failures,
-        dropped_records: hub.dropped_records(),
+        dropped_records: hub.take_dropped(),
     }
 }
 
@@ -127,7 +113,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn collect_filters_by_step_and_maps_failures() {
+    fn collect_filters_by_step_and_keeps_own_failures() {
         let hub = MetricsHub::new();
         let sink = hub.sink();
         drop(sink.span("save/dump", 0, 7).bytes(64));
@@ -155,6 +141,19 @@ mod tests {
         assert_eq!(t.failures.len(), 1);
         assert_eq!(t.failures[0].path.as_deref(), Some("ckpt/x.bin"));
         assert_eq!(t.op, "save");
+    }
+
+    #[test]
+    fn each_line_reports_the_drops_of_its_own_step() {
+        let hub = MetricsHub::bounded(2);
+        let (sink, log) = (hub.sink(), FailureLog::new());
+        for _ in 0..5 {
+            drop(sink.span("save/dump", 0, 1)); // 2 fit, 3 overflow
+        }
+        assert_eq!(collect_rank_telemetry(&hub, &log, 0, 1, "save").dropped_records, 3);
+        drop(sink.span("save/dump", 0, 2));
+        let second = collect_rank_telemetry(&hub, &log, 0, 2, "save");
+        assert_eq!((second.spans.len(), second.dropped_records), (1, 0));
     }
 
     #[test]

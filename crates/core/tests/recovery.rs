@@ -279,7 +279,7 @@ fn degraded_primary_fails_over_and_is_recorded() {
         "the downgrade must appear in the failure log"
     );
     assert!(
-        hub.records().iter().any(|m| m.name == FAILOVER_STAGE),
+        hub.spans().iter().any(|s| s.name == FAILOVER_STAGE),
         "the downgrade must appear in the metrics stream"
     );
 

@@ -1,11 +1,44 @@
-//! Offline analysis over collected telemetry: per-phase percentile
-//! histograms, cross-rank critical-path detection, and regression checks
-//! against a rolling baseline of prior steps (paper §5.3's "analysis"
-//! half — the queries an oncall runs on a slow job's persisted traces).
+//! Analysis over collected spans: per-rank and per-phase totals, slow-I/O
+//! detection, per-phase percentile histograms, cross-rank critical-path
+//! detection, and regression checks against a rolling baseline of prior
+//! steps (paper §5.3's "analysis" half — the queries an oncall runs on a
+//! slow job's persisted traces). Every query takes the spans as collected
+//! ([`crate::MetricsHub::spans`], [`crate::StepTelemetry::all_spans`]) and
+//! sums durations over the *counted* ones only, so a phase is never
+//! double-counted with its root or its per-item details.
 
-use crate::metrics::{total_by_rank_from, MetricRecord};
+use crate::span::SpanRecord;
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// Total duration per rank over counted spans whose name has `prefix`.
+/// Feeds the Fig. 11 heat map ("end-to-end checkpoint saving time").
+pub fn total_by_rank(spans: &[SpanRecord], prefix: &str) -> BTreeMap<usize, Duration> {
+    let mut out = BTreeMap::new();
+    for span in spans.iter().filter(|s| s.counted && s.name.starts_with(prefix)) {
+        *out.entry(span.rank).or_insert(Duration::ZERO) += span.duration;
+    }
+    out
+}
+
+/// Total duration per phase name over one rank's counted spans (Fig. 12
+/// breakdown).
+pub fn breakdown_for_rank(spans: &[SpanRecord], rank: usize) -> BTreeMap<String, Duration> {
+    let mut out = BTreeMap::new();
+    for span in spans.iter().filter(|s| s.counted && s.rank == rank) {
+        *out.entry(span.name.clone()).or_insert(Duration::ZERO) += span.duration;
+    }
+    out
+}
+
+/// Spans with throughput below `min_bps` — the alerting rule the paper
+/// applies on the storage-client side ("unexpectedly high latency or low
+/// bandwidth triggers alerts"). Scans counted spans *and* uncounted detail
+/// spans (per-file uploads, per-op storage I/Os), so a single slow write is
+/// caught even when its phase total looks healthy.
+pub fn slow_ios(spans: &[SpanRecord], min_bps: f64) -> Vec<&SpanRecord> {
+    spans.iter().filter(|s| matches!(s.throughput(), Some(t) if t < min_bps)).collect()
+}
 
 /// Percentile summary of one phase's durations across ranks/occurrences.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +66,11 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
     sorted[idx]
 }
 
-/// Per-phase p50/p95/p99 over all records, keyed by phase name.
-pub fn phase_percentiles(records: &[MetricRecord]) -> BTreeMap<String, PhaseStats> {
+/// Per-phase p50/p95/p99 over the counted spans, keyed by phase name.
+pub fn phase_percentiles(spans: &[SpanRecord]) -> BTreeMap<String, PhaseStats> {
     let mut samples: BTreeMap<String, Vec<Duration>> = BTreeMap::new();
-    for rec in records {
-        samples.entry(rec.name.clone()).or_default().push(rec.duration);
+    for span in spans.iter().filter(|s| s.counted) {
+        samples.entry(span.name.clone()).or_default().push(span.duration);
     }
     samples
         .into_iter()
@@ -74,21 +107,17 @@ pub struct CriticalPath {
 }
 
 /// Find the critical-path rank for phases under `prefix` (e.g. `"save/"`).
-/// Returns `None` when no record matches.
-pub fn critical_path(records: &[MetricRecord], prefix: &str) -> Option<CriticalPath> {
-    let by_rank = total_by_rank_from(records, prefix);
+/// Returns `None` when no counted span matches.
+pub fn critical_path(spans: &[SpanRecord], prefix: &str) -> Option<CriticalPath> {
+    let by_rank = total_by_rank(spans, prefix);
     let (&rank, &total) = by_rank.iter().max_by_key(|(_, d)| **d)?;
     let mut totals: Vec<Duration> = by_rank.values().copied().collect();
     totals.sort();
     let median_total = totals[totals.len() / 2];
-    let mut phases: BTreeMap<&str, Duration> = BTreeMap::new();
-    for rec in records {
-        if rec.rank == rank && rec.name.starts_with(prefix) {
-            *phases.entry(rec.name.as_str()).or_insert(Duration::ZERO) += rec.duration;
-        }
-    }
-    let (dominant_phase, dominant) =
-        phases.into_iter().max_by_key(|(_, d)| *d).map(|(n, d)| (n.to_string(), d))?;
+    let (dominant_phase, dominant) = breakdown_for_rank(spans, rank)
+        .into_iter()
+        .filter(|(name, _)| name.starts_with(prefix))
+        .max_by_key(|(_, d)| *d)?;
     Some(CriticalPath { rank, total, dominant_phase, dominant, median_total })
 }
 
@@ -143,20 +172,50 @@ pub fn regressions(
 mod tests {
     use super::*;
 
-    fn rec(name: &str, rank: usize, ms: u64) -> MetricRecord {
-        MetricRecord {
+    fn rec(name: &str, rank: usize, ms: u64) -> SpanRecord {
+        SpanRecord {
             name: name.into(),
             rank,
             step: 1,
             duration: Duration::from_millis(ms),
-            io_bytes: 0,
-            path: None,
+            counted: true,
+            ..SpanRecord::default()
         }
     }
 
     #[test]
+    fn aggregation_by_rank_and_phase() {
+        let mut spans = Vec::new();
+        for rank in 0..4 {
+            spans.push(rec("save/upload", rank, 10 * (rank as u64 + 1)));
+            spans.push(rec("save/d2h", rank, 1));
+            spans.push(SpanRecord { counted: false, ..rec("save/upload-file", rank, 9) });
+        }
+        assert_eq!(total_by_rank(&spans, "save/")[&3], Duration::from_millis(41));
+        let breakdown = breakdown_for_rank(&spans, 0);
+        assert_eq!(breakdown["save/upload"], Duration::from_millis(10));
+        assert_eq!(breakdown["save/d2h"], Duration::from_millis(1));
+        assert_eq!(breakdown.len(), 2, "uncounted details stay out: {breakdown:?}");
+        assert_eq!(phase_percentiles(&spans).len(), 2);
+    }
+
+    #[test]
+    fn slow_io_detection() {
+        let io = |path: &str, io_bytes: u64| SpanRecord {
+            io_bytes,
+            path: Some(path.into()),
+            ..rec("upload", 0, 1000)
+        };
+        // 100 B/s is pathologically slow, 1 GiB/s healthy.
+        let spans = [io("slow.bin", 100), io("fast.bin", 1 << 30)];
+        let slow = slow_ios(&spans, 1024.0 * 1024.0);
+        assert_eq!(slow.len(), 1);
+        assert_eq!(slow[0].path.as_deref(), Some("slow.bin"));
+    }
+
+    #[test]
     fn percentiles_nearest_rank() {
-        let records: Vec<MetricRecord> =
+        let records: Vec<SpanRecord> =
             (1..=100).map(|i| rec("save/upload", i as usize, i)).collect();
         let stats = &phase_percentiles(&records)["save/upload"];
         assert_eq!(stats.count, 100);

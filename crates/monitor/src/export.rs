@@ -1,7 +1,6 @@
 //! Trace exporters: Chrome trace-event JSON (loadable in `chrome://tracing`
 //! / Perfetto) and CSV, for offline inspection of persisted telemetry.
 
-use crate::metrics::MetricRecord;
 use crate::span::SpanRecord;
 use serde_json::{json, Map, Value};
 
@@ -68,10 +67,11 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Render flat metric records as CSV.
-pub fn records_csv(records: &[MetricRecord]) -> String {
+/// Render the counted spans as flat CSV measurements: one row per phase
+/// occurrence, without the tree columns of [`spans_csv`].
+pub fn records_csv(spans: &[SpanRecord]) -> String {
     let mut out = String::from("name,rank,step,duration_s,io_bytes,path\n");
-    for rec in records {
+    for rec in spans.iter().filter(|s| s.counted) {
         out.push_str(&format!(
             "{},{},{},{:.6},{},{}\n",
             csv_field(&rec.name),

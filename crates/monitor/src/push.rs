@@ -1,4 +1,4 @@
-//! Batched telemetry push: events flow from a rank's [`MetricsSink`] into a
+//! Batched telemetry push: spans flow from a rank's [`MetricsSink`] into a
 //! bounded hub, and a background pump drains them into [`TelemetryFrame`]s
 //! handed to a [`FrameSink`] (in-process coordinator or a wire client).
 //!
@@ -8,7 +8,7 @@
 //! surface `telemetry_dropped_total` truthfully. The pump thread is the only
 //! place that touches the (possibly slow) frame sink.
 
-use crate::metrics::{MetricRecord, MetricsHub, MetricsSink};
+use crate::metrics::{MetricsHub, MetricsSink};
 use crate::span::SpanRecord;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,26 +27,18 @@ pub struct TelemetryFrame {
     pub rank: usize,
     /// Per-pump frame sequence number (gaps = lost frames).
     pub seq: u64,
-    /// Flat metric records collected since the previous frame.
-    #[serde(default)]
-    pub records: Vec<MetricRecord>,
     /// Spans (counted and detail) collected since the previous frame.
     #[serde(default)]
     pub spans: Vec<SpanRecord>,
-    /// Events dropped at the bounded hub since the previous frame.
+    /// Spans dropped at the bounded hub since the previous frame.
     #[serde(default)]
     pub dropped: u64,
 }
 
 impl TelemetryFrame {
-    /// Total events carried.
-    pub fn len(&self) -> usize {
-        self.records.len() + self.spans.len()
-    }
-
-    /// Whether the frame carries neither events nor a drop report.
+    /// Whether the frame carries neither spans nor a drop report.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0 && self.dropped == 0
+        self.spans.is_empty() && self.dropped == 0
     }
 }
 
@@ -107,8 +99,6 @@ struct PumpInner {
     job: String,
     rank: usize,
     seq: AtomicU64,
-    /// Hub drops already reported in a frame.
-    reported_drops: AtomicU64,
     /// Frames the sink refused/lost.
     push_failures: AtomicU64,
     /// Serializes flushes so frame seq order matches send order.
@@ -119,17 +109,12 @@ impl PumpInner {
     /// Drain the hub and push one frame; returns whether a frame was sent.
     fn flush(&self) -> bool {
         let _guard = self.flush_lock.lock().unwrap();
-        let (records, spans) = self.hub.take();
-        let total_drops = self.hub.dropped_records();
-        let dropped =
-            total_drops.saturating_sub(self.reported_drops.swap(total_drops, Ordering::Relaxed));
         let frame = TelemetryFrame {
             job: self.job.clone(),
             rank: self.rank,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            records,
-            spans,
-            dropped,
+            spans: self.hub.take(),
+            dropped: self.hub.take_dropped(),
         };
         if frame.is_empty() {
             // Nothing to say; give the seq back so gaps mean real loss.
@@ -167,7 +152,6 @@ impl TelemetryPump {
             job: job.into(),
             rank,
             seq: AtomicU64::new(0),
-            reported_drops: AtomicU64::new(0),
             push_failures: AtomicU64::new(0),
             flush_lock: Mutex::new(()),
         });
@@ -216,11 +200,6 @@ impl TelemetryPump {
         self.inner.flush();
     }
 
-    /// Events dropped at the bounded hub so far (reported in frames too).
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.hub.dropped_records()
-    }
-
     /// Frames the sink lost (connection gone, receiver refused).
     pub fn push_failures(&self) -> u64 {
         self.inner.push_failures.load(Ordering::Relaxed)
@@ -248,21 +227,20 @@ mod tests {
             job: "j".into(),
             rank: 2,
             seq: 7,
-            records: vec![MetricRecord {
+            spans: vec![crate::SpanRecord {
                 name: "save/upload".into(),
                 rank: 2,
                 step: 1,
                 duration: Duration::from_millis(5),
                 io_bytes: 64,
-                path: None,
+                counted: true,
+                ..Default::default()
             }],
-            spans: Vec::new(),
             dropped: 3,
         };
         let json = serde_json::to_string(&frame).unwrap();
         let back: TelemetryFrame = serde_json::from_str(&json).unwrap();
         assert_eq!(back, frame);
-        assert_eq!(back.len(), 1);
         assert!(!back.is_empty());
     }
 
@@ -276,19 +254,13 @@ mod tests {
             PumpConfig { capacity: 64, flush_interval: Duration::from_millis(5) },
         );
         let sink = pump.sink();
-        {
-            let _t = sink.timer("save/plan", 1, 3);
-        }
-        {
-            let _s = sink.span("save", 1, 3).uncounted();
-        }
+        drop(sink.span("save/plan", 1, 3));
+        drop(sink.span("save", 1, 3).uncounted());
         pump.flush();
         let frames = out.frames();
         assert!(!frames.is_empty());
-        let records: usize = frames.iter().map(|f| f.records.len()).sum();
         let spans: usize = frames.iter().map(|f| f.spans.len()).sum();
-        assert_eq!(records, 1);
-        assert_eq!(spans, 1);
+        assert_eq!(spans, 2);
         assert!(frames.iter().all(|f| f.job == "job-a" && f.rank == 1));
         // Seqs are consecutive from 0 (empty flushes do not burn one).
         for (i, f) in frames.iter().enumerate() {
@@ -309,17 +281,19 @@ mod tests {
             PumpConfig { capacity: 2, flush_interval: Duration::from_secs(60) },
         );
         let sink = pump.sink();
-        for step in 0..10u64 {
-            let _t = sink.timer("p", 0, step);
-        }
+        let burst = || (0..10u64).for_each(|step| drop(sink.span("p", 0, step)));
+        burst();
         pump.flush();
-        let dropped: u64 = out.frames().iter().map(|f| f.dropped).sum();
-        assert!(dropped >= 7, "expected most of the burst dropped, got {dropped}");
-        assert_eq!(pump.dropped_events(), dropped, "pump counter matches frame deltas");
+        assert_eq!(out.frames().last().unwrap().dropped, 8, "10 spans into 2 slots");
         // Nothing new: a second flush sends nothing.
         let before = out.frames().len();
         pump.flush();
         assert_eq!(out.frames().len(), before);
+        // Each frame reports its own interval: the deltas sum to the total.
+        burst();
+        pump.flush();
+        let per_frame: Vec<u64> = out.frames().iter().map(|f| f.dropped).collect();
+        assert_eq!(per_frame, [8, 8]);
         drop(pump);
     }
 
@@ -338,10 +312,7 @@ mod tests {
             Arc::new(RefusingSink),
             PumpConfig { capacity: 16, flush_interval: Duration::from_secs(60) },
         );
-        let sink = pump.sink();
-        {
-            let _t = sink.timer("p", 0, 0);
-        }
+        drop(pump.sink().span("p", 0, 0));
         pump.flush();
         assert_eq!(pump.push_failures(), 1);
     }
@@ -355,11 +326,9 @@ mod tests {
             out.clone(),
             PumpConfig { capacity: 16, flush_interval: Duration::from_secs(60) },
         );
-        {
-            let _t = pump.sink().timer("p", 0, 1);
-        }
-        drop(pump); // must not hang; must flush the pending record
-        let records: usize = out.frames().iter().map(|f| f.records.len()).sum();
-        assert_eq!(records, 1);
+        drop(pump.sink().span("p", 0, 1));
+        drop(pump); // must not hang; must flush the pending span
+        let spans: usize = out.frames().iter().map(|f| f.spans.len()).sum();
+        assert_eq!(spans, 1);
     }
 }

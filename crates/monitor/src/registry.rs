@@ -1,9 +1,9 @@
 //! Live time-series registry: labeled counters, gauges, and bounded-window
-//! histograms that [`crate::TelemetryEvent`]s fold into *incrementally*,
-//! instead of only at artifact-drain time.
+//! histograms that [`SpanRecord`]s fold into *incrementally*, instead of
+//! only at artifact-drain time.
 //!
 //! The registry is the in-memory model behind the coordinator's live
-//! telemetry plane: every pushed metric frame, every span, and every commit
+//! telemetry plane: every span of every pushed frame and every commit
 //! report updates a labeled series here, and the whole thing renders as
 //! Prometheus exposition text (`GET /metrics`) or is queried by the
 //! [`crate::rules::AlertEngine`].
@@ -13,7 +13,6 @@
 //! Histograms reuse [`LatencyAccumulator`], so they are bounded-window with
 //! exact nearest-rank percentiles, not unbounded reservoirs.
 
-use crate::metrics::{MetricRecord, TelemetryEvent};
 use crate::span::SpanRecord;
 use crate::stats::{LatencyAccumulator, LatencySnapshot};
 use serde::{Deserialize, Serialize};
@@ -183,83 +182,99 @@ impl MetricsRegistry {
         self.samples_for(name).iter().filter_map(|s| s.value.scalar()).sum()
     }
 
-    // -- Event folding -----------------------------------------------------
+    // -- Span folding -----------------------------------------------------
 
-    /// Fold one telemetry event into the registry under `base` labels
-    /// (typically `{job}`; the record's own rank/phase/backend labels are
-    /// derived here).
-    pub fn fold_event(&self, ev: &TelemetryEvent, base: &Labels) {
-        match ev {
-            TelemetryEvent::Metric(rec) => self.fold_record(rec, base),
-            TelemetryEvent::Span(span) => self.fold_span(span, base),
+    /// Fold one span into the registry under `base` labels (typically
+    /// `{job}`; the span's own rank/phase/backend labels are derived here) —
+    /// the one mapping from spans to series, whether the span arrives
+    /// through a folding sink, a pushed frame or a persisted artifact.
+    ///
+    /// * `storage/<backend>/<op>` lands in the `storage_op_*` series keyed
+    ///   `{backend, op, rank}`; `storage/governed/wait` also feeds the
+    ///   per-job `governor_wait_seconds` counter.
+    /// * `dist/…` point spans feed per-job counters (summed over ranks):
+    ///   `read_cache/hit` → `read_cache_hits_total` +1 and
+    ///   `read_cache_bytes_saved_total` += io_bytes; `read_cache/miss` →
+    ///   `read_cache_misses_total` +1 (either refreshes the cumulative
+    ///   `read_cache_hit_rate` gauge, the input of the
+    ///   `read_cache_hit_rate_low` alert rule); `fanout/peer` and
+    ///   `fanout/backend` → `fanout_{peer,backend}_bytes_total` += io_bytes.
+    /// * `resil/…` point spans (one per `ResilientBackend` event, emitted by
+    ///   `bcp-core`'s `record_resilience` observer) feed per-job series:
+    ///   `retry` → `storage_retries_total`; `throttled` →
+    ///   `storage_throttled_total`, its `retry_after_ms` attribute carrying
+    ///   the server's hint into `storage_retry_after_seconds_total`;
+    ///   `hedge` / `hedge_win` → `storage_hedges_total` /
+    ///   `storage_hedge_wins_total`; `circuit_open` / `circuit_close` /
+    ///   `circuit_reject` → `storage_circuit_{open,closed,rejected}_total`
+    ///   (the default `circuit_open` alert fires on the open counter alone);
+    ///   `brownout_enter` / `brownout_exit` flip the `storage_brownout`
+    ///   gauge to 1 / 0, enters also counting in
+    ///   `storage_brownout_entered_total`.
+    /// * Everything else — unrecognized `dist/`/`resil/` names included —
+    ///   lands in the `phase_*` series keyed `{phase, op, rank}`; `load/tier`
+    ///   also feeds hot-tier health: `tier_files_total{tier}`,
+    ///   `tier_bytes_total{tier}`, and the per-job `hot_hit_rate` gauge (hot
+    ///   files over all files, cumulative).
+    pub fn fold(&self, span: &SpanRecord, base: &Labels) {
+        let secs = span.duration.as_secs_f64();
+        let known_point = match span.name.split_once('/') {
+            Some(("dist", rest)) => self.fold_dist(rest, span.io_bytes as f64, base),
+            Some(("resil", rest)) => self.fold_resilience(rest, span, base),
+            _ => false,
+        };
+        if known_point {
+            return;
         }
-    }
-
-    /// Fold a flat record: storage ops land in `storage_op_*` series keyed
-    /// `{backend, op, rank}`, distribution-layer records (`dist/` prefix)
-    /// land in the per-job `read_cache_*_total` / `fanout_*_bytes_total`
-    /// counters (plus the derived `read_cache_hit_rate` gauge), and
-    /// everything else in `phase_*` series keyed `{phase, op, rank}`. The
-    /// `storage/governed/wait` span additionally feeds the per-job
-    /// `governor_wait_seconds` counter.
-    pub fn fold_record(&self, rec: &MetricRecord, base: &Labels) {
-        let secs = rec.duration.as_secs_f64();
-        if let Some(rest) = rec.name.strip_prefix("dist/") {
-            if self.fold_dist(rest, rec, base) {
-                return;
-            }
-        }
-        if let Some(rest) = rec.name.strip_prefix("resil/") {
-            if self.fold_resilience(rest, rec, base) {
-                return;
-            }
-        }
-        if let Some(rest) = rec.name.strip_prefix("storage/") {
+        if let Some(rest) = span.name.strip_prefix("storage/") {
             let (backend, op) = rest.split_once('/').unwrap_or((rest, "op"));
             let mut l = base.clone();
             l.insert("backend".into(), backend.to_string());
             l.insert("op".into(), op.to_string());
-            l.insert("rank".into(), rec.rank.to_string());
+            l.insert("rank".into(), span.rank.to_string());
             self.add("storage_op_total", l.clone(), 1.0);
             self.add("storage_op_seconds_total", l.clone(), secs);
-            if rec.io_bytes > 0 {
-                self.add("storage_io_bytes_total", l, rec.io_bytes as f64);
+            if span.io_bytes > 0 {
+                self.add("storage_io_bytes_total", l, span.io_bytes as f64);
             }
             if backend == "governed" && op == "wait" {
                 // Scheduler-induced latency, distinguishable from backend
                 // latency: per-job only (summed over ranks).
                 self.add("governor_wait_seconds", base.clone(), secs);
             }
-        } else {
-            let op = rec.name.split('/').next().unwrap_or("other").to_string();
-            let mut l = base.clone();
-            l.insert("phase".into(), rec.name.clone());
-            l.insert("op".into(), op);
-            l.insert("rank".into(), rec.rank.to_string());
-            self.observe_ms("phase_ms", l.clone(), secs * 1e3);
-            self.add("phase_seconds_total", l.clone(), secs);
-            if rec.io_bytes > 0 {
-                self.add("phase_io_bytes_total", l, rec.io_bytes as f64);
+            return;
+        }
+        let op = span.name.split('/').next().unwrap_or("other").to_string();
+        let mut l = base.clone();
+        l.insert("phase".into(), span.name.clone());
+        l.insert("op".into(), op);
+        l.insert("rank".into(), span.rank.to_string());
+        self.observe_ms("phase_ms", l.clone(), secs * 1e3);
+        self.add("phase_seconds_total", l.clone(), secs);
+        if span.io_bytes > 0 {
+            self.add("phase_io_bytes_total", l, span.io_bytes as f64);
+        }
+        if span.name == "load/tier" {
+            let tier = |tier: &str| {
+                let mut l = base.clone();
+                l.insert("tier".into(), tier.to_string());
+                l
+            };
+            for t in ["hot", "cold"] {
+                self.add("tier_files_total", tier(t), span.attr_num(&format!("{t}_files")));
+                self.add("tier_bytes_total", tier(t), span.attr_num(&format!("{t}_bytes")));
+            }
+            let files = |t: &str| self.value("tier_files_total", &tier(t)).unwrap_or(0.0);
+            let (hot, cold) = (files("hot"), files("cold"));
+            if hot + cold > 0.0 {
+                self.set("hot_hit_rate", base.clone(), hot / (hot + cold));
             }
         }
     }
 
-    /// Fold one distribution-layer record (`rec.name` minus the `dist/`
-    /// prefix). Returns `false` for unrecognized names, which then fold as
-    /// ordinary phases. All series are per-job (summed over ranks), like
-    /// `governor_wait_seconds`:
-    ///
-    /// * `read_cache/hit` → `read_cache_hits_total` +1 and
-    ///   `read_cache_bytes_saved_total` += io_bytes;
-    /// * `read_cache/miss` → `read_cache_misses_total` +1;
-    /// * `fanout/peer` → `fanout_peer_bytes_total` += io_bytes;
-    /// * `fanout/backend` → `fanout_backend_bytes_total` += io_bytes.
-    ///
-    /// Cache resolutions also refresh the cumulative `read_cache_hit_rate`
-    /// gauge (hits over all resolutions), the input of the
-    /// `read_cache_hit_rate_low` alert rule.
-    fn fold_dist(&self, rest: &str, rec: &MetricRecord, base: &Labels) -> bool {
-        let bytes = rec.io_bytes as f64;
+    /// The `dist/` branch of [`Self::fold`] (`rest` is the name minus the
+    /// prefix); `false` for an unrecognized name.
+    fn fold_dist(&self, rest: &str, bytes: f64, base: &Labels) -> bool {
         match rest {
             "read_cache/hit" => {
                 self.add("read_cache_hits_total", base.clone(), 1.0);
@@ -286,27 +301,9 @@ impl MetricsRegistry {
         true
     }
 
-    /// Fold one resilience-layer record (`rec.name` minus the `resil/`
-    /// prefix), emitted by `bcp-core`'s `record_resilience` observer on a
-    /// `ResilientBackend`. Returns `false` for unrecognized names (they fold
-    /// as ordinary phases). All series are per-job, like the `dist/` family:
-    ///
-    /// * `retry` → `storage_retries_total` +1;
-    /// * `throttled` → `storage_throttled_total` +1 (the record duration
-    ///   carries the server's retry-after hint into
-    ///   `storage_retry_after_seconds_total`);
-    /// * `hedge` / `hedge_win` → `storage_hedges_total` /
-    ///   `storage_hedge_wins_total` +1;
-    /// * `circuit_open` → `storage_circuit_open_total` +1;
-    /// * `circuit_reject` → `storage_circuit_rejected_total` +1;
-    /// * `brownout_enter` / `brownout_exit` → the `storage_brownout` gauge
-    ///   flips to 1 / 0 (and enters count in
-    ///   `storage_brownout_entered_total`).
-    ///
-    /// `circuit_close` only clears the breaker side of the picture, so it
-    /// folds as a counter too (`storage_circuit_closed_total`) — the default
-    /// `circuit_open` alert fires on the open counter alone.
-    fn fold_resilience(&self, rest: &str, rec: &MetricRecord, base: &Labels) -> bool {
+    /// The `resil/` branch of [`Self::fold`]; `false` for an unrecognized
+    /// name.
+    fn fold_resilience(&self, rest: &str, span: &SpanRecord, base: &Labels) -> bool {
         match rest {
             "retry" => self.add("storage_retries_total", base.clone(), 1.0),
             "throttled" => {
@@ -314,7 +311,7 @@ impl MetricsRegistry {
                 self.add(
                     "storage_retry_after_seconds_total",
                     base.clone(),
-                    rec.duration.as_secs_f64(),
+                    span.attr_num("retry_after_ms") / 1e3,
                 );
             }
             "hedge" => self.add("storage_hedges_total", base.clone(), 1.0),
@@ -332,35 +329,6 @@ impl MetricsRegistry {
             _ => return false,
         }
         true
-    }
-
-    /// Fold a span. Durations fold exactly like records; `load/tier` spans
-    /// additionally feed hot-tier health: `tier_files_total{tier}`,
-    /// `tier_bytes_total{tier}`, and the per-job `hot_hit_rate` gauge
-    /// (hot files over all files, cumulative).
-    pub fn fold_span(&self, span: &SpanRecord, base: &Labels) {
-        self.fold_record(&MetricRecord::from_span(span), base);
-        if span.name == "load/tier" {
-            let attr =
-                |k: &str| -> f64 { span.attrs.get(k).and_then(|v| v.parse().ok()).unwrap_or(0.0) };
-            for (tier, files_key, bytes_key) in
-                [("hot", "hot_files", "hot_bytes"), ("cold", "cold_files", "cold_bytes")]
-            {
-                let mut l = base.clone();
-                l.insert("tier".into(), tier.to_string());
-                self.add("tier_files_total", l.clone(), attr(files_key));
-                self.add("tier_bytes_total", l, attr(bytes_key));
-            }
-            let rate_of = |tier: &str| {
-                let mut l = base.clone();
-                l.insert("tier".into(), tier.to_string());
-                self.value("tier_files_total", &l).unwrap_or(0.0)
-            };
-            let (hot, cold) = (rate_of("hot"), rate_of("cold"));
-            if hot + cold > 0.0 {
-                self.set("hot_hit_rate", base.clone(), hot / (hot + cold));
-            }
-        }
     }
 
     // -- Exposition --------------------------------------------------------
@@ -467,7 +435,6 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn counters_gauges_histograms() {
@@ -504,32 +471,22 @@ mod tests {
         assert_eq!(reg.value("c", &l), Some(5.0));
     }
 
+    fn span(name: &str, rank: usize, ms: u64, io_bytes: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.into(),
+            rank,
+            duration: Duration::from_millis(ms),
+            io_bytes,
+            ..SpanRecord::default()
+        }
+    }
+
     #[test]
-    fn fold_storage_and_phase_records() {
+    fn fold_storage_and_phase_spans() {
         let reg = MetricsRegistry::new();
         let base = labels([("job", "j")]);
-        reg.fold_record(
-            &MetricRecord {
-                name: "storage/disk/write".into(),
-                rank: 1,
-                step: 3,
-                duration: Duration::from_millis(100),
-                io_bytes: 1 << 20,
-                path: None,
-            },
-            &base,
-        );
-        reg.fold_record(
-            &MetricRecord {
-                name: "save/upload".into(),
-                rank: 1,
-                step: 3,
-                duration: Duration::from_millis(50),
-                io_bytes: 0,
-                path: None,
-            },
-            &base,
-        );
+        reg.fold(&span("storage/disk/write", 1, 100, 1 << 20), &base);
+        reg.fold(&span("save/upload", 1, 50, 0), &base);
         let sl = labels([("job", "j"), ("backend", "disk"), ("op", "write"), ("rank", "1")]);
         assert_eq!(reg.value("storage_op_total", &sl), Some(1.0));
         assert_eq!(reg.value("storage_io_bytes_total", &sl), Some((1 << 20) as f64));
@@ -539,57 +496,44 @@ mod tests {
     }
 
     #[test]
-    fn dist_records_feed_read_cache_and_fanout_series() {
+    fn dist_spans_feed_read_cache_and_fanout_series() {
         let reg = MetricsRegistry::new();
         let base = labels([("job", "j")]);
-        let rec = |name: &str, bytes: u64| MetricRecord {
-            name: name.into(),
-            rank: 0,
-            step: 1,
-            duration: Duration::from_millis(1),
-            io_bytes: bytes,
-            path: None,
-        };
         for _ in 0..3 {
-            reg.fold_record(&rec("dist/read_cache/hit", 100), &base);
+            reg.fold(&span("dist/read_cache/hit", 0, 0, 100), &base);
         }
-        reg.fold_record(&rec("dist/read_cache/miss", 400), &base);
-        reg.fold_record(&rec("dist/fanout/peer", 1 << 20), &base);
-        reg.fold_record(&rec("dist/fanout/backend", 1 << 10), &base);
+        reg.fold(&span("dist/read_cache/miss", 0, 0, 400), &base);
+        reg.fold(&span("dist/fanout/peer", 0, 0, 1 << 20), &base);
+        reg.fold(&span("dist/fanout/backend", 0, 0, 1 << 10), &base);
         assert_eq!(reg.value("read_cache_hits_total", &base), Some(3.0));
         assert_eq!(reg.value("read_cache_misses_total", &base), Some(1.0));
         assert_eq!(reg.value("read_cache_bytes_saved_total", &base), Some(300.0));
         assert_eq!(reg.value("read_cache_hit_rate", &base), Some(0.75));
         assert_eq!(reg.value("fanout_peer_bytes_total", &base), Some((1 << 20) as f64));
         assert_eq!(reg.value("fanout_backend_bytes_total", &base), Some((1 << 10) as f64));
-        // dist records are per-job counters, not phases.
+        // dist spans are per-job counters, not phases.
         assert!(reg.samples_for("phase_seconds_total").is_empty());
         // Unrecognized dist names fall through to the phase branch.
-        reg.fold_record(&rec("dist/unknown/thing", 0), &base);
+        reg.fold(&span("dist/unknown/thing", 0, 1, 0), &base);
         assert_eq!(reg.samples_for("phase_seconds_total").len(), 1);
     }
 
     #[test]
-    fn resilience_records_feed_storage_series() {
+    fn resilience_spans_feed_storage_series() {
         let reg = MetricsRegistry::new();
         let base = labels([("job", "j")]);
-        let rec = |name: &str, ms: u64| MetricRecord {
-            name: name.into(),
-            rank: 0,
-            step: 0,
-            duration: Duration::from_millis(ms),
-            io_bytes: 0,
-            path: None,
-        };
+        let point = |name: &str| span(name, 0, 0, 0);
         for _ in 0..3 {
-            reg.fold_record(&rec("resil/retry", 0), &base);
+            reg.fold(&point("resil/retry"), &base);
         }
-        reg.fold_record(&rec("resil/throttled", 250), &base);
-        reg.fold_record(&rec("resil/hedge", 0), &base);
-        reg.fold_record(&rec("resil/hedge_win", 0), &base);
-        reg.fold_record(&rec("resil/circuit_open", 0), &base);
-        reg.fold_record(&rec("resil/circuit_reject", 0), &base);
-        reg.fold_record(&rec("resil/brownout_enter", 0), &base);
+        let mut throttled = point("resil/throttled");
+        throttled.attrs.insert("retry_after_ms".into(), "250".into());
+        reg.fold(&throttled, &base);
+        reg.fold(&point("resil/hedge"), &base);
+        reg.fold(&point("resil/hedge_win"), &base);
+        reg.fold(&point("resil/circuit_open"), &base);
+        reg.fold(&point("resil/circuit_reject"), &base);
+        reg.fold(&point("resil/brownout_enter"), &base);
         assert_eq!(reg.value("storage_retries_total", &base), Some(3.0));
         assert_eq!(reg.value("storage_throttled_total", &base), Some(1.0));
         assert_eq!(reg.value("storage_retry_after_seconds_total", &base), Some(0.25));
@@ -598,12 +542,12 @@ mod tests {
         assert_eq!(reg.value("storage_circuit_open_total", &base), Some(1.0));
         assert_eq!(reg.value("storage_circuit_rejected_total", &base), Some(1.0));
         assert_eq!(reg.value("storage_brownout", &base), Some(1.0));
-        reg.fold_record(&rec("resil/brownout_exit", 0), &base);
+        reg.fold(&point("resil/brownout_exit"), &base);
         assert_eq!(reg.value("storage_brownout", &base), Some(0.0));
-        // resil records are per-job counters, not phases; unknown names
+        // resil spans are per-job counters, not phases; unknown names
         // fall through to the phase branch.
         assert!(reg.samples_for("phase_seconds_total").is_empty());
-        reg.fold_record(&rec("resil/unknown", 0), &base);
+        reg.fold(&point("resil/unknown"), &base);
         assert_eq!(reg.samples_for("phase_seconds_total").len(), 1);
     }
 
@@ -612,17 +556,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let base = labels([("job", "j")]);
         for _ in 0..2 {
-            reg.fold_record(
-                &MetricRecord {
-                    name: "storage/governed/wait".into(),
-                    rank: 0,
-                    step: 1,
-                    duration: Duration::from_millis(250),
-                    io_bytes: 0,
-                    path: None,
-                },
-                &base,
-            );
+            reg.fold(&span("storage/governed/wait", 0, 250, 0), &base);
         }
         let v = reg.value("governor_wait_seconds", &base).unwrap();
         assert!((v - 0.5).abs() < 1e-6, "got {v}");
@@ -632,26 +566,11 @@ mod tests {
     fn tier_spans_feed_hot_hit_rate() {
         let reg = MetricsRegistry::new();
         let base = labels([("job", "j")]);
-        let mut attrs = BTreeMap::new();
-        attrs.insert("hot_files".to_string(), "3".to_string());
-        attrs.insert("cold_files".to_string(), "1".to_string());
-        attrs.insert("hot_bytes".to_string(), "300".to_string());
-        attrs.insert("cold_bytes".to_string(), "100".to_string());
-        let span = SpanRecord {
-            id: 1,
-            parent: None,
-            name: "load/tier".into(),
-            rank: 0,
-            step: 5,
-            start_us: 0,
-            duration: Duration::from_millis(2),
-            io_bytes: 0,
-            path: None,
-            attrs,
-            events: Vec::new(),
-            counted: false,
-        };
-        reg.fold_span(&span, &base);
+        let mut tier = span("load/tier", 0, 2, 0);
+        for (k, v) in [("hot_files", "3"), ("cold_files", "1"), ("hot_bytes", "300")] {
+            tier.attrs.insert(k.to_string(), v.to_string());
+        }
+        reg.fold(&tier, &base);
         assert_eq!(reg.value("hot_hit_rate", &base), Some(0.75));
         let hl = labels([("job", "j"), ("tier", "hot")]);
         assert_eq!(reg.value("tier_files_total", &hl), Some(3.0));

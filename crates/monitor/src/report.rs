@@ -5,7 +5,7 @@
 //! serializable document, so CI and the bench harness can diff reports
 //! without scraping the table layout.
 
-use crate::analysis::{critical_path, phase_percentiles, regressions};
+use crate::analysis::{critical_path, phase_percentiles, regressions, slow_ios};
 use crate::telemetry::StepTelemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -69,7 +69,7 @@ pub struct JsonReport {
     pub ranks: usize,
     /// Per-phase percentile table, name-ascending.
     pub phases: Vec<JsonPhase>,
-    /// Straggler analysis (absent when no op-prefixed records exist).
+    /// Straggler analysis (absent when no op-prefixed counted spans exist).
     #[serde(default)]
     pub critical_path: Option<JsonCriticalPath>,
     /// Slow-I/O / failure / drop / regression alerts.
@@ -97,11 +97,12 @@ impl JsonReport {
         baseline: &[BTreeMap<String, Duration>],
         regression_factor: f64,
     ) -> JsonReport {
-        let records = doc.all_records();
-        let phases = phase_percentiles(&records)
-            .into_iter()
+        let spans = doc.all_spans();
+        let stats = phase_percentiles(&spans);
+        let phases = stats
+            .iter()
             .map(|(name, st)| JsonPhase {
-                name,
+                name: name.clone(),
                 count: st.count,
                 total_ms: ms(st.total),
                 p50_ms: ms(st.p50),
@@ -110,7 +111,7 @@ impl JsonReport {
                 max_ms: ms(st.max),
             })
             .collect();
-        let cp = critical_path(&records, &format!("{op}/")).map(|cp| JsonCriticalPath {
+        let cp = critical_path(&spans, &format!("{op}/")).map(|cp| JsonCriticalPath {
             rank: cp.rank,
             total_ms: ms(cp.total),
             median_total_ms: ms(cp.median_total),
@@ -119,7 +120,7 @@ impl JsonReport {
         });
 
         let mut alerts = Vec::new();
-        for rec in doc.slow_ios(min_bps) {
+        for rec in slow_ios(&spans, min_bps) {
             alerts.push(JsonAlert {
                 kind: "slow_io".into(),
                 rank: Some(rec.rank),
@@ -154,10 +155,7 @@ impl JsonReport {
             });
         }
         if !baseline.is_empty() {
-            let mut totals: BTreeMap<String, Duration> = BTreeMap::new();
-            for rec in &records {
-                *totals.entry(rec.name.clone()).or_insert(Duration::ZERO) += rec.duration;
-            }
+            let totals = stats.into_iter().map(|(name, st)| (name, st.total)).collect();
             for r in regressions(&totals, baseline, regression_factor) {
                 alerts.push(JsonAlert {
                     kind: "regression".into(),
@@ -193,17 +191,18 @@ impl JsonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricRecord;
+    use crate::span::SpanRecord;
     use crate::telemetry::RankTelemetry;
 
-    fn rec(name: &str, rank: usize, ms: u64, io: u64) -> MetricRecord {
-        MetricRecord {
+    fn rec(name: &str, rank: usize, ms: u64, io: u64) -> SpanRecord {
+        SpanRecord {
             name: name.into(),
             rank,
             step: 4,
             duration: Duration::from_millis(ms),
             io_bytes: io,
-            path: None,
+            counted: true,
+            ..SpanRecord::default()
         }
     }
 
@@ -214,8 +213,7 @@ mod tests {
                     rank: 0,
                     step: 4,
                     op: "save".into(),
-                    records: vec![rec("save/upload", 0, 20, 1 << 20)],
-                    spans: Vec::new(),
+                    spans: vec![rec("save/upload", 0, 20, 1 << 20)],
                     failures: Vec::new(),
                     dropped_records: 2,
                 },
@@ -224,8 +222,7 @@ mod tests {
                     step: 4,
                     op: "save".into(),
                     // 1000 bytes over 1s: pathologically slow.
-                    records: vec![rec("save/upload", 1, 1000, 1000)],
-                    spans: Vec::new(),
+                    spans: vec![rec("save/upload", 1, 1000, 1000)],
                     failures: Vec::new(),
                     dropped_records: 0,
                 },

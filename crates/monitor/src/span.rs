@@ -1,21 +1,27 @@
-//! Hierarchical tracing spans.
+//! The one telemetry event: the span.
 //!
-//! Flat [`crate::MetricRecord`]s answer "how long did phase X take", but the
-//! paper's offline straggler diagnosis needs the *structure* of a save — which
-//! storage write ran under which upload, what overlapped with what. A
-//! [`SpanRecord`] is a timed region with a span id, an optional parent id,
-//! free-form attributes, and point-in-time events; together the spans of one
-//! step form a navigable trace tree that exports directly to Chrome
-//! trace-event JSON (see [`crate::export`]).
+//! The paper's monitoring suite collects "the duration and I/O size of each
+//! operation, along with ... rank, file path and step"; a [`SpanRecord`] is
+//! that measurement plus the *structure* offline straggler diagnosis needs —
+//! which storage write ran under which upload, what overlapped with what. It
+//! is a timed region with a span id, an optional parent id, free-form
+//! attributes, and point-in-time events; together the spans of one step form
+//! a navigable trace tree that exports directly to Chrome trace-event JSON
+//! (see [`crate::export`]). A measurement with no extent (a fan-out byte
+//! count, a failover, a retry) is a *point span*: an uncounted span created
+//! and dropped at once, carrying its payload in `io_bytes`/`path`/`attrs`.
+//! Counters, gauges and histograms are folds over spans
+//! ([`crate::MetricsRegistry::fold`]); heat maps, breakdowns and alerts are
+//! queries over them ([`crate::analysis`]).
 //!
-//! Spans are produced by [`SpanGuard`]s (RAII, like [`crate::TimerGuard`]) and
-//! flow over the same channel into the [`crate::MetricsHub`]. Parentage is
-//! explicit: pass a [`SpanContext`] across threads, or push one onto the
-//! thread-local context stack with [`SpanGuard::enter`] /
-//! [`enter_context`] so deeper layers (e.g. instrumented storage backends)
-//! can attach without plumbing.
+//! Spans are produced by [`SpanGuard`]s (RAII; the Rust analogue of the
+//! paper's context-manager/decorator metrics syntax) and flow over a
+//! channel into the [`crate::MetricsHub`]. Parentage is explicit: pass a
+//! [`SpanContext`] across threads, or push one onto the thread-local context
+//! stack with [`SpanGuard::enter`] / [`enter_context`] so deeper layers
+//! (e.g. instrumented storage backends) can attach without plumbing.
 
-use crate::metrics::{MetricsSink, TelemetryEvent};
+use crate::metrics::MetricsSink;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -52,7 +58,9 @@ pub struct SpanEvent {
 }
 
 /// One completed span: a timed region in the trace tree of a step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `Default` is the empty, *uncounted* span (a decoded line that omits
+/// `counted` reads as counted).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Unique (per process) span id.
     pub id: u64,
@@ -101,6 +109,11 @@ impl SpanRecord {
         } else {
             Some(self.io_bytes as f64 / self.duration.as_secs_f64())
         }
+    }
+
+    /// A numeric attribute (0 when absent or not a number).
+    pub fn attr_num(&self, key: &str) -> f64 {
+        self.attrs.get(key).and_then(|v| v.parse().ok()).unwrap_or(0.0)
     }
 }
 
@@ -333,24 +346,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         self.rec.duration = self.start.elapsed();
-        let rec = std::mem::replace(
-            &mut self.rec,
-            SpanRecord {
-                id: 0,
-                parent: None,
-                name: String::new(),
-                rank: 0,
-                step: 0,
-                start_us: 0,
-                duration: Duration::ZERO,
-                io_bytes: 0,
-                path: None,
-                attrs: BTreeMap::new(),
-                events: Vec::new(),
-                counted: false,
-            },
-        );
-        self.sink.emit(TelemetryEvent::Span(rec));
+        self.sink.emit(std::mem::take(&mut self.rec));
     }
 }
 

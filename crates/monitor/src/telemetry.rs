@@ -2,39 +2,40 @@
 //!
 //! Every committed step writes a `_telemetry.jsonl` file next to the
 //! checkpoint (via the normal storage backend): one JSON line per rank,
-//! holding that rank's flat metric records, its span tree, failure-log
-//! excerpts, and the dropped-event counter. The artifact is what makes the
-//! paper's §5.3 diagnosis workflow *offline* — `bcpctl report` and the
-//! analysis/export modules consume it long after the training processes are
-//! gone.
+//! holding that rank's span tree, its failure log, and the count of spans
+//! dropped while the step ran. The artifact is what makes the paper's §5.3
+//! diagnosis workflow *offline* — `bcpctl report` and the analysis/export
+//! modules consume it long after the training processes are gone.
+//!
+//! Lines written before spans became the only event also carried a `records`
+//! array of flat metric records; the decoder looks fields up by name, so
+//! such a line still parses and the array is ignored (it only ever held
+//! `dist/fanout/*` totals and failover markers).
 
-use crate::metrics::{breakdown_from, slow_ios_from, total_by_rank_from, MetricRecord};
 use crate::span::SpanRecord;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Telemetry artifact written next to each committed save.
 pub const TELEMETRY_SAVE_FILE: &str = "_telemetry.jsonl";
 /// Telemetry artifact written after each completed load of a step.
 pub const TELEMETRY_LOAD_FILE: &str = "_telemetry_load.jsonl";
 
-/// A failure-log excerpt carried in the artifact (mirrors the core crate's
-/// `FailureRecord` without depending on it).
+/// One logged failure inside a checkpoint pipeline (re-exported as
+/// `bcp_core::integrity::FailureRecord`, whose `FailureLog` collects them).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailureExcerpt {
-    /// Rank that observed the failure.
+pub struct FailureRecord {
+    /// Rank where the failure happened.
     pub rank: usize,
-    /// Workflow stage, e.g. `"save/upload"`.
+    /// Pipeline stage name (e.g. `"save/upload"`).
     pub stage: String,
-    /// Object path involved, when applicable.
+    /// Path involved, when applicable.
     #[serde(default)]
     pub path: Option<String>,
-    /// 1-based attempt number.
+    /// Attempt number (1-based).
     pub attempt: u32,
-    /// Stringified error.
+    /// Error description.
     pub error: String,
-    /// Whether another attempt followed.
+    /// Whether a retry followed.
     pub retried: bool,
 }
 
@@ -47,17 +48,14 @@ pub struct RankTelemetry {
     pub step: u64,
     /// `"save"` or `"load"`.
     pub op: String,
-    /// Flat metric records (legacy timers, failover markers).
-    #[serde(default)]
-    pub records: Vec<MetricRecord>,
     /// The rank's span tree for the step.
     #[serde(default)]
     pub spans: Vec<SpanRecord>,
-    /// Failure-log excerpts observed by this rank.
+    /// Failures logged by this rank.
     #[serde(default)]
-    pub failures: Vec<FailureExcerpt>,
-    /// Telemetry events dropped at this rank (bounded hub overflow); non-zero
-    /// means this line undercounts.
+    pub failures: Vec<FailureRecord>,
+    /// Spans dropped at this rank (bounded hub overflow) since its previous
+    /// artifact line; non-zero means this line undercounts.
     #[serde(default)]
     pub dropped_records: u64,
 }
@@ -107,57 +105,28 @@ impl StepTelemetry {
         self.ranks.first().map(|r| r.op.as_str())
     }
 
-    /// All flat records plus counted spans flattened to record form — the
-    /// input the heat-map/breakdown/percentile queries expect.
-    pub fn all_records(&self) -> Vec<MetricRecord> {
-        let mut out = Vec::new();
-        for rank in &self.ranks {
-            out.extend(rank.records.iter().cloned());
-            out.extend(rank.spans.iter().filter(|s| s.counted).map(MetricRecord::from_span));
-        }
-        out
-    }
-
-    /// Every span from every rank.
+    /// Every span from every rank — the input of the [`crate::analysis`]
+    /// queries and the exporters.
     pub fn all_spans(&self) -> Vec<SpanRecord> {
         self.ranks.iter().flat_map(|r| r.spans.iter().cloned()).collect()
     }
 
-    /// Every failure excerpt from every rank.
-    pub fn all_failures(&self) -> Vec<FailureExcerpt> {
+    /// Every logged failure from every rank.
+    pub fn all_failures(&self) -> Vec<FailureRecord> {
         self.ranks.iter().flat_map(|r| r.failures.iter().cloned()).collect()
     }
 
-    /// Sum of dropped-event counters across ranks.
+    /// Sum of dropped-span counters across ranks.
     pub fn dropped_records(&self) -> u64 {
         self.ranks.iter().map(|r| r.dropped_records).sum()
-    }
-
-    /// Per-rank total duration for phases whose name has `prefix` (Fig. 11).
-    pub fn total_by_rank(&self, prefix: &str) -> BTreeMap<usize, Duration> {
-        total_by_rank_from(&self.all_records(), prefix)
-    }
-
-    /// Per-phase totals for one rank (Fig. 12).
-    pub fn breakdown_for_rank(&self, rank: usize) -> BTreeMap<String, Duration> {
-        breakdown_from(&self.all_records(), rank)
-    }
-
-    /// I/Os (records, counted spans, and uncounted detail spans) below
-    /// `min_bps`.
-    pub fn slow_ios(&self, min_bps: f64) -> Vec<MetricRecord> {
-        let mut all = self.all_records();
-        for rank in &self.ranks {
-            all.extend(rank.spans.iter().filter(|s| !s.counted).map(MetricRecord::from_span));
-        }
-        slow_ios_from(all, min_bps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap as Map;
+    use crate::analysis::{breakdown_for_rank, total_by_rank};
+    use std::time::Duration;
 
     fn span(
         id: u64,
@@ -175,11 +144,8 @@ mod tests {
             step: 7,
             start_us: id * 10,
             duration: Duration::from_millis(ms),
-            io_bytes: 0,
-            path: None,
-            attrs: Map::new(),
-            events: Vec::new(),
             counted,
+            ..SpanRecord::default()
         }
     }
 
@@ -190,19 +156,12 @@ mod tests {
                     rank: 0,
                     step: 7,
                     op: "save".into(),
-                    records: vec![MetricRecord {
-                        name: "save/plan".into(),
-                        rank: 0,
-                        step: 7,
-                        duration: Duration::from_millis(2),
-                        io_bytes: 0,
-                        path: None,
-                    }],
                     spans: vec![
                         span(1, None, "save", 0, 50, false),
                         span(2, Some(1), "save/upload", 0, 40, true),
+                        span(3, Some(1), "save/plan", 0, 2, true),
                     ],
-                    failures: vec![FailureExcerpt {
+                    failures: vec![FailureRecord {
                         rank: 0,
                         stage: "save/upload".into(),
                         path: Some("f.bin".into()),
@@ -216,7 +175,6 @@ mod tests {
                     rank: 1,
                     step: 7,
                     op: "save".into(),
-                    records: vec![],
                     spans: vec![
                         span(10, None, "save", 1, 90, false),
                         span(11, Some(10), "save/upload", 1, 80, true),
@@ -250,13 +208,13 @@ mod tests {
 
     #[test]
     fn aggregations_skip_uncounted_roots() {
-        let art = artifact();
-        let by_rank = art.total_by_rank("save/");
-        // Root "save" spans (uncounted) are excluded; counted upload spans
-        // plus rank 0's flat plan record remain.
+        let spans = artifact().all_spans();
+        let by_rank = total_by_rank(&spans, "save/");
+        // Root "save" spans (uncounted) are excluded; the counted upload and
+        // plan spans remain.
         assert_eq!(by_rank[&0], Duration::from_millis(42));
         assert_eq!(by_rank[&1], Duration::from_millis(80));
-        let breakdown = art.breakdown_for_rank(0);
+        let breakdown = breakdown_for_rank(&spans, 0);
         assert_eq!(breakdown["save/upload"], Duration::from_millis(40));
         assert_eq!(breakdown["save/plan"], Duration::from_millis(2));
         assert!(!breakdown.contains_key("save"));

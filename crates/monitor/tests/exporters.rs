@@ -1,10 +1,10 @@
 //! Golden-file tests for the exporters: the Chrome trace-event JSON and the
-//! CSVs produced for a fixed span/record set must match the checked-in
-//! goldens. The trace is compared as parsed JSON (formatting-insensitive);
+//! CSVs produced for a fixed span set must match the checked-in goldens
+//! (the flat CSV holds the counted spans only, so the root is absent). The trace is compared as parsed JSON (formatting-insensitive);
 //! the CSVs byte-for-byte.
 
 use bcp_monitor::export::{chrome_trace, records_csv, spans_csv};
-use bcp_monitor::{MetricRecord, SpanEvent, SpanRecord};
+use bcp_monitor::{SpanEvent, SpanRecord};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -59,27 +59,6 @@ fn fixture_spans() -> Vec<SpanRecord> {
     ]
 }
 
-fn fixture_records() -> Vec<MetricRecord> {
-    vec![
-        MetricRecord {
-            name: "save/plan".into(),
-            rank: 0,
-            step: 100,
-            duration: Duration::from_micros(1500),
-            io_bytes: 0,
-            path: None,
-        },
-        MetricRecord {
-            name: "load/read".into(),
-            rank: 2,
-            step: 100,
-            duration: Duration::from_secs(2),
-            io_bytes: 1_048_576,
-            path: Some("step_100/rank2.bin".into()),
-        },
-    ]
-}
-
 #[test]
 fn chrome_trace_matches_golden() {
     let rendered = chrome_trace(&fixture_spans());
@@ -91,7 +70,7 @@ fn chrome_trace_matches_golden() {
 
 #[test]
 fn records_csv_matches_golden() {
-    assert_eq!(records_csv(&fixture_records()), include_str!("golden/records.csv"));
+    assert_eq!(records_csv(&fixture_spans()), include_str!("golden/records.csv"));
 }
 
 #[test]

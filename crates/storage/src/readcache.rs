@@ -24,19 +24,19 @@
 //! `hits`/`misses`/`bytes_saved` (bytes served from cache that would
 //! otherwise have hit the backend, coalesced waiters included) and
 //! `bytes_fetched` (actual backend traffic). With a sink attached
-//! ([`ReadCache::with_sink`]) every resolution also emits a
-//! `dist/read_cache/{hit,miss}` record that
+//! ([`ReadCache::with_sink`], which [`crate::stack::assemble`] does for an
+//! instrumented stack) every resolution also emits a
+//! `dist/read_cache/{hit,miss}` point span that
 //! `bcp_monitor::registry::MetricsRegistry` folds into the
 //! `read_cache_*_total` series.
 
 use crate::layer::{self, Op, Reply};
 use crate::{DynBackend, Result, StorageBackend};
-use bcp_monitor::{MetricRecord, MetricsSink};
+use bcp_monitor::MetricsSink;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Point-in-time counters of a [`ReadCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -188,7 +188,7 @@ impl ReadCache {
         }
     }
 
-    /// Emit a `dist/read_cache/{hit,miss}` record into `sink` for every
+    /// Emit a `dist/read_cache/{hit,miss}` point span into `sink` for every
     /// resolution, so the live plane's `read_cache_*_total` series and the
     /// `read_cache_hit_rate` gauge track this cache.
     pub fn with_sink(mut self, sink: MetricsSink, rank: usize) -> ReadCache {
@@ -215,7 +215,7 @@ impl ReadCache {
         }
     }
 
-    fn note(&self, hit: bool, bytes: u64, waited: Duration) {
+    fn note(&self, hit: bool, bytes: u64) {
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
@@ -223,14 +223,8 @@ impl ReadCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.bytes_fetched.fetch_add(bytes, Ordering::Relaxed);
         }
-        self.sink.record(MetricRecord {
-            name: if hit { "dist/read_cache/hit" } else { "dist/read_cache/miss" }.to_string(),
-            rank: self.rank,
-            step: 0,
-            duration: waited,
-            io_bytes: bytes,
-            path: None,
-        });
+        let name = if hit { "dist/read_cache/hit" } else { "dist/read_cache/miss" };
+        drop(self.sink.span_in_context(name, self.rank).uncounted().bytes(bytes));
     }
 
     /// Resolve `key` through the cache with single-flight coalescing:
@@ -246,13 +240,12 @@ impl ReadCache {
         path: Option<&str>,
         fetch: impl FnOnce() -> Result<Bytes>,
     ) -> Result<Bytes> {
-        let started = Instant::now();
         {
             let mut st = self.state.lock();
             loop {
                 if let Some(data) = st.touch(key) {
                     drop(st);
-                    self.note(true, data.len() as u64, started.elapsed());
+                    self.note(true, data.len() as u64);
                     return Ok(data);
                 }
                 match st.inflight.get_mut(key) {
@@ -282,7 +275,7 @@ impl ReadCache {
                 }
                 drop(st);
                 self.resolved.notify_all();
-                self.note(false, data.len() as u64, started.elapsed());
+                self.note(false, data.len() as u64);
                 Ok(data)
             }
             Err(e) => {

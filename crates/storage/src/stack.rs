@@ -36,7 +36,8 @@ use std::sync::Arc;
 pub struct StackConfig {
     /// Rank stamped on spans emitted outside any entered workflow span.
     pub rank: usize,
-    /// Trace every data-plane operation into this sink.
+    /// Trace every data-plane operation into this sink; a configured read
+    /// cache reports its hits and misses to it too.
     pub instrument: Option<MetricsSink>,
     /// Admit every transfer through `(governor, job)`, timing the waits
     /// into the sink.
@@ -92,7 +93,10 @@ pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
         .map(|rc| push(&mut top, |b| ResilientBackend::with_clock(b, rc, clock.clone())));
     let fallback =
         cfg.fallback.map(|secondary| push(&mut top, |b| FallbackBackend::new(b, secondary)));
-    let cache = cfg.cache_bytes.map(|cap| push(&mut top, |b| ReadCache::new(b, cap)));
+    let cache = cfg.cache_bytes.map(|cap| {
+        let sink = cfg.instrument.clone().unwrap_or_else(MetricsSink::disabled);
+        push(&mut top, |b| ReadCache::new(b, cap).with_sink(sink, rank))
+    });
     if let Some((governor, job, sink)) = cfg.govern {
         push(&mut top, |b| GovernedBackend::new(b, governor, job).with_sink(sink, rank));
     }

@@ -3,6 +3,7 @@
 //! instrumented backend, not inferred from timings), and a leader that
 //! dies mid-fetch hands off to a waiter instead of wedging the flight.
 
+use bcp_monitor::{labels, MetricsRegistry, MetricsSink};
 use bcp_storage::{
     assemble, fault, DynBackend, MemoryBackend, OpCountingBackend, ReadCache, StackConfig,
     StorageBackend,
@@ -121,4 +122,33 @@ fn fetch_errors_are_not_cached_and_release_the_flight() {
     let ok = cache.get_with("k", None, || Ok(Bytes::from_static(b"v"))).unwrap();
     assert_eq!(ok, Bytes::from_static(b"v"));
     assert_eq!(cache.stats().misses, 1, "only the successful fetch counts as a miss");
+}
+
+/// An instrumented stack hands its sink to the cache layer, so the live
+/// `read_cache_*` series (and the alert and `bcpctl top` column built on
+/// them) are fed by real traffic, not only by hand-built test spans.
+#[test]
+fn assembled_stack_feeds_the_read_cache_series() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let job = labels([("job", "j")]);
+    let stack = assemble(
+        Arc::new(MemoryBackend::new()),
+        StackConfig {
+            rank: 3,
+            instrument: Some(MetricsSink::folding(registry.clone(), job.clone())),
+            cache_bytes: Some(1 << 20),
+            ..StackConfig::default()
+        },
+    );
+    stack.top.write("obj", Bytes::from(vec![7u8; 4096])).unwrap();
+    for _ in 0..3 {
+        stack.top.read("obj").unwrap(); // one miss, then two hits
+    }
+    assert_eq!(registry.value("read_cache_misses_total", &job), Some(1.0));
+    assert_eq!(registry.value("read_cache_hits_total", &job), Some(2.0));
+    assert_eq!(registry.value("read_cache_bytes_saved_total", &job), Some(8192.0));
+    let rate = registry.value("read_cache_hit_rate", &job).expect("gauge fed");
+    assert!((rate - 2.0 / 3.0).abs() < 1e-9, "hit rate {rate}");
+    // The cache events are per-job counters; they add no phase series.
+    assert!(registry.samples_for("phase_seconds_total").is_empty());
 }

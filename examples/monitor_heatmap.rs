@@ -10,7 +10,9 @@
 //! ```
 
 use bytecheckpoint::core::telemetry::read_step_telemetry;
-use bytecheckpoint::monitor::analysis::{critical_path, phase_percentiles};
+use bytecheckpoint::monitor::analysis::{
+    breakdown_for_rank, critical_path, phase_percentiles, slow_ios, total_by_rank,
+};
 use bytecheckpoint::monitor::{heatmap, render_breakdown};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{fault, FaultLayer};
@@ -96,7 +98,8 @@ fn main() {
     println!("artifact: {} rank lines, step {:?}", doc.ranks.len(), doc.step());
 
     // ---- Fig. 11: topology heat map of end-to-end save time. ----
-    let by_rank = doc.total_by_rank("save/");
+    let spans = doc.all_spans();
+    let by_rank = total_by_rank(&spans, "save/");
     let spec = heatmap::HeatmapSpec {
         rows: par.pp,
         cols: par.dp * par.tp,
@@ -108,8 +111,7 @@ fn main() {
     println!("stragglers (>1.3x mean): {stragglers:?} — the dataloader holders (tp=0, pp=0)\n");
 
     // ---- Fig. 12: phase breakdown of the critical-path rank. ----
-    let records = doc.all_records();
-    if let Some(cp) = critical_path(&records, "save/") {
+    if let Some(cp) = critical_path(&spans, "save/") {
         println!(
             "critical path: rank {} at {:.3}s (median {:.3}s), dominated by {}",
             cp.rank,
@@ -117,11 +119,11 @@ fn main() {
             cp.median_total.as_secs_f64(),
             cp.dominant_phase
         );
-        println!("{}", render_breakdown(cp.rank, &doc.breakdown_for_rank(cp.rank)));
+        println!("{}", render_breakdown(cp.rank, &breakdown_for_rank(&spans, cp.rank)));
     }
 
     // ---- Per-phase percentiles across all 32 ranks. ----
-    for (phase, st) in phase_percentiles(&records) {
+    for (phase, st) in phase_percentiles(&spans) {
         println!(
             "{:<18} n={:<3} p50={:.3}s p95={:.3}s p99={:.3}s",
             phase,
@@ -133,6 +135,5 @@ fn main() {
     }
 
     // ---- Storage-side alerting (§5.3): flag pathologically slow I/Os. ----
-    let slow = doc.slow_ios(50e6);
-    println!("I/O records below 50 MB/s: {}", slow.len());
+    println!("I/Os below 50 MB/s: {}", slow_ios(&spans, 50e6).len());
 }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> non-test Rust lines per crate (ROADMAP aim 2's tracked number)"
 scripts/loc.sh
 
+echo "==> one telemetry event type (the flat vocabulary PR 16 deleted must not come back)"
+if grep -rnE 'MetricRecord|TimerGuard|TelemetryEvent|FailureExcerpt|flat_records' crates src tests examples; then
+  echo "bcp-monitor's only event is SpanRecord; the names above belong to the deleted flat vocabulary"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -24,12 +24,13 @@
 //! artifacts each committed save persists next to the checkpoint, and needs
 //! no live process: heat map, per-rank breakdown, critical path, percentile
 //! histograms, slow-I/O alerts, and regressions against the prior steps are
-//! all reconstructed from the persisted spans and records. Flags:
+//! all reconstructed from the persisted spans. Flags:
 //! `--step <N>` (default: latest committed), `--load` (analyze the load
 //! artifact instead of the save one), `--min-mbps <X>` (slow-I/O threshold,
 //! default 10), `--trace <out.json>` (dump a Chrome/Perfetto trace),
-//! `--csv <out.csv>` (dump the flat records), `--json` (emit the whole
-//! analysis as one machine-readable document instead of the tables),
+//! `--csv <out.csv>` (dump the counted spans, one phase occurrence per
+//! row), `--json` (emit the whole analysis as one machine-readable document
+//! instead of the tables),
 //! `--fanout <N>` (price an N-replica cold start of this checkpoint,
 //! direct vs the chunk-store fan-out tree, across cache warmth levels —
 //! text mode only).
@@ -81,12 +82,11 @@ use bytecheckpoint::core::spec::JobSpec;
 use bytecheckpoint::core::telemetry::read_step_telemetry;
 use bytecheckpoint::core::HotTierConfig;
 use bytecheckpoint::model::zoo;
-use bytecheckpoint::monitor::analysis::{critical_path, phase_percentiles, regressions};
+use bytecheckpoint::monitor::analysis::{breakdown_for_rank, phase_percentiles, total_by_rank};
 use bytecheckpoint::monitor::export::{chrome_trace, records_csv};
-use bytecheckpoint::monitor::JsonReport;
 use bytecheckpoint::monitor::{
-    render_breakdown, render_heatmap, HeatmapSpec, StepTelemetry, TELEMETRY_LOAD_FILE,
-    TELEMETRY_SAVE_FILE,
+    render_breakdown, render_heatmap, HeatmapSpec, JsonReport, SpanRecord, StepTelemetry,
+    TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
 use bytecheckpoint::prelude::{scrub_tree, CheckpointManager, DiskBackend, DynBackend};
 use bytecheckpoint::storage::DynGovernor;
@@ -616,17 +616,17 @@ fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
 /// across cache warmth levels, using the calibrated backend/peer
 /// bandwidths from `bcp-sim`'s cost model.
 /// Print the resilience table: per-stage retry/throttle counts from the
-/// failure log plus the `resil/*` event totals streamed by the
+/// failure log plus the `resil/*` point-span totals streamed by the
 /// `ResilientBackend` observer. Prints nothing when the step saw neither —
 /// a calm backend should not add noise to the report.
-fn print_resilience(doc: &StepTelemetry, records: &[bytecheckpoint::monitor::MetricRecord]) {
+fn print_resilience(doc: &StepTelemetry, spans: &[SpanRecord]) {
     use std::collections::BTreeMap;
     // Per-stage counts: every retried failure is one retry; slow-down and
     // circuit-open errors are additionally throttles.
     let mut by_stage: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for f in doc.all_failures() {
         if f.stage.starts_with("resil/") {
-            continue; // state transitions, counted via the event records
+            continue; // state transitions, counted via the event spans
         }
         let e = by_stage.entry(f.stage.clone()).or_default();
         if f.retried {
@@ -637,7 +637,7 @@ fn print_resilience(doc: &StepTelemetry, records: &[bytecheckpoint::monitor::Met
         }
     }
     by_stage.retain(|_, (r, t)| *r + *t > 0);
-    let count = |name: &str| records.iter().filter(|r| r.name == name).count();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
     let (throttled, hedges, hedge_wins) =
         (count("resil/throttled"), count("resil/hedge"), count("resil/hedge_win"));
     let (opens, rejects) = (count("resil/circuit_open"), count("resil/circuit_reject"));
@@ -653,10 +653,10 @@ fn print_resilience(doc: &StepTelemetry, records: &[bytecheckpoint::monitor::Met
             println!("{stage:<24} {retries:>8} {thr:>10}");
         }
     }
-    let retry_after: f64 = records
+    let retry_after: f64 = spans
         .iter()
-        .filter(|r| r.name == "resil/throttled")
-        .map(|r| r.duration.as_secs_f64())
+        .filter(|s| s.name == "resil/throttled")
+        .map(|s| s.attr_num("retry_after_ms") / 1e3)
         .sum();
     println!(
         "events: {throttled} throttled (retry-after total {retry_after:.2}s), \
@@ -724,15 +724,6 @@ fn heatmap_spec(meta: &GlobalMetadata) -> HeatmapSpec {
     }
 }
 
-/// Sum each phase's duration across all ranks — the regression unit.
-fn phase_totals(doc: &StepTelemetry) -> std::collections::BTreeMap<String, std::time::Duration> {
-    let mut out = std::collections::BTreeMap::new();
-    for rec in doc.all_records() {
-        *out.entry(rec.name).or_insert(std::time::Duration::ZERO) += rec.duration;
-    }
-    out
-}
-
 /// Per-phase totals of every *other* committed step with a `file`
 /// artifact: the rolling baseline the regression check diffs against.
 fn baseline_totals(
@@ -746,7 +737,9 @@ fn baseline_totals(
         .iter()
         .filter(|&&s| s != step)
         .filter_map(|&s| read_step_telemetry(backend, &mgr.prefix_for(s), file).ok().flatten())
-        .map(|d| phase_totals(&d))
+        .map(|d| {
+            phase_percentiles(&d.all_spans()).into_iter().map(|(p, st)| (p, st.total)).collect()
+        })
         .collect()
 }
 
@@ -770,20 +763,20 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
         format!("step {step} has no {file} artifact (telemetry disabled when it was written?)")
     })?;
     let meta = mgr.metadata(step)?;
-    let records = doc.all_records();
-
-    // Machine-readable mode: the same analysis as one JSON document on
-    // stdout (CI diffs it; the optional exports still apply).
+    let spans = doc.all_spans();
+    // One analysis for both output modes: the text report renders the same
+    // document `--json` serializes (CI diffs the latter).
+    let baseline = baseline_totals(&backend, &mgr, &committed, step, file);
+    let report = JsonReport::build(step, op, &doc, flags.min_mbps * 1e6, &baseline, 1.5);
+    // Optional exports for external tooling.
+    if let Some(out) = &flags.trace {
+        std::fs::write(out, chrome_trace(&spans))?;
+    }
+    if let Some(out) = &flags.csv {
+        std::fs::write(out, records_csv(&spans))?;
+    }
     if flags.json {
-        let baseline = baseline_totals(&backend, &mgr, &committed, step, file);
-        let report = JsonReport::build(step, op, &doc, flags.min_mbps * 1e6, &baseline, 1.5);
         println!("{}", report.to_json());
-        if let Some(out) = &flags.trace {
-            std::fs::write(out, chrome_trace(&doc.all_spans()))?;
-        }
-        if let Some(out) = &flags.csv {
-            std::fs::write(out, records_csv(&records))?;
-        }
         return Ok(());
     }
 
@@ -796,47 +789,47 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     );
 
     // Fig. 11-style heat map of per-rank totals under the op's phases.
-    let by_rank = doc.total_by_rank(&format!("{op}/"));
+    let by_rank = total_by_rank(&spans, &format!("{op}/"));
     println!();
     print!("{}", render_heatmap(&heatmap_spec(&meta), &by_rank));
 
     // Critical path: the rank every other rank waited for at the barrier.
     println!();
-    match critical_path(&records, &format!("{op}/")) {
+    match &report.critical_path {
         Some(cp) => {
             println!(
                 "critical path: rank {} at {:.3}s (median rank {:.3}s), dominated by {} ({:.3}s)",
                 cp.rank,
-                cp.total.as_secs_f64(),
-                cp.median_total.as_secs_f64(),
+                cp.total_ms / 1e3,
+                cp.median_total_ms / 1e3,
                 cp.dominant_phase,
-                cp.dominant.as_secs_f64()
+                cp.dominant_ms / 1e3
             );
-            print!("{}", render_breakdown(cp.rank, &doc.breakdown_for_rank(cp.rank)));
+            print!("{}", render_breakdown(cp.rank, &breakdown_for_rank(&spans, cp.rank)));
         }
-        None => println!("critical path: no {op}/* records in the artifact"),
+        None => println!("critical path: no {op}/* spans in the artifact"),
     }
 
     // Per-phase percentile histogram across ranks.
     println!();
     println!("{:<24} {:>5} {:>9} {:>9} {:>9} {:>9}", "phase", "n", "p50", "p95", "p99", "max");
-    for (phase, st) in phase_percentiles(&records) {
+    for p in &report.phases {
         println!(
             "{:<24} {:>5} {:>8.3}s {:>8.3}s {:>8.3}s {:>8.3}s",
-            phase,
-            st.count,
-            st.p50.as_secs_f64(),
-            st.p95.as_secs_f64(),
-            st.p99.as_secs_f64(),
-            st.max.as_secs_f64()
+            p.name,
+            p.count,
+            p.p50_ms / 1e3,
+            p.p95_ms / 1e3,
+            p.p99_ms / 1e3,
+            p.max_ms / 1e3
         );
     }
 
     // Resilience layer: what the adaptive storage client absorbed while
     // this step was written — per-stage retry/throttle counts cut from the
-    // failure log, plus the `resil/*` event records the `ResilientBackend`
+    // failure log, plus the `resil/*` point spans the `ResilientBackend`
     // observer streamed into the artifact.
-    print_resilience(&doc, &records);
+    print_resilience(&doc, &spans);
 
     // Distribution-layer pricing: what serving this checkpoint to N
     // replicas costs, directly vs through the chunk-store fan-out tree.
@@ -847,12 +840,9 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     // Recovery-tier breakdown (load artifacts only): which tier served each
     // rank's shards, cut from the `load/tier` spans the tiered load emits.
     if flags.load {
-        let tier_spans: Vec<_> =
-            doc.all_spans().into_iter().filter(|s| s.name == "load/tier").collect();
+        let tier_spans: Vec<_> = spans.iter().filter(|s| s.name == "load/tier").collect();
         if !tier_spans.is_empty() {
-            let attr = |s: &bytecheckpoint::monitor::SpanRecord, k: &str| -> u64 {
-                s.attrs.get(k).and_then(|v| v.parse().ok()).unwrap_or(0)
-            };
+            let attr = |s: &SpanRecord, k: &str| s.attr_num(k) as u64;
             println!();
             println!("recovery tiers (per-shard source of this load):");
             println!(
@@ -902,63 +892,26 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     // Alerts: slow I/O, failures, dropped events, regressions vs the
     // rolling baseline of every other committed step with an artifact.
     println!();
-    let slow = doc.slow_ios(flags.min_mbps * 1e6);
-    for rec in &slow {
-        println!(
-            "ALERT slow I/O: rank {} {} {} at {:.1} MB/s (path {})",
-            rec.rank,
-            rec.name,
-            human_bytes(rec.io_bytes),
-            rec.io_bytes as f64 / rec.duration.as_secs_f64().max(1e-9) / 1e6,
-            rec.path.as_deref().unwrap_or("-")
-        );
-    }
-    for f in doc.all_failures() {
-        println!(
-            "ALERT failure: rank {} at {} attempt {}{} — {}",
-            f.rank,
-            f.stage,
-            f.attempt,
-            if f.retried { " (retried)" } else { "" },
-            f.error
-        );
-    }
-    if doc.dropped_records() > 0 {
-        println!(
-            "ALERT {} telemetry events dropped at the bounded hub; totals undercount",
-            doc.dropped_records()
-        );
-    }
-    let baseline = baseline_totals(&backend, &mgr, &committed, step, file);
-    if baseline.is_empty() {
-        println!("no other committed steps with a {file} artifact: skipping regression check");
-    } else {
-        let regs = regressions(&phase_totals(&doc), &baseline, 1.5);
-        if regs.is_empty() {
-            println!(
-                "no regressions vs the {}-step rolling baseline (threshold 1.5x)",
-                baseline.len()
-            );
-        } else {
-            for r in regs {
-                println!(
-                    "ALERT regression: {} at {:.3}s is {:.1}x the baseline mean {:.3}s",
-                    r.phase,
-                    r.current.as_secs_f64(),
-                    r.factor,
-                    r.baseline.as_secs_f64()
-                );
-            }
+    for a in &report.alerts {
+        let kind = match a.kind.as_str() {
+            "slow_io" => "slow I/O",
+            "dropped_events" => "dropped events",
+            other => other,
+        };
+        match a.rank {
+            Some(rank) => println!("ALERT {kind}: rank {rank} {}", a.detail),
+            None => println!("ALERT {kind}: {}", a.detail),
         }
     }
-
-    // Optional exports for external tooling.
+    if baseline.is_empty() {
+        println!("no other committed steps with a {file} artifact: skipping regression check");
+    } else if !report.alerts.iter().any(|a| a.kind == "regression") {
+        println!("no regressions vs the {}-step rolling baseline (threshold 1.5x)", baseline.len());
+    }
     if let Some(out) = &flags.trace {
-        std::fs::write(out, chrome_trace(&doc.all_spans()))?;
         println!("wrote Chrome trace (load in Perfetto / chrome://tracing): {out}");
     }
     if let Some(out) = &flags.csv {
-        std::fs::write(out, records_csv(&records))?;
         println!("wrote records CSV: {out}");
     }
     Ok(())

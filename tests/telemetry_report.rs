@@ -3,21 +3,36 @@
 //! next to the checkpoint, the span trees in the artifact are well-formed,
 //! and the offline `bcpctl report` — fed nothing but the job directory —
 //! renders the heat map, per-rank breakdown, and critical path, naming the
-//! straggler.
+//! straggler. The remaining cases pin the one-event pipeline: an artifact
+//! line of the old two-vocabulary format still decodes, a step folded live
+//! and from its artifact yields the same phase series, and point spans feed
+//! counters without entering the phase tables.
 
+use bytecheckpoint::core::distribution::{fetch_step_fanout, read_chunk_manifest, FanoutOptions};
+use bytecheckpoint::monitor::analysis::{phase_percentiles, total_by_rank};
+use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{fault, FaultLayer};
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 const WORLD: usize = 4;
 const STRAGGLER: usize = 2;
 
+/// The jobs of this file run one at a time: the straggler and slow-run cases
+/// compare wall-clock times across ranks, which another test's rank threads
+/// on the same two cores would skew.
+fn one_job_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Save steps 10 and 20 (then load 20 back) with per-rank registries:
 /// every rank writes to the same on-disk job dir, but the straggler's
 /// backend is wrapped in a hard write/read throttle.
 fn run_job(dir: &std::path::Path) {
+    let _turn = one_job_at_a_time();
     let fw = Framework::Ddp;
     let par = Parallelism::data_parallel(WORLD).unwrap();
     let world = CommWorld::new(WORLD, Backend::Tree { gpus_per_host: 4, branching: 2 });
@@ -122,7 +137,7 @@ fn persisted_telemetry_drives_offline_report() {
         }
 
         // The straggler dominates the per-rank totals.
-        let by_rank = doc.total_by_rank("save/");
+        let by_rank = total_by_rank(&doc.all_spans(), "save/");
         let slowest = by_rank.iter().max_by_key(|(_, d)| **d).map(|(r, _)| *r);
         assert_eq!(slowest, Some(STRAGGLER), "totals: {by_rank:?}");
     }
@@ -185,8 +200,141 @@ fn persisted_telemetry_drives_offline_report() {
         "straggler in the JSON critical path: {parsed:?}"
     );
     assert!(parsed.phases.iter().any(|p| p.name == "save/upload"), "{parsed:?}");
+    // Text mode prints the document's alerts, it does not re-derive them: the
+    // throttled rank's slow writes appear word for word in both.
+    let (_, text) = bcpctl(&["report", &job_s]);
+    assert!(parsed.alerts.iter().any(|a| a.kind == "slow_io" && a.rank == Some(STRAGGLER)));
+    for alert in &parsed.alerts {
+        assert!(text.contains(&alert.detail), "alert {alert:?} missing from the text: {text}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One artifact line as the parent revision wrote it: a flat `records` array
+/// next to `spans`. Fields are looked up by name, so the line decodes; the
+/// array is dropped, not converted (see DESIGN.md, "Observability").
+const PARENT_FORMAT_LINE: &str = r#"{"rank":1,"step":7,"op":"save","records":[{"name":"dist/fanout/peer","rank":1,"step":7,"duration":{"secs":0,"nanos":2500000},"io_bytes":4096,"path":null}],"spans":[{"id":11,"parent":null,"name":"save","rank":1,"step":7,"start_us":100,"duration":{"secs":0,"nanos":90000000},"io_bytes":0,"path":null,"attrs":{"backend":"disk"},"events":[],"counted":false},{"id":12,"parent":11,"name":"save/upload","rank":1,"step":7,"start_us":150,"duration":{"secs":0,"nanos":80000000},"io_bytes":1048576,"path":"step_7/rank1.bin","attrs":{},"events":[],"counted":true}],"failures":[{"rank":1,"stage":"save/upload","path":"step_7/rank1.bin","attempt":1,"error":"flaky","retried":true}],"dropped_records":2}"#;
+
+#[test]
+fn parent_format_line_with_a_records_array_decodes_and_reports() {
+    let doc = StepTelemetry::from_jsonl(PARENT_FORMAT_LINE).expect("old line decodes");
+    assert_eq!((doc.step(), doc.op()), (Some(7), Some("save")));
+    assert_eq!(doc.ranks[0].spans.len(), 2);
+    assert_eq!(doc.ranks[0].failures[0].path.as_deref(), Some("step_7/rank1.bin"));
+    let report = JsonReport::build(7, "save", &doc, 1e6, &[], 1.5);
+    let phases: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(phases, ["save/upload"], "counted spans only; the flat record is gone");
+    assert_eq!(report.critical_path.as_ref().map(|c| c.rank), Some(1));
+    assert_eq!(report.dropped_records, 2);
+    let kinds: Vec<&str> = report.alerts.iter().map(|a| a.kind.as_str()).collect();
+    assert_eq!(kinds, ["failure", "dropped_events"]);
+}
+
+/// Two unthrottled ranks save step 5 into one memory backend and load it
+/// back, every span also flowing into `sink_for(rank)`.
+fn quick_job(sink_for: impl Fn(usize) -> MetricsSink + Send + Sync + 'static) -> DynBackend {
+    let _turn = one_job_at_a_time();
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let mut registry = BackendRegistry::new();
+    registry.register(Scheme::Memory, mem.clone());
+    let (registry, sink_for) = (Arc::new(registry), Arc::new(sink_for));
+    let (fw, par) = (Framework::Ddp, Parallelism::data_parallel(2).unwrap());
+    let world = CommWorld::new(2, Backend::Flat);
+    let handles: Vec<_> = (0..2)
+        .map(|rank| {
+            let (world, registry, sink_for) = (world.clone(), registry.clone(), sink_for.clone());
+            std::thread::spawn(move || {
+                let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
+                    .framework(fw)
+                    .parallelism(par)
+                    .registry(registry)
+                    .sink(sink_for(rank))
+                    .build()
+                    .unwrap();
+                let state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+                ckpt.save(&SaveRequest::new("mem://x/job/step_5", &state, 5))
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                let mut target = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+                ckpt.load(&mut LoadRequest::new("mem://x/job/step_5", &mut target)).unwrap();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    mem
+}
+
+/// Report/scrape parity: the series `/metrics` serves (spans folded as they
+/// are emitted) and the series a later fold of the persisted artifacts yields
+/// are the same fold over the same spans. Storage-op series are left out:
+/// the artifact's own write happens after the cut.
+#[test]
+fn live_fold_and_artifact_fold_agree_on_phase_series() {
+    let base = labels([("job", "parity")]);
+    let live = Arc::new(MetricsRegistry::new());
+    let backend = {
+        let (live, base) = (live.clone(), base.clone());
+        quick_job(move |_| MetricsSink::folding(live.clone(), base.clone()))
+    };
+    let offline = MetricsRegistry::new();
+    for file in [TELEMETRY_SAVE_FILE, TELEMETRY_LOAD_FILE] {
+        let doc = read_step_telemetry(&backend, "job/step_5", file).unwrap().expect("artifact");
+        assert_eq!(doc.dropped_records(), 0);
+        doc.all_spans().iter().for_each(|span| offline.fold(span, &base));
+    }
+    for series in ["phase_seconds_total", "phase_io_bytes_total"] {
+        let (live, offline) = (live.samples_for(series), offline.samples_for(series));
+        assert!(live.len() >= 4, "{series}: both ranks' save and load phases: {live:?}");
+        assert_eq!(live.len(), offline.len(), "{series} label sets differ");
+        for (a, b) in live.iter().zip(&offline) {
+            assert_eq!(a.labels, b.labels, "{series}");
+            let (x, y) = (a.value.scalar().unwrap(), b.value.scalar().unwrap());
+            // Concurrent spans may reach the two folds in different orders.
+            assert!((x - y).abs() <= 1e-9 * x.abs(), "{series}{:?}: {x} vs {y}", a.labels);
+        }
+    }
+}
+
+/// A fan-out session reports its traffic as `dist/fanout/*` point spans:
+/// they fold into the per-job byte counters and stay out of every table
+/// that sums phase time.
+#[test]
+fn fanout_point_spans_feed_counters_not_the_percentile_table() {
+    let backend = quick_job(|_| MetricsSink::disabled());
+    let manifest = Arc::new(read_chunk_manifest(&backend, "job/step_5").unwrap());
+    let base = labels([("job", "fleet")]);
+    let (live, hub) = (Arc::new(MetricsRegistry::new()), Arc::new(MetricsHub::new()));
+    let world = CommWorld::new(2, Backend::Flat);
+    let handles: Vec<_> = (0..2)
+        .map(|replica| {
+            let comm = world.communicator(replica).unwrap();
+            let (backend, manifest) = (backend.clone(), manifest.clone());
+            let sink = MetricsSink::fanout(vec![
+                MetricsSink::folding(live.clone(), base.clone()),
+                hub.sink(),
+            ]);
+            std::thread::spawn(move || {
+                let opts = FanoutOptions::default();
+                fetch_step_fanout(&comm, &backend, None, "job/step_5", &manifest, &opts, &sink)
+                    .unwrap()
+                    .1
+            })
+        })
+        .collect();
+    let stats: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let peer: u64 = stats.iter().map(|s| s.peer_bytes).sum();
+    let from_backend: u64 = stats.iter().map(|s| s.backend_bytes).sum();
+    assert!(peer > 0 && from_backend > 0, "{stats:?}");
+    assert_eq!(live.value("fanout_peer_bytes_total", &base), Some(peer as f64));
+    assert_eq!(live.value("fanout_backend_bytes_total", &base), Some(from_backend as f64));
+    assert!(live.samples_for("phase_seconds_total").is_empty());
+    let spans = hub.spans();
+    assert!(spans.iter().any(|s| s.name == "dist/fanout/peer" && !s.counted), "{spans:?}");
+    assert!(phase_percentiles(&spans).is_empty());
 }
 
 /// The load artifact of a many-tensor step carries one `load/fetch` span per
@@ -196,6 +344,7 @@ fn persisted_telemetry_drives_offline_report() {
 #[test]
 fn load_report_lists_slow_runs_with_a_real_throughput() {
     const SLOW_READ_BPS: f64 = 20e6;
+    let _turn = one_job_at_a_time();
     let dir = std::env::temp_dir().join(format!("bcp-telemetry-runs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let arch = bytecheckpoint::model::TransformerConfig { layers: 48, ..zoo::tiny_gpt() };
@@ -241,7 +390,7 @@ fn load_report_lists_slow_runs_with_a_real_throughput() {
     let (ok, text) = bcpctl(&["report", &job, "--load", "--min-mbps", "50"]);
     assert!(ok, "{text}");
     assert!(text.contains("step 5 (load)"), "{text}");
-    // "ALERT slow I/O: rank 1 load/fetch 1.2 MiB at 17.3 MB/s (path ...)"
+    // "ALERT slow I/O: rank 1 load/fetch 1258291 bytes at 17.3 MB/s (path ...)"
     let slow_runs: Vec<f64> = text
         .lines()
         .filter(|l| l.starts_with("ALERT slow I/O: rank 1 load/fetch "))
