@@ -207,7 +207,7 @@ mod tests {
         assert!(report.downloaded > 0 && report.uploaded > 0);
 
         // The new checkpoint's tensors match the reference evolution.
-        let meta_bytes = backend.read("dst/global_metadata.json").unwrap();
+        let meta_bytes = backend.read(&format!("dst/{METADATA_FILE}")).unwrap();
         let meta = GlobalMetadata::from_bytes(&meta_bytes).unwrap();
         meta.validate().unwrap();
         let reference = {
@@ -229,7 +229,8 @@ mod tests {
         // And the duplication cost the paper criticizes: the storage now
         // holds two copies of the logical state.
         let src_meta =
-            GlobalMetadata::from_bytes(&backend.read("src/global_metadata.json").unwrap()).unwrap();
+            GlobalMetadata::from_bytes(&backend.read(&format!("src/{METADATA_FILE}")).unwrap())
+                .unwrap();
         assert!(meta.total_tensor_bytes() > 0);
         assert!(src_meta.total_tensor_bytes() > 0);
     }

@@ -1,7 +1,7 @@
 //! Content-addressed chunk index over committed checkpoints.
 //!
 //! Each committed step carries a `chunk_manifest.json` next to its
-//! `global_metadata.json`: for every shard file, the manifest records
+//! global metadata file: for every shard file, the manifest records
 //! fixed-size chunks as `(content hash, byte offset, length)`. The index is
 //! derived *at commit time with zero extra copies* — the save pipeline
 //! hashes each file's gather segments (frame headers, pooled payload views,

@@ -344,6 +344,9 @@ pub fn execute_load(
     let rank = assigned.rank;
     let started = Instant::now();
     faults.check("load/read")?;
+    // Opened here so that setting the read window up (key index, receiver
+    // thread) is attributed to it: the load's phase spans leave no gap.
+    let read_span = sink.span_under("load/read", rank, step, parent);
 
     // Precompute read keys once (and an index for duplicate-destination
     // matching — previously an O(n²) rescan per recv).
@@ -421,7 +424,7 @@ pub fn execute_load(
 
     // ---- Read window: every piece of every run in flight at once. ----
     {
-        let mut t = sink.span_under("load/read", rank, step, parent);
+        let mut t = read_span; // closes with the window
         let runs = build_runs(&assigned.reads, cfg.chunk_bytes);
         fetch_runs(&runs, &backend, prefix, cfg, io, &log, sink, t.context(), |run, raw| {
             fetched_bytes += run.len;

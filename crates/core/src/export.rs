@@ -1,4 +1,5 @@
-//! Safetensors export (Appendix F).
+//! Export to formats other tools read: safetensors (Appendix F) and a JSON
+//! view of the global metadata.
 //!
 //! "To improve compatibility with the Hugging Face open-source ecosystem,
 //! ByteCheckpoint incorporates functionality to export checkpoints in the
@@ -26,6 +27,13 @@ fn safetensors_dtype(dt: DType) -> &'static str {
         DType::U8 => "U8",
         DType::Bool => "BOOL",
     }
+}
+
+/// The decoded global metadata as pretty-printed JSON: the readable view of
+/// the compact binary file (`bcpctl inspect --json`). One way only — nothing
+/// parses it back.
+pub fn metadata_json(meta: &GlobalMetadata) -> String {
+    serde_json::to_string_pretty(meta).expect("metadata serializes")
 }
 
 /// Consolidate one logical tensor from a checkpoint into a full (unsharded)

@@ -41,11 +41,11 @@ const DTYPE_CODES: [DType; 9] = [
     DType::Bool,
 ];
 
-fn dtype_code(dt: DType) -> u8 {
+pub(crate) fn dtype_code(dt: DType) -> u8 {
     DTYPE_CODES.iter().position(|&d| d == dt).expect("all dtypes listed") as u8
 }
 
-fn dtype_from_code(c: u8) -> Option<DType> {
+pub(crate) fn dtype_from_code(c: u8) -> Option<DType> {
     DTYPE_CODES.get(c as usize).copied()
 }
 

@@ -136,26 +136,27 @@ impl ReadItem {
     /// fetches (possibly split across reader threads).
     pub fn fetch_range(&self) -> (u64, u64) {
         let es = self.dtype.size() as u64;
-        // Flat element range of the intersection within the stored box.
-        let rel_off: Vec<usize> =
-            self.isect_offsets.iter().zip(&self.stored_offsets).map(|(i, s)| i - s).collect();
-        let first = bcp_tensor::layout::ravel_index(&rel_off, &self.stored_lengths) as u64;
-        let last_coord: Vec<usize> =
-            rel_off.iter().zip(&self.isect_lengths).map(|(o, l)| o + l - 1).collect();
-        let last = bcp_tensor::layout::ravel_index(&last_coord, &self.stored_lengths) as u64;
-        (self.payload_offset + first * es, (last - first + 1) * es)
+        // Flat element indices, within the stored box, of the intersection's
+        // first and last element, raveled one axis at a time.
+        let (mut first, mut last) = (0usize, 0usize);
+        for (((&io, &so), &il), &sl) in self
+            .isect_offsets
+            .iter()
+            .zip(&self.stored_offsets)
+            .zip(&self.isect_lengths)
+            .zip(&self.stored_lengths)
+        {
+            let rel = io - so;
+            first = first * sl + rel;
+            last = last * sl + rel + il - 1;
+        }
+        (self.payload_offset + first as u64 * es, (last - first + 1) as u64 * es)
     }
 
     /// Deduplication key: two items with the same key fetch identical data
     /// (only their destination differs).
-    pub fn source_key(&self) -> (Category, String, Vec<usize>, Vec<usize>, String) {
-        (
-            self.category,
-            self.fqn.clone(),
-            self.isect_offsets.clone(),
-            self.isect_lengths.clone(),
-            self.file.clone(),
-        )
+    pub fn source_key(&self) -> (Category, &str, &[usize], &[usize], &str) {
+        (self.category, &self.fqn, &self.isect_offsets, &self.isect_lengths, &self.file)
     }
 }
 

@@ -122,20 +122,21 @@ impl AssignedLoadPlan {
 /// identical sources are read once — by the Worst-Fit-chosen requester — and
 /// forwarded to the rest over the interconnect (all-to-all in the engine).
 pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
-    type Key = (crate::plan::Category, String, Vec<usize>, Vec<usize>, String);
-    // key -> list of (plan index, item clone)
-    let mut groups: BTreeMap<Key, Vec<(usize, ReadItem)>> = BTreeMap::new();
-    for (pi, plan) in plans.iter().enumerate() {
-        for item in &plan.items {
-            groups.entry(item.source_key()).or_default().push((pi, item.clone()));
-        }
-    }
-    let mut ordered: Vec<(Key, Vec<(usize, ReadItem)>)> = groups.into_iter().collect();
-    ordered.sort_by(|a, b| {
-        let ab = a.1[0].1.fetch_range().1;
-        let bb = b.1[0].1.fetch_range().1;
-        bb.cmp(&ab).then_with(|| a.0.cmp(&b.0))
-    });
+    // Every request as (plan index, item), stably sorted by its borrowed
+    // source key: a group is a run of equal keys, still in plan-then-item
+    // order inside.
+    let mut requests: Vec<(usize, &ReadItem)> = plans
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, plan)| plan.items.iter().map(move |item| (pi, item)))
+        .collect();
+    requests.sort_by(|a, b| a.1.source_key().cmp(&b.1.source_key()));
+    // Largest fetch first; the stable sort leaves equal sizes in key order.
+    let mut groups: Vec<(u64, &[(usize, &ReadItem)])> = requests
+        .chunk_by(|a, b| a.1.source_key() == b.1.source_key())
+        .map(|members| (members[0].1.fetch_range().1, members))
+        .collect();
+    groups.sort_by_key(|&(bytes, _)| std::cmp::Reverse(bytes));
 
     let mut out: Vec<AssignedLoadPlan> = plans
         .iter()
@@ -147,36 +148,28 @@ pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
         })
         .collect();
     let mut load = vec![0u64; plans.len()];
-    for (_key, members) in ordered {
-        let mut candidates: Vec<usize> = members.iter().map(|(pi, _)| *pi).collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let reader = *candidates.iter().min_by_key(|&&c| (load[c], c)).expect("non-empty");
-        let bytes = members[0].1.fetch_range().1;
+    for (bytes, members) in groups {
+        let reader =
+            members.iter().map(|&(pi, _)| pi).min_by_key(|&c| (load[c], c)).expect("non-empty");
         load[reader] += bytes;
-        // The reader keeps its own dest version; peers become receivers.
+        // The reader keeps its own (first) dest version; every other request
+        // becomes a receive — a peer's from the reader, or the reader's own
+        // when it asked for the same source into a second dest piece.
         let reader_item =
-            members.iter().find(|(pi, _)| *pi == reader).expect("reader is a requester").1.clone();
+            members.iter().find(|&&(pi, _)| pi == reader).expect("reader is a requester").1;
         let reader_rank = plans[reader].rank;
         let mut recipients = Vec::new();
-        for (pi, item) in &members {
-            if *pi == reader {
-                // If the reader requested the same source twice (two dest
-                // pieces), extra copies land in recvs from itself.
+        for &(pi, item) in members {
+            if pi != reader {
+                recipients.push(plans[pi].rank);
+            } else if item.dest_local_elem_start == reader_item.dest_local_elem_start {
                 continue;
             }
-            recipients.push(plans[*pi].rank);
-            out[*pi].recvs.push((reader_rank, item.clone()));
-        }
-        // Duplicate dest pieces on the reader itself.
-        for (pi, item) in &members {
-            if *pi == reader && item.dest_local_elem_start != reader_item.dest_local_elem_start {
-                out[*pi].recvs.push((reader_rank, item.clone()));
-            }
+            out[pi].recvs.push((reader_rank, item.clone()));
         }
         recipients.sort_unstable();
         recipients.dedup();
-        out[reader].reads.push(reader_item);
+        out[reader].reads.push(reader_item.clone());
         out[reader].send_to.push(recipients);
     }
     out
@@ -297,6 +290,116 @@ mod tests {
                 assert_eq!(a.recvs.len(), 1);
                 assert_eq!(a.recvs[0].0, reader.rank);
             }
+        }
+    }
+
+    /// The previous implementation, kept as the oracle: owned `BTreeMap`
+    /// keys, a size-then-key comparator, and `fetch_range` by raveling two
+    /// coordinate vectors. The sort-based one must agree element for element.
+    fn reference_eliminate(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
+        fn fetch_bytes(i: &ReadItem) -> u64 {
+            let rel: Vec<usize> =
+                i.isect_offsets.iter().zip(&i.stored_offsets).map(|(i, s)| i - s).collect();
+            let last: Vec<usize> =
+                rel.iter().zip(&i.isect_lengths).map(|(o, l)| o + l - 1).collect();
+            let first = bcp_tensor::layout::ravel_index(&rel, &i.stored_lengths);
+            let last = bcp_tensor::layout::ravel_index(&last, &i.stored_lengths);
+            ((last - first + 1) * i.dtype.size()) as u64
+        }
+        type Key = (crate::plan::Category, String, Vec<usize>, Vec<usize>, String);
+        let mut groups: BTreeMap<Key, Vec<(usize, ReadItem)>> = BTreeMap::new();
+        for (pi, plan) in plans.iter().enumerate() {
+            for item in &plan.items {
+                let (category, fqn, io, il, file) = item.source_key();
+                let key = (category, fqn.to_string(), io.to_vec(), il.to_vec(), file.to_string());
+                groups.entry(key).or_default().push((pi, item.clone()));
+            }
+        }
+        let mut ordered: Vec<(Key, Vec<(usize, ReadItem)>)> = groups.into_iter().collect();
+        ordered.sort_by(|a, b| {
+            fetch_bytes(&b.1[0].1).cmp(&fetch_bytes(&a.1[0].1)).then_with(|| a.0.cmp(&b.0))
+        });
+        let mut out: Vec<AssignedLoadPlan> = plans
+            .iter()
+            .map(|p| AssignedLoadPlan {
+                rank: p.rank,
+                reads: vec![],
+                send_to: vec![],
+                recvs: vec![],
+            })
+            .collect();
+        let mut load = vec![0u64; plans.len()];
+        for (_key, members) in ordered {
+            let mut candidates: Vec<usize> = members.iter().map(|(pi, _)| *pi).collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            let reader = *candidates.iter().min_by_key(|&&c| (load[c], c)).unwrap();
+            load[reader] += fetch_bytes(&members[0].1);
+            let reader_item = members.iter().find(|(pi, _)| *pi == reader).unwrap().1.clone();
+            let reader_rank = plans[reader].rank;
+            let mut recipients = Vec::new();
+            for (pi, item) in &members {
+                if *pi == reader {
+                    continue;
+                }
+                recipients.push(plans[*pi].rank);
+                out[*pi].recvs.push((reader_rank, item.clone()));
+            }
+            for (pi, item) in &members {
+                if *pi == reader && item.dest_local_elem_start != reader_item.dest_local_elem_start
+                {
+                    out[*pi].recvs.push((reader_rank, item.clone()));
+                }
+            }
+            recipients.sort_unstable();
+            recipients.dedup();
+            out[reader].reads.push(reader_item);
+            out[reader].send_to.push(recipients);
+        }
+        out
+    }
+
+    /// Source `k` of a small pool whose members share files, tensors, sizes
+    /// and (for some pairs) whole keys, requested into dest piece `dest`.
+    fn pooled_item(k: usize, dest: usize) -> ReadItem {
+        ReadItem {
+            category: [crate::plan::Category::Model, crate::plan::Category::Optimizer][k % 2],
+            fqn: ["w", "b"][k / 2 % 2].into(),
+            dtype: [bcp_tensor::DType::F32, bcp_tensor::DType::BF16][k / 4 % 2],
+            file: format!("model_{}.bin", k % 3),
+            payload_offset: 64 * k as u64,
+            stored_offsets: vec![0, 0],
+            stored_lengths: vec![4, 8],
+            isect_offsets: vec![k % 3, (k % 2) * 2],
+            isect_lengths: vec![1 + k % 2, 2 + k % 3],
+            dest_offsets: vec![k % 3, (k % 2) * 2],
+            dest_lengths: vec![1 + k % 2, 2 + k % 3],
+            dest_local_elem_start: 16 * dest,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random plans over 1-4 ranks with duplicate sources across ranks
+        /// and duplicate dest pieces on one rank: same output as the oracle.
+        #[test]
+        fn sort_based_elimination_matches_the_map_based_oracle(
+            picks in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, 0usize..3), 0..14),
+                1..5,
+            ),
+        ) {
+            // Plan order is not rank order, so recipient sorting matters.
+            let plans: Vec<LoadPlan> = picks
+                .iter()
+                .zip([3usize, 0, 2, 1])
+                .map(|(items, rank)| LoadPlan {
+                    rank,
+                    items: items.iter().map(|&(k, dest)| pooled_item(k, dest)).collect(),
+                })
+                .collect();
+            proptest::prop_assert_eq!(eliminate_redundant_reads(&plans), reference_eliminate(&plans));
         }
     }
 

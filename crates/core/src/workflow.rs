@@ -17,9 +17,7 @@ use crate::engine::save::{execute_save_staged, HotStaging, SaveConfig, SaveStats
 use crate::fault::{FaultHook, FaultPlan};
 use crate::hottier::{replicate_after_commit, HotTierConfig, TierBreakdown};
 use crate::integrity::{commit_checkpoint, is_committed, with_retries, FailureLog, FailureRecord};
-use crate::metadata::{
-    GlobalMetadata, LoaderMap, LoaderShardFileEntry, COMPLETE_MARKER, METADATA_FILE,
-};
+use crate::metadata::{GlobalMetadata, LoaderShardFileEntry, COMPLETE_MARKER, METADATA_FILE};
 use crate::plan::{build_tensor_map, local_load_plan, LoadPlan, SavePlan};
 use crate::planner::balance::{
     dedup_save_plans, eliminate_redundant_reads, AssignedLoadPlan, DedupStrategy,
@@ -38,7 +36,9 @@ use bcp_storage::hot::HotTier;
 use bcp_storage::{DynBackend, TieredReadBackend};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -208,65 +208,67 @@ pub fn save_checkpoint_hot(
         .attr("backend", backend.name());
 
     // ---- Planning (Fig. 8 steps 2-4, save direction), cache-aware. ----
-    let sig = PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, args.state);
+    // The cached value is the plan *and* the sealed metadata, and the
+    // metadata also names the request's loader and extra files: the key is
+    // the state's structure plus the shape of the request.
+    let sig = {
+        let mut h = DefaultHasher::new();
+        PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, args.state)
+            .hash(&mut h);
+        args.extra.is_some().hash(&mut h);
+        args.loader.map(|(_, shard)| (shard.readers.len(), shard.dp_rank)).hash(&mut h);
+        h.finish()
+    };
     let cached: Option<Arc<CachedSave>> = if options.plan_cache { cache.get(sig) } else { None };
     // All ranks must agree on the cache path or the collectives deadlock.
     let all_hit = ctx.comm.all_gather(cached.is_some() as u8)?.into_iter().all(|h| h == 1);
 
-    let (final_plan, metadata): (SavePlan, Option<GlobalMetadata>) = if all_hit {
-        let c = cached.expect("all_hit implies local hit");
-        let mut meta = c.metadata.clone();
-        if let Some(m) = meta.as_mut() {
-            m.step = step; // the only step-dependent field
-        }
-        (c.plan.clone(), meta)
+    let planned: Arc<CachedSave> = if all_hit {
+        cached.expect("all_hit implies local hit")
     } else {
         let _t = root.child("save/plan");
-        let local = planner.local_save_plan(rank, args.state)?;
         let msg = LocalSaveMsg {
-            plan: local,
+            plan: planner.local_save_plan(rank, args.state)?,
             loader_files: loader_file_entries(args.loader),
             has_replicated_loader: rank == ctx.coordinator() && args.loader.is_some(),
             extra_file: args.extra.map(|_| format!("extra_{rank}.bin")),
         };
         let gathered = ctx.comm.gather(ctx.coordinator(), msg)?;
-        let mine: (SavePlan, GlobalMetadata) = if let Some(msgs) = gathered {
-            // Coordinator: dedup + balance, build metadata, scatter plans.
-            let mut plans: Vec<SavePlan> = msgs.iter().map(|m| m.plan.clone()).collect();
-            dedup_save_plans(&mut plans, options.dedup);
+        let (plan, metadata) = if let Some(msgs) = gathered {
+            // Coordinator: dedup + balance, build the metadata, scatter the
+            // plans, then seal — peers start capturing while this rank
+            // encodes. Only this rank ever holds the metadata.
             let mut meta = GlobalMetadata::new(
                 planner.name(),
                 step,
                 &ctx.parallelism.describe(),
                 ctx.comm.size(),
             );
-            meta.tensor_map = build_tensor_map(&plans);
-            let mut loader_map = LoaderMap::default();
-            for m in &msgs {
-                loader_map.shards.extend(m.loader_files.iter().cloned());
+            let mut plans = Vec::with_capacity(msgs.len());
+            for (m, &member) in msgs.into_iter().zip(ctx.comm.members()) {
+                meta.loader_map.shards.extend(m.loader_files);
                 if m.has_replicated_loader {
-                    loader_map.replicated_file = Some("loader/replicated.json".to_string());
+                    meta.loader_map.replicated_file = Some("loader/replicated.json".to_string());
                 }
-            }
-            meta.loader_map = loader_map;
-            for (m, &member) in msgs.iter().zip(ctx.comm.members()) {
-                if let Some(f) = &m.extra_file {
-                    meta.extra_files.insert(member, f.clone());
+                if let Some(f) = m.extra_file {
+                    meta.extra_files.insert(member, f);
                 }
+                plans.push(m.plan);
             }
-            // Ship the metadata to everyone alongside their plan so every
-            // rank can cache it (only the coordinator commits it).
-            let payload: Vec<(SavePlan, GlobalMetadata)> =
-                plans.into_iter().map(|p| (p, meta.clone())).collect();
-            ctx.comm.scatter(ctx.coordinator(), Some(payload))?
+            dedup_save_plans(&mut plans, options.dedup);
+            meta.tensor_map = build_tensor_map(&plans);
+            let plan = ctx.comm.scatter(ctx.coordinator(), Some(plans))?;
+            (plan, Some(Bytes::from(meta.to_bytes())))
         } else {
-            ctx.comm.scatter(ctx.coordinator(), None)?
+            (ctx.comm.scatter(ctx.coordinator(), None)?, None)
         };
-        debug_assert_eq!(mine.0.rank, rank, "scatter must deliver this rank's plan");
+        debug_assert_eq!(plan.rank, rank, "scatter must deliver this rank's plan");
+        let fresh = CachedSave { plan, metadata };
         if options.plan_cache {
-            cache.insert(sig, CachedSave { plan: mine.0.clone(), metadata: Some(mine.1.clone()) });
+            cache.insert(sig, fresh)
+        } else {
+            Arc::new(fresh)
         }
-        (mine.0, Some(mine.1))
     };
 
     // ---- Engine pipeline (blocking part = capture). ----
@@ -274,7 +276,7 @@ pub fn save_checkpoint_hot(
     let staging: Option<HotStaging> =
         hot_active.then(|| Arc::new(parking_lot::Mutex::new(Vec::new())));
     let handle = execute_save_staged(
-        &final_plan,
+        &planned.plan,
         args.state,
         backend.clone(),
         prefix,
@@ -378,16 +380,18 @@ pub fn save_checkpoint_hot(
         };
         if rank == coordinator {
             faults.check("save/metadata")?;
-            let meta = metadata
-                .ok_or_else(|| BcpError::Plan("coordinator lost the metadata template".into()))?;
+            let sealed = planned
+                .metadata
+                .as_ref()
+                .ok_or_else(|| BcpError::Plan("coordinator lost the sealed metadata".into()))?;
             let meta_path = format!("{prefix2}/{METADATA_FILE}");
-            let meta_bytes = Bytes::from(meta.to_bytes());
             {
-                let t = root
-                    .child("save/metadata")
-                    .bytes(meta_bytes.len() as u64)
-                    .path(meta_path.clone());
+                // Cold and warm saves share this tail: the step and the
+                // trailer are the only bytes of the image that change.
+                let t =
+                    root.child("save/metadata").bytes(sealed.len() as u64).path(meta_path.clone());
                 let _in_meta = t.enter();
+                let meta_bytes = Bytes::from(GlobalMetadata::restamp_step(sealed, step));
                 with_retries(retries, &log, rank, "save/metadata", Some(&meta_path), || {
                     backend.write(&meta_path, meta_bytes.clone())
                 })?;
@@ -636,15 +640,15 @@ fn load_tiered_inner(
         .attr("backend", backend.name());
     // Step 1: all ranks load the global metadata (committed checkpoints only).
     faults.check("load/metadata")?;
-    if !is_committed(&backend, prefix)? {
-        return Err(BcpError::Corrupt(format!(
-            "checkpoint {prefix} has no {COMPLETE_MARKER} marker (torn or in-progress save)"
-        )));
-    }
     let meta_path = format!("{prefix}/{METADATA_FILE}");
     let metadata = {
         let mut t = root.child("load/metadata").path(meta_path.clone());
         let _in_meta = t.enter();
+        if !is_committed(&backend, prefix)? {
+            return Err(BcpError::Corrupt(format!(
+                "checkpoint {prefix} has no {COMPLETE_MARKER} marker (torn or in-progress save)"
+            )));
+        }
         let meta_bytes = with_retries(
             options.load.retries,
             &log,
@@ -662,28 +666,23 @@ fn load_tiered_inner(
     let step = metadata.step;
     root.set_step(step);
 
-    // Step 2: local load plan (box matching).
-    let local: LoadPlan = {
-        let _t = root.child("load/plan");
-        local_load_plan(rank, state, &metadata)?
-    };
-
-    // Steps 3-4: coordinator optimizes (redundant-read elimination) and
+    // Steps 2-4 under one `load/plan` span: local load plan (box matching),
+    // then the coordinator optimizes (redundant-read elimination) and
     // scatters the final per-rank assignments.
-    let assigned: AssignedLoadPlan = if options.dedup_reads {
-        let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
-        if let Some(plans) = gathered {
-            let assigned = eliminate_redundant_reads(&plans);
-            ctx.comm.scatter(ctx.coordinator(), Some(assigned))?
+    let assigned: AssignedLoadPlan = {
+        let _t = root.child("load/plan");
+        let local: LoadPlan = local_load_plan(rank, state, &metadata)?;
+        if options.dedup_reads {
+            let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
+            let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
+            ctx.comm.scatter(ctx.coordinator(), assigned)?
         } else {
-            ctx.comm.scatter(ctx.coordinator(), None)?
-        }
-    } else {
-        AssignedLoadPlan {
-            rank,
-            send_to: vec![Vec::new(); local.items.len()],
-            reads: local.items,
-            recvs: Vec::new(),
+            AssignedLoadPlan {
+                rank,
+                send_to: vec![Vec::new(); local.items.len()],
+                reads: local.items,
+                recvs: Vec::new(),
+            }
         }
     };
 

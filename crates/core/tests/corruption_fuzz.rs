@@ -7,8 +7,9 @@
 //! `Err(String)`), never a panic, abort, or attacker-sized allocation.
 
 use bcp_core::format::{decode_frames, encode_frame};
-use bcp_core::metadata::{GlobalMetadata, ShardMeta};
+use bcp_core::metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry};
 use bcp_core::BcpError;
+use bcp_tensor::checksum::crc32;
 use bcp_tensor::DType;
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -29,11 +30,39 @@ fn valid_frame_file() -> Vec<u8> {
     file
 }
 
-/// A valid global-metadata JSON document to mutate.
+/// A valid global-metadata file to mutate: tensor entries on both the short
+/// and the explicit-stride path, a loader map and an extra file.
 fn valid_metadata_bytes() -> Vec<u8> {
     let mut meta = GlobalMetadata::new("ddp", 42, "TP=1,DP=2,PP=1", 2);
+    for i in 0..3usize {
+        let fqn = format!("layers.{i}.weight");
+        let mut basic = BasicMeta::contiguous(DType::F32, vec![6, 4], format!("cuda:{}", i % 2));
+        if i == 2 {
+            basic.stride = vec![1, 6];
+        }
+        meta.tensor_map.entry(fqn.clone()).or_default().push(TensorShardEntry {
+            shard: ShardMeta { fqn, offsets: vec![2 * i, 0], lengths: vec![2, 4] },
+            basic,
+            byte: ByteMeta {
+                file: format!("model_{}.bin", i % 2),
+                offset: 64 * i as u64,
+                length: 32,
+            },
+        });
+    }
+    meta.loader_map.replicated_file = Some("loader/replicated.json".to_string());
     meta.extra_files.insert(0, "extra_0.bin".to_string());
+    meta.validate().expect("the document to mutate is valid");
     meta.to_bytes()
+}
+
+/// Give `doc` the trailer its (mutated) body calls for, so the decoder's
+/// checksum gate passes and the mutation reaches the parser behind it.
+fn reseal(doc: &mut [u8]) {
+    if let Some(body) = doc.len().checked_sub(4) {
+        let crc = crc32(&doc[..body]);
+        doc[body..].copy_from_slice(&crc.to_le_bytes());
+    }
 }
 
 /// Accept only the documented outcomes of a frame decode.
@@ -109,6 +138,44 @@ proptest! {
         let at = byte.index(doc.len());
         doc[at] ^= 1 << bit;
         doc.truncate(len.index(doc.len() + 1));
+        if let Ok(meta) = GlobalMetadata::from_bytes(&doc) {
+            let _ = meta.validate();
+        }
+    }
+
+    /// The whole-file CRC refuses every mutation above before the parser
+    /// sees it. An attacker (or a bug upstream of the seal) produces a
+    /// *valid* trailer: mutate, reseal, decode. Still total — a typed error,
+    /// or a value `validate()` accepts or rejects without panicking.
+    #[test]
+    fn metadata_decode_survives_mutation_under_a_valid_trailer(
+        byte in any::<prop::sample::Index>(),
+        value in any::<u8>(),
+        cut in prop_oneof![Just(None), any::<prop::sample::Index>().prop_map(Some)],
+    ) {
+        let mut doc = valid_metadata_bytes();
+        let at = byte.index(doc.len());
+        doc[at] = value;
+        if let Some(len) = cut {
+            doc.truncate(len.index(doc.len() + 1));
+        }
+        reseal(&mut doc);
+        if let Ok(meta) = GlobalMetadata::from_bytes(&doc) {
+            let _ = meta.validate();
+        }
+    }
+
+    /// A forged count must not drive allocation: splice a `u64::MAX` varint
+    /// over each position of the body, reseal, decode. Counts are bounded by
+    /// the bytes that remain before anything is reserved, so this stays a
+    /// cheap typed error (or parses, where the position held no count).
+    #[test]
+    fn metadata_decode_rejects_forged_counts_without_allocating(at in any::<prop::sample::Index>()) {
+        const MAX_VARINT: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let mut doc = valid_metadata_bytes();
+        let at = 16 + at.index(doc.len() - 20);
+        doc.splice(at..at + 1, MAX_VARINT);
+        reseal(&mut doc);
         if let Ok(meta) = GlobalMetadata::from_bytes(&doc) {
             let _ = meta.validate();
         }

@@ -13,6 +13,13 @@ if grep -rnE 'MetricRecord|TimerGuard|TelemetryEvent|FailureExcerpt|flat_records
   exit 1
 fi
 
+echo "==> one global-metadata format (the JSON writer and its file name must not come back)"
+if grep -n 'to_vec_pretty' crates/core/src/metadata.rs ||
+   grep -rn 'global_metadata\.json' crates src tests examples; then
+  echo "GlobalMetadata is the binary layout in crates/core/src/metadata.rs, stored as METADATA_FILE"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

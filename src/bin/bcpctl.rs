@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bcpctl list    <job-root-dir>          # discover step_<N> checkpoints
-//! bcpctl inspect <checkpoint-dir>        # metadata summary
+//! bcpctl inspect <checkpoint-dir> [--json]  # metadata summary, or all of it as JSON
 //! bcpctl verify  <checkpoint-dir>        # decode every frame, check CRCs
 //! bcpctl export  <checkpoint-dir> <out>  # consolidate into a .safetensors
 //! bcpctl retain  <job-root-dir> <k>      # keep newest k, delete the rest
@@ -75,7 +75,7 @@ use bytecheckpoint::coordinator::{
     render_top, run_remote_sim_job, AdmissionPolicy, CoordinatorClient, CoordinatorServer,
     CoordinatorService, FairShareScheduler, SchedulerConfig, ServiceOptions, TopSnapshot,
 };
-use bytecheckpoint::core::export::export_safetensors;
+use bytecheckpoint::core::export::{export_safetensors, metadata_json};
 use bytecheckpoint::core::format::decode_frames;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::core::spec::JobSpec;
@@ -99,7 +99,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
         [cmd, dir] if cmd == "list" => cmd_list(dir),
-        [cmd, dir] if cmd == "inspect" => cmd_inspect(dir),
+        [cmd, dir] if cmd == "inspect" => cmd_inspect(dir, false),
+        [cmd, dir, flag] if cmd == "inspect" && flag == "--json" => cmd_inspect(dir, true),
         [cmd, dir] if cmd == "verify" => cmd_verify(dir),
         [cmd, dir, out] if cmd == "export" => cmd_export(dir, out),
         [cmd, dir, k] if cmd == "retain" => cmd_retain(dir, k),
@@ -114,7 +115,7 @@ fn main() -> ExitCode {
         [cmd, addr, flags @ ..] if cmd == "sim" => cmd_sim(addr, flags),
         _ => {
             eprintln!(
-                "usage: bcpctl <list|inspect|verify|gc> <dir> | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] [--fanout N] | serve <addr> [--max-jobs N] [--rate-mbps X] [--for-seconds S] [--journal DIR] [--lease-ttl-s S] | jobs <addr> | status <addr> <job-id> | top <addr> [--interval-ms N] [--once] | metrics <addr> | sim <addr> [--jobs N] [--steps S] [--rate-mbps X]"
+                "usage: bcpctl <list|verify|gc> <dir> | inspect <dir> [--json] | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] [--fanout N] | serve <addr> [--max-jobs N] [--rate-mbps X] [--for-seconds S] [--journal DIR] [--lease-ttl-s S] | jobs <addr> | status <addr> <job-id> | top <addr> [--interval-ms N] [--once] | metrics <addr> | sim <addr> [--jobs N] [--steps S] [--rate-mbps X]"
             );
             return ExitCode::from(2);
         }
@@ -183,9 +184,14 @@ fn read_metadata(backend: &DynBackend, prefix: &str) -> Result<GlobalMetadata, A
     Ok(GlobalMetadata::from_bytes(&bytes)?)
 }
 
-fn cmd_inspect(dir: &str) -> Result<(), AnyError> {
+fn cmd_inspect(dir: &str, json: bool) -> Result<(), AnyError> {
     let (backend, prefix) = open(dir)?;
     let meta = read_metadata(&backend, &prefix)?;
+    if json {
+        // The stored file is a compact binary image; this is its readable view.
+        println!("{}", metadata_json(&meta));
+        return Ok(());
+    }
     let committed = backend.exists(&format!("{prefix}/COMPLETE"))?;
     println!("checkpoint   {dir}");
     println!("framework    {}", meta.framework);

@@ -58,6 +58,14 @@ fn list_inspect_verify_export_retain() {
     assert!(text.contains("framework    ddp"), "{text}");
     assert!(text.contains("largest tensors"), "{text}");
 
+    // inspect --json: the decoded metadata, agreeing with the summary.
+    let (ok, json) = bcpctl(&["inspect", &step20, "--json"]);
+    assert!(ok, "{json}");
+    let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+    assert!(text.contains(&format!("step         {}", doc["step"].as_u64().unwrap())), "{text}");
+    let tensors = doc["tensor_map"].as_object().unwrap().len();
+    assert!(text.contains(&format!("tensors      {tensors} logical")), "{text}");
+
     // verify: all CRCs good.
     let (ok, text) = bcpctl(&["verify", &step20]);
     assert!(ok, "{text}");
@@ -114,7 +122,7 @@ fn scrub_fails_ci_on_corruption_and_quarantines() {
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "bin"))
+        .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("model_")))
         .expect("step 20 holds at least one shard file");
     let victim_name = victim.file_name().unwrap().to_string_lossy().to_string();
     let mut bytes = std::fs::read(&victim).unwrap();

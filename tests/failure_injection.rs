@@ -5,7 +5,7 @@
 
 mod common;
 
-use bytecheckpoint::core::metadata::GlobalMetadata;
+use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
 use common::{assert_states_eq, reference_state, run_ranks};
 use std::sync::Arc;
@@ -84,9 +84,10 @@ fn corrupted_storage_file_is_detected_at_load() {
         let state = reference_state(&arch_c, fw, par, rank, 1);
         ckpt.save(&SaveRequest::new("mem://x/j/c", &state, 1)).unwrap().wait().unwrap();
     });
-    // Corrupt the metadata JSON: load must fail loudly.
-    let original_meta = mem.read("j/c/global_metadata.json").unwrap();
-    mem.write("j/c/global_metadata.json", bytes::Bytes::from_static(b"{broken")).unwrap();
+    // Corrupt the metadata file: load must fail loudly.
+    let meta_path = format!("j/c/{METADATA_FILE}");
+    let original_meta = mem.read(&meta_path).unwrap();
+    mem.write(&meta_path, bytes::Bytes::from_static(b"{broken")).unwrap();
     let arch_c = arch.clone();
     let errs = run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
         let mut state = build_train_state(&arch_c, fw, par, rank, true);
@@ -96,7 +97,7 @@ fn corrupted_storage_file_is_detected_at_load() {
 
     // Restore metadata but truncate a tensor file: ranged reads go out of
     // bounds -> storage error, not silent zeros.
-    mem.write("j/c/global_metadata.json", original_meta).unwrap();
+    mem.write(&meta_path, original_meta).unwrap();
     let file = mem.read("j/c/model_0.bin").unwrap();
     mem.write("j/c/model_0.bin", file.slice(0..file.len() / 2)).unwrap();
     let arch_c = arch.clone();
@@ -125,11 +126,11 @@ fn metadata_tampering_is_caught_by_validation() {
     });
     // Tamper: inflate one shard's byte length so it no longer matches its
     // element count — validate() must reject.
-    let mut meta =
-        GlobalMetadata::from_bytes(&mem.read("j/t/global_metadata.json").unwrap()).unwrap();
+    let meta_path = format!("j/t/{METADATA_FILE}");
+    let mut meta = GlobalMetadata::from_bytes(&mem.read(&meta_path).unwrap()).unwrap();
     let first = meta.tensor_map.values_mut().next().unwrap();
     first[0].byte.length += 4;
-    mem.write("j/t/global_metadata.json", bytes::Bytes::from(meta.to_bytes())).unwrap();
+    mem.write(&meta_path, bytes::Bytes::from(meta.to_bytes())).unwrap();
     let arch_c = arch.clone();
     let errs = run_ranks(par, fw, registry, move |rank, ckpt| {
         let mut state = build_train_state(&arch_c, fw, par, rank, true);

@@ -7,6 +7,7 @@
 
 mod common;
 
+use bytecheckpoint::core::metadata::METADATA_FILE;
 use bytecheckpoint::model::TransformerConfig;
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{Fault, FaultLayer, FaultRule, OpCountingBackend, OpSet};
@@ -105,7 +106,8 @@ fn load_step_1(par: Parallelism, backend: &DynBackend) -> Vec<(usize, Vec<String
 fn chunks_in_shard_files(disk: &DynBackend) -> u64 {
     let chunk = WorkflowOptions::default().load.chunk_bytes;
     let files = disk.list("job/step_1").unwrap();
-    let shards: Vec<_> = files.iter().filter(|f| f.ends_with(".bin")).collect();
+    let shards: Vec<_> =
+        files.iter().filter(|f| f.ends_with(".bin") && !f.ends_with(METADATA_FILE)).collect();
     assert!(shards.len() >= 4, "model and optimizer files of two ranks, got {files:?}");
     shards.iter().map(|f| disk.size(f).unwrap().div_ceil(chunk)).sum()
 }
@@ -136,14 +138,21 @@ fn storage_reads_and_the_load_artifact_scale_with_runs_not_items() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `times` failed reads on each shard file (the metadata file is a `.bin`
+/// too, and is not one).
+fn failing_shard_reads(times: u32) -> Vec<FaultRule> {
+    ["model_", "optim_"]
+        .map(|shard| FaultRule::new(OpSet::Reads, Fault::Fail { times }).on(shard))
+        .to_vec()
+}
+
 #[test]
 fn transient_read_failures_are_absorbed_under_load_read() {
     let dir = temp_dir("flaky");
     let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
     save_step_1(&disk);
     // The first two reads of every shard file fail.
-    let rules = vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 2 }).on(".bin")];
-    let flaky = Arc::new(FaultLayer::new(disk, 0, rules));
+    let flaky = Arc::new(FaultLayer::new(disk, 0, failing_shard_reads(2)));
     let loaded = load_step_1(saving(), &(flaky.clone() as DynBackend));
     assert!(flaky.injected() >= 8, "two failures on each of four shard files");
     let stages: Vec<&String> = loaded.iter().flat_map(|(_, stages)| stages).collect();
@@ -159,8 +168,8 @@ fn exhausted_retries_mid_run_fail_the_load_and_release_the_peer() {
     save_step_1(&disk);
     // Rank 1 can never read a shard file; rank 0's storage is healthy, so it
     // can only fail by learning that its peer did.
-    let dead = vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: u32::MAX }).on(".bin")];
-    let broken: DynBackend = Arc::new(FaultLayer::new(disk.clone(), 0, dead));
+    let broken: DynBackend =
+        Arc::new(FaultLayer::new(disk.clone(), 0, failing_shard_reads(u32::MAX)));
     let started = Instant::now();
     let errs = on_ranks(
         saving(),

@@ -9,6 +9,7 @@ mod common;
 
 use bytecheckpoint::core::chunks::{ChunkManifest, FileChunks, CHUNK_MANIFEST_FILE};
 use bytecheckpoint::core::format::decode_frames;
+use bytecheckpoint::core::metadata::METADATA_FILE;
 use bytecheckpoint::prelude::*;
 use common::{assert_states_eq, reference_state, run_ranks, run_ranks_with};
 use std::sync::Arc;
@@ -42,8 +43,12 @@ fn save_two_ranks(chunk_bytes: u64) -> DynBackend {
 }
 
 fn shard_files(backend: &DynBackend) -> Vec<String> {
-    let files: Vec<String> =
-        backend.list("step_1/").unwrap().into_iter().filter(|f| f.ends_with(".bin")).collect();
+    let files: Vec<String> = backend
+        .list("step_1/")
+        .unwrap()
+        .into_iter()
+        .filter(|f| f.ends_with(".bin") && !f.ends_with(METADATA_FILE))
+        .collect();
     assert!(files.len() >= 4, "two ranks write a model and an optimizer file each: {files:?}");
     files
 }

@@ -4,6 +4,7 @@
 
 mod common;
 
+use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
 use bytecheckpoint::storage::{fault, Fault, FaultLayer, FaultRule, OpSet, StorageBackend};
@@ -40,13 +41,13 @@ fn disk_backend_end_to_end_with_real_files() {
     round_trip("file:///job/disk-ckpt", registry_for(Scheme::File, disk.clone()));
     // The files genuinely exist on disk with the expected layout.
     let files = disk.list("job/disk-ckpt/").unwrap();
-    assert!(files.iter().any(|f| f.ends_with("global_metadata.json")), "{files:?}");
+    assert!(files.iter().any(|f| f.ends_with(METADATA_FILE)), "{files:?}");
     assert!(files.iter().any(|f| f.ends_with("COMPLETE")));
     assert!(files.iter().any(|f| f.contains("model_")));
     assert!(files.iter().any(|f| f.contains("optim_")));
-    // And the metadata file on disk is valid JSON our reader accepts.
-    let meta_bytes = std::fs::read(dir.join("job/disk-ckpt/global_metadata.json")).unwrap();
-    let meta = bytecheckpoint::core::metadata::GlobalMetadata::from_bytes(&meta_bytes).unwrap();
+    // And the metadata file on disk is one our reader accepts.
+    let meta_bytes = std::fs::read(dir.join("job/disk-ckpt").join(METADATA_FILE)).unwrap();
+    let meta = GlobalMetadata::from_bytes(&meta_bytes).unwrap();
     meta.validate().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

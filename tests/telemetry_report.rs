@@ -148,6 +148,23 @@ fn persisted_telemetry_drives_offline_report() {
     assert_eq!(doc.op(), Some("load"));
     assert_eq!(doc.ranks.len(), WORLD);
     assert!(doc.all_spans().iter().any(|s| s.name == "load/read"));
+    // The phases tile the load: metadata, plan (with its exchange), read,
+    // all2all, finish and the barrier leave under a tenth unattributed.
+    for rank in &doc.ranks {
+        let root = rank.spans.iter().find(|s| s.name == "load").expect("a load root");
+        let phases: Duration = rank
+            .spans
+            .iter()
+            .filter(|s| s.counted && s.parent == Some(root.id))
+            .map(|s| s.duration)
+            .sum();
+        assert!(
+            phases.as_secs_f64() >= 0.9 * root.duration.as_secs_f64(),
+            "rank {}: phases cover {phases:?} of a {:?} load",
+            rank.rank,
+            root.duration
+        );
+    }
 
     // ---- The offline report: heat map + breakdown + critical path. ----
     let job_s = job.to_string_lossy().to_string();
