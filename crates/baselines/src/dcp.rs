@@ -11,15 +11,11 @@
 //! tensors to the first DP group; planning reruns on every save; loads read
 //! without redundancy elimination or ranged multi-threading.
 
-use crate::baseline_workflow_options;
+use crate::baseline_checkpointer;
 use bcp_collectives::Communicator;
-use bcp_core::api::{LoadOutcome, LoadRequest, SaveRequest};
-use bcp_core::engine::iopool::IoPool;
-use bcp_core::engine::pool::PinnedPool;
-use bcp_core::integrity::FailureLog;
-use bcp_core::planner::cache::PlanCache;
+use bcp_core::api::{Checkpointer, LoadOutcome, LoadRequest, SaveRequest};
 use bcp_core::registry::BackendRegistry;
-use bcp_core::workflow::{load_checkpoint, save_checkpoint, JobContext, SaveArgs, SaveTicket};
+use bcp_core::workflow::SaveTicket;
 use bcp_core::{BcpError, Result};
 use bcp_model::states::{StateDict, StateEntry};
 use bcp_model::{Framework, TrainState};
@@ -138,15 +134,11 @@ pub struct DcpSaveOutcome {
     pub regularize_time: Duration,
 }
 
-/// A DCP-like checkpointer for FSDP jobs.
+/// A DCP-like checkpointer for FSDP jobs: a [`Checkpointer`] running the
+/// baseline workflow options behind the all-gather pre-pass.
 pub struct DcpLike {
-    ctx: JobContext,
-    registry: Arc<BackendRegistry>,
-    sink: MetricsSink,
-    cache: PlanCache, // present but unused: plan_cache=false in options
-    pool: Arc<PinnedPool>,
-    io: Arc<IoPool>,
-    failures: Arc<FailureLog>,
+    comm: Communicator,
+    ckpt: Checkpointer,
 }
 
 impl DcpLike {
@@ -161,25 +153,16 @@ impl DcpLike {
         if !matches!(framework, Framework::Fsdp { .. }) {
             return Err(BcpError::Plan("DCP baseline supports FSDP only".into()));
         }
-        Ok(DcpLike {
-            ctx: JobContext { comm, framework, parallelism },
-            registry,
-            sink,
-            cache: PlanCache::new(),
-            pool: PinnedPool::new(2),
-            io: IoPool::new(1), // single-threaded file I/O, like DCP
-            failures: Arc::new(FailureLog::new()),
-        })
+        let ckpt = baseline_checkpointer(comm.clone(), framework, parallelism, registry, sink)?;
+        Ok(DcpLike { comm, ckpt })
     }
 
     /// Save with DCP semantics: synchronous all-gather regularization, then
     /// the baseline workflow.
     pub fn save(&self, req: &SaveRequest<'_>) -> Result<DcpSaveOutcome> {
-        let uri = req.location.uri();
-        let backend = self.registry.resolve(uri)?;
         let t0 = Instant::now();
-        let (model, s1) = allgather_materialize(&self.ctx.comm, &req.state.model)?;
-        let (optimizer, s2) = allgather_materialize(&self.ctx.comm, &req.state.optimizer)?;
+        let (model, s1) = allgather_materialize(&self.comm, &req.state.model)?;
+        let (optimizer, s2) = allgather_materialize(&self.comm, &req.state.optimizer)?;
         let regularize_time = t0.elapsed();
         let allgather = AllGatherStats {
             allgathers: s1.allgathers + s2.allgathers,
@@ -187,20 +170,13 @@ impl DcpLike {
             d2h_copies: s1.d2h_copies + s2.d2h_copies,
         };
         let regular = TrainState { model, optimizer };
-        let options = baseline_workflow_options();
-        let ticket = save_checkpoint(
-            &self.ctx,
-            backend,
-            &uri.key,
-            SaveArgs { state: &regular, loader: req.loader, extra: req.extra, step: req.step },
-            &options,
-            &self.cache,
-            &self.pool,
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            None, // baselines persist no telemetry artifacts
-        )?;
+        let ticket = self.ckpt.save(&SaveRequest {
+            location: req.location.clone(),
+            state: &regular,
+            loader: req.loader,
+            extra: req.extra,
+            step: req.step,
+        })?;
         Ok(DcpSaveOutcome { ticket, allgather, regularize_time })
     }
 
@@ -208,22 +184,7 @@ impl DcpLike {
     /// Resharding across saved/target parallelism still works: the saved
     /// format is box-addressed like ByteCheckpoint's.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
-        let uri = req.location.uri();
-        let backend = self.registry.resolve(uri)?;
-        let options = baseline_workflow_options();
-        let report = load_checkpoint(
-            &self.ctx,
-            backend.clone(),
-            &uri.key,
-            req.state,
-            &options,
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            0,
-            None, // baselines persist no telemetry artifacts
-        )?;
-        Ok(LoadOutcome { report, loader: None, quarantined: Vec::new() })
+        self.ckpt.load(req)
     }
 }
 

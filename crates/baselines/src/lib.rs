@@ -23,12 +23,19 @@ pub use dcp::DcpLike;
 pub use mcp::McpLike;
 pub use offline::run_offline_reshard_job;
 
+use bcp_collectives::Communicator;
+use bcp_core::api::Checkpointer;
 use bcp_core::engine::load::LoadConfig;
 use bcp_core::engine::save::SaveConfig;
 use bcp_core::fault::FaultPlan;
 use bcp_core::integrity::RetryPolicy;
 use bcp_core::planner::balance::DedupStrategy;
+use bcp_core::registry::BackendRegistry;
 use bcp_core::workflow::WorkflowOptions;
+use bcp_model::Framework;
+use bcp_monitor::MetricsSink;
+use bcp_topology::Parallelism;
+use std::sync::Arc;
 
 /// Workflow options shared by both baselines: everything ByteCheckpoint
 /// optimizes is turned off (asynchronous *upload* stays on — "both baselines
@@ -55,4 +62,23 @@ pub fn baseline_workflow_options() -> WorkflowOptions {
         verified_fallback: false, // baselines load whatever is newest
         hot: bcp_core::HotTierConfig::default(), // no hot tier in baselines
     }
+}
+
+/// The [`Checkpointer`] both baselines run on: the baseline options, and no
+/// telemetry artifacts (the baselines persist none).
+fn baseline_checkpointer(
+    comm: Communicator,
+    framework: Framework,
+    parallelism: Parallelism,
+    registry: Arc<BackendRegistry>,
+    sink: MetricsSink,
+) -> bcp_core::Result<Checkpointer> {
+    Checkpointer::builder(comm)
+        .framework(framework)
+        .parallelism(parallelism)
+        .registry(registry)
+        .workflow(baseline_workflow_options())
+        .sink(sink)
+        .telemetry(false)
+        .build()
 }

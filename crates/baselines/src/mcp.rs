@@ -6,29 +6,20 @@
 //! first-DP-group deduplication, replans on every save, and loads without
 //! redundancy elimination or ranged multi-threaded reads.
 
-use crate::baseline_workflow_options;
+use crate::baseline_checkpointer;
 use bcp_collectives::Communicator;
-use bcp_core::api::{LoadOutcome, LoadRequest, SaveRequest};
-use bcp_core::engine::iopool::IoPool;
-use bcp_core::engine::pool::PinnedPool;
-use bcp_core::integrity::FailureLog;
-use bcp_core::planner::cache::PlanCache;
+use bcp_core::api::{Checkpointer, LoadOutcome, LoadRequest, SaveRequest};
 use bcp_core::registry::BackendRegistry;
-use bcp_core::workflow::{load_checkpoint, save_checkpoint, JobContext, SaveArgs, SaveTicket};
+use bcp_core::workflow::SaveTicket;
 use bcp_core::{BcpError, Result};
 use bcp_model::Framework;
 use bcp_monitor::MetricsSink;
 use std::sync::Arc;
 
-/// An MCP-like checkpointer for Megatron-LM jobs.
+/// An MCP-like checkpointer for Megatron-LM jobs: a [`Checkpointer`] running
+/// the baseline workflow options.
 pub struct McpLike {
-    ctx: JobContext,
-    registry: Arc<BackendRegistry>,
-    sink: MetricsSink,
-    cache: PlanCache,
-    pool: Arc<PinnedPool>,
-    io: Arc<IoPool>,
-    failures: Arc<FailureLog>,
+    ckpt: Checkpointer,
 }
 
 impl McpLike {
@@ -43,54 +34,18 @@ impl McpLike {
         if !matches!(framework, Framework::Megatron { .. }) {
             return Err(BcpError::Plan("MCP baseline supports Megatron-LM only".into()));
         }
-        Ok(McpLike {
-            ctx: JobContext { comm, framework, parallelism },
-            registry,
-            sink,
-            cache: PlanCache::new(),
-            pool: PinnedPool::new(2),
-            io: IoPool::new(1), // single-threaded file I/O, like MCP
-            failures: Arc::new(FailureLog::new()),
-        })
+        Ok(McpLike { ckpt: baseline_checkpointer(comm, framework, parallelism, registry, sink)? })
     }
 
     /// Save with MCP semantics (baseline workflow options; no regularization
     /// pass needed — Megatron's sharded representation is stored as-is).
     pub fn save(&self, req: &SaveRequest<'_>) -> Result<SaveTicket> {
-        let uri = req.location.uri();
-        let backend = self.registry.resolve(uri)?;
-        save_checkpoint(
-            &self.ctx,
-            backend,
-            &uri.key,
-            SaveArgs { state: req.state, loader: req.loader, extra: req.extra, step: req.step },
-            &baseline_workflow_options(),
-            &self.cache,
-            &self.pool,
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            None, // baselines persist no telemetry artifacts
-        )
+        self.ckpt.save(req)
     }
 
     /// Load with MCP semantics.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
-        let uri = req.location.uri();
-        let backend = self.registry.resolve(uri)?;
-        let report = load_checkpoint(
-            &self.ctx,
-            backend,
-            &uri.key,
-            req.state,
-            &baseline_workflow_options(),
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            0,
-            None, // baselines persist no telemetry artifacts
-        )?;
-        Ok(LoadOutcome { report, loader: None, quarantined: Vec::new() })
+        self.ckpt.load(req)
     }
 }
 
@@ -175,6 +130,6 @@ mod tests {
                 .unwrap();
         }
         // plan_cache=false: the cache sees no traffic at all.
-        assert_eq!(mcp.cache.stats(), (0, 0));
+        assert_eq!(mcp.ckpt.plan_cache_stats(), (0, 0));
     }
 }

@@ -118,7 +118,7 @@ pub fn reshard_loss_curve(
     switch_step: u64,
     total_steps: u64,
 ) -> String {
-    let (registry, _mem) = memory_registry();
+    let registry = memory_registry();
     let trainer = TrainerConfig::default();
     // Phase A: train and save.
     let arch2 = arch.clone();
@@ -223,7 +223,7 @@ pub fn fig16() -> String {
 /// Fig. 14: bitwise-identical resumption without parallelism changes,
 /// across several kill/resume cycles (the production 175B scenario).
 pub fn fig14() -> String {
-    let (registry, _mem) = memory_registry();
+    let registry = memory_registry();
     let fw = Framework::Megatron { distributed_optimizer: true };
     let par = Parallelism::new(2, 2, 2).unwrap();
     let arch = zoo::tiny_gpt_8l();

@@ -1,4 +1,4 @@
-//! Multi-rank job harness shared by figure generation and benches: spawn
+//! Multi-rank job harness shared by the figure generators: spawn
 //! one thread per rank, give each a [`Checkpointer`] over a shared world and
 //! backend registry, run a closure, join.
 
@@ -13,15 +13,9 @@ use bcp_storage::{DynBackend, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 
-/// A registry whose every scheme maps to one shared in-memory store;
-/// returns the store too, for direct inspection.
-pub fn memory_registry() -> (Arc<BackendRegistry>, DynBackend) {
-    let mem: DynBackend = Arc::new(MemoryBackend::new());
-    let mut reg = BackendRegistry::new();
-    for scheme in [Scheme::Memory, Scheme::File, Scheme::Hdfs, Scheme::Nas, Scheme::Object] {
-        reg.register(scheme, mem.clone());
-    }
-    (Arc::new(reg), mem)
+/// A registry whose every scheme maps to one shared in-memory store.
+pub fn memory_registry() -> Arc<BackendRegistry> {
+    registry_over(Arc::new(MemoryBackend::new()))
 }
 
 /// A registry over an arbitrary backend (e.g. a throttled one for realistic

@@ -31,8 +31,8 @@
 //!   re-registration bumps a generation that fences zombie clients, and
 //!   [`ReconnectingClient`] self-heals the other side of the wire.
 //! * [`simjob::run_sim_job`] — full multi-rank [`bcp_core::spec::Session`]
-//!   jobs driven through the governed path, for contention tests and
-//!   `bench_coordinator`.
+//!   jobs driven through the governed path, for the contention tests
+//!   (`tests/fairness.rs`: the fairness gate).
 
 pub mod admission;
 pub mod client;

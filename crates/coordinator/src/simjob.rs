@@ -1,7 +1,7 @@
 //! Simulated training jobs driven through the control plane: each job is a
 //! full multi-rank [`Session`] world whose storage traffic flows through
-//! the coordinator's fair-share governor. Used by the contention tests and
-//! `bench_coordinator`.
+//! the coordinator's fair-share governor. Used by the contention tests
+//! (`tests/fairness.rs`: the fairness gate) and, remotely, by `bcpctl sim`.
 
 use crate::reconnect::{is_fenced, ReconnectingClient, ReconnectingFrameSink};
 use crate::service::CoordinatorService;

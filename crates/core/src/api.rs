@@ -22,15 +22,15 @@ use crate::engine::iopool::IoPool;
 use crate::engine::pool::PinnedPool;
 use crate::fault::{FaultHook, FaultPlan};
 use crate::hottier::{assemble_hot_step, HotTierConfig, TierBreakdown};
-use crate::integrity::{FailureLog, FailureRecord, RetryPolicy};
+use crate::integrity::{with_retries, FailureLog, FailureRecord, RetryPolicy};
 use crate::loader_reshard::load_loader_states;
 use crate::manager::{CheckpointManager, QuarantinedStep};
 use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
 use crate::scrub::scrub_step;
 use crate::workflow::{
-    load_checkpoint_tiered, save_checkpoint_hot, JobContext, LoadReport, SaveArgs, SaveTicket,
-    TierOverlay, WorkflowOptions,
+    load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveArgs, SaveTicket, TierOverlay,
+    WorkflowOptions,
 };
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
@@ -337,18 +337,20 @@ impl CheckpointerBuilder {
             self.hot_handle
                 .unwrap_or_else(|| Arc::new(HotTier::new(self.workflow.hot.capacity_steps)))
         });
-        Ok(Checkpointer {
-            ctx: JobContext { comm: self.comm, framework, parallelism },
-            registry,
+        let ctx = JobContext {
+            comm: self.comm,
+            framework,
+            parallelism,
             options: self.workflow,
             sink,
-            cache: Arc::new(PlanCache::new()),
+            cache: PlanCache::new(),
             pool: PinnedPool::new(2),
             io: IoPool::new(io_threads),
             failures: Arc::new(FailureLog::new()),
             telemetry,
             hot,
-        })
+        };
+        Ok(Checkpointer { ctx, registry })
     }
 }
 
@@ -357,17 +359,6 @@ impl CheckpointerBuilder {
 pub struct Checkpointer {
     ctx: JobContext,
     registry: Arc<BackendRegistry>,
-    options: WorkflowOptions,
-    sink: MetricsSink,
-    cache: Arc<PlanCache>,
-    pool: Arc<PinnedPool>,
-    /// Persistent I/O worker pool shared by every save and load this
-    /// checkpointer runs (replaces per-call thread spawns).
-    io: Arc<IoPool>,
-    failures: Arc<FailureLog>,
-    telemetry: Option<Arc<MetricsHub>>,
-    /// The in-process hot tier, when tiered recovery is enabled.
-    hot: Option<Arc<HotTier>>,
 }
 
 impl Checkpointer {
@@ -383,25 +374,25 @@ impl Checkpointer {
 
     /// The failure log (Appendix B): inspect after saves/loads.
     pub fn failures(&self) -> &FailureLog {
-        &self.failures
+        &self.ctx.failures
     }
 
     /// Plan-cache statistics `(hits, misses)`.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        self.ctx.cache.stats()
     }
 
     /// The private telemetry hub (when telemetry is enabled): the live span
     /// trees and records the per-step artifacts are cut from.
     pub fn telemetry_hub(&self) -> Option<&Arc<MetricsHub>> {
-        self.telemetry.as_ref()
+        self.ctx.telemetry.as_ref()
     }
 
     /// Wrap a resolved backend so every storage operation emits a
     /// `storage/<backend>/<op>` span, parented under whichever workflow
     /// phase issued it.
     fn instrumented(&self, backend: DynBackend) -> DynBackend {
-        let instrument = self.telemetry.as_ref().map(|_| self.sink.clone());
+        let instrument = self.ctx.telemetry.as_ref().map(|_| self.ctx.sink.clone());
         assemble(backend, StackConfig { rank: self.rank(), instrument, ..StackConfig::default() })
             .top
     }
@@ -413,25 +404,17 @@ impl Checkpointer {
     pub fn save(&self, req: &SaveRequest<'_>) -> Result<SaveTicket> {
         let uri = req.location.uri();
         let backend = self.instrumented(self.registry.resolve(uri)?);
-        save_checkpoint_hot(
+        save_checkpoint(
             &self.ctx,
             backend,
             &uri.key,
             SaveArgs { state: req.state, loader: req.loader, extra: req.extra, step: req.step },
-            &self.options,
-            &self.cache,
-            &self.pool,
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            self.telemetry.clone(),
-            self.hot.clone(),
         )
     }
 
     /// The in-process hot tier, when tiered recovery is enabled.
     pub fn hot_tier(&self) -> Option<&Arc<HotTier>> {
-        self.hot.as_ref()
+        self.ctx.hot.as_ref()
     }
 
     /// `bytecheckpoint.load`: fill the request's target states from the
@@ -448,19 +431,7 @@ impl Checkpointer {
     ) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
-        let report = load_checkpoint_tiered(
-            &self.ctx,
-            backend.clone(),
-            &uri.key,
-            req.state,
-            &self.options,
-            &self.io,
-            &self.sink,
-            self.failures.clone(),
-            0,
-            self.telemetry.clone(),
-            overlay,
-        )?;
+        let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state, overlay)?;
         let loader = match req.loader_target {
             Some(t) => load_loader_states(
                 &backend,
@@ -509,10 +480,19 @@ impl Checkpointer {
             let mut quarantined = Vec::new();
             let chosen = loop {
                 let Some(candidate) = mgr.latest()? else { break None };
-                if !self.options.verified_fallback {
+                if !self.ctx.options.verified_fallback {
                     break Some(candidate.step);
                 }
-                let report = scrub_step(&backend, &candidate.prefix, candidate.step)?;
+                // Under the load retry policy: a transient backend error
+                // must neither fail the resume nor condemn a healthy step.
+                let report = with_retries(
+                    self.ctx.options.load.retries,
+                    &self.ctx.failures,
+                    self.ctx.rank(),
+                    "load/verify",
+                    Some(&candidate.prefix),
+                    || scrub_step(&backend, &candidate.prefix, candidate.step),
+                )?;
                 if report.is_clean() {
                     break Some(candidate.step);
                 }
@@ -521,7 +501,7 @@ impl Checkpointer {
                     .first()
                     .map(|i| format!("{}: {}", i.path, i.detail))
                     .unwrap_or_else(|| "failed verification".into());
-                self.failures.log(FailureRecord {
+                self.ctx.failures.log(FailureRecord {
                     rank: self.ctx.rank(),
                     stage: "load/verify".into(),
                     path: Some(candidate.prefix.clone()),
@@ -544,11 +524,11 @@ impl Checkpointer {
         // defect is recorded and simply reads cold). A collective — every
         // rank participates whenever the hot tier is enabled, even with an
         // empty ring.
-        let overlay: Option<TierOverlay> = match (&self.hot, self.options.hot.enabled) {
+        let overlay: Option<TierOverlay> = match (&self.ctx.hot, self.ctx.options.hot.enabled) {
             (Some(hot), true) => {
                 let faults = {
                     let comm = self.ctx.comm.clone();
-                    FaultHook::new(self.options.faults.clone(), self.ctx.rank())
+                    FaultHook::new(self.ctx.options.faults.clone(), self.ctx.rank())
                         .with_on_kill(move || comm.mark_self_failed())
                 };
                 let assembly =

@@ -10,12 +10,11 @@
 //! step — extra observability artifacts must not fail CI.
 
 use crate::format::{decode_frames, header_len, Frame};
-use crate::integrity::is_committed;
 use crate::manager::CheckpointManager;
 use crate::metadata::{GlobalMetadata, TensorShardEntry, COMPLETE_MARKER, METADATA_FILE};
 use crate::Result;
 use bcp_monitor::{TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE};
-use bcp_storage::DynBackend;
+use bcp_storage::{DynBackend, StorageError, StorageErrorKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Classification of one scrub finding.
@@ -102,12 +101,17 @@ impl ScrubReport {
 }
 
 /// Scrub one checkpoint prefix. Collects issues instead of failing fast;
-/// only infrastructure errors (the backend itself failing) return `Err`.
-pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<ScrubReport> {
+/// only infrastructure errors (the backend itself failing) return `Err`, so
+/// a caller may retry the scrub under its storage retry policy.
+pub fn scrub_step(
+    backend: &DynBackend,
+    prefix: &str,
+    step: u64,
+) -> std::result::Result<ScrubReport, StorageError> {
     let mut report = ScrubReport {
         step,
         prefix: prefix.to_string(),
-        committed: is_committed(backend, prefix)?,
+        committed: backend.exists(&format!("{prefix}/{COMPLETE_MARKER}"))?,
         issues: Vec::new(),
         files_checked: 0,
         frames_verified: 0,
@@ -149,7 +153,9 @@ pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<Scrub
                     None
                 }
             },
-            Err(e) => {
+            // A listed file the backend cannot produce is a defect of the
+            // step; a transient or throttled read says nothing about it.
+            Err(e) if e.kind() == StorageErrorKind::Terminal => {
                 report.issues.push(ScrubIssue {
                     path: meta_path.clone(),
                     kind: IssueKind::BadMetadata,
@@ -157,6 +163,7 @@ pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<Scrub
                 });
                 None
             }
+            Err(e) => return Err(e),
         }
     } else {
         report.issues.push(ScrubIssue {
@@ -417,6 +424,18 @@ mod tests {
         b.write(&format!("{prefix}/{METADATA_FILE}"), Bytes::from_static(b"{ not json")).unwrap();
         let r = scrub_step(&b, &prefix, 10).unwrap();
         assert!(r.defects().iter().any(|i| i.kind == IssueKind::BadMetadata));
+    }
+
+    #[test]
+    fn transient_metadata_read_is_an_error_not_a_defect() {
+        use bcp_storage::{Fault, FaultLayer, FaultRule, OpSet};
+        let b = mem();
+        let (prefix, _) = build_checkpoint(&b, "job", 10);
+        let once = FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on(METADATA_FILE);
+        let flaky: DynBackend = Arc::new(FaultLayer::new(b, 0, vec![once]));
+        let err = scrub_step(&flaky, &prefix, 10).unwrap_err();
+        assert_eq!(err.kind(), StorageErrorKind::Retryable, "{err}");
+        assert!(scrub_step(&flaky, &prefix, 10).unwrap().is_clean());
     }
 
     #[test]

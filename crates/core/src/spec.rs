@@ -4,7 +4,7 @@
 //! admitted spec into a live [`Checkpointer`].
 //!
 //! Library callers keep using [`Checkpointer::builder`] directly; the
-//! `bcp-coordinator` daemon, `bench_coordinator`, and the wire protocol all
+//! `bcp-coordinator` daemon, its simulated jobs, and the wire protocol all
 //! speak `JobSpec` — the spec *is* the redesigned construction path, not a
 //! parallel one: [`Session::open`] routes through the same builder.
 

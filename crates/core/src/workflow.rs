@@ -16,7 +16,7 @@ use crate::engine::pool::PinnedPool;
 use crate::engine::save::{execute_save_staged, HotStaging, SaveConfig, SaveStats};
 use crate::fault::{FaultHook, FaultPlan};
 use crate::hottier::{replicate_after_commit, HotTierConfig, TierBreakdown};
-use crate::integrity::{commit_checkpoint, is_committed, with_retries, FailureLog, FailureRecord};
+use crate::integrity::{commit_checkpoint, with_retries, FailureLog, FailureRecord};
 use crate::metadata::{GlobalMetadata, LoaderShardFileEntry, COMPLETE_MARKER, METADATA_FILE};
 use crate::plan::{build_tensor_map, local_load_plan, LoadPlan, SavePlan};
 use crate::planner::balance::{
@@ -42,7 +42,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-job context shared by save and load.
+/// Per-job context shared by save and load: everything a
+/// [`crate::api::Checkpointer`] owns and lends to each workflow run.
 pub struct JobContext {
     /// World communicator for this training job.
     pub comm: Communicator,
@@ -50,6 +51,25 @@ pub struct JobContext {
     pub framework: Framework,
     /// Current parallelism.
     pub parallelism: bcp_topology::Parallelism,
+    /// Workflow and engine options.
+    pub options: WorkflowOptions,
+    /// Where spans go.
+    pub sink: MetricsSink,
+    /// Plan & metadata cache (§4.1).
+    pub cache: PlanCache,
+    /// Pinned capture buffers.
+    pub pool: Arc<PinnedPool>,
+    /// Persistent I/O worker pool shared by every save and load.
+    pub io: Arc<IoPool>,
+    /// The failure log (Appendix B).
+    pub failures: Arc<FailureLog>,
+    /// The private hub per-step telemetry artifacts are cut from, when
+    /// telemetry is on.
+    pub telemetry: Option<Arc<MetricsHub>>,
+    /// The in-process hot tier, when tiered recovery is enabled: the save
+    /// tail replicates each committed step's shard files into it and to `R`
+    /// placement peers, off the save critical path.
+    pub hot: Option<Arc<HotTier>>,
 }
 
 impl JobContext {
@@ -148,44 +168,14 @@ pub struct SaveArgs<'a> {
 }
 
 /// Execute the full save workflow on this rank.
-#[allow(clippy::too_many_arguments)]
 pub fn save_checkpoint(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
     args: SaveArgs<'_>,
-    options: &WorkflowOptions,
-    cache: &PlanCache,
-    pool: &Arc<PinnedPool>,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    telemetry: Option<Arc<MetricsHub>>,
 ) -> Result<SaveTicket> {
-    save_checkpoint_hot(
-        ctx, backend, prefix, args, options, cache, pool, io, sink, log, telemetry, None,
-    )
-}
-
-/// [`save_checkpoint`] with an optional hot tier: when present (and
-/// `options.hot.enabled`), the finalize tail replicates the committed step's
-/// shard files into `hot_tier` and to `R` placement peers, off the save
-/// critical path.
-#[allow(clippy::too_many_arguments)]
-pub fn save_checkpoint_hot(
-    ctx: &JobContext,
-    backend: DynBackend,
-    prefix: &str,
-    args: SaveArgs<'_>,
-    options: &WorkflowOptions,
-    cache: &PlanCache,
-    pool: &Arc<PinnedPool>,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    telemetry: Option<Arc<MetricsHub>>,
-    hot_tier: Option<Arc<HotTier>>,
-) -> Result<SaveTicket> {
+    let JobContext { options, cache, pool, io, sink, .. } = ctx;
+    let (log, telemetry, hot_tier) = (ctx.failures.clone(), ctx.telemetry.clone(), ctx.hot.clone());
     let rank = ctx.rank();
     let step = args.step;
     let planner = planner_for(ctx.framework);
@@ -553,45 +543,181 @@ pub type TierOverlay = (HashMap<String, Bytes>, Vec<String>);
 
 /// Execute the full load (resharding) workflow on this rank. The state dict
 /// passed in defines the *target* sharding; its tensor values are replaced.
-#[allow(clippy::too_many_arguments)]
+/// With a hot-tier overlay, reads are served from the verified hot copies
+/// first and fall through to the persistent backend, with the per-shard tier
+/// recorded in [`LoadReport::tier`] and in the `load/tier` telemetry span.
 pub fn load_checkpoint(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
     state: &mut TrainState,
-    options: &WorkflowOptions,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    step_hint: u64,
-    telemetry: Option<Arc<MetricsHub>>,
-) -> Result<LoadReport> {
-    load_checkpoint_tiered(
-        ctx, backend, prefix, state, options, io, sink, log, step_hint, telemetry, None,
-    )
-}
-
-/// [`load_checkpoint`] through an optional hot-tier overlay: reads are
-/// served from the verified hot copies first and fall through to the
-/// persistent backend, with the per-shard tier recorded in
-/// [`LoadReport::tier`] and in the `load/tier` telemetry span.
-#[allow(clippy::too_many_arguments)]
-pub fn load_checkpoint_tiered(
-    ctx: &JobContext,
-    backend: DynBackend,
-    prefix: &str,
-    state: &mut TrainState,
-    options: &WorkflowOptions,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    step_hint: u64,
-    telemetry: Option<Arc<MetricsHub>>,
     tier: Option<TierOverlay>,
 ) -> Result<LoadReport> {
-    let result = load_tiered_inner(
-        ctx, backend, prefix, state, options, io, sink, log, step_hint, telemetry, tier,
-    );
+    let JobContext { options, io, sink, failures: log, telemetry, .. } = ctx;
+    let load = || -> Result<LoadReport> {
+        let (tiered, fallbacks) = match tier {
+            Some((map, fb)) => (Some(Arc::new(TieredReadBackend::new(map, backend.clone()))), fb),
+            None => (None, Vec::new()),
+        };
+        let backend: DynBackend = match &tiered {
+            Some(t) => t.clone(),
+            None => backend,
+        };
+        let rank = ctx.rank();
+        let faults = {
+            let comm = ctx.comm.clone();
+            FaultHook::new(options.faults.clone(), rank)
+                .with_on_kill(move || comm.mark_self_failed())
+        };
+        // Root span for the whole load. The true step is only known once the
+        // metadata is parsed, so the root starts at step 0 and is restamped
+        // below.
+        let mut root = sink
+            .span("load", rank, 0)
+            .uncounted()
+            .attr("prefix", prefix)
+            .attr("parallelism", ctx.parallelism.describe())
+            .attr("backend", backend.name());
+        // Step 1: all ranks load the global metadata (committed checkpoints only).
+        faults.check("load/metadata")?;
+        let meta_path = format!("{prefix}/{METADATA_FILE}");
+        let metadata = {
+            let mut t = root.child("load/metadata").path(meta_path.clone());
+            let _in_meta = t.enter();
+            let retries = options.load.retries;
+            let marker = format!("{prefix}/{COMPLETE_MARKER}");
+            let committed =
+                with_retries(retries, log, rank, "load/metadata", Some(&marker), || {
+                    backend.exists(&marker)
+                })?;
+            if !committed {
+                return Err(BcpError::Corrupt(format!(
+                    "checkpoint {prefix} has no {COMPLETE_MARKER} marker \
+                     (torn or in-progress save)"
+                )));
+            }
+            let meta_bytes =
+                with_retries(retries, log, rank, "load/metadata", Some(&meta_path), || {
+                    backend.read(&meta_path)
+                })?;
+            t.add_bytes(meta_bytes.len() as u64);
+            let metadata = GlobalMetadata::from_bytes(&meta_bytes).map_err(BcpError::Corrupt)?;
+            metadata.validate().map_err(BcpError::Corrupt)?;
+            t.set_step(metadata.step);
+            metadata
+        };
+        let step = metadata.step;
+        root.set_step(step);
+
+        // Steps 2-4 under one `load/plan` span: local load plan (box matching),
+        // then the coordinator optimizes (redundant-read elimination) and
+        // scatters the final per-rank assignments.
+        let assigned: AssignedLoadPlan = {
+            let _t = root.child("load/plan");
+            let local: LoadPlan = local_load_plan(rank, state, &metadata)?;
+            if options.dedup_reads {
+                let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
+                let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
+                ctx.comm.scatter(ctx.coordinator(), assigned)?
+            } else {
+                AssignedLoadPlan {
+                    rank,
+                    send_to: vec![Vec::new(); local.items.len()],
+                    reads: local.items,
+                    recvs: Vec::new(),
+                }
+            }
+        };
+
+        // Step 5: engine pipeline.
+        let comm_opt = if options.dedup_reads { Some(&ctx.comm) } else { None };
+        let stats = execute_load(
+            &assigned,
+            state,
+            backend.clone(),
+            prefix,
+            comm_opt,
+            io,
+            sink,
+            log.clone(),
+            &options.load,
+            step,
+            &faults,
+            root.context(),
+        )?;
+
+        // Extra state: this rank's file, else the coordinator's (world grew).
+        let extra = {
+            let file = metadata
+                .extra_files
+                .get(&rank)
+                .or_else(|| metadata.extra_files.get(&ctx.coordinator()))
+                .or_else(|| metadata.extra_files.values().next());
+            match file {
+                Some(f) => {
+                    let path = format!("{prefix}/{f}");
+                    let mut t = root.child("load/extra").path(path.clone());
+                    let _in_extra = t.enter();
+                    let data = with_retries(
+                        options.load.retries,
+                        log,
+                        rank,
+                        "load/extra",
+                        Some(&path),
+                        || backend.read(&path),
+                    )?;
+                    t.add_bytes(data.len() as u64);
+                    Some(ExtraState::unpack(&data).ok_or_else(|| {
+                        BcpError::Corrupt(format!("extra state file {f} is unreadable"))
+                    })?)
+                }
+                None => None,
+            }
+        };
+
+        // Step 6: the optimized collective barrier guarantees atomicity.
+        faults.check("load/barrier")?;
+        {
+            let _t = root.child("sync/load_barrier").attr("collective", ctx.comm.backend_info());
+            ctx.comm.barrier()?;
+        }
+        // Recovery-tier breakdown: which tier served each shard, recorded both
+        // in the report and as a telemetry span so the persisted artifact (and
+        // `bcpctl report --load`) can show it.
+        let tier = tiered.as_ref().map(|t| {
+            let b = TierBreakdown::from_backend(t, fallbacks);
+            let mut span = root.child("load/tier").uncounted();
+            span.set_attr("hot_files", b.hot_files.to_string());
+            span.set_attr("cold_files", b.cold_files.to_string());
+            span.set_attr("hot_bytes", b.hot_bytes.to_string());
+            span.set_attr("cold_bytes", b.cold_bytes.to_string());
+            span.set_attr("fallbacks", b.fallbacks.len().to_string());
+            if !b.fallbacks.is_empty() {
+                span.set_attr("fallback_reasons", b.fallbacks.join("; "));
+            }
+            b
+        });
+        // Close the root span, then persist this load's telemetry next to the
+        // checkpoint (best-effort, separate artifact from the save's).
+        drop(root);
+        if let Some(hub) = telemetry {
+            let mine = collect_rank_telemetry(hub, log, rank, step, "load");
+            if let Err(e) =
+                persist_step_telemetry(&ctx.comm, &backend, prefix, mine, TELEMETRY_LOAD_FILE)
+            {
+                log.log(FailureRecord {
+                    rank,
+                    stage: "load/telemetry".into(),
+                    path: Some(format!("{prefix}/{TELEMETRY_LOAD_FILE}")),
+                    attempt: 1,
+                    error: e.to_string(),
+                    retried: false,
+                });
+            }
+        }
+        Ok(LoadReport { stats, metadata, extra, tier })
+    };
+    let result = load();
     if result.is_err() {
         // Failure propagation: a rank aborting a collective load leaves
         // peers blocked on exchanges and forwards it will never complete.
@@ -600,177 +726,4 @@ pub fn load_checkpoint_tiered(
         ctx.comm.mark_self_failed();
     }
     result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn load_tiered_inner(
-    ctx: &JobContext,
-    backend: DynBackend,
-    prefix: &str,
-    state: &mut TrainState,
-    options: &WorkflowOptions,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    step_hint: u64,
-    telemetry: Option<Arc<MetricsHub>>,
-    tier: Option<TierOverlay>,
-) -> Result<LoadReport> {
-    let (tiered, fallbacks) = match tier {
-        Some((map, fb)) => (Some(Arc::new(TieredReadBackend::new(map, backend.clone()))), fb),
-        None => (None, Vec::new()),
-    };
-    let backend: DynBackend = match &tiered {
-        Some(t) => t.clone(),
-        None => backend,
-    };
-    let rank = ctx.rank();
-    let faults = {
-        let comm = ctx.comm.clone();
-        FaultHook::new(options.faults.clone(), rank).with_on_kill(move || comm.mark_self_failed())
-    };
-    // Root span for the whole load. The true step is only known once the
-    // metadata is parsed, so the root starts on the caller's hint and is
-    // restamped below.
-    let mut root = sink
-        .span("load", rank, step_hint)
-        .uncounted()
-        .attr("prefix", prefix)
-        .attr("parallelism", ctx.parallelism.describe())
-        .attr("backend", backend.name());
-    // Step 1: all ranks load the global metadata (committed checkpoints only).
-    faults.check("load/metadata")?;
-    let meta_path = format!("{prefix}/{METADATA_FILE}");
-    let metadata = {
-        let mut t = root.child("load/metadata").path(meta_path.clone());
-        let _in_meta = t.enter();
-        if !is_committed(&backend, prefix)? {
-            return Err(BcpError::Corrupt(format!(
-                "checkpoint {prefix} has no {COMPLETE_MARKER} marker (torn or in-progress save)"
-            )));
-        }
-        let meta_bytes = with_retries(
-            options.load.retries,
-            &log,
-            rank,
-            "load/metadata",
-            Some(&meta_path),
-            || backend.read(&meta_path),
-        )?;
-        t.add_bytes(meta_bytes.len() as u64);
-        let metadata = GlobalMetadata::from_bytes(&meta_bytes).map_err(BcpError::Corrupt)?;
-        metadata.validate().map_err(BcpError::Corrupt)?;
-        t.set_step(metadata.step);
-        metadata
-    };
-    let step = metadata.step;
-    root.set_step(step);
-
-    // Steps 2-4 under one `load/plan` span: local load plan (box matching),
-    // then the coordinator optimizes (redundant-read elimination) and
-    // scatters the final per-rank assignments.
-    let assigned: AssignedLoadPlan = {
-        let _t = root.child("load/plan");
-        let local: LoadPlan = local_load_plan(rank, state, &metadata)?;
-        if options.dedup_reads {
-            let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
-            let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
-            ctx.comm.scatter(ctx.coordinator(), assigned)?
-        } else {
-            AssignedLoadPlan {
-                rank,
-                send_to: vec![Vec::new(); local.items.len()],
-                reads: local.items,
-                recvs: Vec::new(),
-            }
-        }
-    };
-
-    // Step 5: engine pipeline.
-    let comm_opt = if options.dedup_reads { Some(&ctx.comm) } else { None };
-    let stats = execute_load(
-        &assigned,
-        state,
-        backend.clone(),
-        prefix,
-        comm_opt,
-        io,
-        sink,
-        log.clone(),
-        &options.load,
-        step,
-        &faults,
-        root.context(),
-    )?;
-
-    // Extra state: this rank's file, else the coordinator's (world grew).
-    let extra = {
-        let file = metadata
-            .extra_files
-            .get(&rank)
-            .or_else(|| metadata.extra_files.get(&ctx.coordinator()))
-            .or_else(|| metadata.extra_files.values().next());
-        match file {
-            Some(f) => {
-                let path = format!("{prefix}/{f}");
-                let mut t = root.child("load/extra").path(path.clone());
-                let _in_extra = t.enter();
-                let data = with_retries(
-                    options.load.retries,
-                    &log,
-                    rank,
-                    "load/extra",
-                    Some(&path),
-                    || backend.read(&path),
-                )?;
-                t.add_bytes(data.len() as u64);
-                Some(ExtraState::unpack(&data).ok_or_else(|| {
-                    BcpError::Corrupt(format!("extra state file {f} is unreadable"))
-                })?)
-            }
-            None => None,
-        }
-    };
-
-    // Step 6: the optimized collective barrier guarantees atomicity.
-    faults.check("load/barrier")?;
-    {
-        let _t = root.child("sync/load_barrier").attr("collective", ctx.comm.backend_info());
-        ctx.comm.barrier()?;
-    }
-    // Recovery-tier breakdown: which tier served each shard, recorded both
-    // in the report and as a telemetry span so the persisted artifact (and
-    // `bcpctl report --load`) can show it.
-    let tier = tiered.as_ref().map(|t| {
-        let b = TierBreakdown::from_backend(t, fallbacks);
-        let mut span = root.child("load/tier").uncounted();
-        span.set_attr("hot_files", b.hot_files.to_string());
-        span.set_attr("cold_files", b.cold_files.to_string());
-        span.set_attr("hot_bytes", b.hot_bytes.to_string());
-        span.set_attr("cold_bytes", b.cold_bytes.to_string());
-        span.set_attr("fallbacks", b.fallbacks.len().to_string());
-        if !b.fallbacks.is_empty() {
-            span.set_attr("fallback_reasons", b.fallbacks.join("; "));
-        }
-        b
-    });
-    // Close the root span, then persist this load's telemetry next to the
-    // checkpoint (best-effort, separate artifact from the save's).
-    drop(root);
-    if let Some(hub) = &telemetry {
-        let mine = collect_rank_telemetry(hub, &log, rank, step, "load");
-        if let Err(e) =
-            persist_step_telemetry(&ctx.comm, &backend, prefix, mine, TELEMETRY_LOAD_FILE)
-        {
-            log.log(FailureRecord {
-                rank,
-                stage: "load/telemetry".into(),
-                path: Some(format!("{prefix}/{TELEMETRY_LOAD_FILE}")),
-                attempt: 1,
-                error: e.to_string(),
-                retried: false,
-            });
-        }
-    }
-    Ok(LoadReport { stats, metadata, extra, tier })
 }

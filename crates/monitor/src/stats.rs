@@ -2,8 +2,7 @@
 //!
 //! The control plane tracks per-job commit latency with a
 //! [`LatencyAccumulator`]; [`LatencySnapshot`] is the serializable summary
-//! that crosses the coordinator wire and lands in
-//! `results/BENCH_coordinator.json`.
+//! that crosses the coordinator wire and lands in `bcpctl status`.
 //! Exact percentiles over the recorded samples (bounded; the accumulator
 //! keeps the most recent [`LatencyAccumulator::capacity`] samples).
 

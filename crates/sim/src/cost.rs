@@ -69,8 +69,9 @@ pub struct CostModel {
     /// Cost to decompose one flat-sharded tensor into ShardMeta boxes, as
     /// measured for the paper's production (Python) implementation: ~8 ms
     /// per item, calibrated to Table 7's ~0.2 s scale-independent
-    /// decomposition times. (Our Rust decomposition is far faster — see the
-    /// criterion benches — but the table models the published system.)
+    /// decomposition times. (Our Rust decomposition is far faster — see
+    /// `perf/`'s `core.decompose.shard_metas.us_per_entry` — but the table
+    /// models the published system.)
     pub decompose_item_cost: f64,
 
     // ---- Dataloader (§4.4) ----

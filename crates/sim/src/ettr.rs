@@ -42,31 +42,6 @@ pub fn ettr_tiered(
     ettr(t_save, t_load, n, t_iter)
 }
 
-/// ETTR against a throttled object-store tier: a backend shedding load
-/// stretches every save and load by the waiting the client's pacing layer
-/// absorbs. `throttle_rate` is the fraction of requests answered with a
-/// slow-down, and `retry_after` the mean server hint (seconds); each
-/// affected operation pays `ops * throttle_rate * retry_after` of extra
-/// wall time on top of its calm-weather duration. At rate 0 this reduces
-/// exactly to [`ettr`].
-#[allow(clippy::too_many_arguments)]
-pub fn ettr_throttled(
-    t_save: f64,
-    t_load: f64,
-    save_ops: u64,
-    load_ops: u64,
-    throttle_rate: f64,
-    retry_after: f64,
-    n: u64,
-    t_iter: f64,
-) -> f64 {
-    let p = throttle_rate.clamp(0.0, 1.0);
-    let pause = retry_after.max(0.0);
-    let t_save = t_save + save_ops as f64 * p * pause;
-    let t_load = t_load + load_ops as f64 * p * pause;
-    ettr(t_save, t_load, n, t_iter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,28 +92,6 @@ mod tests {
         let tiered = ettr_tiered(27.47, 0.8, 50.12, 1.0, 100, 5.5);
         let hot = ettr(27.47, 0.8, 100, 5.5);
         assert!((tiered - hot).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throttled_reduces_to_ettr_at_rate_zero_and_degrades_monotonically() {
-        let (ts, tl, n, ti) = (27.47, 11.69, 100, 5.5);
-        let calm = ettr_throttled(ts, tl, 200, 80, 0.0, 0.5, n, ti);
-        assert!((calm - ettr(ts, tl, n, ti)).abs() < 1e-12);
-        let mut prev = f64::MAX;
-        for i in 0..=10 {
-            let e = ettr_throttled(ts, tl, 200, 80, i as f64 / 10.0, 0.5, n, ti);
-            assert!(e < prev, "throttle rate {} did not degrade: {e}", i as f64 / 10.0);
-            prev = e;
-        }
-        // Rates and hints clamp instead of extrapolating or going negative.
-        assert_eq!(
-            ettr_throttled(ts, tl, 200, 80, 2.0, 0.5, n, ti),
-            ettr_throttled(ts, tl, 200, 80, 1.0, 0.5, n, ti)
-        );
-        assert_eq!(
-            ettr_throttled(ts, tl, 200, 80, 0.5, -1.0, n, ti),
-            ettr_throttled(ts, tl, 200, 80, 0.5, 0.0, n, ti)
-        );
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! The paper's Appendix B keeps saves alive with retries; production
 //! deployments additionally keep a *hot tier* (e.g. Gemini-style in-memory
 //! storage) to absorb durable-tier outages. [`FallbackBackend`] composes the
-//! two: write-class operations go to the primary until `threshold`
-//! consecutive-attempt failures accumulate, after which the wrapper *trips*
-//! and routes all subsequent writes to the secondary. The downgrade is
-//! recorded as a [`FailoverEvent`] and reported to an optional observer so
-//! the engine can log it into its `FailureLog` and `MetricsSink`.
+//! two: write-class operations go to the primary until `threshold` attempts
+//! in a row fail (a success in between resets the count), after which the
+//! wrapper *trips* — one way — and routes all subsequent writes to the
+//! secondary. The downgrade is recorded as a [`FailoverEvent`] and reported
+//! to an optional observer so the engine can log it into its `FailureLog`
+//! and `MetricsSink`.
 //!
 //! Reads consult both tiers (the tripped tier first), so a checkpoint whose
 //! files straddle the failover boundary still loads.
@@ -31,8 +32,8 @@ pub struct FailoverEvent {
 /// Callback invoked when the wrapper trips over to the secondary.
 pub type FailoverObserver = Arc<dyn Fn(&FailoverEvent) + Send + Sync>;
 
-/// A write-path failover wrapper: primary until `threshold` write failures,
-/// secondary afterwards. See the module docs for the full contract.
+/// A write-path failover wrapper: primary until `threshold` write failures
+/// in a row, secondary afterwards. See the module docs for the full contract.
 pub struct FallbackBackend {
     primary: DynBackend,
     secondary: DynBackend,
@@ -45,7 +46,8 @@ pub struct FallbackBackend {
 
 impl FallbackBackend {
     /// Wrap `primary` with `secondary` as the degraded tier, tripping after
-    /// 3 write failures (one default retry policy's worth of attempts).
+    /// 3 write failures in a row (one default retry policy's worth of
+    /// attempts).
     pub fn new(primary: DynBackend, secondary: DynBackend) -> FallbackBackend {
         FallbackBackend::with_threshold(primary, secondary, 3)
     }
@@ -77,7 +79,8 @@ impl FallbackBackend {
         self.tripped.load(Ordering::Acquire)
     }
 
-    /// Primary-backend write failures observed so far.
+    /// Primary-backend write failures in a row (a primary write success
+    /// resets the count).
     pub fn failures(&self) -> u32 {
         self.failures.load(Ordering::Relaxed)
     }
@@ -111,7 +114,12 @@ impl FallbackBackend {
             return op(self.secondary.as_ref());
         }
         match op(self.primary.as_ref()) {
-            Ok(v) => Ok(v),
+            Ok(v) => {
+                // The run of failures is over: transients a retry absorbed
+                // must not add up, over a job's life, to a trip.
+                self.failures.store(0, Ordering::Release);
+                Ok(v)
+            }
             Err(e) if e.kind() == crate::StorageErrorKind::Terminal => Err(e),
             Err(e) => {
                 let seen = self.failures.fetch_add(1, Ordering::AcqRel) + 1;
@@ -262,6 +270,38 @@ mod tests {
         fb.write("b", data).unwrap();
         assert!(secondary.exists("b").unwrap());
         assert_eq!(fb.events().len(), 1, "trip recorded once");
+    }
+
+    #[test]
+    fn spaced_out_transients_never_trip_but_a_run_of_failures_does() {
+        // Every path's first write fails once (a retry absorbs it); writes
+        // under `dead/` never succeed.
+        let rules = vec![
+            FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX }).on("dead/"),
+            FaultRule::new(OpSet::Writes, Fault::Fail { times: 1 }),
+        ];
+        let primary: DynBackend =
+            Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, rules));
+        let secondary: DynBackend = Arc::new(MemoryBackend::new());
+        let fb = FallbackBackend::new(primary.clone(), secondary.clone());
+        let data = Bytes::from_static(b"x");
+        for i in 0..8 {
+            let path = format!("ok/{i}");
+            assert!(matches!(fb.write(&path, data.clone()), Err(StorageError::Injected { .. })));
+            fb.write(&path, data.clone()).unwrap();
+            assert_eq!(fb.failures(), 0, "a primary success ends the run of failures");
+            assert!(primary.exists(&path).unwrap());
+        }
+        assert!(!fb.is_degraded(), "eight absorbed transients are not an outage");
+        // Three failures in a row (the default threshold) still trip, one way.
+        assert!(fb.write("dead/a", data.clone()).is_err());
+        assert!(fb.write("dead/a", data.clone()).is_err());
+        fb.write("dead/a", data.clone()).unwrap();
+        assert!(fb.is_degraded());
+        assert!(secondary.exists("dead/a").unwrap());
+        assert_eq!(fb.events(), vec![FailoverEvent { path: "dead/a".into(), failures: 3 }]);
+        fb.write("ok/late", data).unwrap();
+        assert!(secondary.exists("ok/late").unwrap(), "the trip does not reset");
     }
 
     #[test]

@@ -332,9 +332,9 @@ impl layer::Layer for ReadCache {
     }
 }
 
-/// A test/bench layer that counts backend read operations and bytes —
-/// the instrument the single-flight tests and `bench_fanout` use to prove
-/// "exactly one backend fetch per chunk" and the backend-bytes bound.
+/// A test layer that counts backend read operations and bytes — the
+/// instrument the single-flight tests (`tests/readcache.rs`) and the
+/// O(runs) load tests use to prove "exactly one backend fetch per chunk".
 pub struct OpCountingBackend {
     inner: DynBackend,
     reads: AtomicU64,

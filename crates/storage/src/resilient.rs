@@ -789,7 +789,7 @@ impl layer::Layer for ResilientBackend {
 mod tests {
     use super::*;
     use crate::object::{ObjectStoreBackend, ObjectStoreConfig};
-    use crate::retry::TestClock;
+    use crate::retry::{RetryClock, TestClock};
     use crate::{Fault, FaultLayer, FaultRule, MemoryBackend, OpCountingBackend, OpSet};
 
     fn fast_retry() -> RetryPolicy {
@@ -853,6 +853,66 @@ mod tests {
         // Every backoff slept at least the server hint (virtual clock
         // recorded the sleeps; the hint at 20 qps is >= 50ms).
         assert!(clock.sleeps().iter().any(|d| *d >= Duration::from_millis(50)));
+    }
+
+    /// The goodput gate: under a throttling storm the paced client (server
+    /// hints honored, AIMD rate cap) moves the same seeded workload at least
+    /// twice as fast as a tight-retry client that ignores `retry-after` and
+    /// burns `reject_cost` of a token on every rejection. Virtual time.
+    #[test]
+    fn paced_goodput_is_at_least_twice_naive_tight_retry_under_a_storm() {
+        const OBJECTS: usize = 50;
+        let storm = |clock: &Arc<TestClock>| {
+            Arc::new(ObjectStoreBackend::with_clock(
+                ObjectStoreConfig {
+                    request_latency: Duration::from_millis(2),
+                    per_mib_latency: Duration::from_millis(4),
+                    qps_limit: Some(10.0),
+                    capacity: 8.0,
+                    reject_cost: 0.25,
+                    seed: 0x0B1EC7,
+                    ..ObjectStoreConfig::default()
+                },
+                clock.clone(),
+            ))
+        };
+        let payload = Bytes::from(vec![0xAB; 256 * 1024]);
+
+        // Naive: fixed-schedule exponential backoff from 5 ms, capped at
+        // 100 ms, blind to the server's hint.
+        let clock = Arc::new(TestClock::new());
+        let store = storm(&clock);
+        for i in 0..OBJECTS {
+            let mut backoff = Duration::from_millis(5);
+            while store.write(&format!("naive/{i}"), payload.clone()).is_err() {
+                clock.sleep(backoff);
+                backoff = (backoff * 2).min(Duration::from_millis(100));
+            }
+        }
+        let (naive_wall, naive_throttled) = (clock.now(), store.stats().throttled);
+
+        let clock = Arc::new(TestClock::new());
+        let store = storm(&clock);
+        let paced = ResilientBackend::with_clock(
+            store.clone(),
+            ResilienceConfig {
+                retry: RetryPolicy::exponential(8, Duration::from_millis(5)),
+                ..ResilienceConfig::default()
+            },
+            clock.clone(),
+        );
+        for i in 0..OBJECTS {
+            paced.write(&format!("paced/{i}"), payload.clone()).expect("paced write lands");
+        }
+        let (paced_wall, paced_throttled) = (clock.now(), store.stats().throttled);
+
+        assert!(naive_throttled > 0 && paced_throttled > 0, "the storm must throttle both clients");
+        // Same bytes on both sides, so goodput is the inverse of wall time.
+        let improvement = naive_wall.as_secs_f64() / paced_wall.as_secs_f64();
+        assert!(
+            improvement >= 2.0,
+            "paced {paced_wall:?} vs naive {naive_wall:?}: only {improvement:.2}x"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ mod common;
 
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
+use bytecheckpoint::storage::{Fault, FaultRule, OpSet};
 use common::{assert_states_eq, reference_state, run_ranks};
 use std::sync::Arc;
 use std::time::Duration;
@@ -164,4 +165,79 @@ fn frame_level_crc_catches_bit_flips() {
     flipped[mid] ^= 0x01;
     let err = bytecheckpoint::core::format::decode_frames(&bytes::Bytes::from(flipped));
     assert!(err.is_err(), "bit flip must fail CRC verification");
+}
+
+/// Two committed DDP steps under `mem://x/<root>/step_{1,2}`; returns the
+/// store.
+fn two_committed_steps(root: &'static str, par: Parallelism) -> DynBackend {
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Memory, mem.clone());
+    run_ranks(par, Framework::Ddp, Arc::new(reg), move |rank, ckpt| {
+        for step in [1, 2] {
+            let state = reference_state(&zoo::tiny_gpt(), Framework::Ddp, par, rank, step);
+            ckpt.save(&SaveRequest::new(format!("mem://x/{root}/step_{step}"), &state, step))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+    });
+    mem
+}
+
+/// A registry over `mem` behind a schedule of one-shot failures, plus the
+/// injector (shared by every rank) to count what fired.
+fn behind_faults(
+    mem: &DynBackend,
+    rules: Vec<FaultRule>,
+) -> (Arc<BackendRegistry>, Arc<FaultLayer>) {
+    let faulty = Arc::new(FaultLayer::new(mem.clone(), 0, rules));
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Memory, faulty.clone());
+    (Arc::new(reg), faulty)
+}
+
+#[test]
+fn a_transient_read_during_verification_does_not_quarantine_the_newest_step() {
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let mem = two_committed_steps("verify", par);
+    // The first read of the newest step's metadata — the coordinator's
+    // verification scrub — fails once.
+    let meta = format!("step_2/{METADATA_FILE}");
+    let (registry, faulty) =
+        behind_faults(&mem, vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on(&meta)]);
+    let resumed = run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        let out = ckpt.load_latest("mem://x/verify", &mut state, None).unwrap().unwrap();
+        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), fw, par, rank, 2), rank);
+        (out.resumed_step(), out.quarantined)
+    });
+    assert_eq!(faulty.injected(), 1, "the scheduled failure fired");
+    for (step, quarantined) in resumed {
+        assert_eq!(step, 2, "no fallback to the older step");
+        assert!(quarantined.is_empty(), "a healthy step was set aside: {quarantined:?}");
+    }
+    let mgr = CheckpointManager::new(mem.clone(), "verify");
+    assert_eq!(mgr.latest().unwrap().unwrap().step, 2);
+    assert!(mem.list("verify/quarantine").unwrap().is_empty());
+}
+
+#[test]
+fn a_load_survives_one_failed_commit_marker_probe() {
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let mem = two_committed_steps("probe", par);
+    let (registry, faulty) = behind_faults(
+        &mem,
+        vec![FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 }).on("step_2/COMPLETE")],
+    );
+    let retried = run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        ckpt.load(&mut LoadRequest::new("mem://x/probe/step_2", &mut state)).unwrap();
+        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), fw, par, rank, 2), rank);
+        ckpt.failures().records().iter().filter(|r| r.stage == "load/metadata" && r.retried).count()
+    });
+    assert_eq!(faulty.injected(), 1, "the scheduled failure fired");
+    assert_eq!(retried.iter().sum::<usize>(), 1, "absorbed under the load retry policy");
 }
