@@ -1,7 +1,8 @@
 //! Self-healing coordinator client: [`ReconnectingClient`] wraps
-//! [`CoordinatorClient`] with automatic reconnection driven by the core
-//! [`RetryPolicy`] (backoff, jitter, overall deadline — all testable on a
-//! virtual clock) and idempotent replay of in-flight requests.
+//! [`CoordinatorClient`] with automatic reconnection driven by
+//! [`RetryPolicy::run`] — the same loop the engine's storage path runs
+//! (backoff, jitter, overall deadline, all testable on a virtual clock) —
+//! and idempotent replay of in-flight requests.
 //!
 //! The replay story: every commit report carries a client-assigned
 //! sequence number, assigned *before* the first send attempt, so a report
@@ -14,18 +15,20 @@
 //! the caller gets a typed `PermissionDenied` error.
 //!
 //! When the retry budget is exhausted the client enters *degraded mode*:
-//! each subsequent call makes exactly one quick attempt instead of a full
-//! backoff cycle, so a training loop whose coordinator died keeps stepping
-//! at full speed (saves never block on control-plane availability). The
-//! first successful exchange heals the client back to normal operation.
+//! each subsequent call runs the policy with `max_attempts: 1` — exactly
+//! one quick attempt instead of a full backoff cycle — so a training loop
+//! whose coordinator died keeps stepping at full speed (saves never block
+//! on control-plane availability). The first successful exchange heals the
+//! client back to normal operation.
 
 use crate::admission::AdmissionOutcome;
 use crate::client::CoordinatorClient;
 use crate::wire::{Request, Response};
-use bcp_core::integrity::{RetryClock, RetryPolicy, SystemClock};
+use bcp_core::integrity::{RetryClock, RetryPolicy, SystemClock, Verdict};
 use bcp_core::spec::JobSpec;
 use bcp_monitor::{FrameSink, TelemetryFrame};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,46 +248,37 @@ impl ReconnectingClient {
             .ok_or_else(|| proto_err("client is not bound to a job; call register first".into()))
     }
 
-    /// The retry loop: build the request against the *current* generation
-    /// each attempt (a mid-loop re-registration may have bumped it), send,
-    /// and on wire failure drop the poisoned connection, back off on the
-    /// injected clock, and try again. `Fenced` answers return immediately
-    /// (terminal). Exhausting the budget flips degraded mode on; any
-    /// success flips it off.
+    /// One request under [`RetryPolicy::run`] on the injected clock: build
+    /// it against the *current* generation each attempt (a mid-loop
+    /// re-registration may have bumped it), send, and on wire failure drop
+    /// the poisoned connection so the next attempt reconnects. A fencing
+    /// error stops the loop at once (terminal). Exhausting the budget flips
+    /// degraded mode on; any success flips it off.
     fn call<F>(&mut self, build: F) -> io::Result<Response>
     where
         F: Fn(u64) -> Request,
     {
-        let start = self.clock.now();
-        let budget = if self.degraded { 1 } else { self.policy.max_attempts.max(1) };
-        let seed = self.addr.port() as u64;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.attempt_once(&build) {
-                Ok(resp) => {
-                    self.degraded = false;
-                    return Ok(resp);
+        let budget = if self.degraded { 1 } else { self.policy.max_attempts };
+        let policy = RetryPolicy { max_attempts: budget, ..self.policy };
+        let (clock, seed) = (self.clock.clone(), self.addr.port() as u64);
+        let this = RefCell::new(&mut *self);
+        let result = policy.run(
+            clock.as_ref(),
+            seed,
+            || this.borrow_mut().attempt_once(&build),
+            |e| if is_fenced(e) { Verdict::Stop } else { Verdict::Retry },
+            |_, e, wait| {
+                if !is_fenced(e) {
+                    let mut this = this.borrow_mut();
+                    this.conn = None; // poisoned or never established
+                    this.degraded = wait.is_none(); // no retry follows: budget spent
                 }
-                Err(e) if is_fenced(&e) => return Err(e),
-                Err(e) => {
-                    self.conn = None; // poisoned or never established
-                    if attempt >= budget {
-                        self.degraded = true;
-                        return Err(e);
-                    }
-                    let backoff = self.policy.backoff_for(attempt, seed);
-                    if let Some(deadline) = self.policy.deadline {
-                        if self.clock.now().saturating_add(backoff) > start.saturating_add(deadline)
-                        {
-                            self.degraded = true;
-                            return Err(e);
-                        }
-                    }
-                    self.clock.sleep(backoff);
-                }
-            }
+            },
+        );
+        if result.is_ok() {
+            self.degraded = false;
         }
+        result
     }
 
     /// One attempt: (re)establish the connection if needed — re-asserting

@@ -22,7 +22,9 @@ use crate::engine::iopool::IoPool;
 use crate::engine::pool::PinnedPool;
 use crate::fault::{FaultHook, FaultPlan};
 use crate::hottier::{assemble_hot_step, HotTierConfig, TierBreakdown};
-use crate::integrity::{with_retries, FailureLog, FailureRecord, RetryPolicy};
+use crate::integrity::{
+    with_retries, FailureLog, FailureRecord, RetryClock, RetryPolicy, SystemClock,
+};
 use crate::loader_reshard::load_loader_states;
 use crate::manager::{CheckpointManager, QuarantinedStep};
 use crate::planner::cache::PlanCache;
@@ -37,7 +39,7 @@ use bcp_collectives::Communicator;
 use bcp_dataloader::{LoaderReplicatedState, LoaderShardState};
 use bcp_model::{ExtraState, Framework, TrainState};
 use bcp_monitor::{MetricsHub, MetricsSink};
-use bcp_storage::{assemble, CheckpointLocation, DynBackend, HotTier, StackConfig};
+use bcp_storage::{assemble, CheckpointLocation, DynBackend, HotTier, StackConfig, StorageError};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 
@@ -200,6 +202,7 @@ pub struct CheckpointerBuilder {
     sink: MetricsSink,
     telemetry: bool,
     hot_handle: Option<Arc<HotTier>>,
+    clock: Arc<dyn RetryClock>,
 }
 
 impl CheckpointerBuilder {
@@ -213,6 +216,7 @@ impl CheckpointerBuilder {
             sink: MetricsSink::disabled(),
             telemetry: true,
             hot_handle: None,
+            clock: Arc::new(SystemClock::default()),
         }
     }
 
@@ -246,6 +250,14 @@ impl CheckpointerBuilder {
     pub fn retry_policy(mut self, retries: RetryPolicy) -> CheckpointerBuilder {
         self.workflow.save.retries = retries;
         self.workflow.load.retries = retries;
+        self
+    }
+
+    /// The clock the retry loop waits on (defaults to real time). A test
+    /// seam: given the virtual clock a simulated storage stack runs on, every
+    /// backoff and every hint the stack computes is slept virtually.
+    pub fn clock(mut self, clock: Arc<dyn RetryClock>) -> CheckpointerBuilder {
+        self.clock = clock;
         self
     }
 
@@ -337,6 +349,7 @@ impl CheckpointerBuilder {
             self.hot_handle
                 .unwrap_or_else(|| Arc::new(HotTier::new(self.workflow.hot.capacity_steps)))
         });
+        let failures = FailureLog::new().with_clock(self.clock).with_sink(sink.clone());
         let ctx = JobContext {
             comm: self.comm,
             framework,
@@ -346,7 +359,7 @@ impl CheckpointerBuilder {
             cache: PlanCache::new(),
             pool: PinnedPool::new(2),
             io: IoPool::new(io_threads),
-            failures: Arc::new(FailureLog::new()),
+            failures: Arc::new(failures),
             telemetry,
             hot,
         };
@@ -397,6 +410,18 @@ impl Checkpointer {
             .top
     }
 
+    /// One storage operation the resume path issues outside the load
+    /// workflow, under the load retry policy, logged with its stage.
+    fn retried<T>(
+        &self,
+        stage: &str,
+        path: &str,
+        op: impl FnMut() -> std::result::Result<T, StorageError>,
+    ) -> Result<T> {
+        let ctx = &self.ctx;
+        with_retries(ctx.options.load.retries, &ctx.failures, ctx.rank(), stage, Some(path), op)
+    }
+
     /// `bytecheckpoint.save`: checkpoint the given states under the
     /// request's location. Returns a ticket whose `blocking` is the
     /// checkpoint stall; `wait()` joins the asynchronous tail (upload,
@@ -434,8 +459,10 @@ impl Checkpointer {
         let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state, overlay)?;
         let loader = match req.loader_target {
             Some(t) => load_loader_states(
-                &backend,
-                &uri.key,
+                |file| {
+                    let path = format!("{}/{file}", uri.key);
+                    self.retried("load/loader", &path, || backend.read(&path))
+                },
                 &report.metadata,
                 t.dp_size,
                 t.workers_per_rank,
@@ -475,24 +502,21 @@ impl Checkpointer {
         let backend = self.registry.resolve(root.uri())?;
         let coordinator = self.ctx.coordinator();
         let decision: (Option<u64>, Vec<QuarantinedStep>) = if self.ctx.rank() == coordinator {
-            let mgr = CheckpointManager::new(backend.clone(), root.uri().key.clone());
-            mgr.gc_torn()?;
+            let job_root = &root.uri().key;
+            let mgr = CheckpointManager::new(backend.clone(), job_root.clone());
+            self.retried("load/discover", job_root, || mgr.gc_torn())?;
             let mut quarantined = Vec::new();
             let chosen = loop {
-                let Some(candidate) = mgr.latest()? else { break None };
+                let latest = self.retried("load/discover", job_root, || mgr.latest())?;
+                let Some(candidate) = latest else { break None };
                 if !self.ctx.options.verified_fallback {
                     break Some(candidate.step);
                 }
                 // Under the load retry policy: a transient backend error
                 // must neither fail the resume nor condemn a healthy step.
-                let report = with_retries(
-                    self.ctx.options.load.retries,
-                    &self.ctx.failures,
-                    self.ctx.rank(),
-                    "load/verify",
-                    Some(&candidate.prefix),
-                    || scrub_step(&backend, &candidate.prefix, candidate.step),
-                )?;
+                let report = self.retried("load/verify", &candidate.prefix, || {
+                    scrub_step(&backend, &candidate.prefix, candidate.step)
+                })?;
                 if report.is_clean() {
                     break Some(candidate.step);
                 }
@@ -509,7 +533,9 @@ impl Checkpointer {
                     error: reason.clone(),
                     retried: true,
                 });
-                mgr.quarantine(candidate.step)?;
+                self.retried("load/discover", &candidate.prefix, || {
+                    mgr.quarantine(candidate.step)
+                })?;
                 quarantined.push(QuarantinedStep { step: candidate.step, reason });
             };
             self.ctx.comm.broadcast(coordinator, Some((chosen, quarantined)))?

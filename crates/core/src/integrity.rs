@@ -1,20 +1,26 @@
-//! Integrity guarantee: retry policies, failure logging, failover
-//! accounting, and the commit protocol (Appendix B).
+//! Integrity guarantee: the retry loop's one storage-path owner, failure
+//! logging, and the commit protocol (Appendix B).
 //!
 //! "A complete checkpoint consists of multiple files stored by different
 //! workers. The failure of any single worker can corrupt the entire
 //! checkpoint." The protections:
 //!
-//! * Upload/download **retries** under a configurable [`RetryPolicy`] —
-//!   exponential backoff with deterministic jitter, an attempt cap, and an
-//!   optional overall deadline — with failure logging "which records the
-//!   exact stage of failure within the checkpoint saving/loading
-//!   pipelines". Retries sleep through a [`RetryClock`] so tests can verify
-//!   the exact backoff schedule on a virtual clock ([`TestClock`]).
-//! * **Failover accounting**: when a [`FallbackBackend`] trips over to its
-//!   secondary tier after retry exhaustion, [`record_failovers`] routes the
-//!   downgrade into the [`FailureLog`] and the `MetricsSink` so operators
-//!   see the degradation, not just the eventual success.
+//! * Upload/download **retries**: every storage operation of both
+//!   pipelines goes through [`with_retries`], which runs it under
+//!   [`RetryPolicy::run`] — the one retry loop in the workspace — and turns
+//!   every failed attempt into one [`FailureRecord`] "which records the
+//!   exact stage of failure within the checkpoint saving/loading pipelines"
+//!   plus, when a retry follows, one `resil/retry` point span (a throttle
+//!   adds `resil/throttled` with its `retry_after_ms`), each carrying the
+//!   `stage`. The loop is owned here rather than in the storage stack
+//!   because the stage is: the layers below shape an attempt and never
+//!   repeat one, and what the loop needs from them arrives as a typed error
+//!   ([`StorageError::verdict`]) — so attempts per logical operation never
+//!   exceed the policy cap, however the stack is assembled.
+//! * The [`FailureLog`] carries what the loop needs besides the policy: the
+//!   `MetricsSink` its point spans go to and the [`RetryClock`] it waits on
+//!   (given the clock the stack runs on, a `CircuitOpen` cooldown is slept
+//!   on the clock it was measured on).
 //! * An **asynchronous tree-based barrier** (provided by
 //!   `bcp-collectives`' tree backend) after which the coordinator commits
 //!   the checkpoint by writing the global metadata file and a `COMPLETE`
@@ -25,23 +31,48 @@
 use crate::metadata::COMPLETE_MARKER;
 use crate::{BcpError, Result};
 use bcp_monitor::MetricsSink;
-use bcp_storage::fallback::FallbackBackend;
-use bcp_storage::{DynBackend, ResilienceEvent, ResilientBackend, StorageError};
+use bcp_storage::retry::site_seed;
+use bcp_storage::{DynBackend, StorageError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 pub use bcp_monitor::FailureRecord;
+pub use bcp_storage::retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
 
-/// Collects [`FailureRecord`]s across engine threads.
-#[derive(Debug, Default)]
+/// Collects [`FailureRecord`]s across engine threads, and carries the clock
+/// and the sink [`with_retries`] waits on and reports to.
 pub struct FailureLog {
     records: Mutex<Vec<FailureRecord>>,
+    clock: Arc<dyn RetryClock>,
+    sink: MetricsSink,
+}
+
+impl Default for FailureLog {
+    fn default() -> FailureLog {
+        FailureLog::new()
+    }
 }
 
 impl FailureLog {
-    /// Empty log.
+    /// Empty log on the real clock, its point spans going nowhere.
     pub fn new() -> FailureLog {
-        FailureLog::default()
+        FailureLog {
+            records: Mutex::new(Vec::new()),
+            clock: Arc::new(SystemClock::default()),
+            sink: MetricsSink::disabled(),
+        }
+    }
+
+    /// Wait between attempts on `clock`.
+    pub fn with_clock(mut self, clock: Arc<dyn RetryClock>) -> FailureLog {
+        self.clock = clock;
+        self
+    }
+
+    /// Emit the `resil/retry` / `resil/throttled` point spans into `sink`.
+    pub fn with_sink(mut self, sink: MetricsSink) -> FailureLog {
+        self.sink = sink;
+        self
     }
 
     /// Append a record.
@@ -65,16 +96,11 @@ impl FailureLog {
     }
 }
 
-// The retry primitives (policy, clocks, jitter seeding) now live in
-// `bcp-storage`'s `retry` module so the storage-level resilience wrapper
-// ([`bcp_storage::ResilientBackend`]) can share them; re-exported here so
-// every existing `bcp_core::integrity::{RetryPolicy, TestClock, ...}` caller
-// keeps compiling unchanged.
-pub use bcp_storage::retry::{RetryClock, RetryPolicy, SystemClock, TestClock};
-
-use bcp_storage::retry::site_seed;
-
-/// Run a storage operation under the retry policy on the real clock.
+/// Run a storage operation under the retry policy — [`RetryPolicy::run`] on
+/// the log's clock, classified by [`StorageError::verdict`] (`Terminal`
+/// surfaces at once, `Throttled` waits the larger of backoff and hint,
+/// `Retryable` follows the schedule) — logging every failed attempt with its
+/// pipeline stage. A success adds no allocation, lock or span.
 pub fn with_retries<T>(
     policy: RetryPolicy,
     log: &FailureLog,
@@ -83,156 +109,26 @@ pub fn with_retries<T>(
     path: Option<&str>,
     op: impl FnMut() -> std::result::Result<T, StorageError>,
 ) -> Result<T> {
-    with_retries_on(&SystemClock::default(), policy, log, rank, stage, path, op)
-}
-
-/// Run a storage operation under the retry policy, logging every failure
-/// with its pipeline stage. Gives up when the attempt cap is reached or
-/// when the next backoff would overrun the policy's deadline (measured on
-/// `clock` from entry to this function).
-///
-/// The loop branches on [`bcp_storage::StorageErrorKind`], not error text:
-///
-/// * `Terminal` errors (`NotFound`, `AlreadyExists`, ...) are semantic —
-///   retrying cannot fix them — so they surface immediately with no backoff
-///   burned, regardless of attempts remaining.
-/// * `Throttled` errors carry a server `retry-after` hint; the wait before
-///   the next attempt is the *larger* of the policy backoff and the hint,
-///   so a polite client never hammers a backend that asked for room.
-/// * `Retryable` errors follow the plain policy schedule.
-pub fn with_retries_on<T>(
-    clock: &dyn RetryClock,
-    policy: RetryPolicy,
-    log: &FailureLog,
-    rank: usize,
-    stage: &str,
-    path: Option<&str>,
-    mut op: impl FnMut() -> std::result::Result<T, StorageError>,
-) -> Result<T> {
-    let seed = site_seed(rank, stage, path);
-    let start = clock.now();
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                let terminal = e.kind() == bcp_storage::StorageErrorKind::Terminal;
-                let mut backoff = policy.backoff_for(attempt, seed);
-                if let Some(hint) = e.retry_after() {
-                    backoff = backoff.max(hint);
-                }
-                let within_deadline = policy
-                    .deadline
-                    .is_none_or(|d| clock.now().saturating_sub(start) + backoff <= d);
-                let retried = !terminal && attempt < policy.max_attempts && within_deadline;
-                log.log(FailureRecord {
-                    rank,
-                    stage: stage.to_string(),
-                    path: path.map(str::to_string),
-                    attempt,
-                    error: e.to_string(),
-                    retried,
-                });
-                if !retried {
-                    return Err(BcpError::Storage(e));
-                }
-                clock.sleep(backoff);
-            }
-        }
-    }
-}
-
-/// Stage name under which primary→secondary failovers are logged.
-pub const FAILOVER_STAGE: &str = "storage/failover";
-
-/// Wire a [`FallbackBackend`]'s trip event into the failure log and the
-/// metrics stream: the downgrade shows up as a [`FailureRecord`] with stage
-/// [`FAILOVER_STAGE`] and as a point span of the same name (under whichever
-/// operation tripped it), so both the post-mortem log and live dashboards
-/// see the degradation.
-pub fn record_failovers(
-    backend: &FallbackBackend,
-    log: Arc<FailureLog>,
-    sink: MetricsSink,
-    rank: usize,
-) {
-    backend.set_observer(Arc::new(move |event| {
+    let observe = |attempt: u32, e: &StorageError, wait: Option<std::time::Duration>| {
         log.log(FailureRecord {
             rank,
-            stage: FAILOVER_STAGE.to_string(),
-            path: Some(event.path.clone()),
-            attempt: event.failures,
-            error: format!(
-                "primary backend degraded after {} failures; writes now target the fallback tier",
-                event.failures
-            ),
-            retried: true,
+            stage: stage.to_string(),
+            path: path.map(str::to_string),
+            attempt,
+            error: e.to_string(),
+            retried: wait.is_some(),
         });
-        drop(sink.span_in_context(FAILOVER_STAGE, rank).uncounted().path(event.path.clone()));
-    }));
-}
-
-/// Stage-name prefix under which resilience events are streamed as point
-/// spans. `bcp-monitor` folds `resil/*` spans into the
-/// `storage_{retries,hedges,hedge_wins,throttled,circuit_open}_total`
-/// counter series and the `storage_brownout` gauge.
-pub const RESILIENCE_STAGE_PREFIX: &str = "resil/";
-
-/// Span name for a [`ResilienceEvent`].
-fn resilience_record_name(event: &ResilienceEvent) -> &'static str {
-    match event {
-        ResilienceEvent::Retry { .. } => "resil/retry",
-        ResilienceEvent::Throttled { .. } => "resil/throttled",
-        ResilienceEvent::Hedge => "resil/hedge",
-        ResilienceEvent::HedgeWin => "resil/hedge_win",
-        ResilienceEvent::CircuitOpened => "resil/circuit_open",
-        ResilienceEvent::CircuitClosed => "resil/circuit_close",
-        ResilienceEvent::CircuitRejected => "resil/circuit_reject",
-        ResilienceEvent::BrownoutEntered => "resil/brownout_enter",
-        ResilienceEvent::BrownoutExited => "resil/brownout_exit",
-    }
-}
-
-/// Wire a [`ResilientBackend`]'s event stream into the failure log and the
-/// metrics stream, the resilience analogue of [`record_failovers`]. Every
-/// event becomes a point span named `resil/<event>` (a throttle carries the
-/// server's hint as its `retry_after_ms` attribute); the two
-/// *state-degrading* transitions (circuit opened, brownout entered) are
-/// additionally logged as [`FailureRecord`]s so post-mortems see when the
-/// backend went dark or the client started shedding optional work.
-pub fn record_resilience(
-    backend: &ResilientBackend,
-    log: Arc<FailureLog>,
-    sink: MetricsSink,
-    rank: usize,
-) {
-    backend.set_observer(Arc::new(move |event| {
-        let name = resilience_record_name(event);
-        match event {
-            ResilienceEvent::CircuitOpened => log.log(FailureRecord {
-                rank,
-                stage: name.to_string(),
-                path: None,
-                attempt: 0,
-                error: "circuit opened: backend failing, calls now fail fast".to_string(),
-                retried: true,
-            }),
-            ResilienceEvent::BrownoutEntered => log.log(FailureRecord {
-                rank,
-                stage: name.to_string(),
-                path: None,
-                attempt: 0,
-                error: "brownout entered: sustained throttling, shedding optional work".to_string(),
-                retried: true,
-            }),
-            _ => {}
+        let point = |name| log.sink.span_in_context(name, rank).uncounted().attr("stage", stage);
+        if wait.is_some() {
+            drop(point("resil/retry"));
         }
-        let mut point = sink.span_in_context(name, rank).uncounted();
-        if let ResilienceEvent::Throttled { retry_after_ms } = event {
-            point.set_attr("retry_after_ms", retry_after_ms.to_string());
+        if let Verdict::RetryAfter(hint) = e.verdict() {
+            drop(point("resil/throttled").attr("retry_after_ms", hint.as_millis().to_string()));
         }
-    }));
+    };
+    policy
+        .run(log.clock.as_ref(), site_seed(rank, stage, path), op, StorageError::verdict, observe)
+        .map_err(BcpError::Storage)
 }
 
 /// Commit a checkpoint: write the `COMPLETE` marker under `prefix`.
@@ -244,16 +140,14 @@ pub fn commit_checkpoint(backend: &DynBackend, prefix: &str) -> Result<()> {
         .map_err(BcpError::Storage)
 }
 
-/// Whether a checkpoint at `prefix` was committed.
-pub fn is_committed(backend: &DynBackend, prefix: &str) -> Result<bool> {
-    backend.exists(&format!("{prefix}/{COMPLETE_MARKER}")).map_err(BcpError::Storage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
-    use std::sync::Arc;
+    use bcp_monitor::MetricsHub;
+    use bcp_storage::{
+        Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, ResilienceConfig, ResilientBackend,
+        StorageBackend,
+    };
     use std::time::Duration;
 
     /// A memory backend whose first `times` writes to each path fail.
@@ -262,13 +156,27 @@ mod tests {
         FaultLayer::new(Arc::new(MemoryBackend::new()), 0, rules)
     }
 
+    /// A log waiting on a virtual clock: no test below sleeps for real.
+    fn virtual_log() -> (Arc<TestClock>, FailureLog) {
+        let clock = Arc::new(TestClock::new());
+        (clock.clone(), FailureLog::new().with_clock(clock))
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn doubling(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy::exponential(max_attempts, ms(10)).with_jitter(0.0)
+    }
+
     #[test]
     fn retries_absorb_transient_failures_and_log_them() {
         let flaky = failing_writes(2);
-        let log = FailureLog::new();
+        let (clock, log) = virtual_log();
         let data = bytes::Bytes::from_static(b"payload");
         let result = with_retries(
-            RetryPolicy::fixed(3, Duration::from_millis(1)),
+            RetryPolicy::fixed(3, ms(1)),
             &log,
             5,
             "save/upload",
@@ -282,21 +190,19 @@ mod tests {
         assert_eq!(recs[0].rank, 5);
         assert!(recs[0].retried);
         assert_eq!(recs[1].attempt, 2);
+        assert_eq!(clock.sleeps(), vec![ms(1), ms(1)]);
     }
 
     #[test]
     fn exhausted_retries_surface_the_error() {
         let flaky = failing_writes(10);
-        let log = FailureLog::new();
-        let result = with_retries(
-            RetryPolicy::fixed(2, Duration::from_millis(1)),
-            &log,
-            0,
-            "save/upload",
-            None,
-            || flaky.write("g.bin", bytes::Bytes::new()),
-        );
+        let (_, log) = virtual_log();
+        let result =
+            with_retries(RetryPolicy::fixed(2, ms(1)), &log, 0, "save/upload", None, || {
+                flaky.write("g.bin", bytes::Bytes::new())
+            });
         assert!(matches!(result, Err(BcpError::Storage(_))));
+        assert_eq!(flaky.injected(), 2, "the cap bounds the backend attempts");
         let recs = log.records();
         assert_eq!(recs.len(), 2);
         assert!(!recs[1].retried);
@@ -304,43 +210,26 @@ mod tests {
 
     #[test]
     fn exponential_backoff_schedule_is_exact_on_a_test_clock() {
-        let clock = TestClock::new();
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(10),
-            multiplier: 2.0,
-            max_backoff: Duration::from_secs(1),
-            jitter: 0.0,
-            deadline: None,
-        };
-        let log = FailureLog::new();
-        let result: Result<()> = with_retries_on(&clock, policy, &log, 0, "s", None, || {
-            Err(StorageError::Io("down".into()))
-        });
+        let (clock, log) = virtual_log();
+        let result: Result<()> =
+            with_retries(doubling(4), &log, 0, "s", None, || Err(StorageError::Io("down".into())));
         assert!(result.is_err());
         assert_eq!(
             clock.sleeps(),
-            vec![Duration::from_millis(10), Duration::from_millis(20), Duration::from_millis(40),],
+            vec![ms(10), ms(20), ms(40)],
             "3 sleeps between 4 attempts, doubling from the base"
         );
-        assert_eq!(clock.now(), Duration::from_millis(70));
+        assert_eq!(clock.now(), ms(70));
         assert_eq!(log.len(), 4);
     }
 
     #[test]
     fn max_backoff_caps_the_schedule() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base: Duration::from_millis(10),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(25),
-            jitter: 0.0,
-            deadline: None,
-        };
-        assert_eq!(policy.backoff_for(1, 0), Duration::from_millis(10));
-        assert_eq!(policy.backoff_for(2, 0), Duration::from_millis(20));
-        assert_eq!(policy.backoff_for(3, 0), Duration::from_millis(25));
-        assert_eq!(policy.backoff_for(9, 0), Duration::from_millis(25));
+        let policy = RetryPolicy { max_backoff: ms(25), ..doubling(10) };
+        assert_eq!(policy.backoff_for(1, 0), ms(10));
+        assert_eq!(policy.backoff_for(2, 0), ms(20));
+        assert_eq!(policy.backoff_for(3, 0), ms(25));
+        assert_eq!(policy.backoff_for(9, 0), ms(25));
     }
 
     #[test]
@@ -358,64 +247,26 @@ mod tests {
 
     #[test]
     fn deadline_cuts_retries_short() {
-        let clock = TestClock::new();
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base: Duration::from_millis(10),
-            multiplier: 2.0,
-            max_backoff: Duration::from_secs(1),
-            jitter: 0.0,
-            deadline: Some(Duration::from_millis(35)),
-        };
-        let log = FailureLog::new();
-        let result: Result<()> = with_retries_on(&clock, policy, &log, 0, "s", None, || {
-            Err(StorageError::Io("down".into()))
-        });
+        let (clock, log) = virtual_log();
+        let result: Result<()> =
+            with_retries(doubling(10).with_deadline(ms(35)), &log, 0, "s", None, || {
+                Err(StorageError::Io("down".into()))
+            });
         assert!(result.is_err());
         // 10ms + 20ms fit in the 35ms budget; the third backoff (40ms)
         // would overrun it, so the loop gives up after 3 attempts.
-        assert_eq!(clock.sleeps(), vec![Duration::from_millis(10), Duration::from_millis(20)]);
+        assert_eq!(clock.sleeps(), vec![ms(10), ms(20)]);
         let recs = log.records();
         assert_eq!(recs.len(), 3);
         assert!(!recs[2].retried);
     }
 
     #[test]
-    fn failover_is_recorded_in_log_and_metrics() {
-        let hub = bcp_monitor::MetricsHub::new();
-        let primary: DynBackend = Arc::new(failing_writes(u32::MAX));
-        let secondary: DynBackend = Arc::new(MemoryBackend::new());
-        let fb = FallbackBackend::with_threshold(primary, secondary, 2);
-        let log = Arc::new(FailureLog::new());
-        record_failovers(&fb, log.clone(), hub.sink(), 7);
-
-        let backend: DynBackend = Arc::new(fb);
-        let data = bytes::Bytes::from_static(b"x");
-        with_retries(
-            RetryPolicy::fixed(3, Duration::from_millis(1)),
-            &log,
-            7,
-            "save/upload",
-            Some("f.bin"),
-            || backend.write("f.bin", data.clone()),
-        )
-        .expect("failover absorbs the dead primary");
-
-        let recs = log.records();
-        assert!(recs.iter().any(|r| r.stage == FAILOVER_STAGE && r.rank == 7));
-        let failover = hub.spans().into_iter().find(|s| s.name == FAILOVER_STAGE).unwrap();
-        assert_eq!((failover.rank, failover.counted), (7, false));
-        assert_eq!(failover.path.as_deref(), Some("f.bin"));
-    }
-
-    #[test]
     fn terminal_errors_are_not_retried() {
-        let clock = TestClock::new();
-        let log = FailureLog::new();
+        let (clock, log) = virtual_log();
         let mut calls = 0;
-        let result: Result<()> = with_retries_on(
-            &clock,
-            RetryPolicy::fixed(5, Duration::from_millis(10)),
+        let result: Result<()> = with_retries(
+            RetryPolicy::fixed(5, ms(10)),
             &log,
             0,
             "load/read",
@@ -434,17 +285,17 @@ mod tests {
     }
 
     #[test]
-    fn throttle_hints_stretch_the_backoff() {
-        let clock = TestClock::new();
-        let log = FailureLog::new();
+    fn throttle_hints_stretch_the_backoff_and_reach_the_sink_with_their_stage() {
+        let hub = MetricsHub::new();
+        let (clock, log) = virtual_log();
+        let log = log.with_sink(hub.sink());
         let mut calls = 0;
         // Policy backoff is 1ms; the server asks for 250ms. The loop must
         // honor the larger hint.
-        let result: Result<()> = with_retries_on(
-            &clock,
-            RetryPolicy::fixed(2, Duration::from_millis(1)),
+        let result: Result<()> = with_retries(
+            RetryPolicy::fixed(2, ms(1)),
             &log,
-            0,
+            3,
             "save/upload",
             Some("f.bin"),
             || {
@@ -454,47 +305,60 @@ mod tests {
         );
         assert!(result.is_err());
         assert_eq!(calls, 2);
-        assert_eq!(clock.sleeps(), vec![Duration::from_millis(250)]);
+        assert_eq!(clock.sleeps(), vec![ms(250)]);
+        // One `resil/retry` per retry that followed, one `resil/throttled`
+        // per throttled attempt carrying the hint; all uncounted points.
+        let spans = hub.spans();
+        let named = |n: &str| spans.iter().filter(|s| s.name == n).collect::<Vec<_>>();
+        assert_eq!((named("resil/retry").len(), named("resil/throttled").len()), (1, 2));
+        assert!(named("resil/throttled").iter().all(|s| s.attr_num("retry_after_ms") == 250.0));
+        assert!(spans.iter().all(|s| s.attrs["stage"] == "save/upload" && s.rank == 3));
+        assert!(spans.iter().all(|s| !s.counted));
     }
 
     #[test]
-    fn resilience_events_reach_log_and_metrics() {
-        use bcp_storage::ObjectStoreConfig;
+    fn a_success_logs_nothing_and_emits_nothing() {
+        let hub = MetricsHub::new();
+        let log = FailureLog::new().with_sink(hub.sink());
+        let v = with_retries(RetryPolicy::default(), &log, 0, "load/read", None, || Ok(7)).unwrap();
+        assert_eq!((v, log.len(), hub.spans().len()), (7, 0, 0));
+    }
 
-        let hub = bcp_monitor::MetricsHub::new();
-        let clock = Arc::new(TestClock::new());
-        // A tiny token bucket: the second immediate request throttles.
-        let store = Arc::new(bcp_storage::ObjectStoreBackend::with_clock(
-            ObjectStoreConfig {
-                qps_limit: Some(10.0),
-                capacity: 1.0,
-                ..ObjectStoreConfig::default()
-            },
+    /// The loop and the guard below it share one clock: an open breaker's
+    /// `CircuitOpen` hint (computed on the stack's clock) is slept on that
+    /// clock, then the half-open probe goes through. No real time passes.
+    #[test]
+    fn an_open_breakers_cooldown_hint_is_slept_on_the_shared_virtual_clock() {
+        let (clock, log) = virtual_log();
+        let guarded = ResilientBackend::with_clock(
+            Arc::new(failing_writes(8)),
+            ResilienceConfig::default(),
             clock.clone(),
-        ));
-        let resilient =
-            ResilientBackend::with_clock(store, bcp_storage::ResilienceConfig::default(), clock);
-        let log = Arc::new(FailureLog::new());
-        record_resilience(&resilient, log.clone(), hub.sink(), 3);
-
+        );
         let data = bytes::Bytes::from_static(b"x");
-        resilient.write("a", data.clone()).unwrap();
-        resilient.write("b", data).unwrap();
-        assert!(resilient.stats().throttled > 0, "second write must have throttled");
+        // Eight failed attempts (min_samples of the default breaker) open it.
+        for _ in 0..8 {
+            assert!(guarded.write("k", data.clone()).is_err());
+        }
+        assert_eq!(guarded.circuit_state(), bcp_storage::CircuitState::Open);
 
-        let spans = hub.spans();
-        let throttled: Vec<_> =
-            spans.iter().filter(|s| s.name == "resil/throttled" && s.rank == 3).collect();
-        assert!(!throttled.is_empty());
-        // The server's retry-after hint rides along as an attribute.
-        assert!(throttled.iter().any(|s| s.attr_num("retry_after_ms") > 0.0));
+        let t0 = std::time::Instant::now();
+        with_retries(RetryPolicy::fixed(3, ms(1)), &log, 0, "save/upload", Some("k"), || {
+            guarded.write("k", data.clone())
+        })
+        .expect("rejected once, then the probe lands");
+        assert_eq!(clock.sleeps(), vec![Duration::from_secs(2)], "the whole cooldown, virtually");
+        assert!(t0.elapsed() < Duration::from_millis(500), "took {:?} of real time", t0.elapsed());
+        let recs = log.records();
+        assert_eq!(recs.len(), 1);
+        assert!(recs[0].retried && recs[0].error.starts_with("circuit open"), "{recs:?}");
     }
 
     #[test]
     fn commit_marker_round_trip() {
         let backend: DynBackend = Arc::new(MemoryBackend::new());
-        assert!(!is_committed(&backend, "ckpt/step_5").unwrap());
+        assert!(!backend.exists("ckpt/step_5/COMPLETE").unwrap());
         commit_checkpoint(&backend, "ckpt/step_5").unwrap();
-        assert!(is_committed(&backend, "ckpt/step_5").unwrap());
+        assert!(backend.exists("ckpt/step_5/COMPLETE").unwrap());
     }
 }

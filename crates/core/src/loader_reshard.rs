@@ -9,14 +9,15 @@
 use crate::metadata::GlobalMetadata;
 use crate::{BcpError, Result};
 use bcp_dataloader::{reshard_states, LoaderReplicatedState, LoaderShardState};
-use bcp_storage::DynBackend;
+use bytes::Bytes;
 
 /// Load and reshard dataloader states for `target_dp_rank` under the target
 /// `(new_dp, new_workers_per_rank)` shape. Returns `None` when the
-/// checkpoint carries no dataloader state.
+/// checkpoint carries no dataloader state. `read` fetches one file of the
+/// checkpoint by the name the metadata gives it — the caller's storage read,
+/// under the caller's retry policy.
 pub fn load_loader_states(
-    backend: &DynBackend,
-    prefix: &str,
+    read: impl Fn(&str) -> Result<Bytes>,
     meta: &GlobalMetadata,
     new_dp: usize,
     new_workers_per_rank: usize,
@@ -25,7 +26,7 @@ pub fn load_loader_states(
     let Some(rep_file) = &meta.loader_map.replicated_file else {
         return Ok(None);
     };
-    let rep_bytes = backend.read(&format!("{prefix}/{rep_file}"))?;
+    let rep_bytes = read(rep_file)?;
     let replicated = LoaderReplicatedState::unpack(&rep_bytes).ok_or_else(|| {
         BcpError::Corrupt(format!("unreadable replicated loader file {rep_file}"))
     })?;
@@ -37,7 +38,7 @@ pub fn load_loader_states(
     let mut entries = meta.loader_map.shards.clone();
     entries.sort_by_key(|e| (e.dp_rank, e.worker));
     for entry in &entries {
-        let data = backend.read(&format!("{prefix}/{}", entry.file))?;
+        let data = read(&entry.file)?;
         let piece = LoaderShardState::unpack(&data).ok_or_else(|| {
             BcpError::Corrupt(format!("unreadable loader shard file {}", entry.file))
         })?;
@@ -74,8 +75,7 @@ pub fn load_loader_states(
 mod tests {
     use super::*;
     use bcp_dataloader::{DataSource, Dataloader};
-    use bcp_storage::MemoryBackend;
-    use bytes::Bytes;
+    use bcp_storage::{DynBackend, MemoryBackend};
     use std::sync::Arc;
 
     fn replicated(dp: usize, workers: usize) -> LoaderReplicatedState {
@@ -85,6 +85,11 @@ mod tests {
             sources: vec![DataSource { name: "web".into(), ratio: 1.0, seed: 5 }],
             context_window: 4096,
         }
+    }
+
+    /// Read `ckpt/<file>` straight from `backend`.
+    fn reader(backend: &DynBackend) -> impl Fn(&str) -> Result<Bytes> + '_ {
+        |file| Ok(backend.read(&format!("ckpt/{file}"))?)
     }
 
     /// Store loader files the way the save workflow does.
@@ -133,7 +138,7 @@ mod tests {
         let meta = store(&backend, "ckpt", &rep, &shards);
 
         let (new_rep, shard1) =
-            load_loader_states(&backend, "ckpt", &meta, 2, 2, 1).unwrap().unwrap();
+            load_loader_states(reader(&backend), &meta, 2, 2, 1).unwrap().unwrap();
         assert_eq!(new_rep, rep);
         assert_eq!(shard1, shards[1]);
         // Resumed loader continues identically to the uninterrupted one.
@@ -155,7 +160,7 @@ mod tests {
         let shards: Vec<LoaderShardState> = loaders.iter().map(|l| l.shard_state()).collect();
         let meta = store(&backend, "ckpt", &rep, &shards);
         let (new_rep, shard) =
-            load_loader_states(&backend, "ckpt", &meta, 4, 1, 3).unwrap().unwrap();
+            load_loader_states(reader(&backend), &meta, 4, 1, 3).unwrap().unwrap();
         assert_eq!(new_rep.dp_size, 4);
         assert_eq!(new_rep.workers_per_rank, 1);
         assert_eq!(shard.dp_rank, 3);
@@ -166,7 +171,7 @@ mod tests {
     fn missing_loader_section_returns_none() {
         let backend: DynBackend = Arc::new(MemoryBackend::new());
         let meta = GlobalMetadata::new("ddp", 0, "TP=1,DP=1,PP=1", 1);
-        assert!(load_loader_states(&backend, "ckpt", &meta, 1, 1, 0).unwrap().is_none());
+        assert!(load_loader_states(reader(&backend), &meta, 1, 1, 0).unwrap().is_none());
     }
 
     #[test]
@@ -177,7 +182,7 @@ mod tests {
         let meta = store(&backend, "ckpt", &rep, &[dl.shard_state()]);
         backend.write("ckpt/loader/dp0_w0.json", Bytes::from_static(b"garbage")).unwrap();
         assert!(matches!(
-            load_loader_states(&backend, "ckpt", &meta, 1, 1, 0),
+            load_loader_states(reader(&backend), &meta, 1, 1, 0),
             Err(BcpError::Corrupt(_))
         ));
     }

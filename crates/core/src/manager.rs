@@ -8,7 +8,6 @@
 //! checkpoint root: `<root>/step_<N>/...`, one committed checkpoint per
 //! step, newest steps kept, stale ones garbage-collected.
 
-use crate::integrity::is_committed;
 use crate::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
 use crate::{BcpError, Result};
 use bcp_storage::{DynBackend, StorageError};
@@ -55,7 +54,7 @@ impl CheckpointManager {
     /// Discover all checkpoints under the root, ascending by step.
     /// Uncommitted (torn / in-progress) checkpoints are included with
     /// `committed = false` so callers can garbage-collect them.
-    pub fn list(&self) -> Result<Vec<CheckpointRef>> {
+    pub fn list(&self) -> bcp_storage::Result<Vec<CheckpointRef>> {
         let keys = self.backend.list(&format!("{}/step_", self.root))?;
         let mut steps: Vec<u64> = keys
             .iter()
@@ -71,14 +70,15 @@ impl CheckpointManager {
             .into_iter()
             .map(|step| {
                 let prefix = self.prefix_for(step);
-                Ok(CheckpointRef { step, committed: is_committed(&self.backend, &prefix)?, prefix })
+                let committed = self.backend.exists(&format!("{prefix}/{COMPLETE_MARKER}"))?;
+                Ok(CheckpointRef { step, committed, prefix })
             })
             .collect()
     }
 
     /// The newest *committed* checkpoint, if any — what training resumption
     /// loads after a failure.
-    pub fn latest(&self) -> Result<Option<CheckpointRef>> {
+    pub fn latest(&self) -> bcp_storage::Result<Option<CheckpointRef>> {
         Ok(self.list()?.into_iter().rev().find(|c| c.committed))
     }
 
@@ -94,7 +94,7 @@ impl CheckpointManager {
     /// one. Already-missing files are treated as deleted — a GC pass that
     /// crashed mid-deletion must be re-runnable, not error on the files the
     /// first pass already reclaimed.
-    pub fn delete(&self, step: u64) -> Result<()> {
+    pub fn delete(&self, step: u64) -> bcp_storage::Result<()> {
         let prefix = self.prefix_for(step);
         let marker = format!("{prefix}/{COMPLETE_MARKER}");
         if self.backend.exists(&marker)? {
@@ -113,7 +113,7 @@ impl CheckpointManager {
     /// is never half-visible as committed; the quarantine prefix does not
     /// match `step_<N>` discovery, so quarantined data is invisible to
     /// [`CheckpointManager::list`]. Returns the quarantine prefix.
-    pub fn quarantine(&self, step: u64) -> Result<String> {
+    pub fn quarantine(&self, step: u64) -> bcp_storage::Result<String> {
         let prefix = self.prefix_for(step);
         let dest_prefix = format!("{}/quarantine/step_{step}", self.root);
         let marker = format!("{prefix}/{COMPLETE_MARKER}");
@@ -161,7 +161,7 @@ impl CheckpointManager {
     /// the newest uncommitted step because a save may still be in flight —
     /// this runs on restart, when the crash guarantees no save is in flight
     /// and any torn prefix is garbage. Returns the steps deleted, ascending.
-    pub fn gc_torn(&self) -> Result<Vec<u64>> {
+    pub fn gc_torn(&self) -> bcp_storage::Result<Vec<u64>> {
         let mut deleted = Vec::new();
         for c in self.list()?.iter().filter(|c| !c.committed) {
             self.delete(c.step)?;
@@ -188,10 +188,10 @@ impl CheckpointManager {
 
 /// Map `NotFound` to success: deletion/rename of an already-reclaimed file
 /// is the outcome the caller wanted.
-fn ignore_not_found(r: bcp_storage::Result<()>) -> Result<()> {
+fn ignore_not_found(r: bcp_storage::Result<()>) -> bcp_storage::Result<()> {
     match r {
         Err(StorageError::NotFound(_)) => Ok(()),
-        other => Ok(other?),
+        other => other,
     }
 }
 

@@ -5,14 +5,18 @@
 //! plus seeded random weather in the long soak. Invariants:
 //!
 //! * **zero failed commits**: every cycle's save lands, storm or outage
-//!   (the resilience layer absorbs throttling; the breaker + failover
-//!   route outage-time writes to the degraded tier);
+//!   (the engine's one retry loop waits out each throttle's hint while the
+//!   resilience layer paces the attempts; three failed attempts in a row
+//!   fail outage-time writes over to the degraded tier);
 //! * **bitwise-correct restores throughout**, against the deterministic
 //!   reference trajectory;
 //! * **bounded hedge amplification**: hedged reads stay within the 1.1x
 //!   read-amplification budget;
 //! * **circuit-open calls fail fast**: a rejected call burns zero virtual
-//!   time — no retry backoff, no per-call deadline.
+//!   time — no backend request, no backoff, no per-call deadline.
+//!
+//! One clock and one retry policy per run: the `Checkpointer`s wait on the
+//! cluster's `TestClock`, the clock every hint below them is computed on.
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, SaveRequest};
@@ -29,6 +33,7 @@ use bcp_storage::{
 use bcp_topology::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,6 +77,8 @@ struct Cluster {
     resilient: Arc<ResilientBackend>,
     fallback: Arc<FallbackBackend>,
     secondary: DynBackend,
+    /// Failed attempts the ranks' retry loops absorbed, over the whole run.
+    retried: Arc<AtomicUsize>,
 }
 
 impl Cluster {
@@ -96,15 +103,9 @@ impl Cluster {
             },
             clock.clone(),
         ));
-        // Enough attempts that a storm is absorbed (throttles stretch each
-        // backoff by the server hint), and a cooldown long enough that the
-        // breaker provably stays open for the fail-fast probe below. No
-        // per-op deadline: the clock is shared across rank threads, so one
-        // op's wall budget would be burned by its peers' virtual sleeps.
-        let mut cfg = ResilienceConfig {
-            retry: RetryPolicy::exponential(12, Duration::from_millis(5)),
-            ..ResilienceConfig::default()
-        };
+        // A cooldown long enough that the breaker provably stays open for
+        // the fail-fast probe below.
+        let mut cfg = ResilienceConfig::default();
         cfg.breaker.cooldown = Duration::from_secs(10);
         let secondary: DynBackend = Arc::new(MemoryBackend::new());
         let stack = assemble(
@@ -125,13 +126,20 @@ impl Cluster {
             resilient: stack.resilient.expect("configured"),
             fallback: stack.fallback.expect("configured"),
             secondary,
+            retried: Arc::default(),
         }
     }
 }
 
-fn run_world<F, T>(registry: Arc<BackendRegistry>, f: F) -> Vec<T>
+/// One `Checkpointer` per rank, its retry loop — the only one in the run —
+/// waiting on the cluster's clock, so every hint the stack computes is slept
+/// where it was measured. Enough attempts that a storm is absorbed
+/// (throttles stretch each backoff by the server hint). No per-op deadline:
+/// the clock is shared across rank threads, so one op's wall budget would be
+/// burned by its peers' virtual sleeps.
+fn run_world<F, T>(cluster: &Cluster, f: F) -> Vec<T>
 where
-    F: Fn(usize, Checkpointer) -> T + Send + Sync + 'static,
+    F: Fn(usize, &Checkpointer) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
     let world = CommWorld::with_timeout(WORLD, Backend::Flat, Duration::from_secs(20));
@@ -139,17 +147,21 @@ where
     let handles: Vec<_> = (0..WORLD)
         .map(|rank| {
             let world = world.clone();
-            let registry = registry.clone();
-            let f = f.clone();
+            let (registry, clock) = (cluster.registry.clone(), cluster.clock.clone());
+            let (f, retried) = (f.clone(), cluster.retried.clone());
             std::thread::spawn(move || {
                 let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
                     .framework(fw())
                     .parallelism(par())
                     .registry(registry)
-                    .retry_policy(RetryPolicy::exponential(3, Duration::from_millis(1)))
+                    .retry_policy(RetryPolicy::exponential(12, Duration::from_millis(5)))
+                    .clock(clock)
                     .build()
                     .unwrap();
-                f(rank, ckpt)
+                let out = f(rank, &ckpt);
+                let absorbed = ckpt.failures().records().iter().filter(|r| r.retried).count();
+                retried.fetch_add(absorbed, Ordering::Relaxed);
+                out
             })
         })
         .collect();
@@ -160,7 +172,7 @@ where
 /// rank. `want == 0` asserts a fresh start.
 fn load_and_verify(cluster: &Cluster, want: u64, ctx: &str) {
     let ctx = ctx.to_string();
-    run_world(cluster.registry.clone(), move |rank, ckpt| {
+    run_world(cluster, move |rank, ckpt| {
         let mut state = build_train_state(&zoo::tiny_gpt(), fw(), par(), rank, true);
         let out = ckpt
             .load_latest(ROOT, &mut state, None)
@@ -179,7 +191,7 @@ fn load_and_verify(cluster: &Cluster, want: u64, ctx: &str) {
 /// never fails, whatever the weather.
 fn save_step(cluster: &Cluster, step: u64, ctx: &str) {
     let ctx = ctx.to_string();
-    run_world(cluster.registry.clone(), move |rank, ckpt| {
+    run_world(cluster, move |rank, ckpt| {
         let state = reference_state(rank, step);
         ckpt.save(&SaveRequest::new(format!("{ROOT}/step_{step}"), &state, step))
             .and_then(|t| t.wait())
@@ -225,13 +237,22 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
     load_and_verify(cluster, 4, "pre-outage resume");
     cluster.store.outage_now(Duration::from_secs(30));
     save_step(cluster, 5, "outage");
-    let s = cluster.resilient.stats();
-    assert!(s.circuit_opened >= 1, "the outage must open the circuit");
     assert!(cluster.fallback.is_degraded(), "outage-time writes fail over");
     assert!(
         cluster.secondary.exists("jobs/train/step_5/COMPLETE").unwrap(),
         "the outage-time commit lands on the secondary tier"
     );
+    // The three failed attempts that tripped the failover are three samples
+    // in the breaker's window, not yet half of it. Whatever still addresses
+    // the primary — here, reads of a pre-outage step — keeps failing, one
+    // sample per attempt, until the window says "down" and the circuit opens.
+    for _ in 0..16 {
+        if cluster.resilient.circuit_state() == CircuitState::Open {
+            break;
+        }
+        assert!(cluster.resilient.read("jobs/train/step_1/COMPLETE").is_err());
+    }
+    assert!(cluster.resilient.stats().circuit_opened >= 1, "the outage must open the circuit");
 
     // Fail-fast: with the circuit open, a call is rejected without
     // touching the backend — zero virtual time, zero sleeps, zero
@@ -291,7 +312,10 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
         s.hedges,
         s.reads_logical
     );
-    assert!(s.retries > 0, "background 5xx + storms must exercise the retry path");
+    assert!(
+        cluster.retried.load(Ordering::Relaxed) > 0,
+        "background 5xx + storms must exercise the retry path"
+    );
 }
 
 /// The full chaos gate: designed ladder + 8 seeded weather cycles.

@@ -1,16 +1,14 @@
 //! Recovery-subsystem integration tests: the crash-stage fault matrix
 //! (Appendix B's claim that no single-worker failure can commit a torn
 //! checkpoint), auto-resume via `load_latest`, and graceful degradation to
-//! a fallback storage tier with full observability.
+//! a fallback storage tier.
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, LoadRequest, SaveRequest};
 use bcp_core::fault::{FaultPlan, LOAD_STAGES};
-use bcp_core::integrity::{record_failovers, FailureLog, FAILOVER_STAGE};
 use bcp_core::registry::BackendRegistry;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
-use bcp_monitor::MetricsHub;
 use bcp_storage::uri::Scheme;
 use bcp_storage::{
     DynBackend, FallbackBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet,
@@ -240,8 +238,9 @@ fn load_latest_on_empty_root_is_a_fresh_start() {
 
 /// Graceful degradation end to end: a save against a dead primary tier
 /// trips the [`FallbackBackend`] onto its secondary, the downgrade is
-/// recorded in both the failure log and the metrics stream, and the
-/// checkpoint written across the failover loads back bitwise-intact.
+/// recorded once, and the checkpoint written across the failover loads back
+/// bitwise-intact. (That an assembled stack streams the trip as a
+/// `storage/failover` span is pinned in `tests/telemetry_report.rs`.)
 #[test]
 fn degraded_primary_fails_over_and_is_recorded() {
     let secondary: DynBackend = Arc::new(MemoryBackend::new());
@@ -249,9 +248,6 @@ fn degraded_primary_fails_over_and_is_recorded() {
     let dead = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX })];
     let primary: DynBackend = Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, dead));
     let fallback = Arc::new(FallbackBackend::with_threshold(primary, secondary.clone(), 1));
-    let log = Arc::new(FailureLog::new());
-    let hub = Arc::new(MetricsHub::new());
-    record_failovers(&fallback, log.clone(), hub.sink(), 0);
 
     let registry = {
         let backend: DynBackend = fallback.clone();
@@ -274,14 +270,6 @@ fn degraded_primary_fails_over_and_is_recorded() {
         "the commit marker must land on the secondary tier"
     );
     assert_eq!(fallback.events().len(), 1, "the trip is recorded exactly once");
-    assert!(
-        log.records().iter().any(|r| r.stage == FAILOVER_STAGE),
-        "the downgrade must appear in the failure log"
-    );
-    assert!(
-        hub.spans().iter().any(|s| s.name == FAILOVER_STAGE),
-        "the downgrade must appear in the metrics stream"
-    );
 
     // Reads consult both tiers, so the degraded wrapper still resumes.
     run_world(registry, FaultPlan::new(), move |rank, ckpt| {

@@ -199,11 +199,12 @@ impl MetricsRegistry {
     ///   `read_cache_hit_rate` gauge, the input of the
     ///   `read_cache_hit_rate_low` alert rule); `fanout/peer` and
     ///   `fanout/backend` → `fanout_{peer,backend}_bytes_total` += io_bytes.
-    /// * `resil/…` point spans (one per `ResilientBackend` event, emitted by
-    ///   `bcp-core`'s `record_resilience` observer) feed per-job series:
-    ///   `retry` → `storage_retries_total`; `throttled` →
+    /// * `resil/…` point spans feed per-job series. The engine's retry loop
+    ///   (`bcp-core`'s `integrity::with_retries`, on every stack) emits
+    ///   `retry` → `storage_retries_total` and `throttled` →
     ///   `storage_throttled_total`, its `retry_after_ms` attribute carrying
-    ///   the server's hint into `storage_retry_after_seconds_total`;
+    ///   the server's hint into `storage_retry_after_seconds_total`; the
+    ///   rest come from an assembled stack's `ResilientBackend`:
     ///   `hedge` / `hedge_win` → `storage_hedges_total` /
     ///   `storage_hedge_wins_total`; `circuit_open` / `circuit_close` /
     ///   `circuit_reject` → `storage_circuit_{open,closed,rejected}_total`

@@ -7,18 +7,19 @@
 //! two: write-class operations go to the primary until `threshold` attempts
 //! in a row fail (a success in between resets the count), after which the
 //! wrapper *trips* — one way — and routes all subsequent writes to the
-//! secondary. The downgrade is recorded as a [`FailoverEvent`] and reported
-//! to an optional observer so the engine can log it into its `FailureLog`
-//! and `MetricsSink`.
+//! secondary. A failure is one attempt: nothing below this router repeats
+//! one (the retry loop is the engine's). The downgrade is recorded as a
+//! [`FailoverEvent`] and, given a sink ([`FallbackBackend::with_sink`]),
+//! emitted as a `storage/failover` point span under the tripping operation.
 //!
 //! Reads consult both tiers (the tripped tier first), so a checkpoint whose
 //! files straddle the failover boundary still loads.
 
-use crate::{DynBackend, Result, StorageBackend};
+use crate::{DynBackend, Result, StorageBackend, StorageError, StorageErrorKind};
+use bcp_monitor::MetricsSink;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// A recorded primary→secondary downgrade.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,9 +30,6 @@ pub struct FailoverEvent {
     pub failures: u32,
 }
 
-/// Callback invoked when the wrapper trips over to the secondary.
-pub type FailoverObserver = Arc<dyn Fn(&FailoverEvent) + Send + Sync>;
-
 /// A write-path failover wrapper: primary until `threshold` write failures
 /// in a row, secondary afterwards. See the module docs for the full contract.
 pub struct FallbackBackend {
@@ -40,14 +38,14 @@ pub struct FallbackBackend {
     threshold: u32,
     failures: AtomicU32,
     tripped: AtomicBool,
-    observer: Mutex<Option<FailoverObserver>>,
     events: Mutex<Vec<FailoverEvent>>,
+    sink: MetricsSink,
+    rank: usize,
 }
 
 impl FallbackBackend {
     /// Wrap `primary` with `secondary` as the degraded tier, tripping after
-    /// 3 write failures in a row (one default retry policy's worth of
-    /// attempts).
+    /// 3 failed write attempts in a row (one default retry policy's worth).
     pub fn new(primary: DynBackend, secondary: DynBackend) -> FallbackBackend {
         FallbackBackend::with_threshold(primary, secondary, 3)
     }
@@ -64,14 +62,19 @@ impl FallbackBackend {
             threshold: threshold.max(1),
             failures: AtomicU32::new(0),
             tripped: AtomicBool::new(false),
-            observer: Mutex::new(None),
             events: Mutex::new(Vec::new()),
+            sink: MetricsSink::disabled(),
+            rank: 0,
         }
     }
 
-    /// Install a callback fired (once) at the moment the wrapper trips.
-    pub fn set_observer(&self, observer: FailoverObserver) {
-        *self.observer.lock() = Some(observer);
+    /// Emit the trip as a `storage/failover` point span (carrying the path
+    /// that tripped it) into `sink`; `rank` stamps it when the write ran
+    /// outside any entered workflow span.
+    pub fn with_sink(mut self, sink: MetricsSink, rank: usize) -> FallbackBackend {
+        self.sink = sink;
+        self.rank = rank;
+        self
     }
 
     /// Whether writes are currently routed to the secondary tier.
@@ -99,16 +102,17 @@ impl FallbackBackend {
         self.events.lock().clone()
     }
 
-    /// Run a write-class operation with failover. Before the trip, a primary
-    /// failure either returns the error (letting the caller's retry policy
-    /// drive the next attempt) or — when this failure reaches the threshold
-    /// — trips the wrapper and completes the operation on the secondary.
+    /// Run a write-class operation with failover. Before the trip, a failed
+    /// primary attempt either returns the error (letting the caller's retry
+    /// loop drive the next attempt) or — when this failure reaches the
+    /// threshold — trips the wrapper and completes the operation on the
+    /// secondary.
     ///
-    /// Only *availability* failures (retryable or throttled
-    /// [`crate::StorageErrorKind`]s — including a resilience wrapper's
-    /// fail-fast `CircuitOpen`) count toward the trip; terminal semantic
-    /// errors like `NotFound` surface directly, since failing over cannot
-    /// make a missing object appear.
+    /// Only a failure that says the tier is *down* counts toward the trip
+    /// ([`is_outage_signal`]). Terminal semantic errors like `NotFound`
+    /// surface directly (failing over cannot make a missing object appear);
+    /// so does a `SlowDown`: the retry loop waits its hint out rather than a
+    /// storm's first burst costing the job its durable tier.
     fn write_op<T>(&self, path: &str, op: impl Fn(&dyn StorageBackend) -> Result<T>) -> Result<T> {
         if self.is_degraded() {
             return op(self.secondary.as_ref());
@@ -120,15 +124,19 @@ impl FallbackBackend {
                 self.failures.store(0, Ordering::Release);
                 Ok(v)
             }
-            Err(e) if e.kind() == crate::StorageErrorKind::Terminal => Err(e),
+            Err(e) if !is_outage_signal(&e) => Err(e),
             Err(e) => {
                 let seen = self.failures.fetch_add(1, Ordering::AcqRel) + 1;
                 if seen >= self.threshold && !self.tripped.swap(true, Ordering::AcqRel) {
-                    let event = FailoverEvent { path: path.to_string(), failures: seen };
-                    self.events.lock().push(event.clone());
-                    if let Some(obs) = self.observer.lock().clone() {
-                        obs(&event);
-                    }
+                    self.events
+                        .lock()
+                        .push(FailoverEvent { path: path.to_string(), failures: seen });
+                    drop(
+                        self.sink
+                            .span_in_context("storage/failover", self.rank)
+                            .uncounted()
+                            .path(path),
+                    );
                 }
                 if self.is_degraded() {
                     op(self.secondary.as_ref())
@@ -152,11 +160,17 @@ impl FallbackBackend {
         // error; the other one only knows it is not there.
         op(first.as_ref()).or_else(|e1| {
             op(second.as_ref()).map_err(|e2| match e1 {
-                crate::StorageError::NotFound(_) => e2,
+                StorageError::NotFound(_) => e2,
                 _ => e1,
             })
         })
     }
+}
+
+/// A retryable failure or a breaker's fail-fast rejection: the tier is down,
+/// not busy (`SlowDown`) and not asked for something impossible (terminal).
+fn is_outage_signal(e: &StorageError) -> bool {
+    e.kind() == StorageErrorKind::Retryable || matches!(e, StorageError::CircuitOpen { .. })
 }
 
 impl StorageBackend for FallbackBackend {
@@ -208,14 +222,20 @@ impl StorageBackend for FallbackBackend {
         self.read_op(|b| b.size(path))
     }
 
+    // A probe one tier failed to answer is not an answer: a transient
+    // failure must reach the caller's retry loop, not read as "absent" (a
+    // committed step without its marker, a root without its newest step).
     fn exists(&self, path: &str) -> Result<bool> {
-        Ok(self.primary.exists(path).unwrap_or(false)
-            || self.secondary.exists(path).unwrap_or(false))
+        match (self.primary.exists(path), self.secondary.exists(path)) {
+            (Ok(true), _) | (_, Ok(true)) => Ok(true),
+            (Err(e), _) | (_, Err(e)) => Err(e),
+            _ => Ok(false),
+        }
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut all = self.primary.list(prefix).unwrap_or_default();
-        all.extend(self.secondary.list(prefix).unwrap_or_default());
+        let mut all = self.primary.list(prefix)?;
+        all.extend(self.secondary.list(prefix)?);
         all.sort();
         all.dedup();
         Ok(all)
@@ -244,7 +264,8 @@ impl StorageBackend for FallbackBackend {
 mod tests {
     use super::*;
     use crate::memory::MemoryBackend;
-    use crate::{Fault, FaultLayer, FaultRule, OpSet, StorageError};
+    use crate::{Fault, FaultLayer, FaultRule, OpSet};
+    use std::sync::Arc;
 
     fn dead_primary(times: u32) -> DynBackend {
         let rules = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times })];
@@ -325,7 +346,23 @@ mod tests {
     }
 
     #[test]
-    fn terminal_errors_do_not_count_toward_the_trip() {
+    fn a_probe_one_tier_failed_to_answer_is_an_error_not_an_absence() {
+        let once = vec![FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 })];
+        let primary: DynBackend = Arc::new(MemoryBackend::new());
+        primary.write("step_2/COMPLETE", Bytes::from_static(b"ok")).unwrap();
+        let flaky: DynBackend = Arc::new(FaultLayer::new(primary, 0, once));
+        let fb = FallbackBackend::new(flaky, Arc::new(MemoryBackend::new()));
+        // The first probe of each path fails on the primary; the secondary
+        // never held the object, so nothing can vouch for it.
+        assert!(matches!(fb.exists("step_2/COMPLETE"), Err(StorageError::Injected { .. })));
+        assert!(fb.exists("step_2/COMPLETE").unwrap(), "the retry gets the real answer");
+        assert!(matches!(fb.list("step_"), Err(StorageError::Injected { .. })));
+        assert_eq!(fb.list("step_").unwrap(), vec!["step_2/COMPLETE".to_string()]);
+        assert_eq!(fb.failures(), 0, "probes never count toward the write-path trip");
+    }
+
+    #[test]
+    fn throttles_and_terminal_errors_do_not_count_toward_the_trip() {
         // A missing source is a semantic error, not an availability signal:
         // failing over cannot make the object appear, so the wrapper must
         // not burn its failure budget on it.
@@ -338,22 +375,39 @@ mod tests {
         assert!(matches!(fb.rename("missing", "x"), Err(StorageError::NotFound(_))));
         assert!(!fb.is_degraded());
         assert_eq!(fb.failures(), 0);
+
+        // A throttling primary is alive: its hint is the retry loop's to wait
+        // out, while a breaker's fail-fast rejection is an outage signal.
+        let clock = Arc::new(crate::TestClock::new());
+        let cfg =
+            crate::ObjectStoreConfig { qps_limit: Some(1.0), capacity: 1.0, ..Default::default() };
+        let store: DynBackend = Arc::new(crate::ObjectStoreBackend::with_clock(cfg, clock));
+        let fb = FallbackBackend::with_threshold(store, Arc::new(MemoryBackend::new()), 1);
+        fb.write("a", Bytes::from_static(b"x")).unwrap();
+        for _ in 0..3 {
+            assert!(matches!(
+                fb.write("b", Bytes::from_static(b"x")),
+                Err(StorageError::SlowDown { .. })
+            ));
+        }
+        assert!(!fb.is_degraded() && fb.failures() == 0, "a storm is not an outage");
     }
 
     #[test]
-    fn observer_fires_exactly_once() {
-        let fired = Arc::new(AtomicU32::new(0));
+    fn the_trip_is_one_failover_span_carrying_the_path() {
+        let hub = bcp_monitor::MetricsHub::new();
         let fb = FallbackBackend::with_threshold(
             dead_primary(u32::MAX),
             Arc::new(MemoryBackend::new()),
             1,
-        );
-        let counter = fired.clone();
-        fb.set_observer(Arc::new(move |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }));
+        )
+        .with_sink(hub.sink(), 7);
         fb.write("a", Bytes::from_static(b"1")).unwrap();
         fb.write("b", Bytes::from_static(b"2")).unwrap();
-        assert_eq!(fired.load(Ordering::Relaxed), 1);
+        let spans = hub.spans();
+        assert_eq!(spans.len(), 1, "emitted once, at the trip: {spans:?}");
+        let s = &spans[0];
+        assert_eq!((s.name.as_str(), s.rank, s.counted), ("storage/failover", 7, false));
+        assert_eq!(s.path.as_deref(), Some("a"));
     }
 }

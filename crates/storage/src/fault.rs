@@ -3,8 +3,8 @@
 //! wrong*:
 //!
 //! * [`Fault::Fail`] — the first N matching calls on each path fail with
-//!   [`StorageError::Injected`], then succeed: the transient faults retry
-//!   loops must absorb (paper Appendix B);
+//!   [`StorageError::Injected`], then succeed: the transient faults the
+//!   retry loop must absorb (paper Appendix B);
 //! * [`Fault::Delay`] — a transfer-rate cap plus fixed per-op latency, so
 //!   real executions show realistic *relative* timing (NAS slower than local
 //!   disk); rates are scaled-down analogues, not measurements;

@@ -8,9 +8,10 @@
 //! * the **operations** — `write`, `write_segments`, `append`, `read`,
 //!   `read_range`, `size`, `exists`, `list`, `delete`, `rename`, `concat` —
 //!   all route through one hook, [`Layer::around`], which sees the call
-//!   described as an [`Op`] and runs it (zero, one or several times) through
-//!   `call`. Override `around` to time, admit, retry, fail, delay, record or
-//!   damage; match on the `Op` to pick the operations that matter;
+//!   described as an [`Op`] and runs it through `call` — once, or not at all
+//!   (no layer repeats an operation: retrying is the engine's decision).
+//!   Override `around` to time, admit, guard, fail, delay, record or damage;
+//!   match on the `Op` to pick the operations that matter;
 //! * the **capabilities** — `name`, `op_attrs`, `zero_copy_reads`,
 //!   `shed_optional_work` — forward unchanged unless overridden, so a layer
 //!   can add an attribute or rename itself but cannot drop what is below it;
@@ -145,9 +146,9 @@ pub trait Layer: Send + Sync {
     fn inner(&self) -> &dyn StorageBackend;
 
     /// The interception hook every operation routes through. `call` runs the
-    /// operation on [`Layer::inner`] with the caller's arguments and may be
-    /// invoked any number of times (a retry layer calls it per attempt, a
-    /// fault layer not at all). The default is a pure forward.
+    /// operation on [`Layer::inner`] with the caller's arguments; a layer
+    /// invokes it once, or not at all (an injected failure, an open
+    /// breaker). The default is a pure forward.
     fn around<T: Reply>(&self, _op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
         call()
     }

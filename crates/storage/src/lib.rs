@@ -21,7 +21,7 @@
 //!
 //! **Routers** choose between children: [`fallback::FallbackBackend`] sends
 //! writes to a secondary tier once the primary has proven itself broken,
-//! with the downgrade observable for failure logging and metrics.
+//! the downgrade a `storage/failover` point span in the stack's sink.
 //!
 //! **Layers** wrap one backend and contain only what they intercept; the
 //! forwarding of everything else is written once, in [`layer`]:
@@ -34,8 +34,10 @@
 //! * [`readcache::ReadCache`] — single-flight coalescing read cache, and
 //!   [`readcache::OpCountingBackend`], the read counter its tests measure
 //!   with.
-//! * [`resilient::ResilientBackend`] — retry-after-aware pacing, hedged
-//!   reads, a circuit breaker and brownout shedding.
+//! * [`resilient::ResilientBackend`] — guards each attempt with AIMD
+//!   pacing, hedged reads, a circuit breaker and brownout shedding; it
+//!   never repeats one (the one retry loop is [`retry::RetryPolicy::run`],
+//!   owned by the engine).
 //! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
 //!   bandwidth/latency profiles (NAS), jitter, scripted stragglers and read
 //!   or at-rest corruption, from a declarative schedule.
@@ -82,10 +84,8 @@ pub use layer::{Layer, Op, Reply};
 pub use memory::MemoryBackend;
 pub use object::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use readcache::{OpCountingBackend, ReadCache, ReadCacheStats};
-pub use resilient::{
-    CircuitState, ResilienceConfig, ResilienceEvent, ResilienceSnapshot, ResilientBackend,
-};
-pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock};
+pub use resilient::{CircuitState, ResilienceConfig, ResilienceSnapshot, ResilientBackend};
+pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
 pub use stack::{assemble, Stack, StackConfig};
 pub use uri::{CheckpointLocation, StorageUri};
 
@@ -151,13 +151,16 @@ impl StorageError {
         }
     }
 
-    /// The server's retry-after hint, when this failure carries one.
-    pub fn retry_after(&self) -> Option<std::time::Duration> {
+    /// The classifier [`RetryPolicy::run`] takes for storage operations:
+    /// `Terminal` stops at once, `Throttled` retries no earlier than the
+    /// server's (or breaker's) hint, `Retryable` follows the schedule.
+    pub fn verdict(&self) -> Verdict {
         match self.kind() {
+            StorageErrorKind::Terminal => Verdict::Stop,
+            StorageErrorKind::Retryable => Verdict::Retry,
             StorageErrorKind::Throttled { retry_after_ms } => {
-                Some(std::time::Duration::from_millis(retry_after_ms))
+                Verdict::RetryAfter(std::time::Duration::from_millis(retry_after_ms))
             }
-            _ => None,
         }
     }
 }

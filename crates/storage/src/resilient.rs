@@ -1,36 +1,45 @@
 //! The adaptive resilience layer: a wrapper usable over *any* backend that
-//! turns a hostile storage service into one the engine can keep committing
-//! through. Four cooperating mechanisms:
+//! shapes each attempt against a hostile storage service. It guards an
+//! attempt — breaker check → pace → **one** call → feed breaker / pacer /
+//! brownout — and never repeats one: the retry loop is the engine's
+//! (`bcp-core`'s `integrity::with_retries` over
+//! [`crate::retry::RetryPolicy::run`]), and what that loop needs from here
+//! reaches it as a typed error ([`StorageError::verdict`]). Four mechanisms:
 //!
-//! * **Retry-after-aware pacing** — every operation runs under the existing
-//!   [`RetryPolicy`] backoff/jitter/deadline, but a throttled error
-//!   ([`StorageErrorKind::Throttled`]) waits at least the server's hint, and
-//!   an AIMD client rate cap (multiplicative decrease on each throttle,
-//!   additive increase on success, released after a calm period) keeps the
-//!   request rate at what the backend will actually serve instead of
-//!   hammering it.
+//! * **AIMD pacing** — a client rate cap (installed on the first throttle,
+//!   multiplicative decrease on each further one, additive increase on
+//!   success, released after a calm period) makes every attempt wait its
+//!   turn, keeping the request rate at what the backend will actually serve.
+//!   The wait *between* attempts — backoff raised to the server's hint — is
+//!   the retry loop's.
 //! * **Hedged reads** — when a read has waited past the rolling p99 of
 //!   recent read latencies, a speculative duplicate is issued and the first
 //!   successful result wins; the loser is discarded and never double-counted
 //!   in op stats. A hedge budget bounds read amplification.
-//! * **Circuit breaker** — closed → open on a windowed error-rate trip
-//!   (throttles don't count: a throttling server is *alive*), open → fail
-//!   fast with typed [`StorageError::CircuitOpen`] (no per-call deadline
-//!   burn, letting [`crate::FallbackBackend`] and recovery-ladder paths
-//!   take over immediately), then half-open probes → closed on success.
+//! * **Circuit breaker** — closed → open on a windowed error rate over
+//!   attempts (throttles don't count: a throttling server is *alive*), open
+//!   → fail fast with typed [`StorageError::CircuitOpen`] carrying the
+//!   remaining cooldown as its hint (no backend call, no time burned, so
+//!   [`crate::FallbackBackend`] and recovery-ladder paths take over at
+//!   once), then half-open probes → closed on success.
 //! * **Brownout shedding** — sustained throttling (or an open circuit)
 //!   raises [`StorageBackend::shed_optional_work`], and the engine skips
 //!   telemetry artifacts, hot-tier replication and chunk-manifest writes so
 //!   committed saves keep landing.
 //!
-//! Everything timing-related runs on a [`RetryClock`], so storms and
-//! multi-virtual-second outages are testable without real sleeping (hedge
-//! *arming* uses the real clock: with a virtual clock the primary returns
-//! instantly in real time, so hedges simply never fire).
+//! With a sink ([`ResilientBackend::with_sink`]) every hedge, breaker
+//! transition or rejection and brownout transition is also a `resil/*` point
+//! span under the operation that caused it (`resil/retry` and
+//! `resil/throttled` are the retry loop's). Everything timing-related runs
+//! on a [`RetryClock`] — the engine's loop should wait on the same one — so
+//! storms and outages are testable without real sleeping (hedge *arming*
+//! uses the real clock: on a virtual one the primary returns instantly in
+//! real time, so hedges simply never fire).
 
 use crate::layer::{self, Op, Reply};
-use crate::retry::{site_seed, RetryClock, RetryPolicy, SystemClock};
+use crate::retry::{RetryClock, SystemClock};
 use crate::{DynBackend, Result, StorageBackend, StorageError, StorageErrorKind};
+use bcp_monitor::MetricsSink;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -148,10 +157,8 @@ impl Default for PacingConfig {
 }
 
 /// Full configuration of the resilience layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResilienceConfig {
-    /// Per-operation retry policy (backoff/jitter/deadline).
-    pub retry: RetryPolicy,
     /// Hedged reads.
     pub hedge: HedgeConfig,
     /// Circuit breaker.
@@ -160,19 +167,6 @@ pub struct ResilienceConfig {
     pub brownout: BrownoutConfig,
     /// AIMD pacing.
     pub pacing: PacingConfig,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            retry: RetryPolicy::exponential(5, Duration::from_millis(5))
-                .with_deadline(Duration::from_secs(30)),
-            hedge: HedgeConfig::default(),
-            breaker: BreakerConfig::default(),
-            brownout: BrownoutConfig::default(),
-            pacing: PacingConfig::default(),
-        }
-    }
 }
 
 /// Observable breaker state.
@@ -187,41 +181,9 @@ pub enum CircuitState {
     HalfOpen,
 }
 
-/// Events the wrapper reports to its observer (wired into the failure log
-/// and metrics stream by `bcp-core`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResilienceEvent {
-    /// An attempt failed and a retry will follow.
-    Retry {
-        /// Operation name ("write", "read", ...).
-        op: &'static str,
-    },
-    /// The backend pushed back with a retry-after hint.
-    Throttled {
-        /// The server's hint in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// A speculative duplicate read was issued.
-    Hedge,
-    /// The hedge finished first with the winning result.
-    HedgeWin,
-    /// The circuit opened (fail-fast mode).
-    CircuitOpened,
-    /// A half-open probe succeeded and the circuit closed.
-    CircuitClosed,
-    /// A call was rejected because the circuit is open.
-    CircuitRejected,
-    /// Sustained throttling entered brownout (optional work sheds).
-    BrownoutEntered,
-    /// Throttling subsided; brownout exited.
-    BrownoutExited,
-}
-
 /// Counter snapshot for tests, benches and metric export.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceSnapshot {
-    /// Attempts that failed and were retried.
-    pub retries: u64,
     /// Throttled responses observed.
     pub throttled: u64,
     /// Hedged reads issued.
@@ -230,7 +192,7 @@ pub struct ResilienceSnapshot {
     pub hedge_wins: u64,
     /// Logical read operations.
     pub reads_logical: u64,
-    /// Backend read calls actually issued (primary + hedges + retries).
+    /// Backend read calls actually issued (primary + hedges).
     pub backend_reads: u64,
     /// Calls rejected while the circuit was open.
     pub circuit_rejections: u64,
@@ -281,7 +243,6 @@ struct BrownoutState {
 
 #[derive(Default)]
 struct Counters {
-    retries: AtomicU64,
     throttled: AtomicU64,
     hedges: AtomicU64,
     hedge_wins: AtomicU64,
@@ -295,8 +256,6 @@ struct Counters {
     paced_wait_us: AtomicU64,
 }
 
-type Observer = Arc<dyn Fn(&ResilienceEvent) + Send + Sync>;
-
 /// The resilience wrapper. See the module docs for the mechanisms.
 pub struct ResilientBackend {
     inner: DynBackend,
@@ -307,18 +266,15 @@ pub struct ResilientBackend {
     brownout: Mutex<BrownoutState>,
     latency_window: Mutex<VecDeque<Duration>>,
     counters: Counters,
-    observer: Mutex<Option<Observer>>,
+    sink: MetricsSink,
+    rank: usize,
 }
 
 impl ResilientBackend {
     /// Wrap `inner` with the default config on the real clock.
     pub fn new(inner: DynBackend) -> ResilientBackend {
-        ResilientBackend::with_config(inner, ResilienceConfig::default())
-    }
-
-    /// Wrap `inner` with `cfg` on the real clock.
-    pub fn with_config(inner: DynBackend, cfg: ResilienceConfig) -> ResilientBackend {
-        ResilientBackend::with_clock(inner, cfg, Arc::new(SystemClock::default()))
+        let clock = Arc::new(SystemClock::default());
+        ResilientBackend::with_clock(inner, ResilienceConfig::default(), clock)
     }
 
     /// Wrap `inner` with `cfg`, running all waits/cooldowns on `clock`.
@@ -336,13 +292,18 @@ impl ResilientBackend {
             brownout: Mutex::new(BrownoutState::default()),
             latency_window: Mutex::new(VecDeque::new()),
             counters: Counters::default(),
-            observer: Mutex::new(None),
+            sink: MetricsSink::disabled(),
+            rank: 0,
         }
     }
 
-    /// Register the event observer (replacing any previous one).
-    pub fn set_observer(&self, obs: Observer) {
-        *self.observer.lock() = Some(obs);
+    /// Emit the `resil/{hedge,hedge_win,circuit_open,circuit_close,
+    /// circuit_reject,brownout_enter,brownout_exit}` point spans into `sink`
+    /// (`rank` stamps those outside any entered workflow span).
+    pub fn with_sink(mut self, sink: MetricsSink, rank: usize) -> ResilientBackend {
+        self.sink = sink;
+        self.rank = rank;
+        self
     }
 
     /// Current breaker state.
@@ -368,7 +329,6 @@ impl ResilientBackend {
     pub fn stats(&self) -> ResilienceSnapshot {
         let c = &self.counters;
         ResilienceSnapshot {
-            retries: c.retries.load(Ordering::Relaxed),
             throttled: c.throttled.load(Ordering::Relaxed),
             hedges: c.hedges.load(Ordering::Relaxed),
             hedge_wins: c.hedge_wins.load(Ordering::Relaxed),
@@ -386,57 +346,44 @@ impl ResilientBackend {
         }
     }
 
-    fn emit(&self, event: ResilienceEvent) {
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(&event);
-        }
+    /// One `resil/<event>` point span, under whichever operation is running.
+    fn point(&self, name: &'static str) {
+        drop(self.sink.span_in_context(name, self.rank).uncounted());
     }
 
     /// Admit this call through the breaker, or fail fast with
     /// [`StorageError::CircuitOpen`].
     fn check_breaker(&self) -> Result<()> {
         let now = self.clock.now();
-        let mut b = self.breaker.lock();
-        match &mut b.state {
-            BState::Closed => Ok(()),
-            BState::Open { until } => {
-                if now >= *until {
+        let retry_after = {
+            let mut b = self.breaker.lock();
+            match &mut b.state {
+                BState::Closed => return Ok(()),
+                BState::Open { until } if now >= *until => {
                     b.state = BState::HalfOpen { in_flight: 1 };
-                    Ok(())
-                } else {
-                    let remaining = until.saturating_sub(now);
-                    drop(b);
-                    self.counters.circuit_rejections.fetch_add(1, Ordering::Relaxed);
-                    self.emit(ResilienceEvent::CircuitRejected);
-                    Err(StorageError::CircuitOpen {
-                        backend: self.inner.name().to_string(),
-                        retry_after_ms: (remaining.as_millis() as u64).max(1),
-                    })
+                    return Ok(());
                 }
-            }
-            BState::HalfOpen { in_flight } => {
-                if *in_flight < self.cfg.breaker.probes {
+                BState::Open { until } => until.saturating_sub(now),
+                BState::HalfOpen { in_flight } if *in_flight < self.cfg.breaker.probes => {
                     *in_flight += 1;
-                    Ok(())
-                } else {
-                    drop(b);
-                    self.counters.circuit_rejections.fetch_add(1, Ordering::Relaxed);
-                    self.emit(ResilienceEvent::CircuitRejected);
-                    Err(StorageError::CircuitOpen {
-                        backend: self.inner.name().to_string(),
-                        retry_after_ms: (self.cfg.breaker.cooldown.as_millis() as u64).max(1),
-                    })
+                    return Ok(());
                 }
+                BState::HalfOpen { .. } => self.cfg.breaker.cooldown,
             }
-        }
+        };
+        self.counters.circuit_rejections.fetch_add(1, Ordering::Relaxed);
+        self.point("resil/circuit_reject");
+        Err(StorageError::CircuitOpen {
+            backend: self.inner.name().to_string(),
+            retry_after_ms: (retry_after.as_millis() as u64).max(1),
+        })
     }
 
     /// Feed one attempt outcome into the breaker (throttles and terminal
     /// errors count as *alive*, i.e. non-error).
     fn breaker_outcome(&self, errored: bool) {
         let now = self.clock.now();
-        let mut events = Vec::new();
+        let mut transition = None;
         {
             let mut b = self.breaker.lock();
             match &mut b.state {
@@ -452,7 +399,7 @@ impl ResilientBackend {
                         b.state = BState::Open { until: now + self.cfg.breaker.cooldown };
                         b.window.clear();
                         self.counters.circuit_opened.fetch_add(1, Ordering::Relaxed);
-                        events.push(ResilienceEvent::CircuitOpened);
+                        transition = Some("resil/circuit_open");
                     }
                 }
                 BState::HalfOpen { in_flight } => {
@@ -460,19 +407,19 @@ impl ResilientBackend {
                     if errored {
                         b.state = BState::Open { until: now + self.cfg.breaker.cooldown };
                         self.counters.circuit_opened.fetch_add(1, Ordering::Relaxed);
-                        events.push(ResilienceEvent::CircuitOpened);
+                        transition = Some("resil/circuit_open");
                     } else {
                         b.state = BState::Closed;
                         b.window.clear();
                         self.counters.circuit_closed.fetch_add(1, Ordering::Relaxed);
-                        events.push(ResilienceEvent::CircuitClosed);
+                        transition = Some("resil/circuit_close");
                     }
                 }
                 BState::Open { .. } => {}
             }
         }
-        for e in events {
-            self.emit(e);
+        if let Some(name) = transition {
+            self.point(name);
         }
     }
 
@@ -509,9 +456,8 @@ impl ResilientBackend {
 
     /// Multiplicative-decrease (or cap installation) on a throttle; also
     /// feeds the brownout window.
-    fn on_throttle(&self, retry_after_ms: u64) {
+    fn on_throttle(&self) {
         self.counters.throttled.fetch_add(1, Ordering::Relaxed);
-        self.emit(ResilienceEvent::Throttled { retry_after_ms });
         let now = self.clock.now();
         {
             let mut p = self.pacer.lock();
@@ -530,23 +476,9 @@ impl ResilientBackend {
                 }
             }
         }
-        let entered = {
-            let mut b = self.brownout.lock();
-            b.times.push_back(now);
-            let horizon = now.saturating_sub(self.cfg.brownout.window);
-            while b.times.front().is_some_and(|t| *t < horizon) {
-                b.times.pop_front();
-            }
-            if !b.active && b.times.len() as u32 >= self.cfg.brownout.enter {
-                b.active = true;
-                true
-            } else {
-                false
-            }
-        };
-        if entered {
+        if self.brownout_window(now, true) {
             self.counters.brownout_entered.fetch_add(1, Ordering::Relaxed);
-            self.emit(ResilienceEvent::BrownoutEntered);
+            self.point("resil/brownout_enter");
         }
     }
 
@@ -558,82 +490,56 @@ impl ResilientBackend {
                 st.rate = (st.rate + self.cfg.pacing.increase).min(self.cfg.pacing.ceil_rate);
             }
         }
-        let exited = {
-            let now = self.clock.now();
-            let mut b = self.brownout.lock();
-            let horizon = now.saturating_sub(self.cfg.brownout.window);
-            while b.times.front().is_some_and(|t| *t < horizon) {
-                b.times.pop_front();
-            }
-            if b.active && b.times.len() as u32 <= self.cfg.brownout.exit {
-                b.active = false;
-                true
-            } else {
-                false
-            }
-        };
-        if exited {
+        if self.brownout_window(self.clock.now(), false) {
             self.counters.brownout_exited.fetch_add(1, Ordering::Relaxed);
-            self.emit(ResilienceEvent::BrownoutExited);
+            self.point("resil/brownout_exit");
         }
     }
 
-    /// The paced, breaker-guarded, retry-after-aware retry loop every
-    /// operation runs under. `attempt` executes one backend attempt.
-    fn guarded<T>(
-        &self,
-        op: &'static str,
-        path: &str,
-        attempt: &mut dyn FnMut() -> Result<T>,
-    ) -> Result<T> {
-        let seed = site_seed(0, op, Some(path));
-        let start = self.clock.now();
-        let mut attempt_no = 0u32;
-        loop {
-            attempt_no += 1;
-            self.check_breaker()?;
-            self.pace();
-            match attempt() {
-                Ok(v) => {
-                    self.breaker_outcome(false);
-                    self.on_success();
-                    return Ok(v);
-                }
-                Err(e) => {
-                    let backoff = match e.kind() {
-                        StorageErrorKind::Terminal => {
-                            // Semantic failure: the backend is alive and
-                            // retrying can never help.
-                            self.breaker_outcome(false);
-                            return Err(e);
-                        }
-                        StorageErrorKind::Throttled { retry_after_ms } => {
-                            self.breaker_outcome(false);
-                            self.on_throttle(retry_after_ms);
-                            self.cfg
-                                .retry
-                                .backoff_for(attempt_no, seed)
-                                .max(Duration::from_millis(retry_after_ms))
-                        }
-                        StorageErrorKind::Retryable => {
-                            self.breaker_outcome(true);
-                            self.cfg.retry.backoff_for(attempt_no, seed)
-                        }
-                    };
-                    let within_deadline = self
-                        .cfg
-                        .retry
-                        .deadline
-                        .is_none_or(|d| self.clock.now().saturating_sub(start) + backoff <= d);
-                    if attempt_no >= self.cfg.retry.max_attempts || !within_deadline {
-                        return Err(e);
-                    }
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    self.emit(ResilienceEvent::Retry { op });
-                    self.clock.sleep(backoff);
-                }
-            }
+    /// Slide the brownout window to `now`, counting this outcome in it when
+    /// `throttled`; whether that flipped the state (a throttle can only
+    /// enter brownout, a success only exit it).
+    fn brownout_window(&self, now: Duration, throttled: bool) -> bool {
+        let mut b = self.brownout.lock();
+        if throttled {
+            b.times.push_back(now);
         }
+        let horizon = now.saturating_sub(self.cfg.brownout.window);
+        while b.times.front().is_some_and(|t| *t < horizon) {
+            b.times.pop_front();
+        }
+        let n = b.times.len() as u32;
+        let flip = if throttled {
+            !b.active && n >= self.cfg.brownout.enter
+        } else {
+            b.active && n <= self.cfg.brownout.exit
+        };
+        b.active ^= flip;
+        flip
+    }
+
+    /// Guard one attempt: admit it through the breaker (or fail fast), wait
+    /// its turn under the pacer, run it once, and feed the outcome to the
+    /// breaker, the pacer and the brownout window. Whatever the attempt
+    /// returns is returned as is — repeating it is the caller's decision.
+    fn guarded<T>(&self, attempt: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        self.check_breaker()?;
+        self.pace();
+        let result = attempt();
+        match result.as_ref().map_err(StorageError::kind) {
+            Ok(_) => {
+                self.breaker_outcome(false);
+                self.on_success();
+            }
+            // Semantic failure or push-back: the backend is alive.
+            Err(StorageErrorKind::Terminal) => self.breaker_outcome(false),
+            Err(StorageErrorKind::Throttled { .. }) => {
+                self.breaker_outcome(false);
+                self.on_throttle();
+            }
+            Err(StorageErrorKind::Retryable) => self.breaker_outcome(true),
+        }
+        result
     }
 
     /// The hedge delay to arm for the next read, or None (disabled, cold
@@ -691,29 +597,24 @@ impl ResilientBackend {
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         self.counters.hedges.fetch_add(1, Ordering::Relaxed);
                         self.counters.backend_reads.fetch_add(1, Ordering::Relaxed);
-                        self.emit(ResilienceEvent::Hedge);
+                        self.point("resil/hedge");
                         let hedge = f.clone();
                         std::thread::spawn(move || {
                             let _ = tx.send((1, hedge()));
                         });
                         // First Ok wins; a loser's result is dropped with
                         // the channel, never recorded anywhere.
-                        match rx.recv() {
-                            Ok((who, Ok(v))) => {
-                                if who == 1 {
-                                    self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                    self.emit(ResilienceEvent::HedgeWin);
-                                }
-                                Ok(v)
+                        let won = |who: u8, v: Bytes| {
+                            if who == 1 {
+                                self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                                self.point("resil/hedge_win");
                             }
+                            Ok(v)
+                        };
+                        match rx.recv() {
+                            Ok((who, Ok(v))) => won(who, v),
                             Ok((_, Err(first_err))) => match rx.recv() {
-                                Ok((who, Ok(v))) => {
-                                    if who == 1 {
-                                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                        self.emit(ResilienceEvent::HedgeWin);
-                                    }
-                                    Ok(v)
-                                }
+                                Ok((who, Ok(v))) => won(who, v),
                                 _ => Err(first_err),
                             },
                             Err(_) => f(),
@@ -729,14 +630,9 @@ impl ResilientBackend {
         res
     }
 
-    fn guarded_read(
-        &self,
-        op: &'static str,
-        path: &str,
-        f: Arc<dyn Fn() -> Result<Bytes> + Send + Sync>,
-    ) -> Result<Bytes> {
+    fn guarded_read(&self, f: Arc<dyn Fn() -> Result<Bytes> + Send + Sync>) -> Result<Bytes> {
         self.counters.reads_logical.fetch_add(1, Ordering::Relaxed);
-        self.guarded(op, path, &mut || self.attempt_read(&f))
+        self.guarded(&mut || self.attempt_read(&f))
     }
 }
 
@@ -766,8 +662,8 @@ impl layer::Layer for ResilientBackend {
             || self.inner.shed_optional_work()
     }
 
-    fn around<T: Reply>(&self, op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
-        self.guarded(op.name(), op.path(), call)
+    fn around<T: Reply>(&self, _op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
+        self.guarded(call)
     }
 
     // The two reads may hedge onto another thread, so each attempt owns its
@@ -775,13 +671,13 @@ impl layer::Layer for ResilientBackend {
     fn read(&self, path: &str) -> Result<Bytes> {
         let inner = self.inner.clone();
         let p = path.to_string();
-        self.guarded_read("read", path, Arc::new(move || inner.read(&p)))
+        self.guarded_read(Arc::new(move || inner.read(&p)))
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         let inner = self.inner.clone();
         let p = path.to_string();
-        self.guarded_read("read_range", path, Arc::new(move || inner.read_range(&p, offset, len)))
+        self.guarded_read(Arc::new(move || inner.read_range(&p, offset, len)))
     }
 }
 
@@ -789,41 +685,47 @@ impl layer::Layer for ResilientBackend {
 mod tests {
     use super::*;
     use crate::object::{ObjectStoreBackend, ObjectStoreConfig};
-    use crate::retry::{RetryClock, TestClock};
+    use crate::retry::{site_seed, RetryClock, RetryPolicy, TestClock};
     use crate::{Fault, FaultLayer, FaultRule, MemoryBackend, OpCountingBackend, OpSet};
 
-    fn fast_retry() -> RetryPolicy {
-        RetryPolicy::fixed(4, Duration::from_millis(1))
+    /// The engine's loop in miniature: `policy` over one guarded operation,
+    /// waiting on the clock the guard computes its hints on.
+    fn retried<T>(
+        policy: RetryPolicy,
+        clock: &TestClock,
+        path: &str,
+        op: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let seed = site_seed(0, "write", Some(path));
+        policy.run(clock, seed, op, StorageError::verdict, |_, _, _| {})
     }
 
     #[test]
-    fn retries_absorb_transient_failures_without_tripping_the_breaker() {
+    fn a_failed_attempt_reaches_the_backend_once_and_is_returned_as_is() {
         let fail_twice = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: 2 })];
-        let flaky: DynBackend =
-            Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, fail_twice));
-        let b = ResilientBackend::with_config(
-            flaky,
-            ResilienceConfig { retry: fast_retry(), ..ResilienceConfig::default() },
-        );
+        let flaky = Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, fail_twice));
+        let b = ResilientBackend::new(flaky.clone());
+        for attempt in 1..=2 {
+            let err = b.write("k", Bytes::from_static(b"v")).unwrap_err();
+            assert!(matches!(err, StorageError::Injected { .. }), "{err}");
+            assert_eq!(flaky.injected(), attempt, "the guard never repeats an attempt");
+        }
         b.write("k", Bytes::from_static(b"v")).unwrap();
-        let s = b.stats();
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.circuit, CircuitState::Closed);
+        assert_eq!(b.stats().circuit, CircuitState::Closed, "two transients are not an outage");
         assert_eq!(&b.read("k").unwrap()[..], b"v");
     }
 
     #[test]
-    fn terminal_errors_fail_immediately_without_retries() {
-        let b = ResilientBackend::with_config(
-            Arc::new(MemoryBackend::new()),
-            ResilienceConfig { retry: fast_retry(), ..ResilienceConfig::default() },
-        );
-        assert!(matches!(b.read("missing"), Err(StorageError::NotFound(_))));
-        assert_eq!(b.stats().retries, 0, "NotFound is terminal: no retry burn");
+    fn terminal_errors_never_count_against_the_breaker() {
+        let b = ResilientBackend::new(Arc::new(MemoryBackend::new()));
+        for _ in 0..2 * BreakerConfig::default().window {
+            assert!(matches!(b.read("missing"), Err(StorageError::NotFound(_))));
+        }
+        assert_eq!(b.stats().circuit, CircuitState::Closed, "NotFound: the backend is alive");
     }
 
     #[test]
-    fn throttles_honor_retry_after_and_install_aimd_pacing() {
+    fn throttles_surface_their_hint_and_install_aimd_pacing() {
         let clock = Arc::new(TestClock::new());
         let store = Arc::new(ObjectStoreBackend::with_clock(
             ObjectStoreConfig {
@@ -833,30 +735,26 @@ mod tests {
             },
             clock.clone(),
         ));
-        let b = ResilientBackend::with_clock(
-            store.clone(),
-            ResilienceConfig {
-                retry: RetryPolicy::fixed(8, Duration::from_millis(1)),
-                ..ResilienceConfig::default()
-            },
-            clock.clone(),
-        );
-        // A burst of writes all lands (pacing + retry-after absorb the
-        // throttle) and the pacer installs a rate cap.
+        let b =
+            ResilientBackend::with_clock(store.clone(), ResilienceConfig::default(), clock.clone());
+        // A burst of writes all lands (the loop above waits out each hint,
+        // the pacer spreads the attempts) and the pacer installs a rate cap.
+        let policy = RetryPolicy::fixed(8, Duration::from_millis(1));
         for i in 0..10 {
-            b.write(&format!("k/{i}"), Bytes::from_static(b"x")).unwrap();
+            let path = format!("k/{i}");
+            retried(policy, &clock, &path, || b.write(&path, Bytes::from_static(b"x"))).unwrap();
         }
         let s = b.stats();
         assert!(s.throttled > 0, "the store throttled: {s:?}");
         assert!(s.client_rate.is_some(), "AIMD cap installed");
         assert_eq!(s.circuit, CircuitState::Closed, "throttling never opens the circuit");
-        // Every backoff slept at least the server hint (virtual clock
-        // recorded the sleeps; the hint at 20 qps is >= 50ms).
+        // The throttle reached the loop as a typed hint and was slept on the
+        // shared virtual clock (the hint at 20 qps is >= 50ms).
         assert!(clock.sleeps().iter().any(|d| *d >= Duration::from_millis(50)));
     }
 
     /// The goodput gate: under a throttling storm the paced client (server
-    /// hints honored, AIMD rate cap) moves the same seeded workload at least
+    /// hints honored by the loop, AIMD rate cap in the guard) moves the same seeded workload at least
     /// twice as fast as a tight-retry client that ignores `retry-after` and
     /// burns `reject_cost` of a token on every rejection. Virtual time.
     #[test]
@@ -893,16 +791,13 @@ mod tests {
 
         let clock = Arc::new(TestClock::new());
         let store = storm(&clock);
-        let paced = ResilientBackend::with_clock(
-            store.clone(),
-            ResilienceConfig {
-                retry: RetryPolicy::exponential(8, Duration::from_millis(5)),
-                ..ResilienceConfig::default()
-            },
-            clock.clone(),
-        );
+        let paced =
+            ResilientBackend::with_clock(store.clone(), ResilienceConfig::default(), clock.clone());
+        let policy = RetryPolicy::exponential(8, Duration::from_millis(5));
         for i in 0..OBJECTS {
-            paced.write(&format!("paced/{i}"), payload.clone()).expect("paced write lands");
+            let path = format!("paced/{i}");
+            retried(policy, &clock, &path, || paced.write(&path, payload.clone()))
+                .expect("paced write lands");
         }
         let (paced_wall, paced_throttled) = (clock.now(), store.stats().throttled);
 
@@ -921,7 +816,6 @@ mod tests {
         let store =
             Arc::new(ObjectStoreBackend::with_clock(ObjectStoreConfig::default(), clock.clone()));
         let cfg = ResilienceConfig {
-            retry: RetryPolicy::fixed(3, Duration::from_millis(1)),
             breaker: BreakerConfig {
                 window: 8,
                 min_samples: 4,
@@ -934,16 +828,22 @@ mod tests {
         let b = ResilientBackend::with_clock(store.clone(), cfg, clock.clone());
         b.write("pre", Bytes::from_static(b"ok")).unwrap();
         store.outage_now(Duration::from_secs(30));
-        // Errors accumulate until the circuit opens...
-        assert!(b.write("w1", Bytes::from_static(b"x")).is_err());
-        assert!(b.write("w2", Bytes::from_static(b"x")).is_err());
+        // Failed attempts accumulate (one sample each) until the circuit
+        // opens: 3 errors in a window of 4...
+        for _ in 0..3 {
+            assert_eq!(b.circuit_state(), CircuitState::Closed);
+            assert!(b.write("w", Bytes::from_static(b"x")).is_err());
+        }
         assert_eq!(b.circuit_state(), CircuitState::Open);
-        // ...and open-circuit calls fail fast with the typed error, without
-        // consuming retry attempts (no sleeps added).
-        let sleeps_before = clock.sleeps().len();
-        let err = b.write("w3", Bytes::from_static(b"x")).unwrap_err();
-        assert!(matches!(err, StorageError::CircuitOpen { .. }), "{err}");
-        assert_eq!(clock.sleeps().len(), sleeps_before, "fail-fast: no backoff burned");
+        // ...and open-circuit calls fail fast with the typed error, carrying
+        // the remaining cooldown as the hint and burning no time.
+        let (t0, requests) = (clock.now(), store.stats().requests);
+        let err = b.write("w", Bytes::from_static(b"x")).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::CircuitOpen { backend: "object".into(), retry_after_ms: 2000 }
+        );
+        assert_eq!((clock.now(), store.stats().requests), (t0, requests), "fail-fast");
         assert!(b.stats().circuit_rejections >= 1);
         assert!(b.shed_optional_work(), "open circuit sheds optional work");
         // After the outage and cooldown, a probe closes the circuit.
@@ -968,14 +868,15 @@ mod tests {
         let b = ResilientBackend::with_clock(
             store.clone(),
             ResilienceConfig {
-                retry: RetryPolicy::fixed(10, Duration::from_millis(1)),
                 brownout: BrownoutConfig { window: Duration::from_secs(5), enter: 3, exit: 0 },
                 ..ResilienceConfig::default()
             },
             clock.clone(),
         );
+        let policy = RetryPolicy::fixed(10, Duration::from_millis(1));
         for i in 0..6 {
-            b.write(&format!("k/{i}"), Bytes::from_static(b"x")).unwrap();
+            let path = format!("k/{i}");
+            retried(policy, &clock, &path, || b.write(&path, Bytes::from_static(b"x"))).unwrap();
         }
         assert!(b.stats().brownout_entered >= 1, "{:?}", b.stats());
         // Calm period: lift the limit, advance past the window, succeed.
@@ -998,7 +899,7 @@ mod tests {
             0,
             vec![FaultRule::new(OpSet::Reads, script)],
         ));
-        let b = ResilientBackend::with_config(
+        let b = ResilientBackend::with_clock(
             slow,
             ResilienceConfig {
                 hedge: HedgeConfig {
@@ -1010,6 +911,7 @@ mod tests {
                 },
                 ..ResilienceConfig::default()
             },
+            Arc::new(SystemClock::default()),
         );
         let t0 = std::time::Instant::now();
         assert_eq!(&b.read("k").unwrap()[..], b"payload");
@@ -1036,7 +938,7 @@ mod tests {
     fn hedge_budget_bounds_read_amplification() {
         let mem: DynBackend = Arc::new(MemoryBackend::new());
         mem.write("k", Bytes::from_static(b"v")).unwrap();
-        let b = ResilientBackend::with_config(
+        let b = ResilientBackend::with_clock(
             mem,
             ResilienceConfig {
                 hedge: HedgeConfig {
@@ -1048,6 +950,7 @@ mod tests {
                 },
                 ..ResilienceConfig::default()
             },
+            Arc::new(SystemClock::default()),
         );
         for _ in 0..200 {
             b.read("k").unwrap();

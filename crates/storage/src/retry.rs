@@ -1,11 +1,14 @@
-//! Retry policy primitives shared by the engine's retry loops and the
-//! [`crate::resilient::ResilientBackend`] wrapper: exponential backoff with
-//! deterministic jitter, an attempt cap, an optional overall deadline, and
-//! the clock abstraction that makes every sleep virtual-clock testable.
+//! The retry loop, written once: [`RetryPolicy`] (exponential backoff with
+//! deterministic jitter, an attempt cap, an optional overall deadline),
+//! [`RetryPolicy::run`] — the only code in the workspace that sleeps between
+//! attempts, counts them against the cap or measures the deadline — and the
+//! clock abstraction that makes every wait virtual-clock testable.
 //!
-//! These types started life in `bcp-core::integrity` (which still re-exports
-//! them); they live here so storage-layer wrappers can pace and retry without
-//! depending on the engine crate.
+//! `run` knows nothing about storage. Its callers are `bcp-core`'s
+//! `integrity::with_retries` (every storage operation of both pipelines,
+//! where the stage is known) and `bcp-coordinator`'s `ReconnectingClient`;
+//! the storage layers shape an attempt and never repeat one, so an operation
+//! is attempted at most `max_attempts` times however the stack is assembled.
 
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -48,11 +51,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: fail on the first error.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
     /// Fixed delay between attempts (the seed's original behaviour).
     pub fn fixed(max_attempts: u32, delay: Duration) -> RetryPolicy {
         RetryPolicy {
@@ -80,11 +78,6 @@ impl RetryPolicy {
         RetryPolicy { jitter: jitter.clamp(0.0, 1.0), ..self }
     }
 
-    /// Same policy with a different per-backoff cap.
-    pub fn with_max_backoff(self, max_backoff: Duration) -> RetryPolicy {
-        RetryPolicy { max_backoff, ..self }
-    }
-
     /// The wait before retrying after failed attempt `attempt` (1-based).
     /// Deterministic in `(self, attempt, seed)`.
     pub fn backoff_for(&self, attempt: u32, seed: u64) -> Duration {
@@ -98,6 +91,58 @@ impl RetryPolicy {
         };
         Duration::from_secs_f64((capped * scale).max(0.0))
     }
+
+    /// Run `attempt` until it succeeds, `classify` says [`Verdict::Stop`],
+    /// the cap is reached, or the next wait would overrun the deadline
+    /// (measured on `clock` from entry). The wait after failed attempt `k` is
+    /// [`Self::backoff_for`]`(k, seed)`, raised to a [`Verdict::RetryAfter`]
+    /// hint. `observe` hears of every failed attempt: its 1-based number, the
+    /// error, and `Some(wait)` exactly when a retry follows.
+    pub fn run<T, E>(
+        &self,
+        clock: &dyn RetryClock,
+        seed: u64,
+        mut attempt: impl FnMut() -> Result<T, E>,
+        classify: impl Fn(&E) -> Verdict,
+        mut observe: impl FnMut(u32, &E, Option<Duration>),
+    ) -> Result<T, E> {
+        let start = clock.now();
+        let mut n = 0;
+        loop {
+            n += 1;
+            let e = match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            let floor = match classify(&e) {
+                Verdict::Stop => None,
+                Verdict::Retry => Some(Duration::ZERO),
+                Verdict::RetryAfter(hint) => Some(hint),
+            };
+            let wait = floor.map(|f| self.backoff_for(n, seed).max(f)).filter(|w| {
+                n < self.max_attempts
+                    && self.deadline.is_none_or(|d| clock.now().saturating_sub(start) + *w <= d)
+            });
+            observe(n, &e, wait);
+            match wait {
+                Some(w) => clock.sleep(w),
+                None => return Err(e),
+            }
+        }
+    }
+}
+
+/// What [`RetryPolicy::run`] does with a failed attempt, as classified by
+/// its caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Retrying cannot help: return the error now, no backoff burned.
+    Stop,
+    /// Retry on the policy's schedule.
+    Retry,
+    /// Retry, but not before this hint (a server's `retry-after`, a
+    /// breaker's remaining cooldown).
+    RetryAfter(Duration),
 }
 
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -193,5 +238,114 @@ impl RetryClock for TestClock {
     fn sleep(&self, d: Duration) {
         *self.now.lock() += d;
         self.sleeps.lock().push(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doubling(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy { jitter: 0.0, ..RetryPolicy::exponential(max_attempts, ms(10)) }
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Run an always-failing attempt under `policy`; returns the number of
+    /// attempts, the sleeps the clock saw and what the observer was told.
+    #[allow(clippy::type_complexity)]
+    fn fail_under(
+        policy: RetryPolicy,
+        verdict: Verdict,
+    ) -> (u32, Vec<Duration>, Vec<(u32, Option<Duration>)>) {
+        let clock = TestClock::new();
+        let (mut calls, mut seen) = (0, Vec::new());
+        let result: Result<(), &str> = policy.run(
+            &clock,
+            0,
+            || {
+                calls += 1;
+                Err("down")
+            },
+            |_| verdict,
+            |n, e, wait| {
+                assert_eq!(*e, "down");
+                seen.push((n, wait));
+            },
+        );
+        assert_eq!(result, Err("down"), "the last error is returned as is");
+        assert_eq!(clock.now(), clock.sleeps().iter().sum(), "the only time spent is slept");
+        (calls, clock.sleeps(), seen)
+    }
+
+    #[test]
+    fn run_reproduces_the_backoff_schedules_exactly() {
+        // Doubling backoff: 3 sleeps between 4 attempts; the observer hears
+        // of every failure, with the wait exactly when a retry follows.
+        let (calls, sleeps, seen) = fail_under(doubling(4), Verdict::Retry);
+        assert_eq!((calls, &sleeps), (4, &vec![ms(10), ms(20), ms(40)]));
+        assert_eq!(seen, vec![(1, Some(ms(10))), (2, Some(ms(20))), (3, Some(ms(40))), (4, None)]);
+
+        // Deadline: 10 + 20 fit a 35 ms budget, the third backoff (40 ms)
+        // would overrun it, so the loop gives up after 3 of 10 attempts.
+        let (calls, sleeps, seen) = fail_under(doubling(10).with_deadline(ms(35)), Verdict::Retry);
+        assert_eq!((calls, &sleeps), (3, &vec![ms(10), ms(20)]));
+        assert_eq!(seen.last(), Some(&(3, None)));
+
+        // A hint is a floor on the wait, not a replacement for the backoff.
+        let (calls, sleeps, _) =
+            fail_under(RetryPolicy::fixed(2, ms(1)), Verdict::RetryAfter(ms(250)));
+        assert_eq!((calls, sleeps), (2, vec![ms(250)]));
+        let (_, sleeps, _) = fail_under(doubling(3), Verdict::RetryAfter(ms(15)));
+        assert_eq!(sleeps, vec![ms(15), ms(20)]);
+
+        // Stop: one attempt, no backoff burned, whatever the cap.
+        let (calls, sleeps, seen) = fail_under(RetryPolicy::fixed(5, ms(10)), Verdict::Stop);
+        assert_eq!((calls, sleeps, seen), (1, vec![], vec![(1, None)]));
+    }
+
+    #[test]
+    fn run_returns_the_first_success_and_stops_observing() {
+        let clock = TestClock::new();
+        let (mut calls, mut failures) = (0, 0);
+        let result: Result<u32, &str> = RetryPolicy::fixed(5, ms(3)).run(
+            &clock,
+            0,
+            || {
+                calls += 1;
+                if calls < 3 {
+                    Err("flaky")
+                } else {
+                    Ok(calls)
+                }
+            },
+            |_| Verdict::Retry,
+            |_, _, _| failures += 1,
+        );
+        assert_eq!((result, failures), (Ok(3), 2));
+        assert_eq!(clock.sleeps(), vec![ms(3), ms(3)]);
+    }
+
+    #[test]
+    fn the_deadline_is_measured_on_the_given_clock() {
+        // Time the attempts themselves take (advanced virtually) counts
+        // against the budget: 30 ms of work + a 10 ms backoff overruns 35 ms.
+        let clock = TestClock::new();
+        let mut calls = 0;
+        let result: Result<(), &str> = doubling(10).with_deadline(ms(35)).run(
+            &clock,
+            0,
+            || {
+                calls += 1;
+                clock.advance(ms(30));
+                Err("slow and down")
+            },
+            |_| Verdict::Retry,
+            |_, _, _| {},
+        );
+        assert!(result.is_err());
+        assert_eq!((calls, clock.sleeps()), (1, vec![]));
     }
 }

@@ -8,17 +8,21 @@
 //! ```
 //!
 //! * **instrument** outermost, so an operation's span covers everything
-//!   below it — governor waits, retries, injected delays;
-//! * **govern** above the cache and the retry loop: a transfer is admitted
-//!   once, however many attempts it takes (admission is by the caller's
-//!   bytes, before the cache is consulted);
+//!   below it — governor waits, pacing waits, injected delays;
+//! * **govern** above the cache: admission is by the caller's bytes, before
+//!   the cache is consulted, and per attempt — a retried transfer is
+//!   admitted again, so bandwidth is charged for bytes moved;
 //! * **cache** above resilience, so a hit costs no pacing token and no
 //!   breaker sample;
 //! * **fallback** above **resilient**: the resilience layer guards the
-//!   primary only, and its exhausted retries or fail-fast `CircuitOpen` are
-//!   what trips writes over to the secondary tier;
+//!   primary only, and consecutive failed attempts or its fail-fast
+//!   `CircuitOpen` are what trips writes over to the secondary tier;
 //! * **fault** innermost, directly over the base, so every layer above is
 //!   exercised by what it injects.
+//!
+//! No layer repeats an operation: the one retry loop
+//! ([`crate::retry::RetryPolicy::run`]) is the engine's, above
+//! [`Stack::top`], so its cap bounds the attempts at the base backend.
 //!
 //! The per-load hot overlay ([`crate::TieredReadBackend`]) is per-call data,
 //! not configuration, and wraps the assembled stack from outside.
@@ -36,8 +40,9 @@ use std::sync::Arc;
 pub struct StackConfig {
     /// Rank stamped on spans emitted outside any entered workflow span.
     pub rank: usize,
-    /// Trace every data-plane operation into this sink; a configured read
-    /// cache reports its hits and misses to it too.
+    /// Trace every data-plane operation into this sink; the cache, fallback
+    /// and resilient layers, when configured, emit their point spans
+    /// (`dist/read_cache/*`, `storage/failover`, `resil/*`) into it too.
     pub instrument: Option<MetricsSink>,
     /// Admit every transfer through `(governor, job)`, timing the waits
     /// into the sink.
@@ -46,7 +51,7 @@ pub struct StackConfig {
     pub cache_bytes: Option<u64>,
     /// Fail writes over to this secondary tier.
     pub fallback: Option<DynBackend>,
-    /// Retry, pace, hedge and circuit-break the tier below.
+    /// Pace, hedge, circuit-break and brownout-shed the tier below.
     pub resilient: Option<ResilienceConfig>,
     /// Inject `(seed, schedule)` directly over the base.
     pub fault: Option<(u64, Vec<FaultRule>)>,
@@ -84,19 +89,22 @@ fn push<L: StorageBackend + 'static>(
 pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
     let clock = cfg.clock.unwrap_or_else(|| Arc::new(SystemClock::default()));
     let rank = cfg.rank;
+    let points = cfg.instrument.clone().unwrap_or_else(MetricsSink::disabled);
     let mut top = base;
     let fault = cfg.fault.map(|(seed, rules)| {
         push(&mut top, |b| FaultLayer::new(b, seed, rules).with_clock(clock.clone()))
     });
-    let resilient = cfg
-        .resilient
-        .map(|rc| push(&mut top, |b| ResilientBackend::with_clock(b, rc, clock.clone())));
-    let fallback =
-        cfg.fallback.map(|secondary| push(&mut top, |b| FallbackBackend::new(b, secondary)));
-    let cache = cfg.cache_bytes.map(|cap| {
-        let sink = cfg.instrument.clone().unwrap_or_else(MetricsSink::disabled);
-        push(&mut top, |b| ReadCache::new(b, cap).with_sink(sink, rank))
+    let resilient = cfg.resilient.map(|rc| {
+        push(&mut top, |b| {
+            ResilientBackend::with_clock(b, rc, clock.clone()).with_sink(points.clone(), rank)
+        })
     });
+    let fallback = cfg.fallback.map(|secondary| {
+        push(&mut top, |b| FallbackBackend::new(b, secondary).with_sink(points.clone(), rank))
+    });
+    let cache = cfg
+        .cache_bytes
+        .map(|cap| push(&mut top, |b| ReadCache::new(b, cap).with_sink(points.clone(), rank)));
     if let Some((governor, job, sink)) = cfg.govern {
         push(&mut top, |b| GovernedBackend::new(b, governor, job).with_sink(sink, rank));
     }
@@ -220,19 +228,24 @@ mod tests {
                 ..StackConfig::default()
             },
         );
-        // Fault is innermost and resilient is below fallback: the two
-        // injected failures are retried away on the primary, never reaching
-        // the router, and instrument (outermost) sees one successful write.
-        stack.top.write("k", Bytes::from_static(b"v")).unwrap();
+        // Fault is innermost and no layer repeats an attempt: each injected
+        // failure passes the breaker, is counted by the router and surfaces
+        // through instrument (outermost) as one failed write; two in a row
+        // stay below the router's threshold, and the third attempt lands on
+        // the primary and ends the run of failures.
+        let data = Bytes::from_static(b"v");
+        assert!(stack.top.write("k", data.clone()).is_err());
+        assert!(stack.top.write("k", data.clone()).is_err());
+        assert_eq!(stack.fallback.as_ref().unwrap().failures(), 2);
+        stack.top.write("k", data).unwrap();
         assert_eq!(stack.fault.as_ref().unwrap().injected(), 2);
-        assert_eq!(stack.resilient.as_ref().unwrap().stats().retries, 2);
         assert_eq!(stack.fallback.as_ref().unwrap().failures(), 0);
         assert!(!secondary.exists("k").unwrap());
         let spans = hub.spans();
         let writes: Vec<_> = spans.iter().filter(|s| s.name.ends_with("/write")).collect();
-        assert_eq!(writes.len(), 1);
-        assert!(!writes[0].attrs.contains_key("error"));
-        assert!(writes[0].attrs.contains_key("read_cache"), "attrs of every layer below");
+        assert_eq!(writes.len(), 3, "one span per attempt");
+        assert_eq!(writes.iter().filter(|w| w.attrs.contains_key("error")).count(), 2);
+        assert!(writes[2].attrs.contains_key("read_cache"), "attrs of every layer below");
         // The cache sits above all of it: a repeat read is one backend read.
         stack.top.read("k").unwrap();
         stack.top.read("k").unwrap();

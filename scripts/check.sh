@@ -35,6 +35,19 @@ if [ "$bench_loc" -gt 500 ]; then
   exit 1
 fi
 
+echo "==> one retry loop (RetryPolicy::run owns every wait between attempts; the deleted loops and their hooks must not come back)"
+second_loop="$(find crates/*/src src -name '*.rs' ! -path crates/storage/src/retry.rs -print0 | sort -z |
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /backoff_for\(/{print FILENAME ":" FNR ": " $0}')"
+if [ -n "$second_loop" ]; then
+  printf '%s\n' "$second_loop"
+  echo "only crates/storage/src/retry.rs computes a backoff outside tests: call RetryPolicy::run"
+  exit 1
+fi
+if grep -rnE 'with_retries_on|record_resilience|record_failovers|ResilienceEvent|set_observer' crates src tests examples; then
+  echo "the engine owns the retry loop (integrity::with_retries); layers emit their own point spans via with_sink"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -85,8 +85,8 @@ use bytecheckpoint::model::zoo;
 use bytecheckpoint::monitor::analysis::{breakdown_for_rank, phase_percentiles, total_by_rank};
 use bytecheckpoint::monitor::export::{chrome_trace, records_csv};
 use bytecheckpoint::monitor::{
-    render_breakdown, render_heatmap, HeatmapSpec, JsonReport, SpanRecord, StepTelemetry,
-    TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
+    render_breakdown, render_heatmap, HeatmapSpec, JsonReport, SpanRecord, TELEMETRY_LOAD_FILE,
+    TELEMETRY_SAVE_FILE,
 };
 use bytecheckpoint::prelude::{scrub_tree, CheckpointManager, DiskBackend, DynBackend};
 use bytecheckpoint::storage::DynGovernor;
@@ -621,28 +621,22 @@ fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
 /// (content-addressed chunks + single-flight cache + peer fan-out tree),
 /// across cache warmth levels, using the calibrated backend/peer
 /// bandwidths from `bcp-sim`'s cost model.
-/// Print the resilience table: per-stage retry/throttle counts from the
-/// failure log plus the `resil/*` point-span totals streamed by the
-/// `ResilientBackend` observer. Prints nothing when the step saw neither —
-/// a calm backend should not add noise to the report.
-fn print_resilience(doc: &StepTelemetry, spans: &[SpanRecord]) {
+/// Print the resilience table from the step's `resil/*` point spans: the
+/// retry loop's `resil/retry` / `resil/throttled`, grouped by the pipeline
+/// stage they carry, plus the totals of what the resilience layer emitted.
+/// Prints nothing when the step saw none — a calm backend should not add
+/// noise to the report.
+fn print_resilience(spans: &[SpanRecord]) {
     use std::collections::BTreeMap;
-    // Per-stage counts: every retried failure is one retry; slow-down and
-    // circuit-open errors are additionally throttles.
-    let mut by_stage: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for f in doc.all_failures() {
-        if f.stage.starts_with("resil/") {
-            continue; // state transitions, counted via the event spans
-        }
-        let e = by_stage.entry(f.stage.clone()).or_default();
-        if f.retried {
-            e.0 += 1;
-        }
-        if f.error.starts_with("slow down:") || f.error.starts_with("circuit open") {
-            e.1 += 1;
+    let mut by_stage: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for s in spans {
+        let stage = s.attrs.get("stage").map_or("-", String::as_str);
+        match s.name.as_str() {
+            "resil/retry" => by_stage.entry(stage).or_default().0 += 1,
+            "resil/throttled" => by_stage.entry(stage).or_default().1 += 1,
+            _ => {}
         }
     }
-    by_stage.retain(|_, (r, t)| *r + *t > 0);
     let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
     let (throttled, hedges, hedge_wins) =
         (count("resil/throttled"), count("resil/hedge"), count("resil/hedge_win"));
@@ -831,11 +825,9 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
         );
     }
 
-    // Resilience layer: what the adaptive storage client absorbed while
-    // this step was written — per-stage retry/throttle counts cut from the
-    // failure log, plus the `resil/*` point spans the `ResilientBackend`
-    // observer streamed into the artifact.
-    print_resilience(&doc, &spans);
+    // What the retry loop and the resilience layer absorbed while this step
+    // was written, from the `resil/*` point spans in the artifact.
+    print_resilience(&spans);
 
     // Distribution-layer pricing: what serving this checkpoint to N
     // replicas costs, directly vs through the chunk-store fan-out tree.

@@ -241,3 +241,65 @@ fn a_load_survives_one_failed_commit_marker_probe() {
     assert_eq!(faulty.injected(), 1, "the scheduled failure fired");
     assert_eq!(retried.iter().sum::<usize>(), 1, "absorbed under the load retry policy");
 }
+
+/// The resume path's storage operations outside the load workflow — step
+/// discovery under the job root and the dataloader files — run under the
+/// load retry policy like everything inside it.
+#[test]
+fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let replicated = LoaderReplicatedState {
+        workers_per_rank: 2,
+        dp_size: 2,
+        sources: vec![DataSource { name: "web".into(), ratio: 1.0, seed: 5 }],
+        context_window: 4096,
+    };
+    let shard_of = {
+        let replicated = replicated.clone();
+        move |rank: usize| {
+            let mut dl = Dataloader::new(replicated.clone(), rank);
+            (0..3 + rank).for_each(|_| drop(dl.next_batch()));
+            dl.shard_state()
+        }
+    };
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Memory, mem.clone());
+    let (rep, shards) = (replicated.clone(), shard_of.clone());
+    run_ranks(par, fw, Arc::new(reg), move |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), fw, par, rank, 1);
+        let shard = shards(rank);
+        let req = SaveRequest::new("mem://x/resume/step_1", &state, 1).with_loader(&rep, &shard);
+        ckpt.save(&req).unwrap().wait().unwrap();
+    });
+
+    // The first read of each dataloader file fails once, and so does the
+    // first probe of each path under the job root: discovery's `step_`
+    // listing and commit-marker check, the scrub's listing of the step.
+    let (registry, faulty) = behind_faults(
+        &mem,
+        vec![
+            FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on("/loader/"),
+            FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 }).on("resume/step_"),
+        ],
+    );
+    let logs = run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        let target = LoaderTarget::new(2, 2, rank);
+        let out = ckpt.load_latest("mem://x/resume", &mut state, Some(target)).unwrap().unwrap();
+        assert_eq!(out.resumed_step(), 1);
+        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), fw, par, rank, 1), rank);
+        assert_eq!(out.loader, Some((replicated.clone(), shard_of(rank))), "rank {rank}");
+        ckpt.failures().records()
+    });
+    // replicated.json + 2 ranks x 2 workers; discovery's listing and marker
+    // probe, and the verification scrub's listing of the step.
+    assert_eq!(faulty.injected(), 5 + 3, "every scheduled failure fired");
+    let records: Vec<_> = logs.into_iter().flatten().collect();
+    assert_eq!(records.len(), 8, "one record per injected failure: {records:?}");
+    assert!(records.iter().all(|r| r.retried), "{records:?}");
+    let at = |stage: &str| records.iter().filter(|r| r.stage == stage).count();
+    let by_stage = (at("load/loader"), at("load/discover"), at("load/verify"));
+    assert_eq!(by_stage, (5, 2, 1), "{records:?}");
+}

@@ -5,15 +5,22 @@
 //! renders the heat map, per-rank breakdown, and critical path, naming the
 //! straggler. The remaining cases pin the one-event pipeline: an artifact
 //! line of the old two-vocabulary format still decodes, a step folded live
-//! and from its artifact yields the same phase series, and point spans feed
-//! counters without entering the phase tables.
+//! and from its artifact yields the same phase series, point spans feed
+//! counters without entering the phase tables, and the resilience series
+//! have production producers — the engine's retry loop and an assembled
+//! stack's own layers, nothing wired by hand.
 
 use bytecheckpoint::core::distribution::{fetch_step_fanout, read_chunk_manifest, FanoutOptions};
 use bytecheckpoint::monitor::analysis::{phase_percentiles, total_by_rank};
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::storage::{fault, FaultLayer};
+use bytecheckpoint::storage::layer::{self, Op, Reply};
+use bytecheckpoint::storage::{
+    assemble, fault, resilient::BreakerConfig, Fault, FaultLayer, FaultRule, OpSet,
+    ResilienceConfig, StackConfig, StorageBackend, StorageError,
+};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -248,41 +255,41 @@ fn parent_format_line_with_a_records_array_decodes_and_reports() {
     assert_eq!(kinds, ["failure", "dropped_events"]);
 }
 
-/// Two unthrottled ranks save step 5 into one memory backend and load it
-/// back, every span also flowing into `sink_for(rank)`.
-fn quick_job(sink_for: impl Fn(usize) -> MetricsSink + Send + Sync + 'static) -> DynBackend {
+/// Two ranks, each with a default `Checkpointer` over `backend`, save step 5
+/// under `job/step_5` and load it back, every span also flowing into `sink`;
+/// returns the failure records of both.
+fn quick_job(
+    scheme: Scheme,
+    backend: DynBackend,
+    sink: MetricsSink,
+) -> Vec<bytecheckpoint::core::integrity::FailureRecord> {
     let _turn = one_job_at_a_time();
-    let mem: DynBackend = Arc::new(MemoryBackend::new());
     let mut registry = BackendRegistry::new();
-    registry.register(Scheme::Memory, mem.clone());
-    let (registry, sink_for) = (Arc::new(registry), Arc::new(sink_for));
+    registry.register(scheme, backend);
+    let registry = Arc::new(registry);
+    let url = if scheme == Scheme::File { "file:///job/step_5" } else { "mem://x/job/step_5" };
     let (fw, par) = (Framework::Ddp, Parallelism::data_parallel(2).unwrap());
     let world = CommWorld::new(2, Backend::Flat);
     let handles: Vec<_> = (0..2)
         .map(|rank| {
-            let (world, registry, sink_for) = (world.clone(), registry.clone(), sink_for.clone());
+            let (world, registry, sink) = (world.clone(), registry.clone(), sink.clone());
             std::thread::spawn(move || {
                 let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
                     .framework(fw)
                     .parallelism(par)
                     .registry(registry)
-                    .sink(sink_for(rank))
+                    .sink(sink)
                     .build()
                     .unwrap();
                 let state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
-                ckpt.save(&SaveRequest::new("mem://x/job/step_5", &state, 5))
-                    .unwrap()
-                    .wait()
-                    .unwrap();
+                ckpt.save(&SaveRequest::new(url, &state, 5)).unwrap().wait().unwrap();
                 let mut target = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
-                ckpt.load(&mut LoadRequest::new("mem://x/job/step_5", &mut target)).unwrap();
+                ckpt.load(&mut LoadRequest::new(url, &mut target)).unwrap();
+                ckpt.failures().records()
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    mem
+    handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
 }
 
 /// Report/scrape parity: the series `/metrics` serves (spans folded as they
@@ -293,10 +300,8 @@ fn quick_job(sink_for: impl Fn(usize) -> MetricsSink + Send + Sync + 'static) ->
 fn live_fold_and_artifact_fold_agree_on_phase_series() {
     let base = labels([("job", "parity")]);
     let live = Arc::new(MetricsRegistry::new());
-    let backend = {
-        let (live, base) = (live.clone(), base.clone());
-        quick_job(move |_| MetricsSink::folding(live.clone(), base.clone()))
-    };
+    let backend: DynBackend = Arc::new(MemoryBackend::new());
+    quick_job(Scheme::Memory, backend.clone(), MetricsSink::folding(live.clone(), base.clone()));
     let offline = MetricsRegistry::new();
     for file in [TELEMETRY_SAVE_FILE, TELEMETRY_LOAD_FILE] {
         let doc = read_step_telemetry(&backend, "job/step_5", file).unwrap().expect("artifact");
@@ -321,7 +326,8 @@ fn live_fold_and_artifact_fold_agree_on_phase_series() {
 /// that sums phase time.
 #[test]
 fn fanout_point_spans_feed_counters_not_the_percentile_table() {
-    let backend = quick_job(|_| MetricsSink::disabled());
+    let backend: DynBackend = Arc::new(MemoryBackend::new());
+    quick_job(Scheme::Memory, backend.clone(), MetricsSink::disabled());
     let manifest = Arc::new(read_chunk_manifest(&backend, "job/step_5").unwrap());
     let base = labels([("job", "fleet")]);
     let (live, hub) = (Arc::new(MetricsRegistry::new()), Arc::new(MetricsHub::new()));
@@ -424,4 +430,130 @@ fn load_report_lists_slow_runs_with_a_real_throughput() {
         assert!((2.0..=SLOW_READ_BPS / 1e6).contains(mbps), "{mbps} MB/s: {text}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Answers the first write of the commit marker with one `SlowDown`.
+struct OneSlowDown {
+    inner: DynBackend,
+    fired: AtomicBool,
+}
+
+impl layer::Layer for OneSlowDown {
+    fn inner(&self) -> &dyn StorageBackend {
+        self.inner.as_ref()
+    }
+
+    fn around<T: Reply>(
+        &self,
+        op: &Op<'_>,
+        call: &mut dyn FnMut() -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        if op.is_upload()
+            && op.path().ends_with("COMPLETE")
+            && !self.fired.swap(true, Ordering::SeqCst)
+        {
+            return Err(StorageError::SlowDown { path: op.path().into(), retry_after_ms: 30 });
+        }
+        call()
+    }
+}
+
+/// The resilience series have a production producer: a default
+/// `Checkpointer` — no resilience layer, nothing wired by hand — whose
+/// storage misbehaves emits one `resil/retry` per retried attempt and one
+/// `resil/throttled` per throttle, with the stage, from the engine's loop.
+#[test]
+fn the_production_path_feeds_the_resilience_series() {
+    let dir = std::env::temp_dir().join(format!("bcp-telemetry-resil-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Every `.bin` write (shards and metadata) fails twice; the commit
+    // marker is throttled once.
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let throttled: DynBackend =
+        Arc::new(OneSlowDown { inner: disk.clone(), fired: AtomicBool::new(false) });
+    let twice = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: 2 }).on(".bin")];
+    let hostile = Arc::new(FaultLayer::new(throttled, 0, twice));
+
+    let base = labels([("job", "hostile")]);
+    let live = Arc::new(MetricsRegistry::new());
+    let failures =
+        quick_job(Scheme::File, hostile.clone(), MetricsSink::folding(live.clone(), base.clone()));
+    let retried = failures.iter().filter(|f| f.retried).count();
+    assert_eq!(retried as u64, hostile.injected() + 1, "every failure was absorbed: {failures:?}");
+    assert!(hostile.injected() >= 2 * 5, "2 ranks x 2 shard files + the metadata, twice each");
+
+    // Live: the series a scrape serves, folded as the spans were emitted.
+    assert_eq!(live.value("storage_retries_total", &base), Some(retried as f64));
+    assert_eq!(live.value("storage_throttled_total", &base), Some(1.0));
+    assert_eq!(live.value("storage_retry_after_seconds_total", &base), Some(0.03));
+    // Offline: a re-fold of the persisted artifact agrees.
+    let doc = read_step_telemetry(&disk, "job/step_5", TELEMETRY_SAVE_FILE).unwrap().unwrap();
+    let offline = MetricsRegistry::new();
+    doc.all_spans().iter().for_each(|span| offline.fold(span, &base));
+    for series in
+        ["storage_retries_total", "storage_throttled_total", "storage_retry_after_seconds_total"]
+    {
+        assert_eq!(offline.value(series, &base), live.value(series, &base), "{series}");
+    }
+
+    // `bcpctl report` cuts its resilience table from the same spans, by
+    // kind and stage — not from error text.
+    let at = |stage: &str| failures.iter().filter(|f| f.retried && f.stage == stage).count();
+    let job = dir.join("job").to_string_lossy().to_string();
+    let (ok, text) = bcpctl(&["report", &job, "--step", "5"]);
+    assert!(ok, "{text}");
+    for (stage, retries, throttles) in
+        [("save/upload", at("save/upload"), 0), ("save/metadata", 2, 0), ("save/commit", 1, 1)]
+    {
+        let row = format!("{stage:<24} {retries:>8} {throttles:>10}");
+        assert!(text.contains(&row), "missing row {row:?} in:\n{text}");
+    }
+    assert!(text.contains("events: 1 throttled (retry-after total 0.03s)"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A calm save and load emit no `resil/*` span.
+    let hub = MetricsHub::new();
+    let calm = quick_job(Scheme::Memory, Arc::new(MemoryBackend::new()), hub.sink());
+    assert!(calm.is_empty(), "{calm:?}");
+    let noisy: Vec<_> = hub.spans().into_iter().filter(|s| s.name.starts_with("resil/")).collect();
+    assert!(noisy.is_empty(), "{noisy:?}");
+}
+
+/// An assembled stack reports its own degradations: the breaker's and the
+/// failover router's point spans reach the instrument sink `assemble` hands
+/// them — no observer hook, nothing wired by hand.
+#[test]
+fn an_assembled_stack_over_a_dying_primary_emits_circuit_and_failover_spans() {
+    let hub = MetricsHub::new();
+    let dead = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX })];
+    let secondary: DynBackend = Arc::new(MemoryBackend::new());
+    // A breaker quick enough to open before the router gives up on the tier.
+    let breaker = BreakerConfig { window: 4, min_samples: 2, ..BreakerConfig::default() };
+    let stack = assemble(
+        Arc::new(MemoryBackend::new()),
+        StackConfig {
+            instrument: Some(hub.sink()),
+            fallback: Some(secondary.clone()),
+            resilient: Some(ResilienceConfig { breaker, ..ResilienceConfig::default() }),
+            fault: Some((0, dead)),
+            ..StackConfig::default()
+        },
+    );
+    let failures = quick_job(Scheme::Memory, stack.top.clone(), MetricsSink::disabled());
+    assert!(secondary.exists("job/step_5/COMPLETE").unwrap(), "the save fails over and commits");
+    assert!(failures.iter().all(|f| f.retried), "{failures:?}");
+
+    let spans = hub.spans();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("resil/circuit_open"), 1, "two failed attempts open the breaker");
+    assert_eq!(count("storage/failover"), 1, "the third trips the router");
+    let point = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+    for name in ["resil/circuit_open", "storage/failover"] {
+        assert!(!point(name).counted && point(name).parent.is_some(), "{:?}", point(name));
+    }
+    assert!(point("storage/failover").path.as_deref().unwrap().starts_with("job/step_5/"));
+    // Folded, they feed the series behind the `circuit_open` alert.
+    let (registry, base) = (MetricsRegistry::new(), labels([("job", "dying")]));
+    spans.iter().for_each(|span| registry.fold(span, &base));
+    assert_eq!(registry.value("storage_circuit_open_total", &base), Some(1.0));
 }
