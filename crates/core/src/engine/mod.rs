@@ -34,17 +34,12 @@ use std::collections::HashMap;
 ///
 /// `fetched` covers the stored shard's flat element range starting at the
 /// intersection's first element (as computed by [`ReadItem::fetch_range`]).
-/// The result is the intersection's elements, contiguous row-major.
+/// The result is the intersection's elements, contiguous row-major: a view
+/// of `fetched` when they already are one run there, a gathered copy when
+/// the rows are strided.
 pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
     let es = item.dtype.size();
-    let stored_strides = bcp_tensor::layout::contiguous_strides(&item.stored_lengths);
-    // Intersection coordinates relative to the stored box.
-    let rel_off: Vec<usize> =
-        item.isect_offsets.iter().zip(&item.stored_offsets).map(|(i, s)| i - s).collect();
-    let first_elem = bcp_tensor::layout::ravel_index(&rel_off, &item.stored_lengths);
-    let rank = item.isect_lengths.len();
-    let n = item.isect_numel();
-    let mut out = BytesMut::with_capacity(n * es);
+    let n = item.isect_bytes() as usize;
     let too_short = |end: usize| {
         BcpError::Corrupt(format!(
             "{}: fetched range too short ({} < {end})",
@@ -52,14 +47,28 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
             fetched.len()
         ))
     };
-    if rank == 0 {
-        out.extend_from_slice(fetched.get(..es).ok_or_else(|| too_short(es))?);
-        return Ok(out.freeze());
+    // The fetch range spans exactly the intersection's bytes: one contiguous
+    // run (every scalar, every unresharded read, every reshard whose cut
+    // leaves the trailing dims whole). `Assembler::apply` copies it into
+    // place; copying it here first would be a second pass over the payload.
+    if item.fetch_range().1 == n as u64 {
+        if fetched.len() < n {
+            return Err(too_short(n));
+        }
+        return Ok(fetched.slice(..n));
     }
+    // Strided rows (rank ≥ 2 from here on): gather them.
+    let stored_strides = bcp_tensor::layout::contiguous_strides(&item.stored_lengths);
+    // Intersection coordinates relative to the stored box.
+    let rel_off: Vec<usize> =
+        item.isect_offsets.iter().zip(&item.stored_offsets).map(|(i, s)| i - s).collect();
+    let first_elem = bcp_tensor::layout::ravel_index(&rel_off, &item.stored_lengths);
+    let rank = item.isect_lengths.len();
+    let mut out = BytesMut::with_capacity(n);
     let run = item.isect_lengths[rank - 1];
     let outer: usize = item.isect_lengths[..rank - 1].iter().product();
-    let mut coord = vec![0usize; rank.saturating_sub(1)];
-    for _ in 0..outer.max(1) {
+    let mut coord = vec![0usize; rank - 1];
+    for _ in 0..outer {
         // Flat position of this row's first element within the stored box.
         let mut flat = rel_off[rank - 1] * stored_strides[rank - 1];
         for (d, &c) in coord.iter().enumerate() {
@@ -230,5 +239,62 @@ mod tests {
         let item = item_2d();
         let short = Bytes::from(vec![0u8; 8]);
         assert!(matches!(extract_isect(&item, &short), Err(BcpError::Corrupt(_))));
+        // The view path checks the same thing: whole rows need 12 * 4 bytes.
+        let rows = ReadItem { isect_offsets: vec![1, 0], isect_lengths: vec![2, 6], ..item };
+        let err = extract_isect(&rows, &Bytes::from(vec![0u8; 47])).unwrap_err();
+        assert!(matches!(err, BcpError::Corrupt(m) if m.contains("too short (47 < 48)")));
+    }
+
+    #[test]
+    fn a_contiguous_intersection_is_a_view_and_a_strided_one_a_copy() {
+        let stored =
+            Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>());
+        let slice_of = |item: &ReadItem| {
+            let (fo, fl) = item.fetch_range();
+            stored.slice(fo as usize..(fo + fl) as usize)
+        };
+        // Whole rows 1..3 of the (4,6) stored box: one run of 12 elements.
+        let rows = ReadItem { isect_offsets: vec![1, 0], isect_lengths: vec![2, 6], ..item_2d() };
+        let fetched = slice_of(&rows);
+        let view = extract_isect(&rows, &fetched).unwrap();
+        assert_eq!(view.as_ptr(), fetched.as_ptr(), "no copy");
+        assert_eq!(&view[..], &stored[6 * 4..18 * 4]);
+        // A fetch longer than the run (a clamped member of a wider read run)
+        // still yields exactly the intersection.
+        let wider = stored.slice(6 * 4..);
+        let view = extract_isect(&rows, &wider).unwrap();
+        assert_eq!((view.as_ptr(), view.len()), (wider.as_ptr(), 12 * 4));
+        // Part of one row is a run too.
+        let cols = ReadItem { isect_offsets: vec![2, 1], isect_lengths: vec![1, 4], ..item_2d() };
+        let fetched = slice_of(&cols);
+        let view = extract_isect(&cols, &fetched).unwrap();
+        assert_eq!(view.as_ptr(), fetched.as_ptr());
+        assert_eq!(&view[..], &stored[13 * 4..17 * 4]);
+        // Strided: rows 1..3 x cols 2..5 skips three elements between rows.
+        let strided = item_2d();
+        let fetched = slice_of(&strided);
+        let gathered = extract_isect(&strided, &fetched).unwrap();
+        assert_ne!(gathered.as_ptr(), fetched.as_ptr());
+        assert_eq!(gathered.len(), 6 * 4);
+        assert_eq!(&gathered[..12], &fetched[..12]);
+        assert_eq!(&gathered[12..], &fetched[6 * 4..9 * 4]);
+    }
+
+    #[test]
+    fn a_scalar_is_a_view_of_its_element_or_a_short_fetch() {
+        let scalar = ReadItem {
+            stored_offsets: vec![],
+            stored_lengths: vec![],
+            isect_offsets: vec![],
+            isect_lengths: vec![],
+            dest_offsets: vec![],
+            dest_lengths: vec![],
+            ..item_2d()
+        };
+        let fetched = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let got = extract_isect(&scalar, &fetched).unwrap();
+        assert_eq!((&got[..], got.as_ptr()), (&[1u8, 2, 3, 4][..], fetched.as_ptr()));
+        let short = Bytes::from(vec![1u8, 2, 3]);
+        assert!(matches!(extract_isect(&scalar, &short), Err(BcpError::Corrupt(_))));
     }
 }

@@ -14,6 +14,14 @@
 //! touched exactly once between the state dict and the backend. All uploads
 //! (whole files and split parts) run concurrently as leaf jobs on the
 //! persistent [`IoPool`].
+//!
+//! Split rule: a file goes up as `split_parts` parts plus a `concat` iff it
+//! is larger than `split_threshold` *and* the backend's
+//! [`bcp_storage::StorageBackend::concat_is_metadata_op`] holds (HDFS).
+//! Everywhere else the merge would move every byte a second time — a copy
+//! into fresh pages on memory and object store, read + rewrite + second
+//! fsync on disk — so a shard file is one gather-write and no `.partN`
+//! object ever exists.
 
 use crate::chunks::{FileChunks, FileChunksBuilder};
 use crate::engine::iopool::IoPool;
@@ -38,9 +46,12 @@ pub struct SaveConfig {
     /// Upload threads per rank.
     pub io_threads: usize,
     /// Split files larger than this into sub-files uploaded concurrently
-    /// and merged by metadata concat (§4.3 HDFS write path).
+    /// and merged by metadata concat (§4.3 HDFS write path). Tunes that path
+    /// only: on a backend whose `concat` moves bytes
+    /// (`concat_is_metadata_op() == false`: memory, disk, object store)
+    /// nothing is split whatever the value.
     pub split_threshold: u64,
-    /// Number of sub-files when splitting.
+    /// Number of sub-files when splitting (same scope as `split_threshold`).
     pub split_parts: usize,
     /// Async (pipeline off the critical path) vs fully synchronous saving.
     pub async_upload: bool,
@@ -305,6 +316,7 @@ pub fn execute_save_staged(
             let mut file_spans = Vec::with_capacity(nfiles);
             let mut jobs: Vec<Box<dyn FnOnce() -> Result<()> + Send + 'static>> = Vec::new();
             let mut concats: Vec<(String, Vec<String>, SpanContext)> = Vec::new();
+            let split = cfg2.split_parts > 1 && backend.concat_is_metadata_op();
             for (file, segments) in staged {
                 let bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
                 total += bytes;
@@ -316,7 +328,7 @@ pub fn execute_save_staged(
                     .path(path.clone())
                     .bytes(bytes);
                 let fctx = f.context();
-                if bytes > cfg2.split_threshold && cfg2.split_parts > 1 {
+                if split && bytes > cfg2.split_threshold {
                     f.set_attr("split_parts", cfg2.split_parts.to_string());
                     let parts = split_segments(&segments, bytes as usize, cfg2.split_parts, &path);
                     concats.push((path, parts.iter().map(|(n, _)| n.clone()).collect(), fctx));
@@ -554,7 +566,10 @@ mod tests {
 
     #[test]
     fn split_upload_round_trips_through_concat() {
-        let (plan, state, backend) = setup();
+        // Only a backend whose concat is a metadata operation is split for.
+        let (plan, state, _) = setup();
+        let hdfs = Arc::new(bcp_storage::HdfsBackend::with_defaults());
+        let backend: DynBackend = hdfs.clone();
         let pool = PinnedPool::new(2);
         let io = IoPool::new(4);
         let sink = MetricsSink::disabled();
@@ -582,9 +597,12 @@ mod tests {
         .unwrap()
         .wait()
         .unwrap();
-        // No stray part files; whole file decodes.
+        // Every file went up as parts and was merged; no stray part files;
+        // whole file decodes.
         let listing = backend.list("ckpt/").unwrap();
         assert!(listing.iter().all(|f| !f.contains(".part")), "{listing:?}");
+        let (_, _, concats, _) = hdfs.namenode_stats().snapshot();
+        assert_eq!(concats as usize, listing.len());
         let file = backend.read("ckpt/optim_0.bin").unwrap();
         assert!(!crate::format::decode_frames(&file).unwrap().is_empty());
     }

@@ -192,6 +192,32 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_shard_encodes_to_the_bytes_it_always_has() {
+        // Captured at 64753fe, before the CRC had a second kernel: 402
+        // payload bytes put the first 64 and five 64-byte steps through the
+        // carry-less body, one more 16-byte block through its single lane
+        // and the last two bytes through the tables.
+        let shard = ShardMeta {
+            fqn: "layers.0.attn.qkv.weight".into(),
+            offsets: vec![2, 0],
+            lengths: vec![3, 67],
+        };
+        let payload: Vec<u8> =
+            (0..402u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        let (buf, off) = encode_frame(&shard, DType::BF16, &payload);
+        let mut want = vec![0x01, 0x00, 0xc7, 0xb1, 24, 0];
+        want.extend_from_slice(b"layers.0.attn.qkv.weight");
+        want.extend([3, 2]);
+        for dim in [2u64, 0, 3, 67, 402] {
+            want.extend(dim.to_le_bytes());
+        }
+        assert_eq!(off as usize, want.len());
+        want.extend_from_slice(&payload);
+        want.extend([0x82, 0xc9, 0x01, 0xe0]);
+        assert_eq!(&buf[..], &want[..]);
+    }
+
+    #[test]
     fn multiple_frames_concatenate() {
         let mut file = BytesMut::new();
         for i in 0..3 {

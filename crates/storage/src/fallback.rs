@@ -206,6 +206,12 @@ impl StorageBackend for FallbackBackend {
         self.primary.zero_copy_reads() && self.secondary.zero_copy_reads()
     }
 
+    fn concat_is_metadata_op(&self) -> bool {
+        // A save's parts may land on either tier, so splitting pays only
+        // when merging is free on both.
+        self.primary.concat_is_metadata_op() && self.secondary.concat_is_metadata_op()
+    }
+
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
         self.write_op(path, |b| b.append(path, data))
     }

@@ -260,6 +260,13 @@ impl StorageBackend for HdfsBackend {
         ]
     }
 
+    fn concat_is_metadata_op(&self) -> bool {
+        // The NameNode relinks the parts' blocks under the target (the copy
+        // in `concat` below is this simulation's bookkeeping, not the cost
+        // model: what a concat is charged is metadata operations).
+        true
+    }
+
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
         // Create = one metadata op (the paper's §6.4 lesson: avoid the SDK's
         // redundant parent-dir checks; we charge exactly one op).

@@ -13,8 +13,9 @@
 //!   Override `around` to time, admit, guard, fail, delay, record or damage;
 //!   match on the `Op` to pick the operations that matter;
 //! * the **capabilities** — `name`, `op_attrs`, `zero_copy_reads`,
-//!   `shed_optional_work` — forward unchanged unless overridden, so a layer
-//!   can add an attribute or rename itself but cannot drop what is below it;
+//!   `concat_is_metadata_op`, `shed_optional_work` — forward unchanged unless
+//!   overridden, so a layer can add an attribute or rename itself but cannot
+//!   drop what is below it;
 //! * a layer whose treatment of one operation is not "something around the
 //!   inner call" (a cache answering a read itself, a hedged read that must
 //!   own its arguments) overrides that one method.
@@ -173,6 +174,11 @@ pub trait Layer: Send + Sync {
         self.inner().zero_copy_reads()
     }
 
+    /// See [`StorageBackend::concat_is_metadata_op`].
+    fn concat_is_metadata_op(&self) -> bool {
+        self.inner().concat_is_metadata_op()
+    }
+
     /// See [`StorageBackend::write`].
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
         let op = Op::Write { path, data: &data };
@@ -244,6 +250,9 @@ impl<L: Layer> StorageBackend for L {
     }
     fn zero_copy_reads(&self) -> bool {
         Layer::zero_copy_reads(self)
+    }
+    fn concat_is_metadata_op(&self) -> bool {
+        Layer::concat_is_metadata_op(self)
     }
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
         Layer::write(self, path, data)

@@ -207,7 +207,12 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 /// * `read_range` must be cheap and thread-safe: the engine issues many
 ///   concurrent ranged reads of one file (§4.3 multi-threaded download).
 /// * `concat` merges `parts` (in order) into `target` and removes the
-///   parts — a *metadata-level* operation on HDFS (§4.3 upload path).
+///   parts. Every backend implements it, but only where it is a
+///   *metadata-level* operation (HDFS, §4.3 upload path) does it come free:
+///   elsewhere it copies the bytes a second time (memory, object store) or
+///   reads, rewrites and fsyncs them again (disk). A backend says which it
+///   is through `concat_is_metadata_op`, and the engine uploads a file as
+///   parts to merge only where that answers `true`.
 /// * `rename` is atomic; the engine uses it to commit checkpoints.
 pub trait StorageBackend: Send + Sync {
     /// Backend name for monitoring output ("memory", "disk", "hdfs", "nas").
@@ -256,6 +261,14 @@ pub trait StorageBackend: Send + Sync {
         false
     }
 
+    /// Whether [`StorageBackend::concat`] relinks blocks instead of moving
+    /// bytes (a NameNode metadata operation). Only then does uploading a
+    /// large file as concurrently written parts and merging them (§4.3)
+    /// beat one gather-write; the default is conservatively `false`.
+    fn concat_is_metadata_op(&self) -> bool {
+        false
+    }
+
     /// Append to the object at `path`, creating it if absent.
     fn append(&self, path: &str, data: &[u8]) -> Result<()>;
 
@@ -280,7 +293,8 @@ pub trait StorageBackend: Send + Sync {
     /// Atomically rename an object.
     fn rename(&self, from: &str, to: &str) -> Result<()>;
 
-    /// Merge `parts` in order into `target`, removing the parts.
+    /// Merge `parts` in order into `target`, removing the parts. Cheap only
+    /// where [`StorageBackend::concat_is_metadata_op`] says so.
     fn concat(&self, target: &str, parts: &[String]) -> Result<()>;
 }
 

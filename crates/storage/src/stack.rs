@@ -192,6 +192,9 @@ mod tests {
         fn zero_copy_reads(&self) -> bool {
             true
         }
+        fn concat_is_metadata_op(&self) -> bool {
+            true
+        }
     }
 
     #[test]
@@ -203,6 +206,7 @@ mod tests {
                 backend.op_attrs()
             );
             assert!(backend.zero_copy_reads(), "{name} dropped zero_copy_reads");
+            assert!(backend.concat_is_metadata_op(), "{name} dropped concat_is_metadata_op");
             assert!(backend.shed_optional_work(), "{name} dropped shed_optional_work");
             // The resilience layer renames itself on purpose.
             let renamed = matches!(name, "resilient" | "full stack");

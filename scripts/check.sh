@@ -48,6 +48,20 @@ if grep -rnE 'with_retries_on|record_resilience|record_failovers|ResilienceEvent
   exit 1
 fi
 
+echo "==> two unsafe sites (the zero-copy read stitch and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
+stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
+  ! -path crates/core/src/engine/load.rs -print0 | sort -z |
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unsafe/{print FILENAME ":" FNR ": " $0}')"
+if [ -n "$stray_unsafe" ]; then
+  printf '%s\n' "$stray_unsafe"
+  echo "unsafe lives in crates/tensor/src/checksum.rs and crates/core/src/engine/load.rs only"
+  exit 1
+fi
+if grep -rnE '(std|core)::arch' crates src tests examples --include='*.rs' | grep -v '^crates/tensor/src/checksum.rs:'; then
+  echo "the one use of std::arch is the CRC kernel in crates/tensor/src/checksum.rs"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -7,7 +7,9 @@ mod common;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
-use bytecheckpoint::storage::{fault, Fault, FaultLayer, FaultRule, OpSet, StorageBackend};
+use bytecheckpoint::storage::{
+    fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StorageBackend,
+};
 use common::{assert_states_eq, reference_state, run_ranks};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,37 +55,73 @@ fn disk_backend_end_to_end_with_real_files() {
 }
 
 #[test]
-fn disk_backend_default_options_split_upload_of_a_large_shard() {
-    // Default `WorkflowOptions` split any file above 8 MiB into four parts
-    // written concurrently and merged by `concat`. The parts' names differ
-    // only after the last dot (`optim_0.bin.part0..3`), which used to land
-    // them all on one temp path on disk.
-    let dir = std::env::temp_dir().join(format!("bcp-it-disk-split-{}", std::process::id()));
+fn default_options_split_a_large_shard_only_where_concat_is_a_metadata_op() {
+    // Default `WorkflowOptions` name 8 MiB / 4 parts, and the engine applies
+    // them only where merging the parts is free (§4.3: a NameNode metadata
+    // operation). Memory and disk would copy — or read, rewrite and fsync —
+    // every byte a second time, so there a shard file of any size is one
+    // gather-write and no `.partN` object ever exists.
+    let dir = std::env::temp_dir().join(format!("bcp-it-who-splits-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
-    let registry = registry_for(Scheme::File, disk.clone());
+    let hdfs = Arc::new(HdfsBackend::with_defaults());
+    let cases: [(Scheme, &'static str, DynBackend); 3] = [
+        (Scheme::Memory, "mem://x/job/big", Arc::new(MemoryBackend::new())),
+        (Scheme::File, "file:///job/big", Arc::new(DiskBackend::new(&dir).unwrap())),
+        (Scheme::Hdfs, "hdfs://prod/job/big", hdfs.clone()),
+    ];
     let arch =
         bytecheckpoint::model::TransformerConfig { hidden: 256, vocab: 2048, ..zoo::tiny_gpt() };
     let fw = Framework::Fsdp { zero3: true };
     let par = Parallelism::data_parallel(2).unwrap();
-    let path = "file:///job/split-ckpt";
-    let arch2 = arch.clone();
-    run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
-        let state = reference_state(&arch2, fw, par, rank, 1);
-        ckpt.save(&SaveRequest::new(path, &state, 1)).unwrap().wait().unwrap();
-    });
-    let split = WorkflowOptions::default().save.split_threshold;
-    assert!(disk.size("job/split-ckpt/optim_0.bin").unwrap() > split, "shard must be split");
-    let files = disk.list("job/split-ckpt/").unwrap();
-    assert!(files.iter().any(|f| f.ends_with("COMPLETE")), "{files:?}");
-    assert!(files.iter().all(|f| !f.contains(".part")), "{files:?}");
-    let report = scrub_step(&disk, "job/split-ckpt", 1).unwrap();
-    assert!(report.is_clean(), "{:?}", report.issues);
-    run_ranks(par, fw, registry, move |rank, ckpt| {
-        let mut state = build_train_state(&arch, fw, par, rank, true);
-        ckpt.load(&mut LoadRequest::new(path, &mut state)).unwrap();
-        assert_states_eq(&state, &reference_state(&arch, fw, par, rank, 1), rank);
-    });
+    let save_cfg = WorkflowOptions::default().save;
+    let reference: Arc<Vec<TrainState>> =
+        Arc::new((0..2).map(|rank| reference_state(&arch, fw, par, rank, 1)).collect());
+    for (scheme, path, base) in cases {
+        // The journal layer records every mutation that reaches the backend.
+        let journal = Arc::new(JournalBackend::new(base).unwrap());
+        let backend: DynBackend = journal.clone();
+        let registry = registry_for(scheme, backend.clone());
+        let states = reference.clone();
+        run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
+            ckpt.save(&SaveRequest::new(path, &states[rank], 1)).unwrap().wait().unwrap();
+        });
+        let big = backend.size("job/big/optim_0.bin").unwrap();
+        assert!(big > save_cfg.split_threshold, "{scheme:?}: the shard must be large ({big})");
+        let ops = journal.ops();
+        let seen: Vec<String> = ops.iter().map(JournalOp::label).collect();
+        let writes_of = |file: &str| {
+            ops.iter()
+                .filter(|op| matches!(op, JournalOp::WriteSegments { path, .. } if path == file))
+                .count()
+        };
+        let concats = ops.iter().filter(|op| matches!(op, JournalOp::Concat { .. })).count();
+        if scheme == Scheme::Hdfs {
+            for i in 0..save_cfg.split_parts {
+                assert_eq!(writes_of(&format!("job/big/optim_0.bin.part{i}")), 1, "{seen:?}");
+            }
+            assert_eq!(writes_of("job/big/optim_0.bin"), 0, "{seen:?}");
+            assert!(concats >= 1 && hdfs.namenode_stats().snapshot().2 >= 1, "{seen:?}");
+        } else {
+            let parts = seen.iter().filter(|label| label.contains(".part")).count();
+            assert_eq!((parts, concats), (0, 0), "{scheme:?} split a shard: {seen:?}");
+            for file in backend.list("job/big/").unwrap() {
+                if file.contains("model_") || file.contains("optim_") {
+                    assert_eq!(writes_of(&file), 1, "{scheme:?} {file}: {seen:?}");
+                }
+            }
+        }
+        let files = backend.list("job/big/").unwrap();
+        assert!(files.iter().any(|f| f.ends_with("COMPLETE")), "{scheme:?}: {files:?}");
+        assert!(files.iter().all(|f| !f.contains(".part")), "{scheme:?}: {files:?}");
+        let report = scrub_step(&backend, "job/big", 1).unwrap();
+        assert!(report.is_clean(), "{scheme:?}: {:?}", report.issues);
+        let (arch2, states) = (arch.clone(), reference.clone());
+        run_ranks(par, fw, registry, move |rank, ckpt| {
+            let mut state = build_train_state(&arch2, fw, par, rank, true);
+            ckpt.load(&mut LoadRequest::new(path, &mut state)).unwrap();
+            assert_states_eq(&state, &states[rank], rank);
+        });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
