@@ -357,6 +357,7 @@ impl CheckpointerBuilder {
             options: self.workflow,
             sink,
             cache: PlanCache::new(),
+            // Two saves deep: one capturing while the previous one uploads.
             pool: PinnedPool::new(2),
             io: IoPool::new(io_threads),
             failures: Arc::new(failures),

@@ -49,8 +49,9 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
     };
     // The fetch range spans exactly the intersection's bytes: one contiguous
     // run (every scalar, every unresharded read, every reshard whose cut
-    // leaves the trailing dims whole). `Assembler::apply` copies it into
-    // place; copying it here first would be a second pass over the payload.
+    // leaves the trailing dims whole). `Assembler::apply` adopts it as the
+    // tensor when it is the whole tensor and copies it into place otherwise;
+    // copying it here first would be a pass the adoption saves.
     if item.fetch_range().1 == n as u64 {
         if fetched.len() < n {
             return Err(too_short(n));
@@ -90,11 +91,35 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
 
 /// Assembles loaded intersection payloads into the rank's local tensors.
 ///
-/// Buffers each touched tensor's local storage once, applies any number of
-/// pieces, then writes the finished tensors back into the state dicts (the
-/// real system's H2D copies).
+/// A piece that covers its whole local tensor *is* the restored tensor: its
+/// `Bytes` (a view of the stored object, of the fetched run buffer, or of a
+/// peer's forwarded payload) become the tensor's storage without a copy.
+/// Only a tensor built from several pieces gets a buffer of its own, which
+/// the pieces are copied into. The finished tensors are written back into
+/// the state dicts at the end (the real system's H2D copies).
 pub struct Assembler {
-    buffers: HashMap<(Category, String), BytesMut>,
+    buffers: HashMap<(Category, String), Slot>,
+}
+
+/// One restored tensor's storage while its pieces arrive.
+enum Slot {
+    /// A single piece covered the whole tensor: its bytes, not copied.
+    Adopted(Bytes),
+    /// Pieces copied into place.
+    Assembled(BytesMut),
+}
+
+impl Slot {
+    /// The writable buffer, copying an adopted tensor's bytes into one first.
+    fn make_mut(&mut self) -> &mut BytesMut {
+        if let Slot::Adopted(bytes) = self {
+            *self = Slot::Assembled(BytesMut::from(&bytes[..]));
+        }
+        match self {
+            Slot::Assembled(buf) => buf,
+            Slot::Adopted(_) => unreachable!("an adopted slot was copied just above"),
+        }
+    }
 }
 
 impl Default for Assembler {
@@ -110,6 +135,13 @@ impl Assembler {
     }
 
     /// Apply one intersection payload to the local tensor it belongs to.
+    ///
+    /// The payload is adopted as the tensor's storage when it is the whole
+    /// tensor: the destination piece starts the local storage, the
+    /// intersection is the whole piece, and piece, tensor and payload have
+    /// the same byte length. A later partial piece of an adopted tensor
+    /// turns it back into a copied buffer; a later whole piece replaces it
+    /// (it covers every byte either way).
     pub fn apply(&mut self, state: &TrainState, item: &ReadItem, payload: &Bytes) -> Result<()> {
         let dict = match item.category {
             Category::Model => &state.model,
@@ -118,10 +150,38 @@ impl Assembler {
         let entry = dict
             .get(&item.fqn)
             .ok_or_else(|| BcpError::Missing(format!("no local entry for {}", item.fqn)))?;
-        let es = item.dtype.size();
+        let nbytes = entry.tensor.nbytes();
         let key = (item.category, item.fqn.clone());
-        let buf =
-            self.buffers.entry(key).or_insert_with(|| BytesMut::zeroed(entry.tensor.nbytes()));
+        let whole = item.dest_local_elem_start == 0
+            && item.isect_offsets == item.dest_offsets
+            && item.isect_lengths == item.dest_lengths
+            && item.isect_bytes() == nbytes as u64
+            && payload.len() == nbytes;
+        if whole {
+            self.buffers.insert(key, Slot::Adopted(payload.clone()));
+            return Ok(());
+        }
+        if payload.len() as u64 != item.isect_bytes() {
+            return Err(BcpError::Corrupt(format!(
+                "{}: piece of {} bytes for a {}-byte intersection",
+                item.fqn,
+                payload.len(),
+                item.isect_bytes()
+            )));
+        }
+        let buf = self
+            .buffers
+            .entry(key)
+            .or_insert_with(|| Slot::Assembled(BytesMut::zeroed(nbytes)))
+            .make_mut();
+        let es = item.dtype.size();
+        let overrun = |at: usize, len: usize| {
+            BcpError::Corrupt(format!(
+                "{}: assembly overrun ([{at}, {}) of a {nbytes}-byte tensor)",
+                item.fqn,
+                at + len
+            ))
+        };
         // Geometry: the dest piece (shape dest_lengths) lives at local
         // element offset dest_local_elem_start; the intersection sits at
         // rel = isect_offsets - dest_offsets inside it.
@@ -131,28 +191,22 @@ impl Assembler {
         let rank = item.isect_lengths.len();
         if rank == 0 {
             let at = item.dest_local_elem_start * es;
-            buf[at..at + es].copy_from_slice(&payload[..es]);
+            buf.get_mut(at..at + es).ok_or_else(|| overrun(at, es))?.copy_from_slice(payload);
             return Ok(());
         }
         let run = item.isect_lengths[rank - 1] * es;
         let outer: usize = item.isect_lengths[..rank - 1].iter().product();
         let mut coord = vec![0usize; rank - 1];
         let mut src = 0usize;
-        for _ in 0..outer.max(1) {
+        for _ in 0..outer {
             let mut flat = rel[rank - 1] * piece_strides[rank - 1];
             for (d, &c) in coord.iter().enumerate() {
                 flat += (rel[d] + c) * piece_strides[d];
             }
             let at = (item.dest_local_elem_start + flat) * es;
-            if at + run > buf.len() || src + run > payload.len() {
-                return Err(BcpError::Corrupt(format!(
-                    "{}: assembly overrun (buf {} at {at}, payload {} at {src})",
-                    item.fqn,
-                    buf.len(),
-                    payload.len()
-                )));
-            }
-            buf[at..at + run].copy_from_slice(&payload[src..src + run]);
+            buf.get_mut(at..at + run)
+                .ok_or_else(|| overrun(at, run))?
+                .copy_from_slice(&payload[src..src + run]);
             src += run;
             for d in (0..rank - 1).rev() {
                 coord[d] += 1;
@@ -168,7 +222,7 @@ impl Assembler {
     /// Write all assembled buffers back into the state dicts, replacing the
     /// local tensors. Consumes the assembler.
     pub fn finish(self, state: &mut TrainState) -> Result<()> {
-        for ((category, fqn), buf) in self.buffers {
+        for ((category, fqn), slot) in self.buffers {
             let dict = match category {
                 Category::Model => &mut state.model,
                 Category::Optimizer => &mut state.optimizer,
@@ -177,8 +231,11 @@ impl Assembler {
                 .entries
                 .get_mut(&fqn)
                 .ok_or_else(|| BcpError::Missing(format!("no local entry for {fqn}")))?;
-            entry.tensor =
-                Tensor::from_bytes(entry.dtype, entry.tensor.shape().to_vec(), buf.freeze())?;
+            let bytes = match slot {
+                Slot::Adopted(bytes) => bytes,
+                Slot::Assembled(buf) => buf.freeze(),
+            };
+            entry.tensor = Tensor::from_bytes(entry.dtype, entry.tensor.shape().to_vec(), bytes)?;
         }
         Ok(())
     }
@@ -296,5 +353,88 @@ mod tests {
         assert_eq!((&got[..], got.as_ptr()), (&[1u8, 2, 3, 4][..], fetched.as_ptr()));
         let short = Bytes::from(vec![1u8, 2, 3]);
         assert!(matches!(extract_isect(&scalar, &short), Err(BcpError::Corrupt(_))));
+    }
+
+    /// The stored (4,6) f32 shard: iota(24), little-endian.
+    fn stored() -> Bytes {
+        Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>())
+    }
+
+    /// A one-tensor state whose local tensor "t" is the whole (4,6) shard,
+    /// zero-filled.
+    fn target() -> TrainState {
+        let mut state = TrainState::default();
+        state.model.insert(bcp_model::StateEntry {
+            fqn: "t".into(),
+            global_shape: vec![4, 6],
+            dtype: DType::F32,
+            spec: bcp_topology::ShardSpec::Replicated,
+            tensor: Tensor::zeros(DType::F32, vec![4, 6]),
+        });
+        state
+    }
+
+    /// A piece of the stored shard landing in the whole local tensor.
+    fn piece(isect_offsets: Vec<usize>, isect_lengths: Vec<usize>) -> ReadItem {
+        ReadItem { isect_offsets, isect_lengths, ..item_2d() }
+    }
+
+    /// `item`'s intersection as the load path hands it to the assembler.
+    fn fetched(item: &ReadItem) -> Bytes {
+        let (fo, fl) = item.fetch_range();
+        extract_isect(item, &stored().slice(fo as usize..(fo + fl) as usize)).unwrap()
+    }
+
+    fn restore(pieces: &[(&ReadItem, Bytes)]) -> Result<Bytes> {
+        let mut state = target();
+        let mut asm = Assembler::new();
+        for (item, payload) in pieces {
+            asm.apply(&state, item, payload)?;
+        }
+        asm.finish(&mut state)?;
+        Ok(state.model.get("t").unwrap().tensor.bytes_cloned().unwrap())
+    }
+
+    #[test]
+    fn a_whole_contiguous_piece_is_adopted() {
+        let whole = piece(vec![0, 0], vec![4, 6]);
+        let view = fetched(&whole);
+        let got = restore(&[(&whole, view.clone())]).unwrap();
+        assert_eq!(got.as_ptr(), view.as_ptr(), "the fetched view is the tensor");
+        assert_eq!(got, stored());
+    }
+
+    #[test]
+    fn a_tensor_covered_by_two_pieces_is_assembled_bitwise() {
+        let (top, bottom) = (piece(vec![0, 0], vec![2, 6]), piece(vec![2, 0], vec![2, 6]));
+        let pieces = [(&top, fetched(&top)), (&bottom, fetched(&bottom))];
+        let got = restore(&pieces).unwrap();
+        assert_eq!(got, stored());
+        assert!(pieces.iter().all(|(_, p)| p.as_ptr() != got.as_ptr()), "a buffer of its own");
+    }
+
+    #[test]
+    fn a_whole_piece_followed_by_a_duplicate_or_partial_piece_ends_bitwise_right() {
+        let whole = piece(vec![0, 0], vec![4, 6]);
+        let inner = item_2d(); // rows 1..3 x cols 2..5: strided
+        let duplicate = restore(&[(&whole, fetched(&whole)), (&whole, fetched(&whole))]);
+        assert_eq!(duplicate.unwrap(), stored());
+        let view = fetched(&whole);
+        let got = restore(&[(&whole, view.clone()), (&inner, fetched(&inner))]).unwrap();
+        assert_eq!(got, stored());
+        assert_ne!(got.as_ptr(), view.as_ptr(), "the partial piece turned it into a copy");
+        // The other order: the whole piece replaces what was assembled.
+        let got = restore(&[(&inner, fetched(&inner)), (&whole, view.clone())]).unwrap();
+        assert_eq!((got.as_ptr(), got), (view.as_ptr(), stored()));
+    }
+
+    #[test]
+    fn a_whole_shaped_piece_of_the_wrong_length_takes_the_checked_path_and_errors() {
+        let whole = piece(vec![0, 0], vec![4, 6]);
+        for len in [95, 97] {
+            let payload = Bytes::from(vec![0u8; len]);
+            let err = restore(&[(&whole, payload)]).unwrap_err();
+            assert!(matches!(&err, BcpError::Corrupt(m) if m.contains("96-byte intersection")));
+        }
     }
 }

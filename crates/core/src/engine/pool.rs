@@ -3,9 +3,19 @@
 //! "To mitigate the performance impact of D2H copy on training, we employ a
 //! pinned CPU memory pool combined with a Ping-Pong buffering mechanism."
 //! In CUDA terms the pool amortizes `cudaHostAlloc`; here it amortizes
-//! allocator traffic, and — more importantly — its accounting lets tests and
-//! the simulator distinguish pooled (fast, reused) captures from cold
+//! allocator traffic and page faults: a capture into a retained buffer
+//! writes pages that are already resident, where a fresh allocation faults
+//! every page inside the training-blocking `save()`. Its accounting lets
+//! tests and the simulator distinguish pooled (reused) captures from cold
 //! allocations.
+//!
+//! **Depth is counted in saves.** [`PinnedPool::new`]`(d)` keeps up to `d`
+//! saves' worth of buffers: a save takes all its capture buffers in one
+//! [`PinnedPool::acquire_batch`], which tells the pool how many buffers per
+//! size class one save needs, and the pool then retains at most `d` × that
+//! many per class (and none of a class the latest batch did not use). With
+//! `d = 2`, a same-plan save finds every buffer it needs while the previous
+//! one may still be uploading from its own set — ping and pong.
 //!
 //! Buffers are `BytesMut`-backed so a filled capture can be *frozen* into a
 //! [`PooledBytes`]: cheaply sharable `Bytes` views that flow through
@@ -17,26 +27,35 @@
 
 use bytes::BytesMut;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A reusable buffer pool. Buffers are size-classed by rounding up to the
-/// next power of two; `ping_pong` pairs per class are retained.
+/// next power of two.
 pub struct PinnedPool {
-    classes: Mutex<std::collections::BTreeMap<u32, Vec<BytesMut>>>,
-    retain_per_class: usize,
+    classes: Mutex<BTreeMap<u32, Class>>,
+    depth: usize,
     allocs: AtomicU64,
     reuses: AtomicU64,
     copied: AtomicU64,
 }
 
+/// The free buffers of one size class.
+#[derive(Default)]
+struct Class {
+    free: Vec<BytesMut>,
+    /// Most free buffers kept: depth × this class's count in the latest batch.
+    keep: usize,
+}
+
 impl PinnedPool {
-    /// A pool retaining `retain_per_class` buffers per size class
-    /// (2 = classic ping-pong).
-    pub fn new(retain_per_class: usize) -> Arc<PinnedPool> {
+    /// A pool retaining up to `depth` saves' worth of buffers (2 = classic
+    /// ping-pong).
+    pub fn new(depth: usize) -> Arc<PinnedPool> {
         Arc::new(PinnedPool {
-            classes: Mutex::new(Default::default()),
-            retain_per_class,
+            classes: Mutex::new(BTreeMap::new()),
+            depth,
             allocs: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             copied: AtomicU64::new(0),
@@ -53,24 +72,46 @@ impl PinnedPool {
         }
     }
 
-    /// Acquire a zero-length buffer with capacity ≥ `size`. The buffer
-    /// returns to the pool when the guard drops (or, after
-    /// [`PooledBuf::freeze`], when the last `Bytes` view drops).
-    pub fn acquire(self: &Arc<Self>, size: usize) -> PooledBuf {
-        let class = Self::class_of(size.max(1));
-        let reused = self.classes.lock().get_mut(&class).and_then(Vec::pop);
-        let buf = match reused {
-            Some(mut b) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                b.clear();
-                b
+    /// Acquire one save's buffers: a zero-length buffer with capacity
+    /// ≥ each of `sizes`, in order. The batch sets the pool's retention to
+    /// `depth` × its per-class counts and releases the free buffers of every
+    /// class it does not use. Each buffer returns to the pool when its guard
+    /// drops (or, after [`PooledBuf::freeze`], when the last `Bytes` view
+    /// drops).
+    pub fn acquire_batch(
+        self: &Arc<Self>,
+        sizes: impl IntoIterator<Item = usize>,
+    ) -> Vec<PooledBuf> {
+        let wanted: Vec<u32> = sizes.into_iter().map(Self::class_of).collect();
+        let reused: Vec<Option<BytesMut>> = {
+            let mut classes = self.classes.lock();
+            classes.values_mut().for_each(|c| c.keep = 0);
+            for &class in &wanted {
+                classes.entry(class).or_default().keep += self.depth;
             }
-            None => {
-                self.allocs.fetch_add(1, Ordering::Relaxed);
-                BytesMut::with_capacity(1usize << class)
-            }
+            classes.retain(|_, c| {
+                c.free.truncate(c.keep);
+                c.keep > 0
+            });
+            wanted.iter().map(|class| classes.get_mut(class).and_then(|c| c.free.pop())).collect()
         };
-        PooledBuf { buf, pool: self.clone(), class }
+        let reuses = reused.iter().filter(|b| b.is_some()).count();
+        self.reuses.fetch_add(reuses as u64, Ordering::Relaxed);
+        self.allocs.fetch_add((wanted.len() - reuses) as u64, Ordering::Relaxed);
+        wanted
+            .into_iter()
+            .zip(reused)
+            .map(|(class, buf)| {
+                let buf = match buf {
+                    Some(mut b) => {
+                        b.clear();
+                        b
+                    }
+                    None => BytesMut::with_capacity(1usize << class),
+                };
+                PooledBuf { buf, pool: self.clone(), class }
+            })
+            .collect()
     }
 
     /// (fresh allocations, reuses) so far.
@@ -92,9 +133,8 @@ impl PinnedPool {
             return;
         }
         let mut classes = self.classes.lock();
-        let slot = classes.entry(class).or_default();
-        if slot.len() < self.retain_per_class {
-            slot.push(buf);
+        if let Some(c) = classes.get_mut(&class).filter(|c| c.free.len() < c.keep) {
+            c.free.push(buf);
         }
     }
 }
@@ -201,51 +241,55 @@ impl Drop for PooledBytes {
 mod tests {
     use super::*;
 
+    /// One save's worth of sizes: two in the 1 KiB class, one in 8 KiB.
+    const SAVE: [usize; 3] = [1000, 900, 5000];
+
     #[test]
-    fn ping_pong_reuse() {
+    fn a_same_plan_batch_reuses_every_buffer() {
         let pool = PinnedPool::new(2);
         {
-            let mut a = pool.acquire(1000);
-            a.extend_from_slice(&[1, 2, 3]);
-            let _b = pool.acquire(1000);
-        } // both return
-        {
-            let _c = pool.acquire(900); // same class (1024): reused
-            let _d = pool.acquire(1024); // reused
-            let _e = pool.acquire(1000); // pool empty: fresh
+            let mut first = pool.acquire_batch(SAVE);
+            first[0].extend_from_slice(&[1, 2, 3]);
+        } // all three return
+        assert_eq!(pool.stats(), (3, 0));
+        for _ in 0..4 {
+            drop(pool.acquire_batch(SAVE));
         }
-        let (allocs, reuses) = pool.stats();
-        assert_eq!(allocs, 3);
-        assert_eq!(reuses, 2);
+        assert_eq!(pool.stats(), (3, 12), "warm batches allocate nothing");
         assert_eq!(pool.copied_bytes(), 3);
     }
 
     #[test]
-    fn retention_is_bounded() {
-        let pool = PinnedPool::new(1);
-        {
-            let _a = pool.acquire(64);
-            let _b = pool.acquire(64);
-            let _c = pool.acquire(64);
-        }
-        // Only one retained; two next acquisitions -> 1 reuse + 1 alloc.
-        {
-            let _x = pool.acquire(64);
-            let _y = pool.acquire(64);
-        }
-        let (allocs, reuses) = pool.stats();
-        assert_eq!((allocs, reuses), (4, 1));
+    fn overlapping_batches_are_retained_up_to_depth_saves() {
+        let pool = PinnedPool::new(2);
+        // Three saves in flight at once: nine buffers, all fresh.
+        drop([pool.acquire_batch(SAVE), pool.acquire_batch(SAVE), pool.acquire_batch(SAVE)]);
+        assert_eq!(pool.stats(), (9, 0));
+        // Only two saves' worth came back to stay: a third overlapping save
+        // allocates again.
+        drop([pool.acquire_batch(SAVE), pool.acquire_batch(SAVE), pool.acquire_batch(SAVE)]);
+        assert_eq!(pool.stats(), (9 + 3, 6));
+    }
+
+    #[test]
+    fn a_smaller_plan_releases_the_classes_it_no_longer_uses() {
+        let pool = PinnedPool::new(2);
+        drop([pool.acquire_batch(SAVE), pool.acquire_batch(SAVE)]);
+        // A plan of one 1 KiB buffer: keeps two of the four 1 KiB buffers,
+        // releases both 8 KiB ones.
+        drop(pool.acquire_batch([1000]));
+        assert_eq!(pool.stats(), (6, 1));
+        drop([pool.acquire_batch([1000]), pool.acquire_batch([1000]), pool.acquire_batch([5000])]);
+        assert_eq!(pool.stats(), (6 + 1, 1 + 2), "the 8 KiB class was released");
     }
 
     #[test]
     fn acquired_buffers_start_empty_with_capacity() {
         let pool = PinnedPool::new(2);
-        {
-            let mut a = pool.acquire(100);
-            a.extend_from_slice(&[9; 50]);
-        }
-        let b = pool.acquire(100);
-        assert!(b.as_slice().is_empty());
+        pool.acquire_batch([100])[0].extend_from_slice(&[9; 50]);
+        let b = pool.acquire_batch([100]);
+        assert!(b[0].as_slice().is_empty());
+        assert_eq!(pool.stats(), (1, 1));
     }
 
     #[test]
@@ -253,18 +297,16 @@ mod tests {
         // Regression: class_of used to round 1024 up to the 2048 class,
         // doubling capture memory for exactly-sized tensors.
         let pool = PinnedPool::new(2);
-        assert_eq!(pool.acquire(1024).capacity(), 1024);
-        assert_eq!(pool.acquire(1025).capacity(), 2048);
-        assert_eq!(pool.acquire(1).capacity(), 1);
-        assert_eq!(pool.acquire(0).capacity(), 1);
-        assert_eq!(pool.acquire(3).capacity(), 4);
+        let caps: Vec<usize> =
+            pool.acquire_batch([1024, 1025, 1, 0, 3]).iter().map(PooledBuf::capacity).collect();
+        assert_eq!(caps, vec![1024, 2048, 1, 1, 4]);
     }
 
     #[test]
     fn frozen_buffers_return_to_the_pool_after_last_view_drops() {
         let pool = PinnedPool::new(2);
         {
-            let mut a = pool.acquire(512);
+            let mut a = pool.acquire_batch([512]).pop().unwrap();
             a.extend_from_slice(&[7; 512]);
             let frozen = a.freeze();
             {
@@ -272,8 +314,7 @@ mod tests {
                 assert_eq!(&view[..4], &[7; 4]);
             } // shared view drops first...
         } // ...then the guard: unique again -> allocation reclaimed
-        let _again = pool.acquire(512);
-        let (allocs, reuses) = pool.stats();
-        assert_eq!((allocs, reuses), (1, 1));
+        let _again = pool.acquire_batch([512]);
+        assert_eq!(pool.stats(), (1, 1));
     }
 }

@@ -200,7 +200,9 @@ pub fn execute_save_staged(
     let mut captured: Vec<PooledBytes> = Vec::with_capacity(plan.items.len());
     {
         let _t = sink.span_under("save/d2h", rank, step, parent).bytes(plan.total_bytes());
-        for item in &plan.items {
+        // One batch per save: the pool sizes its ping-pong retention by it.
+        let hosts = pool.acquire_batch(plan.items.iter().map(|item| item.nbytes as usize));
+        for (item, mut host) in plan.items.iter().zip(hosts) {
             let dict = match item.category {
                 crate::plan::Category::Model => &state.model,
                 crate::plan::Category::Optimizer => &state.optimizer,
@@ -221,7 +223,6 @@ pub fn execute_save_staged(
             }
             // Copy through a pooled (pinned) buffer — the D2H analogue, and
             // the *only* copy of the payload on the whole save path.
-            let mut host = pool.acquire(end - start);
             host.extend_from_slice(&data[start..end]);
             captured.push(host.freeze());
         }
@@ -521,6 +522,37 @@ mod tests {
         let file = backend.read("ckpt/model_0.bin").unwrap();
         let frames = crate::format::decode_frames(&file).unwrap();
         assert!(!frames.is_empty());
+    }
+
+    #[test]
+    fn a_warm_same_plan_save_captures_into_reused_buffers_only() {
+        let (plan, state, backend) = setup();
+        let pool = PinnedPool::new(2);
+        let io = IoPool::new(2);
+        let save = |step: u64| {
+            execute_save(
+                &plan,
+                &state,
+                backend.clone(),
+                &format!("ckpt/step_{step}"),
+                &pool,
+                &io,
+                &MetricsSink::disabled(),
+                Arc::new(FailureLog::new()),
+                &SaveConfig::default(),
+                step,
+                &FaultHook::inert(0),
+                SpanContext::none(),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+            pool.stats()
+        };
+        let items = plan.items.len() as u64;
+        assert_eq!(save(0), (items, 0), "a cold save allocates every buffer");
+        assert_eq!(save(1), (items, items), "a warm one none");
+        assert_eq!(save(2), (items, 2 * items));
     }
 
     #[test]

@@ -606,8 +606,9 @@ impl GlobalMetadata {
         self.tensor_map.values().flatten().map(|e| e.byte.length).sum()
     }
 
-    /// Sanity-check invariants: every entry's box fits its global shape and
-    /// byte length matches the element count. Returns the first violation.
+    /// Sanity-check invariants: every entry's box fits its global shape,
+    /// byte length matches the element count, and offset + length fits a
+    /// `u64`. Returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
         for (fqn, entries) in &self.tensor_map {
             for e in entries {
@@ -634,6 +635,10 @@ impl GlobalMetadata {
                         "{fqn}: byte length {} != expected {expect}",
                         e.byte.length
                     ));
+                }
+                // Every ranged read of the shard ends at or before this.
+                if e.byte.offset.checked_add(e.byte.length).is_none() {
+                    return Err(format!("{fqn}: byte offset {} overflows", e.byte.offset));
                 }
             }
         }

@@ -235,7 +235,7 @@ pub fn scrub_step(
                         detail: format!(
                             "{fqn}: recorded payload [{offset}, {}) does not match any \
                              decoded frame payload",
-                            offset + length
+                            u128::from(offset) + u128::from(length)
                         ),
                     }),
                     // The frame header is not covered by the payload CRC, so

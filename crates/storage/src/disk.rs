@@ -4,7 +4,7 @@
 //! byte the engine claims to persist actually hits the filesystem. Paths are
 //! sanitized so a checkpoint path can never escape the root.
 
-use crate::{Result, StorageBackend, StorageError};
+use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::Bytes;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -148,17 +148,18 @@ impl StorageBackend for DiskBackend {
             Err(e) => return Err(io_err(e)),
         };
         let size = f.metadata().map_err(io_err)?.len();
-        if offset + len > size {
-            return Err(StorageError::RangeOutOfBounds {
-                path: path.to_string(),
-                size,
-                offset,
-                len,
-            });
-        }
+        let range = checked_range(path, size, offset, len)?;
         f.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf).map_err(io_err)?;
+        // Read into uninitialised capacity: the buffer may become a restored
+        // tensor as it is, so zero-filling it first would be a wasted pass.
+        let mut buf = Vec::with_capacity(range.len());
+        f.take(len).read_to_end(&mut buf).map_err(io_err)?;
+        if buf.len() != range.len() {
+            let got = buf.len();
+            return Err(StorageError::Io(format!(
+                "{path}: short read ({got} of {len} bytes at {offset})"
+            )));
+        }
         Ok(Bytes::from(buf))
     }
 

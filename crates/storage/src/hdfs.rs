@@ -27,7 +27,7 @@
 //! parallel) is what the engine exercises, per the DESIGN.md substitution
 //! table.
 
-use crate::{Result, StorageBackend, StorageError};
+use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -311,16 +311,7 @@ impl StorageBackend for HdfsBackend {
         // NameNode op per chunk (block locations are cached client-side).
         let objects = self.objects.read();
         let obj = objects.get(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        let size = obj.data.len() as u64;
-        if offset + len > size {
-            return Err(StorageError::RangeOutOfBounds {
-                path: path.to_string(),
-                size,
-                offset,
-                len,
-            });
-        }
-        Ok(obj.data.slice(offset as usize..(offset + len) as usize))
+        Ok(obj.data.slice(checked_range(path, obj.data.len() as u64, offset, len)?))
     }
 
     fn size(&self, path: &str) -> Result<u64> {

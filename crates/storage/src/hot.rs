@@ -11,7 +11,7 @@
 //! persistent (cold) backend on any miss.
 
 use crate::layer;
-use crate::{DynBackend, Result, StorageBackend, StorageError};
+use crate::{checked_range, DynBackend, Result, StorageBackend};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -193,17 +193,9 @@ impl layer::Layer for TieredReadBackend {
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         if let Some(b) = self.hot.get(path) {
-            let (off, l) = (offset as usize, len as usize);
-            if off.checked_add(l).is_none_or(|end| end > b.len()) {
-                return Err(StorageError::RangeOutOfBounds {
-                    path: path.to_string(),
-                    size: b.len() as u64,
-                    offset,
-                    len,
-                });
-            }
+            let range = checked_range(path, b.len() as u64, offset, len)?;
             self.record(path, true, len);
-            return Ok(b.slice(off..off + l));
+            return Ok(b.slice(range));
         }
         let b = self.cold.read_range(path, offset, len)?;
         self.record(path, false, b.len() as u64);
@@ -240,6 +232,7 @@ impl layer::Layer for TieredReadBackend {
 mod tests {
     use super::*;
     use crate::memory::MemoryBackend;
+    use crate::StorageError;
     use std::sync::Arc;
 
     fn files(tag: &str) -> HotFiles {

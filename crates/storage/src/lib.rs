@@ -173,7 +173,7 @@ impl std::fmt::Display for StorageError {
             StorageError::RangeOutOfBounds { path, size, offset, len } => write!(
                 f,
                 "range [{offset}, {}) out of bounds for {path} (size {size})",
-                offset + len
+                u128::from(*offset) + u128::from(*len)
             ),
             StorageError::Io(m) => write!(f, "storage I/O error: {m}"),
             StorageError::Unsupported(op) => write!(f, "operation not supported: {op}"),
@@ -197,6 +197,21 @@ impl std::error::Error for StorageError {}
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;
+
+/// The bytes `[offset, offset + len)` of the `size`-byte object at `path`,
+/// or `RangeOutOfBounds` when they do not fit. Checked: the offsets come
+/// from metadata files, and one near `u64::MAX` must not wrap past `size`.
+pub(crate) fn checked_range(
+    path: &str,
+    size: u64,
+    offset: u64,
+    len: u64,
+) -> Result<std::ops::Range<usize>> {
+    match offset.checked_add(len) {
+        Some(end) if end <= size => Ok(offset as usize..end as usize),
+        _ => Err(StorageError::RangeOutOfBounds { path: path.to_string(), size, offset, len }),
+    }
+}
 
 /// The unified storage interface between the execution engine and backends.
 ///
@@ -385,6 +400,11 @@ pub(crate) mod conformance {
         assert_eq!(&b.read_range("r/data", 0, 10).unwrap()[..], b"0123456789");
         assert_eq!(&b.read_range("r/data", 9, 1).unwrap()[..], b"9");
         assert!(matches!(b.read_range("r/data", 8, 5), Err(StorageError::RangeOutOfBounds { .. })));
+        // An offset whose end overflows u64 is out of bounds too, not a
+        // wrapped range and not a panic.
+        let wrapped = b.read_range("r/data", u64::MAX, 2).unwrap_err();
+        assert!(matches!(wrapped, StorageError::RangeOutOfBounds { .. }), "{wrapped}");
+        assert!(wrapped.to_string().contains(&format!("{})", u128::from(u64::MAX) + 2)));
     }
 
     fn listing_and_delete(b: &dyn StorageBackend) {

@@ -4,7 +4,7 @@
 //! area (the paper dumps serialized files into `/dev/shm` before upload),
 //! and Gemini-style in-memory checkpoint storage for fast failure recovery.
 
-use crate::{Result, StorageBackend, StorageError};
+use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -92,16 +92,7 @@ impl StorageBackend for MemoryBackend {
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         let objects = self.objects.read();
         let obj = objects.get(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        let size = obj.len() as u64;
-        if offset + len > size {
-            return Err(StorageError::RangeOutOfBounds {
-                path: path.to_string(),
-                size,
-                offset,
-                len,
-            });
-        }
-        Ok(obj.slice(offset as usize..(offset + len) as usize))
+        Ok(obj.slice(checked_range(path, obj.len() as u64, offset, len)?))
     }
 
     fn size(&self, path: &str) -> Result<u64> {

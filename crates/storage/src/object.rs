@@ -32,7 +32,7 @@
 //!   must tolerate missing recent keys.
 
 use crate::retry::{splitmix64, RetryClock, SystemClock};
-use crate::{Result, StorageBackend, StorageError};
+use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -521,17 +521,9 @@ impl StorageBackend for ObjectStoreBackend {
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         self.admit(path)?;
         let data = self.get(path)?;
-        let size = data.len() as u64;
-        if offset + len > size {
-            return Err(StorageError::RangeOutOfBounds {
-                path: path.to_string(),
-                size,
-                offset,
-                len,
-            });
-        }
+        let range = checked_range(path, data.len() as u64, offset, len)?;
         self.transfer(len);
-        Ok(data.slice(offset as usize..(offset + len) as usize))
+        Ok(data.slice(range))
     }
 
     fn size(&self, path: &str) -> Result<u64> {

@@ -96,6 +96,10 @@ echo "==> perf/ smoke (2 s of manytensor_dp2_disk: an engine change that restore
 bash perf/run.sh --workload manytensor_dp2_disk --seed 1 --seconds 2 --trace 0 | tail -n 1 |
   grep -Eq '"correct": ?true' || { echo "perf/ smoke: the result line lacks \"correct\": true"; exit 1; }
 
+echo "==> perf/ smoke (2 s of dense_tp2_mem: every unresharded load there restores by adopting the stored bytes)"
+bash perf/run.sh --workload dense_tp2_mem --seed 1 --seconds 2 --trace 0 | tail -n 1 |
+  grep -Eq '"correct": ?true' || { echo "perf/ smoke: the dense_tp2_mem result line lacks \"correct\": true"; exit 1; }
+
 echo "==> repro smoke (one table from the simulator, one figure from real multi-rank execution)"
 cargo run --release -p bcp-bench --bin repro -- table4 fig13 | grep -q "verified bitwise" ||
   { echo "repro table4 fig13 did not print a bitwise-verified Figure 13"; exit 1; }

@@ -135,6 +135,44 @@ fn any_bit_flip_and_any_truncation_is_an_error() {
     }
 }
 
+/// A shard offset whose end overflows `u64` is a well-formed varint, so it
+/// decodes; validation refuses it, and a load of such a file returns
+/// `Corrupt` before any ranged read could wrap or panic.
+#[test]
+fn an_offset_whose_end_overflows_u64_is_refused() {
+    let arch = zoo::tiny_gpt();
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let registry = {
+        let mut reg = BackendRegistry::new();
+        reg.register(Scheme::Memory, mem.clone());
+        Arc::new(reg)
+    };
+    run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&arch, fw, par, rank, 1);
+        ckpt.save(&SaveRequest::new("mem://x/j/step_1", &state, 1)).unwrap().wait().unwrap();
+    });
+    let path = format!("j/step_1/{METADATA_FILE}");
+    let mut m = GlobalMetadata::from_bytes(&mem.read(&path).unwrap()).unwrap();
+    let entry = &mut m.tensor_map.values_mut().next().unwrap()[0];
+    entry.byte.offset = u64::MAX - entry.byte.length / 2;
+    let hostile = m.to_bytes();
+    assert_eq!(GlobalMetadata::from_bytes(&hostile).unwrap(), m);
+    assert!(m.validate().unwrap_err().contains("overflows"));
+    mem.write(&path, hostile.into()).unwrap();
+    let errors = run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut target = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        match ckpt.load(&mut LoadRequest::new("mem://x/j/step_1", &mut target)) {
+            Ok(_) => panic!("rank {rank} loaded a step whose metadata overflows"),
+            Err(e) => e.to_string(),
+        }
+    });
+    for e in errors {
+        assert!(e.contains("overflows"), "{e}");
+    }
+}
+
 /// The `manytensor_dp2_disk` benchmark shape: what its coordinator encodes.
 #[test]
 fn the_manytensor_shape_encodes_to_at_most_48_bytes_per_entry() {
