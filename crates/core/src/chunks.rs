@@ -4,9 +4,10 @@
 //! global metadata file: for every shard file, the manifest records
 //! fixed-size chunks as `(content hash, byte offset, length)`. The index is
 //! derived *at commit time with zero extra copies* — the save pipeline
-//! hashes each file's gather segments (frame headers, pooled payload views,
-//! CRC trailers) in place, walking chunk windows across segment boundaries
-//! without ever materializing the file.
+//! hashes each file's capture image in place, frame by frame, in the same
+//! walk that seals the frame CRCs ([`FileChunksBuilder`] takes the bytes in
+//! pieces of any size, and [`FileChunks::from_segments`] walks chunk
+//! windows across segment boundaries).
 //!
 //! Content addressing is what makes inference-scale distribution cheap:
 //!

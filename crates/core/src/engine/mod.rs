@@ -8,8 +8,9 @@
 //!   upload and fetch leaf jobs run on.
 //! * [`save`] — D2H capture → serialize → dump to staging → (split-file)
 //!   upload, with the capture being the only training-blocking part in
-//!   async mode; payloads travel as `Bytes` views of pooled capture buffers
-//!   so each tensor byte is copied exactly once.
+//!   async mode; capture builds each shard file's image in one pooled
+//!   buffer, sealed in place and uploaded as is, so each tensor byte is
+//!   copied exactly once.
 //! * [`load`] — each rank's items coalesced into per-file byte runs →
 //!   ranged multi-threaded reads → intersection extraction → local assembly
 //!   ("H2D") → forwarding of deduplicated reads, with reads, extraction and

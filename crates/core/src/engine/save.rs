@@ -6,36 +6,38 @@
 //! paper's "symmetrical, fully asynchronous pipeline comprising D2H copy,
 //! serialization, and file uploading operations".
 //!
-//! Single-copy data path: capture copies each tensor slice once into a
-//! pooled (pinned) buffer and freezes it into sharable `Bytes`.
-//! Serialization produces frame *headers* only; headers, payload views and
-//! CRC trailers travel to the backend as gather segments via
-//! [`bcp_storage::StorageBackend::write_segments`], so a tensor's bytes are
-//! touched exactly once between the state dict and the backend. All uploads
-//! (whole files and split parts) run concurrently as leaf jobs on the
-//! persistent [`IoPool`].
+//! Single-copy data path: capture builds each shard file's whole image in
+//! one pooled (pinned) buffer — frame header, payload, CRC slot, frame after
+//! frame — so the payload copy into it is the only copy of a tensor's bytes
+//! between the state dict and the backend. The async tail seals the image
+//! in place (CRCs into their slots, chunk index on the way), freezes it into
+//! `Bytes` that own the buffer, and uploads it as one segment via
+//! [`bcp_storage::StorageBackend::write_segments`]. A backend that keeps the
+//! `Bytes` (memory) stores the image itself; the buffer returns to the pool
+//! when the last view of it drops. All uploads (whole files and split parts)
+//! run concurrently as leaf jobs on the persistent [`IoPool`].
 //!
 //! Split rule: a file goes up as `split_parts` parts plus a `concat` iff it
 //! is larger than `split_threshold` *and* the backend's
 //! [`bcp_storage::StorageBackend::concat_is_metadata_op`] holds (HDFS).
 //! Everywhere else the merge would move every byte a second time — a copy
 //! into fresh pages on memory and object store, read + rewrite + second
-//! fsync on disk — so a shard file is one gather-write and no `.partN`
-//! object ever exists.
+//! fsync on disk — so a shard file is one write and no `.partN` object ever
+//! exists.
 
 use crate::chunks::{FileChunks, FileChunksBuilder};
 use crate::engine::iopool::IoPool;
-use crate::engine::pool::{PinnedPool, PooledBytes};
+use crate::engine::pool::{PinnedPool, PooledBuf};
 use crate::fault::FaultHook;
-use crate::format::encode_frame_header;
+use crate::format::{frame_len, header_len, put_frame_header};
 use crate::integrity::{with_retries, FailureLog, RetryPolicy};
-use crate::plan::SavePlan;
+use crate::plan::{Category, SavePlan};
 use crate::{BcpError, Result};
 use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext};
 use bcp_storage::DynBackend;
 use bcp_tensor::checksum::{crc32, Crc32};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,7 +89,8 @@ pub struct SaveStats {
     /// Files written (after concat).
     pub files: usize,
     /// Content-addressed chunk index of this rank's files, derived in
-    /// place from the gather segments (empty when `chunk_bytes == 0`).
+    /// place while the file images are sealed (empty when
+    /// `chunk_bytes == 0`).
     pub chunks: Vec<FileChunks>,
 }
 
@@ -95,17 +98,6 @@ pub struct SaveStats {
 /// through the chunk hash: small enough that the second kernel reads the
 /// block from L1/L2, not from memory.
 const SEAL_BLOCK_BYTES: usize = 32 * 1024;
-
-/// One shard file while `save/serialize` builds it.
-struct SealedFile {
-    /// Gather segments in file order: header, payload view, CRC trailer.
-    segments: Vec<Bytes>,
-    /// Bytes serialized so far.
-    len: u64,
-    /// The file's chunk index, fed as the frames are sealed (`None` when
-    /// `chunk_bytes == 0`).
-    index: Option<FileChunksBuilder>,
-}
 
 /// What the upload tail resolves to: (bytes, files, per-file chunk indexes).
 type UploadTail = (u64, usize, Vec<FileChunks>);
@@ -141,17 +133,18 @@ impl SaveHandle {
 }
 
 /// Per-save collection point for the hot tier: the async pipeline deposits
-/// each fully-uploaded file's assembled bytes here, so the workflow's
-/// finalize tail can replicate them to peers without re-reading storage.
+/// each fully-uploaded file's sealed image here, so the workflow's finalize
+/// tail can replicate them to peers without re-reading storage.
 pub type HotStaging = Arc<parking_lot::Mutex<Vec<(String, Bytes)>>>;
 
 /// Execute a rank's save plan against `backend` under `prefix`.
 ///
 /// Returns once the blocking part is done; the returned handle resolves
 /// when uploads complete. The serialized files are bit-deterministic: frame
-/// order follows the plan (serialization is sequential; only uploads fan
-/// out, and each file/part is one atomic gather-write), so payload offsets
-/// match [`SavePlan::byte_metas`] (asserted) for any `io_threads`.
+/// order follows the plan (capture is sequential; only uploads fan out, and
+/// each file/part is one atomic write), so payload offsets match
+/// [`SavePlan::byte_metas`] (checked before each payload is copied) for any
+/// `io_threads`.
 #[allow(clippy::too_many_arguments)] // the full engine context, passed once per save
 pub fn execute_save(
     plan: &SavePlan,
@@ -173,8 +166,8 @@ pub fn execute_save(
 }
 
 /// [`execute_save`] with an optional hot-tier staging sink: when `Some`,
-/// every uploaded file's assembled bytes (segments stitched once, off the
-/// training-blocking path) are deposited into it after the uploads succeed.
+/// every uploaded file's sealed image (a view, not a copy) is deposited into
+/// it after the uploads succeed.
 #[allow(clippy::too_many_arguments)] // the full engine context, passed once per save
 pub fn execute_save_staged(
     plan: &SavePlan,
@@ -197,15 +190,21 @@ pub fn execute_save_staged(
     // ---- Phase 1 (blocking): D2H capture into the pinned pool. ----
     faults.check("save/capture")?;
     let capture_timer = Instant::now();
-    let mut captured: Vec<PooledBytes> = Vec::with_capacity(plan.items.len());
+    // One image per shard file, keyed by the category that names the file.
+    let mut images: BTreeMap<Category, PooledBuf> = BTreeMap::new();
     {
         let _t = sink.span_under("save/d2h", rank, step, parent).bytes(plan.total_bytes());
+        let mut sizes: BTreeMap<Category, usize> = BTreeMap::new();
+        for item in &plan.items {
+            *sizes.entry(item.category).or_default() +=
+                frame_len(&item.shard, item.nbytes as usize);
+        }
         // One batch per save: the pool sizes its ping-pong retention by it.
-        let hosts = pool.acquire_batch(plan.items.iter().map(|item| item.nbytes as usize));
-        for (item, mut host) in plan.items.iter().zip(hosts) {
+        images.extend(sizes.keys().copied().zip(pool.acquire_batch(sizes.values().copied())));
+        for (item, offset) in plan.items.iter().zip(plan.payload_offsets()) {
             let dict = match item.category {
-                crate::plan::Category::Model => &state.model,
-                crate::plan::Category::Optimizer => &state.optimizer,
+                Category::Model => &state.model,
+                Category::Optimizer => &state.optimizer,
             };
             let entry = dict
                 .get(&item.shard.fqn)
@@ -221,10 +220,21 @@ pub fn execute_save_staged(
                     data.len()
                 )));
             }
-            // Copy through a pooled (pinned) buffer — the D2H analogue, and
+            let image = images.get_mut(&item.category).expect("every planned file has an image");
+            put_frame_header(image, &item.shard, item.basic.dtype, item.nbytes as usize)?;
+            if image.len() as u64 != offset {
+                return Err(BcpError::Plan(format!(
+                    "{}: payload lands at byte {} of {}, planned at {offset}",
+                    item.shard.fqn,
+                    image.len(),
+                    item.category.file_for(rank)
+                )));
+            }
+            // Copy into the pooled (pinned) image — the D2H analogue, and
             // the *only* copy of the payload on the whole save path.
-            host.extend_from_slice(&data[start..end]);
-            captured.push(host.freeze());
+            image.extend_from_slice(&data[start..end]);
+            // The CRC slot, sealed off the training-blocking path.
+            image.put_u32_le(0);
         }
     }
     let blocking = capture_timer.elapsed();
@@ -237,72 +247,58 @@ pub fn execute_save_staged(
     let faults = faults.clone();
     let io = io.clone();
     let pipeline = move || -> Result<(u64, usize, Vec<FileChunks>)> {
-        // `captured` outlives every staged segment view, so the pooled
-        // allocations are reclaimed (not leaked to the allocator) when the
-        // uploads finish and `captured` drops last.
-        let captured = captured;
-        // Serialize frame *headers* per file, in plan order; payloads stay
-        // as views over the capture buffers. This is also the one walk over
-        // the saved bytes: each payload goes block by block through the
-        // frame CRC and, while the block is still in cache, into its file's
-        // streaming chunk index (§ distribution layer) — zero extra copies
-        // between the state dict and the manifest, and no second pass.
+        // Seal each image in place, walking its frames in plan order. This
+        // is the one walk over the saved bytes: each payload goes block by
+        // block through the frame CRC and, while the block is still in
+        // cache, into its file's streaming chunk index (§ distribution
+        // layer), and the CRC lands in the slot capture left for it — zero
+        // extra copies between the state dict and the manifest.
         faults.check("save/serialize")?;
-        let expected = plan.byte_metas();
-        let mut files: BTreeMap<String, SealedFile> = BTreeMap::new();
+        let mut images = images;
+        let mut chunks: Vec<FileChunks> = Vec::new();
         {
             let _t =
                 sink.span_under("save/serialize", rank, step, parent).bytes(plan.total_bytes());
-            for ((item, payload), bm) in plan.items.iter().zip(&captured).zip(&expected) {
-                let payload = payload.share();
-                let header =
-                    encode_frame_header(&item.shard, item.basic.dtype, payload.len()).freeze();
-                let f = files.entry(bm.file.clone()).or_insert_with(|| SealedFile {
-                    segments: Vec::new(),
-                    len: 0,
-                    index: (cfg2.chunk_bytes > 0)
-                        .then(|| FileChunksBuilder::new(bm.file.clone(), cfg2.chunk_bytes)),
-                });
-                debug_assert_eq!(
-                    f.len + header.len() as u64,
-                    bm.offset,
-                    "planned offset must match serialization"
-                );
-                f.len += crate::format::frame_len(&item.shard, payload.len()) as u64;
-                let crc = match &mut f.index {
-                    Some(index) => {
-                        let mut crc = Crc32::new();
-                        index.update(&header);
-                        for block in payload.chunks(SEAL_BLOCK_BYTES) {
-                            crc.update(block);
-                            index.update(block);
+            for (&category, image) in &mut images {
+                let mut index = (cfg2.chunk_bytes > 0)
+                    .then(|| FileChunksBuilder::new(category.file_for(rank), cfg2.chunk_bytes));
+                let mut at = 0;
+                for item in plan.items.iter().filter(|item| item.category == category) {
+                    let payload_at = at + header_len(&item.shard);
+                    let crc_at = payload_at + item.nbytes as usize;
+                    let payload = &image[payload_at..crc_at];
+                    let crc = match &mut index {
+                        Some(index) => {
+                            let mut crc = Crc32::new();
+                            index.update(&image[at..payload_at]);
+                            for block in payload.chunks(SEAL_BLOCK_BYTES) {
+                                crc.update(block);
+                                index.update(block);
+                            }
+                            let crc = crc.finalize().to_le_bytes();
+                            index.update(&crc);
+                            crc
                         }
-                        let crc = crc.finalize().to_le_bytes();
-                        index.update(&crc);
-                        crc
-                    }
-                    None => crc32(&payload).to_le_bytes(),
-                };
-                let crc = Bytes::copy_from_slice(&crc);
-                f.segments.extend([header, payload, crc]);
+                        None => crc32(payload).to_le_bytes(),
+                    };
+                    image[crc_at..crc_at + 4].copy_from_slice(&crc);
+                    at = crc_at + 4;
+                }
+                chunks.extend(index.map(FileChunksBuilder::finish));
             }
         }
-        // Dump: hand the per-file segment lists over to upload (the
+        // Dump: freeze the sealed images into sharable `Bytes` (the
         // shared-memory staging step — no bytes move here).
-        let mut chunks: Vec<FileChunks> = Vec::new();
-        let mut staged: Vec<(String, Vec<Bytes>)> = Vec::with_capacity(files.len());
+        let mut staged: Vec<(String, Bytes)> = Vec::with_capacity(images.len());
         {
             let mut t = sink.span_under("save/dump", rank, step, parent);
-            for (file, sealed) in files {
-                t.add_bytes(sealed.len);
-                chunks.extend(sealed.index.map(FileChunksBuilder::finish));
-                staged.push((file, sealed.segments));
+            for (category, image) in images {
+                t.add_bytes(image.len() as u64);
+                staged.push((category.file_for(rank), image.freeze()));
             }
         }
-        // Keep cheap segment views (refcounted `Bytes` clones) so the hot
-        // tier can assemble whole-file copies after the uploads succeed.
-        let hot_views: Option<Vec<(String, Vec<Bytes>)>> =
-            hot_staging.as_ref().map(|_| staged.clone());
+        // Views for the hot tier, which adopts the images once they landed.
+        let hot_views: Option<Vec<(String, Bytes)>> = hot_staging.as_ref().map(|_| staged.clone());
         // Upload: every whole file and every split part is one leaf job on
         // the shared I/O pool, so files upload concurrently.
         faults.check("save/upload")?;
@@ -318,8 +314,8 @@ pub fn execute_save_staged(
             let mut jobs: Vec<Box<dyn FnOnce() -> Result<()> + Send + 'static>> = Vec::new();
             let mut concats: Vec<(String, Vec<String>, SpanContext)> = Vec::new();
             let split = cfg2.split_parts > 1 && backend.concat_is_metadata_op();
-            for (file, segments) in staged {
-                let bytes: u64 = segments.iter().map(|s| s.len() as u64).sum();
+            for (file, image) in staged {
+                let bytes = image.len() as u64;
                 total += bytes;
                 t.add_bytes(bytes);
                 let path = format!("{prefix}/{file}");
@@ -331,9 +327,9 @@ pub fn execute_save_staged(
                 let fctx = f.context();
                 if split && bytes > cfg2.split_threshold {
                     f.set_attr("split_parts", cfg2.split_parts.to_string());
-                    let parts = split_segments(&segments, bytes as usize, cfg2.split_parts, &path);
+                    let parts = split_image(&image, cfg2.split_parts, &path);
                     concats.push((path, parts.iter().map(|(n, _)| n.clone()).collect(), fctx));
-                    for (name, part_segs) in parts {
+                    for (name, part) in parts {
                         let backend = backend.clone();
                         let log = log.clone();
                         let retries = cfg2.retries;
@@ -345,7 +341,7 @@ pub fn execute_save_staged(
                                 rank,
                                 "save/upload-part",
                                 Some(&name),
-                                || backend.write_segments(&name, &part_segs),
+                                || backend.write_segments(&name, std::slice::from_ref(&part)),
                             )
                         }));
                     }
@@ -356,7 +352,7 @@ pub fn execute_save_staged(
                     jobs.push(Box::new(move || {
                         let _e = enter_context(fctx);
                         with_retries(retries, &log, rank, "save/upload", Some(&path), || {
-                            backend.write_segments(&path, &segments)
+                            backend.write_segments(&path, std::slice::from_ref(&image))
                         })
                     }));
                 }
@@ -384,18 +380,10 @@ pub fn execute_save_staged(
                 result?;
             }
         }
-        // Stage hot-tier copies only for files that actually landed: stitch
-        // each file's segments once (off the training-blocking path).
+        // Stage hot-tier views only for files that actually landed; each
+        // image returns to the pool once the hot tier drops it too.
         if let (Some(staging), Some(views)) = (&hot_staging, hot_views) {
-            let mut out = staging.lock();
-            for (file, segs) in views {
-                let len: usize = segs.iter().map(Bytes::len).sum();
-                let mut buf = bytes::BytesMut::with_capacity(len);
-                for s in &segs {
-                    buf.extend_from_slice(s);
-                }
-                out.push((file, buf.freeze()));
-            }
+            staging.lock().extend(views);
         }
         Ok((total, nfiles, chunks))
     };
@@ -417,41 +405,16 @@ pub fn execute_save_staged(
     }
 }
 
-/// §4.3 split upload: carve the file's segment list into `parts` byte
-/// windows at [`bcp_tensor::layout::even_split`] boundaries. Slicing `Bytes`
-/// shares the parent allocations — no payload bytes are copied.
-fn split_segments(
-    segments: &[Bytes],
-    total: usize,
-    parts: usize,
-    path: &str,
-) -> Vec<(String, Vec<Bytes>)> {
+/// §4.3 split upload: carve the file image into `parts` byte windows at
+/// [`bcp_tensor::layout::even_split`] boundaries. Slicing `Bytes` shares the
+/// image's allocation — no bytes are copied.
+fn split_image(image: &Bytes, parts: usize, path: &str) -> Vec<(String, Bytes)> {
     (0..parts)
         .map(|i| {
-            let (off, len) = bcp_tensor::layout::even_split(total, parts, i);
-            (format!("{path}.part{i}"), slice_window(segments, off, len))
+            let (off, len) = bcp_tensor::layout::even_split(image.len(), parts, i);
+            (format!("{path}.part{i}"), image.slice(off..off + len))
         })
         .collect()
-}
-
-/// The sub-list of segment views covering bytes `[off, off + len)` of the
-/// concatenated segment stream.
-fn slice_window(segments: &[Bytes], mut off: usize, mut len: usize) -> Vec<Bytes> {
-    let mut out = Vec::new();
-    for seg in segments {
-        if len == 0 {
-            break;
-        }
-        if off >= seg.len() {
-            off -= seg.len();
-            continue;
-        }
-        let take = (seg.len() - off).min(len);
-        out.push(seg.slice(off..off + take));
-        off = 0;
-        len -= take;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -526,6 +489,8 @@ mod tests {
 
     #[test]
     fn a_warm_same_plan_save_captures_into_reused_buffers_only() {
+        // The memory backend stores the images themselves, so a step's
+        // buffers come back to the pool when the step is deleted.
         let (plan, state, backend) = setup();
         let pool = PinnedPool::new(2);
         let io = IoPool::new(2);
@@ -549,10 +514,18 @@ mod tests {
             .unwrap();
             pool.stats()
         };
-        let items = plan.items.len() as u64;
-        assert_eq!(save(0), (items, 0), "a cold save allocates every buffer");
-        assert_eq!(save(1), (items, items), "a warm one none");
-        assert_eq!(save(2), (items, 2 * items));
+        let delete = |step: u64| {
+            for key in backend.list(&format!("ckpt/step_{step}/")).unwrap() {
+                backend.delete(&key).unwrap();
+            }
+        };
+        let files = 2; // model_0.bin, optim_0.bin
+        assert_eq!(save(0), (files, 0), "a cold save allocates one image per file");
+        assert_eq!(save(1), (2 * files, 0), "step 0 still holds its images");
+        delete(0);
+        assert_eq!(save(2), (2 * files, files), "with the step before deleted: no allocation");
+        delete(1);
+        assert_eq!(save(3), (2 * files, 2 * files));
     }
 
     #[test]
@@ -672,20 +645,5 @@ mod tests {
         assert!(handle.wait().is_ok());
         assert!(!log.is_empty(), "failures must be logged");
         assert!(log.records().iter().all(|r| r.stage.starts_with("save/")));
-    }
-
-    #[test]
-    fn slice_window_covers_segment_boundaries() {
-        let segs = vec![
-            Bytes::from_static(b"0123"),
-            Bytes::from_static(b"45"),
-            Bytes::from_static(b"6789"),
-        ];
-        let flat = |w: Vec<Bytes>| w.iter().flat_map(|b| b.iter().copied()).collect::<Vec<u8>>();
-        assert_eq!(flat(slice_window(&segs, 0, 10)), b"0123456789");
-        assert_eq!(flat(slice_window(&segs, 3, 4)), b"3456");
-        assert_eq!(flat(slice_window(&segs, 4, 2)), b"45");
-        assert_eq!(flat(slice_window(&segs, 9, 1)), b"9");
-        assert!(slice_window(&segs, 10, 0).is_empty());
     }
 }

@@ -142,7 +142,7 @@ pub fn import_safetensors(
         let payload = tensor.bytes()?;
         let (frame, payload_off) = {
             let base = buf.len() as u64;
-            let (frame, off) = crate::format::encode_frame(&shard, tensor.dtype(), payload);
+            let (frame, off) = crate::format::encode_frame(&shard, tensor.dtype(), payload)?;
             (frame, base + off)
         };
         buf.extend_from_slice(&frame);

@@ -72,18 +72,47 @@ pub struct Frame {
     pub payload: Bytes,
 }
 
-/// Serialize a frame *header* only (everything before the payload) for a
-/// payload of `payload_len` bytes. The single-copy save path writes the
-/// header and the (pooled) payload as separate gather segments, so the
-/// payload bytes are never copied into a frame buffer.
-pub fn encode_frame_header(shard: &ShardMeta, dtype: DType, payload_len: usize) -> BytesMut {
-    let rank = shard.offsets.len();
-    let mut buf = BytesMut::with_capacity(header_len(shard));
+/// Refuse a shard whose frame header cannot describe it: the header stores
+/// the FQN's byte length as a `u16` and the number of dimensions as a `u8`,
+/// so a longer FQN or a higher-rank shard would be written with a wrapped
+/// length field — a file every reader rejects. Planning calls this before
+/// anything is written.
+pub fn check_frame_fields(shard: &ShardMeta) -> Result<()> {
+    if shard.fqn.len() > u16::MAX as usize {
+        return Err(BcpError::Plan(format!(
+            "{}…: FQN of {} bytes exceeds the frame header's {}",
+            shard.fqn.chars().take(64).collect::<String>(),
+            shard.fqn.len(),
+            u16::MAX
+        )));
+    }
+    if shard.offsets.len() > u8::MAX as usize {
+        return Err(BcpError::Plan(format!(
+            "{}: {} dimensions exceed the frame header's {}",
+            shard.fqn,
+            shard.offsets.len(),
+            u8::MAX
+        )));
+    }
+    Ok(())
+}
+
+/// Append a frame *header* (everything before the payload) for a payload of
+/// `payload_len` bytes to `buf`: [`header_len`] bytes. The save path writes
+/// it straight into the shard file's capture image, followed by the payload
+/// and the CRC slot.
+pub fn put_frame_header(
+    buf: &mut impl BufMut,
+    shard: &ShardMeta,
+    dtype: DType,
+    payload_len: usize,
+) -> Result<()> {
+    check_frame_fields(shard)?;
     buf.put_u32_le(FRAME_MAGIC);
     buf.put_u16_le(shard.fqn.len() as u16);
     buf.put_slice(shard.fqn.as_bytes());
     buf.put_u8(dtype_code(dtype));
-    buf.put_u8(rank as u8);
+    buf.put_u8(shard.offsets.len() as u8);
     for &o in &shard.offsets {
         buf.put_u64_le(o as u64);
     }
@@ -91,20 +120,19 @@ pub fn encode_frame_header(shard: &ShardMeta, dtype: DType, payload_len: usize) 
         buf.put_u64_le(l as u64);
     }
     buf.put_u64_le(payload_len as u64);
-    debug_assert_eq!(buf.len(), header_len(shard));
-    buf
+    Ok(())
 }
 
 /// Serialize one frame; returns the byte offset of the payload *within the
 /// returned buffer* (the engine adds the file-level base offset to build the
-/// [`crate::ByteMeta`]).
-pub fn encode_frame(shard: &ShardMeta, dtype: DType, payload: &[u8]) -> (BytesMut, u64) {
-    let mut buf = encode_frame_header(shard, dtype, payload.len());
-    buf.reserve(payload.len() + 4);
+/// [`crate::ByteMeta`]). Fails as [`put_frame_header`] does.
+pub fn encode_frame(shard: &ShardMeta, dtype: DType, payload: &[u8]) -> Result<(BytesMut, u64)> {
+    let mut buf = BytesMut::with_capacity(frame_len(shard, payload.len()));
+    put_frame_header(&mut buf, shard, dtype, payload.len())?;
     let payload_offset = buf.len() as u64;
     buf.put_slice(payload);
     buf.put_u32_le(crc32(payload));
-    (buf, payload_offset)
+    Ok((buf, payload_offset))
 }
 
 /// Parse all frames in a storage file, verifying CRCs. This is the recovery
@@ -182,7 +210,7 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let payload: Vec<u8> = (0..16).collect();
-        let (buf, off) = encode_frame(&meta("layers.0.w"), DType::F32, &payload);
+        let (buf, off) = encode_frame(&meta("layers.0.w"), DType::F32, &payload).unwrap();
         assert_eq!(&buf[off as usize..off as usize + 16], &payload[..]);
         let frames = decode_frames(&buf.freeze()).unwrap();
         assert_eq!(frames.len(), 1);
@@ -204,7 +232,7 @@ mod tests {
         };
         let payload: Vec<u8> =
             (0..402u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
-        let (buf, off) = encode_frame(&shard, DType::BF16, &payload);
+        let (buf, off) = encode_frame(&shard, DType::BF16, &payload).unwrap();
         let mut want = vec![0x01, 0x00, 0xc7, 0xb1, 24, 0];
         want.extend_from_slice(b"layers.0.attn.qkv.weight");
         want.extend([3, 2]);
@@ -222,7 +250,7 @@ mod tests {
         let mut file = BytesMut::new();
         for i in 0..3 {
             let payload = vec![i as u8; 8];
-            let (buf, _) = encode_frame(&meta(&format!("t{i}")), DType::I64, &payload);
+            let (buf, _) = encode_frame(&meta(&format!("t{i}")), DType::I64, &payload).unwrap();
             file.extend_from_slice(&buf);
         }
         let frames = decode_frames(&file.freeze()).unwrap();
@@ -232,7 +260,7 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let (buf, off) = encode_frame(&meta("x"), DType::U8, &[1, 2, 3, 4]);
+        let (buf, off) = encode_frame(&meta("x"), DType::U8, &[1, 2, 3, 4]).unwrap();
         let mut corrupted = buf.to_vec();
         corrupted[off as usize + 1] ^= 0xFF;
         let err = decode_frames(&Bytes::from(corrupted)).unwrap_err();
@@ -241,7 +269,7 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let (buf, _) = encode_frame(&meta("x"), DType::U8, &[1, 2, 3, 4]);
+        let (buf, _) = encode_frame(&meta("x"), DType::U8, &[1, 2, 3, 4]).unwrap();
         let truncated = Bytes::copy_from_slice(&buf[..buf.len() - 6]);
         assert!(matches!(decode_frames(&truncated), Err(BcpError::Corrupt(_))));
     }
@@ -251,7 +279,7 @@ mod tests {
         // Craft a valid header, then overwrite paylen with u64::MAX: the
         // old `paylen + 4` bounds check wrapped and the slice panicked.
         let m = meta("x");
-        let (buf, _) = encode_frame(&m, DType::U8, &[1, 2, 3, 4]);
+        let (buf, _) = encode_frame(&m, DType::U8, &[1, 2, 3, 4]).unwrap();
         let mut forged = buf.to_vec();
         let paylen_at = header_len(&m) - 8;
         forged[paylen_at..paylen_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -269,9 +297,29 @@ mod tests {
     fn header_len_matches_encoder() {
         let payload = vec![9u8; 12];
         let m = meta("layers.17.mlp.down.weight");
-        let (buf, off) = encode_frame(&m, DType::BF16, &payload);
+        let (buf, off) = encode_frame(&m, DType::BF16, &payload).unwrap();
         assert_eq!(off as usize, header_len(&m));
         assert_eq!(buf.len(), frame_len(&m, payload.len()));
+    }
+
+    #[test]
+    fn fields_wider_than_the_header_are_refused_and_the_widest_that_fit_round_trip() {
+        let scalar = |fqn: String, rank: usize| ShardMeta {
+            fqn,
+            offsets: vec![0; rank],
+            lengths: vec![1; rank],
+        };
+        for (shard, what) in [
+            (scalar("w".repeat(u16::MAX as usize + 1), 0), "FQN of 65536 bytes"),
+            (scalar("w".into(), u8::MAX as usize + 1), "256 dimensions"),
+        ] {
+            let err = encode_frame(&shard, DType::U8, &[1]).unwrap_err();
+            assert!(matches!(&err, BcpError::Plan(m) if m.contains(what)), "{err}");
+        }
+        for shard in [scalar("w".repeat(u16::MAX as usize), 0), scalar("w".into(), 255)] {
+            let (buf, _) = encode_frame(&shard, DType::U8, &[1]).unwrap();
+            assert_eq!(decode_frames(&buf.freeze()).unwrap()[0].shard, shard);
+        }
     }
 
     #[test]

@@ -328,7 +328,7 @@ mod tests {
     fn frame_file() -> Bytes {
         let shard = ShardMeta { fqn: "w".into(), offsets: vec![0], lengths: vec![4] };
         let payload = [1u8; 16];
-        let (buf, _) = encode_frame(&shard, DType::F32, &payload);
+        let (buf, _) = encode_frame(&shard, DType::F32, &payload).unwrap();
         buf.freeze()
     }
 

@@ -77,16 +77,27 @@ impl SavePlan {
 
     /// Compute the `ByteMeta` of every item, walking files in plan order.
     pub fn byte_metas(&self) -> Vec<ByteMeta> {
-        let mut cursors: std::collections::BTreeMap<String, u64> = Default::default();
-        let mut out = Vec::with_capacity(self.items.len());
-        for item in &self.items {
-            let file = item.category.file_for(self.rank);
-            let cursor = cursors.entry(file.clone()).or_insert(0);
-            let header = format::header_len(&item.shard) as u64;
-            out.push(ByteMeta { file, offset: *cursor + header, length: item.nbytes });
+        self.items
+            .iter()
+            .zip(self.payload_offsets())
+            .map(|(item, offset)| ByteMeta {
+                file: item.category.file_for(self.rank),
+                offset,
+                length: item.nbytes,
+            })
+            .collect()
+    }
+
+    /// Each item's payload offset within its category's file, in plan order:
+    /// the frames of one file are laid out back to back.
+    pub fn payload_offsets(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut cursors = [0u64; 2];
+        self.items.iter().map(move |item| {
+            let cursor = &mut cursors[item.category as usize];
+            let offset = *cursor + format::header_len(&item.shard) as u64;
             *cursor += format::frame_len(&item.shard, item.nbytes as usize) as u64;
-        }
-        out
+            offset
+        })
     }
 }
 

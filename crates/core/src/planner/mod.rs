@@ -25,8 +25,14 @@ pub trait FrameworkPlanner: Send + Sync {
     fn validate(&self, state: &TrainState, par: Parallelism, rank: usize) -> Result<()>;
 
     /// Build the rank's local save plan (shared implementation by default).
+    /// Fails on a shard the frame format cannot describe, before anything
+    /// is captured or written.
     fn local_save_plan(&self, rank: usize, state: &TrainState) -> Result<SavePlan> {
-        Ok(local_save_plan(rank, state, &format!("cuda:{rank}")))
+        let plan = local_save_plan(rank, state, &format!("cuda:{rank}"));
+        for item in &plan.items {
+            crate::format::check_frame_fields(&item.shard)?;
+        }
+        Ok(plan)
     }
 }
 

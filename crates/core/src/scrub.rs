@@ -333,7 +333,8 @@ mod tests {
         let prefix = format!("{root}/step_{step}");
         let shard = ShardMeta { fqn: "w".into(), offsets: vec![0, 0], lengths: vec![2, 4] };
         let payload: Vec<u8> = (0..32).collect(); // 8 elements × f32
-        let (frame, payload_off) = crate::format::encode_frame(&shard, DType::F32, &payload);
+        let (frame, payload_off) =
+            crate::format::encode_frame(&shard, DType::F32, &payload).unwrap();
         backend.write(&format!("{prefix}/model_0.bin"), frame.freeze()).unwrap();
         let mut meta = GlobalMetadata::new("ddp", step, "TP=1,DP=1,PP=1", 1);
         meta.tensor_map.entry("w".into()).or_default().push(TensorShardEntry {

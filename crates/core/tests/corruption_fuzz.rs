@@ -24,7 +24,7 @@ fn valid_frame_file() -> Vec<u8> {
             lengths: vec![2, 4],
         };
         let payload: Vec<u8> = (0..32u8).map(|b| b.wrapping_add(i as u8)).collect();
-        let (frame, _) = encode_frame(&shard, DType::F32, &payload);
+        let (frame, _) = encode_frame(&shard, DType::F32, &payload).unwrap();
         file.extend_from_slice(&frame);
     }
     file

@@ -253,13 +253,16 @@ pub trait StorageBackend: Send + Sync {
     fn write(&self, path: &str, data: Bytes) -> Result<()>;
 
     /// Gather-write: create or replace the object at `path` from `segments`
-    /// concatenated in order. The engine's single-copy save path hands the
-    /// serialized frame headers and the pooled tensor payloads over as
-    /// separate segments so backends can write them without the engine ever
-    /// concatenating them into one allocation. The default implementation
-    /// concatenates once and delegates to [`StorageBackend::write`]; memory
+    /// concatenated in order. The engine's save path hands each shard file
+    /// over as one segment (its sealed capture image); the object store's
+    /// multipart upload and disk's vectored write take longer lists. The
+    /// default implementation passes a single segment to
+    /// [`StorageBackend::write`] as is, and concatenates more once; memory
     /// and disk provide native implementations that avoid even that copy.
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
+        if let [one] = segments {
+            return self.write(path, one.clone());
+        }
         let total: usize = segments.iter().map(Bytes::len).sum();
         let mut buf = bytes::BytesMut::with_capacity(total);
         for seg in segments {

@@ -434,9 +434,10 @@ impl StorageBackend for ObjectStoreBackend {
             }
             return self.write(path, buf.freeze());
         }
-        // Multipart: init, upload parts of at least `part_size_floor` bytes
-        // (except the last), complete. Any failure leaves the upload
-        // orphaned — parts retained but invisible to `list`.
+        // Multipart: init, upload parts of `part_size_floor` bytes (the last
+        // may be shorter) cut wherever the segment boundaries fall, complete.
+        // Any failure leaves the upload orphaned — parts retained but
+        // invisible to `list`.
         self.admit(path)?; // init
         let upload_id = {
             let mut store = self.store.lock();
@@ -447,7 +448,7 @@ impl StorageBackend for ObjectStoreBackend {
             id
         };
         let mut part = bytes::BytesMut::new();
-        let floor = self.cfg.part_size_floor.max(1);
+        let floor = self.cfg.part_size_floor.max(1) as usize;
         let flush = |this: &Self, part: &mut bytes::BytesMut| -> Result<()> {
             if part.is_empty() {
                 return Ok(());
@@ -466,9 +467,14 @@ impl StorageBackend for ObjectStoreBackend {
             Ok(())
         };
         for seg in segments {
-            part.extend_from_slice(seg);
-            if part.len() as u64 >= floor {
-                flush(self, &mut part)?;
+            let mut rest: &[u8] = seg;
+            while !rest.is_empty() {
+                let take = (floor - part.len()).min(rest.len());
+                part.extend_from_slice(&rest[..take]);
+                rest = &rest[take..];
+                if part.len() == floor {
+                    flush(self, &mut part)?;
+                }
             }
         }
         flush(self, &mut part)?; // final (possibly sub-floor) part

@@ -52,8 +52,9 @@ proptest! {
         if data.len() as u64 > part_floor {
             prop_assert!(stats.multipart_inits == 1, "large payloads go multipart");
             prop_assert_eq!(stats.multipart_completes, 1);
-            // Every part except the last respects the floor.
-            prop_assert!(stats.parts_written >= 1);
+            // Parts are cut at the floor whatever the segments: every part
+            // but the last is exactly the floor.
+            prop_assert_eq!(stats.parts_written, (data.len() as u64).div_ceil(part_floor));
         } else {
             prop_assert_eq!(stats.multipart_inits, 0, "small payloads use single PUT");
         }

@@ -48,6 +48,15 @@ if grep -rnE 'with_retries_on|record_resilience|record_failovers|ResilienceEvent
   exit 1
 fi
 
+echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
+second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"
+if [ -n "$second_reclaim" ]; then
+  printf '%s\n' "$second_reclaim"
+  echo "a pooled buffer goes back to the pool from PooledBuf's Drop, wherever its last Bytes view dies"
+  exit 1
+fi
+
 echo "==> two unsafe sites (the zero-copy read stitch and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
 stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
   ! -path crates/core/src/engine/load.rs -print0 | sort -z |
