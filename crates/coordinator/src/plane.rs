@@ -75,10 +75,6 @@ pub fn default_rules() -> Vec<AlertRule> {
         // A job went dark past its lease TTL: its scheduler share was
         // released and its client is presumed crashed or partitioned.
         ("lease_expired", "coordinator_lease_expired_total > 0"),
-        // A storage circuit breaker opened: some backend is failing hard
-        // enough that a job's clients are failing fast into their fallback
-        // tier instead of waiting out timeouts.
-        ("circuit_open", "storage_circuit_open_total > 0"),
     ]
     .into_iter()
     .map(|(name, expr)| AlertRule::parse(name, expr).expect("default rule parses"))

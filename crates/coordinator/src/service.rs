@@ -327,9 +327,6 @@ impl CoordinatorService {
                 let fanout_peer_bytes = per_job("fanout_peer_bytes_total") as u64;
                 let storage_retries = per_job("storage_retries_total") as u64;
                 let storage_throttled = per_job("storage_throttled_total") as u64;
-                let storage_hedges = per_job("storage_hedges_total") as u64;
-                let storage_circuit_open = per_job("storage_circuit_open_total") as u64;
-                let storage_brownout = per_job("storage_brownout") > 0.0;
                 let bandwidth_share = if total_granted > 0 {
                     g as f64 / total_granted as f64
                 } else if total_committed > 0 {
@@ -346,9 +343,6 @@ impl CoordinatorService {
                     fanout_peer_bytes,
                     storage_retries,
                     storage_throttled,
-                    storage_hedges,
-                    storage_circuit_open,
-                    storage_brownout,
                     summary,
                 }
             })

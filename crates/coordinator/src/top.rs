@@ -43,39 +43,15 @@ pub struct JobTopRow {
     /// Throttled (slow-down) responses (`storage_throttled_total{job}`).
     #[serde(default)]
     pub storage_throttled: u64,
-    /// Hedged reads issued (`storage_hedges_total{job}`).
-    #[serde(default)]
-    pub storage_hedges: u64,
-    /// Circuit-breaker opens (`storage_circuit_open_total{job}`).
-    #[serde(default)]
-    pub storage_circuit_open: u64,
-    /// Whether the job's storage client is currently in brownout
-    /// (`storage_brownout{job}` gauge).
-    #[serde(default)]
-    pub storage_brownout: bool,
 }
 
-/// The compact RESIL cell: `-` when the resilience layer has nothing to
-/// report, otherwise `{retries}r/{throttled}t/{hedges}h` with `/C` appended
-/// while the circuit has opened and `/B` while the job is in brownout.
+/// The compact RESIL cell: `-` when the retry loop has nothing to report,
+/// otherwise `{retries}r/{throttled}t`.
 fn resil_cell(row: &JobTopRow) -> String {
-    if row.storage_retries == 0
-        && row.storage_throttled == 0
-        && row.storage_hedges == 0
-        && row.storage_circuit_open == 0
-        && !row.storage_brownout
-    {
+    if row.storage_retries == 0 && row.storage_throttled == 0 {
         return "-".into();
     }
-    let mut s =
-        format!("{}r/{}t/{}h", row.storage_retries, row.storage_throttled, row.storage_hedges);
-    if row.storage_circuit_open > 0 {
-        s.push_str("/C");
-    }
-    if row.storage_brownout {
-        s.push_str("/B");
-    }
-    s
+    format!("{}r/{}t", row.storage_retries, row.storage_throttled)
 }
 
 /// The full `bcpctl top` snapshot.
@@ -244,9 +220,6 @@ mod tests {
             fanout_peer_bytes: 2 << 20,
             storage_retries: 4,
             storage_throttled: 7,
-            storage_hedges: 2,
-            storage_circuit_open: 0,
-            storage_brownout: true,
         }
     }
 
@@ -311,17 +284,15 @@ mod tests {
         assert!(text.contains("75%"), "{text}");
         assert!(text.contains("2.0 MiB"), "{text}");
         assert!(text.contains("RESIL"), "{text}");
-        assert!(text.contains("4r/7t/2h/B"), "{text}");
+        assert!(text.contains("4r/7t"), "{text}");
         // A quiet job shows a dash in the RESIL column.
         let mut calm = row("b", 1, 1);
         calm.storage_retries = 0;
         calm.storage_throttled = 0;
-        calm.storage_hedges = 0;
-        calm.storage_brownout = false;
         assert_eq!(resil_cell(&calm), "-");
-        let mut open = calm.clone();
-        open.storage_circuit_open = 1;
-        assert_eq!(resil_cell(&open), "0r/0t/0h/C");
+        let mut throttled = calm.clone();
+        throttled.storage_throttled = 1;
+        assert_eq!(resil_cell(&throttled), "0r/1t");
 
         let first = render_top(&cur, None);
         assert!(first.contains(" - "), "no-prev renders dashes: {first}");

@@ -482,7 +482,9 @@ impl Checkpointer {
     /// The coordinator alone GCs and picks the step (so the decision is
     /// consistent even while torn prefixes are mid-deletion) and broadcasts
     /// it; every rank then runs the normal load workflow. The resumed step
-    /// is available as [`LoadOutcome::resumed_step`].
+    /// is available as [`LoadOutcome::resumed_step`]. If discovery fails
+    /// once its retries are spent, every rank returns an error promptly (the
+    /// peers with `PeerFailed`).
     ///
     /// With verified fallback on (the default), the coordinator scrubs the
     /// candidate step *before* broadcasting it: a step whose CRCs or
@@ -502,48 +504,17 @@ impl Checkpointer {
         let root: CheckpointLocation = root.into();
         let backend = self.registry.resolve(root.uri())?;
         let coordinator = self.ctx.coordinator();
-        let decision: (Option<u64>, Vec<QuarantinedStep>) = if self.ctx.rank() == coordinator {
-            let job_root = &root.uri().key;
-            let mgr = CheckpointManager::new(backend.clone(), job_root.clone());
-            self.retried("load/discover", job_root, || mgr.gc_torn())?;
-            let mut quarantined = Vec::new();
-            let chosen = loop {
-                let latest = self.retried("load/discover", job_root, || mgr.latest())?;
-                let Some(candidate) = latest else { break None };
-                if !self.ctx.options.verified_fallback {
-                    break Some(candidate.step);
-                }
-                // Under the load retry policy: a transient backend error
-                // must neither fail the resume nor condemn a healthy step.
-                let report = self.retried("load/verify", &candidate.prefix, || {
-                    scrub_step(&backend, &candidate.prefix, candidate.step)
-                })?;
-                if report.is_clean() {
-                    break Some(candidate.step);
-                }
-                let reason = report
-                    .defects()
-                    .first()
-                    .map(|i| format!("{}: {}", i.path, i.detail))
-                    .unwrap_or_else(|| "failed verification".into());
-                self.ctx.failures.log(FailureRecord {
-                    rank: self.ctx.rank(),
-                    stage: "load/verify".into(),
-                    path: Some(candidate.prefix.clone()),
-                    attempt: 1,
-                    error: reason.clone(),
-                    retried: true,
-                });
-                self.retried("load/discover", &candidate.prefix, || {
-                    mgr.quarantine(candidate.step)
-                })?;
-                quarantined.push(QuarantinedStep { step: candidate.step, reason });
-            };
-            self.ctx.comm.broadcast(coordinator, Some((chosen, quarantined)))?
+        let (chosen, quarantined) = if self.ctx.rank() == coordinator {
+            // A discovery error returns before the broadcast: declare this
+            // rank failed so its peers get `PeerFailed` from the broadcast
+            // now, instead of waiting out the collective timeout.
+            let chosen = self.discover(&backend, &root.uri().key).inspect_err(|_| {
+                self.ctx.comm.mark_self_failed();
+            })?;
+            self.ctx.comm.broadcast(coordinator, Some(chosen))?
         } else {
             self.ctx.comm.broadcast(coordinator, None)?
         };
-        let (chosen, quarantined) = decision;
         let Some(step) = chosen else { return Ok(None) };
         let location = root.join(&format!("step_{step}"));
         // Rung 1 of the recovery ladder: assemble the chosen step from the
@@ -568,5 +539,49 @@ impl Checkpointer {
         let mut outcome = self.load_with_overlay(&mut req, overlay)?;
         outcome.quarantined = quarantined;
         Ok(Some(outcome))
+    }
+
+    /// The coordinator's half of [`Self::load_latest`]: GC torn steps, then
+    /// pick the newest committed step under `job_root` — with verified
+    /// fallback on, the newest that scrubs clean, quarantining the rest.
+    fn discover(
+        &self,
+        backend: &DynBackend,
+        job_root: &str,
+    ) -> Result<(Option<u64>, Vec<QuarantinedStep>)> {
+        let mgr = CheckpointManager::new(backend.clone(), job_root.to_string());
+        self.retried("load/discover", job_root, || mgr.gc_torn())?;
+        let mut quarantined = Vec::new();
+        let chosen = loop {
+            let latest = self.retried("load/discover", job_root, || mgr.latest())?;
+            let Some(candidate) = latest else { break None };
+            if !self.ctx.options.verified_fallback {
+                break Some(candidate.step);
+            }
+            // Under the load retry policy: a transient backend error
+            // must neither fail the resume nor condemn a healthy step.
+            let report = self.retried("load/verify", &candidate.prefix, || {
+                scrub_step(backend, &candidate.prefix, candidate.step)
+            })?;
+            if report.is_clean() {
+                break Some(candidate.step);
+            }
+            let reason = report
+                .defects()
+                .first()
+                .map(|i| format!("{}: {}", i.path, i.detail))
+                .unwrap_or_else(|| "failed verification".into());
+            self.ctx.failures.log(FailureRecord {
+                rank: self.ctx.rank(),
+                stage: "load/verify".into(),
+                path: Some(candidate.prefix.clone()),
+                attempt: 1,
+                error: reason.clone(),
+                retried: true,
+            });
+            self.retried("load/discover", &candidate.prefix, || mgr.quarantine(candidate.step))?;
+            quarantined.push(QuarantinedStep { step: candidate.step, reason });
+        };
+        Ok((chosen, quarantined))
     }
 }

@@ -19,8 +19,8 @@
 //!   exceed the policy cap, however the stack is assembled.
 //! * The [`FailureLog`] carries what the loop needs besides the policy: the
 //!   `MetricsSink` its point spans go to and the [`RetryClock`] it waits on
-//!   (given the clock the stack runs on, a `CircuitOpen` cooldown is slept
-//!   on the clock it was measured on).
+//!   (given the clock the stack runs on, a test's virtual time covers the
+//!   backoffs and the injected delays alike).
 //! * An **asynchronous tree-based barrier** (provided by
 //!   `bcp-collectives`' tree backend) after which the coordinator commits
 //!   the checkpoint by writing the global metadata file and a `COMPLETE`
@@ -144,10 +144,7 @@ pub fn commit_checkpoint(backend: &DynBackend, prefix: &str) -> Result<()> {
 mod tests {
     use super::*;
     use bcp_monitor::MetricsHub;
-    use bcp_storage::{
-        Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, ResilienceConfig, ResilientBackend,
-        StorageBackend,
-    };
+    use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
     use std::time::Duration;
 
     /// A memory backend whose first `times` writes to each path fail.
@@ -322,36 +319,6 @@ mod tests {
         let log = FailureLog::new().with_sink(hub.sink());
         let v = with_retries(RetryPolicy::default(), &log, 0, "load/read", None, || Ok(7)).unwrap();
         assert_eq!((v, log.len(), hub.spans().len()), (7, 0, 0));
-    }
-
-    /// The loop and the guard below it share one clock: an open breaker's
-    /// `CircuitOpen` hint (computed on the stack's clock) is slept on that
-    /// clock, then the half-open probe goes through. No real time passes.
-    #[test]
-    fn an_open_breakers_cooldown_hint_is_slept_on_the_shared_virtual_clock() {
-        let (clock, log) = virtual_log();
-        let guarded = ResilientBackend::with_clock(
-            Arc::new(failing_writes(8)),
-            ResilienceConfig::default(),
-            clock.clone(),
-        );
-        let data = bytes::Bytes::from_static(b"x");
-        // Eight failed attempts (min_samples of the default breaker) open it.
-        for _ in 0..8 {
-            assert!(guarded.write("k", data.clone()).is_err());
-        }
-        assert_eq!(guarded.circuit_state(), bcp_storage::CircuitState::Open);
-
-        let t0 = std::time::Instant::now();
-        with_retries(RetryPolicy::fixed(3, ms(1)), &log, 0, "save/upload", Some("k"), || {
-            guarded.write("k", data.clone())
-        })
-        .expect("rejected once, then the probe lands");
-        assert_eq!(clock.sleeps(), vec![Duration::from_secs(2)], "the whole cooldown, virtually");
-        assert!(t0.elapsed() < Duration::from_millis(500), "took {:?} of real time", t0.elapsed());
-        let recs = log.records();
-        assert_eq!(recs.len(), 1);
-        assert!(recs[0].retried && recs[0].error.starts_with("circuit open"), "{recs:?}");
     }
 
     #[test]

@@ -339,30 +339,11 @@ pub fn save_checkpoint(
             let _t = root.child("sync/save_barrier").attr("collective", comm.backend_info());
             comm.barrier()?;
         }
-        // Brownout shedding: under sustained backend throttling the
-        // resilience layer raises `shed_optional_work`, and this step's
-        // *optional* artifacts — chunk manifest, hot-tier replication,
-        // telemetry — are skipped so the shard uploads and the COMPLETE
-        // marker get the whole token budget. All three are collectives, so
-        // the decision is all-gathered: one rank in brownout sheds for
-        // everyone, keeping the exchanges symmetric.
-        let shed = comm.all_gather(backend.shed_optional_work() as u8)?.into_iter().any(|s| s == 1);
-        if shed {
-            root.event("brownout_shed");
-            log.log(FailureRecord {
-                rank,
-                stage: "save/shed".into(),
-                path: Some(prefix2.clone()),
-                attempt: 1,
-                error: "brownout: skipped chunk manifest, hot replication and telemetry".into(),
-                retried: false,
-            });
-        }
         // Content-addressed chunk index: every rank contributes the chunk
         // lists its pipeline derived in place; the coordinator writes the
         // manifest *before* the COMPLETE marker so a committed step always
         // carries its index. Symmetric collective — all ranks participate.
-        let gathered_chunks = if chunk_bytes > 0 && !shed {
+        let gathered_chunks = if chunk_bytes > 0 {
             faults.check("save/chunks")?;
             comm.gather(coordinator, stats.chunks.clone())?
         } else {
@@ -415,7 +396,7 @@ pub fn save_checkpoint(
         // steps are worth replicating) and still off the training-blocking
         // path. A peer dying mid-exchange is logged best-effort: the
         // checkpoint is already durable, the hot hit rate just drops.
-        if let (Some(hot), Some(staging), false) = (&hot_tier, &staging, shed) {
+        if let (Some(hot), Some(staging)) = (&hot_tier, &staging) {
             faults.check("save/hot")?;
             let files = std::mem::take(&mut *staging.lock());
             let mut t = root.child("save/hot_replicate").uncounted();
@@ -438,7 +419,7 @@ pub fn save_checkpoint(
         // step's telemetry artifact next to the data (best-effort — a
         // telemetry failure degrades observability, never the checkpoint).
         drop(root);
-        if let (Some(hub), false) = (&telemetry, shed) {
+        if let Some(hub) = &telemetry {
             let mine = collect_rank_telemetry(hub, &log, rank, step, "save");
             if let Err(e) =
                 persist_step_telemetry(&comm, &backend, &prefix2, mine, TELEMETRY_SAVE_FILE)

@@ -1,41 +1,37 @@
-//! Object-store chaos gate: multi-rank saves/loads driven through
-//! `FallbackBackend(ResilientBackend(ObjectStoreBackend), Memory)` on a
-//! shared virtual clock, across a designed weather ladder — calm →
-//! throttling storm → calm → a full 30-virtual-second outage → recovery —
-//! plus seeded random weather in the long soak. Invariants:
+//! Object-store chaos gate: multi-rank saves/loads against a seeded
+//! `ObjectStoreBackend` on a shared virtual clock, the engine's one retry
+//! loop the only thing between them, across a designed weather ladder —
+//! calm → throttling storm → calm → a full 30-virtual-second outage →
+//! recovery — plus seeded random weather in the long soak. Invariants:
 //!
-//! * **zero failed commits**: every cycle's save lands, storm or outage
-//!   (the engine's one retry loop waits out each throttle's hint while the
-//!   resilience layer paces the attempts; three failed attempts in a row
-//!   fail outage-time writes over to the degraded tier);
+//! * **every save outside the outage commits**, storm or calm: the retry
+//!   loop waits out each throttle's hint and absorbs the background 5xx;
 //! * **bitwise-correct restores throughout**, against the deterministic
 //!   reference trajectory;
-//! * **bounded hedge amplification**: hedged reads stay within the 1.1x
-//!   read-amplification budget;
-//! * **circuit-open calls fail fast**: a rejected call burns zero virtual
-//!   time — no backend request, no backoff, no per-call deadline.
+//! * **an outage fails cleanly and promptly**: the save fails on every rank
+//!   and commits nothing, a resume fails on every rank without waiting out
+//!   the collective timeout, and once the store is back the job resumes the
+//!   last committed step and carries on.
 //!
 //! One clock and one retry policy per run: the `Checkpointer`s wait on the
-//! cluster's `TestClock`, the clock every hint below them is computed on.
+//! cluster's `TestClock`, the clock every hint the store hands out is
+//! computed on.
 
-use bcp_collectives::{Backend, CommWorld};
+use bcp_collectives::{Backend, CollectiveError, CommWorld};
 use bcp_core::api::{Checkpointer, SaveRequest};
-use bcp_core::integrity::RetryPolicy;
+use bcp_core::integrity::{with_retries, FailureLog, RetryPolicy};
 use bcp_core::registry::BackendRegistry;
+use bcp_core::BcpError;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{
-    assemble, CircuitState, DynBackend, FallbackBackend, MemoryBackend, ObjectStoreBackend,
-    ObjectStoreConfig, ResilienceConfig, ResilientBackend, RetryClock, StackConfig, StorageBackend,
-    StorageErrorKind, TestClock,
-};
+use bcp_storage::{ObjectStoreBackend, ObjectStoreConfig, StorageBackend, TestClock};
 use bcp_topology::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WORLD: usize = 2;
 const ROOT: &str = "object://sim/jobs/train";
@@ -68,15 +64,11 @@ fn assert_states_bitwise_eq(got: &TrainState, want: &TrainState, rank: usize, ct
     }
 }
 
-/// The hostile cluster: seeded object store → resilience layer → failover
-/// into a memory tier, all on one virtual clock.
+/// The hostile cluster: a seeded object store on one virtual clock.
 struct Cluster {
     registry: Arc<BackendRegistry>,
     clock: Arc<TestClock>,
     store: Arc<ObjectStoreBackend>,
-    resilient: Arc<ResilientBackend>,
-    fallback: Arc<FallbackBackend>,
-    secondary: DynBackend,
     /// Failed attempts the ranks' retry loops absorbed, over the whole run.
     retried: Arc<AtomicUsize>,
 }
@@ -88,7 +80,7 @@ impl Cluster {
             ObjectStoreConfig {
                 // A small background 5xx rate, so the calm phases still
                 // exercise the retry path. Kept low because a multipart
-                // upload is all-or-nothing to the retry layer: per-request
+                // upload is all-or-nothing to the retry loop: per-request
                 // faults compound across its init/part/complete requests.
                 error_rate: 0.005,
                 reset_rate: 0.002,
@@ -97,44 +89,37 @@ impl Cluster {
                 // A multipart upload bursts ~a dozen requests at one
                 // virtual instant (zero-latency sim); the bucket must be
                 // able to hold a whole burst or every storm-time upload is
-                // structurally doomed no matter how well the client paces.
+                // structurally doomed.
                 capacity: 64.0,
                 ..ObjectStoreConfig::default()
             },
             clock.clone(),
         ));
-        // A cooldown long enough that the breaker provably stays open for
-        // the fail-fast probe below.
-        let mut cfg = ResilienceConfig::default();
-        cfg.breaker.cooldown = Duration::from_secs(10);
-        let secondary: DynBackend = Arc::new(MemoryBackend::new());
-        let stack = assemble(
-            store.clone(),
-            StackConfig {
-                resilient: Some(cfg),
-                fallback: Some(secondary.clone()),
-                clock: Some(clock.clone()),
-                ..StackConfig::default()
-            },
-        );
         let mut reg = BackendRegistry::new();
-        reg.register(Scheme::Object, stack.top);
-        Cluster {
-            registry: Arc::new(reg),
-            clock,
-            store,
-            resilient: stack.resilient.expect("configured"),
-            fallback: stack.fallback.expect("configured"),
-            secondary,
-            retried: Arc::default(),
-        }
+        reg.register(Scheme::Object, store.clone());
+        Cluster { registry: Arc::new(reg), clock, store, retried: Arc::default() }
     }
 }
 
+/// The run's one retry policy: enough attempts that a storm is absorbed
+/// (throttles stretch each backoff by the server hint).
+fn policy() -> RetryPolicy {
+    RetryPolicy::exponential(12, Duration::from_millis(5))
+}
+
+/// Whether `step` carries its `COMPLETE` marker on the store, probed under
+/// the ranks' retry policy on the cluster's clock, so a throttle or a
+/// background 5xx cannot fake the answer.
+fn committed(cluster: &Cluster, step: u64) -> bool {
+    let log = FailureLog::new().with_clock(cluster.clock.clone());
+    let path = format!("jobs/train/step_{step}/COMPLETE");
+    with_retries(policy(), &log, 0, "probe", Some(&path), || cluster.store.exists(&path))
+        .unwrap_or_else(|e| panic!("probing step {step}: {e}"))
+}
+
 /// One `Checkpointer` per rank, its retry loop — the only one in the run —
-/// waiting on the cluster's clock, so every hint the stack computes is slept
-/// where it was measured. Enough attempts that a storm is absorbed
-/// (throttles stretch each backoff by the server hint). No per-op deadline:
+/// waiting on the cluster's clock, so every hint the store computes is slept
+/// where it was measured. No per-op deadline:
 /// the clock is shared across rank threads, so one op's wall budget would be
 /// burned by its peers' virtual sleeps.
 fn run_world<F, T>(cluster: &Cluster, f: F) -> Vec<T>
@@ -154,7 +139,7 @@ where
                     .framework(fw())
                     .parallelism(par())
                     .registry(registry)
-                    .retry_policy(RetryPolicy::exponential(12, Duration::from_millis(5)))
+                    .retry_policy(policy())
                     .clock(clock)
                     .build()
                     .unwrap();
@@ -187,8 +172,8 @@ fn load_and_verify(cluster: &Cluster, want: u64, ctx: &str) {
     });
 }
 
-/// Save step `step` on every rank; the gate's core invariant is that this
-/// never fails, whatever the weather.
+/// Save step `step` on every rank; outside an outage this never fails,
+/// whatever the weather.
 fn save_step(cluster: &Cluster, step: u64, ctx: &str) {
     let ctx = ctx.to_string();
     run_world(cluster, move |rank, ckpt| {
@@ -207,78 +192,54 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
     load_and_verify(cluster, 1, "calm resume");
     save_step(cluster, 2, "calm");
 
-    // Cycle 3: throttling storm. The pacing layer must absorb every
-    // slow-down — commits keep landing on the primary.
+    // Cycle 3: throttling storm. The retry loop waits out every slow-down's
+    // hint, and the commit still lands.
     cluster.store.set_rate_limit(Some(40.0));
     load_and_verify(cluster, 2, "storm resume");
     save_step(cluster, 3, "storm");
-    let s = cluster.resilient.stats();
-    assert!(s.throttled > 0, "the storm must actually throttle");
-    assert!(s.paced_wait > Duration::ZERO, "pacing must spread the retry pressure");
-    assert!(
-        !cluster.fallback.is_degraded(),
-        "a storm is absorbed, not failed over (events {:?}, stats {:?}, store {:?})",
-        cluster.fallback.events(),
-        cluster.resilient.stats(),
-        cluster.store.stats()
-    );
-    assert!(
-        cluster.store.exists("jobs/train/step_3/COMPLETE").unwrap(),
-        "the storm-time commit lands on the primary"
-    );
+    assert!(cluster.store.stats().throttled > 0, "the storm must actually throttle");
+    assert!(committed(cluster, 3), "the storm-time commit lands");
 
-    // Cycle 4: calm again — the AIMD cap decays/releases on success.
+    // Cycle 4: calm again.
     cluster.store.set_rate_limit(None);
     load_and_verify(cluster, 3, "post-storm resume");
     save_step(cluster, 4, "post-storm");
 
     // Cycle 5: full 30-virtual-second outage, entered after the restore.
-    // The breaker trips, writes fail over, and the commit still lands.
+    // The save fails on every rank and commits nothing.
     load_and_verify(cluster, 4, "pre-outage resume");
     cluster.store.outage_now(Duration::from_secs(30));
-    save_step(cluster, 5, "outage");
-    assert!(cluster.fallback.is_degraded(), "outage-time writes fail over");
+    let errs = run_world(cluster, |rank, ckpt| {
+        let state = reference_state(rank, 5);
+        ckpt.save(&SaveRequest::new(format!("{ROOT}/step_5"), &state, 5))
+            .and_then(|t| t.wait())
+            .err()
+    });
+    assert!(errs.iter().all(Option::is_some), "the outage save must fail everywhere: {errs:?}");
+    // A resume during the outage fails on every rank, and promptly: the
+    // coordinator's failed discovery releases the peer waiting for it.
+    let started = Instant::now();
+    let errs = run_world(cluster, |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), fw(), par(), rank, true);
+        ckpt.load_latest(ROOT, &mut state, None).err()
+    });
+    assert!(matches!(errs[0], Some(BcpError::Storage(_))), "{:?}", errs[0]);
     assert!(
-        cluster.secondary.exists("jobs/train/step_5/COMPLETE").unwrap(),
-        "the outage-time commit lands on the secondary tier"
+        matches!(errs[1], Some(BcpError::Collective(CollectiveError::PeerFailed { rank: 0 }))),
+        "{:?}",
+        errs[1]
     );
-    // The three failed attempts that tripped the failover are three samples
-    // in the breaker's window, not yet half of it. Whatever still addresses
-    // the primary — here, reads of a pre-outage step — keeps failing, one
-    // sample per attempt, until the window says "down" and the circuit opens.
-    for _ in 0..16 {
-        if cluster.resilient.circuit_state() == CircuitState::Open {
-            break;
-        }
-        assert!(cluster.resilient.read("jobs/train/step_1/COMPLETE").is_err());
-    }
-    assert!(cluster.resilient.stats().circuit_opened >= 1, "the outage must open the circuit");
+    assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
 
-    // Fail-fast: with the circuit open, a call is rejected without
-    // touching the backend — zero virtual time, zero sleeps, zero
-    // per-call deadline burn.
-    assert_eq!(cluster.resilient.circuit_state(), CircuitState::Open);
-    let (t0, sleeps0) = (cluster.clock.now(), cluster.clock.sleeps().len());
-    let rejected = cluster.resilient.read("jobs/train/step_1/COMPLETE");
-    assert!(
-        matches!(rejected.as_ref().map_err(|e| e.kind()), Err(StorageErrorKind::Throttled { .. })),
-        "open circuit must reject with a retryable throttle kind: {rejected:?}"
-    );
-    assert_eq!(cluster.clock.now(), t0, "fail-fast must burn no virtual time");
-    assert_eq!(cluster.clock.sleeps().len(), sleeps0, "fail-fast must never sleep");
-    assert!(cluster.resilient.stats().circuit_rejections >= 1);
-
-    // Cycle 6: the outage ends; restores straddle the failover boundary
-    // (steps 1–4 on the primary, step 5 on the secondary) and the breaker
-    // recloses via a half-open probe.
+    // Cycle 6: the outage ends; the job resumes the last committed step
+    // (the torn step 5 is collected on the way) and carries on.
     cluster.clock.advance(Duration::from_secs(35));
-    load_and_verify(cluster, 5, "post-outage resume");
+    assert!(!committed(cluster, 5), "the outage-time save must commit nothing");
+    load_and_verify(cluster, 4, "post-outage resume");
+    save_step(cluster, 5, "post-outage");
+    load_and_verify(cluster, 5, "post-outage recommit");
     save_step(cluster, 6, "post-outage");
     load_and_verify(cluster, 6, "recovered resume");
-    assert!(
-        cluster.resilient.stats().circuit_closed >= 1,
-        "recovery traffic must reclose the breaker through a half-open probe"
-    );
 
     // Seeded random weather tail.
     let mut rng = StdRng::seed_from_u64(seed);
@@ -294,24 +255,12 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
     }
     cluster.store.set_rate_limit(None);
 
-    // Global invariants: every step committed (zero failed commits), and
-    // hedging stayed inside its read-amplification budget.
+    // Global invariants: every step committed on the store, and the retry
+    // path was exercised.
     let last = 6 + extra as u64;
     for step in 1..=last {
-        assert!(
-            cluster.fallback.exists(&format!("jobs/train/step_{step}/COMPLETE")).unwrap(),
-            "step {step} must be committed in some tier"
-        );
+        assert!(committed(cluster, step), "step {step} must be committed");
     }
-    let s = cluster.resilient.stats();
-    assert!(s.reads_logical > 0, "the gauntlet must actually read");
-    let amplification = (s.reads_logical + s.hedges) as f64 / s.reads_logical as f64;
-    assert!(
-        amplification <= 1.1,
-        "hedge amplification {amplification:.3} exceeds 1.1x ({} hedges / {} reads)",
-        s.hedges,
-        s.reads_logical
-    );
     assert!(
         cluster.retried.load(Ordering::Relaxed) > 0,
         "background 5xx + storms must exercise the retry path"

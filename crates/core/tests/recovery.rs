@@ -1,7 +1,6 @@
 //! Recovery-subsystem integration tests: the crash-stage fault matrix
 //! (Appendix B's claim that no single-worker failure can commit a torn
-//! checkpoint), auto-resume via `load_latest`, and graceful degradation to
-//! a fallback storage tier.
+//! checkpoint) and auto-resume via `load_latest`.
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, LoadRequest, SaveRequest};
@@ -10,9 +9,7 @@ use bcp_core::registry::BackendRegistry;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{
-    DynBackend, FallbackBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet,
-};
+use bcp_storage::{DynBackend, MemoryBackend};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,50 +230,5 @@ fn load_latest_on_empty_root_is_a_fresh_start() {
         let mut state = build_train_state(&zoo::tiny_gpt(), fw(), par(), rank, true);
         assert!(ckpt.load_latest("mem://jobs/untouched", &mut state, None).unwrap().is_none());
         rank
-    });
-}
-
-/// Graceful degradation end to end: a save against a dead primary tier
-/// trips the [`FallbackBackend`] onto its secondary, the downgrade is
-/// recorded once, and the checkpoint written across the failover loads back
-/// bitwise-intact. (That an assembled stack streams the trip as a
-/// `storage/failover` span is pinned in `tests/telemetry_report.rs`.)
-#[test]
-fn degraded_primary_fails_over_and_is_recorded() {
-    let secondary: DynBackend = Arc::new(MemoryBackend::new());
-    // The primary tier is down for good.
-    let dead = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX })];
-    let primary: DynBackend = Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, dead));
-    let fallback = Arc::new(FallbackBackend::with_threshold(primary, secondary.clone(), 1));
-
-    let registry = {
-        let backend: DynBackend = fallback.clone();
-        let mut reg = BackendRegistry::new();
-        reg.register(Scheme::Memory, backend);
-        Arc::new(reg)
-    };
-
-    // The save must succeed despite every primary write failing: the first
-    // failure trips the wrapper and the whole checkpoint lands on the
-    // secondary tier.
-    run_world(registry.clone(), FaultPlan::new(), move |rank, ckpt| {
-        let state = reference_state(rank, 1);
-        ckpt.save(&SaveRequest::new("mem://prod/job/step_1", &state, 1)).unwrap().wait().unwrap();
-    });
-
-    assert!(fallback.is_degraded(), "dead primary must trip the wrapper");
-    assert!(
-        secondary.exists("job/step_1/COMPLETE").unwrap(),
-        "the commit marker must land on the secondary tier"
-    );
-    assert_eq!(fallback.events().len(), 1, "the trip is recorded exactly once");
-
-    // Reads consult both tiers, so the degraded wrapper still resumes.
-    run_world(registry, FaultPlan::new(), move |rank, ckpt| {
-        let mut state = build_train_state(&zoo::tiny_gpt(), fw(), par(), rank, true);
-        let out = ckpt.load_latest("mem://prod/job", &mut state, None).unwrap().unwrap();
-        assert_eq!(out.resumed_step(), 1);
-        let want = reference_state(rank, 1);
-        assert_states_bitwise_eq(&state, &want, rank, "failover resume");
     });
 }

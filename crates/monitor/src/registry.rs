@@ -203,15 +203,7 @@ impl MetricsRegistry {
     ///   (`bcp-core`'s `integrity::with_retries`, on every stack) emits
     ///   `retry` → `storage_retries_total` and `throttled` →
     ///   `storage_throttled_total`, its `retry_after_ms` attribute carrying
-    ///   the server's hint into `storage_retry_after_seconds_total`; the
-    ///   rest come from an assembled stack's `ResilientBackend`:
-    ///   `hedge` / `hedge_win` → `storage_hedges_total` /
-    ///   `storage_hedge_wins_total`; `circuit_open` / `circuit_close` /
-    ///   `circuit_reject` → `storage_circuit_{open,closed,rejected}_total`
-    ///   (the default `circuit_open` alert fires on the open counter alone);
-    ///   `brownout_enter` / `brownout_exit` flip the `storage_brownout`
-    ///   gauge to 1 / 0, enters also counting in
-    ///   `storage_brownout_entered_total`.
+    ///   the server's hint into `storage_retry_after_seconds_total`.
     /// * Everything else — unrecognized `dist/`/`resil/` names included —
     ///   lands in the `phase_*` series keyed `{phase, op, rank}`; `load/tier`
     ///   also feeds hot-tier health: `tier_files_total{tier}`,
@@ -315,18 +307,6 @@ impl MetricsRegistry {
                     span.attr_num("retry_after_ms") / 1e3,
                 );
             }
-            "hedge" => self.add("storage_hedges_total", base.clone(), 1.0),
-            "hedge_win" => self.add("storage_hedge_wins_total", base.clone(), 1.0),
-            "circuit_open" => {
-                self.add("storage_circuit_open_total", base.clone(), 1.0);
-            }
-            "circuit_close" => self.add("storage_circuit_closed_total", base.clone(), 1.0),
-            "circuit_reject" => self.add("storage_circuit_rejected_total", base.clone(), 1.0),
-            "brownout_enter" => {
-                self.add("storage_brownout_entered_total", base.clone(), 1.0);
-                self.set("storage_brownout", base.clone(), 1.0);
-            }
-            "brownout_exit" => self.set("storage_brownout", base.clone(), 0.0),
             _ => return false,
         }
         true
@@ -530,21 +510,9 @@ mod tests {
         let mut throttled = point("resil/throttled");
         throttled.attrs.insert("retry_after_ms".into(), "250".into());
         reg.fold(&throttled, &base);
-        reg.fold(&point("resil/hedge"), &base);
-        reg.fold(&point("resil/hedge_win"), &base);
-        reg.fold(&point("resil/circuit_open"), &base);
-        reg.fold(&point("resil/circuit_reject"), &base);
-        reg.fold(&point("resil/brownout_enter"), &base);
         assert_eq!(reg.value("storage_retries_total", &base), Some(3.0));
         assert_eq!(reg.value("storage_throttled_total", &base), Some(1.0));
         assert_eq!(reg.value("storage_retry_after_seconds_total", &base), Some(0.25));
-        assert_eq!(reg.value("storage_hedges_total", &base), Some(1.0));
-        assert_eq!(reg.value("storage_hedge_wins_total", &base), Some(1.0));
-        assert_eq!(reg.value("storage_circuit_open_total", &base), Some(1.0));
-        assert_eq!(reg.value("storage_circuit_rejected_total", &base), Some(1.0));
-        assert_eq!(reg.value("storage_brownout", &base), Some(1.0));
-        reg.fold(&point("resil/brownout_exit"), &base);
-        assert_eq!(reg.value("storage_brownout", &base), Some(0.0));
         // resil spans are per-job counters, not phases; unknown names
         // fall through to the phase branch.
         assert!(reg.samples_for("phase_seconds_total").is_empty());

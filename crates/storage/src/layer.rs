@@ -10,15 +10,15 @@
 //!   all route through one hook, [`Layer::around`], which sees the call
 //!   described as an [`Op`] and runs it through `call` — once, or not at all
 //!   (no layer repeats an operation: retrying is the engine's decision).
-//!   Override `around` to time, admit, guard, fail, delay, record or damage;
-//!   match on the `Op` to pick the operations that matter;
+//!   Override `around` to time, admit, fail, delay, record or damage; match
+//!   on the `Op` to pick the operations that matter;
 //! * the **capabilities** — `name`, `op_attrs`, `zero_copy_reads`,
-//!   `concat_is_metadata_op`, `shed_optional_work` — forward unchanged unless
-//!   overridden, so a layer can add an attribute or rename itself but cannot
-//!   drop what is below it;
+//!   `concat_is_metadata_op` — forward unchanged unless overridden, so a
+//!   layer can add an attribute or rename itself but cannot drop what is
+//!   below it;
 //! * a layer whose treatment of one operation is not "something around the
-//!   inner call" (a cache answering a read itself, a hedged read that must
-//!   own its arguments) overrides that one method.
+//!   inner call" (a cache answering a read itself) overrides that one
+//!   method.
 //!
 //! Implement `Layer` by path (`impl layer::Layer for X`) rather than
 //! importing it: with both traits in scope a method call on a concrete
@@ -148,8 +148,8 @@ pub trait Layer: Send + Sync {
 
     /// The interception hook every operation routes through. `call` runs the
     /// operation on [`Layer::inner`] with the caller's arguments; a layer
-    /// invokes it once, or not at all (an injected failure, an open
-    /// breaker). The default is a pure forward.
+    /// invokes it once, or not at all (an injected failure). The default is
+    /// a pure forward.
     fn around<T: Reply>(&self, _op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
         call()
     }
@@ -162,11 +162,6 @@ pub trait Layer: Send + Sync {
     /// See [`StorageBackend::op_attrs`].
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
         self.inner().op_attrs()
-    }
-
-    /// See [`StorageBackend::shed_optional_work`].
-    fn shed_optional_work(&self) -> bool {
-        self.inner().shed_optional_work()
     }
 
     /// See [`StorageBackend::zero_copy_reads`].
@@ -244,9 +239,6 @@ impl<L: Layer> StorageBackend for L {
     }
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
         Layer::op_attrs(self)
-    }
-    fn shed_optional_work(&self) -> bool {
-        Layer::shed_optional_work(self)
     }
     fn zero_copy_reads(&self) -> bool {
         Layer::zero_copy_reads(self)

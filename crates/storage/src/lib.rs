@@ -19,10 +19,6 @@
 //! * [`object::ObjectStoreBackend`] — a simulated S3-style object store:
 //!   multipart uploads, list lag, seeded throttling and outages.
 //!
-//! **Routers** choose between children: [`fallback::FallbackBackend`] sends
-//! writes to a secondary tier once the primary has proven itself broken,
-//! the downgrade a `storage/failover` point span in the stack's sink.
-//!
 //! **Layers** wrap one backend and contain only what they intercept; the
 //! forwarding of everything else is written once, in [`layer`]:
 //!
@@ -34,10 +30,6 @@
 //! * [`readcache::ReadCache`] — single-flight coalescing read cache, and
 //!   [`readcache::OpCountingBackend`], the read counter its tests measure
 //!   with.
-//! * [`resilient::ResilientBackend`] — guards each attempt with AIMD
-//!   pacing, hedged reads, a circuit breaker and brownout shedding; it
-//!   never repeats one (the one retry loop is [`retry::RetryPolicy::run`],
-//!   owned by the engine).
 //! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
 //!   bandwidth/latency profiles (NAS), jitter, scripted stragglers and read
 //!   or at-rest corruption, from a declarative schedule.
@@ -47,8 +39,9 @@
 //!   in-process hot tier ([`hot::HotTier`]) over the cold backend.
 //!
 //! [`stack::assemble`] is the one place layers are composed, always in the
-//! order instrument → govern → cache → fallback → resilient → fault → base
-//! (see [`stack`] for why).
+//! order instrument → govern → cache → fault → base (see [`stack`] for why).
+//! No layer repeats an attempt: the one retry loop is
+//! [`retry::RetryPolicy::run`], owned by the engine.
 //!
 //! Paths are slash-separated keys (`checkpoints/step_100/model_3.bin`).
 //! URIs (`hdfs://...`, `file://...`, `mem://...`) are parsed by [`uri`] and
@@ -56,7 +49,6 @@
 //! given checkpoint path to determine the appropriate storage backend".
 
 pub mod disk;
-pub mod fallback;
 pub mod fault;
 pub mod governor;
 pub mod hdfs;
@@ -67,13 +59,11 @@ pub mod layer;
 pub mod memory;
 pub mod object;
 pub mod readcache;
-pub mod resilient;
 pub mod retry;
 pub mod stack;
 pub mod uri;
 
 pub use disk::DiskBackend;
-pub use fallback::{FailoverEvent, FallbackBackend};
 pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
 pub use governor::{BandwidthGovernor, DynGovernor, GovernedBackend, NoopGovernor, OpClass};
 pub use hdfs::{HdfsBackend, HdfsConfig, NameNodeStats};
@@ -84,7 +74,6 @@ pub use layer::{Layer, Op, Reply};
 pub use memory::MemoryBackend;
 pub use object::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use readcache::{OpCountingBackend, ReadCache, ReadCacheStats};
-pub use resilient::{CircuitState, ResilienceConfig, ResilienceSnapshot, ResilientBackend};
 pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
 pub use stack::{assemble, Stack, StackConfig};
 pub use uri::{CheckpointLocation, StorageUri};
@@ -113,20 +102,17 @@ pub enum StorageError {
     SlowDown { path: String, retry_after_ms: u64 },
     /// The connection dropped mid-request (transient network failure).
     ConnectionReset { path: String },
-    /// A resilience circuit breaker is open: the call failed fast without
-    /// touching the backend; retry after the cooldown hint.
-    CircuitOpen { backend: String, retry_after_ms: u64 },
 }
 
-/// Coarse failure classification retry/failover machinery branches on,
-/// instead of string-matching error messages.
+/// Coarse failure classification the retry loop branches on, instead of
+/// string-matching error messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageErrorKind {
     /// Transient: retrying the identical call may succeed.
     Retryable,
     /// The server pushed back: retry, but not before `retry_after_ms`.
     Throttled {
-        /// Server (or breaker) hint for the earliest useful retry.
+        /// Server hint for the earliest useful retry.
         retry_after_ms: u64,
     },
     /// Semantic: retrying the identical call can never succeed.
@@ -134,7 +120,7 @@ pub enum StorageErrorKind {
 }
 
 impl StorageError {
-    /// Classify this failure for retry/failover decisions.
+    /// Classify this failure for retry decisions.
     pub fn kind(&self) -> StorageErrorKind {
         match self {
             StorageError::NotFound(_)
@@ -144,8 +130,7 @@ impl StorageError {
             StorageError::Io(_)
             | StorageError::Injected { .. }
             | StorageError::ConnectionReset { .. } => StorageErrorKind::Retryable,
-            StorageError::SlowDown { retry_after_ms, .. }
-            | StorageError::CircuitOpen { retry_after_ms, .. } => {
+            StorageError::SlowDown { retry_after_ms, .. } => {
                 StorageErrorKind::Throttled { retry_after_ms: *retry_after_ms }
             }
         }
@@ -153,7 +138,7 @@ impl StorageError {
 
     /// The classifier [`RetryPolicy::run`] takes for storage operations:
     /// `Terminal` stops at once, `Throttled` retries no earlier than the
-    /// server's (or breaker's) hint, `Retryable` follows the schedule.
+    /// server's hint, `Retryable` follows the schedule.
     pub fn verdict(&self) -> Verdict {
         match self.kind() {
             StorageErrorKind::Terminal => Verdict::Stop,
@@ -185,9 +170,6 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::ConnectionReset { path } => {
                 write!(f, "connection reset while transferring {path}")
-            }
-            StorageError::CircuitOpen { backend, retry_after_ms } => {
-                write!(f, "circuit open for backend {backend}, retry after {retry_after_ms}ms")
             }
         }
     }
@@ -240,11 +222,10 @@ pub trait StorageBackend: Send + Sync {
         Vec::new()
     }
 
-    /// Whether this backend (or a resilience wrapper around it) is asking
-    /// callers to shed optional work — telemetry artifacts, hot-tier
-    /// replication, chunk manifests — so committed saves keep landing under
-    /// sustained throttling or outage (brownout mode). Layers forward this
-    /// to their inner backend; plain backends never shed.
+    /// Whether callers should skip optional work. No backend sheds and
+    /// nothing reads the answer; the declaration stays only because the
+    /// perf harness's tracing wrapper implements this trait directly and
+    /// forwards it. It goes when that wrapper becomes a [`layer::Layer`].
     fn shed_optional_work(&self) -> bool {
         false
     }

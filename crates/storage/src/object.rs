@@ -12,7 +12,7 @@
 //!   retry time, and still burns a configurable fraction of a token
 //!   ([`ObjectStoreConfig::reject_cost`]): hammering a throttled store with
 //!   tight retries reduces the capacity left for requests that would have
-//!   succeeded, which is exactly why retry-after-honoring pacing wins.
+//!   succeeded, which is why the engine's retry loop waits at least the hint.
 //! * **Transient faults** — seeded 5xx (`Io`) and connection-reset
 //!   injection, deterministic in `(seed, request ordinal)`.
 //! * **Outages** — windows of virtual time during which every request fails

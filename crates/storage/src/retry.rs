@@ -6,9 +6,9 @@
 //!
 //! `run` knows nothing about storage. Its callers are `bcp-core`'s
 //! `integrity::with_retries` (every storage operation of both pipelines,
-//! where the stage is known) and `bcp-coordinator`'s `ReconnectingClient`;
-//! the storage layers shape an attempt and never repeat one, so an operation
-//! is attempted at most `max_attempts` times however the stack is assembled.
+//! where the stage is known) and `bcp-coordinator`'s `ReconnectingClient`.
+//! No storage layer repeats an attempt, so an operation is attempted at most
+//! `max_attempts` times however the stack is assembled.
 
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -140,8 +140,7 @@ pub enum Verdict {
     Stop,
     /// Retry on the policy's schedule.
     Retry,
-    /// Retry, but not before this hint (a server's `retry-after`, a
-    /// breaker's remaining cooldown).
+    /// Retry, but not before this hint (a server's `retry-after`).
     RetryAfter(Duration),
 }
 
@@ -172,8 +171,8 @@ pub fn site_seed(rank: usize, stage: &str, path: Option<&str>) -> u64 {
     fnv1a(h, path.unwrap_or("").as_bytes())
 }
 
-/// Clock abstraction for retry/pacing loops, so tests can verify the exact
-/// backoff schedule without real sleeping.
+/// Clock abstraction for the retry loop and injected delays, so tests can
+/// verify the exact backoff schedule without real sleeping.
 pub trait RetryClock: Send + Sync {
     /// Monotonic elapsed time since some fixed origin.
     fn now(&self) -> Duration;

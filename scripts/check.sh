@@ -48,6 +48,19 @@ if grep -rnE 'with_retries_on|record_resilience|record_failovers|ResilienceEvent
   exit 1
 fi
 
+echo "==> one storage stack (instrument -> govern -> cache -> fault -> base; the adaptive client, the failover router and brownout must not come back)"
+if grep -rnE 'ResilientBackend|FallbackBackend|ResilienceConfig|CircuitOpen|[Bb]rownout|storage/failover' crates src tests examples; then
+  echo "storage faults are the retry loop's (RetryPolicy::run under integrity::with_retries); no layer paces, hedges, breaks circuits or fails over"
+  exit 1
+fi
+shed_sites="$(grep -rn 'shed_optional_work' crates src tests examples || true)"
+if [ "$(printf '%s\n' "$shed_sites" | grep -c .)" -ne 1 ] ||
+   ! printf '%s\n' "$shed_sites" | grep -q '^crates/storage/src/lib.rs:.*fn shed_optional_work'; then
+  printf '%s\n' "$shed_sites"
+  echo "shed_optional_work may appear only at its StorageBackend declaration in crates/storage/src/lib.rs"
+  exit 1
+fi
+
 echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
 second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"
@@ -89,7 +102,7 @@ cargo test --test bcpctl_cli -q scrub
 echo "==> chaos-soak smoke (bounded, fixed seed, <60s)"
 cargo test -p bcp-core --test chaos_soak -q smoke_bounded_soak
 
-echo "==> object-store smoke (save -> throttle storm -> load under ResilientBackend)"
+echo "==> object-store smoke (save -> throttle storm -> outage -> load, the engine's retry loop alone)"
 cargo test -p bcp-core --test objectstore_chaos -q smoke_storm
 
 echo "==> object-store chaos gate (storm + outage soak, bounded, fixed seed)"

@@ -616,56 +616,43 @@ fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
     Ok(out)
 }
 
+/// Print the resilience table from the step's `resil/*` point spans: the
+/// retry loop's `resil/retry` / `resil/throttled`, grouped by the pipeline
+/// stage they carry, plus the throttle total. Prints nothing when the step
+/// saw none — a calm backend should not add noise to the report.
+fn print_resilience(spans: &[SpanRecord]) {
+    use std::collections::BTreeMap;
+    let mut by_stage: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    let (mut throttled, mut retry_after) = (0, 0.0);
+    for s in spans {
+        let stage = s.attrs.get("stage").map_or("-", String::as_str);
+        match s.name.as_str() {
+            "resil/retry" => by_stage.entry(stage).or_default().0 += 1,
+            "resil/throttled" => {
+                by_stage.entry(stage).or_default().1 += 1;
+                throttled += 1;
+                retry_after += s.attr_num("retry_after_ms") / 1e3;
+            }
+            _ => {}
+        }
+    }
+    if by_stage.is_empty() {
+        return;
+    }
+    println!();
+    println!("resilience (engine retry loop):");
+    println!("{:<24} {:>8} {:>10}", "stage", "retries", "throttled");
+    for (stage, (retries, thr)) in &by_stage {
+        println!("{stage:<24} {retries:>8} {thr:>10}");
+    }
+    println!("events: {throttled} throttled (retry-after total {retry_after:.2}s)");
+}
+
 /// The `--fanout N` pricing table: what an N-replica cold start of this
 /// checkpoint costs directly vs through the distribution layer
 /// (content-addressed chunks + single-flight cache + peer fan-out tree),
 /// across cache warmth levels, using the calibrated backend/peer
 /// bandwidths from `bcp-sim`'s cost model.
-/// Print the resilience table from the step's `resil/*` point spans: the
-/// retry loop's `resil/retry` / `resil/throttled`, grouped by the pipeline
-/// stage they carry, plus the totals of what the resilience layer emitted.
-/// Prints nothing when the step saw none — a calm backend should not add
-/// noise to the report.
-fn print_resilience(spans: &[SpanRecord]) {
-    use std::collections::BTreeMap;
-    let mut by_stage: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in spans {
-        let stage = s.attrs.get("stage").map_or("-", String::as_str);
-        match s.name.as_str() {
-            "resil/retry" => by_stage.entry(stage).or_default().0 += 1,
-            "resil/throttled" => by_stage.entry(stage).or_default().1 += 1,
-            _ => {}
-        }
-    }
-    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
-    let (throttled, hedges, hedge_wins) =
-        (count("resil/throttled"), count("resil/hedge"), count("resil/hedge_win"));
-    let (opens, rejects) = (count("resil/circuit_open"), count("resil/circuit_reject"));
-    let brownouts = count("resil/brownout_enter");
-    if by_stage.is_empty() && throttled + hedges + opens + rejects + brownouts == 0 {
-        return;
-    }
-    println!();
-    println!("resilience (adaptive storage client):");
-    if !by_stage.is_empty() {
-        println!("{:<24} {:>8} {:>10}", "stage", "retries", "throttled");
-        for (stage, (retries, thr)) in &by_stage {
-            println!("{stage:<24} {retries:>8} {thr:>10}");
-        }
-    }
-    let retry_after: f64 = spans
-        .iter()
-        .filter(|s| s.name == "resil/throttled")
-        .map(|s| s.attr_num("retry_after_ms") / 1e3)
-        .sum();
-    println!(
-        "events: {throttled} throttled (retry-after total {retry_after:.2}s), \
-         {hedges} hedged read(s) ({hedge_wins} won), \
-         {opens} circuit open(s) ({rejects} fast-fail rejection(s)), \
-         {brownouts} brownout(s)"
-    );
-}
-
 fn print_fanout_pricing(replicas: usize, checkpoint_bytes: u64) {
     use bytecheckpoint::sim::FanoutModel;
     let base =
@@ -825,8 +812,8 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
         );
     }
 
-    // What the retry loop and the resilience layer absorbed while this step
-    // was written, from the `resil/*` point spans in the artifact.
+    // What the retry loop absorbed while this step was written, from the
+    // `resil/*` point spans in the artifact.
     print_resilience(&spans);
 
     // Distribution-layer pricing: what serving this checkpoint to N

@@ -5,8 +5,8 @@
 //! (NSDI 2025): parallelism-agnostic checkpoint representation with
 //! automatic load-time resharding, a generic save/load workflow over
 //! multiple training frameworks and storage backends, full-stack I/O
-//! optimizations, and a recovery subsystem (backoff retries, failover
-//! storage, crash-stage fault injection, auto-resume).
+//! optimizations, and a recovery subsystem (backoff retries, crash-stage
+//! fault injection, verified auto-resume).
 //!
 //! ## Quickstart
 //!
@@ -96,8 +96,8 @@ pub mod prelude {
     };
     pub use bcp_storage::uri::Scheme;
     pub use bcp_storage::{
-        CheckpointLocation, DiskBackend, DynBackend, FallbackBackend, FaultLayer, HdfsBackend,
-        InstrumentedBackend, JournalBackend, MemoryBackend, StorageUri,
+        CheckpointLocation, DiskBackend, DynBackend, FaultLayer, HdfsBackend, InstrumentedBackend,
+        JournalBackend, MemoryBackend, StorageUri,
     };
     pub use bcp_tensor::{DType, Tensor};
     pub use bcp_topology::{Parallelism, ShardSpec};

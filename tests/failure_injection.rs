@@ -303,3 +303,34 @@ fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
     let by_stage = (at("load/loader"), at("load/discover"), at("load/verify"));
     assert_eq!(by_stage, (5, 2, 1), "{records:?}");
 }
+
+/// A coordinator whose step discovery fails for good (every probe under the
+/// job root, once its retries are spent) fails `load_latest` on every rank
+/// promptly: it declares itself failed before returning, so the peers
+/// waiting for its decision get `PeerFailed` instead of the collective
+/// timeout.
+#[test]
+fn a_failed_discovery_fails_every_rank_without_waiting_for_the_timeout() {
+    use bytecheckpoint::collectives::CollectiveError;
+    use bytecheckpoint::core::BcpError;
+
+    let fw = Framework::Ddp;
+    let par = Parallelism::data_parallel(2).unwrap();
+    let mem = two_committed_steps("outage", par);
+    let (registry, faulty) =
+        behind_faults(&mem, vec![FaultRule::new(OpSet::Meta, Fault::Fail { times: u32::MAX })]);
+    let started = std::time::Instant::now();
+    let errs = run_ranks(par, fw, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        ckpt.load_latest("mem://x/outage", &mut state, None).err()
+    });
+    let elapsed = started.elapsed();
+    assert!(faulty.injected() > 0, "the outage was reached");
+    assert!(matches!(errs[0], Some(BcpError::Storage(_))), "{:?}", errs[0]);
+    assert!(
+        matches!(errs[1], Some(BcpError::Collective(CollectiveError::PeerFailed { rank: 0 }))),
+        "{:?}",
+        errs[1]
+    );
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+}

@@ -10,7 +10,7 @@ use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
 use bytecheckpoint::storage::{
     fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StorageBackend,
 };
-use common::{assert_states_eq, reference_state, run_ranks};
+use common::{assert_states_eq, reference_state, run_ranks, run_ranks_with};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,15 +20,15 @@ fn registry_for(scheme: Scheme, backend: DynBackend) -> Arc<BackendRegistry> {
     Arc::new(reg)
 }
 
-fn round_trip(path: &'static str, registry: Arc<BackendRegistry>) {
+fn round_trip(path: &'static str, registry: Arc<BackendRegistry>, workflow: WorkflowOptions) {
     let arch = zoo::tiny_gpt();
     let fw = Framework::Fsdp { zero3: true };
     let par = Parallelism::data_parallel(2).unwrap();
-    run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
+    run_ranks_with(par, fw, registry.clone(), workflow.clone(), move |rank, ckpt| {
         let state = reference_state(&zoo::tiny_gpt(), fw, par, rank, 2);
         ckpt.save(&SaveRequest::new(path, &state, 2)).unwrap().wait().unwrap();
     });
-    run_ranks(par, fw, registry, move |rank, ckpt| {
+    run_ranks_with(par, fw, registry, workflow, move |rank, ckpt| {
         let mut state = build_train_state(&arch, fw, par, rank, true);
         ckpt.load(&mut LoadRequest::new(path, &mut state)).unwrap();
         assert_states_eq(&state, &reference_state(&arch, fw, par, rank, 2), rank);
@@ -40,7 +40,8 @@ fn disk_backend_end_to_end_with_real_files() {
     let dir = std::env::temp_dir().join(format!("bcp-it-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
-    round_trip("file:///job/disk-ckpt", registry_for(Scheme::File, disk.clone()));
+    let registry = registry_for(Scheme::File, disk.clone());
+    round_trip("file:///job/disk-ckpt", registry, WorkflowOptions::default());
     // The files genuinely exist on disk with the expected layout.
     let files = disk.list("job/disk-ckpt/").unwrap();
     assert!(files.iter().any(|f| f.ends_with(METADATA_FILE)), "{files:?}");
@@ -134,7 +135,8 @@ fn hdfs_backend_end_to_end_with_metadata_machinery() {
         nnproxy_cache: true,
         cooldown_retention: Duration::from_millis(1),
     }));
-    round_trip("hdfs://prod/job/hdfs-ckpt", registry_for(Scheme::Hdfs, hdfs.clone()));
+    let registry = registry_for(Scheme::Hdfs, hdfs.clone());
+    round_trip("hdfs://prod/job/hdfs-ckpt", registry, WorkflowOptions::default());
     let (meta_ops, _, _, _) = hdfs.namenode_stats().snapshot();
     assert!(meta_ops > 0, "checkpointing must exercise the NameNode");
     // Cool-down: age everything, migrate to HDD, and verify the checkpoint
@@ -161,7 +163,11 @@ fn nas_profile_backend_round_trip() {
     let profile = fault::throttle(f64::INFINITY, f64::INFINITY, Duration::from_micros(50));
     let nas: DynBackend =
         Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, profile).named("nas"));
-    round_trip("nas://mount0/job/nas-ckpt", registry_for(Scheme::Nas, nas));
+    round_trip(
+        "nas://mount0/job/nas-ckpt",
+        registry_for(Scheme::Nas, nas),
+        WorkflowOptions::default(),
+    );
 }
 
 #[test]
@@ -212,18 +218,25 @@ fn authority_routing_selects_clusters() {
 
 #[test]
 fn object_store_backend_end_to_end_with_multipart_uploads() {
-    use bytecheckpoint::storage::{ObjectStoreBackend, ResilientBackend, StorageUri};
+    use bytecheckpoint::storage::{ObjectStoreBackend, StorageUri};
 
     // The URI carries the store's whole personality: part-size floor (small
     // enough that shard uploads go multipart), burst capacity, a background
-    // 5xx rate for the resilience layer to absorb, and a fixed seed.
+    // 5xx rate for the engine's retry loop to absorb, and a fixed seed.
     let uri = StorageUri::parse(
         "object://sim/job/obj-ckpt?part_floor=4096&capacity=64&error_rate=0.005&seed=11",
     )
     .unwrap();
     let store = Arc::new(ObjectStoreBackend::from_uri(&uri).unwrap());
-    let resilient: DynBackend = Arc::new(ResilientBackend::new(store.clone() as DynBackend));
-    round_trip("object://sim/job/obj-ckpt", registry_for(Scheme::Object, resilient.clone()));
+    let backend: DynBackend = store.clone();
+    // A multipart upload is all-or-nothing to the retry loop, and at this
+    // part floor a shard file is many parts, each facing the 5xx rate: with
+    // the default three attempts about one save in seven lost a file.
+    let mut workflow = WorkflowOptions::default();
+    let retries = RetryPolicy::exponential(12, Duration::from_millis(1));
+    (workflow.save.retries, workflow.load.retries) = (retries, retries);
+    let registry = registry_for(Scheme::Object, backend.clone());
+    round_trip("object://sim/job/obj-ckpt", registry, workflow.clone());
 
     let stats = store.stats();
     assert!(stats.multipart_inits > 0, "shard uploads must go multipart");
@@ -241,7 +254,7 @@ fn object_store_backend_end_to_end_with_multipart_uploads() {
     let arch = zoo::tiny_gpt();
     let fw = Framework::Fsdp { zero3: true };
     let par = Parallelism::data_parallel(2).unwrap();
-    run_ranks(par, fw, registry_for(Scheme::Object, resilient), move |rank, ckpt| {
+    run_ranks_with(par, fw, registry_for(Scheme::Object, backend), workflow, move |rank, ckpt| {
         let mut state = build_train_state(&arch, fw, par, rank, true);
         ckpt.load(&mut LoadRequest::new("object://sim/job/obj-ckpt", &mut state)).unwrap();
         assert_states_eq(&state, &reference_state(&arch, fw, par, rank, 2), rank);

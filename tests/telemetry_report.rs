@@ -7,8 +7,8 @@
 //! line of the old two-vocabulary format still decodes, a step folded live
 //! and from its artifact yields the same phase series, point spans feed
 //! counters without entering the phase tables, and the resilience series
-//! have production producers — the engine's retry loop and an assembled
-//! stack's own layers, nothing wired by hand.
+//! have a production producer — the engine's retry loop, nothing wired by
+//! hand.
 
 use bytecheckpoint::core::distribution::{fetch_step_fanout, read_chunk_manifest, FanoutOptions};
 use bytecheckpoint::monitor::analysis::{phase_percentiles, total_by_rank};
@@ -16,8 +16,7 @@ use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::layer::{self, Op, Reply};
 use bytecheckpoint::storage::{
-    assemble, fault, resilient::BreakerConfig, Fault, FaultLayer, FaultRule, OpSet,
-    ResilienceConfig, StackConfig, StorageBackend, StorageError,
+    fault, Fault, FaultLayer, FaultRule, OpSet, StorageBackend, StorageError,
 };
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -517,43 +516,4 @@ fn the_production_path_feeds_the_resilience_series() {
     assert!(calm.is_empty(), "{calm:?}");
     let noisy: Vec<_> = hub.spans().into_iter().filter(|s| s.name.starts_with("resil/")).collect();
     assert!(noisy.is_empty(), "{noisy:?}");
-}
-
-/// An assembled stack reports its own degradations: the breaker's and the
-/// failover router's point spans reach the instrument sink `assemble` hands
-/// them — no observer hook, nothing wired by hand.
-#[test]
-fn an_assembled_stack_over_a_dying_primary_emits_circuit_and_failover_spans() {
-    let hub = MetricsHub::new();
-    let dead = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: u32::MAX })];
-    let secondary: DynBackend = Arc::new(MemoryBackend::new());
-    // A breaker quick enough to open before the router gives up on the tier.
-    let breaker = BreakerConfig { window: 4, min_samples: 2, ..BreakerConfig::default() };
-    let stack = assemble(
-        Arc::new(MemoryBackend::new()),
-        StackConfig {
-            instrument: Some(hub.sink()),
-            fallback: Some(secondary.clone()),
-            resilient: Some(ResilienceConfig { breaker, ..ResilienceConfig::default() }),
-            fault: Some((0, dead)),
-            ..StackConfig::default()
-        },
-    );
-    let failures = quick_job(Scheme::Memory, stack.top.clone(), MetricsSink::disabled());
-    assert!(secondary.exists("job/step_5/COMPLETE").unwrap(), "the save fails over and commits");
-    assert!(failures.iter().all(|f| f.retried), "{failures:?}");
-
-    let spans = hub.spans();
-    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
-    assert_eq!(count("resil/circuit_open"), 1, "two failed attempts open the breaker");
-    assert_eq!(count("storage/failover"), 1, "the third trips the router");
-    let point = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
-    for name in ["resil/circuit_open", "storage/failover"] {
-        assert!(!point(name).counted && point(name).parent.is_some(), "{:?}", point(name));
-    }
-    assert!(point("storage/failover").path.as_deref().unwrap().starts_with("job/step_5/"));
-    // Folded, they feed the series behind the `circuit_open` alert.
-    let (registry, base) = (MetricsRegistry::new(), labels([("job", "dying")]));
-    spans.iter().for_each(|span| registry.fold(span, &base));
-    assert_eq!(registry.value("storage_circuit_open_total", &base), Some(1.0));
 }
