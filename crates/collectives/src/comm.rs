@@ -534,20 +534,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// [`Communicator::send_async`] with an explicit payload size folded
-    /// into [`CommStats`] byte volume. The checkpoint-distribution fan-out
-    /// relays chunk payloads through this, so peer-to-peer traffic is
-    /// auditable in the same ledger as collective volume.
-    pub fn send_sized_async<T: Send + 'static>(
-        &self,
-        to: usize,
-        value: T,
-        payload_bytes: u64,
-    ) -> Result<()> {
-        self.world.stats.record_payload(payload_bytes);
-        self.send_async(to, value)
-    }
-
     /// Receive the next message sent by member `from` to this rank,
     /// blocking up to the world timeout. Errors promptly with `PeerFailed`
     /// if `from` is marked failed before its message arrives.

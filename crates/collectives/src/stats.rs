@@ -20,7 +20,8 @@ struct Inner {
     ops: u64,
     /// Total per-rank participations.
     participations: u64,
-    /// Approximate payload bytes moved (where callers provide sizes).
+    /// Approximate payload bytes moved by collective ops (where callers
+    /// provide sizes); point-to-point sends are not counted.
     bytes: u64,
 }
 
@@ -33,7 +34,8 @@ pub struct CommStatsSnapshot {
     pub ops: u64,
     /// Per-rank participations in collectives.
     pub participations: u64,
-    /// Approximate payload bytes moved.
+    /// Approximate payload bytes moved by collective ops; point-to-point
+    /// sends are not counted.
     pub bytes: u64,
 }
 
@@ -54,12 +56,6 @@ impl CommStats {
         g.ops += 1;
         g.participations += participants as u64;
         g.bytes += bytes;
-    }
-
-    /// Account payload bytes moved outside a collective op (sized
-    /// point-to-point sends, e.g. the distribution fan-out relay).
-    pub fn record_payload(&self, bytes: u64) {
-        self.inner.lock().bytes += bytes;
     }
 
     /// Snapshot the counters.

@@ -65,9 +65,6 @@ pub fn default_rules() -> Vec<AlertRule> {
         ("save_stall", "p99:save_stall_ms > 120000"),
         // Hot-tier recovery health (TierCheck's operational signal).
         ("hot_hit_rate_low", "hot_hit_rate < 0.9"),
-        // Distribution-layer cache health: a cold read cache means every
-        // replica is hammering the backend instead of coalescing.
-        ("read_cache_hit_rate_low", "read_cache_hit_rate < 0.5"),
         // Any telemetry loss anywhere is worth an alert: data undercounts.
         ("telemetry_drops", "telemetry_dropped_total > 0"),
         // Sustained admission backpressure: the fleet is over capacity.

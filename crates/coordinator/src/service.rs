@@ -323,8 +323,6 @@ impl CoordinatorService {
                 let per_job =
                     |name: &str| self.plane.registry().value(name, &job_labels).unwrap_or(0.0);
                 let governor_wait_s = per_job("governor_wait_seconds");
-                let read_cache_hit_rate = per_job("read_cache_hit_rate");
-                let fanout_peer_bytes = per_job("fanout_peer_bytes_total") as u64;
                 let storage_retries = per_job("storage_retries_total") as u64;
                 let storage_throttled = per_job("storage_throttled_total") as u64;
                 let bandwidth_share = if total_granted > 0 {
@@ -339,8 +337,6 @@ impl CoordinatorService {
                     bandwidth_share,
                     sched_wait_s: waited.get(&summary.job_id).copied().unwrap_or(0.0),
                     governor_wait_s,
-                    read_cache_hit_rate,
-                    fanout_peer_bytes,
                     storage_retries,
                     storage_throttled,
                     summary,

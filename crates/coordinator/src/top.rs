@@ -28,14 +28,6 @@ pub struct JobTopRow {
     /// (`governor_wait_seconds{job}`).
     #[serde(default)]
     pub governor_wait_s: f64,
-    /// Distribution-layer read-cache hit rate (`read_cache_hit_rate{job}`,
-    /// 0..=1; 0 when the job has no cache traffic).
-    #[serde(default)]
-    pub read_cache_hit_rate: f64,
-    /// Bytes served replica-to-replica over the fan-out tree
-    /// (`fanout_peer_bytes_total{job}`).
-    #[serde(default)]
-    pub fanout_peer_bytes: u64,
     /// Storage retries folded from the job's telemetry
     /// (`storage_retries_total{job}`).
     #[serde(default)]
@@ -117,7 +109,7 @@ pub fn render_top(cur: &TopSnapshot, prev: Option<(&TopSnapshot, f64)>) -> Strin
         cur.restarts, cur.journal_records, cur.lease_expired, cur.fenced_requests, cur.client_reconnects
     ));
     out.push_str(&format!(
-        "{:<14} {:>6} {:>5} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>6} {:>9} {:>9} {:>7} {:>10} {:>12} {:>6}\n",
+        "{:<14} {:>6} {:>5} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>6} {:>9} {:>9} {:>12} {:>6}\n",
         "JOB",
         "STATE",
         "GEN",
@@ -131,8 +123,6 @@ pub fn render_top(cur: &TopSnapshot, prev: Option<(&TopSnapshot, f64)>) -> Strin
         "SHARE",
         "SCHED-W s",
         "GOV-W s",
-        "RC-HIT",
-        "PEER",
         "RESIL",
         "ALERTS"
     ));
@@ -152,7 +142,7 @@ pub fn render_top(cur: &TopSnapshot, prev: Option<(&TopSnapshot, f64)>) -> Strin
             .map(|(c, b)| (format!("{c:.2}"), format!("{:.1}", b / 1e6)))
             .unwrap_or_else(|| ("-".into(), "-".into()));
         out.push_str(&format!(
-            "{:<14} {:>6} {:>5} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8.1} {:>8.1} {:>5.0}% {:>9.3} {:>9.3} {:>6.0}% {:>10} {:>12} {:>6}\n",
+            "{:<14} {:>6} {:>5} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8.1} {:>8.1} {:>5.0}% {:>9.3} {:>9.3} {:>12} {:>6}\n",
             s.job_id,
             s.state.label(),
             s.generation,
@@ -166,8 +156,6 @@ pub fn render_top(cur: &TopSnapshot, prev: Option<(&TopSnapshot, f64)>) -> Strin
             row.bandwidth_share * 100.0,
             row.sched_wait_s,
             row.governor_wait_s,
-            row.read_cache_hit_rate * 100.0,
-            human_bytes(row.fanout_peer_bytes),
             resil_cell(row),
             s.alerts_fired,
         ));
@@ -216,16 +204,14 @@ mod tests {
             bandwidth_share: 0.5,
             sched_wait_s: 0.25,
             governor_wait_s: 0.125,
-            read_cache_hit_rate: 0.75,
-            fanout_peer_bytes: 2 << 20,
             storage_retries: 4,
             storage_throttled: 7,
         }
     }
 
-    #[test]
-    fn snapshot_serde_round_trip() {
-        let snap = TopSnapshot {
+    /// One job with retries and throttles, and one active alert.
+    fn snapshot() -> TopSnapshot {
+        TopSnapshot {
             jobs: vec![row("a", 3, 3 << 20)],
             active_alerts: vec![AlertEvent {
                 rule: "save_stall".into(),
@@ -243,10 +229,31 @@ mod tests {
             lease_expired: 1,
             fenced_requests: 2,
             client_reconnects: 3,
-        };
+        }
+    }
+
+    #[test]
+    fn snapshot_serde_round_trip() {
+        let snap = snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: TopSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    /// [`snapshot`] as a `serve` of the parent revision sent it: its rows
+    /// also carried a read-cache hit rate and a fan-out peer byte count.
+    const PARENT_FORMAT_LINE: &str = r#"{"jobs":[{"summary":{"job_id":"a","world_size":4,"weight":2,"generation":1,"registered_for_s":10.0,"commits":3,"last_step":30,"bytes_committed":3145728,"latency":{"count":3,"mean_ms":11.0,"p50_ms":10.0,"p90_ms":20.0,"p99_ms":40.0,"max_ms":50.0},"alerts_fired":1,"recent_alerts":[],"state":"Active","lease_age_s":0.0},"granted_bytes":3145728,"bandwidth_share":0.5,"sched_wait_s":0.25,"governor_wait_s":0.125,"read_cache_hit_rate":0.75,"fanout_peer_bytes":2097152,"storage_retries":4,"storage_throttled":7}],"active_alerts":[{"rule":"save_stall","metric":"save_stall_ms","labels":{"job":"a"},"stat":"p99","value":200000.0,"threshold":120000.0,"message":"p99:save_stall_ms{job=a} = 200000 > 120000"}],"series":12,"subscriber_dropped":2,"restarts":1,"journal_records":42,"lease_expired":1,"fenced_requests":2,"client_reconnects":3}"#;
+
+    /// A new `bcpctl top` polling a `serve` that has not been upgraded: the
+    /// two dropped fields are skipped, everything else decodes and renders.
+    #[test]
+    fn a_parent_snapshot_decodes_and_renders() {
+        let back: TopSnapshot = serde_json::from_str(PARENT_FORMAT_LINE).expect("old line decodes");
+        assert_eq!(back, snapshot());
+        let text = render_top(&back, None);
+        assert!(text.contains("4r/7t"), "{text}");
+        assert!(text.contains("alerts: 1 active"), "{text}");
+        assert!(text.contains("[save_stall] p99:save_stall_ms{job=a} = 200000 > 120000"), "{text}");
     }
 
     #[test]
@@ -280,9 +287,6 @@ mod tests {
         assert!(text.contains("1.00"), "{text}");
         assert!(text.contains("[save_stall] stalled"), "{text}");
         assert!(text.contains("50%"), "{text}");
-        assert!(text.contains("RC-HIT"), "{text}");
-        assert!(text.contains("75%"), "{text}");
-        assert!(text.contains("2.0 MiB"), "{text}");
         assert!(text.contains("RESIL"), "{text}");
         assert!(text.contains("4r/7t"), "{text}");
         // A quiet job shows a dash in the RESIL column.

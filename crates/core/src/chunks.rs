@@ -9,14 +9,10 @@
 //! pieces of any size, and [`FileChunks::from_segments`] walks chunk
 //! windows across segment boundaries).
 //!
-//! Content addressing is what makes inference-scale distribution cheap:
-//!
-//! * identical chunks across ranks, files and steps share one hash, so a
-//!   [`bcp_storage::ReadCache`] keyed by hash fetches them once;
-//! * the fan-out tree (`crate::distribution`) schedules *unique* chunks, so
-//!   the backend is hit O(1) times per distinct chunk regardless of how
-//!   many replicas cold-start, and reassembly is provably bitwise-identical
-//!   (hashes re-verify on receive).
+//! Nothing in the system reads the manifest back: the load path addresses
+//! bytes through `ByteMeta` offsets. It stays because the perf harness
+//! measures its derivation (the chunk hash in the seal walk, the per-save
+//! gather and the file).
 //!
 //! The hash is MurmurHash3-x64-128 (Austin Appleby, public domain), seed 0,
 //! written as `h1` then `h2` in hex: sixteen input bytes per step through
@@ -24,20 +20,17 @@
 //! the 128-bit FNV-1a of manifest version 1 paid one dependent `u128`
 //! multiply per byte (0.75 GB/s — a fifth of a save's CPU time). It is
 //! deliberately not cryptographic: chunk ids address a job's own training
-//! state, not adversarial input, every frame still carries its CRC32, and
-//! receivers re-hash what they fetch, so the hash only has to be well mixed
-//! and collision-safe at checkpoint scale (2^64 chunks for a birthday
-//! collision) — a SHA-class hash would cost more than the upload. Ids of the
-//! two versions are not comparable, hence [`CHUNK_MANIFEST_VERSION`] 2; a
-//! version-1 manifest is rejected, which costs nothing on the regular load
-//! path (it reads `ByteMeta` offsets, never the manifest). The manifest
-//! re-verifies lengths and offsets on load, so a corrupted manifest fails
+//! state, not adversarial input, and every frame still carries its CRC32,
+//! so the hash only has to be well mixed and collision-safe at checkpoint
+//! scale (2^64 chunks for a birthday collision) — a SHA-class hash would
+//! cost more than the upload. Ids of the two versions are not comparable,
+//! hence [`CHUNK_MANIFEST_VERSION`] 2; a version-1 manifest is rejected.
+//! Parsing re-verifies lengths and offsets, so a corrupted manifest fails
 //! closed.
 
-use crate::{BcpError, Result};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Manifest file name within a step prefix.
 pub const CHUNK_MANIFEST_FILE: &str = "chunk_manifest.json";
@@ -253,20 +246,6 @@ impl FileChunks {
     }
 }
 
-/// One distinct chunk plus a canonical location to fetch it from (the
-/// first occurrence in manifest order).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkSite {
-    /// Content hash (shared by every occurrence).
-    pub hash: String,
-    /// File holding the canonical occurrence.
-    pub file: String,
-    /// Offset of the canonical occurrence within `file`.
-    pub offset: u64,
-    /// Chunk length.
-    pub len: u64,
-}
-
 /// The per-step chunk manifest: every shard file's content-addressed index.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ChunkManifest {
@@ -343,66 +322,12 @@ impl ChunkManifest {
     pub fn total_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.size).sum()
     }
-
-    /// The distinct chunks in first-occurrence order — the fan-out
-    /// schedule. Each entry carries one location to fetch it from.
-    pub fn unique_chunks(&self) -> Vec<ChunkSite> {
-        let mut seen: HashMap<&str, ()> = HashMap::new();
-        let mut out = Vec::new();
-        for f in &self.files {
-            for c in &f.chunks {
-                if seen.insert(c.hash.as_str(), ()).is_none() {
-                    out.push(ChunkSite {
-                        hash: c.hash.clone(),
-                        file: f.file.clone(),
-                        offset: c.offset,
-                        len: c.len,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Bytes of distinct content (what a deduped cold start must move).
-    pub fn unique_bytes(&self) -> u64 {
-        self.unique_chunks().iter().map(|c| c.len).sum()
-    }
-
-    /// Reassemble every file from a `hash → bytes` chunk store, verifying
-    /// lengths. The result is bitwise-identical to the original files when
-    /// the store's bytes match their hashes.
-    pub fn reassemble(&self, store: &HashMap<String, Bytes>) -> Result<BTreeMap<String, Bytes>> {
-        let mut out = BTreeMap::new();
-        for f in &self.files {
-            let mut buf = bytes::BytesMut::with_capacity(f.size as usize);
-            for c in &f.chunks {
-                let data = store.get(&c.hash).ok_or_else(|| {
-                    BcpError::Corrupt(format!("{}: chunk {} missing from store", f.file, c.hash))
-                })?;
-                if data.len() as u64 != c.len {
-                    return Err(BcpError::Corrupt(format!(
-                        "{}: chunk {} is {} bytes, manifest says {}",
-                        f.file,
-                        c.hash,
-                        data.len(),
-                        c.len
-                    )));
-                }
-                buf.extend_from_slice(data);
-            }
-            // Single-chunk files share the store allocation outright.
-            let assembled =
-                if f.chunks.len() == 1 { store[&f.chunks[0].hash].clone() } else { buf.freeze() };
-            out.insert(f.file.clone(), assembled);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn segs(parts: &[&[u8]]) -> Vec<Bytes> {
         parts.iter().map(|p| Bytes::copy_from_slice(p)).collect()
@@ -430,10 +355,7 @@ mod tests {
         let b = FileChunks::from_bytes("b", &[5u8; 256], 64);
         assert_eq!(a.chunks[0].hash, b.chunks[0].hash);
         // All four chunks of the constant file are identical.
-        let m = ChunkManifest::assemble(1, 64, vec![vec![a], vec![b]]);
-        assert_eq!(m.total_bytes(), 512);
-        assert_eq!(m.unique_chunks().len(), 1);
-        assert_eq!(m.unique_bytes(), 64);
+        assert!(a.chunks.iter().all(|c| c.hash == a.chunks[0].hash));
     }
 
     #[test]
@@ -571,29 +493,5 @@ mod tests {
         }
         let overall = flipped.iter().sum::<u32>() as f64 / (trials as f64 * flipped.len() as f64);
         assert!((62.0..=66.0).contains(&overall), "mean {overall} of 128 bits flip");
-    }
-
-    #[test]
-    fn reassembly_is_bitwise_identical() {
-        let data: Vec<u8> = (0..5000u32).map(|i| (i % 256) as u8).collect();
-        let fc = FileChunks::from_bytes("f", &data, 777);
-        let mut store = HashMap::new();
-        for c in &fc.chunks {
-            store.insert(
-                c.hash.clone(),
-                Bytes::copy_from_slice(&data[c.offset as usize..(c.offset + c.len) as usize]),
-            );
-        }
-        let m = ChunkManifest::assemble(7, 777, vec![vec![fc]]);
-        let files = m.reassemble(&store).unwrap();
-        assert_eq!(&files["f"][..], &data[..]);
-
-        // Missing and wrong-length chunks fail closed.
-        let empty = HashMap::new();
-        assert!(m.reassemble(&empty).is_err());
-        let hash = m.files[0].chunks[0].hash.clone();
-        let mut bad = store.clone();
-        bad.insert(hash, Bytes::from_static(b"x"));
-        assert!(m.reassemble(&bad).is_err());
     }
 }

@@ -34,7 +34,6 @@ pub mod api;
 pub mod chunks;
 pub mod crashsim;
 pub mod decompose;
-pub mod distribution;
 pub mod engine;
 pub mod export;
 pub mod fault;
@@ -55,9 +54,8 @@ pub mod workflow;
 pub use api::{
     Checkpointer, CheckpointerBuilder, LoadOutcome, LoadRequest, LoaderTarget, SaveRequest,
 };
-pub use chunks::{ChunkManifest, ChunkRef, ChunkSite, FileChunks, CHUNK_MANIFEST_FILE};
+pub use chunks::{ChunkManifest, ChunkRef, FileChunks, CHUNK_MANIFEST_FILE};
 pub use crashsim::{enumerate_crash_states, CrashState};
-pub use distribution::{fetch_step_fanout, DistStats, FanoutOptions};
 pub use fault::{FaultHook, FaultPlan};
 pub use hottier::{HotTierConfig, TierBreakdown};
 pub use manager::QuarantinedStep;

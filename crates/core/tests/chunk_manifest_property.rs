@@ -1,20 +1,18 @@
 //! Property tests for the content-addressed chunk index: across random
 //! file contents, segment splits, and chunk sizes, (a) the manifest
-//! round-trips losslessly through its JSON wire form, (b) segment-streamed
-//! derivation agrees with whole-buffer derivation (the zero-copy path is
-//! not a different hash function), (c) reassembly from the unique-chunk
-//! store is bitwise-identical to the original files, and (d) the streaming
-//! hasher itself gives one id per byte string however `update` calls cut it
-//! (the kernel carries a partial 16-byte block between calls).
+//! validates, covers every file and round-trips losslessly through its JSON
+//! wire form, (b) segment-streamed derivation agrees with whole-buffer
+//! derivation (the zero-copy path is not a different hash function), and
+//! (c) the streaming hasher itself gives one id per byte string however
+//! `update` calls cut it (the kernel carries a partial 16-byte block between
+//! calls).
 
 use bcp_core::chunks::{chunk_hash, ChunkHasher, ChunkManifest, FileChunks};
 use bytes::Bytes;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Random files: 1..=4 of them, 1..=2048 bytes each, drawn from a small
-/// alphabet so cross-file duplicate chunks actually occur and exercise
-/// dedup.
+/// alphabet so cross-file duplicate chunks actually occur.
 fn files_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
     prop::collection::vec(prop::collection::vec(0u8..4, 1..2048), 1..=4)
 }
@@ -46,7 +44,7 @@ proptest! {
     }
 
     #[test]
-    fn manifest_round_trips_and_reassembles_bitwise(
+    fn manifest_round_trips_and_covers_every_file(
         files in files_strategy(),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
         chunk_bytes in 1u64..512,
@@ -78,32 +76,7 @@ proptest! {
         let back = ChunkManifest::from_bytes(&manifest.to_bytes()).expect("wire form parses");
         prop_assert_eq!(&back, &manifest);
 
-        // (c) Reassembly from the unique-chunk store is bitwise-identical.
-        let mut store: HashMap<String, Bytes> = HashMap::new();
-        for site in manifest.unique_chunks() {
-            let idx: usize = site
-                .file
-                .trim_start_matches("model_")
-                .trim_end_matches(".bin")
-                .parse()
-                .unwrap();
-            let data = &files[idx][site.offset as usize..(site.offset + site.len) as usize];
-            store.insert(site.hash.clone(), Bytes::copy_from_slice(data));
-        }
-        let rebuilt = manifest.reassemble(&store).expect("reassembly succeeds");
-        prop_assert_eq!(rebuilt.len(), files.len());
-        for (i, data) in files.iter().enumerate() {
-            prop_assert_eq!(
-                &rebuilt[&format!("model_{i}.bin")][..],
-                &data[..],
-                "file {} not bitwise-identical",
-                i
-            );
-        }
-
-        // Dedup accounting holds: unique bytes never exceed total bytes,
-        // and equal only when no chunk repeats.
-        prop_assert!(manifest.unique_bytes() <= manifest.total_bytes());
+        // Every byte of every file is indexed.
         prop_assert_eq!(
             manifest.total_bytes(),
             files.iter().map(|f| f.len() as u64).sum::<u64>()

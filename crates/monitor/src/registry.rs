@@ -192,32 +192,22 @@ impl MetricsRegistry {
     /// * `storage/<backend>/<op>` lands in the `storage_op_*` series keyed
     ///   `{backend, op, rank}`; `storage/governed/wait` also feeds the
     ///   per-job `governor_wait_seconds` counter.
-    /// * `dist/…` point spans feed per-job counters (summed over ranks):
-    ///   `read_cache/hit` → `read_cache_hits_total` +1 and
-    ///   `read_cache_bytes_saved_total` += io_bytes; `read_cache/miss` →
-    ///   `read_cache_misses_total` +1 (either refreshes the cumulative
-    ///   `read_cache_hit_rate` gauge, the input of the
-    ///   `read_cache_hit_rate_low` alert rule); `fanout/peer` and
-    ///   `fanout/backend` → `fanout_{peer,backend}_bytes_total` += io_bytes.
     /// * `resil/…` point spans feed per-job series. The engine's retry loop
     ///   (`bcp-core`'s `integrity::with_retries`, on every stack) emits
     ///   `retry` → `storage_retries_total` and `throttled` →
     ///   `storage_throttled_total`, its `retry_after_ms` attribute carrying
     ///   the server's hint into `storage_retry_after_seconds_total`.
-    /// * Everything else — unrecognized `dist/`/`resil/` names included —
+    /// * Everything else — unrecognized `resil/` names included —
     ///   lands in the `phase_*` series keyed `{phase, op, rank}`; `load/tier`
     ///   also feeds hot-tier health: `tier_files_total{tier}`,
     ///   `tier_bytes_total{tier}`, and the per-job `hot_hit_rate` gauge (hot
     ///   files over all files, cumulative).
     pub fn fold(&self, span: &SpanRecord, base: &Labels) {
         let secs = span.duration.as_secs_f64();
-        let known_point = match span.name.split_once('/') {
-            Some(("dist", rest)) => self.fold_dist(rest, span.io_bytes as f64, base),
-            Some(("resil", rest)) => self.fold_resilience(rest, span, base),
-            _ => false,
-        };
-        if known_point {
-            return;
+        if let Some(rest) = span.name.strip_prefix("resil/") {
+            if self.fold_resilience(rest, span, base) {
+                return;
+            }
         }
         if let Some(rest) = span.name.strip_prefix("storage/") {
             let (backend, op) = rest.split_once('/').unwrap_or((rest, "op"));
@@ -263,35 +253,6 @@ impl MetricsRegistry {
                 self.set("hot_hit_rate", base.clone(), hot / (hot + cold));
             }
         }
-    }
-
-    /// The `dist/` branch of [`Self::fold`] (`rest` is the name minus the
-    /// prefix); `false` for an unrecognized name.
-    fn fold_dist(&self, rest: &str, bytes: f64, base: &Labels) -> bool {
-        match rest {
-            "read_cache/hit" => {
-                self.add("read_cache_hits_total", base.clone(), 1.0);
-                self.add("read_cache_bytes_saved_total", base.clone(), bytes);
-            }
-            "read_cache/miss" => {
-                self.add("read_cache_misses_total", base.clone(), 1.0);
-            }
-            "fanout/peer" => {
-                self.add("fanout_peer_bytes_total", base.clone(), bytes);
-                return true;
-            }
-            "fanout/backend" => {
-                self.add("fanout_backend_bytes_total", base.clone(), bytes);
-                return true;
-            }
-            _ => return false,
-        }
-        let hits = self.value("read_cache_hits_total", base).unwrap_or(0.0);
-        let misses = self.value("read_cache_misses_total", base).unwrap_or(0.0);
-        if hits + misses > 0.0 {
-            self.set("read_cache_hit_rate", base.clone(), hits / (hits + misses));
-        }
-        true
     }
 
     /// The `resil/` branch of [`Self::fold`]; `false` for an unrecognized
@@ -474,29 +435,6 @@ mod tests {
         let pl = labels([("job", "j"), ("phase", "save/upload"), ("op", "save"), ("rank", "1")]);
         assert_eq!(reg.histogram("phase_ms", &pl).unwrap().count, 1);
         assert!(reg.value("governor_wait_seconds", &base).is_none());
-    }
-
-    #[test]
-    fn dist_spans_feed_read_cache_and_fanout_series() {
-        let reg = MetricsRegistry::new();
-        let base = labels([("job", "j")]);
-        for _ in 0..3 {
-            reg.fold(&span("dist/read_cache/hit", 0, 0, 100), &base);
-        }
-        reg.fold(&span("dist/read_cache/miss", 0, 0, 400), &base);
-        reg.fold(&span("dist/fanout/peer", 0, 0, 1 << 20), &base);
-        reg.fold(&span("dist/fanout/backend", 0, 0, 1 << 10), &base);
-        assert_eq!(reg.value("read_cache_hits_total", &base), Some(3.0));
-        assert_eq!(reg.value("read_cache_misses_total", &base), Some(1.0));
-        assert_eq!(reg.value("read_cache_bytes_saved_total", &base), Some(300.0));
-        assert_eq!(reg.value("read_cache_hit_rate", &base), Some(0.75));
-        assert_eq!(reg.value("fanout_peer_bytes_total", &base), Some((1 << 20) as f64));
-        assert_eq!(reg.value("fanout_backend_bytes_total", &base), Some((1 << 10) as f64));
-        // dist spans are per-job counters, not phases.
-        assert!(reg.samples_for("phase_seconds_total").is_empty());
-        // Unrecognized dist names fall through to the phase branch.
-        reg.fold(&span("dist/unknown/thing", 0, 1, 0), &base);
-        assert_eq!(reg.samples_for("phase_seconds_total").len(), 1);
     }
 
     #[test]

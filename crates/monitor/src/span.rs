@@ -7,9 +7,9 @@
 //! is a timed region with a span id, an optional parent id, free-form
 //! attributes, and point-in-time events; together the spans of one step form
 //! a navigable trace tree that exports directly to Chrome trace-event JSON
-//! (see [`crate::export`]). A measurement with no extent (a fan-out byte
-//! count, a cache hit, a retry) is a *point span*: an uncounted span created
-//! and dropped at once, carrying its payload in `io_bytes`/`path`/`attrs`.
+//! (see [`crate::export`]). A measurement with no extent (a retry, a
+//! throttled request) is a *point span*: an uncounted span created and
+//! dropped at once, carrying its payload in `io_bytes`/`path`/`attrs`.
 //! Counters, gauges and histograms are folds over spans
 //! ([`crate::MetricsRegistry::fold`]); heat maps, breakdowns and alerts are
 //! queries over them ([`crate::analysis`]).

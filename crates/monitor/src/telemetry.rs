@@ -9,8 +9,8 @@
 //!
 //! Lines written before spans became the only event also carried a `records`
 //! array of flat metric records; the decoder looks fields up by name, so
-//! such a line still parses and the array is ignored (it only ever held
-//! `dist/fanout/*` totals and failover markers).
+//! such a line still parses and the array is ignored (its records came from
+//! subsystems that no longer exist).
 
 use crate::span::SpanRecord;
 use serde::{Deserialize, Serialize};

@@ -19,9 +19,6 @@
 //!   (ByteCheckpoint, DCP-like, MCP-like, and each ablation step).
 //! * [`ettr`] — the Appendix C effective-training-time-ratio math, plus
 //!   the tiered-recovery extension (`ettr_tiered`).
-//! * [`fanout`] — restore-time pricing for N-replica checkpoint
-//!   distribution: cache hit rate and peer-tree depth as cost-model inputs
-//!   (`FanoutModel`, `ettr_fanout`).
 //! * [`chaos`] — seeded virtual-time kill/recover model quantifying the
 //!   hot-tier hit rate → ETTR gain at paper scale.
 //! * [`trace`] — the synthetic platform job trace behind Table 2.
@@ -32,7 +29,6 @@ pub mod chaos;
 pub mod cost;
 pub mod ettr;
 pub mod experiments;
-pub mod fanout;
 pub mod pipeline;
 pub mod ps;
 pub mod trace;
@@ -40,6 +36,5 @@ pub mod workload;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome, TierTimes};
 pub use cost::CostModel;
-pub use fanout::FanoutModel;
 pub use pipeline::{LoadSim, SaveSim, SystemConfig};
 pub use workload::WorkloadProfile;

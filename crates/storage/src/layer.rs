@@ -17,8 +17,8 @@
 //!   layer can add an attribute or rename itself but cannot drop what is
 //!   below it;
 //! * a layer whose treatment of one operation is not "something around the
-//!   inner call" (a cache answering a read itself) overrides that one
-//!   method.
+//!   inner call" (the hot overlay answering a read from memory) overrides
+//!   that one method.
 //!
 //! Implement `Layer` by path (`impl layer::Layer for X`) rather than
 //! importing it: with both traits in scope a method call on a concrete

@@ -27,9 +27,6 @@
 //! * [`governor::GovernedBackend`] — admits every transfer through a
 //!   [`governor::BandwidthGovernor`] tagged with a job name (the
 //!   coordinator's cross-job bandwidth scheduling choke point).
-//! * [`readcache::ReadCache`] — single-flight coalescing read cache, and
-//!   [`readcache::OpCountingBackend`], the read counter its tests measure
-//!   with.
 //! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
 //!   bandwidth/latency profiles (NAS), jitter, scripted stragglers and read
 //!   or at-rest corruption, from a declarative schedule.
@@ -37,9 +34,11 @@
 //!   arbitrary post-crash storage states for the crash-consistency explorer.
 //! * [`hot::TieredReadBackend`] — the per-load read-through overlay of the
 //!   in-process hot tier ([`hot::HotTier`]) over the cold backend.
+//! * [`counting::OpCountingBackend`] — counts reads and read bytes; the
+//!   instrument the load tests measure with.
 //!
 //! [`stack::assemble`] is the one place layers are composed, always in the
-//! order instrument → govern → cache → fault → base (see [`stack`] for why).
+//! order instrument → govern → fault → base (see [`stack`] for why).
 //! No layer repeats an attempt: the one retry loop is
 //! [`retry::RetryPolicy::run`], owned by the engine.
 //!
@@ -48,6 +47,7 @@
 //! resolved to a backend by the engine, mirroring "the Engine analyzes the
 //! given checkpoint path to determine the appropriate storage backend".
 
+pub mod counting;
 pub mod disk;
 pub mod fault;
 pub mod governor;
@@ -58,11 +58,11 @@ pub mod journal;
 pub mod layer;
 pub mod memory;
 pub mod object;
-pub mod readcache;
 pub mod retry;
 pub mod stack;
 pub mod uri;
 
+pub use counting::OpCountingBackend;
 pub use disk::DiskBackend;
 pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
 pub use governor::{BandwidthGovernor, DynGovernor, GovernedBackend, NoopGovernor, OpClass};
@@ -73,7 +73,6 @@ pub use journal::{JournalBackend, JournalOp};
 pub use layer::{Layer, Op, Reply};
 pub use memory::MemoryBackend;
 pub use object::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
-pub use readcache::{OpCountingBackend, ReadCache, ReadCacheStats};
 pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
 pub use stack::{assemble, Stack, StackConfig};
 pub use uri::{CheckpointLocation, StorageUri};

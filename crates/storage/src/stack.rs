@@ -4,16 +4,13 @@
 //! [`StackConfig`] asks for, always in the same order, outermost first:
 //!
 //! ```text
-//! instrument → govern → cache → fault → base
+//! instrument → govern → fault → base
 //! ```
 //!
 //! * **instrument** outermost, so an operation's span covers everything
 //!   below it — governor waits, injected delays;
-//! * **govern** above the cache: admission is by the caller's bytes, before
-//!   the cache is consulted, and per attempt — a retried transfer is
-//!   admitted again, so bandwidth is charged for bytes moved;
-//! * **cache** above the fault injector, so a hit never reaches storage and
-//!   cannot fail;
+//! * **govern** admits by the caller's bytes, per attempt — a retried
+//!   transfer is admitted again, so bandwidth is charged for bytes moved;
 //! * **fault** innermost, directly over the base, so every layer above is
 //!   exercised by what it injects.
 //!
@@ -26,7 +23,7 @@
 
 use crate::{
     DynBackend, DynGovernor, FaultLayer, FaultRule, GovernedBackend, InstrumentedBackend,
-    ReadCache, RetryClock, StorageBackend, SystemClock,
+    RetryClock, StorageBackend, SystemClock,
 };
 use bcp_monitor::MetricsSink;
 use std::sync::Arc;
@@ -36,27 +33,22 @@ use std::sync::Arc;
 pub struct StackConfig {
     /// Rank stamped on spans emitted outside any entered workflow span.
     pub rank: usize,
-    /// Trace every data-plane operation into this sink; the cache, when
-    /// configured, emits its point spans (`dist/read_cache/*`) into it too.
+    /// Trace every data-plane operation into this sink.
     pub instrument: Option<MetricsSink>,
     /// Admit every transfer through `(governor, job)`, timing the waits
     /// into the sink.
     pub govern: Option<(DynGovernor, String, MetricsSink)>,
-    /// Single-flight read cache bounded at this many resident bytes.
-    pub cache_bytes: Option<u64>,
     /// Inject `(seed, schedule)` directly over the base.
     pub fault: Option<(u64, Vec<FaultRule>)>,
     /// The clock the fault layer waits on (`None` = real time).
     pub clock: Option<Arc<dyn RetryClock>>,
 }
 
-/// An assembled stack: `top` is what the engine talks to; the other handles
-/// reach the layers whose counters tests read.
+/// An assembled stack: `top` is what the engine talks to; `fault` reaches
+/// the injector whose counters tests read.
 pub struct Stack {
     /// The outermost backend.
     pub top: DynBackend,
-    /// The read cache, when configured.
-    pub cache: Option<Arc<ReadCache>>,
     /// The fault injector, when configured.
     pub fault: Option<Arc<FaultLayer>>,
 }
@@ -80,17 +72,13 @@ pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
         let clock = cfg.clock.unwrap_or_else(|| Arc::new(SystemClock::default()));
         push(&mut top, |b| FaultLayer::new(b, seed, rules).with_clock(clock))
     });
-    let cache = cfg.cache_bytes.map(|cap| {
-        let points = cfg.instrument.clone().unwrap_or_else(MetricsSink::disabled);
-        push(&mut top, |b| ReadCache::new(b, cap).with_sink(points, rank))
-    });
     if let Some((governor, job, sink)) = cfg.govern {
         push(&mut top, |b| GovernedBackend::new(b, governor, job).with_sink(sink, rank));
     }
     if let Some(sink) = cfg.instrument {
         push(&mut top, |b| InstrumentedBackend::new(b, sink, rank));
     }
-    Stack { top, cache, fault }
+    Stack { top, fault }
 }
 
 #[cfg(test)]
@@ -112,14 +100,12 @@ mod tests {
             rank: 0,
             instrument: Some(hub.sink()),
             govern: Some((Arc::new(NoopGovernor), "job".into(), hub.sink())),
-            cache_bytes: Some(1 << 20),
             fault: Some((7, Vec::new())),
             clock: None,
         };
         vec![
             ("instrument", Arc::new(InstrumentedBackend::new(base(), hub.sink(), 0))),
             ("govern", Arc::new(GovernedBackend::new(base(), Arc::new(NoopGovernor), "job"))),
-            ("cache", Arc::new(ReadCache::new(base(), 1 << 20))),
             ("op-counting", Arc::new(OpCountingBackend::new(base()))),
             ("fault", Arc::new(FaultLayer::new(base(), 7, Vec::new()))),
             ("journal", Arc::new(JournalBackend::new(base()).unwrap())),
@@ -191,7 +177,6 @@ mod tests {
             base.clone(),
             StackConfig {
                 instrument: Some(hub.sink()),
-                cache_bytes: Some(1 << 20),
                 fault: Some((
                     0,
                     vec![FaultRule::new(crate::OpSet::Writes, crate::Fault::Fail { times: 2 })],
@@ -211,11 +196,9 @@ mod tests {
         let writes: Vec<_> = spans.iter().filter(|s| s.name.ends_with("/write")).collect();
         assert_eq!(writes.len(), 3, "one span per attempt");
         assert_eq!(writes.iter().filter(|w| w.attrs.contains_key("error")).count(), 2);
-        assert!(writes[2].attrs.contains_key("read_cache"), "attrs of every layer below");
-        // The cache sits above all of it: a repeat read is one backend read.
+        // Nothing above the base answers a read itself: every read reaches it.
         stack.top.read("k").unwrap();
         stack.top.read("k").unwrap();
-        assert_eq!(stack.cache.as_ref().unwrap().stats().hits, 1);
-        assert_eq!(base.reads(), 1);
+        assert_eq!(base.reads(), 2);
     }
 }

@@ -16,13 +16,11 @@
 //!   checkpoint replicas: never on the source host, spread across distinct
 //!   hosts so any single-host loss leaves a copy.
 
-pub mod fanout;
 pub mod mesh;
 pub mod parallelism;
 pub mod placement;
 pub mod shard;
 
-pub use fanout::FanoutPlan;
 pub use mesh::DeviceMesh;
 pub use parallelism::{ClusterLayout, Parallelism, RankCoord};
 pub use placement::ReplicaPlacement;

@@ -48,7 +48,7 @@ if grep -rnE 'with_retries_on|record_resilience|record_failovers|ResilienceEvent
   exit 1
 fi
 
-echo "==> one storage stack (instrument -> govern -> cache -> fault -> base; the adaptive client, the failover router and brownout must not come back)"
+echo "==> one storage stack (instrument -> govern -> fault -> base; the adaptive client, the failover router and brownout must not come back)"
 if grep -rnE 'ResilientBackend|FallbackBackend|ResilienceConfig|CircuitOpen|[Bb]rownout|storage/failover' crates src tests examples; then
   echo "storage faults are the retry loop's (RetryPolicy::run under integrity::with_retries); no layer paces, hedges, breaks circuits or fails over"
   exit 1
@@ -58,6 +58,16 @@ if [ "$(printf '%s\n' "$shed_sites" | grep -c .)" -ne 1 ] ||
    ! printf '%s\n' "$shed_sites" | grep -q '^crates/storage/src/lib.rs:.*fn shed_optional_work'; then
   printf '%s\n' "$shed_sites"
   echo "shed_optional_work may appear only at its StorageBackend declaration in crates/storage/src/lib.rs"
+  exit 1
+fi
+
+echo "==> no read-side distribution layer (the read cache, the peer fan-out, their series, alert, top columns and pricing model must not come back)"
+# The two PARENT_FORMAT_LINE constants are golden lines of formats an older
+# revision wrote; they legitimately hold the deleted names.
+if grep -rnE 'ReadCache|fetch_step_fanout|FanoutOptions|DistStats|FanoutPlan|FanoutModel|ettr_fanout|send_sized_async|record_payload|read_cache_|fanout_peer|cache_bytes|dist/read_cache|dist/fanout' \
+     crates src tests examples |
+   grep -vE '^(tests/telemetry_report\.rs|crates/coordinator/src/top\.rs):[0-9]+: *const PARENT_FORMAT_LINE: '; then
+  echo "a committed step is served by the normal load path (load-time resharding); nothing above it caches or relays reads"
   exit 1
 fi
 

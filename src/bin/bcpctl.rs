@@ -30,10 +30,7 @@
 //! default 10), `--trace <out.json>` (dump a Chrome/Perfetto trace),
 //! `--csv <out.csv>` (dump the counted spans, one phase occurrence per
 //! row), `--json` (emit the whole analysis as one machine-readable document
-//! instead of the tables),
-//! `--fanout <N>` (price an N-replica cold start of this checkpoint,
-//! direct vs the chunk-store fan-out tree, across cache warmth levels —
-//! text mode only).
+//! instead of the tables).
 //!
 //! `scrub` sweeps every `step_<N>` under the job root: metadata must parse
 //! and validate, every `ByteMeta` file/offset/length must exist and land on
@@ -115,7 +112,7 @@ fn main() -> ExitCode {
         [cmd, addr, flags @ ..] if cmd == "sim" => cmd_sim(addr, flags),
         _ => {
             eprintln!(
-                "usage: bcpctl <list|verify|gc> <dir> | inspect <dir> [--json] | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] [--fanout N] | serve <addr> [--max-jobs N] [--rate-mbps X] [--for-seconds S] [--journal DIR] [--lease-ttl-s S] | jobs <addr> | status <addr> <job-id> | top <addr> [--interval-ms N] [--once] | metrics <addr> | sim <addr> [--jobs N] [--steps S] [--rate-mbps X]"
+                "usage: bcpctl <list|verify|gc> <dir> | inspect <dir> [--json] | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] | serve <addr> [--max-jobs N] [--rate-mbps X] [--for-seconds S] [--journal DIR] [--lease-ttl-s S] | jobs <addr> | status <addr> <job-id> | top <addr> [--interval-ms N] [--once] | metrics <addr> | sim <addr> [--jobs N] [--steps S] [--rate-mbps X]"
             );
             return ExitCode::from(2);
         }
@@ -584,7 +581,6 @@ struct ReportFlags {
     trace: Option<String>,
     csv: Option<String>,
     json: bool,
-    fanout: Option<usize>,
 }
 
 fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
@@ -595,7 +591,6 @@ fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
         trace: None,
         csv: None,
         json: false,
-        fanout: None,
     };
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
@@ -609,7 +604,6 @@ fn parse_report_flags(flags: &[String]) -> Result<ReportFlags, AnyError> {
             "--trace" => out.trace = Some(value("--trace")?),
             "--csv" => out.csv = Some(value("--csv")?),
             "--json" => out.json = true,
-            "--fanout" => out.fanout = Some(value("--fanout")?.parse::<usize>()?),
             other => return Err(format!("unknown report flag {other:?}").into()),
         }
     }
@@ -646,38 +640,6 @@ fn print_resilience(spans: &[SpanRecord]) {
         println!("{stage:<24} {retries:>8} {thr:>10}");
     }
     println!("events: {throttled} throttled (retry-after total {retry_after:.2}s)");
-}
-
-/// The `--fanout N` pricing table: what an N-replica cold start of this
-/// checkpoint costs directly vs through the distribution layer
-/// (content-addressed chunks + single-flight cache + peer fan-out tree),
-/// across cache warmth levels, using the calibrated backend/peer
-/// bandwidths from `bcp-sim`'s cost model.
-fn print_fanout_pricing(replicas: usize, checkpoint_bytes: u64) {
-    use bytecheckpoint::sim::FanoutModel;
-    let base =
-        FanoutModel { replicas: replicas.max(1), checkpoint_bytes, ..FanoutModel::default() };
-    println!();
-    println!(
-        "fan-out pricing: {} replicas x {} ({}/s backend, {}/s peer links, depth-{} tree)",
-        base.replicas,
-        human_bytes(checkpoint_bytes),
-        human_bytes(base.backend_bps as u64),
-        human_bytes(base.peer_bps as u64),
-        base.tree_depth
-    );
-    println!("direct (every replica reads the backend): {:.2}s", base.direct_restore_seconds());
-    println!("{:>8} {:>12} {:>14} {:>9}", "cache", "restore s", "backend bytes", "speedup");
-    for hit in [0.0, 0.5, 0.9, 0.99] {
-        let m = FanoutModel { cache_hit_rate: hit, ..base };
-        println!(
-            "{:>7.0}% {:>12.3} {:>14} {:>8.1}x",
-            hit * 100.0,
-            m.restore_seconds(),
-            human_bytes(m.backend_bytes() as u64),
-            m.speedup()
-        );
-    }
 }
 
 /// Heat-map geometry from the checkpoint's parallelism string
@@ -815,12 +777,6 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     // What the retry loop absorbed while this step was written, from the
     // `resil/*` point spans in the artifact.
     print_resilience(&spans);
-
-    // Distribution-layer pricing: what serving this checkpoint to N
-    // replicas costs, directly vs through the chunk-store fan-out tree.
-    if let Some(replicas) = flags.fanout {
-        print_fanout_pricing(replicas, meta.total_tensor_bytes());
-    }
 
     // Recovery-tier breakdown (load artifacts only): which tier served each
     // rank's shards, cut from the `load/tier` spans the tiered load emits.

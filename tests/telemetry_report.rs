@@ -5,13 +5,11 @@
 //! renders the heat map, per-rank breakdown, and critical path, naming the
 //! straggler. The remaining cases pin the one-event pipeline: an artifact
 //! line of the old two-vocabulary format still decodes, a step folded live
-//! and from its artifact yields the same phase series, point spans feed
-//! counters without entering the phase tables, and the resilience series
-//! have a production producer — the engine's retry loop, nothing wired by
-//! hand.
+//! and from its artifact yields the same phase series, and the resilience
+//! series have a production producer — the engine's retry loop, nothing
+//! wired by hand.
 
-use bytecheckpoint::core::distribution::{fetch_step_fanout, read_chunk_manifest, FanoutOptions};
-use bytecheckpoint::monitor::analysis::{phase_percentiles, total_by_rank};
+use bytecheckpoint::monitor::analysis::total_by_rank;
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::layer::{self, Op, Reply};
@@ -318,45 +316,6 @@ fn live_fold_and_artifact_fold_agree_on_phase_series() {
             assert!((x - y).abs() <= 1e-9 * x.abs(), "{series}{:?}: {x} vs {y}", a.labels);
         }
     }
-}
-
-/// A fan-out session reports its traffic as `dist/fanout/*` point spans:
-/// they fold into the per-job byte counters and stay out of every table
-/// that sums phase time.
-#[test]
-fn fanout_point_spans_feed_counters_not_the_percentile_table() {
-    let backend: DynBackend = Arc::new(MemoryBackend::new());
-    quick_job(Scheme::Memory, backend.clone(), MetricsSink::disabled());
-    let manifest = Arc::new(read_chunk_manifest(&backend, "job/step_5").unwrap());
-    let base = labels([("job", "fleet")]);
-    let (live, hub) = (Arc::new(MetricsRegistry::new()), Arc::new(MetricsHub::new()));
-    let world = CommWorld::new(2, Backend::Flat);
-    let handles: Vec<_> = (0..2)
-        .map(|replica| {
-            let comm = world.communicator(replica).unwrap();
-            let (backend, manifest) = (backend.clone(), manifest.clone());
-            let sink = MetricsSink::fanout(vec![
-                MetricsSink::folding(live.clone(), base.clone()),
-                hub.sink(),
-            ]);
-            std::thread::spawn(move || {
-                let opts = FanoutOptions::default();
-                fetch_step_fanout(&comm, &backend, None, "job/step_5", &manifest, &opts, &sink)
-                    .unwrap()
-                    .1
-            })
-        })
-        .collect();
-    let stats: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let peer: u64 = stats.iter().map(|s| s.peer_bytes).sum();
-    let from_backend: u64 = stats.iter().map(|s| s.backend_bytes).sum();
-    assert!(peer > 0 && from_backend > 0, "{stats:?}");
-    assert_eq!(live.value("fanout_peer_bytes_total", &base), Some(peer as f64));
-    assert_eq!(live.value("fanout_backend_bytes_total", &base), Some(from_backend as f64));
-    assert!(live.samples_for("phase_seconds_total").is_empty());
-    let spans = hub.spans();
-    assert!(spans.iter().any(|s| s.name == "dist/fanout/peer" && !s.counted), "{spans:?}");
-    assert!(phase_percentiles(&spans).is_empty());
 }
 
 /// The load artifact of a many-tensor step carries one `load/fetch` span per
