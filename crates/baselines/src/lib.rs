@@ -49,7 +49,7 @@ pub fn baseline_workflow_options() -> WorkflowOptions {
             split_parts: 1,
             async_upload: true,
             retries: RetryPolicy::default(),
-            chunk_bytes: 0, // baselines ship no content-addressed index
+            ..SaveConfig::default()
         },
         load: LoadConfig {
             io_threads: 1,

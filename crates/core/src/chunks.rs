@@ -1,18 +1,18 @@
-//! Content-addressed chunk index over committed checkpoints.
+//! Content-addressed chunk index: a library module nothing in production
+//! calls.
 //!
-//! Each committed step carries a `chunk_manifest.json` next to its
-//! global metadata file: for every shard file, the manifest records
-//! fixed-size chunks as `(content hash, byte offset, length)`. The index is
-//! derived *at commit time with zero extra copies* — the save pipeline
-//! hashes each file's capture image in place, frame by frame, in the same
-//! walk that seals the frame CRCs ([`FileChunksBuilder`] takes the bytes in
-//! pieces of any size, and [`FileChunks::from_segments`] walks chunk
-//! windows across segment boundaries).
+//! A [`ChunkManifest`] records each shard file's fixed-size chunks as
+//! `(content hash, byte offset, length)` ([`FileChunksBuilder`] takes the
+//! bytes in pieces of any size, and [`FileChunks::from_segments`] walks
+//! chunk windows across segment boundaries). No save derives one: a save
+//! seals each frame with its CRC alone, because nothing reads a manifest
+//! back (the load path addresses bytes through `ByteMeta` offsets). A
+//! [`CHUNK_MANIFEST_FILE`] an older build left in a step is an orphan to
+//! scrub and goes when the step is deleted.
 //!
-//! Nothing in the system reads the manifest back: the load path addresses
-//! bytes through `ByteMeta` offsets. It stays because the perf harness
-//! measures its derivation (the chunk hash in the seal walk, the per-save
-//! gather and the file).
+//! The module stays only because the perf harness's `core.chunks.*` layer
+//! probes import it. ROADMAP 1 (d) drops those probes; then this module,
+//! `SaveConfig::chunk_bytes` and `SaveStats::chunks` go too.
 //!
 //! The hash is MurmurHash3-x64-128 (Austin Appleby, public domain), seed 0,
 //! written as `h1` then `h2` in hex: sixteen input bytes per step through
@@ -169,8 +169,7 @@ pub struct FileChunks {
 
 /// Streaming derivation of one file's [`FileChunks`]: feed the file's bytes
 /// in order, in pieces of any size; chunk windows are hashed across piece
-/// boundaries in place. The save pipeline feeds it block by block while the
-/// same block's CRC is computed, so each saved byte is walked once.
+/// boundaries in place.
 #[derive(Debug)]
 pub struct FileChunksBuilder {
     file: String,

@@ -240,12 +240,6 @@ impl Assembler {
         }
         Ok(())
     }
-
-    /// Number of elements (bytes / dtype size) assembled so far per tensor
-    /// — used by coverage checks in tests.
-    pub fn touched_tensors(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! one pooled (pinned) buffer — frame header, payload, CRC slot, frame after
 //! frame — so the payload copy into it is the only copy of a tensor's bytes
 //! between the state dict and the backend. The async tail seals the image
-//! in place (CRCs into their slots, chunk index on the way), freezes it into
-//! `Bytes` that own the buffer, and uploads it as one segment via
+//! in place (each frame's `crc32(payload)` into its slot, nothing else),
+//! freezes it into `Bytes` that own the buffer, and uploads it as one
+//! segment via
 //! [`bcp_storage::StorageBackend::write_segments`]. A backend that keeps the
 //! `Bytes` (memory) stores the image itself; the buffer returns to the pool
 //! when the last view of it drops. All uploads (whole files and split parts)
@@ -25,7 +26,7 @@
 //! fsync on disk — so a shard file is one write and no `.partN` object ever
 //! exists.
 
-use crate::chunks::{FileChunks, FileChunksBuilder};
+use crate::chunks::FileChunks;
 use crate::engine::iopool::IoPool;
 use crate::engine::pool::{PinnedPool, PooledBuf};
 use crate::fault::FaultHook;
@@ -36,7 +37,7 @@ use crate::{BcpError, Result};
 use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext};
 use bcp_storage::DynBackend;
-use bcp_tensor::checksum::{crc32, Crc32};
+use bcp_tensor::checksum::crc32;
 use bytes::{BufMut, Bytes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,8 +60,9 @@ pub struct SaveConfig {
     pub async_upload: bool,
     /// Retry policy for uploads.
     pub retries: RetryPolicy,
-    /// Chunk granularity of the content-addressed index derived at commit
-    /// time (`0` disables indexing; see [`crate::chunks`]).
+    /// Inert, pinned by perf/ until ROADMAP 1 (d): the engine never reads
+    /// it, since a save seals each frame with its CRC alone. It stays only
+    /// because the perf harness's chunk-manifest probe reads it.
     pub chunk_bytes: u64,
 }
 
@@ -72,7 +74,7 @@ impl Default for SaveConfig {
             split_parts: 4,
             async_upload: true,
             retries: RetryPolicy::default(),
-            chunk_bytes: crate::chunks::DEFAULT_CHUNK_BYTES,
+            chunk_bytes: 0,
         }
     }
 }
@@ -88,19 +90,14 @@ pub struct SaveStats {
     pub bytes: u64,
     /// Files written (after concat).
     pub files: usize,
-    /// Content-addressed chunk index of this rank's files, derived in
-    /// place while the file images are sealed (empty when
-    /// `chunk_bytes == 0`).
+    /// Inert, pinned by perf/ until ROADMAP 1 (d): the engine never fills
+    /// it, so it is always empty. It stays only because the perf harness's
+    /// chunk-manifest probe moves it out.
     pub chunks: Vec<FileChunks>,
 }
 
-/// How much of a payload goes through the CRC before the same bytes go
-/// through the chunk hash: small enough that the second kernel reads the
-/// block from L1/L2, not from memory.
-const SEAL_BLOCK_BYTES: usize = 32 * 1024;
-
-/// What the upload tail resolves to: (bytes, files, per-file chunk indexes).
-type UploadTail = (u64, usize, Vec<FileChunks>);
+/// What the upload tail resolves to: (bytes, files).
+type UploadTail = (u64, usize);
 
 /// Handle to a possibly-still-running asynchronous save.
 pub struct SaveHandle {
@@ -117,18 +114,28 @@ impl SaveHandle {
     }
 
     /// Wait for the pipeline to finish and collect stats.
-    pub fn wait(self) -> Result<SaveStats> {
-        let (bytes, files, chunks) = match self.join {
+    pub fn wait(mut self) -> Result<SaveStats> {
+        let (bytes, files) = match self.join.take() {
             Some(h) => h.join().map_err(|_| BcpError::Corrupt("save thread panicked".into()))??,
-            None => self.sync_result.expect("sync result present when no thread"),
+            None => self.sync_result.take().expect("sync result present when no thread"),
         };
         Ok(SaveStats {
             blocking: self.blocking,
             end_to_end: self.started.elapsed(),
             bytes,
             files,
-            chunks,
+            chunks: Vec::new(),
         })
+    }
+}
+
+/// A handle dropped unwaited (its save failed elsewhere first) still joins
+/// the pipeline, so no upload into the abandoned step outlives the save.
+impl Drop for SaveHandle {
+    fn drop(&mut self) {
+        if let Some(h) = self.join.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -246,45 +253,24 @@ pub fn execute_save_staged(
     let cfg2 = cfg.clone();
     let faults = faults.clone();
     let io = io.clone();
-    let pipeline = move || -> Result<(u64, usize, Vec<FileChunks>)> {
-        // Seal each image in place, walking its frames in plan order. This
-        // is the one walk over the saved bytes: each payload goes block by
-        // block through the frame CRC and, while the block is still in
-        // cache, into its file's streaming chunk index (§ distribution
-        // layer), and the CRC lands in the slot capture left for it — zero
-        // extra copies between the state dict and the manifest.
+    let pipeline = move || -> Result<UploadTail> {
+        // Seal each image in place, walking its frames in plan order: each
+        // payload's CRC lands in the slot capture left for it. This is the
+        // one pass over the saved bytes between capture and upload.
         faults.check("save/serialize")?;
         let mut images = images;
-        let mut chunks: Vec<FileChunks> = Vec::new();
         {
             let _t =
                 sink.span_under("save/serialize", rank, step, parent).bytes(plan.total_bytes());
             for (&category, image) in &mut images {
-                let mut index = (cfg2.chunk_bytes > 0)
-                    .then(|| FileChunksBuilder::new(category.file_for(rank), cfg2.chunk_bytes));
                 let mut at = 0;
                 for item in plan.items.iter().filter(|item| item.category == category) {
                     let payload_at = at + header_len(&item.shard);
                     let crc_at = payload_at + item.nbytes as usize;
-                    let payload = &image[payload_at..crc_at];
-                    let crc = match &mut index {
-                        Some(index) => {
-                            let mut crc = Crc32::new();
-                            index.update(&image[at..payload_at]);
-                            for block in payload.chunks(SEAL_BLOCK_BYTES) {
-                                crc.update(block);
-                                index.update(block);
-                            }
-                            let crc = crc.finalize().to_le_bytes();
-                            index.update(&crc);
-                            crc
-                        }
-                        None => crc32(payload).to_le_bytes(),
-                    };
+                    let crc = crc32(&image[payload_at..crc_at]).to_le_bytes();
                     image[crc_at..crc_at + 4].copy_from_slice(&crc);
                     at = crc_at + 4;
                 }
-                chunks.extend(index.map(FileChunksBuilder::finish));
             }
         }
         // Dump: freeze the sealed images into sharable `Bytes` (the
@@ -385,7 +371,7 @@ pub fn execute_save_staged(
         if let (Some(staging), Some(views)) = (&hot_staging, hot_views) {
             staging.lock().extend(views);
         }
-        Ok((total, nfiles, chunks))
+        Ok((total, nfiles))
     };
 
     if cfg.async_upload {

@@ -17,8 +17,9 @@ use crate::{BcpError, Result};
 use std::sync::Arc;
 
 /// Named fault points of the save pipeline, in execution order. The matrix
-/// test in `crates/core/tests/recovery.rs` kills a rank at each of these and
-/// asserts the torn step never commits.
+/// test in `crates/core/tests/recovery.rs` iterates this list, kills a rank
+/// at each stage (the coordinator at `save/metadata` and `save/commit`,
+/// which only it reaches) and asserts the torn step never commits.
 pub const SAVE_STAGES: &[&str] = &[
     "save/plan",
     "save/capture",

@@ -54,7 +54,6 @@ pub mod workflow;
 pub use api::{
     Checkpointer, CheckpointerBuilder, LoadOutcome, LoadRequest, LoaderTarget, SaveRequest,
 };
-pub use chunks::{ChunkManifest, ChunkRef, FileChunks, CHUNK_MANIFEST_FILE};
 pub use crashsim::{enumerate_crash_states, CrashState};
 pub use fault::{FaultHook, FaultPlan};
 pub use hottier::{HotTierConfig, TierBreakdown};

@@ -179,7 +179,6 @@ pub fn scrub_step(
     known.insert(format!("{prefix}/{COMPLETE_MARKER}"));
     known.insert(format!("{prefix}/{TELEMETRY_SAVE_FILE}"));
     known.insert(format!("{prefix}/{TELEMETRY_LOAD_FILE}"));
-    known.insert(format!("{prefix}/{}", crate::chunks::CHUNK_MANIFEST_FILE));
 
     if let Some(meta) = &meta {
         // 2. Group tensor references by storage file.

@@ -1,15 +1,17 @@
 //! The generic save/load (resharding) workflow (§3.3, Fig. 8).
 //!
 //! Save: local plans → gather at the coordinator → balanced dedup → global
-//! metadata construction → scatter final plans → engine pipeline → integrity
-//! barrier → coordinator commits (metadata + `COMPLETE` marker). The plan
-//! cache (§4.1) turns everything before the engine into a one-time cost.
+//! metadata construction → scatter final plans → engine pipeline (capture,
+//! CRC seal, upload) → integrity barrier → coordinator commits (metadata +
+//! `COMPLETE` marker). The plan cache (§4.1) turns everything before the
+//! engine into a one-time cost, so a warm save's collectives are the cache
+//! agreement and the two barriers (telemetry and the hot tier add theirs
+//! when on).
 //!
 //! Load: read global metadata → local load plans (box matching against the
 //! TensorShardToBasicByteMap) → gather → redundant-read elimination →
 //! scatter → engine pipeline (reads + all-to-all forwarding) → barrier.
 
-use crate::chunks::{ChunkManifest, CHUNK_MANIFEST_FILE};
 use crate::engine::iopool::IoPool;
 use crate::engine::load::{execute_load, LoadConfig, LoadStats};
 use crate::engine::pool::PinnedPool;
@@ -289,7 +291,6 @@ pub fn save_checkpoint(
     let coordinator = ctx.coordinator();
     let prefix2 = prefix.to_string();
     let retries = options.save.retries;
-    let chunk_bytes = options.save.chunk_bytes;
     let io2 = io.clone();
     let hot_opts = options.hot;
     let comm_abort = ctx.comm.clone();
@@ -339,16 +340,6 @@ pub fn save_checkpoint(
             let _t = root.child("sync/save_barrier").attr("collective", comm.backend_info());
             comm.barrier()?;
         }
-        // Content-addressed chunk index: every rank contributes the chunk
-        // lists its pipeline derived in place; the coordinator writes the
-        // manifest *before* the COMPLETE marker so a committed step always
-        // carries its index. Symmetric collective — all ranks participate.
-        let gathered_chunks = if chunk_bytes > 0 {
-            faults.check("save/chunks")?;
-            comm.gather(coordinator, stats.chunks.clone())?
-        } else {
-            None
-        };
         if rank == coordinator {
             faults.check("save/metadata")?;
             let sealed = planned
@@ -365,19 +356,6 @@ pub fn save_checkpoint(
                 let meta_bytes = Bytes::from(GlobalMetadata::restamp_step(sealed, step));
                 with_retries(retries, &log, rank, "save/metadata", Some(&meta_path), || {
                     backend.write(&meta_path, meta_bytes.clone())
-                })?;
-            }
-            if let Some(contributions) = gathered_chunks {
-                let manifest = ChunkManifest::assemble(step, chunk_bytes, contributions);
-                let man_path = format!("{prefix2}/{CHUNK_MANIFEST_FILE}");
-                let man_bytes = Bytes::from(manifest.to_bytes());
-                let t = root
-                    .child("save/chunk_manifest")
-                    .bytes(man_bytes.len() as u64)
-                    .path(man_path.clone());
-                let _in_man = t.enter();
-                with_retries(retries, &log, rank, "save/chunk_manifest", Some(&man_path), || {
-                    backend.write(&man_path, man_bytes.clone())
                 })?;
             }
             faults.check("save/commit")?;

@@ -18,7 +18,7 @@ fn files_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
 }
 
 /// Split `data` at the given fractions into contiguous segments (the shape
-/// the save pipeline hands to `from_segments`).
+/// `from_segments` takes).
 fn split_segments(data: &[u8], cuts: &[prop::sample::Index]) -> Vec<Bytes> {
     let mut points: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
     points.push(0);

@@ -4,7 +4,7 @@
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, LoadRequest, SaveRequest};
-use bcp_core::fault::{FaultPlan, LOAD_STAGES};
+use bcp_core::fault::{FaultPlan, LOAD_STAGES, SAVE_STAGES};
 use bcp_core::registry::BackendRegistry;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
@@ -90,16 +90,10 @@ where
 fn crash_at_every_save_stage_never_commits_and_auto_resumes() {
     // Coordinator-only stages kill rank 0; the rest kill a non-coordinator
     // so both "victim" and "survivor" code paths are exercised.
-    let cases: &[(&str, usize)] = &[
-        ("save/plan", 1),
-        ("save/capture", 1),
-        ("save/serialize", 1),
-        ("save/upload", 1),
-        ("save/barrier", 1),
-        ("save/metadata", 0),
-        ("save/commit", 0),
-    ];
-    for &(stage, victim) in cases {
+    const COORDINATOR_ONLY: &[&str] = &["save/metadata", "save/commit"];
+    assert!(COORDINATOR_ONLY.iter().all(|s| SAVE_STAGES.contains(s)));
+    for &stage in SAVE_STAGES {
+        let victim = if COORDINATOR_ONLY.contains(&stage) { 0 } else { 1 };
         let (registry, mem) = memory_registry();
 
         // Step 1 commits cleanly — the checkpoint recovery must land on.

@@ -71,6 +71,16 @@ if grep -rnE 'ReadCache|fetch_step_fanout|FanoutOptions|DistStats|FanoutPlan|Fan
   exit 1
 fi
 
+echo "==> the seal is the CRC alone (the chunk index, its per-save gather and its manifest file must not come back)"
+# chunks.rs stays as a library module for perf/'s layer probes; its property
+# test and the legacy-step test (a step an older build wrote) name it too.
+if grep -rnE 'FileChunksBuilder|ChunkManifest::assemble|CHUNK_MANIFEST_FILE|chunk_manifest|save/chunk|SEAL_BLOCK_BYTES|stats\.chunks' \
+     crates src tests examples |
+   grep -vE '^(crates/core/src/chunks\.rs|crates/core/tests/chunk_manifest_property\.rs|tests/step_layout\.rs):'; then
+  echo "a save seals each frame with crc32(payload) and nothing else; no step carries a chunk manifest"
+  exit 1
+fi
+
 echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
 second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"
