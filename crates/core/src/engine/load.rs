@@ -91,9 +91,9 @@ impl ReadKey {
 /// run, gap included. One small ranged read costs about as much as reading
 /// 10–40 KB more of a file already open (perf's
 /// `storage.disk.read_range_small.us_per_op` ≈ 4 µs against
-/// `roofline.file_read.gbps`), and on HDFS or an object store a request
-/// costs orders of magnitude more, so below this distance the extra bytes
-/// are cheaper than the extra operation.
+/// `roofline.file_read.gbps`), and on HDFS a request costs orders of
+/// magnitude more, so below this distance the extra bytes are cheaper than
+/// the extra operation.
 pub const RUN_GAP_BYTES: u64 = 32 * 1024;
 
 /// One contiguous byte range of one file, fetched as a unit, and the plan

@@ -22,9 +22,8 @@
 //! is larger than `split_threshold` *and* the backend's
 //! [`bcp_storage::StorageBackend::concat_is_metadata_op`] holds (HDFS).
 //! Everywhere else the merge would move every byte a second time — a copy
-//! into fresh pages on memory and object store, read + rewrite + second
-//! fsync on disk — so a shard file is one write and no `.partN` object ever
-//! exists.
+//! into fresh pages on memory, read + rewrite + second fsync on disk — so a
+//! shard file is one write and no `.partN` object ever exists.
 
 use crate::chunks::FileChunks;
 use crate::engine::iopool::IoPool;
@@ -51,8 +50,8 @@ pub struct SaveConfig {
     /// Split files larger than this into sub-files uploaded concurrently
     /// and merged by metadata concat (§4.3 HDFS write path). Tunes that path
     /// only: on a backend whose `concat` moves bytes
-    /// (`concat_is_metadata_op() == false`: memory, disk, object store)
-    /// nothing is split whatever the value.
+    /// (`concat_is_metadata_op() == false`: memory, disk) nothing is split
+    /// whatever the value.
     pub split_threshold: u64,
     /// Number of sub-files when splitting (same scope as `split_threshold`).
     pub split_parts: usize,

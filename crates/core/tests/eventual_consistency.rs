@@ -1,8 +1,8 @@
 //! Eventual-list-consistency regression tests: recently-put keys are absent
-//! from the object store's `list` for a lag window, while `read`/`exists`
-//! stay read-your-writes. Discovery (`CheckpointManager::list`), restart GC
-//! (`gc_torn`), and auto-resume (`Checkpointer::load_latest`) must tolerate
-//! this: a freshly committed step whose `COMPLETE` marker has not propagated
+//! from `list` for a lag window (a `Fault::ListLag` rule over a memory
+//! store, on a virtual clock), while `read`/`exists` stay read-your-writes.
+//! Discovery (`CheckpointManager::list`), restart GC (`gc_torn`), and
+//! auto-resume (`Checkpointer::load_latest`) must tolerate this: a freshly committed step whose `COMPLETE` marker has not propagated
 //! to listings must never be reaped as torn, and `load_latest` must never
 //! resume from a phantom — it either falls back to the previous fully
 //! visible committed step or waits out the lag, never tearing the new one.
@@ -15,7 +15,9 @@ use bcp_core::registry::BackendRegistry;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{DynBackend, ObjectStoreBackend, ObjectStoreConfig, StorageBackend, TestClock};
+use bcp_storage::{
+    DynBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend, TestClock,
+};
 use bcp_topology::Parallelism;
 use bytes::Bytes;
 use std::sync::Arc;
@@ -24,11 +26,9 @@ use std::time::Duration;
 const WORLD: usize = 2;
 const LAG: Duration = Duration::from_secs(60);
 
-fn lagged_store(clock: &Arc<TestClock>) -> Arc<ObjectStoreBackend> {
-    Arc::new(ObjectStoreBackend::with_clock(
-        ObjectStoreConfig { list_lag: LAG, ..ObjectStoreConfig::default() },
-        clock.clone(),
-    ))
+fn lagged_store(clock: &Arc<TestClock>) -> Arc<FaultLayer> {
+    let lag = vec![FaultRule::new(OpSet::Writes, Fault::ListLag(LAG))];
+    Arc::new(FaultLayer::new(Arc::new(MemoryBackend::new()), 0, lag).with_clock(clock.clone()))
 }
 
 fn fake_checkpoint(backend: &DynBackend, root: &str, step: u64, committed: bool) {

@@ -1,8 +1,10 @@
-//! Object-store chaos gate: multi-rank saves/loads against a seeded
-//! `ObjectStoreBackend` on a shared virtual clock, the engine's one retry
-//! loop the only thing between them, across a designed weather ladder —
-//! calm → throttling storm → calm → a full 30-virtual-second outage →
-//! recovery — plus seeded random weather in the long soak. Invariants:
+//! Hostile-weather chaos gate: multi-rank saves/loads against one memory
+//! store under object-store weather (`FaultRule`s on a shared virtual
+//! clock), the engine's one retry loop the only thing between them, across
+//! a designed ladder — calm → throttle storm → calm → a full outage →
+//! recovery — plus seeded random weather in the long soak. The weather
+//! changes by registering a new `FaultLayer` over the same store.
+//! Invariants:
 //!
 //! * **every save outside the outage commits**, storm or calm: the retry
 //!   loop waits out each throttle's hint and absorbs the background 5xx;
@@ -14,8 +16,7 @@
 //!   last committed step and carries on.
 //!
 //! One clock and one retry policy per run: the `Checkpointer`s wait on the
-//! cluster's `TestClock`, the clock every hint the store hands out is
-//! computed on.
+//! cluster's `TestClock`, the clock the weather layers run on.
 
 use bcp_collectives::{Backend, CollectiveError, CommWorld};
 use bcp_core::api::{Checkpointer, SaveRequest};
@@ -25,7 +26,9 @@ use bcp_core::BcpError;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{ObjectStoreBackend, ObjectStoreConfig, StorageBackend, TestClock};
+use bcp_storage::{
+    DynBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend, TestClock,
+};
 use bcp_topology::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,62 +67,83 @@ fn assert_states_bitwise_eq(got: &TrainState, want: &TrainState, rank: usize, ct
     }
 }
 
-/// The hostile cluster: a seeded object store on one virtual clock.
+/// Calm: a background 5xx, once per shard or metadata path, on the way in
+/// and on the way out.
+fn calm() -> Vec<FaultRule> {
+    vec![FaultRule::new(OpSet::Data, Fault::Fail { times: 1 }).on(".bin")]
+}
+
+/// A throttle storm: the first `times` reads or writes of every shard or
+/// metadata path are told to come back after `retry_after`.
+fn storm(times: u32, retry_after: Duration) -> Vec<FaultRule> {
+    vec![FaultRule::new(OpSet::Data, Fault::SlowDown { times, retry_after }).on(".bin")]
+}
+
+/// An outage: every call fails, however often it is retried.
+fn outage() -> Vec<FaultRule> {
+    vec![FaultRule::new(OpSet::All, Fault::Fail { times: u32::MAX })]
+}
+
+/// The hostile cluster: one memory store under the current weather, on one
+/// virtual clock.
 struct Cluster {
-    registry: Arc<BackendRegistry>,
+    store: DynBackend,
     clock: Arc<TestClock>,
-    store: Arc<ObjectStoreBackend>,
+    /// The current weather over `store`, and the registry that serves it.
+    weather: Arc<FaultLayer>,
+    registry: Arc<BackendRegistry>,
     /// Failed attempts the ranks' retry loops absorbed, over the whole run.
     retried: Arc<AtomicUsize>,
 }
 
 impl Cluster {
-    fn new(seed: u64) -> Cluster {
+    fn new() -> Cluster {
+        let store: DynBackend = Arc::new(MemoryBackend::new());
         let clock = Arc::new(TestClock::new());
-        let store = Arc::new(ObjectStoreBackend::with_clock(
-            ObjectStoreConfig {
-                // A small background 5xx rate, so the calm phases still
-                // exercise the retry path. Kept low because a multipart
-                // upload is all-or-nothing to the retry loop: per-request
-                // faults compound across its init/part/complete requests.
-                error_rate: 0.005,
-                reset_rate: 0.002,
-                seed,
-                part_size_floor: 4096,
-                // A multipart upload bursts ~a dozen requests at one
-                // virtual instant (zero-latency sim); the bucket must be
-                // able to hold a whole burst or every storm-time upload is
-                // structurally doomed.
-                capacity: 64.0,
-                ..ObjectStoreConfig::default()
-            },
-            clock.clone(),
-        ));
-        let mut reg = BackendRegistry::new();
-        reg.register(Scheme::Object, store.clone());
-        Cluster { registry: Arc::new(reg), clock, store, retried: Arc::default() }
+        let (weather, registry) = under(&store, &clock, calm());
+        Cluster { store, clock, weather, registry, retried: Arc::default() }
+    }
+
+    /// Change the weather: a fresh fault layer over the same store.
+    fn set_weather(&mut self, rules: Vec<FaultRule>) {
+        (self.weather, self.registry) = under(&self.store, &self.clock, rules);
     }
 }
 
-/// The run's one retry policy: enough attempts that a storm is absorbed
-/// (throttles stretch each backoff by the server hint).
-fn policy() -> RetryPolicy {
-    RetryPolicy::exponential(12, Duration::from_millis(5))
+/// `rules` as the weather over `store` on `clock`, and a registry serving
+/// it for `object://`.
+fn under(
+    store: &DynBackend,
+    clock: &Arc<TestClock>,
+    rules: Vec<FaultRule>,
+) -> (Arc<FaultLayer>, Arc<BackendRegistry>) {
+    let weather = Arc::new(FaultLayer::new(store.clone(), 0, rules).with_clock(clock.clone()));
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Object, weather.clone());
+    (weather, Arc::new(reg))
 }
 
-/// Whether `step` carries its `COMPLETE` marker on the store, probed under
-/// the ranks' retry policy on the cluster's clock, so a throttle or a
-/// background 5xx cannot fake the answer.
+/// The run's one retry policy: enough attempts that a storm is absorbed
+/// (throttles stretch each backoff by the server hint). Resume verification
+/// is retried whole, so it meets each of a step's five `.bin` files'
+/// throttles in turn: 2 × 5 + 1 attempts under the designed storm.
+fn policy() -> RetryPolicy {
+    RetryPolicy::exponential(16, Duration::from_millis(5))
+}
+
+/// Whether `step` carries its `COMPLETE` marker on the store, probed through
+/// the current weather under the ranks' retry policy on the cluster's
+/// clock, so a throttle or a background 5xx cannot fake the answer.
 fn committed(cluster: &Cluster, step: u64) -> bool {
     let log = FailureLog::new().with_clock(cluster.clock.clone());
     let path = format!("jobs/train/step_{step}/COMPLETE");
-    with_retries(policy(), &log, 0, "probe", Some(&path), || cluster.store.exists(&path))
+    with_retries(policy(), &log, 0, "probe", Some(&path), || cluster.weather.exists(&path))
         .unwrap_or_else(|e| panic!("probing step {step}: {e}"))
 }
 
 /// One `Checkpointer` per rank, its retry loop — the only one in the run —
-/// waiting on the cluster's clock, so every hint the store computes is slept
-/// where it was measured. No per-op deadline:
+/// waiting on the cluster's clock, so every throttle's hint is slept on the
+/// clock the weather runs on. No per-op deadline:
 /// the clock is shared across rank threads, so one op's wall budget would be
 /// burned by its peers' virtual sleeps.
 fn run_world<F, T>(cluster: &Cluster, f: F) -> Vec<T>
@@ -185,7 +209,7 @@ fn save_step(cluster: &Cluster, step: u64, ctx: &str) {
 }
 
 /// The designed ladder (steps 1–6), then `extra` seeded calm/storm cycles.
-fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
+fn run_gauntlet(cluster: &mut Cluster, extra: usize, seed: u64) {
     // Cycle 1–2: calm bootstrap (background 5xx only).
     load_and_verify(cluster, 0, "bootstrap");
     save_step(cluster, 1, "calm");
@@ -194,21 +218,21 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
 
     // Cycle 3: throttling storm. The retry loop waits out every slow-down's
     // hint, and the commit still lands.
-    cluster.store.set_rate_limit(Some(40.0));
+    cluster.set_weather(storm(2, Duration::from_millis(25)));
     load_and_verify(cluster, 2, "storm resume");
     save_step(cluster, 3, "storm");
-    assert!(cluster.store.stats().throttled > 0, "the storm must actually throttle");
+    assert!(cluster.weather.injected() > 0, "the storm must actually throttle");
     assert!(committed(cluster, 3), "the storm-time commit lands");
 
     // Cycle 4: calm again.
-    cluster.store.set_rate_limit(None);
+    cluster.set_weather(calm());
     load_and_verify(cluster, 3, "post-storm resume");
     save_step(cluster, 4, "post-storm");
 
-    // Cycle 5: full 30-virtual-second outage, entered after the restore.
-    // The save fails on every rank and commits nothing.
+    // Cycle 5: a full outage, entered after the restore. The save fails on
+    // every rank and commits nothing.
     load_and_verify(cluster, 4, "pre-outage resume");
-    cluster.store.outage_now(Duration::from_secs(30));
+    cluster.set_weather(outage());
     let errs = run_world(cluster, |rank, ckpt| {
         let state = reference_state(rank, 5);
         ckpt.save(&SaveRequest::new(format!("{ROOT}/step_5"), &state, 5))
@@ -233,7 +257,7 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
 
     // Cycle 6: the outage ends; the job resumes the last committed step
     // (the torn step 5 is collected on the way) and carries on.
-    cluster.clock.advance(Duration::from_secs(35));
+    cluster.set_weather(calm());
     assert!(!committed(cluster, 5), "the outage-time save must commit nothing");
     load_and_verify(cluster, 4, "post-outage resume");
     save_step(cluster, 5, "post-outage");
@@ -247,13 +271,16 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
         let step = 7 + i as u64;
         let ctx = format!("weather cycle {i}");
         match rng.gen_range(0..3u32) {
-            0 => cluster.store.set_rate_limit(Some(rng.gen_range(30.0..120.0))),
-            _ => cluster.store.set_rate_limit(None),
+            0 => {
+                let retry_after = Duration::from_millis(rng.gen_range(8..=40));
+                cluster.set_weather(storm(rng.gen_range(1..=2), retry_after))
+            }
+            _ => cluster.set_weather(calm()),
         }
         load_and_verify(cluster, step - 1, &ctx);
         save_step(cluster, step, &ctx);
     }
-    cluster.store.set_rate_limit(None);
+    cluster.set_weather(calm());
 
     // Global invariants: every step committed on the store, and the retry
     // path was exercised.
@@ -270,13 +297,13 @@ fn run_gauntlet(cluster: &Cluster, extra: usize, seed: u64) {
 /// The full chaos gate: designed ladder + 8 seeded weather cycles.
 #[test]
 fn chaos_gate_storm_and_outage_soak() {
-    let cluster = Cluster::new(0x0B7EC7);
-    run_gauntlet(&cluster, 8, 0x57_0421);
+    let mut cluster = Cluster::new();
+    run_gauntlet(&mut cluster, 8, 0x57_0421);
 }
 
 /// Bounded smoke variant for `scripts/check.sh`: the designed ladder only.
 #[test]
 fn smoke_storm() {
-    let cluster = Cluster::new(7);
-    run_gauntlet(&cluster, 0, 42);
+    let mut cluster = Cluster::new();
+    run_gauntlet(&mut cluster, 0, 42);
 }

@@ -4,7 +4,13 @@
 //!
 //! * [`Fault::Fail`] — the first N matching calls on each path fail with
 //!   [`StorageError::Injected`], then succeed: the transient faults the
-//!   retry loop must absorb (paper Appendix B);
+//!   retry loop must absorb (paper Appendix B). `times: u32::MAX` on
+//!   [`OpSet::All`] is an outage;
+//! * [`Fault::SlowDown`] — the same, but each failure is a throttle
+//!   ([`StorageError::SlowDown`]) whose retry-after hint the loop must wait;
+//! * [`Fault::ListLag`] — eventually consistent listings: a path a matching
+//!   call writes stays out of `list` for a while, though `read`, `exists`
+//!   and `size` see it at once;
 //! * [`Fault::Delay`] — a transfer-rate cap plus fixed per-op latency, so
 //!   real executions show realistic *relative* timing (NAS slower than local
 //!   disk); rates are scaled-down analogues, not measurements;
@@ -16,11 +22,13 @@
 //!   cache); the `*_at_rest` helpers damage the stored object itself (silent
 //!   media corruption).
 //!
-//! Every matching rule applies, in schedule order. Every delay goes through
-//! the layer's [`RetryClock`] — the real clock unless
-//! [`FaultLayer::with_clock`] installs a virtual one — and every random
-//! choice derives from the seed (mixed with the object path for damage, with
-//! the call index for jitter), so a failing run reproduces exactly.
+//! Every matching rule applies, in schedule order. Weather that changes over
+//! a run (calm, storm, outage) is a new layer over the same base, not a rule
+//! with a time window. Every delay goes through the layer's [`RetryClock`] —
+//! the real clock unless [`FaultLayer::with_clock`] installs a virtual one —
+//! and every random choice derives from the seed (mixed with the object path
+//! for damage, with the call index for jitter), so a failing run reproduces
+//! exactly.
 
 use crate::layer::{self, Op, Reply};
 use crate::retry::{fnv1a, splitmix64, RetryClock, SystemClock, FNV_OFFSET};
@@ -77,6 +85,13 @@ pub enum Damage {
 pub enum Fault {
     /// Fail the first `times` matching calls on each path.
     Fail { times: u32 },
+    /// Throttle the first `times` matching calls on each path: each fails
+    /// with a `SlowDown` that asks for `retry_after` before the next try.
+    SlowDown { times: u32, retry_after: Duration },
+    /// Keep a path out of `list` until `lag` after a matching call wrote it
+    /// (`write`, `write_segments`, `append`, or as a `rename` / `concat`
+    /// target), on the layer's clock.
+    ListLag(Duration),
     /// Wait `latency + bytes / bytes_per_sec` (`f64::INFINITY` = no rate
     /// cap): before the call for the bytes written, after it for the bytes
     /// a read returned.
@@ -135,8 +150,11 @@ pub struct FaultLayer {
     rules: Vec<FaultRule>,
     clock: Arc<dyn RetryClock>,
     name: Option<String>,
-    /// [`Fault::Fail`] budget used so far, per (rule index, path).
+    /// [`Fault::Fail`] / [`Fault::SlowDown`] budget used so far, per (rule
+    /// index, path).
     failed: Mutex<HashMap<(usize, String), u32>>,
+    /// When each path a [`Fault::ListLag`] rule hid turns list-visible.
+    visible_at: Mutex<HashMap<String, Duration>>,
     /// [`Fault::Script`] position, per rule index.
     cursors: Vec<AtomicUsize>,
     /// Calls seen so far: the jitter stream's index.
@@ -159,6 +177,7 @@ impl FaultLayer {
             clock: Arc::new(SystemClock::default()),
             name: None,
             failed: Mutex::new(HashMap::new()),
+            visible_at: Mutex::new(HashMap::new()),
             calls: AtomicU64::new(0),
             snapshots: Mutex::new(BTreeMap::new()),
             injected: AtomicU64::new(0),
@@ -262,6 +281,18 @@ impl FaultLayer {
     }
 }
 
+/// The path a call leaves written, if it writes one.
+fn written<'a>(op: &Op<'a>) -> Option<&'a str> {
+    match *op {
+        Op::Write { path, .. } | Op::WriteSegments { path, .. } | Op::Append { path, .. } => {
+            Some(path)
+        }
+        Op::Rename { to, .. } => Some(to),
+        Op::Concat { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
 fn transfer_time(latency: Duration, bytes: u64, bytes_per_sec: f64) -> Duration {
     if bytes_per_sec.is_finite() && bytes_per_sec > 0.0 {
         latency + Duration::from_secs_f64(bytes as f64 / bytes_per_sec)
@@ -311,14 +342,20 @@ impl layer::Layer for FaultLayer {
         let call_no = self.calls.fetch_add(1, Ordering::Relaxed);
         for (i, rule) in self.rules_for(op) {
             match &rule.fault {
-                Fault::Fail { times } => {
+                Fault::Fail { times } | Fault::SlowDown { times, .. } => {
                     let mut failed = self.failed.lock();
                     let used = failed.entry((i, path.to_string())).or_insert(0);
                     if *used < *times {
                         *used += 1;
                         self.injected.fetch_add(1, Ordering::Relaxed);
-                        let remaining = *times - *used;
-                        return Err(StorageError::Injected { path: path.to_string(), remaining });
+                        let path = path.to_string();
+                        return Err(match rule.fault {
+                            Fault::SlowDown { retry_after, .. } => StorageError::SlowDown {
+                                path,
+                                retry_after_ms: retry_after.as_millis() as u64,
+                            },
+                            _ => StorageError::Injected { path, remaining: *times - *used },
+                        });
                     }
                 }
                 Fault::Delay { bytes_per_sec, latency } if !op.is_read() => {
@@ -336,6 +373,17 @@ impl layer::Layer for FaultLayer {
             }
         }
         let mut reply = call()?;
+        let lag = self.rules_for(op).find_map(|(_, rule)| match rule.fault {
+            Fault::ListLag(lag) => Some(lag),
+            _ => None,
+        });
+        if let (Some(lag), Some(path)) = (lag, written(op)) {
+            self.visible_at.lock().insert(path.to_string(), self.clock.now() + lag);
+        }
+        if let Some(listed) = reply.listing() {
+            let (visible_at, now) = (self.visible_at.lock(), self.clock.now());
+            listed.retain(|path| visible_at.get(path).is_none_or(|at| *at <= now));
+        }
         if let Some(data) = reply.payload() {
             for (_, rule) in self.rules_for(op) {
                 match rule.fault {
@@ -383,6 +431,46 @@ mod tests {
         // Independent budget per path.
         assert!(matches!(f.write("b", data.clone()), Err(StorageError::Injected { .. })));
         assert_eq!(f.injected(), 3);
+    }
+
+    #[test]
+    fn slow_down_throttles_each_path_with_its_hint() {
+        let hint = Duration::from_millis(250);
+        let rules =
+            vec![FaultRule::new(OpSet::Writes, Fault::SlowDown { times: 2, retry_after: hint })];
+        let f = layer(0, rules);
+        let data = Bytes::from_static(b"x");
+        let err = f.write("a", data.clone()).unwrap_err();
+        assert_eq!(err, StorageError::SlowDown { path: "a".into(), retry_after_ms: 250 });
+        assert_eq!(err.verdict(), crate::Verdict::RetryAfter(hint));
+        assert!(f.write("a", data.clone()).is_err());
+        f.write("a", data.clone()).unwrap();
+        assert!(f.read("a").is_ok(), "reads are not in the rule's op set");
+        assert!(matches!(f.write("b", data), Err(StorageError::SlowDown { .. })));
+        assert_eq!(f.injected(), 3);
+    }
+
+    #[test]
+    fn list_lag_hides_fresh_paths_from_list_only() {
+        let clock = Arc::new(TestClock::new());
+        let lag = Duration::from_secs(5);
+        let rules = vec![FaultRule::new(OpSet::Writes, Fault::ListLag(lag))];
+        let f = layer(0, rules).with_clock(clock.clone());
+        let ok = Bytes::from_static(b"ok");
+        f.write("ck/old", ok.clone()).unwrap();
+        clock.advance(lag);
+        f.write("ck/step/COMPLETE", ok.clone()).unwrap();
+        f.write("tmp", ok).unwrap();
+        f.rename("tmp", "ck/renamed").unwrap();
+        // Read-after-write holds...
+        assert!(f.exists("ck/step/COMPLETE").unwrap());
+        assert_eq!(f.size("ck/renamed").unwrap(), 2);
+        assert_eq!(&f.read("ck/step/COMPLETE").unwrap()[..], b"ok");
+        // ...but inside the lag window only the older path is listed.
+        assert_eq!(f.list("ck/").unwrap(), ["ck/old"]);
+        clock.advance(lag);
+        assert_eq!(f.list("ck/").unwrap(), ["ck/old", "ck/renamed", "ck/step/COMPLETE"]);
+        assert_eq!(f.injected(), 0);
     }
 
     #[test]

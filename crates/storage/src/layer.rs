@@ -121,12 +121,17 @@ impl<'a> Op<'a> {
     }
 }
 
-/// What an operation returns. [`Layer::around`] is generic over it; the one
-/// thing a layer may need from a result without knowing its type is the
-/// bytes a read returned.
+/// What an operation returns. [`Layer::around`] is generic over it; the
+/// two things a layer may need from a result without knowing its type are
+/// the bytes a read returned and the paths a listing returned.
 pub trait Reply {
     /// The bytes read, for `read`/`read_range` results; `None` otherwise.
     fn payload(&mut self) -> Option<&mut Bytes> {
+        None
+    }
+
+    /// The paths listed, for `list` results; `None` otherwise.
+    fn listing(&mut self) -> Option<&mut Vec<String>> {
         None
     }
 }
@@ -134,7 +139,11 @@ pub trait Reply {
 impl Reply for () {}
 impl Reply for u64 {}
 impl Reply for bool {}
-impl Reply for Vec<String> {}
+impl Reply for Vec<String> {
+    fn listing(&mut self) -> Option<&mut Vec<String>> {
+        Some(self)
+    }
+}
 impl Reply for Bytes {
     fn payload(&mut self) -> Option<&mut Bytes> {
         Some(self)

@@ -3,7 +3,7 @@
 //! The paper's Storage I/O layer "encapsulates different storage backends
 //! and manages backend-specific read/write operations and optimizations",
 //! with a unified interface toward the execution engine (Fig. 4). This crate
-//! provides that interface, [`StorageBackend`], and three kinds of
+//! provides that interface, [`StorageBackend`], and two kinds of
 //! implementation.
 //!
 //! **Base backends** hold the bytes and implement the trait directly:
@@ -16,8 +16,11 @@
 //!   NameNode with per-metadata-op latency, QPS throttling and
 //!   (configurable) serial vs. parallel concat, an NNProxy metadata cache,
 //!   sub-file concatenation (§4.3), and SSD→HDD cool-down tiering (§5.1).
-//! * [`object::ObjectStoreBackend`] — a simulated S3-style object store:
-//!   multipart uploads, list lag, seeded throttling and outages.
+//!
+//! There is no object-store client here: `object://` and `s3://` parse to
+//! [`uri::Scheme::Object`], for which a deployment registers its own
+//! backend. The weather such a store brings (throttle storms, outages, list
+//! lag) is a schedule of [`FaultRule`]s over any base.
 //!
 //! **Layers** wrap one backend and contain only what they intercept; the
 //! forwarding of everything else is written once, in [`layer`]:
@@ -28,8 +31,9 @@
 //!   [`governor::BandwidthGovernor`] tagged with a job name (the
 //!   coordinator's cross-job bandwidth scheduling choke point).
 //! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
-//!   bandwidth/latency profiles (NAS), jitter, scripted stragglers and read
-//!   or at-rest corruption, from a declarative schedule.
+//!   throttles, list lag, bandwidth/latency profiles (NAS), jitter,
+//!   scripted stragglers and read or at-rest corruption, from a declarative
+//!   schedule.
 //! * [`journal::JournalBackend`] — mutation journal that materializes
 //!   arbitrary post-crash storage states for the crash-consistency explorer.
 //! * [`hot::TieredReadBackend`] — the per-load read-through overlay of the
@@ -57,7 +61,6 @@ pub mod instrument;
 pub mod journal;
 pub mod layer;
 pub mod memory;
-pub mod object;
 pub mod retry;
 pub mod stack;
 pub mod uri;
@@ -72,7 +75,6 @@ pub use instrument::InstrumentedBackend;
 pub use journal::{JournalBackend, JournalOp};
 pub use layer::{Layer, Op, Reply};
 pub use memory::MemoryBackend;
-pub use object::{ObjectStoreBackend, ObjectStoreConfig, ObjectStoreStats};
 pub use retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
 pub use stack::{assemble, Stack, StackConfig};
 pub use uri::{CheckpointLocation, StorageUri};
@@ -99,8 +101,6 @@ pub enum StorageError {
     /// The backend rejected the request to shed load (S3 `503 SlowDown`):
     /// retry, but not before the server's hint.
     SlowDown { path: String, retry_after_ms: u64 },
-    /// The connection dropped mid-request (transient network failure).
-    ConnectionReset { path: String },
 }
 
 /// Coarse failure classification the retry loop branches on, instead of
@@ -126,9 +126,7 @@ impl StorageError {
             | StorageError::AlreadyExists(_)
             | StorageError::RangeOutOfBounds { .. }
             | StorageError::Unsupported(_) => StorageErrorKind::Terminal,
-            StorageError::Io(_)
-            | StorageError::Injected { .. }
-            | StorageError::ConnectionReset { .. } => StorageErrorKind::Retryable,
+            StorageError::Io(_) | StorageError::Injected { .. } => StorageErrorKind::Retryable,
             StorageError::SlowDown { retry_after_ms, .. } => {
                 StorageErrorKind::Throttled { retry_after_ms: *retry_after_ms }
             }
@@ -167,9 +165,6 @@ impl std::fmt::Display for StorageError {
             StorageError::SlowDown { path, retry_after_ms } => {
                 write!(f, "slow down: {path} throttled, retry after {retry_after_ms}ms")
             }
-            StorageError::ConnectionReset { path } => {
-                write!(f, "connection reset while transferring {path}")
-            }
         }
     }
 }
@@ -205,7 +200,7 @@ pub(crate) fn checked_range(
 /// * `concat` merges `parts` (in order) into `target` and removes the
 ///   parts. Every backend implements it, but only where it is a
 ///   *metadata-level* operation (HDFS, §4.3 upload path) does it come free:
-///   elsewhere it copies the bytes a second time (memory, object store) or
+///   elsewhere it copies the bytes a second time (memory) or
 ///   reads, rewrites and fsyncs them again (disk). A backend says which it
 ///   is through `concat_is_metadata_op`, and the engine uploads a file as
 ///   parts to merge only where that answers `true`.
@@ -234,11 +229,11 @@ pub trait StorageBackend: Send + Sync {
 
     /// Gather-write: create or replace the object at `path` from `segments`
     /// concatenated in order. The engine's save path hands each shard file
-    /// over as one segment (its sealed capture image); the object store's
-    /// multipart upload and disk's vectored write take longer lists. The
-    /// default implementation passes a single segment to
-    /// [`StorageBackend::write`] as is, and concatenates more once; memory
-    /// and disk provide native implementations that avoid even that copy.
+    /// over as one segment (its sealed capture image); disk's vectored write
+    /// takes longer lists. The default implementation passes a single
+    /// segment to [`StorageBackend::write`] as is, and concatenates more
+    /// once; memory and disk provide native implementations that avoid even
+    /// that copy.
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
         if let [one] = segments {
             return self.write(path, one.clone());

@@ -37,9 +37,8 @@ impl Scheme {
     }
 }
 
-/// A parsed checkpoint URI: scheme, authority (cluster/host, may be empty),
-/// slash-separated key, and optional `?k=v&...` configuration parameters
-/// (capacity/latency/throttle knobs for simulated backends).
+/// A parsed checkpoint URI: scheme, authority (cluster/host, may be empty)
+/// and slash-separated key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StorageUri {
     /// Which backend family handles this path.
@@ -49,17 +48,13 @@ pub struct StorageUri {
     pub authority: String,
     /// Object-key prefix for the checkpoint.
     pub key: String,
-    /// Query parameters, in source order. Never part of the object key;
-    /// backend constructors (e.g. `ObjectStoreBackend::from_uri`) interpret
-    /// them.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    params: Vec<(String, String)>,
 }
 
 impl StorageUri {
-    /// Parse `scheme://authority/key[?k=v&...]`. A bare path with no scheme
-    /// defaults to `file://` (the paper's "local disk for debugging"
-    /// convention).
+    /// Parse `scheme://authority/key`. A bare path with no scheme defaults
+    /// to `file://` (the paper's "local disk for debugging" convention). A
+    /// query (`?k=v`) is refused: no backend reads one, and one silently
+    /// ignored would look like configuration that took effect.
     pub fn parse(s: &str) -> Result<StorageUri> {
         let (scheme, rest) = match s.split_once("://") {
             Some((sch, rest)) => {
@@ -77,20 +72,10 @@ impl StorageUri {
             }
             None => (Scheme::File, s),
         };
-        let (rest, query) = match rest.split_once('?') {
-            Some((r, q)) => (r, Some(q)),
-            None => (rest, None),
-        };
-        let mut params = Vec::new();
-        if let Some(q) = query {
-            for pair in q.split('&').filter(|p| !p.is_empty()) {
-                let (k, v) = pair.split_once('=').ok_or_else(|| {
-                    StorageError::Io(format!(
-                        "checkpoint URI {s:?}: query param {pair:?} is not k=v"
-                    ))
-                })?;
-                params.push((k.to_string(), v.to_string()));
-            }
+        if rest.contains('?') {
+            return Err(StorageError::Io(format!(
+                "checkpoint URI {s:?} has a query; no backend reads URI parameters"
+            )));
         }
         let (authority, key) = match scheme {
             // file:///abs/path -> empty authority, key "abs/path"
@@ -103,35 +88,21 @@ impl StorageUri {
         if key.is_empty() {
             return Err(StorageError::Io(format!("checkpoint URI {s:?} has an empty key")));
         }
-        Ok(StorageUri { scheme, authority, key, params })
+        Ok(StorageUri { scheme, authority, key })
     }
 
-    /// Query parameters in source order (empty for most URIs).
-    pub fn params(&self) -> &[(String, String)] {
-        &self.params
-    }
-
-    /// Join a sub-path onto this URI's key, preserving the parameters.
+    /// Join a sub-path onto this URI's key.
     pub fn join(&self, sub: &str) -> StorageUri {
         let mut key = self.key.trim_end_matches('/').to_string();
         key.push('/');
         key.push_str(sub.trim_start_matches('/'));
-        StorageUri {
-            scheme: self.scheme,
-            authority: self.authority.clone(),
-            key,
-            params: self.params.clone(),
-        }
+        StorageUri { scheme: self.scheme, authority: self.authority.clone(), key }
     }
 }
 
 impl std::fmt::Display for StorageUri {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}://{}/{}", self.scheme.as_str(), self.authority, self.key)?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            write!(f, "{}{k}={v}", if i == 0 { '?' } else { '&' })?;
-        }
-        Ok(())
+        write!(f, "{}://{}/{}", self.scheme.as_str(), self.authority, self.key)
     }
 }
 
@@ -247,27 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn query_params_configure_simulated_backends() {
-        let u =
-            StorageUri::parse("object://sim/jobs/llm?qps=100&latency_us=500&capacity=8").unwrap();
-        assert_eq!(u.scheme, Scheme::Object);
-        assert_eq!(u.key, "jobs/llm", "params never leak into the object key");
-        assert_eq!(
-            u.params(),
-            &[
-                ("qps".to_string(), "100".to_string()),
-                ("latency_us".to_string(), "500".to_string()),
-                ("capacity".to_string(), "8".to_string()),
-            ]
-        );
-        assert_eq!(u.to_string(), "object://sim/jobs/llm?qps=100&latency_us=500&capacity=8");
-        // Round-trips through Display, and join preserves the params.
-        assert_eq!(StorageUri::parse(&u.to_string()).unwrap(), u);
-        let j = u.join("step_5/COMPLETE");
-        assert_eq!(j.key, "jobs/llm/step_5/COMPLETE");
-        assert_eq!(j.params(), u.params());
-        // Malformed params are rejected.
-        assert!(StorageUri::parse("object://sim/k?qps").is_err());
+    fn a_query_is_refused_by_name_not_ignored() {
+        for s in ["hdfs://c/job?qps=5", "file:///tmp/x?a=b", "object://sim/k?"] {
+            let err = StorageUri::parse(s).unwrap_err();
+            assert!(matches!(&err, StorageError::Io(m) if m.contains(s)), "{s}: {err}");
+            let err = CheckpointLocation::parse(s).unwrap_err();
+            assert!(err.to_string().contains("query"), "{s}: {err}");
+        }
     }
 
     #[test]

@@ -61,6 +61,13 @@ if [ "$(printf '%s\n' "$shed_sites" | grep -c .)" -ne 1 ] ||
   exit 1
 fi
 
+echo "==> one fault injector (the object-store simulator, its knobs, stats and URI parameters must not come back)"
+if grep -rnE 'ObjectStoreBackend|ObjectStoreConfig|ObjectStoreStats|orphaned_uploads|abort_orphans|set_rate_limit|outage_now|fail_requests|ConnectionReset|from_params|part_size_floor' \
+     crates src tests examples; then
+  echo "object-store weather is FaultRules over any base (Fault::SlowDown, Fault::ListLag, Fault::Fail); a checkpoint URI carries no parameters"
+  exit 1
+fi
+
 echo "==> no read-side distribution layer (the read cache, the peer fan-out, their series, alert, top columns and pricing model must not come back)"
 # The two PARENT_FORMAT_LINE constants are golden lines of formats an older
 # revision wrote; they legitimately hold the deleted names.
@@ -122,11 +129,11 @@ cargo test --test bcpctl_cli -q scrub
 echo "==> chaos-soak smoke (bounded, fixed seed, <60s)"
 cargo test -p bcp-core --test chaos_soak -q smoke_bounded_soak
 
-echo "==> object-store smoke (save -> throttle storm -> outage -> load, the engine's retry loop alone)"
-cargo test -p bcp-core --test objectstore_chaos -q smoke_storm
+echo "==> hostile-weather smoke (save -> throttle storm -> outage -> load, the engine's retry loop alone)"
+cargo test -p bcp-core --test weather_chaos -q smoke_storm
 
-echo "==> object-store chaos gate (storm + outage soak, bounded, fixed seed)"
-cargo test -p bcp-core --test objectstore_chaos -q chaos_gate_storm_and_outage_soak
+echo "==> hostile-weather chaos gate (storm + outage soak, bounded, fixed seed)"
+cargo test -p bcp-core --test weather_chaos -q chaos_gate_storm_and_outage_soak
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -7,9 +7,7 @@
 
 use bytecheckpoint::core::integrity::{with_retries, FailureLog, RetryClock, TestClock};
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::storage::{
-    assemble, Fault, FaultRule, ObjectStoreBackend, ObjectStoreConfig, OpSet, Stack, StackConfig,
-};
+use bytecheckpoint::storage::{assemble, Fault, FaultRule, OpSet, Stack, StackConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,31 +97,32 @@ fn a_dead_primary_costs_at_most_k_backend_attempts_per_logical_write() {
 
 #[test]
 fn a_throttle_storm_costs_at_most_k_requests_per_logical_write() {
-    // One token, minted every 4 s: the write after the first is throttled.
+    // The first write of `b.bin` is throttled with a 4 s hint; `a.bin` is calm.
+    let hint = Duration::from_secs(4);
+    let storm = Fault::SlowDown { times: 1, retry_after: hint };
     let clock = Arc::new(TestClock::new());
-    let store = Arc::new(ObjectStoreBackend::with_clock(
-        ObjectStoreConfig { qps_limit: Some(0.25), capacity: 1.0, ..ObjectStoreConfig::default() },
-        clock.clone(),
-    ));
-    let Rig { stack, log, hub } = full_stack(&clock, store.clone(), None);
+    let rules = vec![FaultRule::new(OpSet::Writes, storm).on("b.bin")];
+    let Rig { stack, log, hub } = full_stack(&clock, Arc::new(MemoryBackend::new()), Some(rules));
+    let fault = stack.fault.as_ref().unwrap();
+    // Requests that reached the stack: one outermost storage span each.
+    let requests = || hub.spans().iter().filter(|s| s.name.ends_with("/write")).count() as u64;
     let (attempts, result) = write_under_the_cap(&stack, &log, "step_1/a.bin");
     result.unwrap();
-    assert_eq!((attempts, store.stats().requests, log.len()), (1, 1, 0), "the calm write");
+    assert_eq!((attempts, requests(), log.len()), (1, 1, 0), "the calm write");
 
     let t0 = clock.now();
     let (attempts, result) = write_under_the_cap(&stack, &log, "step_1/b.bin");
-    result.expect("the loop waits the hint out; the retry lands on the primary");
-    let requests = store.stats().requests - 1;
+    result.expect("the loop waits the hint out; the retry lands on the store");
+    let requests = requests() - 1;
     assert!(attempts <= K && requests == attempts, "{requests} requests, cap {K}");
     // The throttled attempt is logged once, by the engine, with its stage;
-    // its hint is slept on the clock the store computed it on.
-    assert_eq!((store.stats().throttled, log.len()), (1, 1));
+    // its hint is slept on the clock the fault layer runs on.
+    assert_eq!((fault.injected(), log.len()), (1, 1));
     assert_eq!(log.len() as u64, attempts - 1, "every failed attempt, nothing else");
     assert_eq!(named(&hub, "resil/retry").len(), log.len());
     let throttled = named(&hub, "resil/throttled");
     assert_eq!(throttled.len(), 1);
     assert_eq!(throttled[0].attrs["stage"], "save/upload");
-    let hint = Duration::from_millis(throttled[0].attr_num("retry_after_ms") as u64);
-    assert!(hint >= Duration::from_secs(4), "{hint:?}");
+    assert_eq!(throttled[0].attr_num("retry_after_ms") as u64, 4000);
     assert_eq!(clock.now() - t0, hint, "one wait: the server's hint");
 }

@@ -1,6 +1,7 @@
 //! Checkpointing against every storage backend family: real disk files,
 //! the simulated HDFS (with its metadata machinery and tiering), throttled
-//! NAS profiles, and failure-injected backends exercising the retry path.
+//! NAS profiles, failure-injected backends exercising the retry path, and
+//! object-store weather (throttles, 5xx, list lag) as fault rules.
 
 mod common;
 
@@ -8,7 +9,8 @@ use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
 use bytecheckpoint::storage::{
-    fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StorageBackend,
+    assemble, fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StackConfig,
+    StorageBackend, TestClock,
 };
 use common::{assert_states_eq, reference_state, run_ranks, run_ranks_with};
 use std::sync::Arc;
@@ -217,46 +219,71 @@ fn authority_routing_selects_clusters() {
 }
 
 #[test]
-fn object_store_backend_end_to_end_with_multipart_uploads() {
-    use bytecheckpoint::storage::{ObjectStoreBackend, StorageUri};
-
-    // The URI carries the store's whole personality: part-size floor (small
-    // enough that shard uploads go multipart), burst capacity, a background
-    // 5xx rate for the engine's retry loop to absorb, and a fixed seed.
-    let uri = StorageUri::parse(
-        "object://sim/job/obj-ckpt?part_floor=4096&capacity=64&error_rate=0.005&seed=11",
-    )
-    .unwrap();
-    let store = Arc::new(ObjectStoreBackend::from_uri(&uri).unwrap());
-    let backend: DynBackend = store.clone();
-    // A multipart upload is all-or-nothing to the retry loop, and at this
-    // part floor a shard file is many parts, each facing the 5xx rate: with
-    // the default three attempts about one save in seven lost a file.
-    let mut workflow = WorkflowOptions::default();
-    let retries = RetryPolicy::exponential(12, Duration::from_millis(1));
-    (workflow.save.retries, workflow.load.retries) = (retries, retries);
-    let registry = registry_for(Scheme::Object, backend.clone());
-    round_trip("object://sim/job/obj-ckpt", registry, workflow.clone());
-
-    let stats = store.stats();
-    assert!(stats.multipart_inits > 0, "shard uploads must go multipart");
-    assert!(stats.multipart_completes > 0, "committed uploads must complete");
-    // Any upload killed by an injected fault was retried whole; its debris
-    // is invisible to the namespace and reclaimable by the lifecycle sweep.
-    assert_eq!(
-        store.orphaned_uploads().len() as u64,
-        stats.multipart_inits - stats.multipart_completes
+fn hostile_weather_round_trip() {
+    // Object-store weather as fault rules over a plain memory store, all on
+    // one virtual clock: one background 5xx per path, a throttle storm on
+    // every shard and metadata file, and listings that lag the writes.
+    const LAG: Duration = Duration::from_secs(30);
+    let clock = Arc::new(TestClock::new());
+    let weather = vec![
+        FaultRule::new(OpSet::Data, Fault::Fail { times: 1 }),
+        FaultRule::new(
+            OpSet::Writes,
+            Fault::SlowDown { times: 2, retry_after: Duration::from_millis(40) },
+        )
+        .on(".bin"),
+        FaultRule::new(OpSet::Writes, Fault::ListLag(LAG)),
+    ];
+    let stack = assemble(
+        Arc::new(MemoryBackend::new()),
+        StackConfig {
+            fault: Some((11, weather)),
+            clock: Some(clock.clone()),
+            ..Default::default()
+        },
     );
-    store.abort_orphans();
-    assert!(store.orphaned_uploads().is_empty());
-
-    // The checkpoint still loads bitwise after the sweep.
-    let arch = zoo::tiny_gpt();
-    let fw = Framework::Fsdp { zero3: true };
-    let par = Parallelism::data_parallel(2).unwrap();
-    run_ranks_with(par, fw, registry_for(Scheme::Object, backend), workflow, move |rank, ckpt| {
-        let mut state = build_train_state(&arch, fw, par, rank, true);
-        ckpt.load(&mut LoadRequest::new("object://sim/job/obj-ckpt", &mut state)).unwrap();
-        assert_states_eq(&state, &reference_state(&arch, fw, par, rank, 2), rank);
+    let registry = registry_for(Scheme::Object, stack.top.clone());
+    let hub = MetricsHub::new();
+    let arch = &zoo::tiny_gpt();
+    let (fw, par) = (Framework::Fsdp { zero3: true }, Parallelism::data_parallel(2).unwrap());
+    // The ranks' retry loops wait on the weather's clock, so every hint is
+    // slept virtually.
+    let world = CommWorld::new(2, Backend::Flat);
+    let ranks: Vec<_> = (0..2)
+        .map(|rank| {
+            Checkpointer::builder(world.communicator(rank).unwrap())
+                .framework(fw)
+                .parallelism(par)
+                .registry(registry.clone())
+                .retry_policy(RetryPolicy::exponential(8, Duration::from_millis(1)))
+                .clock(clock.clone())
+                .sink(hub.sink())
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let path = "object://sim/job/weather";
+    std::thread::scope(|s| {
+        for (rank, ckpt) in ranks.iter().enumerate() {
+            s.spawn(move || {
+                let state = reference_state(arch, fw, par, rank, 2);
+                ckpt.save(&SaveRequest::new(path, &state, 2)).unwrap().wait().unwrap();
+            });
+        }
     });
+    // Inside the lag window the commit is readable but not yet listed.
+    assert!(stack.top.exists("job/weather/COMPLETE").unwrap());
+    assert!(!stack.top.list("job/weather/").unwrap().iter().any(|f| f.ends_with("COMPLETE")));
+    std::thread::scope(|s| {
+        for (rank, ckpt) in ranks.iter().enumerate() {
+            s.spawn(move || {
+                let mut state = build_train_state(arch, fw, par, rank, true);
+                ckpt.load(&mut LoadRequest::new(path, &mut state)).unwrap();
+                assert_states_eq(&state, &reference_state(arch, fw, par, rank, 2), rank);
+            });
+        }
+    });
+    let throttled = hub.spans().into_iter().filter(|s| s.name == "resil/throttled").count();
+    let injected = stack.fault.as_ref().unwrap().injected();
+    assert!(throttled > 0 && injected > 0, "{throttled} throttles, {injected} injected");
 }
