@@ -4,15 +4,17 @@
 //!
 //! The unit of fetch is the **run** ([`ReadRun`]), not the plan item: a
 //! rank's assigned items are grouped per file and neighbouring byte ranges
-//! are coalesced ([`build_runs`]), so storage operations, retries, spans
-//! and the load artifact scale with the number of runs rather than the
-//! number of tensors. Every piece of every run is submitted to the shared
-//! [`IoPool`] up front; as a run's last piece lands its members are sliced
-//! out (zero-copy), extracted, applied locally and eagerly forwarded to the
-//! peers that deduplicated their reads onto this rank — while the remaining
-//! fetches are still in flight. A receiver thread drains inbound forwards
-//! concurrently, so read I/O and communication overlap instead of
-//! serializing.
+//! are coalesced ([`build_runs`]), so storage operations, retries, spans,
+//! peer messages and the load artifact scale with the number of runs rather
+//! than the number of tensors. Every piece of every run is submitted to the
+//! shared [`IoPool`] up front; as a run's last piece lands its members are
+//! sliced out (zero-copy), extracted and applied locally, and the run's
+//! payloads for the peers that deduplicated their reads onto this rank go
+//! out as one batch per peer — while the remaining fetches are still in
+//! flight. A batch entry is addressed by the index of the read in this
+//! rank's plan, which the receiver's plan names too. A receiver thread
+//! drains inbound batches concurrently, so read I/O and communication
+//! overlap instead of serializing.
 
 use crate::engine::iopool::IoPool;
 use crate::engine::{extract_isect, Assembler};
@@ -26,7 +28,7 @@ use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext, SpanGuard};
 use bcp_storage::DynBackend;
 use bytes::{Bytes, BytesMut};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,27 +67,9 @@ pub struct LoadStats {
     pub local_reads: usize,
 }
 
-/// Key a receiver uses to match a forwarded payload to its own item.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-struct ReadKey {
-    category: crate::plan::Category,
-    fqn: String,
-    isect_offsets: Vec<usize>,
-    isect_lengths: Vec<usize>,
-    file: String,
-}
-
-impl ReadKey {
-    fn of(item: &ReadItem) -> ReadKey {
-        ReadKey {
-            category: item.category,
-            fqn: item.fqn.clone(),
-            isect_offsets: item.isect_offsets.clone(),
-            isect_lengths: item.isect_lengths.clone(),
-            file: item.file.clone(),
-        }
-    }
-}
+/// One run's payloads for one peer: `(index of the read in the sender's
+/// plan, intersection bytes)` per entry.
+type Batch = Vec<(usize, Bytes)>;
 
 /// Two fetch ranges of one file closer together than this are read as one
 /// run, gap included. One small ranged read costs about as much as reading
@@ -303,29 +287,36 @@ fn fetch_runs(
     Ok(())
 }
 
-/// Apply a forwarded payload to every waiting recv item with its key.
-/// Unknown keys are ignored (the final leftover check reports anything that
-/// never arrived).
-fn apply_forwarded(
-    assembler: &mut Assembler,
+/// Apply one batch forwarded by `from` to the items waiting on its entries;
+/// returns the batch's bytes. An entry nothing waits for is a plan mismatch.
+fn apply_forwarded<'a>(
+    assembler: &mut Assembler<'a>,
     state: &TrainState,
-    waiting: &mut HashMap<ReadKey, Vec<(usize, &ReadItem)>>,
-    key: &ReadKey,
-    payload: &Bytes,
-) -> Result<()> {
-    if let Some(items) = waiting.remove(key) {
-        for (_, item) in items {
-            assembler.apply(state, item, payload)?;
+    waiting: &mut HashMap<(usize, usize), Vec<&'a ReadItem>>,
+    from: usize,
+    batch: Batch,
+) -> Result<u64> {
+    let mut bytes = 0;
+    for (idx, payload) in batch {
+        let items = waiting.remove(&(from, idx)).ok_or_else(|| {
+            BcpError::Plan(format!(
+                "read {idx} of rank {from} was forwarded, but nothing awaits it"
+            ))
+        })?;
+        for item in items {
+            assembler.apply(state, item, &payload)?;
         }
+        bytes += payload.len() as u64;
     }
-    Ok(())
+    Ok(bytes)
 }
 
 /// Execute a rank's assigned load plan (the Fig. 10 pipeline): read the
 /// local items run by run with every ranged read in flight on the I/O pool
-/// at once; extract, assemble and eagerly forward each item as its run
-/// completes; drain inbound forwards concurrently on a receiver thread;
-/// apply everything to the local state dicts.
+/// at once; extract and assemble each item as its run completes, and send
+/// the run to its peers as one batch each; drain inbound batches
+/// concurrently on a receiver thread; apply everything to the local state
+/// dicts.
 #[allow(clippy::too_many_arguments)] // the full engine context, passed once per load
 pub fn execute_load(
     assigned: &AssignedLoadPlan,
@@ -344,66 +335,59 @@ pub fn execute_load(
     let rank = assigned.rank;
     let started = Instant::now();
     faults.check("load/read")?;
-    // Opened here so that setting the read window up (key index, receiver
-    // thread) is attributed to it: the load's phase spans leave no gap.
+    // Opened here so that setting the read window up (expectations,
+    // receiver thread) is attributed to it: the load's phase spans leave no
+    // gap.
     let read_span = sink.span_under("load/read", rank, step, parent);
 
-    // Precompute read keys once (and an index for duplicate-destination
-    // matching — previously an O(n²) rescan per recv).
-    let keys: Vec<ReadKey> = assigned.reads.iter().map(ReadKey::of).collect();
-    let mut key_to_idx: HashMap<ReadKey, usize> = HashMap::with_capacity(keys.len());
-    for (idx, key) in keys.iter().enumerate() {
-        key_to_idx.entry(key.clone()).or_insert(idx);
-    }
-
-    // Sort inbound expectations: same-rank duplicates apply straight from
-    // the local read; remote ones wait on the receiver thread. The expected
-    // message count per source is the number of *distinct* (source, key)
-    // pairs — senders deduplicate recipients, so duplicate recv entries for
-    // one key share a single message.
+    // Sort inbound expectations by the source's read index: same-rank
+    // duplicates apply straight from the local read; remote ones wait on the
+    // receiver thread. A source sends each read once to each peer that needs
+    // it, so a source's expected payloads are its distinct (source, index)
+    // pairs.
     let mut local_dups: Vec<Vec<&ReadItem>> = vec![Vec::new(); assigned.reads.len()];
-    let mut remote_waiting: HashMap<ReadKey, Vec<(usize, &ReadItem)>> = HashMap::new();
-    let mut expected_msgs: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut seen_pairs: HashSet<(usize, ReadKey)> = HashSet::new();
-    for (from, item) in &assigned.recvs {
-        let key = ReadKey::of(item);
-        if *from == rank {
-            if let Some(&idx) = key_to_idx.get(&key) {
-                local_dups[idx].push(item);
-            }
-        } else {
-            if seen_pairs.insert((*from, key.clone())) {
-                *expected_msgs.entry(*from).or_default() += 1;
-            }
-            remote_waiting.entry(key).or_default().push((*from, item));
+    let mut waiting: HashMap<(usize, usize), Vec<&ReadItem>> = HashMap::new();
+    for (from, idx, item) in &assigned.recvs {
+        if *from != rank {
+            waiting.entry((*from, *idx)).or_default().push(item);
+            continue;
         }
+        let dups = local_dups.get_mut(*idx).ok_or_else(|| {
+            BcpError::Plan(format!(
+                "{}: receives read {idx} of its own rank, which has none",
+                item.fqn
+            ))
+        })?;
+        dups.push(item);
     }
-    let total_expected: usize = expected_msgs.values().sum();
-    if total_expected > 0 && comm.is_none() {
+    let mut expected: BTreeMap<usize, usize> = BTreeMap::new();
+    for &(from, _) in waiting.keys() {
+        *expected.entry(from).or_default() += 1;
+    }
+    if !waiting.is_empty() && comm.is_none() {
         return Err(BcpError::Plan(
             "plan expects peer forwarding but no communicator was given".into(),
         ));
     }
 
-    // Receiver thread: drains inbound forwards while we fetch. Messages are
-    // matched by key content, so arrival order never matters.
-    type FwdMsg = Result<(usize, ReadKey, Bytes)>;
-    let (fwd_tx, fwd_rx) = crossbeam::channel::unbounded::<FwdMsg>();
+    // Receiver thread: drains inbound batches while we fetch, counting
+    // payloads, not messages, per source. Entries are matched by their
+    // (source, index) address, so arrival order never matters.
+    let (fwd_tx, fwd_rx) = crossbeam::channel::unbounded::<Result<(usize, Batch)>>();
     let mut recv_handle = None;
-    if total_expected > 0 {
-        let c = comm.expect("checked above").clone();
-        let expected = expected_msgs.clone();
+    if let Some(c) = comm.filter(|_| !expected.is_empty()) {
+        let c = c.clone();
         let handle = std::thread::Builder::new()
             .name(format!("bcp-recv-{rank}"))
             .spawn(move || {
-                'sources: for (&src, &count) in expected.iter() {
-                    for _ in 0..count {
-                        let msg = c.recv::<(ReadKey, Bytes)>(src);
+                for (src, count) in expected {
+                    let mut got = 0;
+                    while got < count {
+                        let msg = c.recv::<Batch>(src).map_err(BcpError::from);
                         let failed = msg.is_err();
-                        let relay =
-                            msg.map(|(key, payload)| (src, key, payload)).map_err(BcpError::from);
-                        if fwd_tx.send(relay).is_err() || failed {
-                            break 'sources;
+                        got += msg.as_ref().map_or(0, Vec::len);
+                        if fwd_tx.send(msg.map(|batch| (src, batch))).is_err() || failed {
+                            return;
                         }
                     }
                 }
@@ -417,10 +401,7 @@ pub fn execute_load(
     let mut assembler = Assembler::new();
     let mut fetched_bytes = 0u64;
     let mut forwarded_bytes = 0u64;
-    let mut applied_msgs = 0usize;
-    // Dedupe eager sends by (peer, key) — the exact mirror of the
-    // receiver's distinct-(source, key) expectation.
-    let mut sent_pairs: HashSet<(usize, ReadKey)> = HashSet::new();
+    let mut batches = 0usize;
 
     // ---- Read window: every piece of every run in flight at once. ----
     {
@@ -429,6 +410,7 @@ pub fn execute_load(
         fetch_runs(&runs, &backend, prefix, cfg, io, &log, sink, t.context(), |run, raw| {
             fetched_bytes += run.len;
             t.add_bytes(run.len);
+            let mut outbound: BTreeMap<usize, Batch> = BTreeMap::new();
             for &(idx, offset, len) in &run.members {
                 let item = &assigned.reads[idx];
                 // Clamped, so a short read surfaces as `extract_isect`'s
@@ -440,54 +422,47 @@ pub fn execute_load(
                 for dup in &local_dups[idx] {
                     assembler.apply(state, dup, &isect)?;
                 }
-                // Eager forwards: post as soon as the intersection exists,
-                // while other fetches are still in flight.
-                if let Some(c) = comm {
-                    for &peer in &assigned.send_to[idx] {
-                        if sent_pairs.insert((peer, keys[idx].clone())) {
-                            c.send_async(peer, (keys[idx].clone(), isect.clone()))?;
-                        }
-                    }
+                for &peer in &assigned.send_to[idx] {
+                    outbound.entry(peer).or_default().push((idx, isect.clone()));
                 }
             }
-            // Opportunistically drain forwards that already arrived.
+            // One batch per peer per run, posted while other fetches are
+            // still in flight.
+            if let Some(c) = comm {
+                for (peer, batch) in outbound {
+                    c.send_async(peer, batch)?;
+                }
+            }
+            // Opportunistically drain batches that already arrived.
             while let Ok(msg) = fwd_rx.try_recv() {
-                let (_from, key, payload) = msg?;
-                forwarded_bytes += payload.len() as u64;
-                apply_forwarded(&mut assembler, state, &mut remote_waiting, &key, &payload)?;
-                applied_msgs += 1;
+                let (from, batch) = msg?;
+                forwarded_bytes +=
+                    apply_forwarded(&mut assembler, state, &mut waiting, from, batch)?;
+                batches += 1;
             }
             Ok(())
         })?;
     }
 
-    // ---- Communication tail: whatever forwards are still inbound. ----
+    // ---- Communication tail: whatever batches are still inbound. ----
     if let Some(c) = comm {
         let mut t = sink
             .span_under("load/all2all", rank, step, parent)
             .attr("collective", c.backend_info());
-        while applied_msgs < total_expected {
-            match fwd_rx.recv() {
-                Ok(Ok((_from, key, payload))) => {
-                    forwarded_bytes += payload.len() as u64;
-                    apply_forwarded(&mut assembler, state, &mut remote_waiting, &key, &payload)?;
-                    applied_msgs += 1;
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(BcpError::Corrupt("forward receiver thread died".into())),
-            }
+        while !waiting.is_empty() {
+            let (from, batch) = fwd_rx
+                .recv()
+                .map_err(|_| BcpError::Corrupt("forward receiver thread died".into()))??;
+            forwarded_bytes += apply_forwarded(&mut assembler, state, &mut waiting, from, batch)?;
+            batches += 1;
         }
-        t.add_bytes(forwarded_bytes);
+        // A wait on peers, not storage I/O: attributes, so that no
+        // throughput is derived from these bytes.
+        t.set_attr("forwarded_bytes", forwarded_bytes.to_string());
+        t.set_attr("batches", batches.to_string());
         if let Some(h) = recv_handle.take() {
             let _ = h.join();
         }
-    }
-    if let Some((_, entries)) = remote_waiting.iter().next() {
-        let (from, item) = &entries[0];
-        return Err(BcpError::Missing(format!(
-            "{}: expected forwarded payload from {from}",
-            item.fqn
-        )));
     }
 
     let local_reads = assigned.reads.len();
@@ -655,5 +630,55 @@ mod tests {
         assert_eq!(out.len(), 180);
         assert_eq!(&out[..80], &data[..80]);
         assert_eq!(&out[80..], &data[100..200]);
+    }
+
+    /// Load `assigned` into a state holding `w` (16 f32s) from a memory
+    /// backend whose `model_0.bin` is 64 zero bytes.
+    fn load_w(assigned: &AssignedLoadPlan, comm: Option<&Communicator>) -> Result<LoadStats> {
+        let backend: DynBackend = Arc::new(MemoryBackend::new());
+        backend.write("ckpt/model_0.bin", Bytes::from(vec![0u8; 64])).unwrap();
+        let mut state = TrainState::default();
+        state.model.insert(bcp_model::StateEntry {
+            fqn: "w".into(),
+            global_shape: vec![16],
+            dtype: bcp_tensor::DType::F32,
+            spec: bcp_topology::ShardSpec::Replicated,
+            tensor: bcp_tensor::Tensor::zeros(bcp_tensor::DType::F32, vec![16]),
+        });
+        execute_load(
+            assigned,
+            &mut state,
+            backend,
+            "ckpt",
+            comm,
+            &IoPool::new(1),
+            &MetricsSink::disabled(),
+            Arc::new(FailureLog::new()),
+            &LoadConfig::default(),
+            1,
+            &FaultHook::inert(assigned.rank),
+            SpanContext::none(),
+        )
+    }
+
+    #[test]
+    fn a_receive_no_read_answers_is_a_plan_error_not_a_wait() {
+        let w = flat_item("w", 0, 16);
+        let plan = |rank, reads: Vec<ReadItem>, send_to, recvs| AssignedLoadPlan {
+            rank,
+            reads,
+            send_to,
+            recvs,
+        };
+        // A same-rank duplicate of a read its rank does not have.
+        let err = load_w(&plan(0, vec![], vec![], vec![(0, 3, w.clone())]), None).unwrap_err();
+        assert!(matches!(&err, BcpError::Plan(m) if m.contains("w: receives read 3")), "{err}");
+        // Rank 0 forwards its read 0 while rank 1 waits for a read 1.
+        let world = bcp_collectives::CommWorld::new(2, bcp_collectives::Backend::Flat);
+        let reader = plan(0, vec![w.clone()], vec![vec![1]], vec![]);
+        load_w(&reader, Some(&world.communicator(0).unwrap())).unwrap();
+        let misaddressed = plan(1, vec![], vec![], vec![(0, 1, w)]);
+        let err = load_w(&misaddressed, Some(&world.communicator(1).unwrap())).unwrap_err();
+        assert!(matches!(&err, BcpError::Plan(m) if m.contains("read 0 of rank 0")), "{err}");
     }
 }

@@ -97,9 +97,10 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
 /// peer's forwarded payload) become the tensor's storage without a copy.
 /// Only a tensor built from several pieces gets a buffer of its own, which
 /// the pieces are copied into. The finished tensors are written back into
-/// the state dicts at the end (the real system's H2D copies).
-pub struct Assembler {
-    buffers: HashMap<(Category, String), Slot>,
+/// the state dicts at the end (the real system's H2D copies). Tensors are
+/// keyed by the names the plan's items carry, borrowed for `'a`.
+pub struct Assembler<'a> {
+    buffers: HashMap<(Category, &'a str), Slot>,
 }
 
 /// One restored tensor's storage while its pieces arrive.
@@ -123,15 +124,15 @@ impl Slot {
     }
 }
 
-impl Default for Assembler {
+impl Default for Assembler<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Assembler {
+impl<'a> Assembler<'a> {
     /// Empty assembler.
-    pub fn new() -> Assembler {
+    pub fn new() -> Assembler<'a> {
         Assembler { buffers: HashMap::new() }
     }
 
@@ -143,7 +144,7 @@ impl Assembler {
     /// the same byte length. A later partial piece of an adopted tensor
     /// turns it back into a copied buffer; a later whole piece replaces it
     /// (it covers every byte either way).
-    pub fn apply(&mut self, state: &TrainState, item: &ReadItem, payload: &Bytes) -> Result<()> {
+    pub fn apply(&mut self, state: &TrainState, item: &'a ReadItem, payload: &Bytes) -> Result<()> {
         let dict = match item.category {
             Category::Model => &state.model,
             Category::Optimizer => &state.optimizer,
@@ -152,7 +153,7 @@ impl Assembler {
             .get(&item.fqn)
             .ok_or_else(|| BcpError::Missing(format!("no local entry for {}", item.fqn)))?;
         let nbytes = entry.tensor.nbytes();
-        let key = (item.category, item.fqn.clone());
+        let key = (item.category, item.fqn.as_str());
         let whole = item.dest_local_elem_start == 0
             && item.isect_offsets == item.dest_offsets
             && item.isect_lengths == item.dest_lengths
@@ -230,7 +231,7 @@ impl Assembler {
             };
             let entry = dict
                 .entries
-                .get_mut(&fqn)
+                .get_mut(fqn)
                 .ok_or_else(|| BcpError::Missing(format!("no local entry for {fqn}")))?;
             let bytes = match slot {
                 Slot::Adopted(bytes) => bytes,

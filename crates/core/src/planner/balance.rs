@@ -107,8 +107,8 @@ pub struct AssignedLoadPlan {
     /// parallel to `reads` (empty = nobody else).
     pub send_to: Vec<Vec<usize>>,
     /// Items this rank receives from a peer instead of reading:
-    /// `(source_rank, item-with-local-dest)`.
-    pub recvs: Vec<(usize, ReadItem)>,
+    /// `(source_rank, index into the source's reads, item-with-local-dest)`.
+    pub recvs: Vec<(usize, usize, ReadItem)>,
 }
 
 impl AssignedLoadPlan {
@@ -157,7 +157,7 @@ pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
         // when it asked for the same source into a second dest piece.
         let reader_item =
             members.iter().find(|&&(pi, _)| pi == reader).expect("reader is a requester").1;
-        let reader_rank = plans[reader].rank;
+        let (reader_rank, read_idx) = (plans[reader].rank, out[reader].reads.len());
         let mut recipients = Vec::new();
         for &(pi, item) in members {
             if pi != reader {
@@ -165,7 +165,7 @@ pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
             } else if item.dest_local_elem_start == reader_item.dest_local_elem_start {
                 continue;
             }
-            out[pi].recvs.push((reader_rank, item.clone()));
+            out[pi].recvs.push((reader_rank, read_idx, item.clone()));
         }
         recipients.sort_unstable();
         recipients.dedup();
@@ -336,19 +336,19 @@ mod tests {
             let reader = *candidates.iter().min_by_key(|&&c| (load[c], c)).unwrap();
             load[reader] += fetch_bytes(&members[0].1);
             let reader_item = members.iter().find(|(pi, _)| *pi == reader).unwrap().1.clone();
-            let reader_rank = plans[reader].rank;
+            let (reader_rank, read_idx) = (plans[reader].rank, out[reader].reads.len());
             let mut recipients = Vec::new();
             for (pi, item) in &members {
                 if *pi == reader {
                     continue;
                 }
                 recipients.push(plans[*pi].rank);
-                out[*pi].recvs.push((reader_rank, item.clone()));
+                out[*pi].recvs.push((reader_rank, read_idx, item.clone()));
             }
             for (pi, item) in &members {
                 if *pi == reader && item.dest_local_elem_start != reader_item.dest_local_elem_start
                 {
-                    out[*pi].recvs.push((reader_rank, item.clone()));
+                    out[*pi].recvs.push((reader_rank, read_idx, item.clone()));
                 }
             }
             recipients.sort_unstable();
@@ -378,28 +378,50 @@ mod tests {
         }
     }
 
+    /// Plans over 1-4 ranks drawing `(pool source, dest piece)` picks. Plan
+    /// order is not rank order, so recipient sorting and rank lookups matter.
+    fn pooled_plans(picks: &[Vec<(usize, usize)>]) -> Vec<LoadPlan> {
+        picks
+            .iter()
+            .zip([3usize, 0, 2, 1])
+            .map(|(items, rank)| LoadPlan {
+                rank,
+                items: items.iter().map(|&(k, dest)| pooled_item(k, dest)).collect(),
+            })
+            .collect()
+    }
+
+    fn picks() -> impl proptest::prelude::Strategy<Value = Vec<Vec<(usize, usize)>>> {
+        proptest::collection::vec(proptest::collection::vec((0usize..12, 0usize..3), 0..14), 1..5)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Random plans over 1-4 ranks with duplicate sources across ranks
-        /// and duplicate dest pieces on one rank: same output as the oracle.
+        /// Random plans with duplicate sources across ranks and duplicate
+        /// dest pieces on one rank: same output as the oracle.
         #[test]
-        fn sort_based_elimination_matches_the_map_based_oracle(
-            picks in proptest::collection::vec(
-                proptest::collection::vec((0usize..12, 0usize..3), 0..14),
-                1..5,
-            ),
-        ) {
-            // Plan order is not rank order, so recipient sorting matters.
-            let plans: Vec<LoadPlan> = picks
-                .iter()
-                .zip([3usize, 0, 2, 1])
-                .map(|(items, rank)| LoadPlan {
-                    rank,
-                    items: items.iter().map(|&(k, dest)| pooled_item(k, dest)).collect(),
-                })
-                .collect();
+        fn sort_based_elimination_matches_the_map_based_oracle(picks in picks()) {
+            let plans = pooled_plans(&picks);
             proptest::prop_assert_eq!(eliminate_redundant_reads(&plans), reference_eliminate(&plans));
+        }
+
+        /// A receive addresses its source's read by index: that read has the
+        /// receive's source key, and its `send_to` lists the receiving rank
+        /// unless the receiver is the source itself.
+        #[test]
+        fn every_receive_names_a_read_of_its_source(picks in picks()) {
+            let assigned = eliminate_redundant_reads(&pooled_plans(&picks));
+            for a in &assigned {
+                for (from, idx, item) in &a.recvs {
+                    let source = assigned.iter().find(|s| s.rank == *from).expect("a planned rank");
+                    let read = source.reads.get(*idx).map(ReadItem::source_key);
+                    proptest::prop_assert_eq!(read, Some(item.source_key()));
+                    if *from != a.rank {
+                        proptest::prop_assert!(source.send_to[*idx].contains(&a.rank));
+                    }
+                }
+            }
         }
     }
 

@@ -88,6 +88,12 @@ if grep -rnE 'FileChunksBuilder|ChunkManifest::assemble|CHUNK_MANIFEST_FILE|chun
   exit 1
 fi
 
+echo "==> forwards are addressed by read index (the content key, its index and the per-item send and expectation sets must not come back)"
+if grep -rnE 'ReadKey|sent_pairs|seen_pairs|key_to_idx' crates src tests examples; then
+  echo "a receive names its source's read by index (AssignedLoadPlan::recvs); the engine forwards one batch per peer per run"
+  exit 1
+fi
+
 echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
 second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"

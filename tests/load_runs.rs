@@ -1,9 +1,10 @@
 //! The load engine fetches *runs*, not items: on a many-tensor checkpoint
-//! the storage operations, retries and the persisted load artifact scale
-//! with the number of files (⌈size / chunk_bytes⌉ each), not with the
-//! thousands of plan items — and the fault behaviour of the load path
-//! (transient read failures absorbed under `load/read`, exhausted retries
-//! failing the load and releasing the peers) is what it was per item.
+//! the storage operations, retries, peer forwards and the persisted load
+//! artifact scale with the number of files (⌈size / chunk_bytes⌉ each), not
+//! with the thousands of plan items — and the fault behaviour of the load
+//! path (transient read failures absorbed under `load/read`, exhausted
+//! retries failing the load and releasing the peers) is what it was per
+//! item.
 
 mod common;
 
@@ -38,14 +39,19 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// One `Checkpointer` per rank thread over `backend_for(rank)`.
+/// A flat world whose collectives give up after 60 s.
+fn world() -> Arc<CommWorld> {
+    CommWorld::with_timeout(WORLD, Backend::Flat, Duration::from_secs(60))
+}
+
+/// One `Checkpointer` per rank thread of `world` over `backend_for(rank)`.
 fn on_ranks<T: Send + 'static>(
+    world: &Arc<CommWorld>,
     par: Parallelism,
-    timeout: Duration,
+    telemetry: bool,
     backend_for: impl Fn(usize) -> DynBackend,
     f: impl Fn(usize, Checkpointer) -> T + Send + Sync + 'static,
 ) -> Vec<T> {
-    let world = CommWorld::with_timeout(WORLD, Backend::Flat, timeout);
     let f = Arc::new(f);
     let handles: Vec<_> = (0..WORLD)
         .map(|rank| {
@@ -58,6 +64,7 @@ fn on_ranks<T: Send + 'static>(
                     .framework(MEGATRON)
                     .parallelism(par)
                     .registry(Arc::new(registry))
+                    .telemetry(telemetry)
                     .build()
                     .unwrap();
                 f(rank, ckpt)
@@ -70,8 +77,9 @@ fn on_ranks<T: Send + 'static>(
 fn save_step_1(disk: &DynBackend) {
     let disk = disk.clone();
     on_ranks(
+        &world(),
         saving(),
-        Duration::from_secs(60),
+        true,
         move |_| disk.clone(),
         |rank, ckpt| {
             let state = reference_state(&many_tensor_arch(), MEGATRON, saving(), rank, 1);
@@ -80,13 +88,19 @@ fn save_step_1(disk: &DynBackend) {
     );
 }
 
-/// Load step 1 into `par` on every rank, bitwise-checked; returns each
-/// rank's item count and failure-log stages.
-fn load_step_1(par: Parallelism, backend: &DynBackend) -> Vec<(usize, Vec<String>)> {
+/// Load step 1 into `par` on every rank of `world`, bitwise-checked;
+/// returns each rank's item count and failure-log stages.
+fn load_step_1(
+    world: &Arc<CommWorld>,
+    par: Parallelism,
+    telemetry: bool,
+    backend: &DynBackend,
+) -> Vec<(usize, Vec<String>)> {
     let backend = backend.clone();
     on_ranks(
+        world,
         par,
-        Duration::from_secs(60),
+        telemetry,
         move |_| backend.clone(),
         move |rank, ckpt| {
             let mut state = build_train_state(&many_tensor_arch(), MEGATRON, par, rank, true);
@@ -121,7 +135,7 @@ fn storage_reads_and_the_load_artifact_scale_with_runs_not_items() {
 
     for (name, par) in [("same-parallelism", saving()), ("reshard", resharded())] {
         let counting = Arc::new(OpCountingBackend::new(disk.clone()));
-        let loaded = load_step_1(par, &(counting.clone() as DynBackend));
+        let loaded = load_step_1(&world(), par, true, &(counting.clone() as DynBackend));
         let items: usize = loaded.iter().map(|(n, _)| n).sum();
         assert!(items >= 1000, "{name}: the scenario must carry >= 1000 read items, got {items}");
         // Per rank: one read per chunk of each shard file, plus the whole-file
@@ -134,6 +148,38 @@ fn storage_reads_and_the_load_artifact_scale_with_runs_not_items() {
         );
         let artifact = disk.size("job/step_1/_telemetry_load.jsonl").unwrap();
         assert!(artifact <= 64 * 1024, "{name}: the load artifact is {artifact} bytes");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Forwards of deduplicated reads travel as one batch per peer per run, so
+/// the messages of a load — the change in `CommWorld` ops across it, on a
+/// world with telemetry off — are its fixed collectives plus at most runs ×
+/// peers batches, not one message per forwarded item.
+#[test]
+fn peer_forwards_scale_with_runs_not_items() {
+    let dir = temp_dir("msgs");
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    save_step_1(&disk);
+    let chunks = chunks_in_shard_files(&disk);
+    // The plan gather, the assignment scatter and the load barrier, which
+    // every rank of a flat world counts.
+    let fixed = 3 * WORLD as u64;
+    // Per rank at most `chunks + 2` runs (the storage-read bound above), each
+    // posting at most one batch to each peer.
+    let batches = WORLD as u64 * (chunks + 2) * (WORLD as u64 - 1);
+
+    for (name, par) in [("same-parallelism", saving()), ("reshard", resharded())] {
+        let world = world();
+        let before = world.stats().snapshot().ops;
+        let loaded = load_step_1(&world, par, false, &disk);
+        let msgs = world.stats().snapshot().ops - before;
+        let items: usize = loaded.iter().map(|(n, _)| n).sum();
+        assert!(
+            msgs <= fixed + batches,
+            "{name}: {msgs} messages for {items} read items ({fixed} collectives + at most \
+             {batches} forward batches)"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -153,7 +199,7 @@ fn transient_read_failures_are_absorbed_under_load_read() {
     save_step_1(&disk);
     // The first two reads of every shard file fail.
     let flaky = Arc::new(FaultLayer::new(disk, 0, failing_shard_reads(2)));
-    let loaded = load_step_1(saving(), &(flaky.clone() as DynBackend));
+    let loaded = load_step_1(&world(), saving(), true, &(flaky.clone() as DynBackend));
     assert!(flaky.injected() >= 8, "two failures on each of four shard files");
     let stages: Vec<&String> = loaded.iter().flat_map(|(_, stages)| stages).collect();
     assert_eq!(stages.len() as u64, flaky.injected(), "every injected failure is logged");
@@ -172,8 +218,9 @@ fn exhausted_retries_mid_run_fail_the_load_and_release_the_peer() {
         Arc::new(FaultLayer::new(disk.clone(), 0, failing_shard_reads(u32::MAX)));
     let started = Instant::now();
     let errs = on_ranks(
+        &world(),
         saving(),
-        Duration::from_secs(60),
+        true,
         move |rank| if rank == 1 { broken.clone() } else { disk.clone() },
         |rank, ckpt| {
             let mut state = build_train_state(&many_tensor_arch(), MEGATRON, saving(), rank, true);

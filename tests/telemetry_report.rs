@@ -7,7 +7,8 @@
 //! line of the old two-vocabulary format still decodes, a step folded live
 //! and from its artifact yields the same phase series, and the resilience
 //! series have a production producer — the engine's retry loop, nothing
-//! wired by hand.
+//! wired by hand. A reshard's wait on its peers' forwards is reported as a
+//! wait, never as slow storage I/O.
 
 use bytecheckpoint::monitor::analysis::total_by_rank;
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
@@ -447,4 +448,81 @@ fn the_production_path_feeds_the_resilience_series() {
     assert!(calm.is_empty(), "{calm:?}");
     let noisy: Vec<_> = hub.spans().into_iter().filter(|s| s.name.starts_with("resil/")).collect();
     assert!(noisy.is_empty(), "{noisy:?}");
+}
+
+/// Two ranks of a Megatron job over one on-disk job dir, built for `par`.
+fn on_disk_ranks<T: Send + 'static>(
+    dir: &std::path::Path,
+    par: Parallelism,
+    f: impl Fn(usize, Checkpointer) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let world = CommWorld::new(2, Backend::Flat);
+    let f = Arc::new(f);
+    let handles: Vec<_> = (0..2)
+        .map(|rank| {
+            let (world, dir, f) = (world.clone(), dir.to_path_buf(), f.clone());
+            std::thread::spawn(move || {
+                let mut registry = BackendRegistry::new();
+                registry.register(Scheme::File, Arc::new(DiskBackend::new(&dir).unwrap()));
+                let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
+                    .framework(Framework::Megatron { distributed_optimizer: true })
+                    .parallelism(par)
+                    .registry(Arc::new(registry))
+                    .build()
+                    .unwrap();
+                f(rank, ckpt)
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// Forwarded bytes are not storage I/O: a healthy 2-rank reshard's
+/// `load/all2all` spans carry them, and the batch count, as attributes with
+/// no `io_bytes`, so `bcpctl report --load` derives no bandwidth from a wait
+/// on a peer — even at a threshold every real read misses.
+#[test]
+fn a_reshard_reports_its_peer_wait_as_a_wait_not_as_slow_io() {
+    let _turn = one_job_at_a_time();
+    let dir = std::env::temp_dir().join(format!("bcp-telemetry-reshard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fw = Framework::Megatron { distributed_optimizer: true };
+    let (dp2, tp2) = (Parallelism::new(1, 2, 1).unwrap(), Parallelism::new(2, 1, 1).unwrap());
+    on_disk_ranks(&dir, dp2, move |rank, ckpt| {
+        let state = build_train_state(&zoo::tiny_gpt(), fw, dp2, rank, true);
+        ckpt.save(&SaveRequest::new("file:///job/step_5", &state, 5)).unwrap().wait().unwrap();
+    });
+    on_disk_ranks(&dir, tp2, move |rank, ckpt| {
+        let mut target = build_train_state(&zoo::tiny_gpt(), fw, tp2, rank, true);
+        ckpt.load(&mut LoadRequest::new("file:///job/step_5", &mut target)).unwrap();
+    });
+
+    let job = dir.join("job");
+    let artifact = job.join("step_5").join(TELEMETRY_LOAD_FILE);
+    let doc = StepTelemetry::from_jsonl(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
+    let spans = doc.all_spans();
+    let waits: Vec<_> = spans.iter().filter(|s| s.name == "load/all2all").collect();
+    assert_eq!(waits.len(), 2, "one peer wait per rank: {waits:?}");
+    for wait in &waits {
+        assert_eq!(wait.io_bytes, 0, "{wait:?}");
+        for attr in ["forwarded_bytes", "batches"] {
+            assert!(wait.attrs.contains_key(attr), "{attr} missing: {wait:?}");
+        }
+    }
+    assert!(
+        waits.iter().any(|w| w.attr_num("forwarded_bytes") > 0.0 && w.attr_num("batches") > 0.0),
+        "the reshard forwards deduplicated reads: {waits:?}"
+    );
+    // The wait feeds no I/O series either.
+    let registry = MetricsRegistry::new();
+    spans.iter().for_each(|span| registry.fold(span, &labels([("job", "reshard")])));
+    let io = registry.samples_for("phase_io_bytes_total");
+    assert!(io.iter().all(|s| s.labels.get("phase").map(String::as_str) != Some("load/all2all")));
+
+    let (ok, text) = bcpctl(&["report", &job.to_string_lossy(), "--load", "--min-mbps", "1e9"]);
+    assert!(ok, "{text}");
+    let alerts: Vec<&str> = text.lines().filter(|l| l.starts_with("ALERT slow I/O")).collect();
+    assert!(alerts.iter().any(|l| l.contains("load/fetch")), "the threshold flags reads: {text}");
+    assert!(alerts.iter().all(|l| !l.contains("load/all2all")), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
