@@ -65,6 +65,9 @@ pub struct LoadStats {
     pub forwarded_bytes: u64,
     /// Number of read items executed locally.
     pub local_reads: usize,
+    /// Bytes of the tensors this rank assembled in its arena from pieces
+    /// (copied, not adopted): 0 when every piece is a whole tensor.
+    pub assembled_bytes: u64,
 }
 
 /// One run's payloads for one peer: `(index of the read in the sender's
@@ -291,7 +294,6 @@ fn fetch_runs(
 /// returns the batch's bytes. An entry nothing waits for is a plan mismatch.
 fn apply_forwarded<'a>(
     assembler: &mut Assembler<'a>,
-    state: &TrainState,
     waiting: &mut HashMap<(usize, usize), Vec<&'a ReadItem>>,
     from: usize,
     batch: Batch,
@@ -304,7 +306,7 @@ fn apply_forwarded<'a>(
             ))
         })?;
         for item in items {
-            assembler.apply(state, item, &payload)?;
+            assembler.apply(item, &payload)?;
         }
         bytes += payload.len() as u64;
     }
@@ -335,10 +337,16 @@ pub fn execute_load(
     let rank = assigned.rank;
     let started = Instant::now();
     faults.check("load/read")?;
-    // Opened here so that setting the read window up (expectations,
+    // Opened here so that setting the read window up (arena, expectations,
     // receiver thread) is attributed to it: the load's phase spans leave no
     // gap.
-    let read_span = sink.span_under("load/read", rank, step, parent);
+    let mut read_span = sink.span_under("load/read", rank, step, parent);
+    // Sized from the plan before any byte is fetched: every piece this rank
+    // applies, its reads and its receives.
+    let mut assembler =
+        Assembler::new(state, assigned.reads.iter().chain(assigned.recvs.iter().map(|r| &r.2)))?;
+    let assembled_bytes = assembler.assembled_bytes();
+    read_span.set_attr("assembled_bytes", assembled_bytes.to_string());
 
     // Sort inbound expectations by the source's read index: same-rank
     // duplicates apply straight from the local read; remote ones wait on the
@@ -398,7 +406,6 @@ pub fn execute_load(
         drop(fwd_tx);
     }
 
-    let mut assembler = Assembler::new();
     let mut fetched_bytes = 0u64;
     let mut forwarded_bytes = 0u64;
     let mut batches = 0usize;
@@ -418,9 +425,9 @@ pub fn execute_load(
                 let end = ((offset + len) as usize).min(raw.len());
                 let isect = extract_isect(item, &raw.slice((offset as usize).min(end)..end))?;
                 // Local assembly, item-by-item (the fused "H2D").
-                assembler.apply(state, item, &isect)?;
+                assembler.apply(item, &isect)?;
                 for dup in &local_dups[idx] {
-                    assembler.apply(state, dup, &isect)?;
+                    assembler.apply(dup, &isect)?;
                 }
                 for &peer in &assigned.send_to[idx] {
                     outbound.entry(peer).or_default().push((idx, isect.clone()));
@@ -436,8 +443,7 @@ pub fn execute_load(
             // Opportunistically drain batches that already arrived.
             while let Ok(msg) = fwd_rx.try_recv() {
                 let (from, batch) = msg?;
-                forwarded_bytes +=
-                    apply_forwarded(&mut assembler, state, &mut waiting, from, batch)?;
+                forwarded_bytes += apply_forwarded(&mut assembler, &mut waiting, from, batch)?;
                 batches += 1;
             }
             Ok(())
@@ -453,7 +459,7 @@ pub fn execute_load(
             let (from, batch) = fwd_rx
                 .recv()
                 .map_err(|_| BcpError::Corrupt("forward receiver thread died".into()))??;
-            forwarded_bytes += apply_forwarded(&mut assembler, state, &mut waiting, from, batch)?;
+            forwarded_bytes += apply_forwarded(&mut assembler, &mut waiting, from, batch)?;
             batches += 1;
         }
         // A wait on peers, not storage I/O: attributes, so that no
@@ -470,7 +476,13 @@ pub fn execute_load(
         let _t = sink.span_under("load/finish", rank, step, parent);
         assembler.finish(state)?;
     }
-    Ok(LoadStats { end_to_end: started.elapsed(), fetched_bytes, forwarded_bytes, local_reads })
+    Ok(LoadStats {
+        end_to_end: started.elapsed(),
+        fetched_bytes,
+        forwarded_bytes,
+        local_reads,
+        assembled_bytes,
+    })
 }
 
 #[cfg(test)]

@@ -17,8 +17,10 @@
 //!   communication overlapped run-by-run.
 //!
 //! The helpers here ([`extract_isect`], [`Assembler`]) implement the byte
-//! geometry shared by both pipelines.
+//! geometry shared by both pipelines; `arena` is the one huge-page-backed
+//! buffer per load that resharded tensors are assembled into.
 
+mod arena;
 pub mod iopool;
 pub mod load;
 pub mod pool;
@@ -26,9 +28,11 @@ pub mod save;
 
 use crate::plan::{Category, ReadItem};
 use crate::{BcpError, Result};
+use arena::Arena;
 use bcp_model::TrainState;
 use bcp_tensor::Tensor;
 use bytes::{Bytes, BytesMut};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Carve the intersection box out of a fetched byte range.
@@ -90,79 +94,100 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
     Ok(out.freeze())
 }
 
+/// Byte alignment of every tensor's region in the arena.
+const REGION_ALIGN: usize = 64;
+
 /// Assembles loaded intersection payloads into the rank's local tensors.
 ///
 /// A piece that covers its whole local tensor *is* the restored tensor: its
 /// `Bytes` (a view of the stored object, of the fetched run buffer, or of a
 /// peer's forwarded payload) become the tensor's storage without a copy.
-/// Only a tensor built from several pieces gets a buffer of its own, which
-/// the pieces are copied into. The finished tensors are written back into
-/// the state dicts at the end (the real system's H2D copies). Tensors are
-/// keyed by the names the plan's items carry, borrowed for `'a`.
+/// Every tensor that some piece of the plan covers only in part gets a
+/// 64-byte-aligned region of one `Arena`, sized from the plan before any
+/// byte is fetched, and each of its pieces is copied straight to its final
+/// place there. The finished tensors are written back into the state dicts
+/// at the end (the real system's H2D copies). Tensors are keyed by the names
+/// the plan's items carry, borrowed for `'a`.
 pub struct Assembler<'a> {
-    buffers: HashMap<(Category, &'a str), Slot>,
+    targets: HashMap<(Category, &'a str), Target>,
+    arena: Arena,
+    assembled_bytes: u64,
 }
 
-/// One restored tensor's storage while its pieces arrive.
+/// One restored tensor: its byte size and where its bytes go.
+struct Target {
+    nbytes: usize,
+    slot: Slot,
+}
+
 enum Slot {
-    /// A single piece covered the whole tensor: its bytes, not copied.
-    Adopted(Bytes),
-    /// Pieces copied into place.
-    Assembled(BytesMut),
+    /// Every piece is whole: the last one to arrive, not copied.
+    Adopted(Option<Bytes>),
+    /// Some piece is partial: the offset of the tensor's arena region.
+    Region(usize),
 }
 
-impl Slot {
-    /// The writable buffer, copying an adopted tensor's bytes into one first.
-    fn make_mut(&mut self) -> &mut BytesMut {
-        if let Slot::Adopted(bytes) = self {
-            *self = Slot::Assembled(BytesMut::from(&bytes[..]));
-        }
-        match self {
-            Slot::Assembled(buf) => buf,
-            Slot::Adopted(_) => unreachable!("an adopted slot was copied just above"),
-        }
-    }
-}
-
-impl Default for Assembler<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Whether `item` covers its whole `nbytes`-byte local tensor: the
+/// destination piece starts the local storage, the intersection is the
+/// whole piece, and piece and tensor have the same byte length.
+fn covers_whole(item: &ReadItem, nbytes: usize) -> bool {
+    item.dest_local_elem_start == 0
+        && item.isect_offsets == item.dest_offsets
+        && item.isect_lengths == item.dest_lengths
+        && item.isect_bytes() == nbytes as u64
 }
 
 impl<'a> Assembler<'a> {
-    /// Empty assembler.
-    pub fn new() -> Assembler<'a> {
-        Assembler { buffers: HashMap::new() }
+    /// An assembler for `pieces`, every item this rank will apply (its reads
+    /// and its receives, same-rank duplicates included): records each
+    /// tensor's byte size and gives each tensor some piece covers only in
+    /// part its region of the arena.
+    pub fn new(
+        state: &TrainState,
+        pieces: impl IntoIterator<Item = &'a ReadItem>,
+    ) -> Result<Assembler<'a>> {
+        let mut targets: HashMap<(Category, &'a str), Target> = HashMap::new();
+        let (mut arena_len, mut assembled_bytes) = (0usize, 0u64);
+        for item in pieces {
+            let target = match targets.entry((item.category, item.fqn.as_str())) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let dict = match item.category {
+                        Category::Model => &state.model,
+                        Category::Optimizer => &state.optimizer,
+                    };
+                    let entry = dict.get(&item.fqn).ok_or_else(|| {
+                        BcpError::Missing(format!("no local entry for {}", item.fqn))
+                    })?;
+                    e.insert(Target { nbytes: entry.tensor.nbytes(), slot: Slot::Adopted(None) })
+                }
+            };
+            if matches!(target.slot, Slot::Adopted(_)) && !covers_whole(item, target.nbytes) {
+                target.slot = Slot::Region(arena_len);
+                arena_len += target.nbytes.next_multiple_of(REGION_ALIGN);
+                assembled_bytes += target.nbytes as u64;
+            }
+        }
+        Ok(Assembler { targets, arena: Arena::zeroed(arena_len), assembled_bytes })
     }
 
-    /// Apply one intersection payload to the local tensor it belongs to.
-    ///
-    /// The payload is adopted as the tensor's storage when it is the whole
-    /// tensor: the destination piece starts the local storage, the
-    /// intersection is the whole piece, and piece, tensor and payload have
-    /// the same byte length. A later partial piece of an adopted tensor
-    /// turns it back into a copied buffer; a later whole piece replaces it
-    /// (it covers every byte either way).
-    pub fn apply(&mut self, state: &TrainState, item: &'a ReadItem, payload: &Bytes) -> Result<()> {
-        let dict = match item.category {
-            Category::Model => &state.model,
-            Category::Optimizer => &state.optimizer,
-        };
-        let entry = dict
-            .get(&item.fqn)
-            .ok_or_else(|| BcpError::Missing(format!("no local entry for {}", item.fqn)))?;
-        let nbytes = entry.tensor.nbytes();
-        let key = (item.category, item.fqn.as_str());
-        let whole = item.dest_local_elem_start == 0
-            && item.isect_offsets == item.dest_offsets
-            && item.isect_lengths == item.dest_lengths
-            && item.isect_bytes() == nbytes as u64
-            && payload.len() == nbytes;
-        if whole {
-            self.buffers.insert(key, Slot::Adopted(payload.clone()));
-            return Ok(());
-        }
+    /// Bytes of the tensors this rank assembles in its arena: the restored
+    /// bytes it copies rather than adopts.
+    pub fn assembled_bytes(&self) -> u64 {
+        self.assembled_bytes
+    }
+
+    /// Apply one intersection payload to the local tensor it belongs to: a
+    /// piece of a tensor with an arena region is copied into that region,
+    /// whole or partial; a whole piece of any other tensor is adopted.
+    pub fn apply(&mut self, item: &'a ReadItem, payload: &Bytes) -> Result<()> {
+        let target =
+            self.targets.get_mut(&(item.category, item.fqn.as_str())).ok_or_else(|| {
+                BcpError::Plan(format!(
+                    "{}: a piece of a tensor the assembler has no plan for",
+                    item.fqn
+                ))
+            })?;
         if payload.len() as u64 != item.isect_bytes() {
             return Err(BcpError::Corrupt(format!(
                 "{}: piece of {} bytes for a {}-byte intersection",
@@ -171,11 +196,21 @@ impl<'a> Assembler<'a> {
                 item.isect_bytes()
             )));
         }
-        let buf = self
-            .buffers
-            .entry(key)
-            .or_insert_with(|| Slot::Assembled(BytesMut::zeroed(nbytes)))
-            .make_mut();
+        let nbytes = target.nbytes;
+        let region = match &mut target.slot {
+            Slot::Region(at) => *at,
+            Slot::Adopted(adopted) if covers_whole(item, nbytes) => {
+                *adopted = Some(payload.clone());
+                return Ok(());
+            }
+            Slot::Adopted(_) => {
+                return Err(BcpError::Plan(format!(
+                    "{}: a partial piece of a tensor the plan gave no arena region",
+                    item.fqn
+                )))
+            }
+        };
+        let buf = &mut self.arena[region..region + nbytes];
         let es = item.dtype.size();
         let overrun = |at: usize, len: usize| {
             BcpError::Corrupt(format!(
@@ -221,10 +256,17 @@ impl<'a> Assembler<'a> {
         Ok(())
     }
 
-    /// Write all assembled buffers back into the state dicts, replacing the
-    /// local tensors. Consumes the assembler.
+    /// Write every restored tensor back into the state dicts, replacing the
+    /// local tensors: the arena is frozen once and each assembled tensor is a
+    /// slice of it. Consumes the assembler.
     pub fn finish(self, state: &mut TrainState) -> Result<()> {
-        for ((category, fqn), slot) in self.buffers {
+        let arena = self.arena.freeze();
+        for ((category, fqn), target) in self.targets {
+            let bytes = match target.slot {
+                Slot::Region(at) => arena.slice(at..at + target.nbytes),
+                Slot::Adopted(Some(bytes)) => bytes,
+                Slot::Adopted(None) => continue,
+            };
             let dict = match category {
                 Category::Model => &mut state.model,
                 Category::Optimizer => &mut state.optimizer,
@@ -233,10 +275,6 @@ impl<'a> Assembler<'a> {
                 .entries
                 .get_mut(fqn)
                 .ok_or_else(|| BcpError::Missing(format!("no local entry for {fqn}")))?;
-            let bytes = match slot {
-                Slot::Adopted(bytes) => bytes,
-                Slot::Assembled(buf) => buf.freeze(),
-            };
             entry.tensor = Tensor::from_bytes(entry.dtype, entry.tensor.shape().to_vec(), bytes)?;
         }
         Ok(())
@@ -356,17 +394,19 @@ mod tests {
         Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>())
     }
 
-    /// A one-tensor state whose local tensor "t" is the whole (4,6) shard,
+    /// A state whose local tensors `fqns` are each a whole (4,6) shard,
     /// zero-filled.
-    fn target() -> TrainState {
+    fn targets(fqns: &[&str]) -> TrainState {
         let mut state = TrainState::default();
-        state.model.insert(bcp_model::StateEntry {
-            fqn: "t".into(),
-            global_shape: vec![4, 6],
-            dtype: DType::F32,
-            spec: bcp_topology::ShardSpec::Replicated,
-            tensor: Tensor::zeros(DType::F32, vec![4, 6]),
-        });
+        for fqn in fqns {
+            state.model.insert(bcp_model::StateEntry {
+                fqn: fqn.to_string(),
+                global_shape: vec![4, 6],
+                dtype: DType::F32,
+                spec: bcp_topology::ShardSpec::Replicated,
+                tensor: Tensor::zeros(DType::F32, vec![4, 6]),
+            });
+        }
         state
     }
 
@@ -382,10 +422,10 @@ mod tests {
     }
 
     fn restore(pieces: &[(&ReadItem, Bytes)]) -> Result<Bytes> {
-        let mut state = target();
-        let mut asm = Assembler::new();
+        let mut state = targets(&["t"]);
+        let mut asm = Assembler::new(&state, pieces.iter().map(|(item, _)| *item))?;
         for (item, payload) in pieces {
-            asm.apply(&state, item, payload)?;
+            asm.apply(item, payload)?;
         }
         asm.finish(&mut state)?;
         Ok(state.model.get("t").unwrap().tensor.bytes_cloned().unwrap())
@@ -416,12 +456,50 @@ mod tests {
         let duplicate = restore(&[(&whole, fetched(&whole)), (&whole, fetched(&whole))]);
         assert_eq!(duplicate.unwrap(), stored());
         let view = fetched(&whole);
-        let got = restore(&[(&whole, view.clone()), (&inner, fetched(&inner))]).unwrap();
-        assert_eq!(got, stored());
-        assert_ne!(got.as_ptr(), view.as_ptr(), "the partial piece turned it into a copy");
-        // The other order: the whole piece replaces what was assembled.
-        let got = restore(&[(&inner, fetched(&inner)), (&whole, view.clone())]).unwrap();
-        assert_eq!((got.as_ptr(), got), (view.as_ptr(), stored()));
+        // The plan holds a partial piece, so the tensor has an arena region
+        // and the whole piece is copied into it, in either order.
+        for pieces in [
+            [(&whole, view.clone()), (&inner, fetched(&inner))],
+            [(&inner, fetched(&inner)), (&whole, view.clone())],
+        ] {
+            let got = restore(&pieces).unwrap();
+            assert_eq!(got, stored());
+            assert_ne!(got.as_ptr(), view.as_ptr(), "assembled in the arena, not adopted");
+        }
+    }
+
+    #[test]
+    fn the_arena_holds_the_tensors_covered_in_part_and_no_adopted_one() {
+        let of = |fqn: &str, item: ReadItem| ReadItem { fqn: fqn.into(), ..item };
+        let (whole, top) = (piece(vec![0, 0], vec![4, 6]), piece(vec![0, 0], vec![2, 6]));
+        let pieces = [of("a", whole.clone()), of("b", top.clone()), of("c", whole), of("c", top)];
+        let state = targets(&["a", "b", "c"]);
+        let asm = Assembler::new(&state, &pieces).unwrap();
+        // "b" and "c" are covered in part: 96 bytes each, in 64-byte-aligned
+        // regions; "a" is adopted.
+        assert_eq!(asm.assembled_bytes(), 2 * 96);
+        assert_eq!(asm.arena.len(), 2 * 128);
+        let region = |fqn| match asm.targets[&(Category::Model, fqn)].slot {
+            Slot::Region(at) => Some(at),
+            Slot::Adopted(_) => None,
+        };
+        assert_eq!([region("a"), region("b"), region("c")], [None, Some(0), Some(128)]);
+        // With every piece whole, the arena is empty.
+        let asm = Assembler::new(&state, &pieces[..1]).unwrap();
+        assert_eq!((asm.assembled_bytes(), asm.arena.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_partial_piece_of_a_tensor_without_a_region_is_a_plan_error() {
+        let (whole, inner) = (piece(vec![0, 0], vec![4, 6]), item_2d());
+        let state = targets(&["t"]);
+        let mut asm = Assembler::new(&state, [&whole]).unwrap();
+        let err = asm.apply(&inner, &fetched(&inner)).unwrap_err();
+        assert!(matches!(&err, BcpError::Plan(m) if m.contains("no arena region")), "{err}");
+        // A piece of a tensor the plan never named is one too.
+        let other = ReadItem { fqn: "u".into(), ..whole.clone() };
+        let err = asm.apply(&other, &fetched(&whole)).unwrap_err();
+        assert!(matches!(&err, BcpError::Plan(_)), "{err}");
     }
 
     #[test]

@@ -103,13 +103,24 @@ if [ -n "$second_reclaim" ]; then
   exit 1
 fi
 
-echo "==> two unsafe sites (the zero-copy read stitch and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
+echo "==> one arena (a load assembles resharded tensors into one mapped buffer; per-tensor buffers and copy-on-write slots must not come back)"
+if grep -rnE '(mmap|munmap|madvise)\(' crates src tests examples perf/src --include='*.rs' |
+   grep -v '^crates/core/src/engine/arena.rs:'; then
+  echo "mmap, munmap and madvise are called only in crates/core/src/engine/arena.rs"
+  exit 1
+fi
+if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine; then
+  echo "Assembler copies a piece into its tensor's region of the load's Arena, or adopts a whole one; nothing else"
+  exit 1
+fi
+
+echo "==> three unsafe sites (the zero-copy read stitch, the load arena's mapping and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
 stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
-  ! -path crates/core/src/engine/load.rs -print0 | sort -z |
+  ! -path crates/core/src/engine/load.rs ! -path crates/core/src/engine/arena.rs -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unsafe/{print FILENAME ":" FNR ": " $0}')"
 if [ -n "$stray_unsafe" ]; then
   printf '%s\n' "$stray_unsafe"
-  echo "unsafe lives in crates/tensor/src/checksum.rs and crates/core/src/engine/load.rs only"
+  echo "unsafe lives in crates/tensor/src/checksum.rs, crates/core/src/engine/load.rs and crates/core/src/engine/arena.rs only"
   exit 1
 fi
 if grep -rnE '(std|core)::arch' crates src tests examples --include='*.rs' | grep -v '^crates/tensor/src/checksum.rs:'; then

@@ -88,14 +88,25 @@ fn save_step_1(disk: &DynBackend) {
     );
 }
 
-/// Load step 1 into `par` on every rank of `world`, bitwise-checked;
-/// returns each rank's item count and failure-log stages.
+/// One rank's view of a bitwise-checked load.
+struct Loaded {
+    /// Read items the rank executed.
+    reads: usize,
+    /// Stages of the rank's failure-log records.
+    stages: Vec<String>,
+    /// `LoadStats::assembled_bytes`.
+    assembled_bytes: u64,
+    /// Bytes of the rank's restored model and optimizer state.
+    state_bytes: u64,
+}
+
+/// Load step 1 into `par` on every rank of `world`, bitwise-checked.
 fn load_step_1(
     world: &Arc<CommWorld>,
     par: Parallelism,
     telemetry: bool,
     backend: &DynBackend,
-) -> Vec<(usize, Vec<String>)> {
+) -> Vec<Loaded> {
     let backend = backend.clone();
     on_ranks(
         world,
@@ -110,8 +121,13 @@ fn load_step_1(
                 &reference_state(&many_tensor_arch(), MEGATRON, par, rank, 1),
                 rank,
             );
-            let stages = ckpt.failures().records().into_iter().map(|r| r.stage).collect();
-            (out.report.stats.local_reads, stages)
+            let entries = state.model.entries.values().chain(state.optimizer.entries.values());
+            Loaded {
+                reads: out.report.stats.local_reads,
+                stages: ckpt.failures().records().into_iter().map(|r| r.stage).collect(),
+                assembled_bytes: out.report.stats.assembled_bytes,
+                state_bytes: entries.map(|e| e.tensor.nbytes() as u64).sum(),
+            }
         },
     )
 }
@@ -136,7 +152,7 @@ fn storage_reads_and_the_load_artifact_scale_with_runs_not_items() {
     for (name, par) in [("same-parallelism", saving()), ("reshard", resharded())] {
         let counting = Arc::new(OpCountingBackend::new(disk.clone()));
         let loaded = load_step_1(&world(), par, true, &(counting.clone() as DynBackend));
-        let items: usize = loaded.iter().map(|(n, _)| n).sum();
+        let items: usize = loaded.iter().map(|l| l.reads).sum();
         assert!(items >= 1000, "{name}: the scenario must carry >= 1000 read items, got {items}");
         // Per rank: one read per chunk of each shard file, plus the whole-file
         // reads of the metadata and the extra state.
@@ -174,12 +190,46 @@ fn peer_forwards_scale_with_runs_not_items() {
         let before = world.stats().snapshot().ops;
         let loaded = load_step_1(&world, par, false, &disk);
         let msgs = world.stats().snapshot().ops - before;
-        let items: usize = loaded.iter().map(|(n, _)| n).sum();
+        let items: usize = loaded.iter().map(|l| l.reads).sum();
         assert!(
             msgs <= fixed + batches,
             "{name}: {msgs} messages for {items} read items ({fixed} collectives + at most \
              {batches} forward batches)"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The copy volume of a load: an unresharded load adopts every tensor and
+/// assembles nothing; a reshard assembles some of its state, never more
+/// than all of it. The rank's `load/read` span carries the same number.
+#[test]
+fn a_load_reports_the_bytes_it_assembles() {
+    let dir = temp_dir("assembled");
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    save_step_1(&disk);
+    for (name, par) in [("same-parallelism", saving()), ("reshard", resharded())] {
+        let loaded = load_step_1(&world(), par, true, &disk);
+        for (rank, l) in loaded.iter().enumerate() {
+            if par == saving() {
+                assert_eq!(l.assembled_bytes, 0, "{name}: rank {rank} copied what it could adopt");
+            } else {
+                assert!(
+                    0 < l.assembled_bytes && l.assembled_bytes <= l.state_bytes,
+                    "{name}: rank {rank} assembled {} of {} state bytes",
+                    l.assembled_bytes,
+                    l.state_bytes
+                );
+            }
+        }
+        let artifact = dir.join("job/step_1").join(TELEMETRY_LOAD_FILE);
+        let doc = StepTelemetry::from_jsonl(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+        let reads: Vec<_> = doc.all_spans().into_iter().filter(|s| s.name == "load/read").collect();
+        assert_eq!(reads.len(), WORLD, "{name}: one load/read span per rank");
+        for span in reads {
+            let want = loaded[span.rank].assembled_bytes;
+            assert_eq!(span.attrs.get("assembled_bytes"), Some(&want.to_string()), "{name}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -201,7 +251,7 @@ fn transient_read_failures_are_absorbed_under_load_read() {
     let flaky = Arc::new(FaultLayer::new(disk, 0, failing_shard_reads(2)));
     let loaded = load_step_1(&world(), saving(), true, &(flaky.clone() as DynBackend));
     assert!(flaky.injected() >= 8, "two failures on each of four shard files");
-    let stages: Vec<&String> = loaded.iter().flat_map(|(_, stages)| stages).collect();
+    let stages: Vec<&String> = loaded.iter().flat_map(|l| &l.stages).collect();
     assert_eq!(stages.len() as u64, flaky.injected(), "every injected failure is logged");
     assert!(stages.iter().all(|s| *s == "load/read"), "{stages:?}");
     let _ = std::fs::remove_dir_all(&dir);
