@@ -3,6 +3,10 @@
 //! This is the backend integration tests and examples run against — every
 //! byte the engine claims to persist actually hits the filesystem. Paths are
 //! sanitized so a checkpoint path can never escape the root.
+//!
+//! A read of at least [`MAP_MIN_BYTES`] returns a populated, read-only
+//! mapping of the file (see [`crate::mapping`]) rather than a copy of it,
+//! so a restore's bytes go from page cache to tensor without one.
 
 use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::Bytes;
@@ -18,6 +22,12 @@ const PARTIAL_SUFFIX: &str = ".tmp.partial";
 /// shard file is thousands of ~50-byte frame headers and 4-byte CRC trailers
 /// between its payloads, and a syscall each costs more than the bytes.
 const COALESCE_BYTES: usize = 256 * 1024;
+
+/// A read of at least this many bytes maps the file instead of copying it
+/// (on Linux x86_64 and aarch64; elsewhere, and when the kernel refuses
+/// the map, every read copies). Below it, the `mmap` + `munmap` pair and
+/// the VMA cost more than copying the bytes.
+pub const MAP_MIN_BYTES: u64 = 64 << 10;
 
 /// A backend rooted at a directory on the local filesystem.
 pub struct DiskBackend {
@@ -42,6 +52,19 @@ impl DiskBackend {
             return Err(StorageError::Io(format!("invalid object path {path:?}")));
         }
         Ok(self.root.join(path))
+    }
+
+    /// The object at `path`, open for reading, and its size.
+    fn open(&self, path: &str) -> Result<(fs::File, u64)> {
+        let f = match fs::File::open(self.resolve(path)?) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(StorageError::NotFound(path.to_string()))
+            }
+            Err(e) => return Err(io_err(e)),
+        };
+        let size = f.metadata().map_err(io_err)?.len();
+        Ok((f, size))
     }
 
     fn ensure_parent(&self, p: &Path) -> Result<()> {
@@ -128,39 +151,14 @@ impl StorageBackend for DiskBackend {
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
-        let p = self.resolve(path)?;
-        match fs::read(&p) {
-            Ok(v) => Ok(Bytes::from(v)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(StorageError::NotFound(path.to_string()))
-            }
-            Err(e) => Err(io_err(e)),
-        }
+        let (f, size) = self.open(path)?;
+        read_at(path, f, 0, size)
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let p = self.resolve(path)?;
-        let mut f = match fs::File::open(&p) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StorageError::NotFound(path.to_string()))
-            }
-            Err(e) => return Err(io_err(e)),
-        };
-        let size = f.metadata().map_err(io_err)?.len();
-        let range = checked_range(path, size, offset, len)?;
-        f.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-        // Read into uninitialised capacity: the buffer may become a restored
-        // tensor as it is, so zero-filling it first would be a wasted pass.
-        let mut buf = Vec::with_capacity(range.len());
-        f.take(len).read_to_end(&mut buf).map_err(io_err)?;
-        if buf.len() != range.len() {
-            let got = buf.len();
-            return Err(StorageError::Io(format!(
-                "{path}: short read ({got} of {len} bytes at {offset})"
-            )));
-        }
-        Ok(Bytes::from(buf))
+        let (f, size) = self.open(path)?;
+        checked_range(path, size, offset, len)?;
+        read_at(path, f, offset, len)
     }
 
     fn size(&self, path: &str) -> Result<u64> {
@@ -252,6 +250,30 @@ impl StorageBackend for DiskBackend {
         }
         Ok(())
     }
+}
+
+/// Bytes `[offset, offset + len)` of `f`, a range inside the file: a
+/// mapping of them from [`MAP_MIN_BYTES`] up where the platform and the
+/// kernel allow, else a copy.
+fn read_at(path: &str, mut f: fs::File, offset: u64, len: u64) -> Result<Bytes> {
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    if len >= MAP_MIN_BYTES {
+        if let Some(view) = crate::mapping::FileView::new(&f, offset, len as usize) {
+            return Ok(Bytes::from_owner(view));
+        }
+    }
+    f.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+    // Read into uninitialised capacity: the buffer may become a restored
+    // tensor as it is, so zero-filling it first would be a wasted pass.
+    let mut buf = Vec::with_capacity(len as usize);
+    f.take(len).read_to_end(&mut buf).map_err(io_err)?;
+    if buf.len() as u64 != len {
+        let got = buf.len();
+        return Err(StorageError::Io(format!(
+            "{path}: short read ({got} of {len} bytes at {offset})"
+        )));
+    }
+    Ok(Bytes::from(buf))
 }
 
 fn walk(dir: &Path, f: &mut impl FnMut(&Path)) -> std::io::Result<()> {

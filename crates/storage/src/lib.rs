@@ -41,6 +41,10 @@
 //! * [`counting::OpCountingBackend`] — counts reads and read bytes; the
 //!   instrument the load tests measure with.
 //!
+//! [`mapping`] (Linux x86_64 and aarch64) holds every memory mapping in the
+//! workspace: the read-only file views `DiskBackend`'s large reads return,
+//! and the huge-page ranges the engine's load arena is.
+//!
 //! [`stack::assemble`] is the one place layers are composed, always in the
 //! order instrument → govern → fault → base (see [`stack`] for why).
 //! No layer repeats an attempt: the one retry loop is
@@ -60,6 +64,8 @@ pub mod hot;
 pub mod instrument;
 pub mod journal;
 pub mod layer;
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+pub mod mapping;
 pub mod memory;
 pub mod retry;
 pub mod stack;
@@ -310,6 +316,43 @@ pub(crate) mod conformance {
         gather_writes(b);
         concurrent_part_writes_then_concat(b);
         error_cases(b);
+        reads_are_snapshots(b);
+    }
+
+    /// A read is a snapshot under every mutation the system makes: replace
+    /// by `write` or `write_segments`, `rename` over, `append`, `delete`.
+    /// The ranges cover both sides of disk's mapping threshold, an offset
+    /// off every page boundary, a range ending at EOF and an empty one.
+    fn reads_are_snapshots(b: &dyn StorageBackend) {
+        let map = crate::disk::MAP_MIN_BYTES;
+        let size = 3 * map + 4099;
+        let old: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+        let new = || Bytes::from(vec![0xA5; size as usize]);
+        let ranges = [(0, 0), (10, 100), (4097, 2 * map), (size - map - 1, map + 1), (0, size)];
+        for mutation in ["write", "write_segments", "rename over", "append", "delete"] {
+            b.write("snap/obj", Bytes::from(old.clone())).unwrap();
+            let whole = b.read("snap/obj").unwrap();
+            let reads: Vec<Bytes> = ranges
+                .iter()
+                .map(|&(at, len)| b.read_range("snap/obj", at, len).unwrap())
+                .collect();
+            match mutation {
+                "write" => b.write("snap/obj", new()).unwrap(),
+                "write_segments" => b.write_segments("snap/obj", &[new(), new()]).unwrap(),
+                "rename over" => {
+                    b.write("snap/other", new()).unwrap();
+                    b.rename("snap/other", "snap/obj").unwrap();
+                }
+                "append" => b.append("snap/obj", &[0x5A; 4096]).unwrap(),
+                "delete" => b.delete("snap/obj").unwrap(),
+                _ => unreachable!(),
+            }
+            assert!(whole[..] == old[..], "{mutation}: a whole read changed");
+            for (&(at, len), got) in ranges.iter().zip(&reads) {
+                let want = &old[at as usize..(at + len) as usize];
+                assert!(got[..] == *want, "{mutation}: the read of {len} bytes at {at} changed");
+            }
+        }
     }
 
     /// The split-upload shape (§4.3): a file's parts are written at the same

@@ -103,24 +103,31 @@ if [ -n "$second_reclaim" ]; then
   exit 1
 fi
 
-echo "==> one arena (a load assembles resharded tensors into one mapped buffer; per-tensor buffers and copy-on-write slots must not come back)"
+echo "==> one mapping module (every mmap, munmap and madvise is in crates/storage/src/mapping.rs; a file view is populated when it is mapped)"
 if grep -rnE '(mmap|munmap|madvise)\(' crates src tests examples perf/src --include='*.rs' |
-   grep -v '^crates/core/src/engine/arena.rs:'; then
-  echo "mmap, munmap and madvise are called only in crates/core/src/engine/arena.rs"
+   grep -v '^crates/storage/src/mapping.rs:'; then
+  echo "mmap, munmap and madvise are called only in crates/storage/src/mapping.rs"
   exit 1
 fi
+if ! grep -qE '^const MAP_POPULATE: c_int = 0x8000;$' crates/storage/src/mapping.rs ||
+   ! grep -qE '^ +let flags = MAP_PRIVATE \| MAP_POPULATE;$' crates/storage/src/mapping.rs; then
+  echo "FileView maps with MAP_PRIVATE | MAP_POPULATE (0x8000): the page-table work stays inside the read that maps, not the first touch after it"
+  exit 1
+fi
+
+echo "==> one arena (a load assembles resharded tensors into one mapped buffer; per-tensor buffers and copy-on-write slots must not come back)"
 if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine; then
   echo "Assembler copies a piece into its tensor's region of the load's Arena, or adopts a whole one; nothing else"
   exit 1
 fi
 
-echo "==> three unsafe sites (the zero-copy read stitch, the load arena's mapping and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
+echo "==> three unsafe sites (the zero-copy read stitch, the mapping module and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
 stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
-  ! -path crates/core/src/engine/load.rs ! -path crates/core/src/engine/arena.rs -print0 | sort -z |
+  ! -path crates/core/src/engine/load.rs ! -path crates/storage/src/mapping.rs -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unsafe/{print FILENAME ":" FNR ": " $0}')"
 if [ -n "$stray_unsafe" ]; then
   printf '%s\n' "$stray_unsafe"
-  echo "unsafe lives in crates/tensor/src/checksum.rs, crates/core/src/engine/load.rs and crates/core/src/engine/arena.rs only"
+  echo "unsafe lives in crates/tensor/src/checksum.rs, crates/core/src/engine/load.rs and crates/storage/src/mapping.rs only"
   exit 1
 fi
 if grep -rnE '(std|core)::arch' crates src tests examples --include='*.rs' | grep -v '^crates/tensor/src/checksum.rs:'; then

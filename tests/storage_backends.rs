@@ -7,11 +7,13 @@ mod common;
 
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
+use bytecheckpoint::storage::disk::MAP_MIN_BYTES;
 use bytecheckpoint::storage::hdfs::{HdfsConfig, Tier};
 use bytecheckpoint::storage::{
     assemble, fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StackConfig,
     StorageBackend, TestClock,
 };
+use bytes::Bytes;
 use common::{assert_states_eq, reference_state, run_ranks, run_ranks_with};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +56,46 @@ fn disk_backend_end_to_end_with_real_files() {
     let meta_bytes = std::fs::read(dir.join("job/disk-ckpt").join(METADATA_FILE)).unwrap();
     let meta = GlobalMetadata::from_bytes(&meta_bytes).unwrap();
     meta.validate().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A disk read is a snapshot of the object, mapped or copied: replacing
+/// it (`write`, `write_segments`, `rename` over), appending to it or
+/// deleting it leaves every earlier read holding the old bytes. The ranges
+/// straddle the mapping threshold, start off every page boundary, end at
+/// EOF and include an empty one.
+#[test]
+fn disk_reads_are_snapshots_under_every_mutation() {
+    let dir = std::env::temp_dir().join(format!("bcp-it-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk = DiskBackend::new(&dir).unwrap();
+    let map = MAP_MIN_BYTES;
+    let size = 3 * map + 4099;
+    let old: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+    let new = || Bytes::from(vec![0xA5; size as usize]);
+    let ranges = [(0, 0), (10, 100), (4097, 2 * map), (size - map - 1, map + 1), (0, size)];
+    for mutation in ["write", "write_segments", "rename over", "append", "delete"] {
+        disk.write("snap/obj", Bytes::from(old.clone())).unwrap();
+        let whole = disk.read("snap/obj").unwrap();
+        let reads: Vec<Bytes> =
+            ranges.iter().map(|&(at, len)| disk.read_range("snap/obj", at, len).unwrap()).collect();
+        match mutation {
+            "write" => disk.write("snap/obj", new()).unwrap(),
+            "write_segments" => disk.write_segments("snap/obj", &[new(), new()]).unwrap(),
+            "rename over" => {
+                disk.write("snap/other", new()).unwrap();
+                disk.rename("snap/other", "snap/obj").unwrap();
+            }
+            "append" => disk.append("snap/obj", &[0x5A; 4096]).unwrap(),
+            "delete" => disk.delete("snap/obj").unwrap(),
+            _ => unreachable!(),
+        }
+        assert!(whole[..] == old[..], "{mutation}: a whole read changed");
+        for (&(at, len), got) in ranges.iter().zip(&reads) {
+            let want = &old[at as usize..(at + len) as usize];
+            assert!(got[..] == *want, "{mutation}: the read of {len} bytes at {at} changed");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,11 @@
 //! A restore adopts the bytes it reads: on a backend whose ranged reads are
 //! views of the stored object, an unresharded load hands back tensors whose
 //! storage *is* the stored shard bytes — no second, zero-filled copy of the
-//! state. A resharded load, which assembles tensors from several pieces,
-//! stays bitwise equal to the reference, and every tensor it assembles lives
-//! in one 2 MiB-aligned arena per rank, sized from the plan.
+//! state. On disk those views are read-only mappings of the shard files, so
+//! the bytes go from page cache to tensor without a copy. A resharded load,
+//! which assembles tensors from several pieces, stays bitwise equal to the
+//! reference, and every tensor it assembles lives in one 2 MiB-aligned arena
+//! per rank, sized from the plan.
 
 mod common;
 
@@ -63,6 +65,19 @@ fn extents(state: &TrainState) -> Vec<(String, usize, usize)> {
         .collect()
 }
 
+/// A GPT wide enough that TP2 -> TP1.DP2 assembles ≥ 2 MiB per rank (every
+/// weight matrix is rebuilt from two TP halves) and that every TP2 shard
+/// file is one run of at least `MAP_MIN_BYTES`.
+fn wide_gpt() -> TransformerConfig {
+    TransformerConfig {
+        name: "wide-GPT".into(),
+        hidden: 128,
+        layers: 2,
+        vocab: 256,
+        ..zoo::tiny_gpt()
+    }
+}
+
 /// Whether `[start, start + len)` lies inside one stored object.
 fn inside_stored(stored: &[Bytes], start: usize, len: usize) -> bool {
     stored.iter().any(|obj| {
@@ -88,14 +103,7 @@ fn an_unresharded_load_adopts_the_stored_bytes_and_a_reshard_is_bitwise() {
 
 #[test]
 fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
-    // TP2 -> TP1.DP2: every weight matrix is rebuilt from two TP halves.
-    let arch = TransformerConfig {
-        name: "wide-GPT".into(),
-        hidden: 128,
-        layers: 2,
-        vocab: 256,
-        ..zoo::tiny_gpt()
-    };
+    let arch = wide_gpt();
     let (registry, stored) = saved_tp2(&arch);
     for (rank, state) in
         load(&arch, Parallelism::new(1, 2, 1).unwrap(), &registry).iter().enumerate()
@@ -128,4 +136,79 @@ fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
             "rank {rank}: assembled tensors span {span} bytes, more than one arena of {budget}"
         );
     }
+}
+
+/// `(start, end, file)` of every read-only private file mapping
+/// `/proc/self/maps` lists.
+#[cfg(target_os = "linux")]
+fn read_only_file_mappings() -> Vec<(usize, usize, std::path::PathBuf)> {
+    let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+    maps.lines()
+        .filter_map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let (range, perms, file) = (fields[0], fields[1], fields.get(5)?);
+            let (start, end) = range.split_once('-')?;
+            let hex = |s| usize::from_str_radix(s, 16).unwrap();
+            (perms == "r--p").then(|| (hex(start), hex(end), file.into()))
+        })
+        .collect()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
+    use bytecheckpoint::storage::disk::MAP_MIN_BYTES;
+    let arch = wide_gpt();
+    let par = Parallelism::new(2, 1, 1).unwrap();
+    let dir = std::env::temp_dir().join(format!("bcp-zero-copy-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let registry = {
+        let mut reg = BackendRegistry::new();
+        reg.register(Scheme::File, disk.clone());
+        Arc::new(reg)
+    };
+    let saving = arch.clone();
+    run_ranks(par, MEGATRON, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&saving, MEGATRON, par, rank, 1);
+        ckpt.save(&SaveRequest::new("file:///job/step_1", &state, 1)).unwrap().wait().unwrap();
+    });
+    let shard_files: Vec<std::path::PathBuf> = disk
+        .list("job/step_1/")
+        .unwrap()
+        .iter()
+        .filter(|key| key.contains("/model_") || key.contains("/optim_"))
+        .map(|key| dir.join(key).canonicalize().unwrap())
+        .collect();
+    assert_eq!(shard_files.len(), 4, "{shard_files:?}");
+    let chunk = WorkflowOptions::default().load.chunk_bytes;
+    for file in &shard_files {
+        let size = std::fs::metadata(file).unwrap().len();
+        assert!(
+            (MAP_MIN_BYTES..=chunk).contains(&size),
+            "{file:?}: {size} bytes, not one mapped run"
+        );
+    }
+
+    let loading = arch.clone();
+    let states = run_ranks(par, MEGATRON, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&loading, MEGATRON, par, rank, true);
+        ckpt.load(&mut LoadRequest::new("file:///job/step_1", &mut state)).unwrap();
+        assert_states_eq(&state, &reference_state(&loading, MEGATRON, par, rank, 1), rank);
+        state
+    });
+    let mapped: Vec<_> = read_only_file_mappings()
+        .into_iter()
+        .filter(|(_, _, file)| shard_files.contains(file))
+        .collect();
+    for (rank, state) in states.iter().enumerate() {
+        for (fqn, start, len) in extents(state) {
+            assert!(
+                mapped.iter().any(|&(lo, hi, _)| lo <= start && start + len <= hi),
+                "rank {rank} {fqn}: restored into anonymous memory, not a mapping of a shard file"
+            );
+        }
+    }
+    drop(states);
+    let _ = std::fs::remove_dir_all(&dir);
 }
