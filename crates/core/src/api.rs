@@ -89,8 +89,8 @@ impl<'a> SaveRequest<'a> {
 ///
 /// Replaces the old positional `(dp_size, workers_per_rank, my_dp_rank)`
 /// tuple — the three fields are all `usize`, so the tuple invited silent
-/// transpositions. Serializable so a [`crate::spec::JobSpec`] can carry it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+/// transpositions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoaderTarget {
     /// Data-parallel world size of the *resuming* job.
     pub dp_size: usize,

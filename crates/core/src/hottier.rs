@@ -30,15 +30,14 @@ use std::sync::Arc;
 /// Hot-tier configuration (must be identical on every rank of a job: the
 /// replication exchange is a symmetric collective protocol).
 ///
-/// Serializable so a [`crate::spec::JobSpec`] can carry it over the
-/// control-plane wire. Build one with the chainable constructors:
+/// Build one with the chainable constructors:
 ///
 /// ```
 /// # use bcp_core::HotTierConfig;
 /// let cfg = HotTierConfig::enabled().replicas(2).capacity_steps(3).gpus_per_host(8);
 /// assert!(cfg.enabled);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotTierConfig {
     /// Replicate committed shard frames into the in-process hot tier and
     /// recover through it. Defaults to **off** (opt-in).

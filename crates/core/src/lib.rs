@@ -47,7 +47,6 @@ pub mod plan;
 pub mod planner;
 pub mod registry;
 pub mod scrub;
-pub mod spec;
 pub mod telemetry;
 pub mod workflow;
 
@@ -62,7 +61,6 @@ pub use metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEn
 pub use plan::{Category, ReadItem, SavePlan, WriteItem};
 pub use registry::BackendRegistry;
 pub use scrub::{scrub_step, scrub_tree, IssueKind, ScrubIssue, ScrubReport};
-pub use spec::{JobQuota, JobSpec, Session};
 
 /// Errors surfaced by the checkpointing system.
 #[derive(Debug)]

@@ -51,6 +51,11 @@ impl CheckpointManager {
         format!("{}/step_{step}", self.root)
     }
 
+    /// The step a `step_<N>` directory name names, if it is one.
+    pub fn step_of(dir_name: &str) -> Option<u64> {
+        dir_name.strip_prefix("step_")?.parse().ok()
+    }
+
     /// Discover all checkpoints under the root, ascending by step.
     /// Uncommitted (torn / in-progress) checkpoints are included with
     /// `committed = false` so callers can garbage-collect them.
@@ -59,9 +64,8 @@ impl CheckpointManager {
         let mut steps: Vec<u64> = keys
             .iter()
             .filter_map(|k| {
-                let rest = k.strip_prefix(&format!("{}/step_", self.root))?;
-                let (step_str, _) = rest.split_once('/')?;
-                step_str.parse::<u64>().ok()
+                let rest = k.strip_prefix(&format!("{}/", self.root))?;
+                Self::step_of(rest.split_once('/')?.0)
             })
             .collect();
         steps.sort_unstable();

@@ -15,8 +15,7 @@
 //! * [`MetricsSink`] — a cheap, cloneable handle training/engine threads
 //!   start spans from. Spans flow over a background channel (the paper's
 //!   message queue) to the [`MetricsHub`].
-//! * [`MetricsHub`] — collects spans until they are taken (per step, per
-//!   pushed frame). Has a bounded-capacity mode ([`MetricsHub::bounded`])
+//! * [`MetricsHub`] — collects spans until they are taken (per step). Has a bounded-capacity mode ([`MetricsHub::bounded`])
 //!   with a dropped-spans counter for runs that never drain.
 //! * [`telemetry`] — the persisted per-step artifact (`_telemetry.jsonl`):
 //!   span tree + failure log + drop count per rank, written next to each
@@ -27,12 +26,6 @@
 //! * [`registry`] — the *live* half: a labeled time-series registry
 //!   (counters, gauges, bounded-window histograms) that spans fold into
 //!   incrementally, rendered as Prometheus exposition text.
-//! * [`rules`] — declarative SLO rules over registry series
-//!   (`p99:save_stall_ms > 120000`), evaluated on ingest, firing typed
-//!   [`AlertEvent`]s.
-//! * [`push`] — batched telemetry push: a bounded, drop-not-block
-//!   [`TelemetryPump`] turning a rank's span stream into
-//!   [`TelemetryFrame`]s for a [`FrameSink`] (the coordinator).
 //! * [`report`] — the `bcpctl report` document, text and `--json`.
 //! * [`export`] — Chrome trace-event JSON (Perfetto-loadable) and CSV.
 //! * [`heatmap`] — the Fig. 11 visualization: a rank-topology heat map of
@@ -45,10 +38,8 @@ pub mod breakdown;
 pub mod export;
 pub mod heatmap;
 pub mod metrics;
-pub mod push;
 pub mod registry;
 pub mod report;
-pub mod rules;
 pub mod span;
 pub mod stats;
 pub mod telemetry;
@@ -56,12 +47,8 @@ pub mod telemetry;
 pub use breakdown::render_breakdown;
 pub use heatmap::{render_heatmap, HeatmapSpec};
 pub use metrics::{MetricsHub, MetricsSink};
-pub use push::{
-    CollectingFrameSink, DynFrameSink, FrameSink, PumpConfig, TelemetryFrame, TelemetryPump,
-};
 pub use registry::{labels, Labels, MetricsRegistry, SeriesSample, SeriesValue};
 pub use report::JsonReport;
-pub use rules::{AlertEngine, AlertEvent, AlertRule};
 pub use span::{enter_context, EnterGuard, SpanContext, SpanEvent, SpanGuard, SpanRecord};
 pub use stats::{LatencyAccumulator, LatencySnapshot};
 pub use telemetry::{

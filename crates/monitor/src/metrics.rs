@@ -131,8 +131,8 @@ impl MetricsHub {
     }
 
     /// Return the drop count and reset it to zero: each drop is reported by
-    /// exactly one caller, so a per-step artifact or a pushed frame carries
-    /// the drops of its own interval, not the run's running total.
+    /// exactly one caller, so a per-step artifact carries the drops of its
+    /// own interval, not the run's running total.
     pub fn take_dropped(&self) -> u64 {
         self.dropped.swap(0, Ordering::Relaxed)
     }
@@ -144,14 +144,6 @@ impl MetricsHub {
             store.push(span);
         }
         store
-    }
-
-    /// Drain the channel, then move everything collected out of the hub,
-    /// leaving it empty. The batching primitive behind
-    /// [`crate::push::TelemetryPump`]: each call yields exactly the spans
-    /// that arrived since the previous one.
-    pub fn take(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.drain())
     }
 
     /// Drain the channel, then move out of the hub the spans whose *root*
@@ -275,19 +267,6 @@ mod tests {
         assert_eq!(hub.take_dropped(), 3);
         assert_eq!(hub.take_dropped(), 0);
         assert_eq!(hub.dropped_records(), 0);
-    }
-
-    #[test]
-    fn take_moves_spans_out_exactly_once() {
-        let hub = MetricsHub::new();
-        let sink = hub.sink();
-        drop(sink.span("p", 0, 1));
-        drop(sink.span("save", 0, 1).uncounted());
-        assert_eq!(hub.take().len(), 2);
-        assert!(hub.take().is_empty());
-        // New spans after a take are picked up by the next take.
-        drop(sink.span("q", 0, 2));
-        assert_eq!(hub.take().len(), 1);
     }
 
     #[test]

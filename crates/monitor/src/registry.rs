@@ -2,11 +2,9 @@
 //! histograms that [`SpanRecord`]s fold into *incrementally*, instead of
 //! only at artifact-drain time.
 //!
-//! The registry is the in-memory model behind the coordinator's live
-//! telemetry plane: every span of every pushed frame and every commit
-//! report updates a labeled series here, and the whole thing renders as
-//! Prometheus exposition text (`GET /metrics`) or is queried by the
-//! [`crate::rules::AlertEngine`].
+//! `bcpctl metrics` and `bcpctl top` fold a committed step's persisted
+//! spans into one registry and render it as Prometheus exposition text or
+//! a per-phase table; a [`crate::MetricsSink::folding`] sink keeps one live.
 //!
 //! Series are keyed by `(name, labels)` where labels is a sorted map — the
 //! conventional keys are `{job, rank, op, backend, tier, phase, source}`.
@@ -15,7 +13,6 @@
 
 use crate::span::SpanRecord;
 use crate::stats::{LatencyAccumulator, LatencySnapshot};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -30,7 +27,7 @@ pub fn labels<K: Into<String>, V: Into<String>>(pairs: impl IntoIterator<Item = 
 }
 
 /// One series' current value, snapshot form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SeriesValue {
     /// Monotonically increasing sum.
     Counter(f64),
@@ -51,7 +48,7 @@ impl SeriesValue {
 }
 
 /// A `(name, labels, value)` triple — the query/snapshot unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSample {
     /// Metric name, e.g. `"commit_total"`.
     pub name: String,
@@ -152,23 +149,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of series currently registered.
-    pub fn len(&self) -> usize {
-        self.series.lock().unwrap().len()
-    }
-
-    /// Whether no series exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.series.lock().unwrap().is_empty()
-    }
-
-    /// Snapshot every series.
-    pub fn samples(&self) -> Vec<SeriesSample> {
-        let s = self.series.lock().unwrap();
-        s.iter().map(|((name, labels), v)| sample(name, labels, v)).collect()
-    }
-
-    /// Snapshot every series of one metric name (the alert engine's query).
+    /// Snapshot every series of one metric name.
     pub fn samples_for(&self, name: &str) -> Vec<SeriesSample> {
         let s = self.series.lock().unwrap();
         s.iter()
@@ -177,21 +158,15 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Sum of the scalar values of every series of `name` (counters/gauges).
-    pub fn sum(&self, name: &str) -> f64 {
-        self.samples_for(name).iter().filter_map(|s| s.value.scalar()).sum()
-    }
-
     // -- Span folding -----------------------------------------------------
 
     /// Fold one span into the registry under `base` labels (typically
     /// `{job}`; the span's own rank/phase/backend labels are derived here) —
     /// the one mapping from spans to series, whether the span arrives
-    /// through a folding sink, a pushed frame or a persisted artifact.
+    /// through a folding sink or a persisted artifact.
     ///
     /// * `storage/<backend>/<op>` lands in the `storage_op_*` series keyed
-    ///   `{backend, op, rank}`; `storage/governed/wait` also feeds the
-    ///   per-job `governor_wait_seconds` counter.
+    ///   `{backend, op, rank}`.
     /// * `resil/…` point spans feed per-job series. The engine's retry loop
     ///   (`bcp-core`'s `integrity::with_retries`, on every stack) emits
     ///   `retry` → `storage_retries_total` and `throttled` →
@@ -219,11 +194,6 @@ impl MetricsRegistry {
             self.add("storage_op_seconds_total", l.clone(), secs);
             if span.io_bytes > 0 {
                 self.add("storage_io_bytes_total", l, span.io_bytes as f64);
-            }
-            if backend == "governed" && op == "wait" {
-                // Scheduler-induced latency, distinguishable from backend
-                // latency: per-job only (summed over ranks).
-                self.add("governor_wait_seconds", base.clone(), secs);
             }
             return;
         }
@@ -398,7 +368,6 @@ mod tests {
         reg.add("commit_total", labels([("job", "b")]), 7.0);
         assert_eq!(reg.value("commit_total", &l), Some(3.0));
         assert_eq!(reg.samples_for("commit_total").len(), 2);
-        assert_eq!(reg.sum("commit_total"), 10.0);
     }
 
     #[test]
@@ -434,7 +403,6 @@ mod tests {
         assert_eq!(reg.value("storage_io_bytes_total", &sl), Some((1 << 20) as f64));
         let pl = labels([("job", "j"), ("phase", "save/upload"), ("op", "save"), ("rank", "1")]);
         assert_eq!(reg.histogram("phase_ms", &pl).unwrap().count, 1);
-        assert!(reg.value("governor_wait_seconds", &base).is_none());
     }
 
     #[test]
@@ -456,17 +424,6 @@ mod tests {
         assert!(reg.samples_for("phase_seconds_total").is_empty());
         reg.fold(&point("resil/unknown"), &base);
         assert_eq!(reg.samples_for("phase_seconds_total").len(), 1);
-    }
-
-    #[test]
-    fn governed_wait_feeds_per_job_counter() {
-        let reg = MetricsRegistry::new();
-        let base = labels([("job", "j")]);
-        for _ in 0..2 {
-            reg.fold(&span("storage/governed/wait", 0, 250, 0), &base);
-        }
-        let v = reg.value("governor_wait_seconds", &base).unwrap();
-        assert!((v - 0.5).abs() < 1e-6, "got {v}");
     }
 
     #[test]
@@ -505,16 +462,5 @@ mod tests {
             let (_, value) = line.rsplit_once(' ').expect("line has a value");
             assert!(value.parse::<f64>().is_ok(), "bad exposition line: {line}");
         }
-    }
-
-    #[test]
-    fn series_sample_serde_round_trip() {
-        let reg = MetricsRegistry::new();
-        reg.add("c", labels([("job", "x")]), 2.0);
-        reg.observe_ms("h", labels([("job", "x")]), 5.0);
-        let samples = reg.samples();
-        let json = serde_json::to_string(&samples).unwrap();
-        let back: Vec<SeriesSample> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, samples);
     }
 }

@@ -1,17 +1,15 @@
 //! Latency accumulation with percentile snapshots.
 //!
-//! The control plane tracks per-job commit latency with a
-//! [`LatencyAccumulator`]; [`LatencySnapshot`] is the serializable summary
-//! that crosses the coordinator wire and lands in `bcpctl status`.
+//! The registry's histograms are [`LatencyAccumulator`]s;
+//! [`LatencySnapshot`] is the summary a query returns.
 //! Exact percentiles over the recorded samples (bounded; the accumulator
 //! keeps the most recent [`LatencyAccumulator::capacity`] samples).
 
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Serializable percentile summary of a latency population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+/// Percentile summary of a latency population.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySnapshot {
     /// Samples ever recorded (may exceed the retained window).
     pub count: u64,
@@ -182,15 +180,5 @@ mod tests {
         assert_eq!(s.count, 100);
         assert_eq!(s.max_ms, 99.0);
         assert!(s.p50_ms >= 96.0, "restore should keep the newest samples: {s:?}");
-    }
-
-    #[test]
-    fn snapshot_serde_round_trip() {
-        let acc = LatencyAccumulator::new(8);
-        acc.record(Duration::from_millis(7));
-        let s = acc.snapshot();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: LatencySnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

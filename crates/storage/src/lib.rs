@@ -27,9 +27,6 @@
 //!
 //! * [`instrument::InstrumentedBackend`] — one span per data-plane
 //!   operation (`storage/<backend>/<op>`).
-//! * [`governor::GovernedBackend`] — admits every transfer through a
-//!   [`governor::BandwidthGovernor`] tagged with a job name (the
-//!   coordinator's cross-job bandwidth scheduling choke point).
 //! * [`fault::FaultLayer`] — the one fault injector: seeded failures,
 //!   throttles, list lag, bandwidth/latency profiles (NAS), jitter,
 //!   scripted stragglers and read or at-rest corruption, from a declarative
@@ -46,7 +43,7 @@
 //! and the huge-page ranges the engine's load arena is.
 //!
 //! [`stack::assemble`] is the one place layers are composed, always in the
-//! order instrument → govern → fault → base (see [`stack`] for why).
+//! order instrument → fault → base (see [`stack`] for why).
 //! No layer repeats an attempt: the one retry loop is
 //! [`retry::RetryPolicy::run`], owned by the engine.
 //!
@@ -58,7 +55,6 @@
 pub mod counting;
 pub mod disk;
 pub mod fault;
-pub mod governor;
 pub mod hdfs;
 pub mod hot;
 pub mod instrument;
@@ -74,7 +70,6 @@ pub mod uri;
 pub use counting::OpCountingBackend;
 pub use disk::DiskBackend;
 pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
-pub use governor::{BandwidthGovernor, DynGovernor, GovernedBackend, NoopGovernor, OpClass};
 pub use hdfs::{HdfsBackend, HdfsConfig, NameNodeStats};
 pub use hot::{HotTier, TierHit, TieredReadBackend};
 pub use instrument::InstrumentedBackend;

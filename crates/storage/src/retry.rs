@@ -4,9 +4,9 @@
 //! attempts, counts them against the cap or measures the deadline — and the
 //! clock abstraction that makes every wait virtual-clock testable.
 //!
-//! `run` knows nothing about storage. Its callers are `bcp-core`'s
+//! `run` knows nothing about storage. Its caller is `bcp-core`'s
 //! `integrity::with_retries` (every storage operation of both pipelines,
-//! where the stage is known) and `bcp-coordinator`'s `ReconnectingClient`.
+//! where the stage is known).
 //! No storage layer repeats an attempt, so an operation is attempted at most
 //! `max_attempts` times however the stack is assembled.
 

@@ -4,14 +4,12 @@
 //! [`StackConfig`] asks for, always in the same order, outermost first:
 //!
 //! ```text
-//! instrument → govern → fault → base
+//! instrument → fault → base
 //! ```
 //!
 //! * **instrument** outermost, so an operation's span covers everything
-//!   below it — governor waits, injected delays;
-//! * **govern** admits by the caller's bytes, per attempt — a retried
-//!   transfer is admitted again, so bandwidth is charged for bytes moved;
-//! * **fault** innermost, directly over the base, so every layer above is
+//!   below it, injected delays included;
+//! * **fault** innermost, directly over the base, so the layer above is
 //!   exercised by what it injects.
 //!
 //! No layer repeats an operation: the one retry loop
@@ -22,8 +20,7 @@
 //! not configuration, and wraps the assembled stack from outside.
 
 use crate::{
-    DynBackend, DynGovernor, FaultLayer, FaultRule, GovernedBackend, InstrumentedBackend,
-    RetryClock, StorageBackend, SystemClock,
+    DynBackend, FaultLayer, FaultRule, InstrumentedBackend, RetryClock, StorageBackend, SystemClock,
 };
 use bcp_monitor::MetricsSink;
 use std::sync::Arc;
@@ -35,9 +32,6 @@ pub struct StackConfig {
     pub rank: usize,
     /// Trace every data-plane operation into this sink.
     pub instrument: Option<MetricsSink>,
-    /// Admit every transfer through `(governor, job)`, timing the waits
-    /// into the sink.
-    pub govern: Option<(DynGovernor, String, MetricsSink)>,
     /// Inject `(seed, schedule)` directly over the base.
     pub fault: Option<(u64, Vec<FaultRule>)>,
     /// The clock the fault layer waits on (`None` = real time).
@@ -72,9 +66,6 @@ pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
         let clock = cfg.clock.unwrap_or_else(|| Arc::new(SystemClock::default()));
         push(&mut top, |b| FaultLayer::new(b, seed, rules).with_clock(clock))
     });
-    if let Some((governor, job, sink)) = cfg.govern {
-        push(&mut top, |b| GovernedBackend::new(b, governor, job).with_sink(sink, rank));
-    }
     if let Some(sink) = cfg.instrument {
         push(&mut top, |b| InstrumentedBackend::new(b, sink, rank));
     }
@@ -84,10 +75,7 @@ pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        DiskBackend, JournalBackend, MemoryBackend, NoopGovernor, OpCountingBackend,
-        TieredReadBackend,
-    };
+    use crate::{DiskBackend, JournalBackend, MemoryBackend, OpCountingBackend, TieredReadBackend};
     use bcp_monitor::MetricsHub;
     use bytes::Bytes;
     use std::collections::HashMap;
@@ -99,13 +87,11 @@ mod tests {
         let full = StackConfig {
             rank: 0,
             instrument: Some(hub.sink()),
-            govern: Some((Arc::new(NoopGovernor), "job".into(), hub.sink())),
             fault: Some((7, Vec::new())),
             clock: None,
         };
         vec![
             ("instrument", Arc::new(InstrumentedBackend::new(base(), hub.sink(), 0))),
-            ("govern", Arc::new(GovernedBackend::new(base(), Arc::new(NoopGovernor), "job"))),
             ("op-counting", Arc::new(OpCountingBackend::new(base()))),
             ("fault", Arc::new(FaultLayer::new(base(), 7, Vec::new()))),
             ("journal", Arc::new(JournalBackend::new(base()).unwrap())),

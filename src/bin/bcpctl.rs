@@ -4,18 +4,14 @@
 //! ```text
 //! bcpctl list    <job-root-dir>          # discover step_<N> checkpoints
 //! bcpctl inspect <checkpoint-dir> [--json]  # metadata summary, or all of it as JSON
-//! bcpctl verify  <checkpoint-dir>        # decode every frame, check CRCs
+//! bcpctl verify  <checkpoint-dir>        # scrub one step: CRCs, ranges, metadata
 //! bcpctl export  <checkpoint-dir> <out>  # consolidate into a .safetensors
 //! bcpctl retain  <job-root-dir> <k>      # keep newest k, delete the rest
 //! bcpctl gc      <job-root-dir>          # delete every torn (uncommitted) step
 //! bcpctl scrub   <job-root-dir> [flags]  # full-sweep integrity check (CI)
 //! bcpctl report  <job-root-dir> [flags]  # offline telemetry report (§5.3)
-//! bcpctl serve   <addr> [flags]          # run the checkpoint control plane
-//! bcpctl jobs    <addr>                  # list jobs on a running coordinator
-//! bcpctl status  <addr> <job-id>         # one job's control-plane status
-//! bcpctl top     <addr> [flags]          # live fleet view (alerts, rates)
-//! bcpctl metrics <addr>                  # Prometheus-text scrape to stdout
-//! bcpctl sim     <addr> [flags]          # drive simulated jobs at a server
+//! bcpctl metrics <job-root-dir> [--step N]  # Prometheus text of a step's telemetry
+//! bcpctl top     <job-root-dir> [flags]  # per-phase table, re-folded as steps commit
 //! ```
 //!
 //! All commands run against the real on-disk checkpoint layout produced by
@@ -41,56 +37,36 @@
 //! committed step aside to `<root>/quarantine/` so the next `load_latest`
 //! resumes from the newest clean step.
 //!
-//! `serve` runs the multi-job checkpoint control plane (`bcp-coordinator`):
-//! a JSON-lines-over-TCP daemon doing job registration with typed
-//! admission/backpressure, per-job commit telemetry, and global fair-share
-//! storage-bandwidth scheduling. Flags: `--max-jobs <N>` (admission slots,
-//! default 64), `--rate-mbps <X>` (shared bandwidth envelope, default 256),
-//! `--for-seconds <S>` (exit after S seconds; default: run until killed),
-//! `--journal <DIR>` (write-ahead journal + snapshots: a restarted serve
-//! pointed at the same directory recovers jobs, shares, and commit
-//! lineage), `--lease-ttl-s <S>` (lease TTL, default 30: a job that stops
-//! heartbeating/committing that long is marked lost and its bandwidth
-//! share released). `jobs` and `status` are thin wire clients against a
-//! running `serve`.
+//! `verify` is `scrub` for one step: `N` comes from the `step_<N>` directory
+//! name (from the metadata when the directory is named otherwise), every
+//! finding is printed, and any defect or a missing `COMPLETE` marker fails.
 //!
-//! `top` is the live fleet view: it polls the coordinator's telemetry
-//! plane and renders per-job commit rates, bandwidth shares, commit-latency
-//! percentiles, governed-wait totals, and active SLO alerts, refreshing
+//! `metrics` and `top` are folds of the same artifacts `report` reads: every
+//! span of a committed step's save and load artifacts goes through
+//! `MetricsRegistry::fold` under `{job=<root dir name>}`. `metrics` prints
+//! that registry as Prometheus exposition text (a textfile-collector
+//! input); `--step <N>` picks the step (default: latest committed). `top`
+//! renders it as a per-phase table — total seconds summed over ranks, and
+//! the slowest rank's p50 / p99 — and re-folds the latest committed step
 //! every `--interval-ms <N>` (default 2000) until killed; `--once` prints
-//! a single snapshot and exits (rates need two snapshots, so the first
-//! frame shows `-`). `metrics` prints the same Prometheus exposition text
-//! a `GET /metrics` scrape of the serve address returns. `sim` drives
-//! `--jobs <N>` (default 2) simulated multi-rank training jobs of
-//! `--steps <S>` (default 2) saves each against a running coordinator —
-//! registration, commit reports, and telemetry frames all travel the wire,
-//! while the jobs' storage traffic contends on one *local* shared
-//! `--rate-mbps <X>` (default 8) bandwidth envelope, ending with a
-//! hot-tier reload so recovery telemetry flows too.
+//! one table and exits.
 
-use bytecheckpoint::coordinator::{
-    render_top, run_remote_sim_job, AdmissionPolicy, CoordinatorClient, CoordinatorServer,
-    CoordinatorService, FairShareScheduler, SchedulerConfig, ServiceOptions, TopSnapshot,
-};
 use bytecheckpoint::core::export::{export_safetensors, metadata_json};
-use bytecheckpoint::core::format::decode_frames;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
-use bytecheckpoint::core::spec::JobSpec;
 use bytecheckpoint::core::telemetry::read_step_telemetry;
-use bytecheckpoint::core::HotTierConfig;
-use bytecheckpoint::model::zoo;
 use bytecheckpoint::monitor::analysis::{breakdown_for_rank, phase_percentiles, total_by_rank};
 use bytecheckpoint::monitor::export::{chrome_trace, records_csv};
 use bytecheckpoint::monitor::{
-    render_breakdown, render_heatmap, HeatmapSpec, JsonReport, SpanRecord, TELEMETRY_LOAD_FILE,
-    TELEMETRY_SAVE_FILE,
+    labels, render_breakdown, render_heatmap, HeatmapSpec, JsonReport, MetricsRegistry,
+    SeriesValue, SpanRecord, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
-use bytecheckpoint::prelude::{scrub_tree, CheckpointManager, DiskBackend, DynBackend};
-use bytecheckpoint::storage::DynGovernor;
+use bytecheckpoint::prelude::{
+    scrub_step, scrub_tree, CheckpointManager, DiskBackend, DynBackend, ScrubReport,
+};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,15 +80,11 @@ fn main() -> ExitCode {
         [cmd, dir] if cmd == "gc" => cmd_gc(dir),
         [cmd, dir, flags @ ..] if cmd == "scrub" => cmd_scrub(dir, flags),
         [cmd, dir, flags @ ..] if cmd == "report" => cmd_report(dir, flags),
-        [cmd, addr, flags @ ..] if cmd == "serve" => cmd_serve(addr, flags),
-        [cmd, addr] if cmd == "jobs" => cmd_jobs(addr),
-        [cmd, addr, job_id] if cmd == "status" => cmd_status(addr, job_id),
-        [cmd, addr, flags @ ..] if cmd == "top" => cmd_top(addr, flags),
-        [cmd, addr] if cmd == "metrics" => cmd_metrics(addr),
-        [cmd, addr, flags @ ..] if cmd == "sim" => cmd_sim(addr, flags),
+        [cmd, dir, flags @ ..] if cmd == "metrics" => cmd_metrics(dir, flags),
+        [cmd, dir, flags @ ..] if cmd == "top" => cmd_top(dir, flags),
         _ => {
             eprintln!(
-                "usage: bcpctl <list|verify|gc> <dir> | inspect <dir> [--json] | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] | serve <addr> [--max-jobs N] [--rate-mbps X] [--for-seconds S] [--journal DIR] [--lease-ttl-s S] | jobs <addr> | status <addr> <job-id> | top <addr> [--interval-ms N] [--once] | metrics <addr> | sim <addr> [--jobs N] [--steps S] [--rate-mbps X]"
+                "usage: bcpctl <list|verify|gc> <dir> | inspect <dir> [--json] | export <dir> <out> | retain <dir> <k> | scrub <dir> [--quarantine] | report <dir> [--step N] [--load] [--min-mbps X] [--trace out.json] [--csv out.csv] [--json] | metrics <dir> [--step N] | top <dir> [--interval-ms N] [--once]"
             );
             return ExitCode::from(2);
         }
@@ -221,36 +193,19 @@ fn cmd_inspect(dir: &str, json: bool) -> Result<(), AnyError> {
 
 fn cmd_verify(dir: &str) -> Result<(), AnyError> {
     let (backend, prefix) = open(dir)?;
-    let meta = read_metadata(&backend, &prefix)?;
-    meta.validate().map_err(|e| format!("metadata invalid: {e}"))?;
-    if !backend.exists(&format!("{prefix}/COMPLETE"))? {
+    let step = match CheckpointManager::step_of(&prefix) {
+        Some(step) => step,
+        None => read_metadata(&backend, &prefix)?.step,
+    };
+    let report = scrub_step(&backend, &prefix, step)?;
+    print_scrub(&report);
+    if !report.is_clean() {
+        return Err(format!("step {step} failed verification (see defects above)").into());
+    }
+    if !report.committed {
         return Err("checkpoint has no COMPLETE marker (torn or in-progress save)".into());
     }
-    // Decode every referenced storage file frame by frame (CRC-checked) and
-    // cross-check that each ByteMeta points at a frame payload.
-    let mut files: Vec<&String> =
-        meta.tensor_map.values().flatten().map(|e| &e.byte.file).collect();
-    files.sort();
-    files.dedup();
-    let mut total_frames = 0usize;
-    for file in &files {
-        let data = backend.read(&format!("{prefix}/{file}"))?;
-        let frames = decode_frames(&data).map_err(|e| format!("{file}: {e}"))?;
-        total_frames += frames.len();
-    }
-    let referenced: usize = meta.tensor_map.values().map(Vec::len).sum();
-    if total_frames != referenced {
-        return Err(format!(
-            "frame count mismatch: files hold {total_frames}, metadata references {referenced}"
-        )
-        .into());
-    }
-    println!(
-        "OK: {} files, {} frames, {} — all CRCs verified, metadata consistent",
-        files.len(),
-        total_frames,
-        human_bytes(meta.total_tensor_bytes())
-    );
+    println!("OK: step {step} — all CRCs verified, metadata consistent");
     Ok(())
 }
 
@@ -287,6 +242,14 @@ fn cmd_gc(dir: &str) -> Result<(), AnyError> {
     Ok(())
 }
 
+/// A scrub report's summary line, then every finding (orphans included).
+fn print_scrub(report: &ScrubReport) {
+    println!("{}", report.summary());
+    for issue in &report.issues {
+        println!("  [{}] {}: {}", issue.kind, issue.path, issue.detail);
+    }
+}
+
 fn cmd_scrub(dir: &str, flags: &[String]) -> Result<(), AnyError> {
     let mut quarantine = false;
     for flag in flags {
@@ -304,10 +267,7 @@ fn cmd_scrub(dir: &str, flags: &[String]) -> Result<(), AnyError> {
     let mut bad_committed = 0usize;
     let mut clean_committed = 0usize;
     for r in &reports {
-        println!("{}", r.summary());
-        for issue in &r.issues {
-            println!("  [{}] {}: {}", issue.kind, issue.path, issue.detail);
-        }
+        print_scrub(r);
         if !r.committed {
             println!("  torn save (no COMPLETE marker) — `bcpctl gc` removes it");
             continue;
@@ -338,121 +298,96 @@ fn cmd_scrub(dir: &str, flags: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn cmd_serve(addr: &str, flags: &[String]) -> Result<(), AnyError> {
-    let mut policy = AdmissionPolicy::default();
-    let mut sched = SchedulerConfig::default();
-    let mut for_seconds: Option<u64> = None;
-    let mut journal: Option<String> = None;
-    let mut lease_ttl_s: u64 = 30;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--max-jobs" => policy.max_jobs = value("--max-jobs")?.parse()?,
-            "--rate-mbps" => sched.rate_bps = value("--rate-mbps")?.parse::<u64>()? * 1024 * 1024,
-            "--for-seconds" => for_seconds = Some(value("--for-seconds")?.parse()?),
-            "--journal" => journal = Some(value("--journal")?),
-            "--lease-ttl-s" => lease_ttl_s = value("--lease-ttl-s")?.parse()?,
-            other => return Err(format!("unknown serve flag {other:?}").into()),
+/// The committed step `want` names (default: the latest), with every
+/// committed step under the root.
+fn pick_step(
+    mgr: &CheckpointManager,
+    dir: &str,
+    want: Option<u64>,
+) -> Result<(u64, Vec<u64>), AnyError> {
+    let committed: Vec<u64> = mgr.list()?.iter().filter(|c| c.committed).map(|c| c.step).collect();
+    let step = match (want, committed.last()) {
+        (_, None) => return Err(format!("no committed step_<N> checkpoints under {dir}").into()),
+        (Some(s), _) if !committed.contains(&s) => {
+            return Err(format!("step {s} is not a committed checkpoint").into())
+        }
+        (Some(s), _) => s,
+        (None, Some(&latest)) => latest,
+    };
+    Ok((step, committed))
+}
+
+/// Fold every span of `step`'s save and load artifacts into one registry
+/// under `{job=<root dir name>}`: the one series model behind `metrics`
+/// and `top`.
+fn fold_step(
+    backend: &DynBackend,
+    mgr: &CheckpointManager,
+    job: &str,
+    step: u64,
+) -> Result<MetricsRegistry, AnyError> {
+    let registry = MetricsRegistry::new();
+    let base = labels([("job", job)]);
+    let mut artifacts = 0;
+    for file in [TELEMETRY_SAVE_FILE, TELEMETRY_LOAD_FILE] {
+        if let Some(doc) = read_step_telemetry(backend, &mgr.prefix_for(step), file)? {
+            doc.all_spans().iter().for_each(|span| registry.fold(span, &base));
+            artifacts += 1;
         }
     }
-    let opts = ServiceOptions {
-        policy,
-        scheduler: sched,
-        lease_ttl: std::time::Duration::from_secs(lease_ttl_s.max(1)),
-        ..ServiceOptions::default()
-    };
-    let service = match &journal {
-        Some(path) => CoordinatorService::recover(path, opts)?,
-        None => CoordinatorService::with_options(opts),
-    };
-    let server = CoordinatorServer::bind(addr, service)?;
-    println!("listening on {}", server.local_addr());
-    println!(
-        "admission: {} job slots; envelope: {}/s shared",
-        policy.max_jobs,
-        human_bytes(sched.rate_bps)
-    );
-    match &journal {
-        Some(path) => println!(
-            "durability: journal at {path} ({} prior restart(s) recovered); lease ttl {lease_ttl_s}s",
-            server.service().restarts()
-        ),
-        None => println!("durability: in-memory only (pass --journal DIR to survive restarts); lease ttl {lease_ttl_s}s"),
+    if artifacts == 0 {
+        return Err(format!(
+            "step {step} has no telemetry artifact (telemetry disabled when it was written?)"
+        )
+        .into());
     }
-    match for_seconds {
-        Some(s) => {
-            std::thread::sleep(std::time::Duration::from_secs(s));
-            server.shutdown();
+    Ok(registry)
+}
+
+fn cmd_metrics(dir: &str, flags: &[String]) -> Result<(), AnyError> {
+    let step = match flags {
+        [] => None,
+        [flag, n] if flag == "--step" => Some(n.parse::<u64>()?),
+        _ => return Err(format!("unknown metrics flags {flags:?}").into()),
+    };
+    let (backend, root) = open(dir)?;
+    let mgr = CheckpointManager::new(backend.clone(), root.clone());
+    let (step, _) = pick_step(&mgr, dir, step)?;
+    print!("{}", fold_step(&backend, &mgr, &root, step)?.render_prometheus());
+    Ok(())
+}
+
+/// One `top` frame: per phase, the seconds summed over ranks and the
+/// slowest rank's p50 / p99 from `phase_ms`.
+fn render_top(job: &str, step: u64, registry: &MetricsRegistry) -> String {
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
+    let mut rows: BTreeMap<String, (usize, f64, f64, f64)> = BTreeMap::new();
+    for s in registry.samples_for("phase_seconds_total") {
+        let row = rows.entry(s.labels["phase"].clone()).or_default();
+        row.0 += 1;
+        row.1 += s.value.scalar().unwrap_or(0.0);
+    }
+    for s in registry.samples_for("phase_ms") {
+        if let (SeriesValue::Histogram(h), Some(row)) = (&s.value, rows.get_mut(&s.labels["phase"]))
+        {
+            row.2 = row.2.max(h.p50_ms);
+            row.3 = row.3.max(h.p99_ms);
         }
-        None => loop {
-            std::thread::park();
-        },
     }
-    Ok(())
-}
-
-fn cmd_jobs(addr: &str) -> Result<(), AnyError> {
-    let mut client = CoordinatorClient::connect(addr)?;
-    let jobs = client.jobs()?;
-    if jobs.is_empty() {
-        println!("no jobs registered on {addr}");
-        return Ok(());
-    }
-    println!(
-        "{:<20} {:>6} {:>5} {:>6} {:>3} {:>7} {:>9} {:>10} {:>8} {:>8}",
-        "job",
-        "state",
-        "world",
-        "weight",
-        "gen",
-        "commits",
-        "last step",
-        "committed",
-        "p50 ms",
-        "p99 ms"
+    let mut out = format!("bcpctl top: {job} step {step}\n");
+    let _ = writeln!(
+        out,
+        "{:<24} {:>5} {:>14} {:>10} {:>10}",
+        "phase", "ranks", "total s", "p50 ms", "p99 ms"
     );
-    for j in &jobs {
-        println!(
-            "{:<20} {:>6} {:>5} {:>6} {:>3} {:>7} {:>9} {:>10} {:>8.1} {:>8.1}",
-            j.job_id,
-            j.state.label(),
-            j.world_size,
-            j.weight,
-            j.generation,
-            j.commits,
-            j.last_step.map_or("-".to_string(), |s| s.to_string()),
-            human_bytes(j.bytes_committed),
-            j.latency.p50_ms,
-            j.latency.p99_ms,
-        );
+    for (phase, (ranks, total, p50, p99)) in &rows {
+        let _ = writeln!(out, "{phase:<24} {ranks:>5} {total:>14.6} {p50:>10.3} {p99:>10.3}");
     }
-    Ok(())
+    out
 }
 
-fn cmd_status(addr: &str, job_id: &str) -> Result<(), AnyError> {
-    let mut client = CoordinatorClient::connect(addr)?;
-    let j = client.status(job_id)?;
-    println!("job          {}", j.job_id);
-    println!("state        {}", j.state.label());
-    println!("world size   {}", j.world_size);
-    println!("weight       {}", j.weight);
-    println!("generation   {}", j.generation);
-    println!("registered   {:.1}s ago", j.registered_for_s);
-    println!("lease age    {:.1}s", j.lease_age_s);
-    println!("commits      {}", j.commits);
-    println!("last step    {}", j.last_step.map_or("-".to_string(), |s| s.to_string()));
-    println!("committed    {}", human_bytes(j.bytes_committed));
-    println!(
-        "latency      p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, max {:.1} ms over {} commits",
-        j.latency.p50_ms, j.latency.p90_ms, j.latency.p99_ms, j.latency.max_ms, j.latency.count
-    );
-    Ok(())
-}
-
-fn cmd_top(addr: &str, flags: &[String]) -> Result<(), AnyError> {
+fn cmd_top(dir: &str, flags: &[String]) -> Result<(), AnyError> {
     let mut interval_ms: u64 = 2000;
     let mut once = false;
     let mut it = flags.iter();
@@ -470,14 +405,11 @@ fn cmd_top(addr: &str, flags: &[String]) -> Result<(), AnyError> {
             other => return Err(format!("unknown top flag {other:?}").into()),
         }
     }
-    let mut client = CoordinatorClient::connect(addr)?;
-    let mut prev: Option<(TopSnapshot, Instant)> = None;
+    let (backend, root) = open(dir)?;
+    let mgr = CheckpointManager::new(backend.clone(), root.clone());
     loop {
-        let cur = client.top()?;
-        let rendered = match &prev {
-            Some((snap, at)) => render_top(&cur, Some((snap, at.elapsed().as_secs_f64()))),
-            None => render_top(&cur, None),
-        };
+        let (step, _) = pick_step(&mgr, dir, None)?;
+        let rendered = render_top(&root, step, &fold_step(&backend, &mgr, &root, step)?);
         if once {
             print!("{rendered}");
             return Ok(());
@@ -486,91 +418,8 @@ fn cmd_top(addr: &str, flags: &[String]) -> Result<(), AnyError> {
         print!("\x1b[2J\x1b[H{rendered}");
         use std::io::Write as _;
         std::io::stdout().flush()?;
-        prev = Some((cur, Instant::now()));
         std::thread::sleep(Duration::from_millis(interval_ms));
     }
-}
-
-fn cmd_metrics(addr: &str) -> Result<(), AnyError> {
-    let mut client = CoordinatorClient::connect(addr)?;
-    print!("{}", client.metrics_text()?);
-    Ok(())
-}
-
-fn cmd_sim(addr: &str, flags: &[String]) -> Result<(), AnyError> {
-    let mut jobs: usize = 2;
-    let mut steps: u64 = 2;
-    let mut rate_mbps: u64 = 8;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(|s| s.to_string()).ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--jobs" => jobs = value("--jobs")?.parse()?,
-            "--steps" => steps = value("--steps")?.parse()?,
-            "--rate-mbps" => rate_mbps = value("--rate-mbps")?.parse()?,
-            other => return Err(format!("unknown sim flag {other:?}").into()),
-        }
-    }
-    if jobs == 0 || steps == 0 {
-        return Err("sim needs --jobs ≥ 1 and --steps ≥ 1".into());
-    }
-    // One local envelope shared by every simulated job: bandwidth
-    // arbitration stays off the wire so the coordinator never sits on the
-    // save critical path, but the jobs still genuinely contend.
-    let governor: DynGovernor = Arc::new(FairShareScheduler::new(SchedulerConfig {
-        rate_bps: rate_mbps * 1024 * 1024,
-        burst_bytes: 256 * 1024,
-        chunk_bytes: 64 * 1024,
-    }));
-    println!(
-        "sim: {jobs} job(s) x {steps} step(s) against {addr}, {} shared envelope",
-        format_args!("{rate_mbps} MiB/s")
-    );
-    let handles: Vec<_> = (0..jobs)
-        .map(|i| {
-            let addr = addr.to_string();
-            let governor = governor.clone();
-            std::thread::spawn(move || {
-                let job = format!("sim-{i}");
-                let spec = JobSpec::new(&job, format!("mem://jobs/{job}"))
-                    .hot_tier(HotTierConfig::enabled());
-                run_remote_sim_job(
-                    addr.as_str(),
-                    &spec,
-                    &zoo::tiny_gpt(),
-                    steps,
-                    Some(governor),
-                    true,
-                )
-            })
-        })
-        .collect();
-    let mut failed = 0usize;
-    for h in handles {
-        match h.join().map_err(|_| "sim job thread panicked")? {
-            Ok(r) => {
-                let slowest = r.commit_ms.iter().cloned().fold(0.0f64, f64::max);
-                println!(
-                    "{}: {} step(s), {}, slowest commit {:.1} ms",
-                    r.job_id,
-                    r.steps,
-                    human_bytes(r.bytes),
-                    slowest
-                );
-            }
-            Err(e) => {
-                eprintln!("sim job failed: {e}");
-                failed += 1;
-            }
-        }
-    }
-    if failed > 0 {
-        return Err(format!("{failed} sim job(s) failed").into());
-    }
-    println!("done — `bcpctl top {addr} --once` or `bcpctl metrics {addr}` to inspect");
-    Ok(())
 }
 
 /// Parsed `report` flags.
@@ -696,15 +545,7 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     let flags = parse_report_flags(raw_flags)?;
     let (backend, root) = open(dir)?;
     let mgr = CheckpointManager::new(backend.clone(), root);
-    let committed: Vec<u64> = mgr.list()?.iter().filter(|c| c.committed).map(|c| c.step).collect();
-    if committed.is_empty() {
-        return Err(format!("no committed step_<N> checkpoints under {dir}").into());
-    }
-    let step = match flags.step {
-        Some(s) if committed.contains(&s) => s,
-        Some(s) => return Err(format!("step {s} is not a committed checkpoint").into()),
-        None => *committed.last().expect("non-empty"),
-    };
+    let (step, committed) = pick_step(&mgr, dir, flags.step)?;
     let file = if flags.load { TELEMETRY_LOAD_FILE } else { TELEMETRY_SAVE_FILE };
     let op = if flags.load { "load" } else { "save" };
     let prefix = mgr.prefix_for(step);

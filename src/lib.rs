@@ -58,11 +58,9 @@
 //! | [`baselines`] | DCP-like, MCP-like, offline reshard jobs |
 //! | [`monitor`] | spans, metrics, telemetry artifacts, heat maps, analysis |
 //! | [`sim`] | paper-scale virtual-time experiments |
-//! | [`coordinator`] | multi-job control plane: admission, registry, fair-share bandwidth |
 
 pub use bcp_baselines as baselines;
 pub use bcp_collectives as collectives;
-pub use bcp_coordinator as coordinator;
 pub use bcp_core as core;
 pub use bcp_dataloader as dataloader;
 pub use bcp_model as model;
@@ -84,7 +82,6 @@ pub mod prelude {
     pub use bcp_core::manager::{CheckpointManager, QuarantinedStep};
     pub use bcp_core::registry::BackendRegistry;
     pub use bcp_core::scrub::{scrub_step, scrub_tree, ScrubReport};
-    pub use bcp_core::spec::{JobQuota, JobSpec, Session};
     pub use bcp_core::telemetry::read_step_telemetry;
     pub use bcp_core::workflow::WorkflowOptions;
     pub use bcp_core::HotTierConfig;

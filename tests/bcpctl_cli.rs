@@ -4,6 +4,7 @@ mod common;
 
 use bytecheckpoint::prelude::*;
 use common::{reference_state, run_ranks};
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::Arc;
 
@@ -152,103 +153,127 @@ fn scrub_fails_ci_on_corruption_and_quarantines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `bcpctl serve` + `jobs` + `status`: a live control plane driven purely
-/// through the CLI and the typed wire client.
+/// Swap two ranks' shard files of a committed step. Every frame still
+/// passes its CRC and the file and frame counts still match, but no tensor's
+/// `ByteMeta` lands on its payload: the step cannot be restored, so `verify`
+/// must refuse it.
 #[test]
-fn serve_jobs_status() {
-    use bytecheckpoint::coordinator::CoordinatorClient;
-    use bytecheckpoint::prelude::JobSpec;
-    use std::io::BufRead;
+fn verify_refuses_a_step_whose_shard_files_are_swapped() {
+    let dir = make_job_dir("swap");
+    let step20 = dir.join("job/step_20");
+    let (a, b) = (step20.join("model_0.bin"), step20.join("model_1.bin"));
+    let tmp = step20.join("swap.tmp");
+    std::fs::rename(&a, &tmp).unwrap();
+    std::fs::rename(&b, &a).unwrap();
+    std::fs::rename(&tmp, &b).unwrap();
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_bcpctl"))
-        .args(["serve", "127.0.0.1:0", "--max-jobs", "4", "--for-seconds", "30"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve starts");
-    let addr = {
-        let stdout = child.stdout.as_mut().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout).read_line(&mut line).expect("banner line");
-        line.trim().strip_prefix("listening on ").expect("banner format").to_string()
-    };
+    let (ok, text) = bcpctl(&["verify", &step20.to_string_lossy()]);
+    assert!(!ok, "swapped shard files must fail verify: {text}");
+    assert!(text.contains("[range-mismatch]"), "{text}");
+    assert!(!text.contains("all CRCs verified"), "{text}");
 
-    let (ok, text) = bcpctl(&["jobs", &addr]);
-    assert!(ok, "{text}");
-    assert!(text.contains("no jobs registered"), "{text}");
-
-    // Register through the typed client, observe through the CLI.
-    let mut client = CoordinatorClient::connect(&addr).unwrap();
-    assert!(client.register(JobSpec::new("cli-job", "mem://jobs/cli-job")).unwrap().is_admitted());
-    client.report_commit("cli-job", 7, 4096, 12).unwrap();
-
-    let (ok, text) = bcpctl(&["jobs", &addr]);
-    assert!(ok, "{text}");
-    assert!(text.contains("cli-job"), "{text}");
-
-    let (ok, text) = bcpctl(&["status", &addr, "cli-job"]);
-    assert!(ok, "{text}");
-    assert!(text.contains("commits      1"), "{text}");
-    assert!(text.contains("last step    7"), "{text}");
-
-    let (ok, text) = bcpctl(&["status", &addr, "ghost"]);
-    assert!(!ok, "unknown job must exit non-zero: {text}");
-
-    let _ = child.kill();
-    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The live telemetry loop through nothing but the CLI: `serve` a
-/// coordinator, `sim` a throttled two-job fleet at it over the wire, then
-/// observe the pushed telemetry with `metrics` and `top --once`.
+/// Copy every file of step 10 over step 20: a self-consistent checkpoint,
+/// but of another step. `verify` takes the step from the directory name and
+/// must refuse it.
 #[test]
-fn serve_sim_metrics_top() {
-    use std::io::BufRead;
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_bcpctl"))
-        .args(["serve", "127.0.0.1:0", "--for-seconds", "120"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve starts");
-    let addr = {
-        let stdout = child.stdout.as_mut().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout).read_line(&mut line).expect("banner line");
-        line.trim().strip_prefix("listening on ").expect("banner format").to_string()
-    };
-
-    // Two simulated jobs, two committed steps each, contending on one
-    // local 8 MiB/s envelope; telemetry frames travel the wire.
-    let (ok, text) = bcpctl(&["sim", &addr, "--jobs", "2", "--steps", "2"]);
-    assert!(ok, "{text}");
-    assert!(text.contains("sim-0: 2 step(s)"), "{text}");
-    assert!(text.contains("sim-1: 2 step(s)"), "{text}");
-
-    // The scrape shows per-job labeled series built from the pushed frames.
-    let (ok, text) = bcpctl(&["metrics", &addr]);
-    assert!(ok, "{text}");
-    for job in ["sim-0", "sim-1"] {
-        assert!(text.contains(&format!("commit_total{{job=\"{job}\"}} 2")), "{job}: {text}");
-        assert!(text.contains(&format!("governor_wait_seconds{{job=\"{job}\"}}")), "{job}: {text}");
-        assert!(
-            text.contains(&format!("telemetry_frames_total{{job=\"{job}\"}}")),
-            "{job}: {text}"
-        );
+fn verify_refuses_another_steps_files_under_a_step_directory() {
+    let dir = make_job_dir("copy");
+    let job = dir.join("job");
+    for entry in std::fs::read_dir(job.join("step_10")).unwrap() {
+        let src = entry.unwrap().path();
+        std::fs::copy(&src, job.join("step_20").join(src.file_name().unwrap())).unwrap();
     }
-    assert!(text.contains("hot_hit_rate"), "final reload feeds tier telemetry: {text}");
-    assert!(text.contains("telemetry_dropped_total"), "{text}");
 
-    // One top frame: both jobs with live commit percentiles.
-    let (ok, text) = bcpctl(&["top", &addr, "--once"]);
+    let (ok, text) = bcpctl(&["verify", &job.join("step_20").to_string_lossy()]);
+    assert!(!ok, "step 10's files under step_20 must fail verify: {text}");
+    assert!(text.contains("metadata step 10 does not match prefix step 20"), "{text}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `report --json` totals per phase, summed over the artifacts `flags` pick.
+fn report_totals(job: &str, flags: &[&str], into: &mut BTreeMap<String, f64>) {
+    let (ok, text) = bcpctl(&[&["report", job, "--json"], flags].concat());
     assert!(ok, "{text}");
-    assert!(text.contains("bcp-coordinator top"), "{text}");
-    assert!(text.contains("sim-0"), "{text}");
-    assert!(text.contains("sim-1"), "{text}");
-    assert!(text.contains("alerts:"), "{text}");
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let phases = doc["phases"].as_array().unwrap();
+    assert!(!phases.is_empty(), "{flags:?}: {text}");
+    for p in phases {
+        *into.entry(p["name"].as_str().unwrap().to_string()).or_default() +=
+            p["total_ms"].as_f64().unwrap() / 1e3;
+    }
+}
 
-    // Unknown flags exit non-zero.
-    let (ok, _) = bcpctl(&["top", &addr, "--frobnicate"]);
-    assert!(!ok);
+/// The three views of one step are one fold of its artifacts: for every
+/// phase `report` lists (save and load), the `phase_seconds_total` series of
+/// `metrics` summed over ranks and the total of `top --once` equal the
+/// report's total.
+#[test]
+fn metrics_top_and_report_agree_on_one_step() {
+    let dir = std::env::temp_dir().join(format!("bcpctl-it-views-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let mut registry = BackendRegistry::new();
+    registry.register(Scheme::File, disk);
+    let (fw, par) = (Framework::Ddp, Parallelism::data_parallel(2).unwrap());
+    run_ranks(par, fw, Arc::new(registry), move |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), fw, par, rank, 5);
+        ckpt.save(&SaveRequest::new("file:///job/step_5", &state, 5)).unwrap().wait().unwrap();
+        let mut target = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+        ckpt.load(&mut LoadRequest::new("file:///job/step_5", &mut target)).unwrap();
+    });
+    let job = dir.join("job").to_string_lossy().to_string();
 
-    let _ = child.kill();
-    let _ = child.wait();
+    let mut want = BTreeMap::new();
+    report_totals(&job, &[], &mut want);
+    report_totals(&job, &["--load"], &mut want);
+    assert!(want.keys().any(|p| p.starts_with("save/")), "{want:?}");
+    assert!(want.keys().any(|p| p.starts_with("load/")), "{want:?}");
+
+    // phase_seconds_total{job="job",op="save",phase="save/plan",rank="0"} 0.000123
+    let (ok, text) = bcpctl(&["metrics", &job]);
+    assert!(ok, "{text}");
+    let mut scraped: BTreeMap<String, f64> = BTreeMap::new();
+    for line in text.lines().filter(|l| l.starts_with("phase_seconds_total{")) {
+        assert!(line.contains("job=\"job\""), "{line}");
+        let phase = line.split("phase=\"").nth(1).and_then(|r| r.split('"').next()).unwrap();
+        let value: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+        *scraped.entry(phase.to_string()).or_default() += value;
+    }
+    let (ok, step5) = bcpctl(&["metrics", &job, "--step", "5"]);
+    assert!(ok && step5 == text, "--step of the latest step is the default: {step5}");
+
+    // "save/plan                    2       0.000123      0.052      0.061"
+    let (ok, top) = bcpctl(&["top", &job, "--once"]);
+    assert!(ok, "{top}");
+    assert!(top.contains("job step 5"), "{top}");
+    let shown: BTreeMap<&str, f64> = top
+        .lines()
+        .filter_map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            Some((*cols.first()?, cols.get(2)?.parse().ok()?))
+        })
+        .collect();
+
+    for (phase, total) in &want {
+        let got = scraped.get(phase).unwrap_or_else(|| panic!("metrics lacks {phase}: {text}"));
+        assert!((got - total).abs() <= 1e-9 * total.abs(), "{phase}: metrics {got} vs {total}");
+        let got = shown.get(phase.as_str()).unwrap_or_else(|| panic!("top lacks {phase}: {top}"));
+        assert!((got - total).abs() <= 5e-7 + 1e-12, "{phase}: top {got} vs {total}");
+    }
+
+    // Errors: no committed step, an uncommitted step, an unknown flag.
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let (ok, text) = bcpctl(&["metrics", &empty.to_string_lossy()]);
+    assert!(!ok && text.contains("no committed step_<N> checkpoints"), "{text}");
+    let (ok, text) = bcpctl(&["metrics", &job, "--step", "6"]);
+    assert!(!ok && text.contains("step 6 is not a committed checkpoint"), "{text}");
+    let (ok, text) = bcpctl(&["top", &job, "--frobnicate"]);
+    assert!(!ok && text.contains("unknown top flag"), "{text}");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
