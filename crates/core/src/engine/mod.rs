@@ -6,10 +6,11 @@
 //!   with a Ping-Pong buffering mechanism").
 //! * [`iopool`] — the persistent per-`Checkpointer` I/O worker pool all
 //!   upload and fetch leaf jobs run on.
-//! * [`save`] — D2H capture → serialize → dump to staging → (split-file)
-//!   upload, with the capture being the only training-blocking part in
-//!   async mode; capture builds each shard file's image in one pooled
-//!   buffer, sealed in place and uploaded as is, so each tensor byte is
+//! * [`save`] — D2H capture and serialization in one pass → dump to
+//!   staging → (split-file) upload, with the capture being the only
+//!   training-blocking part in async mode; capture builds each shard file's
+//!   image in one pooled buffer, sealing each payload as it copies it, and
+//!   the image is uploaded as is, so each tensor byte is read once and
 //!   copied exactly once.
 //! * [`load`] — each rank's items coalesced into per-file byte runs →
 //!   ranged multi-threaded reads → intersection extraction → local assembly

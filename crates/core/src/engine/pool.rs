@@ -31,11 +31,18 @@
 //! to the pool. So a backend that keeps a step's images holds them until
 //! the step is deleted, and the next save reuses them from then on.
 //!
+//! **Payload goes in sealed.** [`PooledBuf::extend_sealed`] is the only way
+//! payload enters a buffer: it copies and returns the payload's CRC32 in one
+//! read of the source (`bcp_tensor::checksum::extend_crc32`), so a capture
+//! leaves its image sealed. The buffer is a plain `Vec<u8>`, which the
+//! kernel appends to directly.
+//!
 //! The pool also counts every payload byte copied *into* its buffers
 //! ([`PinnedPool::copied_bytes`]), which tests and the benchmark use to show
 //! each tensor byte is copied exactly once between state dict and backend.
 
-use bytes::{BufMut, BytesMut};
+use bcp_tensor::checksum::extend_crc32;
+use bytes::BufMut;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +60,7 @@ pub struct PinnedPool {
 /// The free buffers of one size.
 #[derive(Default)]
 struct Free {
-    bufs: Vec<BytesMut>,
+    bufs: Vec<Vec<u8>>,
     /// Most free buffers kept: depth × this size's count in the latest batch.
     keep: usize,
 }
@@ -82,7 +89,7 @@ impl PinnedPool {
         sizes: impl IntoIterator<Item = usize>,
     ) -> Vec<PooledBuf> {
         let wanted: Vec<usize> = sizes.into_iter().collect();
-        let reused: Vec<Option<BytesMut>> = {
+        let reused: Vec<Option<Vec<u8>>> = {
             let mut free = self.sizes.lock();
             free.values_mut().for_each(|f| f.keep = 0);
             for &size in &wanted {
@@ -106,7 +113,7 @@ impl PinnedPool {
                         b.clear();
                         b
                     }
-                    None => BytesMut::with_capacity(size),
+                    None => Vec::with_capacity(size),
                 };
                 PooledBuf { buf, pool: self.clone(), size }
             })
@@ -125,7 +132,7 @@ impl PinnedPool {
         self.copied.load(Ordering::Relaxed)
     }
 
-    fn give_back(&self, size: usize, buf: BytesMut) {
+    fn give_back(&self, size: usize, buf: Vec<u8>) {
         let mut free = self.sizes.lock();
         if let Some(f) = free.get_mut(&size).filter(|f| f.bufs.len() < f.keep) {
             f.bufs.push(buf);
@@ -133,21 +140,23 @@ impl PinnedPool {
     }
 }
 
-/// A pooled buffer: filled through [`PooledBuf::extend_from_slice`]
-/// (payload, counted) and [`BufMut`] (framing, not counted), patched in
-/// place through `DerefMut`, and returned to the pool when it drops.
+/// A pooled buffer: filled through [`PooledBuf::extend_sealed`] (payload,
+/// counted) and [`BufMut`] (framing, not counted), append-only, and
+/// returned to the pool when it drops.
 pub struct PooledBuf {
-    buf: BytesMut,
+    buf: Vec<u8>,
     pool: Arc<PinnedPool>,
     size: usize,
 }
 
 impl PooledBuf {
-    /// Copy payload bytes into the buffer, counting them in the pool's copy
+    /// Copy payload bytes into the buffer and return their CRC32, reading
+    /// them once ([`extend_crc32`]), and count them in the pool's copy
     /// accounting.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-        self.pool.copied.fetch_add(src.len() as u64, Ordering::Relaxed);
+    pub fn extend_sealed(&mut self, payload: &[u8]) -> u32 {
+        let crc = extend_crc32(&mut self.buf, payload);
+        self.pool.copied.fetch_add(payload.len() as u64, Ordering::Relaxed);
+        crc
     }
 
     /// Current capacity.
@@ -164,7 +173,7 @@ impl PooledBuf {
 }
 
 impl BufMut for PooledBuf {
-    /// Framing bytes (frame headers, CRC slots): not payload copies, so not
+    /// Framing bytes (frame headers, CRCs): not payload copies, so not
     /// counted in [`PinnedPool::copied_bytes`].
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
@@ -175,12 +184,6 @@ impl std::ops::Deref for PooledBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.buf
-    }
-}
-
-impl std::ops::DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
     }
 }
 
@@ -200,6 +203,7 @@ impl Drop for PooledBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcp_tensor::checksum::crc32;
 
     /// One save's worth of sizes: two of one size, one of another.
     const SAVE: [usize; 3] = [1000, 1000, 5000];
@@ -209,7 +213,7 @@ mod tests {
         let pool = PinnedPool::new(2);
         {
             let mut first = pool.acquire_batch(SAVE);
-            first[0].extend_from_slice(&[1, 2, 3]);
+            assert_eq!(first[0].extend_sealed(&[1, 2, 3]), crc32(&[1, 2, 3]));
             first[1].put_slice(&[4, 5]);
         } // all three return
         assert_eq!(pool.stats(), (3, 0));
@@ -247,7 +251,7 @@ mod tests {
     #[test]
     fn acquired_buffers_start_empty_with_capacity() {
         let pool = PinnedPool::new(2);
-        pool.acquire_batch([100])[0].extend_from_slice(&[9; 50]);
+        pool.acquire_batch([100])[0].extend_sealed(&[9; 50]);
         let b = pool.acquire_batch([100]);
         assert!(b[0].is_empty());
         assert_eq!(pool.stats(), (1, 1));
@@ -273,7 +277,7 @@ mod tests {
     fn a_frozen_buffer_returns_to_the_pool_when_its_last_view_drops() {
         let pool = PinnedPool::new(2);
         let mut a = pool.acquire_batch([512]).pop().unwrap();
-        a.extend_from_slice(&[7; 512]);
+        a.extend_sealed(&[7; 512]);
         let at = a.as_ptr();
         let frozen = a.freeze();
         let tail = frozen.slice(500..);

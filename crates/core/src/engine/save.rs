@@ -1,22 +1,24 @@
 //! The saving pipeline (§4.2): D2H capture → serialize → dump to shared
-//! memory → (split-file) upload.
+//! memory → (split-file) upload, with serialization done inside capture.
 //!
 //! In async mode only the capture blocks the caller ("checkpoint stall");
-//! serialization and upload run on a background thread, exactly like the
-//! paper's "symmetrical, fully asynchronous pipeline comprising D2H copy,
+//! dump and upload run on a background thread, like the paper's
+//! "symmetrical, fully asynchronous pipeline comprising D2H copy,
 //! serialization, and file uploading operations".
 //!
-//! Single-copy data path: capture builds each shard file's whole image in
-//! one pooled (pinned) buffer — frame header, payload, CRC slot, frame after
-//! frame — so the payload copy into it is the only copy of a tensor's bytes
-//! between the state dict and the backend. The async tail seals the image
-//! in place (each frame's `crc32(payload)` into its slot, nothing else),
-//! freezes it into `Bytes` that own the buffer, and uploads it as one
-//! segment via
-//! [`bcp_storage::StorageBackend::write_segments`]. A backend that keeps the
-//! `Bytes` (memory) stores the image itself; the buffer returns to the pool
-//! when the last view of it drops. All uploads (whole files and split parts)
-//! run concurrently as leaf jobs on the persistent [`IoPool`].
+//! Single-copy, single-read data path: capture builds each shard file's
+//! whole image in one pooled (pinned) buffer — frame header, payload, CRC,
+//! frame after frame. Each payload goes in through
+//! [`PooledBuf::extend_sealed`], which copies it and folds its CRC from the
+//! same loads (`bcp_tensor::checksum::extend_crc32`), so the copy is the
+//! only copy *and* the only read of a tensor's bytes between the state dict
+//! and the backend, and the image leaves capture sealed. The async tail
+//! freezes it into `Bytes` that own the buffer and uploads it as one
+//! segment via [`bcp_storage::StorageBackend::write_segments`]. A backend
+//! that keeps the `Bytes` (memory) stores the image itself; the buffer
+//! returns to the pool when the last view of it drops. All uploads (whole
+//! files and split parts) run concurrently as leaf jobs on the persistent
+//! [`IoPool`].
 //!
 //! Split rule: a file goes up as `split_parts` parts plus a `concat` iff it
 //! is larger than `split_threshold` *and* the backend's
@@ -29,14 +31,13 @@ use crate::chunks::FileChunks;
 use crate::engine::iopool::IoPool;
 use crate::engine::pool::{PinnedPool, PooledBuf};
 use crate::fault::FaultHook;
-use crate::format::{frame_len, header_len, put_frame_header};
+use crate::format::{frame_len, put_frame_header};
 use crate::integrity::{with_retries, FailureLog, RetryPolicy};
 use crate::plan::{Category, SavePlan};
 use crate::{BcpError, Result};
 use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext};
 use bcp_storage::DynBackend;
-use bcp_tensor::checksum::crc32;
 use bytes::{BufMut, Bytes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -236,42 +237,24 @@ pub fn execute_save_staged(
                     item.category.file_for(rank)
                 )));
             }
-            // Copy into the pooled (pinned) image — the D2H analogue, and
-            // the *only* copy of the payload on the whole save path.
-            image.extend_from_slice(&data[start..end]);
-            // The CRC slot, sealed off the training-blocking path.
-            image.put_u32_le(0);
+            // Copy into the pooled (pinned) image — the D2H analogue, the
+            // *only* copy of the payload on the whole save path, and the
+            // only read of it: the CRC is folded from the bytes in flight.
+            let crc = image.extend_sealed(&data[start..end]);
+            image.put_u32_le(crc);
         }
     }
     let blocking = capture_timer.elapsed();
 
-    // ---- Phases 2–4 (async-able): serialize, dump, upload. ----
-    let plan = plan.clone();
+    // ---- Phases 2–3 (async-able): dump, upload. ----
     let prefix = prefix.to_string();
     let sink = sink.clone();
     let cfg2 = cfg.clone();
     let faults = faults.clone();
     let io = io.clone();
     let pipeline = move || -> Result<UploadTail> {
-        // Seal each image in place, walking its frames in plan order: each
-        // payload's CRC lands in the slot capture left for it. This is the
-        // one pass over the saved bytes between capture and upload.
+        // The boundary between capture and upload: the images are sealed.
         faults.check("save/serialize")?;
-        let mut images = images;
-        {
-            let _t =
-                sink.span_under("save/serialize", rank, step, parent).bytes(plan.total_bytes());
-            for (&category, image) in &mut images {
-                let mut at = 0;
-                for item in plan.items.iter().filter(|item| item.category == category) {
-                    let payload_at = at + header_len(&item.shard);
-                    let crc_at = payload_at + item.nbytes as usize;
-                    let crc = crc32(&image[payload_at..crc_at]).to_le_bytes();
-                    image[crc_at..crc_at + 4].copy_from_slice(&crc);
-                    at = crc_at + 4;
-                }
-            }
-        }
         // Dump: freeze the sealed images into sharable `Bytes` (the
         // shared-memory staging step — no bytes move here).
         let mut staged: Vec<(String, Bytes)> = Vec::with_capacity(images.len());

@@ -100,7 +100,7 @@ pub fn check_frame_fields(shard: &ShardMeta) -> Result<()> {
 /// Append a frame *header* (everything before the payload) for a payload of
 /// `payload_len` bytes to `buf`: [`header_len`] bytes. The save path writes
 /// it straight into the shard file's capture image, followed by the payload
-/// and the CRC slot.
+/// and its CRC.
 pub fn put_frame_header(
     buf: &mut impl BufMut,
     shard: &ShardMeta,

@@ -1,8 +1,8 @@
 //! The generic save/load (resharding) workflow (§3.3, Fig. 8).
 //!
 //! Save: local plans → gather at the coordinator → balanced dedup → global
-//! metadata construction → scatter final plans → engine pipeline (capture,
-//! CRC seal, upload) → integrity barrier → coordinator commits (metadata +
+//! metadata construction → scatter final plans → engine pipeline (capture
+//! sealing each frame with its CRC as it copies, upload) → integrity barrier → coordinator commits (metadata +
 //! `COMPLETE` marker). The plan cache (§4.1) turns everything before the
 //! engine into a one-time cost, so a warm save's collectives are the cache
 //! agreement and the two barriers (telemetry and the hot tier add theirs

@@ -97,6 +97,12 @@ if grep -rnE 'FileChunksBuilder|ChunkManifest::assemble|CHUNK_MANIFEST_FILE|chun
   exit 1
 fi
 
+echo "==> a save reads each payload once (capture seals as it copies; a second pass over the image must not come back)"
+if grep -nE 'crc32\(|Crc32' crates/core/src/engine/save.rs; then
+  echo "capture seals each payload inside its copy (PooledBuf::extend_sealed); crates/core/src/engine/save.rs computes no CRC itself"
+  exit 1
+fi
+
 echo "==> forwards are addressed by read index (the content key, its index and the per-item send and expectation sets must not come back)"
 if grep -rnE 'ReadKey|sent_pairs|seen_pairs|key_to_idx' crates src tests examples; then
   echo "a receive names its source's read by index (AssignedLoadPlan::recvs); the engine forwards one batch per peer per run"

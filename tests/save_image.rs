@@ -1,8 +1,10 @@
 //! A save captures each shard file into one pooled image and uploads that
 //! image as is: on `MemoryBackend` the stored object *is* the capture
 //! buffer, which goes back to the pool only once its last view — the stored
-//! step, or a tensor restored by adopting a slice of it — is gone. And a
-//! shard the frame header cannot describe fails the save at planning.
+//! step, or a tensor restored by adopting a slice of it — is gone. The image
+//! is its frames back to back, each sealed while capture copied it, with
+//! payloads at every alignment the fused copy distinguishes. And a shard the
+//! frame header cannot describe fails the save at planning.
 
 mod common;
 
@@ -12,7 +14,7 @@ use bytecheckpoint::model::StateEntry;
 use bytecheckpoint::prelude::*;
 use bytes::Bytes;
 use common::{assert_states_eq, reference_state};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const FW: Framework = Framework::Ddp;
@@ -130,12 +132,14 @@ fn every_shard_file_is_its_frames_back_to_back() {
     let saved = state(1);
     let meta = CheckpointManager::new(mem.clone(), "j").metadata(1).unwrap();
     let mut frames: BTreeMap<&str, Vec<(u64, Bytes)>> = BTreeMap::new();
+    let mut payload_residues = BTreeSet::new();
     for (fqn, entries) in &meta.tensor_map {
         let entry = saved.model.get(fqn).or_else(|| saved.optimizer.get(fqn)).unwrap();
         for e in entries {
             let payload = entry.tensor.bytes().unwrap();
             let (frame, payload_at) = encode_frame(&e.shard, e.basic.dtype, payload).unwrap();
             assert_eq!(e.byte.length, payload.len() as u64, "{fqn}: replicated, saved whole");
+            payload_residues.insert(e.byte.offset % 16);
             frames
                 .entry(e.byte.file.as_str())
                 .or_default()
@@ -156,6 +160,10 @@ fn every_shard_file_is_its_frames_back_to_back() {
         }
         assert!(files[name] == want[..], "{name} differs from its encoded frames");
     }
+    // Capture seals each payload as it copies it, with a head copied up to
+    // the image's next 16-byte boundary: the comparison above covers that
+    // head at many lengths.
+    assert!(payload_residues.len() >= 8, "payload offsets mod 16: {payload_residues:?}");
 }
 
 #[test]
