@@ -20,8 +20,7 @@
 
 use crate::engine::iopool::IoPool;
 use crate::engine::pool::PinnedPool;
-use crate::fault::{FaultHook, FaultPlan};
-use crate::hottier::{assemble_hot_step, HotTierConfig, TierBreakdown};
+use crate::fault::FaultPlan;
 use crate::integrity::{
     with_retries, FailureLog, FailureRecord, RetryClock, RetryPolicy, SystemClock,
 };
@@ -31,15 +30,14 @@ use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
 use crate::scrub::scrub_step;
 use crate::workflow::{
-    load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveArgs, SaveTicket, TierOverlay,
-    WorkflowOptions,
+    load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveArgs, SaveTicket, WorkflowOptions,
 };
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
 use bcp_dataloader::{LoaderReplicatedState, LoaderShardState};
 use bcp_model::{ExtraState, Framework, TrainState};
 use bcp_monitor::{MetricsHub, MetricsSink};
-use bcp_storage::{assemble, CheckpointLocation, DynBackend, HotTier, StackConfig, StorageError};
+use bcp_storage::{assemble, CheckpointLocation, DynBackend, StackConfig, StorageError};
 use bcp_topology::Parallelism;
 use std::sync::Arc;
 
@@ -149,19 +147,6 @@ pub struct LoadOutcome {
 }
 
 impl LoadOutcome {
-    /// Recovery-tier breakdown of this load, when it ran through the hot
-    /// tier (`None` for plain cold loads).
-    pub fn tier(&self) -> Option<&TierBreakdown> {
-        self.report.tier.as_ref()
-    }
-
-    /// Fraction of shard files served from the hot tier (0 for cold loads).
-    pub fn hot_fraction(&self) -> f64 {
-        self.report.tier.as_ref().map(TierBreakdown::hot_fraction).unwrap_or(0.0)
-    }
-}
-
-impl LoadOutcome {
     /// The global step the loaded checkpoint was saved at — where training
     /// resumes from.
     pub fn resumed_step(&self) -> u64 {
@@ -201,7 +186,6 @@ pub struct CheckpointerBuilder {
     workflow: WorkflowOptions,
     sink: MetricsSink,
     telemetry: bool,
-    hot_handle: Option<Arc<HotTier>>,
     clock: Arc<dyn RetryClock>,
 }
 
@@ -215,7 +199,6 @@ impl CheckpointerBuilder {
             workflow: WorkflowOptions::default(),
             sink: MetricsSink::disabled(),
             telemetry: true,
-            hot_handle: None,
             clock: Arc::new(SystemClock::default()),
         }
     }
@@ -276,34 +259,6 @@ impl CheckpointerBuilder {
         self
     }
 
-    /// Tiered recovery (hot tier): replicate every committed step's shard
-    /// files into an in-process bounded ring on this rank and on `R` peer
-    /// ranks placed on other hosts, and let [`Checkpointer::load_latest`]
-    /// recover through those copies before the persistent tree. Defaults to
-    /// **off**; must agree across ranks (the replication exchange and the
-    /// recovery assembly are symmetric collectives).
-    ///
-    /// Takes the whole [`HotTierConfig`] block; a bare `bool` still works
-    /// (`true` = enabled with the default shape):
-    ///
-    /// ```ignore
-    /// builder.hot_tier(HotTierConfig::enabled().replicas(2).gpus_per_host(8))
-    /// ```
-    pub fn hot_tier(mut self, config: impl Into<HotTierConfig>) -> CheckpointerBuilder {
-        self.workflow.hot = config.into();
-        self
-    }
-
-    /// Use an externally-owned [`HotTier`] instead of a private one —
-    /// modeling host memory that outlives a worker process (the chaos
-    /// harness restarts `Checkpointer`s against the same tiers). Implies
-    /// [`CheckpointerBuilder::hot_tier`]`(true)`.
-    pub fn hot_tier_handle(mut self, tier: Arc<HotTier>) -> CheckpointerBuilder {
-        self.workflow.hot.enabled = true;
-        self.hot_handle = Some(tier);
-        self
-    }
-
     /// Metrics destination (defaults to disabled).
     pub fn sink(mut self, sink: MetricsSink) -> CheckpointerBuilder {
         self.sink = sink;
@@ -345,10 +300,6 @@ impl CheckpointerBuilder {
             (None, self.sink)
         };
         let io_threads = self.workflow.save.io_threads.max(self.workflow.load.io_threads);
-        let hot = self.workflow.hot.enabled.then(|| {
-            self.hot_handle
-                .unwrap_or_else(|| Arc::new(HotTier::new(self.workflow.hot.capacity_steps)))
-        });
         let failures = FailureLog::new().with_clock(self.clock).with_sink(sink.clone());
         let ctx = JobContext {
             comm: self.comm,
@@ -362,7 +313,6 @@ impl CheckpointerBuilder {
             io: IoPool::new(io_threads),
             failures: Arc::new(failures),
             telemetry,
-            hot,
         };
         Ok(Checkpointer { ctx, registry })
     }
@@ -438,26 +388,13 @@ impl Checkpointer {
         )
     }
 
-    /// The in-process hot tier, when tiered recovery is enabled.
-    pub fn hot_tier(&self) -> Option<&Arc<HotTier>> {
-        self.ctx.hot.as_ref()
-    }
-
     /// `bytecheckpoint.load`: fill the request's target states from the
     /// request's location, resharding automatically when the parallelism
     /// changed.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
-        self.load_with_overlay(req, None)
-    }
-
-    fn load_with_overlay(
-        &self,
-        req: &mut LoadRequest<'_>,
-        overlay: Option<TierOverlay>,
-    ) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
-        let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state, overlay)?;
+        let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state)?;
         let loader = match req.loader_target {
             Some(t) => load_loader_states(
                 |file| {
@@ -517,26 +454,8 @@ impl Checkpointer {
         };
         let Some(step) = chosen else { return Ok(None) };
         let location = root.join(&format!("step_{step}"));
-        // Rung 1 of the recovery ladder: assemble the chosen step from the
-        // peer-replicated hot tier (CRC-verified per file; any miss or
-        // defect is recorded and simply reads cold). A collective — every
-        // rank participates whenever the hot tier is enabled, even with an
-        // empty ring.
-        let overlay: Option<TierOverlay> = match (&self.ctx.hot, self.ctx.options.hot.enabled) {
-            (Some(hot), true) => {
-                let faults = {
-                    let comm = self.ctx.comm.clone();
-                    FaultHook::new(self.ctx.options.faults.clone(), self.ctx.rank())
-                        .with_on_kill(move || comm.mark_self_failed())
-                };
-                let assembly =
-                    assemble_hot_step(&self.ctx.comm, hot, &faults, step, &location.uri().key)?;
-                Some((assembly.files, assembly.fallbacks))
-            }
-            _ => None,
-        };
         let mut req = LoadRequest { location, state, loader_target };
-        let mut outcome = self.load_with_overlay(&mut req, overlay)?;
+        let mut outcome = self.load(&mut req)?;
         outcome.quarantined = quarantined;
         Ok(Some(outcome))
     }

@@ -26,10 +26,10 @@
 //! **Reclaim by owner.** [`PooledBuf::freeze`] turns a filled buffer into
 //! `Bytes` that *own* it ([`bytes::Bytes::from_owner`]). Whoever holds the
 //! last view — an upload job, a `MemoryBackend` that stored the image, a
-//! tensor restored by adopting a slice of it, the hot tier — frees it by
-//! dropping that view, and the buffer's own `Drop` hands the allocation back
-//! to the pool. So a backend that keeps a step's images holds them until
-//! the step is deleted, and the next save reuses them from then on.
+//! tensor restored by adopting a slice of it — frees it by dropping that
+//! view, and the buffer's own `Drop` hands the allocation back to the
+//! pool. So a backend that keeps a step's images holds them until the step
+//! is deleted, and the next save reuses them from then on.
 //!
 //! **Payload goes in sealed.** [`PooledBuf::extend_sealed`] is the only way
 //! payload enters a buffer: it copies and returns the payload's CRC32 in one

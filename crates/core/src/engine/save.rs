@@ -139,11 +139,6 @@ impl Drop for SaveHandle {
     }
 }
 
-/// Per-save collection point for the hot tier: the async pipeline deposits
-/// each fully-uploaded file's sealed image here, so the workflow's finalize
-/// tail can replicate them to peers without re-reading storage.
-pub type HotStaging = Arc<parking_lot::Mutex<Vec<(String, Bytes)>>>;
-
 /// Execute a rank's save plan against `backend` under `prefix`.
 ///
 /// Returns once the blocking part is done; the returned handle resolves
@@ -166,30 +161,6 @@ pub fn execute_save(
     step: u64,
     faults: &FaultHook,
     parent: SpanContext,
-) -> Result<SaveHandle> {
-    execute_save_staged(
-        plan, state, backend, prefix, pool, io, sink, log, cfg, step, faults, parent, None,
-    )
-}
-
-/// [`execute_save`] with an optional hot-tier staging sink: when `Some`,
-/// every uploaded file's sealed image (a view, not a copy) is deposited into
-/// it after the uploads succeed.
-#[allow(clippy::too_many_arguments)] // the full engine context, passed once per save
-pub fn execute_save_staged(
-    plan: &SavePlan,
-    state: &TrainState,
-    backend: DynBackend,
-    prefix: &str,
-    pool: &Arc<PinnedPool>,
-    io: &Arc<IoPool>,
-    sink: &MetricsSink,
-    log: Arc<FailureLog>,
-    cfg: &SaveConfig,
-    step: u64,
-    faults: &FaultHook,
-    parent: SpanContext,
-    hot_staging: Option<HotStaging>,
 ) -> Result<SaveHandle> {
     let rank = plan.rank;
     let started = Instant::now();
@@ -265,8 +236,6 @@ pub fn execute_save_staged(
                 staged.push((category.file_for(rank), image.freeze()));
             }
         }
-        // Views for the hot tier, which adopts the images once they landed.
-        let hot_views: Option<Vec<(String, Bytes)>> = hot_staging.as_ref().map(|_| staged.clone());
         // Upload: every whole file and every split part is one leaf job on
         // the shared I/O pool, so files upload concurrently.
         faults.check("save/upload")?;
@@ -347,11 +316,6 @@ pub fn execute_save_staged(
             for result in io.run_batch(concat_jobs) {
                 result?;
             }
-        }
-        // Stage hot-tier views only for files that actually landed; each
-        // image returns to the pool once the hot tier drops it too.
-        if let (Some(staging), Some(views)) = (&hot_staging, hot_views) {
-            staging.lock().extend(views);
         }
         Ok((total, nfiles))
     };

@@ -18,7 +18,6 @@
 //! | §3.3/Fig. 9 dataloader resharding | [`loader_reshard`] |
 //! | Appendix B integrity barrier, retries, failure logging | [`integrity`] |
 //! | Appendix B stage-level crash injection for recovery tests | [`fault`] |
-//! | tiered recovery: peer-replicated hot-tier checkpoints | [`hottier`] |
 //! | §3.1 `bytecheckpoint.save` / `.load` API (Fig. 5) | [`api`] |
 //! | §5.3 persisted per-step telemetry artifacts | [`telemetry`] |
 //! | Appendix F safetensors export | [`export`] |
@@ -38,7 +37,6 @@ pub mod engine;
 pub mod export;
 pub mod fault;
 pub mod format;
-pub mod hottier;
 pub mod integrity;
 pub mod loader_reshard;
 pub mod manager;
@@ -55,7 +53,6 @@ pub use api::{
 };
 pub use crashsim::{enumerate_crash_states, CrashState};
 pub use fault::{FaultHook, FaultPlan};
-pub use hottier::{HotTierConfig, TierBreakdown};
 pub use manager::QuarantinedStep;
 pub use metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry};
 pub use plan::{Category, ReadItem, SavePlan, WriteItem};

@@ -5,8 +5,7 @@
 //! sealing each frame with its CRC as it copies, upload) → integrity barrier → coordinator commits (metadata +
 //! `COMPLETE` marker). The plan cache (§4.1) turns everything before the
 //! engine into a one-time cost, so a warm save's collectives are the cache
-//! agreement and the two barriers (telemetry and the hot tier add theirs
-//! when on).
+//! agreement and the two barriers (telemetry adds its gather when on).
 //!
 //! Load: read global metadata → local load plans (box matching against the
 //! TensorShardToBasicByteMap) → gather → redundant-read elimination →
@@ -15,9 +14,8 @@
 use crate::engine::iopool::IoPool;
 use crate::engine::load::{execute_load, LoadConfig, LoadStats};
 use crate::engine::pool::PinnedPool;
-use crate::engine::save::{execute_save_staged, HotStaging, SaveConfig, SaveStats};
+use crate::engine::save::{execute_save, SaveConfig, SaveStats};
 use crate::fault::{FaultHook, FaultPlan};
-use crate::hottier::{replicate_after_commit, HotTierConfig, TierBreakdown};
 use crate::integrity::{commit_checkpoint, with_retries, FailureLog, FailureRecord};
 use crate::metadata::{GlobalMetadata, LoaderShardFileEntry, COMPLETE_MARKER, METADATA_FILE};
 use crate::plan::{build_tensor_map, local_load_plan, LoadPlan, SavePlan};
@@ -34,12 +32,10 @@ use bcp_model::{ExtraState, Framework, TrainState};
 use bcp_monitor::{
     enter_context, MetricsHub, MetricsSink, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
-use bcp_storage::hot::HotTier;
-use bcp_storage::{DynBackend, TieredReadBackend};
+use bcp_storage::DynBackend;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,10 +64,6 @@ pub struct JobContext {
     /// The private hub per-step telemetry artifacts are cut from, when
     /// telemetry is on.
     pub telemetry: Option<Arc<MetricsHub>>,
-    /// The in-process hot tier, when tiered recovery is enabled: the save
-    /// tail replicates each committed step's shard files into it and to `R`
-    /// placement peers, off the save critical path.
-    pub hot: Option<Arc<HotTier>>,
 }
 
 impl JobContext {
@@ -106,11 +98,6 @@ pub struct WorkflowOptions {
     /// step first and falls back past corrupt ones (quarantining them)
     /// instead of erroring.
     pub verified_fallback: bool,
-    /// Tiered recovery: peer-replicate committed shard files into the
-    /// in-process hot tier and recover through it before the persistent
-    /// tree. Must agree across ranks (the replication exchange is a
-    /// symmetric collective).
-    pub hot: HotTierConfig,
 }
 
 impl Default for WorkflowOptions {
@@ -123,7 +110,6 @@ impl Default for WorkflowOptions {
             dedup_reads: true,
             faults: FaultPlan::new(),
             verified_fallback: true,
-            hot: HotTierConfig::default(),
         }
     }
 }
@@ -177,7 +163,7 @@ pub fn save_checkpoint(
     args: SaveArgs<'_>,
 ) -> Result<SaveTicket> {
     let JobContext { options, cache, pool, io, sink, .. } = ctx;
-    let (log, telemetry, hot_tier) = (ctx.failures.clone(), ctx.telemetry.clone(), ctx.hot.clone());
+    let (log, telemetry) = (ctx.failures.clone(), ctx.telemetry.clone());
     let rank = ctx.rank();
     let step = args.step;
     let planner = planner_for(ctx.framework);
@@ -264,10 +250,7 @@ pub fn save_checkpoint(
     };
 
     // ---- Engine pipeline (blocking part = capture). ----
-    let hot_active = hot_tier.is_some() && options.hot.enabled;
-    let staging: Option<HotStaging> =
-        hot_active.then(|| Arc::new(parking_lot::Mutex::new(Vec::new())));
-    let handle = execute_save_staged(
+    let handle = execute_save(
         &planned.plan,
         args.state,
         backend.clone(),
@@ -280,7 +263,6 @@ pub fn save_checkpoint(
         step,
         &faults,
         root.context(),
-        staging.clone(),
     )?;
     let blocking = blocking_start.elapsed();
 
@@ -292,7 +274,6 @@ pub fn save_checkpoint(
     let prefix2 = prefix.to_string();
     let retries = options.save.retries;
     let io2 = io.clone();
-    let hot_opts = options.hot;
     let comm_abort = ctx.comm.clone();
     let finalize_inner = move || -> Result<SaveStats> {
         let mut root = root;
@@ -370,29 +351,6 @@ pub fn save_checkpoint(
             })?;
             root.event("commit");
         }
-        // Hot-tier replication, strictly after the commit (only committed
-        // steps are worth replicating) and still off the training-blocking
-        // path. A peer dying mid-exchange is logged best-effort: the
-        // checkpoint is already durable, the hot hit rate just drops.
-        if let (Some(hot), Some(staging)) = (&hot_tier, &staging) {
-            faults.check("save/hot")?;
-            let files = std::mem::take(&mut *staging.lock());
-            let mut t = root.child("save/hot_replicate").uncounted();
-            t.set_attr("files", files.len().to_string());
-            t.set_attr("replicas", hot_opts.replicas.to_string());
-            t.add_bytes(files.iter().map(|(_, b)| b.len() as u64).sum());
-            let _in_hot = t.enter();
-            if let Err(e) = replicate_after_commit(&comm, hot, &hot_opts, step, files) {
-                log.log(FailureRecord {
-                    rank,
-                    stage: "save/hot".into(),
-                    path: Some(prefix2.clone()),
-                    attempt: 1,
-                    error: e.to_string(),
-                    retried: false,
-                });
-            }
-        }
         // The checkpoint is committed: close the root span and persist the
         // step's telemetry artifact next to the data (best-effort — a
         // telemetry failure degrades observability, never the checkpoint).
@@ -418,8 +376,8 @@ pub fn save_checkpoint(
         Ok(stats)
     };
     // Failure propagation (mirror of the load side): a rank whose finalize
-    // tail aborts will never reach the barriers or post its replication
-    // messages, so declare it dead rather than leave peers waiting.
+    // tail aborts will never reach the barriers, so declare it dead rather
+    // than leave peers waiting.
     let finalize = move || -> Result<SaveStats> {
         let result = finalize_inner();
         if result.is_err() {
@@ -491,37 +449,18 @@ pub struct LoadReport {
     pub metadata: GlobalMetadata,
     /// Extra state recovered for this rank (rank 0's when the world grew).
     pub extra: Option<ExtraState>,
-    /// Which tier served each shard, when this was a tiered (hot-overlay)
-    /// load. `None` for plain cold loads.
-    pub tier: Option<TierBreakdown>,
 }
-
-/// The assembled hot overlay handed to a tiered load: verified full-path
-/// file bytes plus the human-readable reasons anything will read cold.
-pub type TierOverlay = (HashMap<String, Bytes>, Vec<String>);
 
 /// Execute the full load (resharding) workflow on this rank. The state dict
 /// passed in defines the *target* sharding; its tensor values are replaced.
-/// With a hot-tier overlay, reads are served from the verified hot copies
-/// first and fall through to the persistent backend, with the per-shard tier
-/// recorded in [`LoadReport::tier`] and in the `load/tier` telemetry span.
 pub fn load_checkpoint(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
     state: &mut TrainState,
-    tier: Option<TierOverlay>,
 ) -> Result<LoadReport> {
     let JobContext { options, io, sink, failures: log, telemetry, .. } = ctx;
-    let load = || -> Result<LoadReport> {
-        let (tiered, fallbacks) = match tier {
-            Some((map, fb)) => (Some(Arc::new(TieredReadBackend::new(map, backend.clone()))), fb),
-            None => (None, Vec::new()),
-        };
-        let backend: DynBackend = match &tiered {
-            Some(t) => t.clone(),
-            None => backend,
-        };
+    let mut load = || -> Result<LoadReport> {
         let rank = ctx.rank();
         let faults = {
             let comm = ctx.comm.clone();
@@ -640,22 +579,6 @@ pub fn load_checkpoint(
             let _t = root.child("sync/load_barrier").attr("collective", ctx.comm.backend_info());
             ctx.comm.barrier()?;
         }
-        // Recovery-tier breakdown: which tier served each shard, recorded both
-        // in the report and as a telemetry span so the persisted artifact (and
-        // `bcpctl report --load`) can show it.
-        let tier = tiered.as_ref().map(|t| {
-            let b = TierBreakdown::from_backend(t, fallbacks);
-            let mut span = root.child("load/tier").uncounted();
-            span.set_attr("hot_files", b.hot_files.to_string());
-            span.set_attr("cold_files", b.cold_files.to_string());
-            span.set_attr("hot_bytes", b.hot_bytes.to_string());
-            span.set_attr("cold_bytes", b.cold_bytes.to_string());
-            span.set_attr("fallbacks", b.fallbacks.len().to_string());
-            if !b.fallbacks.is_empty() {
-                span.set_attr("fallback_reasons", b.fallbacks.join("; "));
-            }
-            b
-        });
         // Close the root span, then persist this load's telemetry next to the
         // checkpoint (best-effort, separate artifact from the save's).
         drop(root);
@@ -674,7 +597,7 @@ pub fn load_checkpoint(
                 });
             }
         }
-        Ok(LoadReport { stats, metadata, extra, tier })
+        Ok(LoadReport { stats, metadata, extra })
     };
     let result = load();
     if result.is_err() {

@@ -1,29 +1,24 @@
 //! Chaos soak: a bounded multi-cycle train → save → kill → recover loop
-//! over a 2-host/4-rank world with the hot tier enabled, seeded random
-//! stage kills, backend write flakiness + latency jitter, and host-memory
-//! wipes. Invariants held every cycle:
+//! over a 4-rank world, with seeded random stage kills and backend write
+//! flakiness + latency jitter. Every recovery is `load_latest` from the
+//! persistent tree. Invariants held every cycle:
 //!
 //! * training always resumes from the newest *committed* step, bitwise
 //!   equal to the deterministic reference trajectory;
-//! * committed progress is monotone — a torn save never commits, a
-//!   post-commit death never un-commits;
+//! * committed progress is monotone — a killed save never commits, a
+//!   killed load leaves the committed steps untouched;
 //! * no cycle hangs anywhere near the collective timeout (failure
-//!   propagation aborts survivors promptly);
-//! * recoveries are served from peer hot-tier replicas when coverage
-//!   exists (≥ 90% hot at least once), degrade to a partial overlay when a
-//!   source's copies died, and fall through to the persistent tree
-//!   entirely — without error — after a full host-memory wipe.
+//!   propagation aborts survivors promptly).
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, SaveRequest};
 use bcp_core::fault::FaultPlan;
 use bcp_core::integrity::RetryPolicy;
 use bcp_core::registry::BackendRegistry;
-use bcp_core::HotTierConfig;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
-use bcp_storage::{DynBackend, Fault, FaultLayer, FaultRule, HotTier, MemoryBackend, OpSet};
+use bcp_storage::{DynBackend, Fault, FaultLayer, FaultRule, MemoryBackend, OpSet};
 use bcp_topology::Parallelism;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +26,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WORLD: usize = 4;
-const GPUS_PER_HOST: usize = 2; // host 0 = ranks {0,1}, host 1 = ranks {2,3}
 const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn fw() -> Framework {
@@ -63,14 +57,12 @@ fn assert_states_bitwise_eq(got: &TrainState, want: &TrainState, rank: usize, ct
     }
 }
 
-/// The fixtures that outlive worker "processes": the persistent store (one
-/// flaky, jittery backend shared by every cycle) and per-rank hot tiers
-/// (host memory surviving a process restart).
+/// The fixture that outlives worker "processes": the persistent store (one
+/// flaky, jittery backend shared by every cycle).
 struct Cluster {
     registry: Arc<BackendRegistry>,
     /// Raw store underneath the flaky wrapper, for commit-marker checks.
     mem: DynBackend,
-    tiers: Vec<Arc<HotTier>>,
 }
 
 impl Cluster {
@@ -85,11 +77,7 @@ impl Cluster {
         let flaky: DynBackend = Arc::new(FaultLayer::new(mem.clone(), jitter_seed, rules));
         let mut reg = BackendRegistry::new();
         reg.register(Scheme::Memory, flaky);
-        Cluster {
-            registry: Arc::new(reg),
-            mem,
-            tiers: (0..WORLD).map(|_| Arc::new(HotTier::new(2))).collect(),
-        }
+        Cluster { registry: Arc::new(reg), mem }
     }
 }
 
@@ -98,13 +86,10 @@ impl Cluster {
 struct RankReport {
     load_err: Option<String>,
     save_err: Option<String>,
-    hot_files: usize,
-    cold_files: usize,
-    fallbacks: Vec<String>,
 }
 
 /// One simulated incarnation of the job: fresh world + fresh checkpointers
-/// against the cluster's persistent store and hot tiers.
+/// against the cluster's persistent store.
 fn run_cycle<F>(cluster: &Cluster, plan: FaultPlan, f: F) -> Vec<RankReport>
 where
     F: Fn(usize, Checkpointer) -> RankReport + Send + Sync + 'static,
@@ -115,7 +100,6 @@ where
         .map(|rank| {
             let world = world.clone();
             let registry = cluster.registry.clone();
-            let tier = cluster.tiers[rank].clone();
             let plan = plan.clone();
             let f = f.clone();
             std::thread::spawn(move || {
@@ -125,13 +109,6 @@ where
                     .registry(registry)
                     .fault_plan(plan)
                     .retry_policy(RetryPolicy::exponential(3, Duration::from_millis(2)))
-                    .hot_tier_handle(tier)
-                    .hot_tier(
-                        HotTierConfig::enabled()
-                            .gpus_per_host(GPUS_PER_HOST)
-                            .replicas(1)
-                            .capacity_steps(2),
-                    )
                     .build()
                     .unwrap();
                 f(rank, ckpt)
@@ -146,68 +123,44 @@ where
 enum Kind {
     /// No injected fault (backend flakiness/jitter still applies).
     Clean,
-    /// Wipe one host's hot tiers before the cycle (single-failure-domain
-    /// memory loss; placement must keep recovery 100% hot).
-    WipeHost(usize),
-    /// Wipe every hot tier (total memory loss; recovery must fall through
-    /// to the persistent tree without error).
-    WipeAll,
     /// Kill `rank` at a pre-commit save stage: the step must never commit.
     KillSave(&'static str, usize),
-    /// Kill `rank` at the post-commit hot replication: the step stays
-    /// committed, hot coverage degrades.
-    KillSaveHot(usize),
     /// Kill `rank` at a load stage: the load fails everywhere, the
     /// checkpoint survives untouched.
     KillLoad(&'static str, usize),
 }
 
-/// Cycles 0–5 are a designed scenario ladder (bootstrap → replicated →
-/// host wipe → post-commit death → partial-hot recovery → total wipe);
-/// everything after is drawn from the seeded RNG.
+/// Cycles 0–7 are a designed ladder that hits every kill kind and commits
+/// steps 1–5; everything after is drawn from the seeded RNG.
 fn schedule(cycle: usize, rng: &mut StdRng) -> Kind {
     match cycle {
-        0 | 1 => Kind::Clean,
-        2 => Kind::WipeHost(0),
-        3 => Kind::KillSaveHot(1),
-        4 => Kind::Clean, // resumes the step whose hot coverage lost rank 1
-        5 => Kind::WipeAll,
+        1 => Kind::KillSave("save/upload", 1),
+        3 => Kind::KillSave("save/commit", 0),
+        5 => Kind::KillLoad("load/read", 2),
+        0..=7 => Kind::Clean,
         _ => match rng.gen_range(0..10u32) {
             0 => Kind::KillSave("save/upload", rng.gen_range(0..WORLD)),
             1 => Kind::KillSave("save/barrier", rng.gen_range(0..WORLD)),
             2 => Kind::KillSave("save/metadata", 0),
             3 => Kind::KillSave("save/commit", 0),
-            4 => Kind::KillSaveHot(rng.gen_range(0..WORLD)),
-            5 => Kind::KillLoad("load/read", rng.gen_range(0..WORLD)),
-            6 => Kind::KillLoad("load/hot", rng.gen_range(0..WORLD)),
+            4 | 5 => Kind::KillLoad("load/read", rng.gen_range(0..WORLD)),
             _ => Kind::Clean,
         },
     }
 }
 
 fn run_soak(cluster: &Cluster, cycles: usize, seed: u64) {
-    assert!(cycles >= 6, "the designed scenario ladder needs 6 cycles");
+    assert!(cycles >= 8, "the designed scenario ladder needs 8 cycles");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut committed: Option<u64> = None;
-    let mut full_hot_recoveries = 0usize;
 
     for cycle in 0..cycles {
         let kind = schedule(cycle, &mut rng);
-        match kind {
-            Kind::WipeHost(h) => {
-                for tier in &cluster.tiers[h * GPUS_PER_HOST..(h + 1) * GPUS_PER_HOST] {
-                    tier.wipe();
-                }
-            }
-            Kind::WipeAll => cluster.tiers.iter().for_each(|t| t.wipe()),
-            _ => {}
-        }
         let plan = match kind {
             Kind::KillSave(stage, victim) | Kind::KillLoad(stage, victim) => {
                 FaultPlan::new().kill(victim, stage)
             }
-            Kind::KillSaveHot(victim) => FaultPlan::new().kill(victim, "save/hot"),
-            _ => FaultPlan::new(),
+            Kind::Clean => FaultPlan::new(),
         };
 
         let expected = committed;
@@ -242,11 +195,6 @@ fn run_soak(cluster: &Cluster, cycles: usize, seed: u64) {
                     );
                     let want = reference_state(rank, want_step);
                     assert_states_bitwise_eq(&state, &want, rank, &format!("cycle {cycle}"));
-                    if let Some(t) = out.tier() {
-                        report.hot_files = t.hot_files;
-                        report.cold_files = t.cold_files;
-                        report.fallbacks = t.fallbacks.clone();
-                    }
                     want_step
                 }
             };
@@ -271,7 +219,7 @@ fn run_soak(cluster: &Cluster, cycles: usize, seed: u64) {
         // injection): did this cycle's save step become durable?
         let durable = cluster.mem.exists(&format!("train/step_{next}/COMPLETE")).unwrap();
         match kind {
-            Kind::Clean | Kind::WipeHost(_) | Kind::WipeAll => {
+            Kind::Clean => {
                 for (r, rep) in reports.iter().enumerate() {
                     assert!(
                         rep.load_err.is_none(),
@@ -316,76 +264,9 @@ fn run_soak(cluster: &Cluster, cycles: usize, seed: u64) {
                 );
                 assert!(!durable, "cycle {cycle}: a {stage} kill must never commit step {next}");
             }
-            Kind::KillSaveHot(victim) => {
-                for (r, rep) in reports.iter().enumerate() {
-                    assert!(rep.load_err.is_none(), "cycle {cycle}: rank {r} load must succeed");
-                }
-                assert!(
-                    reports[victim].save_err.as_ref().unwrap().contains("injected crash"),
-                    "cycle {cycle}: victim saw {:?}",
-                    reports[victim].save_err
-                );
-                assert!(
-                    durable,
-                    "cycle {cycle}: save/hot fires after commit — step {next} must stay durable"
-                );
-                committed = Some(next);
-            }
-        }
-
-        // Recovery-tier composition, on the designed scenario cycles.
-        let hot_total: usize = reports.iter().map(|r| r.hot_files).sum();
-        let cold_total: usize = reports.iter().map(|r| r.cold_files).sum();
-        match cycle {
-            2 => {
-                // One host's memory is gone; the failure-domain-aware
-                // placement put every source's replica on the other host.
-                assert!(
-                    hot_total > 0 && cold_total == 0,
-                    "cycle 2: single-host wipe must still recover 100% hot \
-                     (hot {hot_total}, cold {cold_total})"
-                );
-            }
-            4 => {
-                // Rank 1 died at save/hot last cycle: its files are in no
-                // tier, everyone else's replicated — a mixed recovery.
-                assert!(hot_total > 0, "cycle 4: surviving sources must serve hot");
-                assert!(
-                    cold_total > 0,
-                    "cycle 4: rank 1's shard files must fall through to the cold tree"
-                );
-                assert!(
-                    reports.iter().any(|r| r.fallbacks.iter().any(|f| f.contains("rank 1"))),
-                    "cycle 4: the fallback reason must name the lost source"
-                );
-            }
-            5 => {
-                // Total hot-memory loss: the ladder bottoms out on the
-                // persistent tree, silently correct.
-                assert!(
-                    hot_total == 0 && cold_total > 0,
-                    "cycle 5: full wipe must read everything cold \
-                     (hot {hot_total}, cold {cold_total})"
-                );
-                for (r, rep) in reports.iter().enumerate() {
-                    assert!(
-                        rep.fallbacks.len() >= WORLD,
-                        "cycle 5: rank {r} must record one miss per lost source, got {:?}",
-                        rep.fallbacks
-                    );
-                }
-            }
-            _ => {}
-        }
-        if hot_total > 0 && hot_total * 10 >= (hot_total + cold_total) * 9 {
-            full_hot_recoveries += 1;
         }
     }
 
-    assert!(
-        full_hot_recoveries >= 1,
-        "at least one recovery must be served >= 90% from the hot tier"
-    );
     let last = committed.expect("the soak must commit progress");
     assert!(last >= 5, "monotone progress: the scenario ladder alone commits 5+ steps, got {last}");
 }
@@ -398,8 +279,8 @@ fn soak_thirty_plus_seeded_kill_recover_cycles() {
     run_soak(&cluster, 34, 0xB07_7E57);
 }
 
-/// Bounded smoke variant for `scripts/check.sh`: the whole scenario ladder
-/// plus two random cycles, well under a minute.
+/// Bounded smoke variant for `scripts/check.sh`: the whole scenario ladder,
+/// well under a minute.
 #[test]
 fn smoke_bounded_soak() {
     let cluster = Cluster::new(7);

@@ -24,7 +24,7 @@
 //!   slow I/Os, p50/p95/p99, cross-rank critical-path detection, regression
 //!   checks against a rolling baseline.
 //! * [`registry`] — the *live* half: a labeled time-series registry
-//!   (counters, gauges, bounded-window histograms) that spans fold into
+//!   (counters and bounded-window histograms) that spans fold into
 //!   incrementally, rendered as Prometheus exposition text.
 //! * [`report`] — the `bcpctl report` document, text and `--json`.
 //! * [`export`] — Chrome trace-event JSON (Perfetto-loadable) and CSV.

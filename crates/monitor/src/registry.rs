@@ -1,4 +1,4 @@
-//! Live time-series registry: labeled counters, gauges, and bounded-window
+//! Live time-series registry: labeled counters and bounded-window
 //! histograms that [`SpanRecord`]s fold into *incrementally*, instead of
 //! only at artifact-drain time.
 //!
@@ -7,7 +7,7 @@
 //! a per-phase table; a [`crate::MetricsSink::folding`] sink keeps one live.
 //!
 //! Series are keyed by `(name, labels)` where labels is a sorted map — the
-//! conventional keys are `{job, rank, op, backend, tier, phase, source}`.
+//! conventional keys are `{job, rank, op, backend, phase}`.
 //! Histograms reuse [`LatencyAccumulator`], so they are bounded-window with
 //! exact nearest-rank percentiles, not unbounded reservoirs.
 
@@ -31,17 +31,15 @@ pub fn labels<K: Into<String>, V: Into<String>>(pairs: impl IntoIterator<Item = 
 pub enum SeriesValue {
     /// Monotonically increasing sum.
     Counter(f64),
-    /// Last-write-wins level.
-    Gauge(f64),
     /// Bounded-window percentile summary (milliseconds).
     Histogram(LatencySnapshot),
 }
 
 impl SeriesValue {
-    /// The scalar value for counters/gauges (`None` for histograms).
+    /// The scalar value for counters (`None` for histograms).
     pub fn scalar(&self) -> Option<f64> {
         match self {
-            SeriesValue::Counter(v) | SeriesValue::Gauge(v) => Some(*v),
+            SeriesValue::Counter(v) => Some(*v),
             SeriesValue::Histogram(_) => None,
         }
     }
@@ -60,7 +58,6 @@ pub struct SeriesSample {
 
 enum Series {
     Counter(f64),
-    Gauge(f64),
     Histogram(LatencyAccumulator),
 }
 
@@ -104,18 +101,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set the gauge `(name, labels)` to `value`.
-    pub fn set(&self, name: &str, labels: Labels, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let mut s = self.series.lock().unwrap();
-        let e = s.entry((name.to_string(), labels)).or_insert(Series::Gauge(0.0));
-        if let Series::Gauge(v) = e {
-            *v = value;
-        }
-    }
-
     /// Record one sample (milliseconds) into the bounded-window histogram
     /// `(name, labels)`.
     pub fn observe_ms(&self, name: &str, labels: Labels, ms: f64) {
@@ -131,11 +116,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Scalar value of a counter/gauge series, when present.
+    /// Scalar value of a counter series, when present.
     pub fn value(&self, name: &str, labels: &Labels) -> Option<f64> {
         let s = self.series.lock().unwrap();
         match s.get(&(name.to_string(), labels.clone()))? {
-            Series::Counter(v) | Series::Gauge(v) => Some(*v),
+            Series::Counter(v) => Some(*v),
             Series::Histogram(_) => None,
         }
     }
@@ -173,10 +158,7 @@ impl MetricsRegistry {
     ///   `storage_throttled_total`, its `retry_after_ms` attribute carrying
     ///   the server's hint into `storage_retry_after_seconds_total`.
     /// * Everything else — unrecognized `resil/` names included —
-    ///   lands in the `phase_*` series keyed `{phase, op, rank}`; `load/tier`
-    ///   also feeds hot-tier health: `tier_files_total{tier}`,
-    ///   `tier_bytes_total{tier}`, and the per-job `hot_hit_rate` gauge (hot
-    ///   files over all files, cumulative).
+    ///   lands in the `phase_*` series keyed `{phase, op, rank}`.
     pub fn fold(&self, span: &SpanRecord, base: &Labels) {
         let secs = span.duration.as_secs_f64();
         if let Some(rest) = span.name.strip_prefix("resil/") {
@@ -207,22 +189,6 @@ impl MetricsRegistry {
         if span.io_bytes > 0 {
             self.add("phase_io_bytes_total", l, span.io_bytes as f64);
         }
-        if span.name == "load/tier" {
-            let tier = |tier: &str| {
-                let mut l = base.clone();
-                l.insert("tier".into(), tier.to_string());
-                l
-            };
-            for t in ["hot", "cold"] {
-                self.add("tier_files_total", tier(t), span.attr_num(&format!("{t}_files")));
-                self.add("tier_bytes_total", tier(t), span.attr_num(&format!("{t}_bytes")));
-            }
-            let files = |t: &str| self.value("tier_files_total", &tier(t)).unwrap_or(0.0);
-            let (hot, cold) = (files("hot"), files("cold"));
-            if hot + cold > 0.0 {
-                self.set("hot_hit_rate", base.clone(), hot / (hot + cold));
-            }
-        }
     }
 
     /// The `resil/` branch of [`Self::fold`]; `false` for an unrecognized
@@ -246,7 +212,7 @@ impl MetricsRegistry {
     // -- Exposition --------------------------------------------------------
 
     /// Render every series as Prometheus text exposition. Counters render
-    /// as `counter`, gauges as `gauge`, histograms as `summary` quantile
+    /// as `counter`, histograms as `summary` quantile
     /// series (values in milliseconds) plus a `_count` line.
     pub fn render_prometheus(&self) -> String {
         let s = self.series.lock().unwrap();
@@ -257,14 +223,13 @@ impl MetricsRegistry {
             if name != last_name {
                 let kind = match series {
                     Series::Counter(_) => "counter",
-                    Series::Gauge(_) => "gauge",
                     Series::Histogram(_) => "summary",
                 };
                 let _ = writeln!(out, "# TYPE {metric} {kind}");
                 last_name = name;
             }
             match series {
-                Series::Counter(v) | Series::Gauge(v) => {
+                Series::Counter(v) => {
                     let _ =
                         writeln!(out, "{metric}{} {}", render_labels(labels, None), fmt_f64(*v));
                 }
@@ -299,7 +264,6 @@ fn sample(name: &str, labels: &Labels, v: &Series) -> SeriesSample {
         labels: labels.clone(),
         value: match v {
             Series::Counter(v) => SeriesValue::Counter(*v),
-            Series::Gauge(v) => SeriesValue::Gauge(*v),
             Series::Histogram(acc) => SeriesValue::Histogram(acc.snapshot()),
         },
     }
@@ -349,15 +313,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms() {
+    fn counters_and_histograms() {
         let reg = MetricsRegistry::new();
         let l = labels([("job", "a")]);
         reg.add("commit_total", l.clone(), 1.0);
         reg.add("commit_total", l.clone(), 2.0);
         assert_eq!(reg.value("commit_total", &l), Some(3.0));
-        reg.set("hot_hit_rate", l.clone(), 0.75);
-        reg.set("hot_hit_rate", l.clone(), 0.5);
-        assert_eq!(reg.value("hot_hit_rate", &l), Some(0.5));
         for ms in [10.0, 20.0, 30.0] {
             reg.observe_ms("save_stall_ms", l.clone(), ms);
         }
@@ -377,8 +338,8 @@ mod tests {
         reg.add("c", l.clone(), 5.0);
         reg.add("c", l.clone(), -3.0);
         assert_eq!(reg.value("c", &l), Some(5.0));
-        // A set() against an existing counter does not clobber it.
-        reg.set("c", l.clone(), 0.0);
+        // A histogram sample against an existing counter does not clobber it.
+        reg.observe_ms("c", l.clone(), 1.0);
         assert_eq!(reg.value("c", &l), Some(5.0));
     }
 
@@ -427,32 +388,14 @@ mod tests {
     }
 
     #[test]
-    fn tier_spans_feed_hot_hit_rate() {
-        let reg = MetricsRegistry::new();
-        let base = labels([("job", "j")]);
-        let mut tier = span("load/tier", 0, 2, 0);
-        for (k, v) in [("hot_files", "3"), ("cold_files", "1"), ("hot_bytes", "300")] {
-            tier.attrs.insert(k.to_string(), v.to_string());
-        }
-        reg.fold(&tier, &base);
-        assert_eq!(reg.value("hot_hit_rate", &base), Some(0.75));
-        let hl = labels([("job", "j"), ("tier", "hot")]);
-        assert_eq!(reg.value("tier_files_total", &hl), Some(3.0));
-        assert_eq!(reg.value("tier_bytes_total", &hl), Some(300.0));
-    }
-
-    #[test]
     fn prometheus_exposition_is_well_formed() {
         let reg = MetricsRegistry::new();
         reg.add("commit_total", labels([("job", "a-1")]), 4.0);
-        reg.set("hot_hit_rate", labels([("job", "a-1")]), 0.9);
         reg.observe_ms("save_stall_ms", labels([("job", "a-1")]), 12.5);
         reg.add("odd name!", labels([("k", "va\"lue")]), 1.0);
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE commit_total counter"), "{text}");
         assert!(text.contains("commit_total{job=\"a-1\"} 4"), "{text}");
-        assert!(text.contains("# TYPE hot_hit_rate gauge"), "{text}");
-        assert!(text.contains("hot_hit_rate{job=\"a-1\"} 0.9"), "{text}");
         assert!(text.contains("# TYPE save_stall_ms summary"), "{text}");
         assert!(text.contains("save_stall_ms{job=\"a-1\",quantile=\"0.99\"} 12.5"), "{text}");
         assert!(text.contains("save_stall_ms_count{job=\"a-1\"} 1"), "{text}");

@@ -10,7 +10,7 @@
 //! (see [`crate::export`]). A measurement with no extent (a retry, a
 //! throttled request) is a *point span*: an uncounted span created and
 //! dropped at once, carrying its payload in `io_bytes`/`path`/`attrs`.
-//! Counters, gauges and histograms are folds over spans
+//! Counters and histograms are folds over spans
 //! ([`crate::MetricsRegistry::fold`]); heat maps, breakdowns and alerts are
 //! queries over them ([`crate::analysis`]).
 //!

@@ -24,24 +24,6 @@ pub fn ettr_avg(t_save: f64, t_load: f64, t_reshard: f64, n: u64, t_iter: f64) -
     (ettr(t_save, t_load, n, t_iter) + ettr(t_save, t_reshard, n, t_iter)) / 2.0
 }
 
-/// ETTR under tiered recovery: a fraction `hot_hit_rate` of failures
-/// recover from the peer-replicated in-memory hot tier (load time
-/// `t_load_hot`, a memory copy) and the rest fall through to the persistent
-/// tree (`t_load_cold`). The expected load time is the mixture, so at hit
-/// rate 0 this reduces exactly to [`ettr`] with `t_load_cold`.
-pub fn ettr_tiered(
-    t_save: f64,
-    t_load_hot: f64,
-    t_load_cold: f64,
-    hot_hit_rate: f64,
-    n: u64,
-    t_iter: f64,
-) -> f64 {
-    let p = hot_hit_rate.clamp(0.0, 1.0);
-    let t_load = p * t_load_hot + (1.0 - p) * t_load_cold;
-    ettr(t_save, t_load, n, t_iter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,35 +59,5 @@ mod tests {
     #[test]
     fn wasted_time_is_half_interval_plus_overheads() {
         assert_eq!(wasted_time(10.0, 20.0, 100, 2.0), 130.0);
-    }
-
-    #[test]
-    fn tiered_reduces_to_ettr_at_hit_rate_zero() {
-        let (ts, th, tc, n, ti) = (27.47, 0.8, 50.12, 100, 5.5);
-        let tiered = ettr_tiered(ts, th, tc, 0.0, n, ti);
-        let plain = ettr(ts, tc, n, ti);
-        assert!((tiered - plain).abs() < 1e-12, "{tiered} vs {plain}");
-    }
-
-    #[test]
-    fn tiered_reaches_hot_load_at_hit_rate_one() {
-        let tiered = ettr_tiered(27.47, 0.8, 50.12, 1.0, 100, 5.5);
-        let hot = ettr(27.47, 0.8, 100, 5.5);
-        assert!((tiered - hot).abs() < 1e-12);
-    }
-
-    #[test]
-    fn higher_hit_rate_monotonically_improves_ettr() {
-        let mut prev = f64::MIN;
-        for i in 0..=10 {
-            let e = ettr_tiered(27.47, 0.8, 50.12, i as f64 / 10.0, 100, 5.5);
-            assert!(e > prev, "hit rate {} did not improve: {e} <= {prev}", i as f64 / 10.0);
-            prev = e;
-        }
-        // Out-of-range hit rates clamp instead of extrapolating.
-        assert_eq!(
-            ettr_tiered(1.0, 0.1, 9.0, 2.0, 10, 1.0),
-            ettr_tiered(1.0, 0.1, 9.0, 1.0, 10, 1.0)
-        );
     }
 }

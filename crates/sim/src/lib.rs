@@ -17,15 +17,11 @@
 //! * [`pipeline`] — the save / load / reshard pipelines in virtual time,
 //!   with per-phase breakdowns, under any [`pipeline::SystemConfig`]
 //!   (ByteCheckpoint, DCP-like, MCP-like, and each ablation step).
-//! * [`ettr`] — the Appendix C effective-training-time-ratio math, plus
-//!   the tiered-recovery extension (`ettr_tiered`).
-//! * [`chaos`] — seeded virtual-time kill/recover model quantifying the
-//!   hot-tier hit rate → ETTR gain at paper scale.
+//! * [`ettr`] — the Appendix C effective-training-time-ratio math.
 //! * [`trace`] — the synthetic platform job trace behind Table 2.
 //! * [`experiments`] — one function per table (1, 2, 4, 5, 6, 7, 8, 9),
 //!   returning both structured rows and formatted text.
 
-pub mod chaos;
 pub mod cost;
 pub mod ettr;
 pub mod experiments;
@@ -34,7 +30,6 @@ pub mod ps;
 pub mod trace;
 pub mod workload;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome, TierTimes};
 pub use cost::CostModel;
 pub use pipeline::{LoadSim, SaveSim, SystemConfig};
 pub use workload::WorkloadProfile;

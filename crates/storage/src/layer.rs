@@ -15,10 +15,7 @@
 //! * the **capabilities** — `name`, `op_attrs`, `zero_copy_reads`,
 //!   `concat_is_metadata_op` — forward unchanged unless overridden, so a
 //!   layer can add an attribute or rename itself but cannot drop what is
-//!   below it;
-//! * a layer whose treatment of one operation is not "something around the
-//!   inner call" (the hot overlay answering a read from memory) overrides
-//!   that one method.
+//!   below it.
 //!
 //! Implement `Layer` by path (`impl layer::Layer for X`) rather than
 //! importing it: with both traits in scope a method call on a concrete
@@ -182,64 +179,6 @@ pub trait Layer: Send + Sync {
     fn concat_is_metadata_op(&self) -> bool {
         self.inner().concat_is_metadata_op()
     }
-
-    /// See [`StorageBackend::write`].
-    fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        let op = Op::Write { path, data: &data };
-        self.around(&op, &mut || self.inner().write(path, data.clone()))
-    }
-
-    /// See [`StorageBackend::write_segments`].
-    fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        let op = Op::WriteSegments { path, segments };
-        self.around(&op, &mut || self.inner().write_segments(path, segments))
-    }
-
-    /// See [`StorageBackend::append`].
-    fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.around(&Op::Append { path, data }, &mut || self.inner().append(path, data))
-    }
-
-    /// See [`StorageBackend::read`].
-    fn read(&self, path: &str) -> Result<Bytes> {
-        self.around(&Op::Read { path }, &mut || self.inner().read(path))
-    }
-
-    /// See [`StorageBackend::read_range`].
-    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let op = Op::ReadRange { path, offset, len };
-        self.around(&op, &mut || self.inner().read_range(path, offset, len))
-    }
-
-    /// See [`StorageBackend::size`].
-    fn size(&self, path: &str) -> Result<u64> {
-        self.around(&Op::Size { path }, &mut || self.inner().size(path))
-    }
-
-    /// See [`StorageBackend::exists`].
-    fn exists(&self, path: &str) -> Result<bool> {
-        self.around(&Op::Exists { path }, &mut || self.inner().exists(path))
-    }
-
-    /// See [`StorageBackend::list`].
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.around(&Op::List { prefix }, &mut || self.inner().list(prefix))
-    }
-
-    /// See [`StorageBackend::delete`].
-    fn delete(&self, path: &str) -> Result<()> {
-        self.around(&Op::Delete { path }, &mut || self.inner().delete(path))
-    }
-
-    /// See [`StorageBackend::rename`].
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.around(&Op::Rename { from, to }, &mut || self.inner().rename(from, to))
-    }
-
-    /// See [`StorageBackend::concat`].
-    fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.around(&Op::Concat { target, parts }, &mut || self.inner().concat(target, parts))
-    }
 }
 
 impl<L: Layer> StorageBackend for L {
@@ -256,36 +195,39 @@ impl<L: Layer> StorageBackend for L {
         Layer::concat_is_metadata_op(self)
     }
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        Layer::write(self, path, data)
+        let op = Op::Write { path, data: &data };
+        self.around(&op, &mut || self.inner().write(path, data.clone()))
     }
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
-        Layer::write_segments(self, path, segments)
+        let op = Op::WriteSegments { path, segments };
+        self.around(&op, &mut || self.inner().write_segments(path, segments))
     }
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        Layer::append(self, path, data)
+        self.around(&Op::Append { path, data }, &mut || self.inner().append(path, data))
     }
     fn read(&self, path: &str) -> Result<Bytes> {
-        Layer::read(self, path)
+        self.around(&Op::Read { path }, &mut || self.inner().read(path))
     }
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        Layer::read_range(self, path, offset, len)
+        let op = Op::ReadRange { path, offset, len };
+        self.around(&op, &mut || self.inner().read_range(path, offset, len))
     }
     fn size(&self, path: &str) -> Result<u64> {
-        Layer::size(self, path)
+        self.around(&Op::Size { path }, &mut || self.inner().size(path))
     }
     fn exists(&self, path: &str) -> Result<bool> {
-        Layer::exists(self, path)
+        self.around(&Op::Exists { path }, &mut || self.inner().exists(path))
     }
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        Layer::list(self, prefix)
+        self.around(&Op::List { prefix }, &mut || self.inner().list(prefix))
     }
     fn delete(&self, path: &str) -> Result<()> {
-        Layer::delete(self, path)
+        self.around(&Op::Delete { path }, &mut || self.inner().delete(path))
     }
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        Layer::rename(self, from, to)
+        self.around(&Op::Rename { from, to }, &mut || self.inner().rename(from, to))
     }
     fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        Layer::concat(self, target, parts)
+        self.around(&Op::Concat { target, parts }, &mut || self.inner().concat(target, parts))
     }
 }

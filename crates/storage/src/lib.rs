@@ -33,8 +33,6 @@
 //!   schedule.
 //! * [`journal::JournalBackend`] — mutation journal that materializes
 //!   arbitrary post-crash storage states for the crash-consistency explorer.
-//! * [`hot::TieredReadBackend`] — the per-load read-through overlay of the
-//!   in-process hot tier ([`hot::HotTier`]) over the cold backend.
 //! * [`counting::OpCountingBackend`] — counts reads and read bytes; the
 //!   instrument the load tests measure with.
 //!
@@ -56,7 +54,6 @@ pub mod counting;
 pub mod disk;
 pub mod fault;
 pub mod hdfs;
-pub mod hot;
 pub mod instrument;
 pub mod journal;
 pub mod layer;
@@ -71,7 +68,6 @@ pub use counting::OpCountingBackend;
 pub use disk::DiskBackend;
 pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
 pub use hdfs::{HdfsBackend, HdfsConfig, NameNodeStats};
-pub use hot::{HotTier, TierHit, TieredReadBackend};
 pub use instrument::InstrumentedBackend;
 pub use journal::{JournalBackend, JournalOp};
 pub use layer::{Layer, Op, Reply};

@@ -15,9 +15,6 @@
 //! No layer repeats an operation: the one retry loop
 //! ([`crate::retry::RetryPolicy::run`]) is the engine's, above
 //! [`Stack::top`], so its cap bounds the attempts at the base backend.
-//!
-//! The per-load hot overlay ([`crate::TieredReadBackend`]) is per-call data,
-//! not configuration, and wraps the assembled stack from outside.
 
 use crate::{
     DynBackend, FaultLayer, FaultRule, InstrumentedBackend, RetryClock, StorageBackend, SystemClock,
@@ -75,10 +72,9 @@ pub fn assemble(base: DynBackend, cfg: StackConfig) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskBackend, JournalBackend, MemoryBackend, OpCountingBackend, TieredReadBackend};
+    use crate::{DiskBackend, JournalBackend, MemoryBackend, OpCountingBackend};
     use bcp_monitor::MetricsHub;
     use bytes::Bytes;
-    use std::collections::HashMap;
 
     /// Every layer over `base`, each in its do-nothing configuration, then
     /// the full stack from [`assemble`].
@@ -95,7 +91,6 @@ mod tests {
             ("op-counting", Arc::new(OpCountingBackend::new(base()))),
             ("fault", Arc::new(FaultLayer::new(base(), 7, Vec::new()))),
             ("journal", Arc::new(JournalBackend::new(base()).unwrap())),
-            ("hot-overlay", Arc::new(TieredReadBackend::new(HashMap::new(), base()))),
             ("full stack", assemble(base(), full).top),
         ]
     }

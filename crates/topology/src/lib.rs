@@ -12,18 +12,13 @@
 //!   (ZeRO-style), which is what produces the paper's *irregular tensors*.
 //! * [`ClusterLayout`] — rank → (host, local rank) mapping, needed by the
 //!   tree-based collective topology (paper §5.2) and the cluster simulator.
-//! * [`ReplicaPlacement`] — failure-domain-aware placement of hot-tier
-//!   checkpoint replicas: never on the source host, spread across distinct
-//!   hosts so any single-host loss leaves a copy.
 
 pub mod mesh;
 pub mod parallelism;
-pub mod placement;
 pub mod shard;
 
 pub use mesh::DeviceMesh;
 pub use parallelism::{ClusterLayout, Parallelism, RankCoord};
-pub use placement::ReplicaPlacement;
 pub use shard::{DimShard, ShardSpec};
 
 /// Errors produced by topology operations.

@@ -70,6 +70,15 @@ if grep -rnE 'bcp_coordinator|bcp-coordinator|CoordinatorService|CoordinatorClie
   exit 1
 fi
 
+echo "==> one recovery path (the hot tier, its placement, its tier metrics, its chaos model and bcp-baselines must not come back)"
+# HDFS's SSD/HDD `Tier` is a storage class, not a recovery tier, so only the
+# deleted items' own names are matched.
+if grep -rnE 'HotTier|HotStaging|TieredReadBackend|TierBreakdown|TierOverlay|ReplicaPlacement|ettr_tiered|run_chaos|hot_hit_rate|tier_files_total|hot_fraction|execute_save_staged|load/tier|save/hot|load/hot|bcp_baselines|bcp-baselines' \
+     Cargo.toml Cargo.lock crates src tests examples; then
+  echo "load_latest recovers from the persistent tree with load-time resharding, and execute_save is the engine's one save entry"
+  exit 1
+fi
+
 echo "==> one fault injector (the object-store simulator, its knobs, stats and URI parameters must not come back)"
 if grep -rnE 'ObjectStoreBackend|ObjectStoreConfig|ObjectStoreStats|orphaned_uploads|abort_orphans|set_rate_limit|outage_now|fail_requests|ConnectionReset|from_params|part_size_floor' \
      crates src tests examples; then

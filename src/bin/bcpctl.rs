@@ -619,58 +619,6 @@ fn cmd_report(dir: &str, raw_flags: &[String]) -> Result<(), AnyError> {
     // `resil/*` point spans in the artifact.
     print_resilience(&spans);
 
-    // Recovery-tier breakdown (load artifacts only): which tier served each
-    // rank's shards, cut from the `load/tier` spans the tiered load emits.
-    if flags.load {
-        let tier_spans: Vec<_> = spans.iter().filter(|s| s.name == "load/tier").collect();
-        if !tier_spans.is_empty() {
-            let attr = |s: &SpanRecord, k: &str| s.attr_num(k) as u64;
-            println!();
-            println!("recovery tiers (per-shard source of this load):");
-            println!(
-                "{:>5} {:>9} {:>10} {:>9} {:>10} {:>9}",
-                "rank", "hot", "hot bytes", "cold", "cold bytes", "fallbacks"
-            );
-            let (mut hot_f, mut cold_f, mut hot_b, mut cold_b) = (0u64, 0u64, 0u64, 0u64);
-            let mut reasons: Vec<String> = Vec::new();
-            for s in &tier_spans {
-                let (h, c) = (attr(s, "hot_files"), attr(s, "cold_files"));
-                let (hb, cb) = (attr(s, "hot_bytes"), attr(s, "cold_bytes"));
-                println!(
-                    "{:>5} {:>9} {:>10} {:>9} {:>10} {:>9}",
-                    s.rank,
-                    h,
-                    human_bytes(hb),
-                    c,
-                    human_bytes(cb),
-                    attr(s, "fallbacks")
-                );
-                hot_f += h;
-                cold_f += c;
-                hot_b += hb;
-                cold_b += cb;
-                if let Some(r) = s.attrs.get("fallback_reasons") {
-                    for reason in r.split("; ") {
-                        reasons.push(format!("rank {}: {reason}", s.rank));
-                    }
-                }
-            }
-            let total_f = hot_f + cold_f;
-            println!(
-                "total: {hot_f}/{total_f} shard files hot ({:.1}%), {} hot / {} cold",
-                if total_f == 0 { 0.0 } else { 100.0 * hot_f as f64 / total_f as f64 },
-                human_bytes(hot_b),
-                human_bytes(cold_b)
-            );
-            for reason in &reasons {
-                println!("  fallback: {reason}");
-            }
-        } else {
-            println!();
-            println!("recovery tiers: no load/tier spans (cold load or hot tier disabled)");
-        }
-    }
-
     // Alerts: slow I/O, failures, dropped events, regressions vs the
     // rolling baseline of every other committed step with an artifact.
     println!();

@@ -55,11 +55,9 @@
 //! | [`storage`] | memory / disk / simulated-HDFS / NAS backends |
 //! | [`model`] | transformer state generators, deterministic trainer |
 //! | [`dataloader`] | token-buffer dataloader with exact resume |
-//! | [`baselines`] | DCP-like, MCP-like, offline reshard jobs |
 //! | [`monitor`] | spans, metrics, telemetry artifacts, heat maps, analysis |
 //! | [`sim`] | paper-scale virtual-time experiments |
 
-pub use bcp_baselines as baselines;
 pub use bcp_collectives as collectives;
 pub use bcp_core as core;
 pub use bcp_dataloader as dataloader;
@@ -84,7 +82,6 @@ pub mod prelude {
     pub use bcp_core::scrub::{scrub_step, scrub_tree, ScrubReport};
     pub use bcp_core::telemetry::read_step_telemetry;
     pub use bcp_core::workflow::WorkflowOptions;
-    pub use bcp_core::HotTierConfig;
     pub use bcp_dataloader::{DataSource, Dataloader, LoaderReplicatedState, LoaderShardState};
     pub use bcp_model::states::build_train_state;
     pub use bcp_model::{zoo, ExtraState, Framework, TrainState, TrainerConfig};
