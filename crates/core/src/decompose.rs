@@ -16,31 +16,41 @@
 //! data movement.
 
 use crate::metadata::ShardMeta;
+use bcp_tensor::layout::Axes;
 use bcp_topology::ShardSpec;
+use std::sync::Arc;
 
 /// An n-D box as (offsets, lengths).
-pub type Box_ = (Vec<usize>, Vec<usize>);
+pub type Box_ = (Axes, Axes);
 
 /// Decompose the flat element range `[start, start+len)` of a row-major
 /// tensor with `shape` into regular boxes, in flat order.
 pub fn decompose_flat_range(shape: &[usize], start: usize, len: usize) -> Vec<Box_> {
     let mut out = Vec::new();
-    decompose_into(shape, start, len, &mut out);
+    decompose_into(shape, start, len, &mut Axes::new(), &mut out);
     out
 }
 
-fn decompose_into(shape: &[usize], start: usize, len: usize, out: &mut Vec<Box_>) {
+/// Decompose within `shape`, the trailing axes of a tensor whose leading
+/// axes are fixed at the row indices `lead`: each box found is emitted in
+/// global coordinates, `lead` prepended with length 1 along each.
+fn decompose_into(shape: &[usize], start: usize, len: usize, lead: &mut Axes, out: &mut Vec<Box_>) {
     if len == 0 {
         return;
     }
     let total: usize = shape.iter().product();
     assert!(start + len <= total, "range [{start}, {}) exceeds {total}", start + len);
+    let emit = |lead: &Axes, off: &[usize], lens: &[usize]| -> Box_ {
+        let offsets = lead.iter().chain(off).copied().collect();
+        let lengths = lead.iter().map(|_| 1).chain(lens.iter().copied()).collect();
+        (offsets, lengths)
+    };
     if shape.is_empty() {
-        out.push((vec![], vec![]));
+        out.push(emit(lead, &[], &[]));
         return;
     }
     if shape.len() == 1 {
-        out.push((vec![start], vec![len]));
+        out.push(emit(lead, &[start], &[len]));
         return;
     }
     let row: usize = shape[1..].iter().product();
@@ -53,18 +63,9 @@ fn decompose_into(shape: &[usize], start: usize, len: usize, out: &mut Vec<Box_>
     let head_in_row = start % row;
     if head_in_row != 0 {
         let head_len = (row - head_in_row).min(len);
-        let r0 = start / row;
-        let mut sub = Vec::new();
-        decompose_into(&shape[1..], head_in_row, head_len, &mut sub);
-        for (off, lenv) in sub {
-            let mut o = Vec::with_capacity(shape.len());
-            let mut l = Vec::with_capacity(shape.len());
-            o.push(r0);
-            l.push(1);
-            o.extend(off);
-            l.extend(lenv);
-            out.push((o, l));
-        }
+        lead.push(start / row);
+        decompose_into(&shape[1..], head_in_row, head_len, lead, out);
+        lead.pop();
         start += head_len;
         len -= head_len;
     }
@@ -74,64 +75,56 @@ fn decompose_into(shape: &[usize], start: usize, len: usize, out: &mut Vec<Box_>
     // Body: whole rows.
     let n_rows = len / row;
     if n_rows > 0 {
-        let r0 = start / row;
-        let mut o = Vec::with_capacity(shape.len());
-        let mut l = Vec::with_capacity(shape.len());
-        o.push(r0);
-        l.push(n_rows);
-        for &d in &shape[1..] {
-            o.push(0);
-            l.push(d);
-        }
-        out.push((o, l));
+        let mut off = Axes::zeros(shape.len());
+        off[0] = start / row;
+        let mut lens = Axes::from(shape);
+        lens[0] = n_rows;
+        out.push(emit(lead, &off, &lens));
         start += n_rows * row;
         len -= n_rows * row;
     }
     // Tail: partial last row.
     if len > 0 {
-        let r0 = start / row;
-        let mut sub = Vec::new();
-        decompose_into(&shape[1..], 0, len, &mut sub);
-        for (off, lenv) in sub {
-            let mut o = Vec::with_capacity(shape.len());
-            let mut l = Vec::with_capacity(shape.len());
-            o.push(r0);
-            l.push(1);
-            o.extend(off);
-            l.extend(lenv);
-            out.push((o, l));
-        }
+        lead.push(start / row);
+        decompose_into(&shape[1..], 0, len, lead, out);
+        lead.pop();
     }
 }
 
-/// The `ShardMeta`s representing a rank's local shard of `fqn` under `spec`.
-///
-/// Regular specs yield one entry; flat specs are decomposed (multiple
-/// `ShardMeta` entries represent a single irregular shard, as the paper
-/// describes). Returned in local-storage order: the k-th entry's payload is
-/// the next `numel` elements of the local shard's flat storage.
-pub fn shard_metas(fqn: &str, global_shape: &[usize], spec: &ShardSpec) -> Vec<ShardMeta> {
-    let boxes: Vec<Box_> = match spec {
+/// The regular boxes of a rank's local shard under `spec`, in local-storage
+/// order: the k-th box's payload is the next `numel` elements of the local
+/// shard's flat storage. Regular specs yield one box, flat specs their
+/// decomposition; empty boxes are dropped.
+pub fn shard_boxes(global_shape: &[usize], spec: &ShardSpec) -> Vec<Box_> {
+    let mut boxes = match spec {
         ShardSpec::Replicated | ShardSpec::Grid(_) => {
-            let (off, len) = spec.grid_box(global_shape).expect("valid grid spec");
-            vec![(off, len)]
+            vec![spec.grid_box(global_shape).expect("valid grid spec")]
         }
         ShardSpec::Flat { offset, length } => decompose_flat_range(global_shape, *offset, *length),
         ShardSpec::FlatOfBox { box_offsets, box_lengths, offset, length } => {
             // Decompose within the sub-box, then translate to global coords.
-            decompose_flat_range(box_lengths, *offset, *length)
-                .into_iter()
-                .map(|(off, len)| {
-                    let o = off.iter().zip(box_offsets).map(|(a, b)| a + b).collect();
-                    (o, len)
-                })
-                .collect()
+            let mut boxes = decompose_flat_range(box_lengths, *offset, *length);
+            for (off, _) in &mut boxes {
+                off.iter_mut().zip(box_offsets).for_each(|(o, b)| *o += b);
+            }
+            boxes
         }
     };
+    boxes.retain(|(_, l)| l.iter().product::<usize>() > 0);
     boxes
+}
+
+/// The `ShardMeta`s representing a rank's local shard of `fqn` under `spec`:
+/// one per box of [`shard_boxes`], all sharing one name.
+///
+/// Regular specs yield one entry; flat specs are decomposed (multiple
+/// `ShardMeta` entries represent a single irregular shard, as the paper
+/// describes).
+pub fn shard_metas(fqn: &str, global_shape: &[usize], spec: &ShardSpec) -> Vec<ShardMeta> {
+    let fqn: Arc<str> = Arc::from(fqn);
+    shard_boxes(global_shape, spec)
         .into_iter()
-        .filter(|(_, l)| l.iter().product::<usize>() > 0)
-        .map(|(offsets, lengths)| ShardMeta { fqn: fqn.to_string(), offsets, lengths })
+        .map(|(offsets, lengths)| ShardMeta { fqn: fqn.clone(), offsets, lengths })
         .collect()
 }
 
@@ -151,16 +144,16 @@ mod tests {
         // Tensor B: shape (3, 2); rank 0 holds flat [0, 3): decomposes into
         // the full first row plus the first element of the second row.
         let boxes = decompose_flat_range(&[3, 2], 0, 3);
-        assert_eq!(boxes, vec![(vec![0, 0], vec![1, 2]), (vec![1, 0], vec![1, 1])]);
+        assert_eq!(boxes, vec![([0, 0].into(), [1, 2].into()), ([1, 0].into(), [1, 1].into())]);
         // Rank 1 holds [3, 6): second element of row 1 plus the whole row 2.
         let boxes = decompose_flat_range(&[3, 2], 3, 3);
-        assert_eq!(boxes, vec![(vec![1, 1], vec![1, 1]), (vec![2, 0], vec![1, 2])]);
+        assert_eq!(boxes, vec![([1, 1].into(), [1, 1].into()), ([2, 0].into(), [1, 2].into())]);
     }
 
     #[test]
     fn whole_tensor_is_one_box() {
-        assert_eq!(decompose_flat_range(&[3, 4], 0, 12), vec![(vec![0, 0], vec![3, 4])]);
-        assert_eq!(decompose_flat_range(&[7], 0, 7), vec![(vec![0], vec![7])]);
+        assert_eq!(decompose_flat_range(&[3, 4], 0, 12), vec![([0, 0].into(), [3, 4].into())]);
+        assert_eq!(decompose_flat_range(&[7], 0, 7), vec![([0].into(), [7].into())]);
     }
 
     #[test]
@@ -237,8 +230,14 @@ mod tests {
         // Head: row 0 of box cols 3..6 => global (2, 3..6); body/tail: row 1
         // cols 0..3 => global (3, 0..3).
         assert_eq!(metas.len(), 2);
-        assert_eq!((metas[0].offsets.clone(), metas[0].lengths.clone()), (vec![2, 3], vec![1, 3]));
-        assert_eq!((metas[1].offsets.clone(), metas[1].lengths.clone()), (vec![3, 0], vec![1, 3]));
+        assert_eq!(
+            (metas[0].offsets.clone(), metas[0].lengths.clone()),
+            ([2, 3].into(), [1, 3].into())
+        );
+        assert_eq!(
+            (metas[1].offsets.clone(), metas[1].lengths.clone()),
+            ([3, 0].into(), [1, 3].into())
+        );
     }
 
     #[test]

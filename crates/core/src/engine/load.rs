@@ -88,7 +88,7 @@ pub const RUN_GAP_BYTES: u64 = 32 * 1024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRun {
     /// File name relative to the checkpoint prefix.
-    pub file: String,
+    pub file: Arc<str>,
     /// Absolute offset of the run in the file.
     pub offset: u64,
     /// Length of the run in bytes.
@@ -107,19 +107,19 @@ pub struct ReadRun {
 /// item being the plain case) — and items overlap only inside one stored
 /// shard, which bounds how far.
 pub fn build_runs(reads: &[ReadItem], chunk_bytes: u64) -> Vec<ReadRun> {
-    let mut ranged: Vec<(&str, u64, u64, usize)> = reads
+    let mut ranged: Vec<(&Arc<str>, u64, u64, usize)> = reads
         .iter()
         .enumerate()
         .map(|(idx, item)| {
             let (offset, len) = item.fetch_range();
-            (item.file.as_str(), offset, len, idx)
+            (&item.file, offset, len, idx)
         })
         .collect();
     ranged.sort_unstable();
     let mut runs: Vec<ReadRun> = Vec::new();
     for (file, offset, len, idx) in ranged {
         let end = offset + len;
-        if let Some(run) = runs.last_mut().filter(|r| r.file == file) {
+        if let Some(run) = runs.last_mut().filter(|r| r.file == *file) {
             let run_end = run.offset + run.len;
             let merged_len = end.max(run_end) - run.offset;
             let near = offset <= run_end + RUN_GAP_BYTES && merged_len <= chunk_bytes;
@@ -129,7 +129,7 @@ pub fn build_runs(reads: &[ReadItem], chunk_bytes: u64) -> Vec<ReadRun> {
                 continue;
             }
         }
-        runs.push(ReadRun { file: file.to_string(), offset, len, members: vec![(idx, 0, len)] });
+        runs.push(ReadRun { file: file.clone(), offset, len, members: vec![(idx, 0, len)] });
     }
     runs
 }
@@ -500,12 +500,12 @@ mod tests {
             dtype: bcp_tensor::DType::F32,
             file: "model_0.bin".into(),
             payload_offset,
-            stored_offsets: vec![0],
-            stored_lengths: vec![len_elems],
-            isect_offsets: vec![0],
-            isect_lengths: vec![len_elems],
-            dest_offsets: vec![0],
-            dest_lengths: vec![len_elems],
+            stored_offsets: [0].into(),
+            stored_lengths: [len_elems].into(),
+            isect_offsets: [0].into(),
+            isect_lengths: [len_elems].into(),
+            dest_offsets: [0].into(),
+            dest_lengths: [len_elems].into(),
             dest_local_elem_start: 0,
         }
     }

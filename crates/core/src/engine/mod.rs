@@ -31,6 +31,7 @@ use crate::plan::{Category, ReadItem};
 use crate::{BcpError, Result};
 use arena::Arena;
 use bcp_model::TrainState;
+use bcp_tensor::layout::Axes;
 use bcp_tensor::Tensor;
 use bytes::{Bytes, BytesMut};
 use std::collections::hash_map::Entry;
@@ -67,14 +68,14 @@ pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
     // Strided rows (rank ≥ 2 from here on): gather them.
     let stored_strides = bcp_tensor::layout::contiguous_strides(&item.stored_lengths);
     // Intersection coordinates relative to the stored box.
-    let rel_off: Vec<usize> =
+    let rel_off: Axes =
         item.isect_offsets.iter().zip(&item.stored_offsets).map(|(i, s)| i - s).collect();
     let first_elem = bcp_tensor::layout::ravel_index(&rel_off, &item.stored_lengths);
     let rank = item.isect_lengths.len();
     let mut out = BytesMut::with_capacity(n);
     let run = item.isect_lengths[rank - 1];
     let outer: usize = item.isect_lengths[..rank - 1].iter().product();
-    let mut coord = vec![0usize; rank - 1];
+    let mut coord = Axes::zeros(rank - 1);
     for _ in 0..outer {
         // Flat position of this row's first element within the stored box.
         let mut flat = rel_off[rank - 1] * stored_strides[rank - 1];
@@ -150,7 +151,7 @@ impl<'a> Assembler<'a> {
         let mut targets: HashMap<(Category, &'a str), Target> = HashMap::new();
         let (mut arena_len, mut assembled_bytes) = (0usize, 0u64);
         for item in pieces {
-            let target = match targets.entry((item.category, item.fqn.as_str())) {
+            let target = match targets.entry((item.category, &*item.fqn)) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     let dict = match item.category {
@@ -182,13 +183,12 @@ impl<'a> Assembler<'a> {
     /// piece of a tensor with an arena region is copied into that region,
     /// whole or partial; a whole piece of any other tensor is adopted.
     pub fn apply(&mut self, item: &'a ReadItem, payload: &Bytes) -> Result<()> {
-        let target =
-            self.targets.get_mut(&(item.category, item.fqn.as_str())).ok_or_else(|| {
-                BcpError::Plan(format!(
-                    "{}: a piece of a tensor the assembler has no plan for",
-                    item.fqn
-                ))
-            })?;
+        let target = self.targets.get_mut(&(item.category, &*item.fqn)).ok_or_else(|| {
+            BcpError::Plan(format!(
+                "{}: a piece of a tensor the assembler has no plan for",
+                item.fqn
+            ))
+        })?;
         if payload.len() as u64 != item.isect_bytes() {
             return Err(BcpError::Corrupt(format!(
                 "{}: piece of {} bytes for a {}-byte intersection",
@@ -223,7 +223,7 @@ impl<'a> Assembler<'a> {
         // Geometry: the dest piece (shape dest_lengths) lives at local
         // element offset dest_local_elem_start; the intersection sits at
         // rel = isect_offsets - dest_offsets inside it.
-        let rel: Vec<usize> =
+        let rel: Axes =
             item.isect_offsets.iter().zip(&item.dest_offsets).map(|(i, d)| i - d).collect();
         let piece_strides = bcp_tensor::layout::contiguous_strides(&item.dest_lengths);
         let rank = item.isect_lengths.len();
@@ -234,7 +234,7 @@ impl<'a> Assembler<'a> {
         }
         let run = item.isect_lengths[rank - 1] * es;
         let outer: usize = item.isect_lengths[..rank - 1].iter().product();
-        let mut coord = vec![0usize; rank - 1];
+        let mut coord = Axes::zeros(rank - 1);
         let mut src = 0usize;
         for _ in 0..outer {
             let mut flat = rel[rank - 1] * piece_strides[rank - 1];
@@ -297,12 +297,12 @@ mod tests {
             dtype: DType::F32,
             file: "f".into(),
             payload_offset: 0,
-            stored_offsets: vec![0, 0],
-            stored_lengths: vec![4, 6],
-            isect_offsets: vec![1, 2],
-            isect_lengths: vec![2, 3],
-            dest_offsets: vec![0, 0],
-            dest_lengths: vec![4, 6],
+            stored_offsets: [0, 0].into(),
+            stored_lengths: [4, 6].into(),
+            isect_offsets: [1, 2].into(),
+            isect_lengths: [2, 3].into(),
+            dest_offsets: [0, 0].into(),
+            dest_lengths: [4, 6].into(),
             dest_local_elem_start: 0,
         }
     }
@@ -332,7 +332,7 @@ mod tests {
         let short = Bytes::from(vec![0u8; 8]);
         assert!(matches!(extract_isect(&item, &short), Err(BcpError::Corrupt(_))));
         // The view path checks the same thing: whole rows need 12 * 4 bytes.
-        let rows = ReadItem { isect_offsets: vec![1, 0], isect_lengths: vec![2, 6], ..item };
+        let rows = ReadItem { isect_offsets: [1, 0].into(), isect_lengths: [2, 6].into(), ..item };
         let err = extract_isect(&rows, &Bytes::from(vec![0u8; 47])).unwrap_err();
         assert!(matches!(err, BcpError::Corrupt(m) if m.contains("too short (47 < 48)")));
     }
@@ -346,7 +346,8 @@ mod tests {
             stored.slice(fo as usize..(fo + fl) as usize)
         };
         // Whole rows 1..3 of the (4,6) stored box: one run of 12 elements.
-        let rows = ReadItem { isect_offsets: vec![1, 0], isect_lengths: vec![2, 6], ..item_2d() };
+        let rows =
+            ReadItem { isect_offsets: [1, 0].into(), isect_lengths: [2, 6].into(), ..item_2d() };
         let fetched = slice_of(&rows);
         let view = extract_isect(&rows, &fetched).unwrap();
         assert_eq!(view.as_ptr(), fetched.as_ptr(), "no copy");
@@ -357,7 +358,8 @@ mod tests {
         let view = extract_isect(&rows, &wider).unwrap();
         assert_eq!((view.as_ptr(), view.len()), (wider.as_ptr(), 12 * 4));
         // Part of one row is a run too.
-        let cols = ReadItem { isect_offsets: vec![2, 1], isect_lengths: vec![1, 4], ..item_2d() };
+        let cols =
+            ReadItem { isect_offsets: [2, 1].into(), isect_lengths: [1, 4].into(), ..item_2d() };
         let fetched = slice_of(&cols);
         let view = extract_isect(&cols, &fetched).unwrap();
         assert_eq!(view.as_ptr(), fetched.as_ptr());
@@ -375,12 +377,12 @@ mod tests {
     #[test]
     fn a_scalar_is_a_view_of_its_element_or_a_short_fetch() {
         let scalar = ReadItem {
-            stored_offsets: vec![],
-            stored_lengths: vec![],
-            isect_offsets: vec![],
-            isect_lengths: vec![],
-            dest_offsets: vec![],
-            dest_lengths: vec![],
+            stored_offsets: [].into(),
+            stored_lengths: [].into(),
+            isect_offsets: [].into(),
+            isect_lengths: [].into(),
+            dest_offsets: [].into(),
+            dest_lengths: [].into(),
             ..item_2d()
         };
         let fetched = Bytes::from(vec![1u8, 2, 3, 4, 5]);
@@ -413,7 +415,11 @@ mod tests {
 
     /// A piece of the stored shard landing in the whole local tensor.
     fn piece(isect_offsets: Vec<usize>, isect_lengths: Vec<usize>) -> ReadItem {
-        ReadItem { isect_offsets, isect_lengths, ..item_2d() }
+        ReadItem {
+            isect_offsets: isect_offsets.into(),
+            isect_lengths: isect_lengths.into(),
+            ..item_2d()
+        }
     }
 
     /// `item`'s intersection as the load path hands it to the assembler.

@@ -392,7 +392,7 @@ mod tests {
         assert_eq!(stats.bytes, {
             let mut per_file: BTreeMap<String, u64> = BTreeMap::new();
             for (item, bm) in plan.items.iter().zip(plan.byte_metas()) {
-                *per_file.entry(bm.file).or_default() +=
+                *per_file.entry(bm.file.to_string()).or_default() +=
                     crate::format::frame_len(&item.shard, item.nbytes as usize) as u64;
             }
             per_file.values().sum::<u64>()

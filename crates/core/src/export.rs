@@ -11,9 +11,11 @@
 use crate::metadata::{GlobalMetadata, METADATA_FILE};
 use crate::{BcpError, Result};
 use bcp_storage::DynBackend;
+use bcp_tensor::layout::Axes;
 use bcp_tensor::{DType, Tensor};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn safetensors_dtype(dt: DType) -> &'static str {
     match dt {
@@ -50,7 +52,7 @@ pub fn consolidate_tensor(
         .get(fqn)
         .ok_or_else(|| BcpError::Missing(format!("{fqn} not in checkpoint")))?;
     let basic = &entries[0].basic;
-    let mut full = Tensor::zeros(basic.dtype, basic.global_shape.clone());
+    let mut full = Tensor::zeros(basic.dtype, basic.global_shape.to_vec());
     let mut covered = 0usize;
     for e in entries {
         let data = backend.read_range(
@@ -58,7 +60,7 @@ pub fn consolidate_tensor(
             e.byte.offset,
             e.byte.length,
         )?;
-        let piece = Tensor::from_bytes(e.basic.dtype, e.shard.lengths.clone(), data)?;
+        let piece = Tensor::from_bytes(e.basic.dtype, e.shard.lengths.to_vec(), data)?;
         full = full.write_box(&e.shard.offsets, &piece)?;
         covered += e.shard.numel();
     }
@@ -130,14 +132,14 @@ pub fn import_safetensors(
 ) -> Result<GlobalMetadata> {
     use crate::metadata::{BasicMeta, ByteMeta, ShardMeta, TensorShardEntry};
     let tensors = parse_safetensors(blob)?;
-    let file = "model_0.bin".to_string();
+    let file: Arc<str> = Arc::from("model_0.bin");
     let mut meta = GlobalMetadata::new("import", step, "TP=1,DP=1,PP=1", 1);
     let mut buf = BytesMut::new();
     for (fqn, tensor) in &tensors {
         let shard = ShardMeta {
-            fqn: fqn.clone(),
-            offsets: vec![0; tensor.rank()],
-            lengths: tensor.shape().to_vec(),
+            fqn: fqn.as_str().into(),
+            offsets: Axes::zeros(tensor.rank()),
+            lengths: tensor.shape().into(),
         };
         let payload = tensor.bytes()?;
         let (frame, payload_off) = {
@@ -148,7 +150,7 @@ pub fn import_safetensors(
         buf.extend_from_slice(&frame);
         meta.tensor_map.entry(fqn.clone()).or_default().push(TensorShardEntry {
             shard,
-            basic: BasicMeta::contiguous(tensor.dtype(), tensor.shape().to_vec(), "import"),
+            basic: BasicMeta::contiguous(tensor.dtype(), tensor.shape(), "import"),
             byte: ByteMeta {
                 file: file.clone(),
                 offset: payload_off,

@@ -23,6 +23,7 @@
 use crate::metadata::ShardMeta;
 use crate::{BcpError, Result};
 use bcp_tensor::checksum::crc32;
+use bcp_tensor::layout::Axes;
 use bcp_tensor::DType;
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -167,8 +168,7 @@ pub fn decode_frames(data: &Bytes) -> Result<Vec<Frame>> {
         let rank = data[pos + 1] as usize;
         pos += 2;
         need(pos, 16 * rank + 8, data.len())?;
-        let mut offsets = Vec::with_capacity(rank);
-        let mut lengths = Vec::with_capacity(rank);
+        let (mut offsets, mut lengths) = (Axes::new(), Axes::new());
         for _ in 0..rank {
             offsets.push(u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap()) as usize);
             pos += 8;
@@ -194,7 +194,11 @@ pub fn decode_frames(data: &Bytes) -> Result<Vec<Frame>> {
         if crc32(&payload) != stored_crc {
             return Err(err(format!("CRC mismatch for {fqn}")));
         }
-        frames.push(Frame { shard: ShardMeta { fqn, offsets, lengths }, dtype, payload });
+        frames.push(Frame {
+            shard: ShardMeta { fqn: fqn.into(), offsets, lengths },
+            dtype,
+            payload,
+        });
     }
     Ok(frames)
 }
@@ -204,7 +208,7 @@ mod tests {
     use super::*;
 
     fn meta(fqn: &str) -> ShardMeta {
-        ShardMeta { fqn: fqn.into(), offsets: vec![2, 0], lengths: vec![1, 4] }
+        ShardMeta { fqn: fqn.into(), offsets: vec![2, 0].into(), lengths: vec![1, 4].into() }
     }
 
     #[test]
@@ -227,8 +231,8 @@ mod tests {
         // and the last two bytes through the tables.
         let shard = ShardMeta {
             fqn: "layers.0.attn.qkv.weight".into(),
-            offsets: vec![2, 0],
-            lengths: vec![3, 67],
+            offsets: vec![2, 0].into(),
+            lengths: vec![3, 67].into(),
         };
         let payload: Vec<u8> =
             (0..402u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
@@ -255,7 +259,7 @@ mod tests {
         }
         let frames = decode_frames(&file.freeze()).unwrap();
         assert_eq!(frames.len(), 3);
-        assert_eq!(frames[2].shard.fqn, "t2");
+        assert_eq!(&*frames[2].shard.fqn, "t2");
     }
 
     #[test]
@@ -305,9 +309,9 @@ mod tests {
     #[test]
     fn fields_wider_than_the_header_are_refused_and_the_widest_that_fit_round_trip() {
         let scalar = |fqn: String, rank: usize| ShardMeta {
-            fqn,
-            offsets: vec![0; rank],
-            lengths: vec![1; rank],
+            fqn: fqn.into(),
+            offsets: vec![0; rank].into(),
+            lengths: vec![1; rank].into(),
         };
         for (shard, what) in [
             (scalar("w".repeat(u16::MAX as usize + 1), 0), "FQN of 65536 bytes"),

@@ -47,22 +47,23 @@
 
 use crate::format::{dtype_code, dtype_from_code};
 use bcp_tensor::checksum::crc32;
-use bcp_tensor::layout::contiguous_strides;
+use bcp_tensor::layout::{contiguous_strides, intersect_boxes, Axes};
 use bcp_tensor::DType;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Position of a (regular) tensor shard in its global tensor: "an index
 /// tuple (fqn, nD_offsets, nD_lengths)". Irregular shards are decomposed
 /// into several of these (one [`TensorShardEntry`] each).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct ShardMeta {
-    /// Fully qualified tensor name.
-    pub fqn: String,
+    /// Fully qualified tensor name, shared by every shard of the tensor.
+    pub fqn: Arc<str>,
     /// Offsets of the shard along each global axis.
-    pub offsets: Vec<usize>,
+    pub offsets: Axes,
     /// Lengths of the shard along each global axis.
-    pub lengths: Vec<usize>,
+    pub lengths: Axes,
 }
 
 impl ShardMeta {
@@ -70,31 +71,20 @@ impl ShardMeta {
     pub fn numel(&self) -> usize {
         self.lengths.iter().product()
     }
-
-    /// Intersection with another box of the same tensor, as global offsets
-    /// and lengths.
-    pub fn intersect(&self, other: &ShardMeta) -> Option<(Vec<usize>, Vec<usize>)> {
-        bcp_tensor::layout::intersect_boxes(
-            &self.offsets,
-            &self.lengths,
-            &other.offsets,
-            &other.lengths,
-        )
-    }
 }
 
 /// "Essential information of individual tensor shards such as stride and
 /// device, critical for recovering the runtime state."
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BasicMeta {
     /// Element dtype.
     pub dtype: DType,
     /// Global tensor shape (the shard's parent).
-    pub global_shape: Vec<usize>,
+    pub global_shape: Axes,
     /// Row-major strides of the global tensor, in elements.
-    pub stride: Vec<usize>,
+    pub stride: Axes,
     /// Device string of the worker that saved the shard (e.g. `"cuda:3"`).
-    pub device: String,
+    pub device: Arc<str>,
     /// Whether the tensor required gradients at save time.
     pub requires_grad: bool,
 }
@@ -103,10 +93,11 @@ impl BasicMeta {
     /// Construct for a tensor with contiguous row-major layout.
     pub fn contiguous(
         dtype: DType,
-        global_shape: Vec<usize>,
-        device: impl Into<String>,
+        global_shape: impl Into<Axes>,
+        device: impl Into<Arc<str>>,
     ) -> BasicMeta {
-        let stride = bcp_tensor::layout::contiguous_strides(&global_shape);
+        let global_shape = global_shape.into();
+        let stride = contiguous_strides(&global_shape);
         BasicMeta { dtype, global_shape, stride, device: device.into(), requires_grad: true }
     }
 }
@@ -115,8 +106,9 @@ impl BasicMeta {
 /// storage file."
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ByteMeta {
-    /// Storage file (relative to the checkpoint prefix).
-    pub file: String,
+    /// Storage file (relative to the checkpoint prefix), shared by every
+    /// shard stored in it.
+    pub file: Arc<str>,
     /// Byte offset of the shard payload within the file.
     pub offset: u64,
     /// Payload length in bytes.
@@ -182,7 +174,7 @@ pub struct GlobalMetadata {
 
 /// One overlap-query hit: the saved entry and the intersection box
 /// `(offsets, lengths)` in global coordinates.
-pub type OverlapHit<'a> = (&'a TensorShardEntry, (Vec<usize>, Vec<usize>));
+pub type OverlapHit<'a> = (&'a TensorShardEntry, (Axes, Axes));
 
 /// Current metadata format version.
 pub const METADATA_VERSION: u32 = 2;
@@ -327,7 +319,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(n)?).or_else(|_| self.err("string is not UTF-8"))
     }
 
-    fn dims(&mut self, n: usize) -> Result<Vec<usize>, String> {
+    fn dims(&mut self, n: usize) -> Result<Axes, String> {
         if n > self.remaining() {
             return self.err("axis count exceeds the bytes that remain");
         }
@@ -335,7 +327,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `count | dim ...`.
-    fn counted_dims(&mut self) -> Result<Vec<usize>, String> {
+    fn counted_dims(&mut self) -> Result<Axes, String> {
         let n = self.usize()?;
         self.dims(n)
     }
@@ -381,7 +373,7 @@ impl GlobalMetadata {
                 let rank = e.basic.global_shape.len();
                 let contiguous = is_contiguous(&e.basic.global_shape, &e.basic.stride);
                 let box_rank = e.shard.offsets.len() == rank && e.shard.lengths.len() == rank;
-                let own_fqn = e.shard.fqn == *fqn;
+                let own_fqn = *e.shard.fqn == **fqn;
                 tensors.push(dtype_code(e.basic.dtype));
                 tensors.push(
                     if e.basic.requires_grad { FLAG_REQUIRES_GRAD } else { 0 }
@@ -491,16 +483,31 @@ impl GlobalMetadata {
         let framework = r.str()?.to_string();
         let source_parallelism = r.str()?.to_string();
         let source_world_size = r.usize()?;
-        let strings: Vec<&str> = (0..r.count(1)?).map(|_| r.str()).collect::<Result<_, _>>()?;
-        let shapes: Vec<Vec<usize>> =
-            (0..r.count(1)?).map(|_| r.counted_dims()).collect::<Result<_, _>>()?;
+        // Every name and shape is made once, at its table entry (or FQN), and
+        // shared by the entries that name it; an entry's own boxes are inline
+        // axes, so an entry of up to `INLINE_AXES` axes allocates nothing.
+        let strings: Vec<Arc<str>> =
+            (0..r.count(1)?).map(|_| r.str().map(Arc::from)).collect::<Result<_, _>>()?;
+        // Each shape with its row-major stride, what a contiguous entry holds.
+        let shapes: Vec<(Axes, Axes)> = (0..r.count(1)?)
+            .map(|_| {
+                let shape = r.counted_dims()?;
+                let stride = contiguous_strides(&shape);
+                Ok((shape, stride))
+            })
+            .collect::<Result<_, String>>()?;
 
-        let mut tensor_map: BTreeMap<String, Vec<TensorShardEntry>> = BTreeMap::new();
-        for _ in 0..r.count(2)? {
+        // Names arrive strictly ascending, so the map is built in bulk.
+        let n_fqns = r.count(2)?;
+        let mut tensors: Vec<(String, Vec<TensorShardEntry>)> = Vec::with_capacity(n_fqns);
+        let mut last: Option<&str> = None;
+        for _ in 0..n_fqns {
             let fqn = r.str()?;
-            if tensor_map.last_key_value().is_some_and(|(last, _)| last.as_str() >= fqn) {
+            if last.is_some_and(|last| last >= fqn) {
                 return r.err("tensor names are not strictly ascending");
             }
+            last = Some(fqn);
+            let shared_fqn: Arc<str> = Arc::from(fqn);
             let n = r.count(MIN_ENTRY_BYTES)?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
@@ -512,10 +519,10 @@ impl GlobalMetadata {
                 if flags & !FLAGS_ALL != 0 {
                     return r.err("unknown entry flag");
                 }
-                let global_shape = r.by_id(&shapes, "shape")?.clone();
-                let device = String::from(*r.by_id(&strings, "string")?);
+                let (global_shape, row_major) = r.by_id(&shapes, "shape")?;
+                let device = r.by_id(&strings, "string")?.clone();
                 let stride = if flags & FLAG_CONTIGUOUS != 0 {
-                    contiguous_strides(&global_shape)
+                    row_major.clone()
                 } else {
                     r.counted_dims()?
                 };
@@ -526,13 +533,17 @@ impl GlobalMetadata {
                 };
                 let offsets = r.dims(n_off)?;
                 let lengths = r.dims(n_len)?;
-                let own = if flags & FLAG_OWN_FQN != 0 { fqn } else { r.str()? };
-                let file = String::from(*r.by_id(&strings, "string")?);
+                let own = if flags & FLAG_OWN_FQN != 0 {
+                    shared_fqn.clone()
+                } else {
+                    Arc::from(r.str()?)
+                };
+                let file = r.by_id(&strings, "string")?.clone();
                 entries.push(TensorShardEntry {
-                    shard: ShardMeta { fqn: own.to_string(), offsets, lengths },
+                    shard: ShardMeta { fqn: own, offsets, lengths },
                     basic: BasicMeta {
                         dtype,
-                        global_shape,
+                        global_shape: global_shape.clone(),
                         stride,
                         device,
                         requires_grad: flags & FLAG_REQUIRES_GRAD != 0,
@@ -540,8 +551,9 @@ impl GlobalMetadata {
                     byte: ByteMeta { file, offset: r.varint()?, length: r.varint()? },
                 });
             }
-            tensor_map.insert(fqn.to_string(), entries);
+            tensors.push((fqn.to_string(), entries));
         }
+        let tensor_map = BTreeMap::from_iter(tensors);
 
         let replicated_file = match r.u8()? {
             0 => None,
@@ -593,12 +605,13 @@ impl GlobalMetadata {
         let Some(entries) = self.tensor_map.get(fqn) else {
             return Vec::new();
         };
-        let query = ShardMeta {
-            fqn: fqn.to_string(),
-            offsets: offsets.to_vec(),
-            lengths: lengths.to_vec(),
-        };
-        entries.iter().filter_map(|e| e.shard.intersect(&query).map(|i| (e, i))).collect()
+        entries
+            .iter()
+            .filter_map(|e| {
+                intersect_boxes(&e.shard.offsets, &e.shard.lengths, offsets, lengths)
+                    .map(|i| (e, i))
+            })
+            .collect()
     }
 
     /// Total payload bytes across all tensor shards.
@@ -612,7 +625,7 @@ impl GlobalMetadata {
     pub fn validate(&self) -> Result<(), String> {
         for (fqn, entries) in &self.tensor_map {
             for e in entries {
-                if e.shard.fqn != *fqn {
+                if *e.shard.fqn != **fqn {
                     return Err(format!("{fqn}: entry carries mismatched fqn {}", e.shard.fqn));
                 }
                 if !bcp_tensor::layout::box_in_bounds(
@@ -654,9 +667,13 @@ mod tests {
         let mut m = GlobalMetadata::new("megatron", 100, "TP=2,DP=1,PP=1", 2);
         for i in 0..2usize {
             m.tensor_map.entry("w".into()).or_default().push(TensorShardEntry {
-                shard: ShardMeta { fqn: "w".into(), offsets: vec![2 * i, 0], lengths: vec![2, 4] },
+                shard: ShardMeta {
+                    fqn: "w".into(),
+                    offsets: [2 * i, 0].into(),
+                    lengths: [2, 4].into(),
+                },
                 basic: BasicMeta::contiguous(DType::F32, vec![4, 4], format!("cuda:{i}")),
-                byte: ByteMeta { file: format!("model_{i}.bin"), offset: 16, length: 32 },
+                byte: ByteMeta { file: format!("model_{i}.bin").into(), offset: 16, length: 32 },
             });
         }
         m
@@ -684,8 +701,8 @@ mod tests {
         let mut m = sample_meta();
         let e = &mut m.tensor_map.get_mut("w").unwrap()[1];
         e.shard.fqn = "not.w".into();
-        e.shard.offsets = vec![1];
-        e.basic.stride = vec![1, 4];
+        e.shard.offsets = [1].into();
+        e.basic.stride = [1, 4].into();
         e.basic.requires_grad = false;
         m.loader_map.replicated_file = Some("loader/replicated.json".into());
         m.extra_files.insert(3, "extra_3.bin".into());
@@ -706,8 +723,8 @@ mod tests {
     fn hostile_lengths_fail_validation_without_overflowing() {
         let mut m = sample_meta();
         let e = &mut m.tensor_map.get_mut("w").unwrap()[0];
-        e.basic.global_shape = vec![usize::MAX, usize::MAX];
-        e.shard.lengths = vec![usize::MAX, usize::MAX];
+        e.basic.global_shape = [usize::MAX, usize::MAX].into();
+        e.shard.lengths = [usize::MAX, usize::MAX].into();
         let back = GlobalMetadata::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(back, m);
         assert!(back.validate().unwrap_err().contains("overflows"));
@@ -733,7 +750,7 @@ mod tests {
         m.tensor_map.get_mut("w").unwrap()[0].byte.length = 31;
         assert!(m.validate().unwrap_err().contains("byte length"));
         let mut m2 = sample_meta();
-        m2.tensor_map.get_mut("w").unwrap()[1].shard.offsets = vec![3, 0];
+        m2.tensor_map.get_mut("w").unwrap()[1].shard.offsets = [3, 0].into();
         assert!(m2.validate().unwrap_err().contains("out of bounds"));
     }
 

@@ -6,13 +6,16 @@
 //! global metadata file *before* any I/O happens, and plans can be cached
 //! and reused across checkpoints (§4.1).
 
-use crate::decompose::shard_metas;
+use crate::decompose::{shard_boxes, shard_metas};
 use crate::format;
 use crate::metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry};
 use crate::{BcpError, Result};
 use bcp_model::{StateDict, TrainState};
+use bcp_tensor::layout::{intersect_boxes, Axes};
 use bcp_tensor::DType;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which state dictionary an item belongs to; determines the storage file
 /// ("each rank generates ... a model state file, an optimizer state file").
@@ -44,7 +47,7 @@ impl Category {
 
 /// One tensor-shard write: a contiguous slice of the rank's local shard
 /// destined for one frame of a storage file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteItem {
     /// Model vs optimizer.
     pub category: Category,
@@ -61,7 +64,7 @@ pub struct WriteItem {
 
 /// A rank's save plan: ordered write items per category. Order is the
 /// serialization order, which fixes every byte offset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SavePlan {
     /// The executing rank.
     pub rank: usize,
@@ -77,11 +80,13 @@ impl SavePlan {
 
     /// Compute the `ByteMeta` of every item, walking files in plan order.
     pub fn byte_metas(&self) -> Vec<ByteMeta> {
+        let files = [Category::Model, Category::Optimizer]
+            .map(|category| Arc::<str>::from(category.file_for(self.rank)));
         self.items
             .iter()
             .zip(self.payload_offsets())
             .map(|(item, offset)| ByteMeta {
-                file: item.category.file_for(self.rank),
+                file: files[item.category as usize].clone(),
                 offset,
                 length: item.nbytes,
             })
@@ -103,30 +108,33 @@ impl SavePlan {
 
 /// One tensor-shard read: fetch a byte range of a stored frame, carve the
 /// intersection box out of it, and write it into the local target shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Names are shared with the metadata they came from and boxes are inline
+/// axes, so a clone is a few reference-count increments and a memcpy.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadItem {
     /// Model vs optimizer.
     pub category: Category,
     /// Tensor identity.
-    pub fqn: String,
+    pub fqn: Arc<str>,
     /// Element dtype (from the saved `BasicMeta`).
     pub dtype: DType,
     /// Storage file holding the saved shard.
-    pub file: String,
+    pub file: Arc<str>,
     /// Byte offset of the saved shard's payload in the file.
     pub payload_offset: u64,
     /// The saved shard's box (global coordinates).
-    pub stored_offsets: Vec<usize>,
+    pub stored_offsets: Axes,
     /// Lengths of the saved shard's box.
-    pub stored_lengths: Vec<usize>,
+    pub stored_lengths: Axes,
     /// Intersection box between saved shard and target piece (global).
-    pub isect_offsets: Vec<usize>,
+    pub isect_offsets: Axes,
     /// Intersection lengths.
-    pub isect_lengths: Vec<usize>,
+    pub isect_lengths: Axes,
     /// The target piece's box (global coordinates).
-    pub dest_offsets: Vec<usize>,
+    pub dest_offsets: Axes,
     /// The target piece's lengths.
-    pub dest_lengths: Vec<usize>,
+    pub dest_lengths: Axes,
     /// Element offset of the target piece within the local shard storage.
     pub dest_local_elem_start: usize,
 }
@@ -172,7 +180,7 @@ impl ReadItem {
 }
 
 /// A rank's load plan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadPlan {
     /// The executing rank.
     pub rank: usize,
@@ -191,22 +199,29 @@ impl LoadPlan {
 /// "creates ShardMeta for each tensor shard based on the worker's rank and
 /// framework-specific sharding specification").
 pub fn local_save_plan(rank: usize, state: &TrainState, device: &str) -> SavePlan {
+    let device: Arc<str> = Arc::from(device);
     let mut items = Vec::new();
-    push_dict_items(&mut items, &state.model, Category::Model, device);
-    push_dict_items(&mut items, &state.optimizer, Category::Optimizer, device);
+    push_dict_items(&mut items, &state.model, Category::Model, &device);
+    push_dict_items(&mut items, &state.optimizer, Category::Optimizer, &device);
     SavePlan { rank, items }
 }
 
-fn push_dict_items(items: &mut Vec<WriteItem>, dict: &StateDict, category: Category, device: &str) {
+fn push_dict_items(
+    items: &mut Vec<WriteItem>,
+    dict: &StateDict,
+    category: Category,
+    device: &Arc<str>,
+) {
     for entry in dict.entries.values() {
-        let metas = shard_metas(&entry.fqn, &entry.global_shape, &entry.spec);
+        let basic =
+            BasicMeta::contiguous(entry.dtype, entry.global_shape.as_slice(), device.clone());
         let mut local_cursor = 0usize;
-        for shard in metas {
+        for shard in shard_metas(&entry.fqn, &entry.global_shape, &entry.spec) {
             let n = shard.numel();
             items.push(WriteItem {
                 category,
                 shard,
-                basic: BasicMeta::contiguous(entry.dtype, entry.global_shape.clone(), device),
+                basic: basic.clone(),
                 local_elem_start: local_cursor,
                 nbytes: (n * entry.dtype.size()) as u64,
             });
@@ -225,6 +240,9 @@ pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -
     Ok(LoadPlan { rank, items })
 }
 
+/// Items are built in place from the saved entries: names are the
+/// metadata's shared ones and boxes are inline, so planning allocates one
+/// box list per tensor and nothing per item beyond the plan's own growth.
 fn plan_dict_reads(
     items: &mut Vec<ReadItem>,
     dict: &StateDict,
@@ -232,65 +250,83 @@ fn plan_dict_reads(
     meta: &GlobalMetadata,
 ) -> Result<()> {
     for entry in dict.entries.values() {
-        let pieces = shard_metas(&entry.fqn, &entry.global_shape, &entry.spec);
+        let saved = meta.tensor_map.get(&entry.fqn).map_or(&[][..], Vec::as_slice);
+        // The name the saved entries share, unless a hand-built map files
+        // an entry under another name (which `validate` refuses).
+        let fqn: Arc<str> = match saved.first() {
+            Some(e) if *e.shard.fqn == *entry.fqn => e.shard.fqn.clone(),
+            _ => Arc::from(entry.fqn.as_str()),
+        };
         let mut local_cursor = 0usize;
-        for piece in pieces {
-            let mut hits = meta.overlapping_shards(&entry.fqn, &piece.offsets, &piece.lengths);
-            // A checkpoint saved without deduplication (baselines, or DP
-            // replicas saved verbatim) contains byte-identical shards under
-            // several files; reading any one replica suffices.
-            let mut seen_boxes = std::collections::HashSet::new();
-            hits.retain(|(_, (io, il))| seen_boxes.insert((io.clone(), il.clone())));
-            let covered: usize = hits.iter().map(|(_, (_, l))| l.iter().product::<usize>()).sum();
-            if covered != piece.numel() {
-                return Err(BcpError::Missing(format!(
-                    "{}: target box {:?}/{:?} covered {covered}/{} elements",
-                    entry.fqn,
-                    piece.offsets,
-                    piece.lengths,
-                    piece.numel()
-                )));
-            }
-            for (saved, (io, il)) in hits {
-                if saved.basic.dtype != entry.dtype {
-                    return Err(BcpError::Plan(format!(
-                        "{}: dtype mismatch: saved {}, requested {}",
-                        entry.fqn, saved.basic.dtype, entry.dtype
-                    )));
+        for (dest_offsets, dest_lengths) in shard_boxes(&entry.global_shape, &entry.spec) {
+            let first = items.len();
+            let (mut covered, mut mismatch) = (0usize, None);
+            for e in saved {
+                let Some((io, il)) = intersect_boxes(
+                    &e.shard.offsets,
+                    &e.shard.lengths,
+                    &dest_offsets,
+                    &dest_lengths,
+                ) else {
+                    continue;
+                };
+                // A checkpoint saved without deduplication (DP replicas saved
+                // verbatim) contains byte-identical shards under several
+                // files; reading any one replica suffices.
+                if items[first..].iter().any(|i| i.isect_offsets == io && i.isect_lengths == il) {
+                    continue;
                 }
+                if e.basic.dtype != entry.dtype {
+                    mismatch.get_or_insert(e.basic.dtype);
+                }
+                covered += il.iter().product::<usize>();
                 items.push(ReadItem {
                     category,
-                    fqn: entry.fqn.clone(),
+                    fqn: fqn.clone(),
                     dtype: entry.dtype,
-                    file: saved.byte.file.clone(),
-                    payload_offset: saved.byte.offset,
-                    stored_offsets: saved.shard.offsets.clone(),
-                    stored_lengths: saved.shard.lengths.clone(),
+                    file: e.byte.file.clone(),
+                    payload_offset: e.byte.offset,
+                    stored_offsets: e.shard.offsets.clone(),
+                    stored_lengths: e.shard.lengths.clone(),
                     isect_offsets: io,
                     isect_lengths: il,
-                    dest_offsets: piece.offsets.clone(),
-                    dest_lengths: piece.lengths.clone(),
+                    dest_offsets: dest_offsets.clone(),
+                    dest_lengths: dest_lengths.clone(),
                     dest_local_elem_start: local_cursor,
                 });
             }
-            local_cursor += piece.numel();
+            let numel: usize = dest_lengths.iter().product();
+            if covered != numel {
+                return Err(BcpError::Missing(format!(
+                    "{}: target box {dest_offsets:?}/{dest_lengths:?} covered {covered}/{numel} elements",
+                    entry.fqn
+                )));
+            }
+            if let Some(saved_dtype) = mismatch {
+                return Err(BcpError::Plan(format!(
+                    "{}: dtype mismatch: saved {saved_dtype}, requested {}",
+                    entry.fqn, entry.dtype
+                )));
+            }
+            local_cursor += numel;
         }
     }
     Ok(())
 }
 
 /// Build the tensor section of the global metadata from deduplicated plans.
-pub fn build_tensor_map(
-    plans: &[SavePlan],
-) -> std::collections::BTreeMap<String, Vec<TensorShardEntry>> {
-    let mut map: std::collections::BTreeMap<String, Vec<TensorShardEntry>> = Default::default();
+pub fn build_tensor_map(plans: &[SavePlan]) -> BTreeMap<String, Vec<TensorShardEntry>> {
+    let mut map: BTreeMap<String, Vec<TensorShardEntry>> = BTreeMap::new();
     for plan in plans {
         for (item, byte) in plan.items.iter().zip(plan.byte_metas()) {
-            map.entry(item.shard.fqn.clone()).or_default().push(TensorShardEntry {
-                shard: item.shard.clone(),
-                basic: item.basic.clone(),
-                byte,
-            });
+            let entry =
+                TensorShardEntry { shard: item.shard.clone(), basic: item.basic.clone(), byte };
+            match map.get_mut(&*item.shard.fqn) {
+                Some(entries) => entries.push(entry),
+                None => {
+                    map.insert(item.shard.fqn.to_string(), vec![entry]);
+                }
+            }
         }
     }
     map
@@ -326,7 +362,7 @@ mod tests {
         // Some fqn must appear with multiple items whose local offsets chain.
         let mut by_fqn: std::collections::BTreeMap<&str, Vec<&WriteItem>> = Default::default();
         for item in &plan.items {
-            by_fqn.entry(item.shard.fqn.as_str()).or_default().push(item);
+            by_fqn.entry(&*item.shard.fqn).or_default().push(item);
         }
         let multi = by_fqn.values().find(|v| v.len() > 1).expect("an irregular shard exists");
         let mut cursor = 0;
@@ -347,7 +383,7 @@ mod tests {
         // never overlap.
         let mut last_end: std::collections::BTreeMap<&str, u64> = Default::default();
         for (item, bm) in plan.items.iter().zip(&metas) {
-            let end = last_end.entry(bm.file.as_str()).or_insert(0);
+            let end = last_end.entry(&*bm.file).or_insert(0);
             assert!(bm.offset >= *end, "overlapping frames in {}", bm.file);
             *end = bm.offset + bm.length + 4; // + trailing CRC
             assert_eq!(bm.length, item.nbytes);
@@ -399,12 +435,12 @@ mod tests {
             dtype: DType::F32,
             file: "model_0.bin".into(),
             payload_offset: 100,
-            stored_offsets: vec![0, 0],
-            stored_lengths: vec![4, 8],
-            isect_offsets: vec![1, 2],
-            isect_lengths: vec![2, 4],
-            dest_offsets: vec![1, 2],
-            dest_lengths: vec![2, 4],
+            stored_offsets: [0, 0].into(),
+            stored_lengths: [4, 8].into(),
+            isect_offsets: [1, 2].into(),
+            isect_lengths: [2, 4].into(),
+            dest_offsets: [1, 2].into(),
+            dest_lengths: [2, 4].into(),
             dest_local_elem_start: 0,
         };
         assert_eq!(item.fetch_range(), (100 + 40, 48));

@@ -2,8 +2,10 @@
 //! and redundant-read elimination.
 
 use crate::plan::{LoadPlan, ReadItem, SavePlan};
+use bcp_tensor::layout::Axes;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How duplicated (replicated) shards are assigned to a saving rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,7 +50,7 @@ impl DedupReport {
 /// processed largest-first so Worst-Fit packs well.
 pub fn dedup_save_plans(plans: &mut [SavePlan], strategy: DedupStrategy) -> DedupReport {
     // key -> (nbytes, candidate plan indices)
-    type Key = (crate::plan::Category, String, Vec<usize>, Vec<usize>);
+    type Key = (crate::plan::Category, Arc<str>, Axes, Axes);
     let mut groups: BTreeMap<Key, (u64, Vec<usize>)> = BTreeMap::new();
     for (pi, plan) in plans.iter().enumerate() {
         for item in &plan.items {
@@ -97,7 +99,7 @@ pub fn dedup_save_plans(plans: &mut [SavePlan], strategy: DedupStrategy) -> Dedu
 }
 
 /// Who reads a deduplicated item and who receives it over the interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssignedLoadPlan {
     /// Executing rank.
     pub rank: usize,
@@ -270,12 +272,12 @@ mod tests {
             dtype: bcp_tensor::DType::F32,
             file: "model_0.bin".into(),
             payload_offset: 0,
-            stored_offsets: vec![0],
-            stored_lengths: vec![128],
-            isect_offsets: vec![0],
-            isect_lengths: vec![128],
-            dest_offsets: vec![0],
-            dest_lengths: vec![128],
+            stored_offsets: vec![0].into(),
+            stored_lengths: vec![128].into(),
+            isect_offsets: vec![0].into(),
+            isect_lengths: vec![128].into(),
+            dest_offsets: vec![0].into(),
+            dest_lengths: vec![128].into(),
             dest_local_elem_start: 0,
         };
         let plans: Vec<LoadPlan> =
@@ -366,14 +368,14 @@ mod tests {
             category: [crate::plan::Category::Model, crate::plan::Category::Optimizer][k % 2],
             fqn: ["w", "b"][k / 2 % 2].into(),
             dtype: [bcp_tensor::DType::F32, bcp_tensor::DType::BF16][k / 4 % 2],
-            file: format!("model_{}.bin", k % 3),
+            file: format!("model_{}.bin", k % 3).into(),
             payload_offset: 64 * k as u64,
-            stored_offsets: vec![0, 0],
-            stored_lengths: vec![4, 8],
-            isect_offsets: vec![k % 3, (k % 2) * 2],
-            isect_lengths: vec![1 + k % 2, 2 + k % 3],
-            dest_offsets: vec![k % 3, (k % 2) * 2],
-            dest_lengths: vec![1 + k % 2, 2 + k % 3],
+            stored_offsets: vec![0, 0].into(),
+            stored_lengths: vec![4, 8].into(),
+            isect_offsets: vec![k % 3, (k % 2) * 2].into(),
+            isect_lengths: vec![1 + k % 2, 2 + k % 3].into(),
+            dest_offsets: vec![k % 3, (k % 2) * 2].into(),
+            dest_lengths: vec![1 + k % 2, 2 + k % 3].into(),
             dest_local_elem_start: 16 * dest,
         }
     }
@@ -435,12 +437,12 @@ mod tests {
                 dtype: bcp_tensor::DType::F32,
                 file: file.into(),
                 payload_offset: 0,
-                stored_offsets: vec![0],
-                stored_lengths: vec![4],
-                isect_offsets: vec![0],
-                isect_lengths: vec![4],
-                dest_offsets: vec![0],
-                dest_lengths: vec![4],
+                stored_offsets: vec![0].into(),
+                stored_lengths: vec![4].into(),
+                isect_offsets: vec![0].into(),
+                isect_lengths: vec![4].into(),
+                dest_offsets: vec![0].into(),
+                dest_lengths: vec![4].into(),
                 dest_local_elem_start: 0,
             }],
         };
@@ -459,16 +461,16 @@ mod tests {
             for p in plans.iter_mut() {
                 p.items.push(ReadItem {
                     category: crate::plan::Category::Model,
-                    fqn: format!("t{s}"),
+                    fqn: format!("t{s}").into(),
                     dtype: bcp_tensor::DType::F32,
                     file: "model_0.bin".into(),
                     payload_offset: (s * 1024) as u64,
-                    stored_offsets: vec![0],
-                    stored_lengths: vec![256],
-                    isect_offsets: vec![0],
-                    isect_lengths: vec![256],
-                    dest_offsets: vec![0],
-                    dest_lengths: vec![256],
+                    stored_offsets: vec![0].into(),
+                    stored_lengths: vec![256].into(),
+                    isect_offsets: vec![0].into(),
+                    isect_lengths: vec![256].into(),
+                    dest_offsets: vec![0].into(),
+                    dest_lengths: vec![256].into(),
                     dest_local_elem_start: 0,
                 });
             }

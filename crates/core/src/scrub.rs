@@ -182,10 +182,10 @@ pub fn scrub_step(
 
     if let Some(meta) = &meta {
         // 2. Group tensor references by storage file.
-        let mut by_file: BTreeMap<String, Vec<(&str, &TensorShardEntry)>> = BTreeMap::new();
+        let mut by_file: BTreeMap<&str, Vec<(&str, &TensorShardEntry)>> = BTreeMap::new();
         for (fqn, entries) in &meta.tensor_map {
             for e in entries {
-                by_file.entry(e.byte.file.clone()).or_default().push((fqn.as_str(), e));
+                by_file.entry(&e.byte.file).or_default().push((fqn.as_str(), e));
             }
         }
 
@@ -241,7 +241,7 @@ pub fn scrub_step(
                     // cross-check it against the metadata: a flipped fqn
                     // byte or forged shard coordinates cannot hide.
                     Some(frame)
-                        if frame.shard.fqn != fqn
+                        if *frame.shard.fqn != *fqn
                             || frame.shard != entry.shard
                             || frame.dtype != entry.basic.dtype =>
                     {
@@ -330,7 +330,8 @@ mod tests {
     /// metadata, committed marker.
     fn build_checkpoint(backend: &DynBackend, root: &str, step: u64) -> (String, String) {
         let prefix = format!("{root}/step_{step}");
-        let shard = ShardMeta { fqn: "w".into(), offsets: vec![0, 0], lengths: vec![2, 4] };
+        let shard =
+            ShardMeta { fqn: "w".into(), offsets: vec![0, 0].into(), lengths: vec![2, 4].into() };
         let payload: Vec<u8> = (0..32).collect(); // 8 elements × f32
         let (frame, payload_off) =
             crate::format::encode_frame(&shard, DType::F32, &payload).unwrap();

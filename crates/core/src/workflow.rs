@@ -34,7 +34,6 @@ use bcp_monitor::{
 };
 use bcp_storage::DynBackend;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -115,7 +114,7 @@ impl Default for WorkflowOptions {
 }
 
 /// What each rank contributes to the gathered save-planning round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LocalSaveMsg {
     plan: SavePlan,
     loader_files: Vec<LoaderShardFileEntry>,

@@ -19,9 +19,9 @@ fn valid_frame_file() -> Vec<u8> {
     let mut file = Vec::new();
     for i in 0..3usize {
         let shard = ShardMeta {
-            fqn: format!("layers.{i}.weight"),
-            offsets: vec![i * 2, 0],
-            lengths: vec![2, 4],
+            fqn: format!("layers.{i}.weight").into(),
+            offsets: vec![i * 2, 0].into(),
+            lengths: vec![2, 4].into(),
         };
         let payload: Vec<u8> = (0..32u8).map(|b| b.wrapping_add(i as u8)).collect();
         let (frame, _) = encode_frame(&shard, DType::F32, &payload).unwrap();
@@ -38,13 +38,17 @@ fn valid_metadata_bytes() -> Vec<u8> {
         let fqn = format!("layers.{i}.weight");
         let mut basic = BasicMeta::contiguous(DType::F32, vec![6, 4], format!("cuda:{}", i % 2));
         if i == 2 {
-            basic.stride = vec![1, 6];
+            basic.stride = vec![1, 6].into();
         }
         meta.tensor_map.entry(fqn.clone()).or_default().push(TensorShardEntry {
-            shard: ShardMeta { fqn, offsets: vec![2 * i, 0], lengths: vec![2, 4] },
+            shard: ShardMeta {
+                fqn: fqn.into(),
+                offsets: vec![2 * i, 0].into(),
+                lengths: vec![2, 4].into(),
+            },
             basic,
             byte: ByteMeta {
-                file: format!("model_{}.bin", i % 2),
+                file: format!("model_{}.bin", i % 2).into(),
                 offset: 64 * i as u64,
                 length: 32,
             },

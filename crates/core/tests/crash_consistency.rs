@@ -230,7 +230,7 @@ fn bit_flipped_newest_step_is_quarantined_and_previous_step_loads() {
         .tensor_map
         .values()
         .flatten()
-        .map(|e| e.byte.file.clone())
+        .map(|e| e.byte.file.to_string())
         .next()
         .expect("step 2 references at least one shard file");
     let corruptor = FaultLayer::new(mem.clone(), 0xB1C7, Vec::new());

@@ -21,16 +21,16 @@ const FILE_BYTES: u64 = 384 * 1024;
 fn item(idx: usize, file: usize, offset: u64, len: u64) -> ReadItem {
     ReadItem {
         category: Category::Model,
-        fqn: format!("t{idx}"),
+        fqn: format!("t{idx}").into(),
         dtype: DType::U8,
-        file: format!("f{file}.bin"),
+        file: format!("f{file}.bin").into(),
         payload_offset: offset,
-        stored_offsets: vec![0],
-        stored_lengths: vec![len as usize],
-        isect_offsets: vec![0],
-        isect_lengths: vec![len as usize],
-        dest_offsets: vec![0],
-        dest_lengths: vec![len as usize],
+        stored_offsets: vec![0].into(),
+        stored_lengths: vec![len as usize].into(),
+        isect_offsets: vec![0].into(),
+        isect_lengths: vec![len as usize].into(),
+        dest_offsets: vec![0].into(),
+        dest_lengths: vec![len as usize].into(),
         dest_local_elem_start: 0,
     }
 }

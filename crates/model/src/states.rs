@@ -152,7 +152,7 @@ pub fn materialize_shard(
 pub fn local_shape(global_shape: &[usize], spec: &ShardSpec) -> Vec<usize> {
     match spec {
         ShardSpec::Flat { length, .. } | ShardSpec::FlatOfBox { length, .. } => vec![*length],
-        _ => spec.grid_box(global_shape).expect("spec valid for shape").1,
+        _ => spec.grid_box(global_shape).expect("spec valid for shape").1.to_vec(),
     }
 }
 
@@ -239,8 +239,8 @@ fn build_megatron(
                 let box_numel: usize = box_len.iter().product();
                 let (off, len) = bcp_tensor::layout::even_split(box_numel, par.dp, c.dp);
                 ShardSpec::FlatOfBox {
-                    box_offsets: box_off.clone(),
-                    box_lengths: box_len.clone(),
+                    box_offsets: box_off.to_vec(),
+                    box_lengths: box_len.to_vec(),
                     offset: off,
                     length: len,
                 }

@@ -80,7 +80,7 @@ impl WorkloadProfile {
                             g.optim_items += 1;
                         }
                     }
-                    *per_fqn.entry(item.shard.fqn.as_str()).or_default() += 1;
+                    *per_fqn.entry(&*item.shard.fqn).or_default() += 1;
                 }
                 g.tensors = per_fqn.len() as u64;
                 g.extra_pieces = per_fqn.values().map(|&c| c.saturating_sub(1)).sum::<u64>();

@@ -1,5 +1,200 @@
 //! Row-major layout arithmetic shared by tensors, shard metadata, and the
-//! irregular-tensor decomposition algorithm in `bcp-core`.
+//! irregular-tensor decomposition algorithm in `bcp-core`, and [`Axes`], the
+//! one type every per-axis list of the planning metadata is held in.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
+/// Axes an [`Axes`] holds in place; a longer list moves to the heap.
+pub const INLINE_AXES: usize = 4;
+
+/// One value per tensor axis — a shape, a stride, a box's offsets or
+/// lengths. Up to [`INLINE_AXES`] values live in place, so building, cloning
+/// and dropping one is a memcpy; a longer list spills to the heap.
+///
+/// It dereferences to `[usize]` and compares, orders, hashes, prints and
+/// serializes exactly as the `Vec<usize>` of its values.
+#[derive(Clone)]
+pub struct Axes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, dims: [usize; INLINE_AXES] },
+    Heap(Vec<usize>),
+}
+
+impl Axes {
+    /// No axes (a scalar's shape).
+    pub const fn new() -> Axes {
+        Axes(Repr::Inline { len: 0, dims: [0; INLINE_AXES] })
+    }
+
+    /// `n` zeros.
+    pub fn zeros(n: usize) -> Axes {
+        if n <= INLINE_AXES {
+            Axes(Repr::Inline { len: n as u8, dims: [0; INLINE_AXES] })
+        } else {
+            Axes(Repr::Heap(vec![0; n]))
+        }
+    }
+
+    /// The values, as a slice.
+    pub fn as_slice(&self) -> &[usize] {
+        match &self.0 {
+            Repr::Inline { len, dims } => &dims[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+
+    /// Append one axis, moving to the heap past [`INLINE_AXES`].
+    pub fn push(&mut self, value: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, dims } if (*len as usize) < INLINE_AXES => {
+                dims[*len as usize] = value;
+                *len += 1;
+            }
+            Repr::Inline { dims, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_AXES);
+                v.extend_from_slice(dims);
+                v.push(value);
+                self.0 = Repr::Heap(v);
+            }
+            Repr::Heap(v) => v.push(value),
+        }
+    }
+
+    /// Remove and return the last axis.
+    pub fn pop(&mut self) -> Option<usize> {
+        match &mut self.0 {
+            Repr::Inline { len: 0, .. } => None,
+            Repr::Inline { len, dims } => {
+                *len -= 1;
+                Some(dims[*len as usize])
+            }
+            Repr::Heap(v) => v.pop(),
+        }
+    }
+}
+
+impl Default for Axes {
+    fn default() -> Axes {
+        Axes::new()
+    }
+}
+
+impl Deref for Axes {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        self.as_slice()
+    }
+}
+
+impl DerefMut for Axes {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match &mut self.0 {
+            Repr::Inline { len, dims } => &mut dims[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl From<&[usize]> for Axes {
+    fn from(values: &[usize]) -> Axes {
+        if values.len() <= INLINE_AXES {
+            let mut dims = [0; INLINE_AXES];
+            dims[..values.len()].copy_from_slice(values);
+            Axes(Repr::Inline { len: values.len() as u8, dims })
+        } else {
+            Axes(Repr::Heap(values.to_vec()))
+        }
+    }
+}
+
+impl<const N: usize> From<[usize; N]> for Axes {
+    fn from(values: [usize; N]) -> Axes {
+        Axes::from(&values[..])
+    }
+}
+
+impl From<Vec<usize>> for Axes {
+    /// Keeps the vector's allocation when the list does not fit in place.
+    fn from(values: Vec<usize>) -> Axes {
+        if values.len() <= INLINE_AXES {
+            Axes::from(&values[..])
+        } else {
+            Axes(Repr::Heap(values))
+        }
+    }
+}
+
+impl Extend<usize> for Axes {
+    fn extend<I: IntoIterator<Item = usize>>(&mut self, iter: I) {
+        iter.into_iter().for_each(|v| self.push(v));
+    }
+}
+
+impl FromIterator<usize> for Axes {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Axes {
+        let mut axes = Axes::new();
+        axes.extend(iter);
+        axes
+    }
+}
+
+impl<'a> IntoIterator for &'a Axes {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for Axes {
+    fn eq(&self, other: &Axes) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Axes {}
+
+impl PartialEq<Vec<usize>> for Axes {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialOrd for Axes {
+    fn partial_cmp(&self, other: &Axes) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Axes {
+    fn cmp(&self, other: &Axes) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Axes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
+impl fmt::Debug for Axes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+impl serde::Serialize for Axes {
+    fn ser(&self) -> serde::Content {
+        self.as_slice().ser()
+    }
+}
 
 /// Number of elements implied by a shape. A zero-dimensional (scalar) shape
 /// has one element; any zero-length axis yields zero.
@@ -10,9 +205,9 @@ pub fn numel(shape: &[usize]) -> usize {
 /// Row-major (C-contiguous) strides, in *elements*, for a shape.
 ///
 /// `strides[i]` is the flat-index distance between consecutive indices along
-/// axis `i`. A scalar shape yields an empty stride vector.
-pub fn contiguous_strides(shape: &[usize]) -> Vec<usize> {
-    let mut strides = vec![0usize; shape.len()];
+/// axis `i`. A scalar shape yields no strides.
+pub fn contiguous_strides(shape: &[usize]) -> Axes {
+    let mut strides = Axes::zeros(shape.len());
     let mut acc = 1usize;
     for i in (0..shape.len()).rev() {
         strides[i] = acc;
@@ -68,14 +263,12 @@ pub fn intersect_boxes(
     a_len: &[usize],
     b_off: &[usize],
     b_len: &[usize],
-) -> Option<(Vec<usize>, Vec<usize>)> {
+) -> Option<(Axes, Axes)> {
     if a_off.len() != b_off.len() {
         return None;
     }
-    let rank = a_off.len();
-    let mut off = Vec::with_capacity(rank);
-    let mut len = Vec::with_capacity(rank);
-    for d in 0..rank {
+    let (mut off, mut len) = (Axes::new(), Axes::new());
+    for d in 0..a_off.len() {
         let lo = a_off[d].max(b_off[d]);
         let hi = (a_off[d] + a_len[d]).min(b_off[d] + b_len[d]);
         if hi <= lo {
@@ -140,7 +333,7 @@ mod tests {
     fn intersection_basics() {
         assert_eq!(
             intersect_boxes(&[0, 0], &[4, 4], &[2, 2], &[4, 4]),
-            Some((vec![2, 2], vec![2, 2]))
+            Some((Axes::from([2, 2]), Axes::from([2, 2])))
         );
         assert_eq!(intersect_boxes(&[0], &[2], &[2], &[2]), None);
         assert_eq!(intersect_boxes(&[0], &[2], &[0, 0], &[2, 2]), None);

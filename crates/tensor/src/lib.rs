@@ -26,7 +26,7 @@ pub mod layout;
 pub mod tensor;
 
 pub use dtype::DType;
-pub use layout::{contiguous_strides, numel, ravel_index, unravel_index};
+pub use layout::{contiguous_strides, numel, ravel_index, unravel_index, Axes};
 pub use tensor::{Storage, Tensor};
 
 /// Errors produced by tensor operations.

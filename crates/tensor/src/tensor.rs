@@ -2,7 +2,7 @@
 //! tensors used for paper-scale planning.
 
 use crate::dtype::DType;
-use crate::layout::{box_in_bounds, contiguous_strides, numel};
+use crate::layout::{box_in_bounds, contiguous_strides, numel, Axes};
 use crate::{Result, TensorError};
 use bytes::{Bytes, BytesMut};
 
@@ -94,7 +94,7 @@ impl Tensor {
     }
 
     /// Row-major element strides.
-    pub fn strides(&self) -> Vec<usize> {
+    pub fn strides(&self) -> Axes {
         contiguous_strides(&self.shape)
     }
 

@@ -6,7 +6,7 @@
 //! or an *irregular* flat range of the flattened tensor.
 
 use crate::{Result, TopologyError};
-use bcp_tensor::layout::even_split;
+use bcp_tensor::layout::{even_split, Axes};
 use serde::{Deserialize, Serialize};
 
 /// Sharding of one tensor dimension across a group of ranks.
@@ -75,12 +75,12 @@ impl ShardSpec {
     ///
     /// Errors on [`ShardSpec::Flat`] (use [`ShardSpec::flat_range`]) and on
     /// out-of-range dims/indices.
-    pub fn grid_box(&self, global_shape: &[usize]) -> Result<(Vec<usize>, Vec<usize>)> {
+    pub fn grid_box(&self, global_shape: &[usize]) -> Result<(Axes, Axes)> {
         match self {
-            ShardSpec::Replicated => Ok((vec![0; global_shape.len()], global_shape.to_vec())),
+            ShardSpec::Replicated => Ok((Axes::zeros(global_shape.len()), global_shape.into())),
             ShardSpec::Grid(dims) => {
-                let mut offsets = vec![0; global_shape.len()];
-                let mut lengths = global_shape.to_vec();
+                let mut offsets = Axes::zeros(global_shape.len());
+                let mut lengths = Axes::from(global_shape);
                 for d in dims {
                     if d.dim >= global_shape.len() {
                         return Err(TopologyError::DimOutOfRange {
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn replicated_box_is_full_tensor() {
         let spec = ShardSpec::Replicated;
-        assert_eq!(spec.grid_box(&[3, 4]).unwrap(), (vec![0, 0], vec![3, 4]));
+        assert_eq!(spec.grid_box(&[3, 4]).unwrap(), ([0, 0].into(), [3, 4].into()));
         assert_eq!(spec.local_numel(&[3, 4]).unwrap(), 12);
     }
 

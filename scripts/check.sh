@@ -139,6 +139,20 @@ if ! grep -qE '^const MAP_POPULATE: c_int = 0x8000;$' crates/storage/src/mapping
   exit 1
 fi
 
+echo "==> plan items own no per-axis heap (names are shared Arc<str>, axis lists are inline Axes)"
+plan_structs='^pub struct (ReadItem|ShardMeta|BasicMeta|ByteMeta) \{'
+if [ "$(grep -cE "$plan_structs" crates/core/src/plan.rs crates/core/src/metadata.rs | awk -F: '{ n += $2 } END { print n }')" -ne 4 ]; then
+  echo "ReadItem, ShardMeta, BasicMeta and ByteMeta are defined in crates/core/src/plan.rs and crates/core/src/metadata.rs"
+  exit 1
+fi
+owned_heap="$(awk -v start="$plan_structs" '$0 ~ start { s = 1 } s && /:.*(^|[^A-Za-z_])(String|Vec<usize>)([^A-Za-z_]|$)/ { print FILENAME ":" FNR ": " $0 } s && /^}/ { s = 0 }' \
+  crates/core/src/plan.rs crates/core/src/metadata.rs)"
+if [ -n "$owned_heap" ]; then
+  printf '%s\n' "$owned_heap"
+  echo "a ReadItem, ShardMeta, BasicMeta or ByteMeta field holds a name as Arc<str> and an axis list as bcp_tensor::layout::Axes: building or cloning one allocates nothing per field"
+  exit 1
+fi
+
 echo "==> one arena (a load assembles resharded tensors into one mapped buffer; per-tensor buffers and copy-on-write slots must not come back)"
 if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine; then
   echo "Assembler copies a piece into its tensor's region of the load's Arena, or adopts a whole one; nothing else"

@@ -4,6 +4,7 @@
 
 mod common;
 
+use bytecheckpoint::core::export::metadata_json;
 use bytecheckpoint::core::metadata::{
     BasicMeta, ByteMeta, GlobalMetadata, LoaderShardFileEntry, ShardMeta, TensorShardEntry,
     METADATA_FILE,
@@ -12,8 +13,11 @@ use bytecheckpoint::core::plan::{build_tensor_map, local_save_plan, SavePlan};
 use bytecheckpoint::core::planner::balance::{dedup_save_plans, DedupStrategy};
 use bytecheckpoint::model::{ArchKind, TransformerConfig};
 use bytecheckpoint::prelude::*;
+use bytecheckpoint::tensor::layout::Axes;
 use common::{reference_state, run_ranks};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 const DTYPES: [DType; 9] = [
@@ -28,11 +32,12 @@ const DTYPES: [DType; 9] = [
     DType::Bool,
 ];
 
-/// One entry of a 0-4-D tensor: per axis `(dim, offset seed, length seed)`,
-/// then dtype, `requires_grad`, contiguity, device, file and byte offset.
+/// One entry of a 0-6-D tensor (past `INLINE_AXES`, so its axes spill to
+/// the heap): per axis `(dim, offset seed, length seed)`, then dtype,
+/// `requires_grad`, contiguity, device, file and byte offset.
 fn arb_entry() -> impl Strategy<Value = TensorShardEntry> {
     (
-        proptest::collection::vec((1usize..40, any::<usize>(), any::<usize>()), 0..5),
+        proptest::collection::vec((1usize..40, any::<usize>(), any::<usize>()), 0..7),
         0usize..DTYPES.len(),
         (any::<bool>(), any::<bool>()),
         (0usize..3, 0usize..4),
@@ -52,9 +57,17 @@ fn arb_entry() -> impl Strategy<Value = TensorShardEntry> {
             }
             let length = (lengths.iter().product::<usize>() * basic.dtype.size()) as u64;
             TensorShardEntry {
-                shard: ShardMeta { fqn: String::new(), offsets, lengths },
+                shard: ShardMeta {
+                    fqn: String::new().into(),
+                    offsets: offsets.into(),
+                    lengths: lengths.into(),
+                },
                 basic,
-                byte: ByteMeta { file: format!("model_{file}.bin"), offset: offset as u64, length },
+                byte: ByteMeta {
+                    file: format!("model_{file}.bin").into(),
+                    offset: offset as u64,
+                    length,
+                },
             }
         })
 }
@@ -71,7 +84,7 @@ fn arb_metadata() -> impl Strategy<Value = GlobalMetadata> {
             let mut m = GlobalMetadata::new("megatron", step, "TP=2,DP=2,PP=1", 4);
             for (i, mut entries) in tensors.into_iter().enumerate() {
                 let fqn = format!("layers.{i}.weight");
-                entries.iter_mut().for_each(|e| e.shard.fqn = fqn.clone());
+                entries.iter_mut().for_each(|e| e.shard.fqn = fqn.clone().into());
                 m.tensor_map.insert(fqn, entries);
             }
             m.loader_map.replicated_file = replicated_file;
@@ -105,6 +118,44 @@ proptest! {
         at_step.step = step;
         prop_assert_eq!(restamped, at_step.to_bytes());
     }
+
+    /// Whether its values sit in place or on the heap, `Axes` compares,
+    /// orders, hashes, prints and serializes as the `Vec<usize>` of them.
+    #[test]
+    fn the_axis_type_behaves_as_the_vec_of_its_values(
+        a in proptest::collection::vec(0usize..3, 0..=8),
+        b in proptest::collection::vec(0usize..3, 0..=8),
+    ) {
+        let hash = |v: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            v(&mut h);
+            h.finish()
+        };
+        let (x, y) = (Axes::from(a.clone()), Axes::from(&b[..]));
+        let mut pushed = Axes::new();
+        a.iter().for_each(|&v| pushed.push(v));
+        let collected: Axes = b.iter().copied().collect();
+        prop_assert_eq!(&pushed, &x);
+        prop_assert_eq!(&collected, &y);
+        prop_assert_eq!(&x[..], &a[..]);
+        prop_assert_eq!(x == y, a == b);
+        prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+        prop_assert_eq!(x.partial_cmp(&y), a.partial_cmp(&b));
+        prop_assert_eq!(hash(&|h| x.hash(h)), hash(&|h| a.hash(h)));
+        prop_assert_eq!(format!("{x:?}"), format!("{a:?}"));
+        prop_assert_eq!(format!("{y:#?}"), format!("{b:#?}"));
+        prop_assert_eq!(serde_json::to_string(&x).unwrap(), serde_json::to_string(&a).unwrap());
+        // Popping back down through the inline capacity keeps them equal.
+        let (mut popped, mut shorter) = (pushed, a.clone());
+        loop {
+            let (p, v) = (popped.pop(), shorter.pop());
+            prop_assert_eq!(p, v);
+            prop_assert_eq!(&popped, &shorter);
+            if v.is_none() {
+                break;
+            }
+        }
+    }
 }
 
 /// Every single-bit flip and every truncation of a valid file is refused
@@ -116,7 +167,11 @@ fn any_bit_flip_and_any_truncation_is_an_error() {
         m.tensor_map.insert(
             fqn.to_string(),
             vec![TensorShardEntry {
-                shard: ShardMeta { fqn: fqn.to_string(), offsets: vec![i, 0], lengths: vec![2, 3] },
+                shard: ShardMeta {
+                    fqn: fqn.to_string().into(),
+                    offsets: vec![i, 0].into(),
+                    lengths: vec![2, 3].into(),
+                },
                 basic: BasicMeta::contiguous(DType::BF16, vec![4, 3], "cuda:0"),
                 byte: ByteMeta { file: "model_0.bin".into(), offset: 40 * i as u64, length: 12 },
             }],
@@ -242,4 +297,45 @@ fn warm_steps_differ_only_in_the_step_and_the_trailer() {
         );
         assert_eq!(GlobalMetadata::from_bytes(b).unwrap().step, i as u64 + 2);
     }
+}
+
+/// What `bcpctl inspect --json` prints for a fixed metadata, byte for byte:
+/// 0- to 6-axis boxes, a stride that is not row-major, an entry that does
+/// not require gradients, the loader map and the extra-state files.
+#[test]
+fn the_json_view_prints_what_it_always_has() {
+    let mut m = GlobalMetadata::new("megatron", 42, "TP=2,DP=1,PP=1", 2);
+    let shapes: [&[usize]; 5] = [&[], &[5], &[4, 6], &[2, 3, 2, 2, 3], &[2, 1, 2, 1, 2, 3]];
+    for (i, shape) in shapes.into_iter().enumerate() {
+        let fqn = format!("t{}.weight", shape.len());
+        let rank = i % 2;
+        let offsets: Vec<usize> = shape.iter().map(|&d| d / 2).collect();
+        let lengths: Vec<usize> = shape.iter().zip(&offsets).map(|(&d, &o)| d - o).collect();
+        let mut basic = BasicMeta::contiguous(DType::BF16, shape.to_vec(), format!("cuda:{rank}"));
+        if shape.len() == 2 {
+            basic.stride = vec![1, 4].into();
+            basic.requires_grad = false;
+        }
+        let length = (lengths.iter().product::<usize>() * 2) as u64;
+        let entry = TensorShardEntry {
+            shard: ShardMeta {
+                fqn: fqn.as_str().into(),
+                offsets: offsets.into(),
+                lengths: lengths.into(),
+            },
+            basic,
+            byte: ByteMeta {
+                file: format!("model_{rank}.bin").into(),
+                offset: 64 * i as u64,
+                length,
+            },
+        };
+        m.tensor_map.insert(fqn, vec![entry]);
+    }
+    m.loader_map.replicated_file = Some("loader/replicated.json".into());
+    m.loader_map.shards =
+        vec![LoaderShardFileEntry { dp_rank: 0, worker: 1, file: "loader/dp0_w1.json".into() }];
+    m.extra_files.insert(1, "extra_1.bin".into());
+    m.validate().unwrap();
+    assert_eq!(metadata_json(&m), include_str!("golden/metadata.json"));
 }

@@ -141,7 +141,7 @@ fn every_shard_file_is_its_frames_back_to_back() {
             assert_eq!(e.byte.length, payload.len() as u64, "{fqn}: replicated, saved whole");
             payload_residues.insert(e.byte.offset % 16);
             frames
-                .entry(e.byte.file.as_str())
+                .entry(&*e.byte.file)
                 .or_default()
                 .push((e.byte.offset - payload_at, frame.freeze()));
         }

@@ -50,7 +50,7 @@ fn a_committed_step_holds_its_shard_files_metadata_marker_and_telemetry_only() {
     let (_, mem) = save_step_1();
     let metadata = CheckpointManager::new(mem.clone(), "job").metadata(1).unwrap();
     let shard_files: BTreeSet<String> =
-        metadata.tensor_map.values().flatten().map(|e| e.byte.file.clone()).collect();
+        metadata.tensor_map.values().flatten().map(|e| e.byte.file.to_string()).collect();
     assert_eq!(
         shard_files,
         BTreeSet::from(
