@@ -8,10 +8,10 @@
 //! the property the paper's integrity barrier relies on.
 
 use crate::{CollectiveError, Result};
-use parking_lot::{Condvar, Mutex};
+use bcp_monitor::sync::{lock, wait_timeout};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 type AnyBox = Box<dyn Any + Send>;
@@ -66,7 +66,7 @@ impl Rendezvous {
     /// k-th collective a rank issues on a group pairs with every other
     /// member's k-th collective on that group.
     pub fn next_seq(&self, group: u64, rank: usize) -> u64 {
-        let mut seqs = self.seqs.lock();
+        let mut seqs = lock(&self.seqs);
         let e = seqs.entry((group, rank)).or_insert(0);
         let s = *e;
         *e += 1;
@@ -78,30 +78,30 @@ impl Rendezvous {
     ///
     /// The notifications are issued while holding each waiter's mutex:
     /// without that, a waiter that has just checked the failed set and is
-    /// about to call `wait_for` misses the wakeup entirely and sleeps out
+    /// about to call `wait_timeout` misses the wakeup entirely and sleeps out
     /// its full timeout — the overlapped-load hang window. Taking the lock
     /// serializes this notify against every check-then-wait sequence.
     pub fn mark_failed(&self, rank: usize) {
-        self.failed.lock().push(rank);
+        lock(&self.failed).push(rank);
         {
-            let _slots = self.slots.lock();
+            let _slots = lock(&self.slots);
             self.cond.notify_all();
         }
         {
-            let _mailbox = self.mailbox.lock();
+            let _mailbox = lock(&self.mailbox);
             self.mail_cond.notify_all();
         }
     }
 
     /// Clear the failure-injection set (tests).
     pub fn clear_failures(&self) {
-        self.failed.lock().clear();
+        lock(&self.failed).clear();
         {
-            let _slots = self.slots.lock();
+            let _slots = lock(&self.slots);
             self.cond.notify_all();
         }
         {
-            let _mailbox = self.mailbox.lock();
+            let _mailbox = lock(&self.mailbox);
             self.mail_cond.notify_all();
         }
     }
@@ -110,7 +110,7 @@ impl Rendezvous {
     /// non-blocking contract is what lets a set of ranks all send before any
     /// receives — eager forwarding cannot deadlock.
     pub fn post<T: Send + 'static>(&self, key: SlotKey, value: T) {
-        self.mailbox.lock().insert(key, Box::new(value));
+        lock(&self.mailbox).insert(key, Box::new(value));
         self.mail_cond.notify_all();
     }
 
@@ -125,19 +125,19 @@ impl Rendezvous {
         timeout: Duration,
     ) -> Result<T> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut mailbox = self.mailbox.lock();
+        let mut mailbox = lock(&self.mailbox);
         loop {
             if let Some(boxed) = mailbox.remove(&key) {
                 return Ok(*boxed.downcast::<T>().expect("uniform p2p message type per channel"));
             }
-            if self.failed.lock().contains(&from) {
+            if lock(&self.failed).contains(&from) {
                 return Err(CollectiveError::PeerFailed { rank: from });
             }
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
                 return Err(CollectiveError::Timeout { op: op_name, arrived: 0, expected: 1 });
             }
-            self.mail_cond.wait_for(&mut mailbox, remaining);
+            mailbox = wait_timeout(&self.mail_cond, mailbox, remaining);
         }
     }
 
@@ -164,7 +164,7 @@ impl Rendezvous {
             return Err(CollectiveError::NotAMember { rank });
         }
         let expected = members.len();
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         {
             let slot = slots.entry(key.clone()).or_default();
             slot.deposits.insert(rank, Box::new(input));
@@ -200,7 +200,7 @@ impl Rendezvous {
                 }
                 // Check failure injection: if any expected member is failed
                 // and has not deposited, abort.
-                let failed = self.failed.lock();
+                let failed = lock(&self.failed);
                 if let Some(&dead) =
                     failed.iter().find(|r| members.contains(r) && !slot.deposits.contains_key(r))
                 {
@@ -217,7 +217,7 @@ impl Rendezvous {
                 let arrived = slots.get(&key).map_or(0, |s| s.deposits.len());
                 return Err(CollectiveError::Timeout { op: op_name, arrived, expected });
             }
-            self.cond.wait_for(&mut slots, remaining);
+            slots = wait_timeout(&self.cond, slots, remaining);
         }
     }
 }

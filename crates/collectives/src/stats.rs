@@ -1,8 +1,9 @@
 //! Communication statistics, used by tests and the scale experiments to
 //! show the structural difference between flat and tree backends.
 
-use parking_lot::Mutex;
+use bcp_monitor::sync::lock;
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// Counters accumulated by a [`crate::CommWorld`] over its lifetime.
 #[derive(Debug, Default)]
@@ -46,13 +47,13 @@ impl CommStats {
             return;
         }
         let key = (a.min(b), a.max(b));
-        self.inner.lock().connections.insert(key);
+        lock(&self.inner).connections.insert(key);
     }
 
     /// Record one collective op with `participants` members moving
     /// approximately `bytes` of payload.
     pub fn record_op(&self, participants: usize, bytes: u64) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.ops += 1;
         g.participations += participants as u64;
         g.bytes += bytes;
@@ -60,7 +61,7 @@ impl CommStats {
 
     /// Snapshot the counters.
     pub fn snapshot(&self) -> CommStatsSnapshot {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         CommStatsSnapshot {
             connections: g.connections.len(),
             ops: g.ops,
@@ -71,7 +72,7 @@ impl CommStats {
 
     /// Reset all counters (tests).
     pub fn reset(&self) {
-        *self.inner.lock() = Inner::default();
+        *lock(&self.inner) = Inner::default();
     }
 }
 

@@ -17,14 +17,16 @@
 //! it).
 
 use crate::{BcpError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use bcp_monitor::sync::lock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of named I/O worker threads fed by a channel. Workers
-/// exit when the pool (and thus the channel's send side) drops.
+/// A fixed-size pool of named I/O worker threads fed by one channel whose
+/// receiver they share behind a mutex. Workers exit when the pool (and thus
+/// the channel's send side) drops.
 pub struct IoPool {
     tx: Sender<Job>,
     threads: usize,
@@ -34,15 +36,17 @@ impl IoPool {
     /// Spawn `threads` workers (at least one), named `bcp-io-{i}`.
     pub fn new(threads: usize) -> Arc<IoPool> {
         let threads = threads.max(1);
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         for i in 0..threads {
-            let rx: Receiver<Job> = rx.clone();
+            let rx = rx.clone();
             std::thread::Builder::new()
                 .name(format!("bcp-io-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
+                .spawn(move || loop {
+                    // Its own statement: the guard drops before the job
+                    // runs, so the other workers can take the next one.
+                    let Ok(job) = lock(&rx).recv() else { return };
+                    job();
                 })
                 .expect("spawn I/O pool worker");
         }
@@ -85,7 +89,7 @@ impl IoPool {
         T: Send + 'static,
     {
         let n = jobs.len();
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         for (i, job) in jobs.into_iter().enumerate() {
             self.submit(done_tx.clone(), i, job);
         }

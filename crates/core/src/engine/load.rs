@@ -224,7 +224,7 @@ fn fetch_runs(
     mut on_run: impl FnMut(&ReadRun, Bytes) -> Result<()>,
 ) -> Result<()> {
     let (rank, step) = (parent.rank(), parent.step());
-    let (piece_tx, piece_rx) = crossbeam::channel::unbounded::<(usize, Result<Bytes>)>();
+    let (piece_tx, piece_rx) = std::sync::mpsc::channel::<(usize, Result<Bytes>)>();
     let mut flat: Vec<(usize, usize)> = Vec::new(); // job index -> (run, piece)
     let mut pending: Vec<PendingRun> = Vec::with_capacity(runs.len());
     for (ri, run) in runs.iter().enumerate() {
@@ -381,7 +381,7 @@ pub fn execute_load(
     // Receiver thread: drains inbound batches while we fetch, counting
     // payloads, not messages, per source. Entries are matched by their
     // (source, index) address, so arrival order never matters.
-    let (fwd_tx, fwd_rx) = crossbeam::channel::unbounded::<Result<(usize, Batch)>>();
+    let (fwd_tx, fwd_rx) = std::sync::mpsc::channel::<Result<(usize, Batch)>>();
     let mut recv_handle = None;
     if let Some(c) = comm.filter(|_| !expected.is_empty()) {
         let c = c.clone();

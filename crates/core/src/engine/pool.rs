@@ -41,12 +41,12 @@
 //! ([`PinnedPool::copied_bytes`]), which tests and the benchmark use to show
 //! each tensor byte is copied exactly once between state dict and backend.
 
+use bcp_monitor::sync::lock;
 use bcp_tensor::checksum::extend_crc32;
 use bytes::BufMut;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A reusable buffer pool, keyed by exact buffer size.
 pub struct PinnedPool {
@@ -90,7 +90,7 @@ impl PinnedPool {
     ) -> Vec<PooledBuf> {
         let wanted: Vec<usize> = sizes.into_iter().collect();
         let reused: Vec<Option<Vec<u8>>> = {
-            let mut free = self.sizes.lock();
+            let mut free = lock(&self.sizes);
             free.values_mut().for_each(|f| f.keep = 0);
             for &size in &wanted {
                 free.entry(size).or_default().keep += self.depth;
@@ -133,7 +133,7 @@ impl PinnedPool {
     }
 
     fn give_back(&self, size: usize, buf: Vec<u8>) {
-        let mut free = self.sizes.lock();
+        let mut free = lock(&self.sizes);
         if let Some(f) = free.get_mut(&size).filter(|f| f.bufs.len() < f.keep) {
             f.bufs.push(buf);
         }

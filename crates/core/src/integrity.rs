@@ -30,11 +30,11 @@
 
 use crate::metadata::COMPLETE_MARKER;
 use crate::{BcpError, Result};
+use bcp_monitor::sync::lock;
 use bcp_monitor::MetricsSink;
 use bcp_storage::retry::site_seed;
 use bcp_storage::{DynBackend, StorageError};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use bcp_monitor::FailureRecord;
 pub use bcp_storage::retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Verdict};
@@ -77,22 +77,22 @@ impl FailureLog {
 
     /// Append a record.
     pub fn log(&self, rec: FailureRecord) {
-        self.records.lock().push(rec);
+        lock(&self.records).push(rec);
     }
 
     /// Snapshot of everything logged.
     pub fn records(&self) -> Vec<FailureRecord> {
-        self.records.lock().clone()
+        lock(&self.records).clone()
     }
 
     /// Number of failures logged.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        lock(&self.records).len()
     }
 
     /// Whether nothing failed.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        lock(&self.records).is_empty()
     }
 }
 

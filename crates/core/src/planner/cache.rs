@@ -19,13 +19,13 @@
 
 use crate::plan::SavePlan;
 use bcp_model::TrainState;
+use bcp_monitor::sync::lock;
 use bcp_tensor::fill::splitmix64;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The signature's hasher: one rotate-xor-multiply per 8-byte word instead
 /// of SipHash's buffered short writes (the signature runs on the training
@@ -108,7 +108,7 @@ impl PlanCache {
 
     /// Look up a cached plan.
     pub fn get(&self, sig: u64) -> Option<Arc<CachedSave>> {
-        let got = self.entries.lock().get(&sig).cloned();
+        let got = lock(&self.entries).get(&sig).cloned();
         match &got {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -119,7 +119,7 @@ impl PlanCache {
     /// Insert a freshly planned result.
     pub fn insert(&self, sig: u64, cached: CachedSave) -> Arc<CachedSave> {
         let arc = Arc::new(cached);
-        self.entries.lock().insert(sig, arc.clone());
+        lock(&self.entries).insert(sig, arc.clone());
         arc
     }
 
@@ -130,7 +130,7 @@ impl PlanCache {
 
     /// Drop all cached plans (e.g. after an in-session model surgery).
     pub fn clear(&self) {
-        self.entries.lock().clear();
+        lock(&self.entries).clear();
     }
 }
 

@@ -13,7 +13,7 @@
 //!   (the Rust analogue of the paper's context-manager/decorator metrics
 //!   syntax) time a scope and emit on drop.
 //! * [`MetricsSink`] — a cheap, cloneable handle training/engine threads
-//!   start spans from. Spans flow over a background channel (the paper's
+//!   start spans from. Spans flow through a bounded queue (the paper's
 //!   message queue) to the [`MetricsHub`].
 //! * [`MetricsHub`] — collects spans until they are taken (per step). Has a bounded-capacity mode ([`MetricsHub::bounded`])
 //!   with a dropped-spans counter for runs that never drain.
@@ -32,6 +32,8 @@
 //!   end-to-end saving time, rendered as ASCII + CSV.
 //! * [`breakdown`] — the Fig. 12 visualization: per-phase duration bars for
 //!   one rank.
+//! * [`sync`] — the workspace's one lock discipline: `std::sync` locks taken
+//!   through poison-ignoring helpers.
 
 pub mod analysis;
 pub mod breakdown;
@@ -42,6 +44,7 @@ pub mod registry;
 pub mod report;
 pub mod span;
 pub mod stats;
+pub mod sync;
 pub mod telemetry;
 
 pub use breakdown::render_breakdown;

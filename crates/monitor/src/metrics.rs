@@ -1,17 +1,17 @@
 //! Span collection: the sinks producers emit into and the hub that stores
-//! what arrives over the background channel.
+//! what they push onto its queue.
 
 use crate::registry::{Labels, MetricsRegistry};
 use crate::span::SpanRecord;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 #[derive(Clone)]
 enum SinkInner {
-    /// Channel into one hub (or into nowhere, for disabled sinks).
-    Chan(Sender<SpanRecord>),
+    /// The queue of one hub (or of none, for disabled sinks). Weak, so a
+    /// sink does not keep a dropped hub's queue alive.
+    Hub(Weak<Queue>),
     /// Duplicate every span into several sinks (user hub + private
     /// telemetry hub).
     Fanout(Arc<Vec<MetricsSink>>),
@@ -25,6 +25,14 @@ struct FoldTarget {
     labels: Labels,
 }
 
+/// Spans emitted into a hub and not yet moved into its store.
+struct Queue {
+    pending: Mutex<Vec<SpanRecord>>,
+    /// Most spans `pending` holds (an emit beyond it is dropped); also what
+    /// [`MetricsHub::take_where`] lets stay behind in the store.
+    capacity: usize,
+}
+
 /// Cloneable producer handle. Cheap enough to pass to every worker thread.
 /// Spans are started with [`MetricsSink::span`] and friends (see
 /// [`crate::span`]) and emitted when their guard drops.
@@ -36,10 +44,9 @@ pub struct MetricsSink {
 
 impl MetricsSink {
     /// A sink whose spans go nowhere (for code paths where monitoring is
-    /// disabled). Spans are dropped when the paired receiver is gone.
+    /// disabled): it reaches no hub, so every span is dropped.
     pub fn disabled() -> MetricsSink {
-        let (tx, _rx) = unbounded();
-        MetricsSink { inner: SinkInner::Chan(tx), dropped: Arc::new(AtomicU64::new(0)) }
+        MetricsSink { inner: SinkInner::Hub(Weak::new()), dropped: Arc::new(AtomicU64::new(0)) }
     }
 
     /// A sink duplicating every span into each of `sinks` (e.g. the user's
@@ -65,10 +72,14 @@ impl MetricsSink {
     /// [`MetricsHub::dropped_records`].
     pub fn emit(&self, span: SpanRecord) {
         match &self.inner {
-            SinkInner::Chan(tx) => {
-                if tx.try_send(span).is_err() {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+            SinkInner::Hub(queue) => {
+                if let Some(q) = queue.upgrade() {
+                    let mut pending = lock(&q.pending);
+                    if pending.len() < q.capacity {
+                        return pending.push(span);
+                    }
                 }
+                self.dropped.fetch_add(1, Ordering::Relaxed);
             }
             SinkInner::Fanout(sinks) => {
                 for sink in sinks.iter() {
@@ -80,17 +91,13 @@ impl MetricsSink {
     }
 }
 
-/// Consumer side: drains the channel and holds the spans until they are
+/// Consumer side: drains its queue and holds the spans until they are
 /// taken. Aggregate queries over what it holds are the free functions of
 /// [`crate::analysis`] applied to [`MetricsHub::spans`].
 pub struct MetricsHub {
-    tx: Sender<SpanRecord>,
-    rx: Receiver<SpanRecord>,
+    queue: Arc<Queue>,
     store: Mutex<Vec<SpanRecord>>,
     dropped: Arc<AtomicU64>,
-    /// Channel capacity of a bounded hub; also what [`MetricsHub::take_where`]
-    /// lets stay behind.
-    capacity: usize,
 }
 
 impl Default for MetricsHub {
@@ -100,30 +107,32 @@ impl Default for MetricsHub {
 }
 
 impl MetricsHub {
-    /// Create a hub with its own unbounded channel.
+    /// Create a hub with an unbounded queue.
     pub fn new() -> MetricsHub {
-        Self::over(unbounded(), usize::MAX)
+        Self::bounded(usize::MAX)
     }
 
-    /// Create a hub whose channel holds at most `capacity` undrained spans.
+    /// Create a hub whose queue holds at most `capacity` undrained spans.
     /// Producers never block: overflowing spans are dropped and counted in
     /// [`MetricsHub::dropped_records`], bounding memory on runs that never
     /// drain.
     pub fn bounded(capacity: usize) -> MetricsHub {
-        Self::over(bounded(capacity), capacity)
-    }
-
-    fn over((tx, rx): (Sender<SpanRecord>, Receiver<SpanRecord>), capacity: usize) -> MetricsHub {
-        let dropped = Arc::new(AtomicU64::new(0));
-        MetricsHub { tx, rx, store: Mutex::new(Vec::new()), dropped, capacity }
+        MetricsHub {
+            queue: Arc::new(Queue { pending: Mutex::new(Vec::new()), capacity }),
+            store: Mutex::new(Vec::new()),
+            dropped: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Producer handle for worker threads.
     pub fn sink(&self) -> MetricsSink {
-        MetricsSink { inner: SinkInner::Chan(self.tx.clone()), dropped: self.dropped.clone() }
+        MetricsSink {
+            inner: SinkInner::Hub(Arc::downgrade(&self.queue)),
+            dropped: self.dropped.clone(),
+        }
     }
 
-    /// Spans dropped by this hub's sinks (bounded channel full, or the hub
+    /// Spans dropped by this hub's sinks (bounded queue full, or the hub
     /// already gone) since the last [`MetricsHub::take_dropped`]. Non-zero
     /// means the collected data is incomplete.
     pub fn dropped_records(&self) -> u64 {
@@ -137,16 +146,14 @@ impl MetricsHub {
         self.dropped.swap(0, Ordering::Relaxed)
     }
 
-    /// Pull everything pending off the channel into the store.
-    fn drain(&self) -> parking_lot::MutexGuard<'_, Vec<SpanRecord>> {
-        let mut store = self.store.lock();
-        while let Ok(span) = self.rx.try_recv() {
-            store.push(span);
-        }
+    /// Move everything pending off the queue into the store, oldest first.
+    fn drain(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        let mut store = lock(&self.store);
+        store.append(&mut lock(&self.queue.pending));
         store
     }
 
-    /// Drain the channel, then move out of the hub the spans whose *root*
+    /// Drain the queue, then move out of the hub the spans whose *root*
     /// `root` accepts, leaving the rest for whoever they belong to (an
     /// operation still in flight on the same handle). A span's root is its
     /// topmost ancestor the hub holds, resolved once per span. This is how a
@@ -159,14 +166,15 @@ impl MetricsHub {
     /// dropped and counted in [`MetricsHub::dropped_records`].
     pub fn take_where(&self, root: impl Fn(&SpanRecord) -> bool) -> Vec<SpanRecord> {
         let mut store = self.drain();
-        let all = std::mem::take(&mut *store);
-        let roots = crate::span::root_of_each(&all);
-        let take: Vec<bool> = roots.iter().map(|&r| root(&all[r])).collect();
+        // Decide every span before moving any, so a predicate that panics
+        // leaves the store as it was.
+        let roots = crate::span::root_of_each(&store);
+        let take: Vec<bool> = roots.iter().map(|&r| root(&store[r])).collect();
         let (mut taken, mut kept) = (Vec::new(), Vec::new());
-        for (span, take) in all.into_iter().zip(take) {
+        for (span, take) in std::mem::take(&mut *store).into_iter().zip(take) {
             if take { &mut taken } else { &mut kept }.push(span);
         }
-        let excess = kept.len().saturating_sub(self.capacity);
+        let excess = kept.len().saturating_sub(self.queue.capacity);
         kept.drain(..excess);
         self.dropped.fetch_add(excess as u64, Ordering::Relaxed);
         *store = kept;

@@ -13,6 +13,7 @@
 
 use crate::span::SpanRecord;
 use crate::stats::{LatencyAccumulator, LatencySnapshot};
+use crate::sync::lock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -91,7 +92,7 @@ impl MetricsRegistry {
         if delta < 0.0 || !delta.is_finite() {
             return;
         }
-        let mut s = self.series.lock().unwrap();
+        let mut s = lock(&self.series);
         // On a type mismatch (name reused), keep the existing series rather
         // than corrupting it.
         if let Series::Counter(v) =
@@ -107,7 +108,7 @@ impl MetricsRegistry {
         if !ms.is_finite() || ms < 0.0 {
             return;
         }
-        let mut s = self.series.lock().unwrap();
+        let mut s = lock(&self.series);
         let e = s
             .entry((name.to_string(), labels))
             .or_insert_with(|| Series::Histogram(LatencyAccumulator::new(HISTOGRAM_WINDOW)));
@@ -118,7 +119,7 @@ impl MetricsRegistry {
 
     /// Scalar value of a counter series, when present.
     pub fn value(&self, name: &str, labels: &Labels) -> Option<f64> {
-        let s = self.series.lock().unwrap();
+        let s = lock(&self.series);
         match s.get(&(name.to_string(), labels.clone()))? {
             Series::Counter(v) => Some(*v),
             Series::Histogram(_) => None,
@@ -127,7 +128,7 @@ impl MetricsRegistry {
 
     /// Percentile snapshot of a histogram series, when present.
     pub fn histogram(&self, name: &str, labels: &Labels) -> Option<LatencySnapshot> {
-        let s = self.series.lock().unwrap();
+        let s = lock(&self.series);
         match s.get(&(name.to_string(), labels.clone()))? {
             Series::Histogram(acc) => Some(acc.snapshot()),
             _ => None,
@@ -136,7 +137,7 @@ impl MetricsRegistry {
 
     /// Snapshot every series of one metric name.
     pub fn samples_for(&self, name: &str) -> Vec<SeriesSample> {
-        let s = self.series.lock().unwrap();
+        let s = lock(&self.series);
         s.iter()
             .filter(|((n, _), _)| n == name)
             .map(|((name, labels), v)| sample(name, labels, v))
@@ -215,7 +216,7 @@ impl MetricsRegistry {
     /// as `counter`, histograms as `summary` quantile
     /// series (values in milliseconds) plus a `_count` line.
     pub fn render_prometheus(&self) -> String {
-        let s = self.series.lock().unwrap();
+        let s = lock(&self.series);
         let mut out = String::new();
         let mut last_name = "";
         for ((name, labels), series) in s.iter() {

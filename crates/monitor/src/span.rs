@@ -15,8 +15,8 @@
 //! queries over them ([`crate::analysis`]).
 //!
 //! Spans are produced by [`SpanGuard`]s (RAII; the Rust analogue of the
-//! paper's context-manager/decorator metrics syntax) and flow over a
-//! channel into the [`crate::MetricsHub`]. Parentage is explicit: pass a
+//! paper's context-manager/decorator metrics syntax) and flow through a
+//! queue into the [`crate::MetricsHub`]. Parentage is explicit: pass a
 //! [`SpanContext`] across threads, or push one onto the thread-local context
 //! stack with [`SpanGuard::enter`] / [`enter_context`] so deeper layers
 //! (e.g. instrumented storage backends) can attach without plumbing.

@@ -5,6 +5,7 @@
 //! Exact percentiles over the recorded samples (bounded; the accumulator
 //! keeps the most recent [`LatencyAccumulator::capacity`] samples).
 
+use crate::sync::lock;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -56,7 +57,7 @@ impl LatencyAccumulator {
     /// Record one latency sample.
     pub fn record(&self, latency: Duration) {
         let ms = latency.as_secs_f64() * 1e3;
-        let mut w = self.samples.lock().unwrap();
+        let mut w = lock(&self.samples);
         w.total += 1;
         if w.ring.len() < self.capacity {
             w.ring.push(ms);
@@ -71,7 +72,7 @@ impl LatencyAccumulator {
     /// total-ever-recorded count — the durable form a control-plane
     /// snapshot persists so percentiles survive a coordinator restart.
     pub fn export_window(&self) -> (Vec<f64>, u64) {
-        let w = self.samples.lock().unwrap();
+        let w = lock(&self.samples);
         let ordered = if w.ring.len() < self.capacity {
             w.ring.clone()
         } else {
@@ -98,7 +99,7 @@ impl LatencyAccumulator {
 
     /// Percentile summary of the retained window (all zeros when empty).
     pub fn snapshot(&self) -> LatencySnapshot {
-        let w = self.samples.lock().unwrap();
+        let w = lock(&self.samples);
         if w.ring.is_empty() {
             return LatencySnapshot { count: w.total, ..LatencySnapshot::default() };
         }

@@ -33,11 +33,11 @@
 use crate::layer::{self, Op, Reply};
 use crate::retry::{fnv1a, splitmix64, RetryClock, SystemClock, FNV_OFFSET};
 use crate::{DynBackend, Result, StorageBackend, StorageError};
+use bcp_monitor::sync::lock;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Which operations a rule applies to.
@@ -205,7 +205,7 @@ impl FaultLayer {
     /// Snapshot the current content of `path` for later stale substitution.
     pub fn snapshot(&self, path: &str) -> Result<()> {
         let data = self.inner.read(path)?;
-        self.snapshots.lock().insert(path.to_string(), data);
+        lock(&self.snapshots).insert(path.to_string(), data);
         Ok(())
     }
 
@@ -223,9 +223,7 @@ impl FaultLayer {
 
     /// Replace the stored object with its snapshotted (stale) version.
     pub fn substitute_stale(&self, path: &str) -> Result<()> {
-        let stale = self
-            .snapshots
-            .lock()
+        let stale = lock(&self.snapshots)
             .get(path)
             .cloned()
             .ok_or_else(|| StorageError::NotFound(format!("no snapshot for {path}")))?;
@@ -249,7 +247,7 @@ impl FaultLayer {
     /// snapshot).
     fn damaged(&self, path: &str, data: &Bytes, kind: Damage) -> Option<(u64, Bytes)> {
         if kind == Damage::Stale {
-            return self.snapshots.lock().get(path).map(|stale| (0, stale.clone()));
+            return lock(&self.snapshots).get(path).map(|stale| (0, stale.clone()));
         }
         if data.is_empty() {
             return None;
@@ -343,7 +341,7 @@ impl layer::Layer for FaultLayer {
         for (i, rule) in self.rules_for(op) {
             match &rule.fault {
                 Fault::Fail { times } | Fault::SlowDown { times, .. } => {
-                    let mut failed = self.failed.lock();
+                    let mut failed = lock(&self.failed);
                     let used = failed.entry((i, path.to_string())).or_insert(0);
                     if *used < *times {
                         *used += 1;
@@ -378,10 +376,10 @@ impl layer::Layer for FaultLayer {
             _ => None,
         });
         if let (Some(lag), Some(path)) = (lag, written(op)) {
-            self.visible_at.lock().insert(path.to_string(), self.clock.now() + lag);
+            lock(&self.visible_at).insert(path.to_string(), self.clock.now() + lag);
         }
         if let Some(listed) = reply.listing() {
-            let (visible_at, now) = (self.visible_at.lock(), self.clock.now());
+            let (visible_at, now) = (lock(&self.visible_at), self.clock.now());
             listed.retain(|path| visible_at.get(path).is_none_or(|at| *at <= now));
         }
         if let Some(data) = reply.payload() {

@@ -28,10 +28,11 @@
 //! table.
 
 use crate::{checked_range, Result, StorageBackend, StorageError};
+use bcp_monitor::sync::{lock, read, write};
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Tunables for the simulated HDFS cluster.
@@ -129,7 +130,7 @@ impl NameNode {
         self.stats.meta_ops.fetch_add(1, Ordering::Relaxed);
         if let Some(qps) = cfg.meta_qps_limit {
             let wait = {
-                let mut bucket = self.bucket.lock();
+                let mut bucket = lock(&self.bucket);
                 let (ref mut tokens, ref mut last) = *bucket;
                 let now = Instant::now();
                 // Deficit-based limiter: tokens may go negative; each op
@@ -187,8 +188,7 @@ impl HdfsBackend {
 
     /// Tier an object currently resides on.
     pub fn tier_of(&self, path: &str) -> Result<Tier> {
-        self.objects
-            .read()
+        read(&self.objects)
             .get(path)
             .map(|o| o.tier)
             .ok_or_else(|| StorageError::NotFound(path.to_string()))
@@ -202,7 +202,7 @@ impl HdfsBackend {
         self.namenode.meta_op(&self.cfg);
         let now = Instant::now();
         let mut migrated = 0;
-        for obj in self.objects.write().values_mut() {
+        for obj in write(&self.objects).values_mut() {
             if obj.tier == Tier::Ssd
                 && now.duration_since(obj.last_access) >= self.cfg.cooldown_retention
             {
@@ -215,7 +215,7 @@ impl HdfsBackend {
 
     /// Force an object's last-access far into the past (tests).
     pub fn age_object(&self, path: &str, by: Duration) -> Result<()> {
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let obj = objects.get_mut(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
         obj.last_access = obj.last_access.checked_sub(by).unwrap_or(obj.last_access);
         Ok(())
@@ -223,7 +223,7 @@ impl HdfsBackend {
 
     fn invalidate_proxy(&self, path: &str) {
         if self.cfg.nnproxy_cache {
-            self.proxy_cache.lock().remove(path);
+            lock(&self.proxy_cache).remove(path);
         }
     }
 
@@ -231,18 +231,18 @@ impl HdfsBackend {
     fn proxied_size(&self, path: &str) -> Option<u64> {
         if !self.cfg.nnproxy_cache {
             self.namenode.meta_op(&self.cfg);
-            return self.objects.read().get(path).map(|o| o.data.len() as u64);
+            return read(&self.objects).get(path).map(|o| o.data.len() as u64);
         }
         {
-            let cache = self.proxy_cache.lock();
+            let cache = lock(&self.proxy_cache);
             if let Some(entry) = cache.get(path) {
                 self.namenode.stats.proxy_hits.fetch_add(1, Ordering::Relaxed);
                 return *entry;
             }
         }
         self.namenode.meta_op(&self.cfg);
-        let result = self.objects.read().get(path).map(|o| o.data.len() as u64);
-        self.proxy_cache.lock().insert(path.to_string(), result);
+        let result = read(&self.objects).get(path).map(|o| o.data.len() as u64);
+        lock(&self.proxy_cache).insert(path.to_string(), result);
         result
     }
 }
@@ -271,7 +271,7 @@ impl StorageBackend for HdfsBackend {
         // Create = one metadata op (the paper's §6.4 lesson: avoid the SDK's
         // redundant parent-dir checks; we charge exactly one op).
         self.namenode.meta_op(&self.cfg);
-        self.objects.write().insert(
+        write(&self.objects).insert(
             path.to_string(),
             Object { data, tier: Tier::Ssd, last_access: Instant::now() },
         );
@@ -281,7 +281,7 @@ impl StorageBackend for HdfsBackend {
 
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
         self.namenode.meta_op(&self.cfg);
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let obj = objects.entry(path.to_string()).or_insert_with(|| Object {
             data: Bytes::new(),
             tier: Tier::Ssd,
@@ -300,7 +300,7 @@ impl StorageBackend for HdfsBackend {
     fn read(&self, path: &str) -> Result<Bytes> {
         // Open = one metadata op; the data path bypasses the NameNode.
         self.namenode.meta_op(&self.cfg);
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let obj = objects.get_mut(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
         obj.last_access = Instant::now();
         Ok(obj.data.clone())
@@ -309,7 +309,7 @@ impl StorageBackend for HdfsBackend {
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         // Ranged reads are the multi-threaded download fast path: no
         // NameNode op per chunk (block locations are cached client-side).
-        let objects = self.objects.read();
+        let objects = read(&self.objects);
         let obj = objects.get(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
         Ok(obj.data.slice(checked_range(path, obj.data.len() as u64, offset, len)?))
     }
@@ -324,9 +324,7 @@ impl StorageBackend for HdfsBackend {
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
         self.namenode.meta_op(&self.cfg);
-        Ok(self
-            .objects
-            .read()
+        Ok(read(&self.objects)
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.clone())
@@ -336,8 +334,7 @@ impl StorageBackend for HdfsBackend {
     fn delete(&self, path: &str) -> Result<()> {
         self.namenode.meta_op(&self.cfg);
         self.invalidate_proxy(path);
-        self.objects
-            .write()
+        write(&self.objects)
             .remove(path)
             .map(|_| ())
             .ok_or_else(|| StorageError::NotFound(path.to_string()))
@@ -347,7 +344,7 @@ impl StorageBackend for HdfsBackend {
         self.namenode.meta_op(&self.cfg);
         self.invalidate_proxy(from);
         self.invalidate_proxy(to);
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let obj = objects.remove(from).ok_or_else(|| StorageError::NotFound(from.to_string()))?;
         objects.insert(to.to_string(), obj);
         Ok(())
@@ -359,14 +356,14 @@ impl StorageBackend for HdfsBackend {
         // the entire operation (the §6.4 bottleneck); parallel mode only
         // pays its own metadata latency.
         let _guard =
-            if self.cfg.parallel_concat { None } else { Some(self.namenode.concat_lock.lock()) };
+            if self.cfg.parallel_concat { None } else { Some(lock(&self.namenode.concat_lock)) };
         // One metadata op per participating file plus one for the target —
         // concat cost scales with the number of sub-files.
         for _ in 0..=parts.len() {
             self.namenode.meta_op(&self.cfg);
         }
         {
-            let mut objects = self.objects.write();
+            let mut objects = write(&self.objects);
             let mut buf = BytesMut::new();
             for p in parts {
                 let obj = objects.get(p).ok_or_else(|| StorageError::NotFound(p.clone()))?;

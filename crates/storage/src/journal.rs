@@ -15,10 +15,10 @@
 use crate::layer::{self, Op, Reply};
 use crate::memory::MemoryBackend;
 use crate::{DynBackend, Result, StorageBackend};
+use bcp_monitor::sync::lock;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One recorded mutating operation, with enough payload to replay it.
 #[derive(Debug, Clone)]
@@ -85,14 +85,14 @@ impl JournalBackend {
     /// contains the committed prior step.
     pub fn rebase(&self) -> Result<()> {
         let snap = Self::snapshot(&self.inner)?;
-        *self.baseline.lock() = snap;
-        self.log.lock().clear();
+        *lock(&self.baseline) = snap;
+        lock(&self.log).clear();
         Ok(())
     }
 
     /// The recorded mutation log, in order.
     pub fn ops(&self) -> Vec<JournalOp> {
-        self.log.lock().clone()
+        lock(&self.log).clone()
     }
 
     /// Materialize the storage state after the first `n` ops (crash between
@@ -100,10 +100,10 @@ impl JournalBackend {
     /// is the fully-applied state.
     pub fn materialize_prefix(&self, n: usize) -> Result<Arc<MemoryBackend>> {
         let mem = Arc::new(MemoryBackend::new());
-        for (path, data) in self.baseline.lock().iter() {
+        for (path, data) in lock(&self.baseline).iter() {
             mem.write(path, data.clone())?;
         }
-        let ops = self.log.lock();
+        let ops = lock(&self.log);
         for op in ops.iter().take(n) {
             replay(mem.as_ref(), op)?;
         }
@@ -120,7 +120,7 @@ impl JournalBackend {
     pub fn materialize_torn(&self, n: usize, cut: u64) -> Result<Arc<MemoryBackend>> {
         let mem = self.materialize_prefix(n)?;
         let op = {
-            let ops = self.log.lock();
+            let ops = lock(&self.log);
             ops.get(n).cloned()
         };
         let Some(op) = op else { return Ok(mem) };
@@ -168,7 +168,7 @@ impl JournalBackend {
     /// (`delete`, `rename`) return an empty set.
     pub fn torn_points(&self, n: usize) -> Result<Vec<u64>> {
         let op = {
-            let ops = self.log.lock();
+            let ops = lock(&self.log);
             ops.get(n).cloned()
         };
         let Some(op) = op else { return Ok(Vec::new()) };
@@ -236,7 +236,7 @@ impl layer::Layer for JournalBackend {
             }
             _ => return Ok(reply),
         };
-        self.log.lock().push(entry);
+        lock(&self.log).push(entry);
         Ok(reply)
     }
 }

@@ -5,9 +5,10 @@
 //! and Gemini-style in-memory checkpoint storage for fast failure recovery.
 
 use crate::{checked_range, Result, StorageBackend, StorageError};
+use bcp_monitor::sync::{read, write};
 use bytes::{Bytes, BytesMut};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::RwLock;
 
 /// A thread-safe in-memory object store keyed by path.
 #[derive(Default)]
@@ -23,12 +24,12 @@ impl MemoryBackend {
 
     /// Total bytes currently stored (capacity monitoring).
     pub fn total_bytes(&self) -> u64 {
-        self.objects.read().values().map(|b| b.len() as u64).sum()
+        read(&self.objects).values().map(|b| b.len() as u64).sum()
     }
 
     /// Number of objects stored.
     pub fn num_objects(&self) -> usize {
-        self.objects.read().len()
+        read(&self.objects).len()
     }
 }
 
@@ -55,13 +56,13 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.objects.write().insert(path.to_string(), data);
+        write(&self.objects).insert(path.to_string(), data);
         Ok(())
     }
 
     fn write_segments(&self, path: &str, segments: &[Bytes]) -> Result<()> {
         let data = stitch(segments);
-        self.objects.write().insert(path.to_string(), data);
+        write(&self.objects).insert(path.to_string(), data);
         Ok(())
     }
 
@@ -72,7 +73,7 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let entry = objects.entry(path.to_string()).or_default();
         let mut buf = BytesMut::with_capacity(entry.len() + data.len());
         buf.extend_from_slice(entry);
@@ -82,35 +83,31 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
-        self.objects
-            .read()
+        read(&self.objects)
             .get(path)
             .cloned()
             .ok_or_else(|| StorageError::NotFound(path.to_string()))
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let objects = self.objects.read();
+        let objects = read(&self.objects);
         let obj = objects.get(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
         Ok(obj.slice(checked_range(path, obj.len() as u64, offset, len)?))
     }
 
     fn size(&self, path: &str) -> Result<u64> {
-        self.objects
-            .read()
+        read(&self.objects)
             .get(path)
             .map(|b| b.len() as u64)
             .ok_or_else(|| StorageError::NotFound(path.to_string()))
     }
 
     fn exists(&self, path: &str) -> Result<bool> {
-        Ok(self.objects.read().contains_key(path))
+        Ok(read(&self.objects).contains_key(path))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        Ok(self
-            .objects
-            .read()
+        Ok(read(&self.objects)
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.clone())
@@ -118,15 +115,14 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.objects
-            .write()
+        write(&self.objects)
             .remove(path)
             .map(|_| ())
             .ok_or_else(|| StorageError::NotFound(path.to_string()))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         let data = objects.remove(from).ok_or_else(|| StorageError::NotFound(from.to_string()))?;
         objects.insert(to.to_string(), data);
         Ok(())
@@ -137,14 +133,14 @@ impl StorageBackend for MemoryBackend {
         // the copy — tens of MB for a split shard file — runs outside it, so
         // one rank's concat never blocks another rank's part writes.
         let handles: Vec<Bytes> = {
-            let objects = self.objects.read();
+            let objects = read(&self.objects);
             parts
                 .iter()
                 .map(|p| objects.get(p).cloned().ok_or_else(|| StorageError::NotFound(p.clone())))
                 .collect::<Result<_>>()?
         };
         let merged = stitch(&handles);
-        let mut objects = self.objects.write();
+        let mut objects = write(&self.objects);
         for p in parts {
             objects.remove(p);
         }

@@ -10,7 +10,8 @@
 //! No storage layer repeats an attempt, so an operation is attempted at most
 //! `max_attempts` times however the stack is assembled.
 
-use parking_lot::Mutex;
+use bcp_monitor::sync::lock;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Retry policy for storage operations: exponential backoff with
@@ -220,23 +221,23 @@ impl TestClock {
     /// Advance virtual time without recording a sleep (models work taking
     /// time between attempts).
     pub fn advance(&self, d: Duration) {
-        *self.now.lock() += d;
+        *lock(&self.now) += d;
     }
 
     /// Every sleep requested so far, in order.
     pub fn sleeps(&self) -> Vec<Duration> {
-        self.sleeps.lock().clone()
+        lock(&self.sleeps).clone()
     }
 }
 
 impl RetryClock for TestClock {
     fn now(&self) -> Duration {
-        *self.now.lock()
+        *lock(&self.now)
     }
 
     fn sleep(&self, d: Duration) {
-        *self.now.lock() += d;
-        self.sleeps.lock().push(d);
+        *lock(&self.now) += d;
+        lock(&self.sleeps).push(d);
     }
 }
 

@@ -173,6 +173,23 @@ if grep -rnE '(std|core)::arch' crates src tests examples --include='*.rs' | gre
   exit 1
 fi
 
+echo "==> std sync only (the crossbeam and parking_lot stand-ins must not come back; one lock discipline; third_party/ holds no unsafe)"
+if grep -rnE 'parking_lot|crossbeam' Cargo.toml Cargo.lock crates src tests examples; then
+  echo "locks, condvars and channels are std::sync's; a lock is taken through bcp_monitor::sync::{lock, read, write}"
+  exit 1
+fi
+raw_lock="$(find crates/*/src src examples -name '*.rs' ! -path crates/monitor/src/sync.rs -print0 | sort -z |
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /\.(lock|read|write)\(\)/{print FILENAME ":" FNR ": " $0}')"
+if [ -n "$raw_lock" ]; then
+  printf '%s\n' "$raw_lock"
+  echo "take a lock with bcp_monitor::sync::{lock, read, write}: poison is ignored in one place, never propagated by an unwrap, expect or ?"
+  exit 1
+fi
+if grep -rn unsafe third_party/*/src; then
+  echo "the third_party/ stand-ins are safe code; unsafe lives in the three sites above"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

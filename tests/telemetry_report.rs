@@ -8,14 +8,16 @@
 //! and from its artifact yields the same phase series, and the resilience
 //! series have a production producer — the engine's retry loop, nothing
 //! wired by hand. A reshard's wait on its peers' forwards is reported as a
-//! wait, never as slow storage I/O.
+//! wait, never as slow storage I/O. A `take_where` predicate that panics
+//! leaves the hub usable.
 
 use bytecheckpoint::monitor::analysis::total_by_rank;
+use bytecheckpoint::monitor::sync::lock;
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{fault, Fault, FaultLayer, FaultRule, OpSet};
 use std::process::Command;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 const WORLD: usize = 4;
@@ -26,7 +28,7 @@ const STRAGGLER: usize = 2;
 /// on the same two cores would skew.
 fn one_job_at_a_time() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+    lock(&TURN)
 }
 
 /// Save steps 10 and 20 (then load 20 back) with per-rank registries:
@@ -525,4 +527,26 @@ fn a_reshard_reports_its_peer_wait_as_a_wait_not_as_slow_io() {
     assert!(alerts.iter().any(|l| l.contains("load/fetch")), "the threshold flags reads: {text}");
     assert!(alerts.iter().all(|l| !l.contains("load/all2all")), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `take_where` predicate is caller code that runs with the hub's store
+/// locked. One that panics must not poison the hub: later spans still
+/// arrive through `spans()` and through the next cut.
+#[test]
+fn a_panicking_take_where_predicate_leaves_the_hub_usable() {
+    let hub = MetricsHub::bounded(16);
+    let sink = hub.sink();
+    drop(sink.span("save", 0, 1));
+    let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        hub.take_where(|_| panic!("a predicate that fails"))
+    }));
+    assert!(cut.is_err());
+    assert!(hub.spans().iter().any(|s| s.step == 1), "the cut lost a span: {:?}", hub.spans());
+
+    drop(sink.span("save", 0, 2));
+    assert!(hub.spans().iter().any(|s| s.step == 2), "{:?}", hub.spans());
+    let taken = hub.take_where(|_| true);
+    assert!(taken.iter().any(|s| s.step == 1) && taken.iter().any(|s| s.step == 2), "{taken:?}");
+    assert!(hub.spans().is_empty());
+    assert_eq!(hub.dropped_records(), 0);
 }
