@@ -38,9 +38,11 @@ pub struct LoadConfig {
     /// Reader threads per rank.
     pub io_threads: usize,
     /// Target size of one storage read: neighbouring items are coalesced
-    /// into runs of at most this many bytes, and a run larger than this (one
-    /// oversized item) is split into ranged reads of this size spread over
-    /// the reader threads (§4.3 multi-threaded single-file download).
+    /// into runs of at most this many bytes. On a backend whose reads copy
+    /// (`!zero_copy_reads()`), a run larger than this (one oversized item)
+    /// is split into ranged reads of this size spread over the reader
+    /// threads (§4.3 multi-threaded single-file download); where reads are
+    /// views it is read whole.
     pub chunk_bytes: u64,
     /// Retry policy for downloads.
     pub retries: RetryPolicy,
@@ -146,53 +148,19 @@ fn chunk_ranges(offset: u64, len: u64, chunk_bytes: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Reassemble fetched chunks into one contiguous `Bytes`.
-///
-/// Zero-copy when possible: a single chunk passes through untouched, and
-/// when the backend guarantees ranged reads are views of one stable parent
-/// allocation per object (`zero_copy_reads`) *and* the chunk views are
-/// byte-adjacent, the chunks are stitched without copying. Otherwise one
-/// copy into a fresh buffer.
-fn coalesce_chunks(pieces: Vec<Bytes>, len: usize, allow_zero_copy: bool) -> Bytes {
-    if pieces.is_empty() {
-        return Bytes::new();
-    }
-    if pieces.len() == 1 {
-        return pieces.into_iter().next().expect("one piece");
-    }
-    if allow_zero_copy {
-        let adjacent = pieces
-            .windows(2)
-            .all(|w| w[0].as_ptr() as usize + w[0].len() == w[1].as_ptr() as usize);
-        if adjacent {
-            let total: usize = pieces.iter().map(Bytes::len).sum();
-            debug_assert_eq!(total, len);
-            return Bytes::from_owner(Stitched { pieces, total });
-        }
+/// Join a run's fetched pieces into one contiguous `Bytes`: a single piece
+/// passes through untouched, several are copied once into a fresh buffer.
+/// A run is split only on a backend whose reads copy, so that one copy is
+/// the reassembly, not a second one.
+fn coalesce_chunks(pieces: Vec<Bytes>, len: usize) -> Bytes {
+    if let [one] = &pieces[..] {
+        return one.clone();
     }
     let mut out = BytesMut::with_capacity(len);
     for p in pieces {
         out.extend_from_slice(&p);
     }
     out.freeze()
-}
-
-/// Byte-adjacent chunk views stitched into one logical slice. The `Bytes`
-/// held in `pieces` keep the parent allocation alive.
-struct Stitched {
-    pieces: Vec<Bytes>,
-    total: usize,
-}
-
-impl AsRef<[u8]> for Stitched {
-    fn as_ref(&self) -> &[u8] {
-        // SAFETY: constructed only when the backend's `zero_copy_reads`
-        // contract holds (every piece is a view of the same stable parent
-        // allocation) and the pieces were verified byte-adjacent, so
-        // `pieces[0].as_ptr()..+total` is one contiguous live range of that
-        // allocation, kept alive by the `Bytes` views we own.
-        unsafe { std::slice::from_raw_parts(self.pieces[0].as_ptr(), self.total) }
-    }
 }
 
 /// A run whose pieces are still landing.
@@ -204,13 +172,16 @@ struct PendingRun {
 
 /// Put every piece of every run in flight on the I/O pool at once and hand
 /// each run's bytes to `on_run` as its last piece lands (in completion
-/// order). A run no larger than `chunk_bytes` is one ranged read; a larger
-/// one is read in `chunk_bytes` pieces across the reader threads (§4.3: the
-/// optimization that took production HDFS downloads from 400 MB/s to
-/// 2-3 GB/s) and stitched back together. One uncounted `load/fetch` detail
-/// span per run, under `parent` (the `load/read` phase span, which also
-/// supplies rank and step), carries the path, the byte count and the member
-/// count, so slow-I/O alerting and traces work on the load path too.
+/// order). A run is one ranged read, except on a backend whose reads copy
+/// (`!zero_copy_reads()`: HDFS, rate-limited layers), where a run larger
+/// than `chunk_bytes` is read in `chunk_bytes` pieces across the reader
+/// threads (§4.3: the optimization that took production HDFS downloads from
+/// 400 MB/s to 2-3 GB/s) and concatenated. Where reads are views (memory,
+/// disk mappings) no byte moves whatever a read's length, so splitting
+/// would buy nothing and cost the concatenation. One uncounted `load/fetch`
+/// detail span per run, under `parent` (the `load/read` phase span, which
+/// also supplies rank and step), carries the path, the byte count and the
+/// member count, so slow-I/O alerting and traces work on the load path too.
 #[allow(clippy::too_many_arguments)]
 fn fetch_runs(
     runs: &[ReadRun],
@@ -227,9 +198,10 @@ fn fetch_runs(
     let (piece_tx, piece_rx) = std::sync::mpsc::channel::<(usize, Result<Bytes>)>();
     let mut flat: Vec<(usize, usize)> = Vec::new(); // job index -> (run, piece)
     let mut pending: Vec<PendingRun> = Vec::with_capacity(runs.len());
+    let split = !backend.zero_copy_reads() && cfg.io_threads > 1;
     for (ri, run) in runs.iter().enumerate() {
         let path = format!("{prefix}/{}", run.file);
-        let single = run.len <= cfg.chunk_bytes || cfg.io_threads <= 1;
+        let single = !split || run.len <= cfg.chunk_bytes;
         let ranges = if single {
             vec![(run.offset, run.len)]
         } else {
@@ -269,7 +241,6 @@ fn fetch_runs(
     }
     drop(piece_tx);
 
-    let zero_copy = backend.zero_copy_reads();
     let mut completed = 0usize;
     while completed < pending.len() {
         let (job, res) = piece_rx
@@ -284,7 +255,7 @@ fn fetch_runs(
             drop(p.span.take()); // the fetch ends here; extraction is not I/O
             let pieces: Vec<Bytes> =
                 p.pieces.iter_mut().map(|s| s.take().expect("all pieces fetched")).collect();
-            on_run(&runs[ri], coalesce_chunks(pieces, runs[ri].len as usize, zero_copy))?;
+            on_run(&runs[ri], coalesce_chunks(pieces, runs[ri].len as usize))?;
         }
     }
     Ok(())
@@ -489,7 +460,10 @@ pub fn execute_load(
 mod tests {
     use super::*;
     use crate::plan::Category;
-    use bcp_storage::{Fault, FaultLayer, FaultRule, MemoryBackend, OpSet, StorageBackend};
+    use bcp_storage::{
+        Fault, FaultLayer, FaultRule, HdfsBackend, MemoryBackend, OpCountingBackend, OpSet,
+        StorageBackend,
+    };
     use bytes::BytesMut;
 
     /// A 1-D f32 item covering `len_elems` elements at `payload_offset`.
@@ -541,26 +515,57 @@ mod tests {
         got
     }
 
-    #[test]
-    fn oversized_item_is_read_in_pieces_and_stitched_exactly() {
-        // A payload large enough to split into many pieces across the pool
-        // (§4.3's multi-threaded ranged download).
-        let n = 100_000usize;
+    /// `n` f32s counting up from 0, as stored bytes.
+    fn counting_floats(n: usize) -> Bytes {
         let mut payload = BytesMut::with_capacity(n * 4);
         for i in 0..n {
             payload.extend_from_slice(&(i as f32).to_le_bytes());
         }
-        let payload = payload.freeze();
-        let backend: DynBackend = Arc::new(MemoryBackend::new());
-        backend.write("ckpt/model_0.bin", payload.clone()).unwrap();
+        payload.freeze()
+    }
+
+    #[test]
+    fn oversized_item_is_read_in_pieces_and_stitched_exactly() {
+        // On a backend whose reads copy, a payload large enough splits into
+        // many pieces across the pool (§4.3's multi-threaded ranged
+        // download).
+        let n = 100_000usize;
+        let payload = counting_floats(n);
+        let hdfs = Arc::new(HdfsBackend::with_defaults());
+        hdfs.write("ckpt/model_0.bin", payload.clone()).unwrap();
+        let counting = Arc::new(OpCountingBackend::new(hdfs));
+        let backend: DynBackend = counting.clone();
         let cfg = LoadConfig { io_threads: 4, chunk_bytes: 16 * 1024, ..Default::default() };
         let got = fetch(&backend, &[flat_item("big", 0, n)], &cfg, &Arc::new(FailureLog::new()));
         assert_eq!(got.len(), 1, "an oversized item is a run of its own");
-        let raw = &got[0].1;
-        assert_eq!(&raw[..], &payload[..], "piecewise reassembly must be byte-exact");
-        // Memory-backed ranged reads are adjacent views of the stored
-        // object, so the pieces stitch back zero-copy.
-        assert_eq!(raw.as_ptr(), payload.as_ptr(), "contiguous pieces must not be copied");
+        assert_eq!(counting.reads(), payload.len().div_ceil(16 * 1024) as u64, "one read a piece");
+        assert_eq!(&got[0].1[..], &payload[..], "piecewise reassembly must be byte-exact");
+    }
+
+    #[test]
+    fn an_oversized_item_is_one_read_where_reads_are_views() {
+        let n = 100_000usize;
+        let payload = counting_floats(n);
+        let cfg = LoadConfig { io_threads: 4, chunk_bytes: 16 * 1024, ..Default::default() };
+        let read_whole = |inner: DynBackend| {
+            inner.write("ckpt/model_0.bin", payload.clone()).unwrap();
+            let counting = Arc::new(OpCountingBackend::new(inner));
+            let backend: DynBackend = counting.clone();
+            let log = Arc::new(FailureLog::new());
+            let (_, raw) = fetch(&backend, &[flat_item("big", 0, n)], &cfg, &log).remove(0);
+            assert_eq!(counting.reads(), 1, "{}: an oversized run is one read", backend.name());
+            assert_eq!(&raw[..], &payload[..]);
+            raw
+        };
+        let raw = read_whole(Arc::new(MemoryBackend::new()));
+        assert_eq!(raw.as_ptr(), payload.as_ptr(), "the run is the stored allocation itself");
+        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+        {
+            let dir =
+                std::env::temp_dir().join(format!("bcp-load-one-read-{}", std::process::id()));
+            read_whole(Arc::new(bcp_storage::DiskBackend::new(&dir).unwrap()));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -569,12 +574,19 @@ mod tests {
         let payload = Bytes::from(vec![0xCDu8; n * 4]);
         let inner = Arc::new(MemoryBackend::new());
         inner.write("ckpt/model_0.bin", payload.clone()).unwrap();
-        let fail_twice = vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 2 })];
-        let flaky: DynBackend = Arc::new(FaultLayer::new(inner, 0, fail_twice));
+        // A finite read rate makes reads copies, which a run is split for.
+        let rules = vec![
+            FaultRule::new(OpSet::Reads, Fault::Fail { times: 2 }),
+            FaultRule::new(
+                OpSet::Reads,
+                Fault::Delay { bytes_per_sec: 1e12, latency: Duration::ZERO },
+            ),
+        ];
+        let flaky: DynBackend = Arc::new(FaultLayer::new(inner, 0, rules));
         let cfg = LoadConfig { io_threads: 2, chunk_bytes: 32 * 1024, ..Default::default() };
         let log = Arc::new(FailureLog::new());
         let got = fetch(&flaky, &[flat_item("big", 0, n)], &cfg, &log);
-        assert_eq!(got[0].1.len(), payload.len());
+        assert_eq!(&got[0].1[..], &payload[..]);
         assert_eq!(log.records().len(), 2, "the injected read failures must be logged");
         assert!(log.records().iter().all(|r| r.stage == "load/read-chunk"));
     }
@@ -586,7 +598,7 @@ mod tests {
         let stored = Bytes::from((0u8..=255).collect::<Vec<u8>>());
         let inner = Arc::new(MemoryBackend::new());
         inner.write("ckpt/model_0.bin", stored.clone()).unwrap();
-        let counting = Arc::new(bcp_storage::OpCountingBackend::new(inner));
+        let counting = Arc::new(OpCountingBackend::new(inner));
         let backend: DynBackend = counting.clone();
         let reads = [flat_item("c", 144, 16), flat_item("a", 0, 16), flat_item("b", 72, 16)];
         let cfg = LoadConfig { io_threads: 4, chunk_bytes: 1 << 20, ..Default::default() };
@@ -628,17 +640,11 @@ mod tests {
     fn coalesce_copies_only_when_it_must() {
         let data = Bytes::from((0u8..200).collect::<Vec<u8>>());
         let adjacent = vec![data.slice(0..80), data.slice(80..200)];
-        // Zero-copy stitch when the backend contract allows it.
-        let stitched = coalesce_chunks(adjacent.clone(), 200, true);
-        assert_eq!(&stitched[..], &data[..]);
-        assert_eq!(stitched.as_ptr(), data.as_ptr());
-        // Copy when the contract does not hold.
-        let copied = coalesce_chunks(adjacent, 200, false);
+        let copied = coalesce_chunks(adjacent, 200);
         assert_eq!(&copied[..], &data[..]);
         assert_ne!(copied.as_ptr(), data.as_ptr());
-        // Non-adjacent views fall back to copying even when allowed.
         let gappy = vec![data.slice(0..80), data.slice(100..200)];
-        let out = coalesce_chunks(gappy, 180, true);
+        let out = coalesce_chunks(gappy, 180);
         assert_eq!(out.len(), 180);
         assert_eq!(&out[..80], &data[..80]);
         assert_eq!(&out[80..], &data[100..200]);

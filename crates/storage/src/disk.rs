@@ -6,7 +6,9 @@
 //!
 //! A read of at least [`MAP_MIN_BYTES`] returns a populated, read-only
 //! mapping of the file (see [`crate::mapping`]) rather than a copy of it,
-//! so a restore's bytes go from page cache to tensor without one.
+//! so a restore's bytes go from page cache to tensor without one; the
+//! backend therefore declares `zero_copy_reads` there, and the engine reads
+//! a run of any length as one mapping.
 
 use crate::{checked_range, Result, StorageBackend, StorageError};
 use bytes::Bytes;
@@ -141,6 +143,15 @@ impl StorageBackend for DiskBackend {
         }
         fs::rename(&tmp, &p).map_err(io_err)?;
         Self::sync_parent_dir(&p)
+    }
+
+    /// A large read maps the file instead of copying it, so no byte moves
+    /// whatever its length; split, a run would be several mappings that only
+    /// a concatenation into fresh heap could join. A small read copies, but
+    /// is too small for splitting it to pay.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn zero_copy_reads(&self) -> bool {
+        true
     }
 
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {

@@ -330,9 +330,17 @@ impl layer::Layer for FaultLayer {
     }
 
     fn zero_copy_reads(&self) -> bool {
-        // Damaged reads may re-allocate; never promise stitchable views.
-        !self.rules.iter().any(|r| matches!(r.fault, Fault::Damage(_)))
-            && self.inner.zero_copy_reads()
+        // Damaged reads may re-allocate, and a rate-capped read takes time in
+        // proportion to its length: the split download it simulates stays.
+        let copies = |r: &FaultRule| match r.fault {
+            Fault::Damage(_) => true,
+            Fault::Delay { bytes_per_sec, .. } => {
+                bytes_per_sec.is_finite()
+                    && matches!(r.ops, OpSet::Reads | OpSet::Data | OpSet::All)
+            }
+            _ => false,
+        };
+        !self.rules.iter().any(copies) && self.inner.zero_copy_reads()
     }
 
     fn around<T: Reply>(&self, op: &Op<'_>, call: &mut dyn FnMut() -> Result<T>) -> Result<T> {
@@ -617,11 +625,30 @@ mod tests {
     }
 
     #[test]
+    fn a_read_rate_cap_keeps_the_split_download() {
+        let delay = |ops, bytes_per_sec| {
+            FaultRule::new(ops, Fault::Delay { bytes_per_sec, latency: Duration::ZERO })
+        };
+        // Memory reads are views; only a finite rate on reads makes them
+        // cost their length.
+        for (rules, views) in [
+            (throttle(400e6, 50e6, Duration::from_micros(300)), false),
+            (vec![delay(OpSet::Data, 1e9)], false),
+            (vec![delay(OpSet::All, 1e9)], false),
+            (vec![delay(OpSet::Reads, f64::INFINITY)], true),
+            (vec![delay(OpSet::Writes, 1e6)], true),
+            (throttle(f64::INFINITY, f64::INFINITY, Duration::from_millis(1)), true),
+        ] {
+            assert_eq!(layer(0, rules.clone()).zero_copy_reads(), views, "{rules:?}");
+        }
+    }
+
+    #[test]
     fn on_read_damage_leaves_stored_bytes_intact() {
         let mem: DynBackend = Arc::new(MemoryBackend::new());
         let damage = |kind| FaultRule::new(OpSet::Reads, Fault::Damage(kind));
         let c = FaultLayer::new(mem.clone(), 5, vec![damage(Damage::BitFlip).on("shard")]);
-        assert!(!c.zero_copy_reads(), "damaged reads are not stitchable views");
+        assert!(!c.zero_copy_reads(), "damaged reads are not views");
         c.write("r/shard", Bytes::from_static(b"pristine bytes")).unwrap();
         let seen = c.read("r/shard").unwrap();
         assert_ne!(&seen[..], b"pristine bytes");

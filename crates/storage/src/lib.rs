@@ -192,8 +192,11 @@ pub(crate) fn checked_range(
 /// * `write` atomically creates-or-replaces a whole object.
 /// * `append` extends an existing object (creating it when absent) — the
 ///   only mutation HDFS-like backends allow besides whole-object `write`.
-/// * `read_range` must be cheap and thread-safe: the engine issues many
-///   concurrent ranged reads of one file (§4.3 multi-threaded download).
+/// * `read_range` must be cheap and thread-safe: the engine issues
+///   concurrent ranged reads of one file, and on a backend whose reads copy
+///   it splits a large run into `chunk_bytes` pieces read in parallel (§4.3
+///   multi-threaded download). A backend whose reads are views declares
+///   `zero_copy_reads`, and its runs are read whole.
 /// * `concat` merges `parts` (in order) into `target` and removes the
 ///   parts. Every backend implements it, but only where it is a
 ///   *metadata-level* operation (HDFS, §4.3 upload path) does it come free:
@@ -243,10 +246,10 @@ pub trait StorageBackend: Send + Sync {
         self.write(path, buf.freeze())
     }
 
-    /// Whether `read_range` returns zero-copy views over one stable parent
-    /// allocation per object (true for memory-backed stores). Only when this
-    /// contract holds may callers stitch adjacent ranged reads back together
-    /// without copying; the default is conservatively `false`.
+    /// Whether reads are views whose cost does not grow with their length
+    /// (memory's slices of the stored object, disk's file mappings), so the
+    /// engine never splits one: splitting such a read buys no parallelism
+    /// and costs a concatenation. The default is conservatively `false`.
     fn zero_copy_reads(&self) -> bool {
         false
     }

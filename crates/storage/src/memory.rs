@@ -67,8 +67,8 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn zero_copy_reads(&self) -> bool {
-        // `read_range` returns `Bytes::slice` views of the single stored
-        // allocation, so adjacent ranges of one object share a parent.
+        // `read_range` returns a `Bytes::slice` view of the stored
+        // allocation: no byte moves, whatever the length.
         true
     }
 

@@ -159,13 +159,13 @@ if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine;
   exit 1
 fi
 
-echo "==> three unsafe sites (the zero-copy read stitch, the mapping module and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
+echo "==> two unsafe sites (the mapping module and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
 stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
-  ! -path crates/core/src/engine/load.rs ! -path crates/storage/src/mapping.rs -print0 | sort -z |
+  ! -path crates/storage/src/mapping.rs -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unsafe/{print FILENAME ":" FNR ": " $0}')"
 if [ -n "$stray_unsafe" ]; then
   printf '%s\n' "$stray_unsafe"
-  echo "unsafe lives in crates/tensor/src/checksum.rs, crates/core/src/engine/load.rs and crates/storage/src/mapping.rs only"
+  echo "unsafe lives in crates/tensor/src/checksum.rs and crates/storage/src/mapping.rs only"
   exit 1
 fi
 if grep -rnE '(std|core)::arch' crates src tests examples --include='*.rs' | grep -v '^crates/tensor/src/checksum.rs:'; then
@@ -186,7 +186,7 @@ if [ -n "$raw_lock" ]; then
   exit 1
 fi
 if grep -rn unsafe third_party/*/src; then
-  echo "the third_party/ stand-ins are safe code; unsafe lives in the three sites above"
+  echo "the third_party/ stand-ins are safe code; unsafe lives in the two sites above"
   exit 1
 fi
 

@@ -2,14 +2,15 @@
 //! views of the stored object, an unresharded load hands back tensors whose
 //! storage *is* the stored shard bytes — no second, zero-filled copy of the
 //! state. On disk those views are read-only mappings of the shard files, so
-//! the bytes go from page cache to tensor without a copy. A resharded load,
-//! which assembles tensors from several pieces, stays bitwise equal to the
-//! reference, and every tensor it assembles lives in one 2 MiB-aligned arena
-//! per rank, sized from the plan.
+//! the bytes go from page cache to tensor without a copy — a tensor larger
+//! than the load's `chunk_bytes` included, which is read as one run. A
+//! resharded load, which assembles tensors from several pieces, stays
+//! bitwise equal to the reference, and every tensor it assembles lives in
+//! one 2 MiB-aligned arena per rank, sized from the plan.
 
 mod common;
 
-use bytecheckpoint::model::TransformerConfig;
+use bytecheckpoint::model::{StateEntry, TransformerConfig};
 use bytecheckpoint::prelude::*;
 use bytes::Bytes;
 use common::{assert_states_eq, reference_state, run_ranks};
@@ -76,6 +77,37 @@ fn wide_gpt() -> TransformerConfig {
         vocab: 256,
         ..zoo::tiny_gpt()
     }
+}
+
+/// Rows of each TP2 rank's shard of [`OVERSIZED`] (× 1 024 f32 columns:
+/// 4.25 MiB, above the default `chunk_bytes`).
+const OVERSIZED_ROWS: usize = 1088;
+const OVERSIZED: &str = "oversized.weight";
+
+/// `state` of TP2 rank `rank` plus its shard of one model tensor split on
+/// dim 0 like a vocab-parallel embedding, too large to coalesce: a run of
+/// its own beside the coalesced runs of the other tensors. The shard holds
+/// a pattern cheap to make in a debug build, or zeros for a load target.
+fn with_oversized(mut state: TrainState, rank: usize, zeroed: bool) -> TrainState {
+    let shape = vec![OVERSIZED_ROWS, 1024];
+    let n = OVERSIZED_ROWS * 1024;
+    let tensor = if zeroed {
+        Tensor::zeros(DType::F32, shape)
+    } else {
+        let mut bytes = Vec::with_capacity(n * 4);
+        for i in rank * n..(rank + 1) * n {
+            bytes.extend_from_slice(&(i as f32).to_le_bytes());
+        }
+        Tensor::from_bytes(DType::F32, shape, bytes.into()).unwrap()
+    };
+    state.model.insert(StateEntry {
+        fqn: OVERSIZED.into(),
+        global_shape: vec![2 * OVERSIZED_ROWS, 1024],
+        dtype: DType::F32,
+        spec: ShardSpec::dim(0, 2, rank),
+        tensor,
+    });
+    state
 }
 
 /// Whether `[start, start + len)` lies inside one stored object.
@@ -157,7 +189,6 @@ fn read_only_file_mappings() -> Vec<(usize, usize, std::path::PathBuf)> {
 #[test]
 #[cfg(target_os = "linux")]
 fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
-    use bytecheckpoint::storage::disk::MAP_MIN_BYTES;
     let arch = wide_gpt();
     let par = Parallelism::new(2, 1, 1).unwrap();
     let dir = std::env::temp_dir().join(format!("bcp-zero-copy-disk-{}", std::process::id()));
@@ -170,7 +201,7 @@ fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
     };
     let saving = arch.clone();
     run_ranks(par, MEGATRON, registry.clone(), move |rank, ckpt| {
-        let state = reference_state(&saving, MEGATRON, par, rank, 1);
+        let state = with_oversized(reference_state(&saving, MEGATRON, par, rank, 1), rank, false);
         ckpt.save(&SaveRequest::new("file:///job/step_1", &state, 1)).unwrap().wait().unwrap();
     });
     let shard_files: Vec<std::path::PathBuf> = disk
@@ -181,27 +212,24 @@ fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
         .map(|key| dir.join(key).canonicalize().unwrap())
         .collect();
     assert_eq!(shard_files.len(), 4, "{shard_files:?}");
-    let chunk = WorkflowOptions::default().load.chunk_bytes;
-    for file in &shard_files {
-        let size = std::fs::metadata(file).unwrap().len();
-        assert!(
-            (MAP_MIN_BYTES..=chunk).contains(&size),
-            "{file:?}: {size} bytes, not one mapped run"
-        );
-    }
 
     let loading = arch.clone();
     let states = run_ranks(par, MEGATRON, registry, move |rank, ckpt| {
-        let mut state = build_train_state(&loading, MEGATRON, par, rank, true);
+        let mut state =
+            with_oversized(build_train_state(&loading, MEGATRON, par, rank, true), rank, true);
         ckpt.load(&mut LoadRequest::new("file:///job/step_1", &mut state)).unwrap();
-        assert_states_eq(&state, &reference_state(&loading, MEGATRON, par, rank, 1), rank);
+        let want = with_oversized(reference_state(&loading, MEGATRON, par, rank, 1), rank, false);
+        assert_states_eq(&state, &want, rank);
         state
     });
     let mapped: Vec<_> = read_only_file_mappings()
         .into_iter()
         .filter(|(_, _, file)| shard_files.contains(file))
         .collect();
+    let chunk = WorkflowOptions::default().load.chunk_bytes as usize;
     for (rank, state) in states.iter().enumerate() {
+        let oversized = state.model.get(OVERSIZED).unwrap().tensor.nbytes();
+        assert!(oversized > chunk, "rank {rank}: the oversized shard is {oversized} bytes");
         for (fqn, start, len) in extents(state) {
             assert!(
                 mapped.iter().any(|&(lo, hi, _)| lo <= start && start + len <= hi),
