@@ -85,11 +85,6 @@ impl CommWorld {
         self.rdv.mark_failed(rank);
     }
 
-    /// Clear injected failures.
-    pub fn clear_failures(&self) {
-        self.rdv.clear_failures();
-    }
-
     /// Obtain the communicator handle for `rank` over the full world.
     pub fn communicator(self: &Arc<Self>, rank: usize) -> Result<Communicator> {
         if rank >= self.world_size {

@@ -93,19 +93,6 @@ impl Rendezvous {
         }
     }
 
-    /// Clear the failure-injection set (tests).
-    pub fn clear_failures(&self) {
-        lock(&self.failed).clear();
-        {
-            let _slots = lock(&self.slots);
-            self.cond.notify_all();
-        }
-        {
-            let _mailbox = lock(&self.mailbox);
-            self.mail_cond.notify_all();
-        }
-    }
-
     /// Deposit a point-to-point message under `key` without blocking. The
     /// non-blocking contract is what lets a set of ranks all send before any
     /// receives — eager forwarding cannot deadlock.

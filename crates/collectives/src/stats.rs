@@ -69,11 +69,6 @@ impl CommStats {
             bytes: g.bytes,
         }
     }
-
-    /// Reset all counters (tests).
-    pub fn reset(&self) {
-        *lock(&self.inner) = Inner::default();
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +93,5 @@ mod tests {
         assert_eq!(snap.ops, 2);
         assert_eq!(snap.participations, 6);
         assert_eq!(snap.bytes, 150);
-        s.reset();
-        assert_eq!(s.snapshot().ops, 0);
     }
 }

@@ -1,6 +1,5 @@
 //! The loading pipeline (§4.2, Fig. 10): ranged multi-threaded reads →
-//! deserialize/extract → local assembly ("H2D") → forwarding of
-//! redundancy-eliminated reads.
+//! local assembly ("H2D") → forwarding of redundancy-eliminated reads.
 //!
 //! The unit of fetch is the **run** ([`ReadRun`]), not the plan item: a
 //! rank's assigned items are grouped per file and neighbouring byte ranges
@@ -8,16 +7,16 @@
 //! peer messages and the load artifact scale with the number of runs rather
 //! than the number of tensors. Every piece of every run is submitted to the
 //! shared [`IoPool`] up front; as a run's last piece lands its members are
-//! sliced out (zero-copy), extracted and applied locally, and the run's
-//! payloads for the peers that deduplicated their reads onto this rank go
-//! out as one batch per peer — while the remaining fetches are still in
-//! flight. A batch entry is addressed by the index of the read in this
+//! sliced out (zero-copy) and applied locally — each piece adopted, or
+//! copied once from the run into the load's arena — and the same slices
+//! for the peers that deduplicated their reads onto this rank go out as one
+//! batch per peer — while the remaining fetches are still in flight. A batch entry is addressed by the index of the read in this
 //! rank's plan, which the receiver's plan names too. A receiver thread
 //! drains inbound batches concurrently, so read I/O and communication
 //! overlap instead of serializing.
 
 use crate::engine::iopool::IoPool;
-use crate::engine::{extract_isect, Assembler};
+use crate::engine::Assembler;
 use crate::fault::FaultHook;
 use crate::integrity::{with_retries, FailureLog, RetryPolicy};
 use crate::plan::ReadItem;
@@ -27,7 +26,7 @@ use bcp_collectives::Communicator;
 use bcp_model::TrainState;
 use bcp_monitor::{enter_context, MetricsSink, SpanContext, SpanGuard};
 use bcp_storage::DynBackend;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,7 +62,9 @@ pub struct LoadStats {
     /// lengths, gaps between coalesced items included (and bytes two
     /// overlapping items share counted once).
     pub fetched_bytes: u64,
-    /// Bytes received from peers instead of storage.
+    /// Bytes received from peers instead of storage: each forwarded read's
+    /// fetch range, so a strided intersection counts the stored bytes
+    /// between its rows too.
     pub forwarded_bytes: u64,
     /// Number of read items executed locally.
     pub local_reads: usize,
@@ -73,7 +74,7 @@ pub struct LoadStats {
 }
 
 /// One run's payloads for one peer: `(index of the read in the sender's
-/// plan, intersection bytes)` per entry.
+/// plan, the read's slice of the run)` per entry.
 type Batch = Vec<(usize, Bytes)>;
 
 /// Two fetch ranges of one file closer together than this are read as one
@@ -156,7 +157,7 @@ fn coalesce_chunks(pieces: Vec<Bytes>, len: usize) -> Bytes {
     if let [one] = &pieces[..] {
         return one.clone();
     }
-    let mut out = BytesMut::with_capacity(len);
+    let mut out = bytes::BytesMut::with_capacity(len);
     for p in pieces {
         out.extend_from_slice(&p);
     }
@@ -252,7 +253,7 @@ fn fetch_runs(
         p.remaining -= 1;
         if p.remaining == 0 {
             completed += 1;
-            drop(p.span.take()); // the fetch ends here; extraction is not I/O
+            drop(p.span.take()); // the fetch ends here; assembly is not I/O
             let pieces: Vec<Bytes> =
                 p.pieces.iter_mut().map(|s| s.take().expect("all pieces fetched")).collect();
             on_run(&runs[ri], coalesce_chunks(pieces, runs[ri].len as usize))?;
@@ -286,8 +287,8 @@ fn apply_forwarded<'a>(
 
 /// Execute a rank's assigned load plan (the Fig. 10 pipeline): read the
 /// local items run by run with every ranged read in flight on the I/O pool
-/// at once; extract and assemble each item as its run completes, and send
-/// the run to its peers as one batch each; drain inbound batches
+/// at once; assemble each item from its slice as its run completes, and
+/// send the slices its peers read through it as one batch per peer; drain inbound batches
 /// concurrently on a receiver thread; apply everything to the local state
 /// dicts.
 #[allow(clippy::too_many_arguments)] // the full engine context, passed once per load
@@ -391,17 +392,17 @@ pub fn execute_load(
             let mut outbound: BTreeMap<usize, Batch> = BTreeMap::new();
             for &(idx, offset, len) in &run.members {
                 let item = &assigned.reads[idx];
-                // Clamped, so a short read surfaces as `extract_isect`'s
-                // "fetched range too short" rather than a slice panic.
+                // Clamped, so a short read surfaces as `Assembler::apply`'s
+                // `Corrupt` error rather than a slice panic.
                 let end = ((offset + len) as usize).min(raw.len());
-                let isect = extract_isect(item, &raw.slice((offset as usize).min(end)..end))?;
+                let fetched = raw.slice((offset as usize).min(end)..end);
                 // Local assembly, item-by-item (the fused "H2D").
-                assembler.apply(item, &isect)?;
+                assembler.apply(item, &fetched)?;
                 for dup in &local_dups[idx] {
-                    assembler.apply(dup, &isect)?;
+                    assembler.apply(dup, &fetched)?;
                 }
                 for &peer in &assigned.send_to[idx] {
-                    outbound.entry(peer).or_default().push((idx, isect.clone()));
+                    outbound.entry(peer).or_default().push((idx, fetched.clone()));
                 }
             }
             // One batch per peer per run, posted while other fetches are
@@ -650,20 +651,24 @@ mod tests {
         assert_eq!(&out[80..], &data[100..200]);
     }
 
-    /// Load `assigned` into a state holding `w` (16 f32s) from a memory
-    /// backend whose `model_0.bin` is 64 zero bytes.
-    fn load_w(assigned: &AssignedLoadPlan, comm: Option<&Communicator>) -> Result<LoadStats> {
-        let backend: DynBackend = Arc::new(MemoryBackend::new());
-        backend.write("ckpt/model_0.bin", Bytes::from(vec![0u8; 64])).unwrap();
+    /// Load `assigned` from `backend` into a state holding `w`, a
+    /// zero-filled f32 tensor of `shape`; returns the stats and the
+    /// restored `w`.
+    fn load_into(
+        assigned: &AssignedLoadPlan,
+        backend: DynBackend,
+        shape: &[usize],
+        comm: Option<&Communicator>,
+    ) -> Result<(LoadStats, Vec<f32>)> {
         let mut state = TrainState::default();
         state.model.insert(bcp_model::StateEntry {
             fqn: "w".into(),
-            global_shape: vec![16],
+            global_shape: shape.to_vec(),
             dtype: bcp_tensor::DType::F32,
             spec: bcp_topology::ShardSpec::Replicated,
-            tensor: bcp_tensor::Tensor::zeros(bcp_tensor::DType::F32, vec![16]),
+            tensor: bcp_tensor::Tensor::zeros(bcp_tensor::DType::F32, shape.to_vec()),
         });
-        execute_load(
+        let stats = execute_load(
             assigned,
             &mut state,
             backend,
@@ -676,7 +681,54 @@ mod tests {
             1,
             &FaultHook::inert(assigned.rank),
             SpanContext::none(),
-        )
+        )?;
+        Ok((stats, state.model.get("w").unwrap().tensor.to_f32_vec().unwrap()))
+    }
+
+    /// Load `assigned` into a state holding `w` (16 f32s) from a memory
+    /// backend whose `model_0.bin` is 64 zero bytes.
+    fn load_w(assigned: &AssignedLoadPlan, comm: Option<&Communicator>) -> Result<LoadStats> {
+        let backend: DynBackend = Arc::new(MemoryBackend::new());
+        backend.write("ckpt/model_0.bin", Bytes::from(vec![0u8; 64])).unwrap();
+        Ok(load_into(assigned, backend, &[16], comm)?.0)
+    }
+
+    #[test]
+    fn a_forwarded_strided_piece_restores_bitwise_at_the_receiver() {
+        // Both ranks hold rows 1..3 x cols 2..5 of a stored (4,6) f32 shard
+        // as their whole local tensor: a strided intersection, whose fetch
+        // range also holds the three stored elements between its rows. Rank
+        // 0 reads it and forwards the same slice to rank 1.
+        let backend: DynBackend = Arc::new(MemoryBackend::new());
+        backend.write("ckpt/model_0.bin", counting_floats(24)).unwrap();
+        let item = ReadItem {
+            stored_offsets: [0, 0].into(),
+            stored_lengths: [4, 6].into(),
+            isect_offsets: [1, 2].into(),
+            isect_lengths: [2, 3].into(),
+            dest_offsets: [1, 2].into(),
+            dest_lengths: [2, 3].into(),
+            ..flat_item("w", 0, 24)
+        };
+        assert_eq!(item.fetch_range(), (8 * 4, 9 * 4));
+        let world = bcp_collectives::CommWorld::new(2, bcp_collectives::Backend::Flat);
+        let reader = AssignedLoadPlan {
+            rank: 0,
+            reads: vec![item.clone()],
+            send_to: vec![vec![1]],
+            recvs: vec![],
+        };
+        let receiver =
+            AssignedLoadPlan { rank: 1, reads: vec![], send_to: vec![], recvs: vec![(0, 0, item)] };
+        let want = vec![8.0, 9.0, 10.0, 14.0, 15.0, 16.0];
+        for (plan, forwarded) in [(reader, 0), (receiver, 9 * 4)] {
+            let comm = world.communicator(plan.rank).unwrap();
+            let (stats, got) = load_into(&plan, backend.clone(), &[2, 3], Some(&comm)).unwrap();
+            assert_eq!(got, want, "rank {}", plan.rank);
+            // Copied into the arena on both sides, never adopted.
+            assert_eq!(stats.assembled_bytes, 6 * 4, "rank {}", plan.rank);
+            assert_eq!(stats.forwarded_bytes, forwarded, "the fetch range, gap included");
+        }
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //!   the image is uploaded as is, so each tensor byte is read once and
 //!   copied exactly once.
 //! * [`load`] — each rank's items coalesced into per-file byte runs →
-//!   ranged multi-threaded reads → intersection extraction → local assembly
-//!   ("H2D") → forwarding of deduplicated reads, with reads, extraction and
-//!   communication overlapped run-by-run.
+//!   ranged multi-threaded reads → local assembly ("H2D") of each member's
+//!   slice of its run → forwarding of the same slices for deduplicated
+//!   reads, with reads, assembly and communication overlapped run-by-run.
 //!
-//! The helpers here ([`extract_isect`], [`Assembler`]) implement the byte
-//! geometry shared by both pipelines; `arena` is the one huge-page-backed
-//! buffer per load that resharded tensors are assembled into.
+//! [`Assembler`] implements the byte geometry of a load: a piece that is
+//! its whole tensor and one contiguous run of the stored shard is adopted
+//! as the tensor; every other piece is copied once, from its slice of the
+//! fetched run straight to its final place in `arena`, the one
+//! huge-page-backed buffer per load that resharded tensors are assembled
+//! into.
 
 mod arena;
 pub mod iopool;
@@ -31,85 +34,32 @@ use crate::plan::{Category, ReadItem};
 use crate::{BcpError, Result};
 use arena::Arena;
 use bcp_model::TrainState;
-use bcp_tensor::layout::Axes;
+use bcp_tensor::layout::{contiguous_strides, ravel_index, Axes};
 use bcp_tensor::Tensor;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// Carve the intersection box out of a fetched byte range.
-///
-/// `fetched` covers the stored shard's flat element range starting at the
-/// intersection's first element (as computed by [`ReadItem::fetch_range`]).
-/// The result is the intersection's elements, contiguous row-major: a view
-/// of `fetched` when they already are one run there, a gathered copy when
-/// the rows are strided.
-pub fn extract_isect(item: &ReadItem, fetched: &Bytes) -> Result<Bytes> {
-    let es = item.dtype.size();
-    let n = item.isect_bytes() as usize;
-    let too_short = |end: usize| {
-        BcpError::Corrupt(format!(
-            "{}: fetched range too short ({} < {end})",
-            item.fqn,
-            fetched.len()
-        ))
-    };
-    // The fetch range spans exactly the intersection's bytes: one contiguous
-    // run (every scalar, every unresharded read, every reshard whose cut
-    // leaves the trailing dims whole). `Assembler::apply` adopts it as the
-    // tensor when it is the whole tensor and copies it into place otherwise;
-    // copying it here first would be a pass the adoption saves.
-    if item.fetch_range().1 == n as u64 {
-        if fetched.len() < n {
-            return Err(too_short(n));
-        }
-        return Ok(fetched.slice(..n));
-    }
-    // Strided rows (rank ≥ 2 from here on): gather them.
-    let stored_strides = bcp_tensor::layout::contiguous_strides(&item.stored_lengths);
-    // Intersection coordinates relative to the stored box.
-    let rel_off: Axes =
-        item.isect_offsets.iter().zip(&item.stored_offsets).map(|(i, s)| i - s).collect();
-    let first_elem = bcp_tensor::layout::ravel_index(&rel_off, &item.stored_lengths);
-    let rank = item.isect_lengths.len();
-    let mut out = BytesMut::with_capacity(n);
-    let run = item.isect_lengths[rank - 1];
-    let outer: usize = item.isect_lengths[..rank - 1].iter().product();
-    let mut coord = Axes::zeros(rank - 1);
-    for _ in 0..outer {
-        // Flat position of this row's first element within the stored box.
-        let mut flat = rel_off[rank - 1] * stored_strides[rank - 1];
-        for (d, &c) in coord.iter().enumerate() {
-            flat += (rel_off[d] + c) * stored_strides[d];
-        }
-        let start = (flat - first_elem) * es;
-        let end = start + run * es;
-        out.extend_from_slice(fetched.get(start..end).ok_or_else(|| too_short(end))?);
-        for d in (0..rank - 1).rev() {
-            coord[d] += 1;
-            if coord[d] < item.isect_lengths[d] {
-                break;
-            }
-            coord[d] = 0;
-        }
-    }
-    Ok(out.freeze())
-}
 
 /// Byte alignment of every tensor's region in the arena.
 const REGION_ALIGN: usize = 64;
 
-/// Assembles loaded intersection payloads into the rank's local tensors.
+/// Assembles the fetched pieces of a load into the rank's local tensors.
 ///
-/// A piece that covers its whole local tensor *is* the restored tensor: its
-/// `Bytes` (a view of the stored object, of the fetched run buffer, or of a
-/// peer's forwarded payload) become the tensor's storage without a copy.
-/// Every tensor that some piece of the plan covers only in part gets a
-/// 64-byte-aligned region of one `Arena`, sized from the plan before any
-/// byte is fetched, and each of its pieces is copied straight to its final
-/// place there. The finished tensors are written back into the state dicts
-/// at the end (the real system's H2D copies). Tensors are keyed by the names
-/// the plan's items carry, borrowed for `'a`.
+/// Every piece arrives as its member's slice of a fetched run: the stored
+/// shard's bytes from the intersection's first element to its last (its
+/// [`ReadItem::fetch_range`]), whether this rank read it, read it for a
+/// same-rank duplicate or received it from the peer that read it. A piece
+/// that is its whole local tensor *and* one contiguous run of the stored
+/// shard *is* the restored tensor: its `Bytes` (a view of the stored
+/// object, of the fetched run buffer, or of a peer's forwarded slice)
+/// become the tensor's storage without a copy. Every other tensor — one
+/// some piece covers only in part, or one whose rows are strided in the
+/// stored shard — gets a 64-byte-aligned region of one `Arena`, sized from
+/// the plan before any byte is fetched, and each of its pieces is copied
+/// once, from the run straight to its final place there. The finished
+/// tensors are written back into the state dicts at the end (the real
+/// system's H2D copies). Tensors are keyed by the names the plan's items
+/// carry, borrowed for `'a`.
 pub struct Assembler<'a> {
     targets: HashMap<(Category, &'a str), Target>,
     arena: Arena,
@@ -123,27 +73,89 @@ struct Target {
 }
 
 enum Slot {
-    /// Every piece is whole: the last one to arrive, not copied.
+    /// Every piece is adoptable: the last one to arrive, not copied.
     Adopted(Option<Bytes>),
-    /// Some piece is partial: the offset of the tensor's arena region.
+    /// Some piece is not: the offset of the tensor's arena region.
     Region(usize),
 }
 
-/// Whether `item` covers its whole `nbytes`-byte local tensor: the
+/// Whether `item` can be adopted as its `nbytes`-byte local tensor: the
 /// destination piece starts the local storage, the intersection is the
-/// whole piece, and piece and tensor have the same byte length.
-fn covers_whole(item: &ReadItem, nbytes: usize) -> bool {
+/// whole piece, piece and tensor have the same byte length, and the
+/// intersection is one contiguous run of the stored shard (its fetch range
+/// holds exactly its bytes).
+fn adoptable(item: &ReadItem, nbytes: usize) -> bool {
     item.dest_local_elem_start == 0
         && item.isect_offsets == item.dest_offsets
         && item.isect_lengths == item.dest_lengths
         && item.isect_bytes() == nbytes as u64
+        && item.fetch_range().1 == item.isect_bytes()
+}
+
+/// Copy `item`'s intersection from `fetched`, its fetch range in the stored
+/// shard's layout, to its place in `dst`, its local tensor's bytes: one
+/// walk over the intersection box, each step one `memcpy` of a row made of
+/// the innermost dim and every dim outside it whose inner dims are whole in
+/// both the stored and the destination box.
+fn copy_isect(item: &ReadItem, fetched: &[u8], dst: &mut [u8]) -> Result<()> {
+    let es = item.dtype.size();
+    let lengths = &item.isect_lengths;
+    let whole =
+        |d: usize| lengths[d] == item.stored_lengths[d] && lengths[d] == item.dest_lengths[d];
+    let mut split = lengths.len().saturating_sub(1);
+    while split > 0 && whole(split) {
+        split -= 1;
+    }
+    let row = lengths[split..].iter().product::<usize>() * es;
+    let stored_strides = contiguous_strides(&item.stored_lengths);
+    let dest_strides = contiguous_strides(&item.dest_lengths);
+    // The intersection's first element inside the destination piece.
+    let rel: Axes = item.isect_offsets.iter().zip(&item.dest_offsets).map(|(i, d)| i - d).collect();
+    let (mut src, mut at) =
+        (0, (item.dest_local_elem_start + ravel_index(&rel, &item.dest_lengths)) * es);
+    let (nbytes, mut coord) = (dst.len(), Axes::zeros(split));
+    loop {
+        let from = fetched.get(src..src + row).ok_or_else(|| {
+            BcpError::Corrupt(format!(
+                "{}: fetched range too short ({} < {})",
+                item.fqn,
+                fetched.len(),
+                src + row
+            ))
+        })?;
+        let to = dst.get_mut(at..at + row).ok_or_else(|| {
+            BcpError::Corrupt(format!(
+                "{}: assembly overrun ([{at}, {}) of a {nbytes}-byte tensor)",
+                item.fqn,
+                at + row
+            ))
+        })?;
+        to.copy_from_slice(from);
+        // Step the outer coordinates like an odometer.
+        let mut d = split;
+        loop {
+            if d == 0 {
+                return Ok(());
+            }
+            d -= 1;
+            coord[d] += 1;
+            src += stored_strides[d] * es;
+            at += dest_strides[d] * es;
+            if coord[d] < lengths[d] {
+                break;
+            }
+            src -= lengths[d] * stored_strides[d] * es;
+            at -= lengths[d] * dest_strides[d] * es;
+            coord[d] = 0;
+        }
+    }
 }
 
 impl<'a> Assembler<'a> {
     /// An assembler for `pieces`, every item this rank will apply (its reads
     /// and its receives, same-rank duplicates included): records each
-    /// tensor's byte size and gives each tensor some piece covers only in
-    /// part its region of the arena.
+    /// tensor's byte size and gives each tensor some piece cannot be adopted
+    /// as its region of the arena.
     pub fn new(
         state: &TrainState,
         pieces: impl IntoIterator<Item = &'a ReadItem>,
@@ -164,7 +176,7 @@ impl<'a> Assembler<'a> {
                     e.insert(Target { nbytes: entry.tensor.nbytes(), slot: Slot::Adopted(None) })
                 }
             };
-            if matches!(target.slot, Slot::Adopted(_)) && !covers_whole(item, target.nbytes) {
+            if matches!(target.slot, Slot::Adopted(_)) && !adoptable(item, target.nbytes) {
                 target.slot = Slot::Region(arena_len);
                 arena_len += target.nbytes.next_multiple_of(REGION_ALIGN);
                 assembled_bytes += target.nbytes as u64;
@@ -179,82 +191,40 @@ impl<'a> Assembler<'a> {
         self.assembled_bytes
     }
 
-    /// Apply one intersection payload to the local tensor it belongs to: a
-    /// piece of a tensor with an arena region is copied into that region,
-    /// whole or partial; a whole piece of any other tensor is adopted.
-    pub fn apply(&mut self, item: &'a ReadItem, payload: &Bytes) -> Result<()> {
+    /// Apply one piece, `fetched` being its slice of a fetched run, to the
+    /// local tensor it belongs to: a piece of a tensor with an arena region
+    /// is copied into that region; an adoptable piece of any other tensor is
+    /// adopted. A slice of any other length than the item's fetch range (a
+    /// short read clamped by the caller, a wrong forwarded payload) is
+    /// refused before a byte is copied or adopted.
+    pub fn apply(&mut self, item: &'a ReadItem, fetched: &Bytes) -> Result<()> {
         let target = self.targets.get_mut(&(item.category, &*item.fqn)).ok_or_else(|| {
             BcpError::Plan(format!(
                 "{}: a piece of a tensor the assembler has no plan for",
                 item.fqn
             ))
         })?;
-        if payload.len() as u64 != item.isect_bytes() {
+        let (_, span) = item.fetch_range();
+        if fetched.len() as u64 != span {
             return Err(BcpError::Corrupt(format!(
-                "{}: piece of {} bytes for a {}-byte intersection",
+                "{}: fetched range of {} bytes, not the {span} its {}-byte intersection spans",
                 item.fqn,
-                payload.len(),
+                fetched.len(),
                 item.isect_bytes()
             )));
         }
         let nbytes = target.nbytes;
-        let region = match &mut target.slot {
-            Slot::Region(at) => *at,
-            Slot::Adopted(adopted) if covers_whole(item, nbytes) => {
-                *adopted = Some(payload.clone());
-                return Ok(());
+        match &mut target.slot {
+            Slot::Region(at) => copy_isect(item, fetched, &mut self.arena[*at..*at + nbytes]),
+            Slot::Adopted(adopted) if adoptable(item, nbytes) => {
+                *adopted = Some(fetched.clone());
+                Ok(())
             }
-            Slot::Adopted(_) => {
-                return Err(BcpError::Plan(format!(
-                    "{}: a partial piece of a tensor the plan gave no arena region",
-                    item.fqn
-                )))
-            }
-        };
-        let buf = &mut self.arena[region..region + nbytes];
-        let es = item.dtype.size();
-        let overrun = |at: usize, len: usize| {
-            BcpError::Corrupt(format!(
-                "{}: assembly overrun ([{at}, {}) of a {nbytes}-byte tensor)",
-                item.fqn,
-                at + len
-            ))
-        };
-        // Geometry: the dest piece (shape dest_lengths) lives at local
-        // element offset dest_local_elem_start; the intersection sits at
-        // rel = isect_offsets - dest_offsets inside it.
-        let rel: Axes =
-            item.isect_offsets.iter().zip(&item.dest_offsets).map(|(i, d)| i - d).collect();
-        let piece_strides = bcp_tensor::layout::contiguous_strides(&item.dest_lengths);
-        let rank = item.isect_lengths.len();
-        if rank == 0 {
-            let at = item.dest_local_elem_start * es;
-            buf.get_mut(at..at + es).ok_or_else(|| overrun(at, es))?.copy_from_slice(payload);
-            return Ok(());
+            Slot::Adopted(_) => Err(BcpError::Plan(format!(
+                "{}: a piece of a tensor the plan gave no arena region cannot be adopted",
+                item.fqn
+            ))),
         }
-        let run = item.isect_lengths[rank - 1] * es;
-        let outer: usize = item.isect_lengths[..rank - 1].iter().product();
-        let mut coord = Axes::zeros(rank - 1);
-        let mut src = 0usize;
-        for _ in 0..outer {
-            let mut flat = rel[rank - 1] * piece_strides[rank - 1];
-            for (d, &c) in coord.iter().enumerate() {
-                flat += (rel[d] + c) * piece_strides[d];
-            }
-            let at = (item.dest_local_elem_start + flat) * es;
-            buf.get_mut(at..at + run)
-                .ok_or_else(|| overrun(at, run))?
-                .copy_from_slice(&payload[src..src + run]);
-            src += run;
-            for d in (0..rank - 1).rev() {
-                coord[d] += 1;
-                if coord[d] < item.isect_lengths[d] {
-                    break;
-                }
-                coord[d] = 0;
-            }
-        }
-        Ok(())
     }
 
     /// Write every restored tensor back into the state dicts, replacing the
@@ -307,71 +277,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn extract_isect_from_bounded_fetch() {
-        let item = item_2d();
-        // Stored tensor = iota(24). Fetch range: first elem (1,2) -> flat 8;
-        // last (2,4) -> flat 16; 9 elements.
-        let stored: Vec<f32> = (0..24).map(|i| i as f32).collect();
+    /// The stored (4,6) f32 shard: iota(24), little-endian.
+    fn stored() -> Bytes {
+        Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>())
+    }
+
+    fn f32s(bytes: &[u8]) -> Vec<f32> {
+        bytes.chunks(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect()
+    }
+
+    /// A state whose local tensors `fqns` are each a zero-filled `shape`.
+    fn targets_shaped(fqns: &[&str], shape: &[usize]) -> TrainState {
+        let mut state = TrainState::default();
+        for fqn in fqns {
+            state.model.insert(bcp_model::StateEntry {
+                fqn: fqn.to_string(),
+                global_shape: shape.to_vec(),
+                dtype: DType::F32,
+                spec: bcp_topology::ShardSpec::Replicated,
+                tensor: Tensor::zeros(DType::F32, shape.to_vec()),
+            });
+        }
+        state
+    }
+
+    /// A state whose local tensors `fqns` are each a whole (4,6) shard,
+    /// zero-filled.
+    fn targets(fqns: &[&str]) -> TrainState {
+        targets_shaped(fqns, &[4, 6])
+    }
+
+    /// A piece of the stored shard landing in the whole local tensor.
+    fn piece(isect_offsets: Vec<usize>, isect_lengths: Vec<usize>) -> ReadItem {
+        ReadItem {
+            isect_offsets: isect_offsets.into(),
+            isect_lengths: isect_lengths.into(),
+            ..item_2d()
+        }
+    }
+
+    /// `item`'s fetch range of the stored shard: the member slice of a run
+    /// the load path hands to the assembler.
+    fn fetched(item: &ReadItem) -> Bytes {
         let (fo, fl) = item.fetch_range();
-        assert_eq!((fo, fl), (8 * 4, 9 * 4));
-        let fetched = Bytes::copy_from_slice(
-            &stored.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>()
-                [fo as usize..(fo + fl) as usize],
-        );
-        let isect = extract_isect(&item, &fetched).unwrap();
-        let vals: Vec<f32> =
-            isect.chunks(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-        // Rows 1..3, cols 2..5 of the (4,6) iota: 8,9,10 / 14,15,16.
-        assert_eq!(vals, vec![8.0, 9.0, 10.0, 14.0, 15.0, 16.0]);
+        stored().slice(fo as usize..(fo + fl) as usize)
+    }
+
+    /// Restore `pieces` into a zero-filled local tensor `t` of `shape`.
+    fn restore_shaped(pieces: &[(&ReadItem, Bytes)], shape: &[usize]) -> Result<Bytes> {
+        let mut state = targets_shaped(&["t"], shape);
+        let mut asm = Assembler::new(&state, pieces.iter().map(|(item, _)| *item))?;
+        for (item, payload) in pieces {
+            asm.apply(item, payload)?;
+        }
+        asm.finish(&mut state)?;
+        Ok(state.model.get("t").unwrap().tensor.bytes_cloned().unwrap())
+    }
+
+    fn restore(pieces: &[(&ReadItem, Bytes)]) -> Result<Bytes> {
+        restore_shaped(pieces, &[4, 6])
     }
 
     #[test]
-    fn extract_detects_short_fetch() {
+    fn a_strided_piece_is_copied_from_its_bounded_fetch() {
         let item = item_2d();
-        let short = Bytes::from(vec![0u8; 8]);
-        assert!(matches!(extract_isect(&item, &short), Err(BcpError::Corrupt(_))));
-        // The view path checks the same thing: whole rows need 12 * 4 bytes.
-        let rows = ReadItem { isect_offsets: [1, 0].into(), isect_lengths: [2, 6].into(), ..item };
-        let err = extract_isect(&rows, &Bytes::from(vec![0u8; 47])).unwrap_err();
-        assert!(matches!(err, BcpError::Corrupt(m) if m.contains("too short (47 < 48)")));
+        // First elem (1,2) -> flat 8; last (2,4) -> flat 16; 9 elements.
+        assert_eq!(item.fetch_range(), (8 * 4, 9 * 4));
+        let got = f32s(&restore(&[(&item, fetched(&item))]).unwrap());
+        // Rows 1..3, cols 2..5 of the (4,6) iota: 8,9,10 / 14,15,16.
+        let mut want = vec![0.0f32; 24];
+        for i in [8, 9, 10, 14, 15, 16] {
+            want[i] = i as f32;
+        }
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn a_contiguous_intersection_is_a_view_and_a_strided_one_a_copy() {
-        let stored =
-            Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>());
-        let slice_of = |item: &ReadItem| {
-            let (fo, fl) = item.fetch_range();
-            stored.slice(fo as usize..(fo + fl) as usize)
-        };
-        // Whole rows 1..3 of the (4,6) stored box: one run of 12 elements.
-        let rows =
-            ReadItem { isect_offsets: [1, 0].into(), isect_lengths: [2, 6].into(), ..item_2d() };
-        let fetched = slice_of(&rows);
-        let view = extract_isect(&rows, &fetched).unwrap();
-        assert_eq!(view.as_ptr(), fetched.as_ptr(), "no copy");
-        assert_eq!(&view[..], &stored[6 * 4..18 * 4]);
-        // A fetch longer than the run (a clamped member of a wider read run)
-        // still yields exactly the intersection.
-        let wider = stored.slice(6 * 4..);
-        let view = extract_isect(&rows, &wider).unwrap();
-        assert_eq!((view.as_ptr(), view.len()), (wider.as_ptr(), 12 * 4));
-        // Part of one row is a run too.
-        let cols =
-            ReadItem { isect_offsets: [2, 1].into(), isect_lengths: [1, 4].into(), ..item_2d() };
-        let fetched = slice_of(&cols);
-        let view = extract_isect(&cols, &fetched).unwrap();
-        assert_eq!(view.as_ptr(), fetched.as_ptr());
-        assert_eq!(&view[..], &stored[13 * 4..17 * 4]);
-        // Strided: rows 1..3 x cols 2..5 skips three elements between rows.
+    fn a_short_or_clamped_fetch_is_corrupt_on_both_paths() {
         let strided = item_2d();
-        let fetched = slice_of(&strided);
-        let gathered = extract_isect(&strided, &fetched).unwrap();
-        assert_ne!(gathered.as_ptr(), fetched.as_ptr());
-        assert_eq!(gathered.len(), 6 * 4);
-        assert_eq!(&gathered[..12], &fetched[..12]);
-        assert_eq!(&gathered[12..], &fetched[6 * 4..9 * 4]);
+        let rows = piece(vec![1, 0], vec![2, 6]); // 12 contiguous elements
+        for (item, span) in [(&strided, 36), (&rows, 48)] {
+            // Short by one byte, clamped to nothing, and one byte too long.
+            for len in [span - 1, 0, span + 1] {
+                let err = restore(&[(item, Bytes::from(vec![0u8; len]))]).unwrap_err();
+                let want = format!("fetched range of {len} bytes, not the {span}");
+                assert!(matches!(&err, BcpError::Corrupt(m) if m.contains(&want)), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_contiguous_whole_piece_is_adopted_and_a_strided_one_copied_into_the_arena() {
+        // Each piece is its whole local tensor: a piece of the stored shard
+        // at the intersection's own offsets.
+        let whole_of = |item: ReadItem| ReadItem {
+            dest_offsets: item.isect_offsets.clone(),
+            dest_lengths: item.isect_lengths.clone(),
+            ..item
+        };
+        // Whole rows 1..3 of the (4,6) stored box, and part of one row: each
+        // one run of the stored shard, so the fetched view is the tensor.
+        for (item, shape, elems) in [
+            (whole_of(piece(vec![1, 0], vec![2, 6])), [2, 6], 6..18),
+            (whole_of(piece(vec![2, 1], vec![1, 4])), [1, 4], 13..17),
+        ] {
+            let view = fetched(&item);
+            let got = restore_shaped(&[(&item, view.clone())], &shape).unwrap();
+            assert_eq!(got.as_ptr(), view.as_ptr(), "{:?}: no copy", item.isect_lengths);
+            assert_eq!(&got[..], &stored()[elems.start * 4..elems.end * 4]);
+        }
+        // Strided: rows 1..3 x cols 2..5 skips three elements between rows.
+        // The tensor gets an arena region and its piece is copied there once.
+        let strided = whole_of(item_2d());
+        let state = targets_shaped(&["t"], &[2, 3]);
+        let asm = Assembler::new(&state, [&strided]).unwrap();
+        assert!(matches!(asm.targets[&(Category::Model, "t")].slot, Slot::Region(0)));
+        assert_eq!((asm.assembled_bytes(), asm.arena.len()), (24, 64));
+        let view = fetched(&strided);
+        let got = restore_shaped(&[(&strided, view.clone())], &[2, 3]).unwrap();
+        let inside = |p: *const u8| (view.as_ptr()..view.as_ptr().wrapping_add(36)).contains(&p);
+        assert!(!inside(got.as_ptr()), "assembled in the arena, not adopted");
+        assert_eq!(f32s(&got), vec![8.0, 9.0, 10.0, 14.0, 15.0, 16.0]);
     }
 
     #[test]
@@ -385,57 +411,75 @@ mod tests {
             dest_lengths: [].into(),
             ..item_2d()
         };
-        let fetched = Bytes::from(vec![1u8, 2, 3, 4, 5]);
-        let got = extract_isect(&scalar, &fetched).unwrap();
+        let fetched = Bytes::from(vec![1u8, 2, 3, 4]);
+        let got = restore_shaped(&[(&scalar, fetched.clone())], &[]).unwrap();
         assert_eq!((&got[..], got.as_ptr()), (&[1u8, 2, 3, 4][..], fetched.as_ptr()));
         let short = Bytes::from(vec![1u8, 2, 3]);
-        assert!(matches!(extract_isect(&scalar, &short), Err(BcpError::Corrupt(_))));
+        let err = restore_shaped(&[(&scalar, short)], &[]).unwrap_err();
+        assert!(matches!(err, BcpError::Corrupt(_)), "{err}");
     }
 
-    /// The stored (4,6) f32 shard: iota(24), little-endian.
-    fn stored() -> Bytes {
-        Bytes::from((0..24u32).flat_map(|i| (i as f32).to_le_bytes()).collect::<Vec<u8>>())
-    }
-
-    /// A state whose local tensors `fqns` are each a whole (4,6) shard,
-    /// zero-filled.
-    fn targets(fqns: &[&str]) -> TrainState {
-        let mut state = TrainState::default();
-        for fqn in fqns {
-            state.model.insert(bcp_model::StateEntry {
-                fqn: fqn.to_string(),
-                global_shape: vec![4, 6],
-                dtype: DType::F32,
-                spec: bcp_topology::ShardSpec::Replicated,
-                tensor: Tensor::zeros(DType::F32, vec![4, 6]),
-            });
+    #[test]
+    fn the_copy_equals_an_elementwise_copy_for_every_box() {
+        // A (3,4,5) tensor. Stored shard: [0..3, 1..4, 0..5]; destination
+        // piece: [1..3, 0..4, 0..5], stored after 7 other elements of the
+        // local tensor. Every intersection box inside both is copied, so
+        // every mix of whole and cut dims, on either side, is walked.
+        let (stored_off, stored_len) = ([0, 1, 0], [3, 3, 5]);
+        let (dest_off, dest_len) = ([1, 0, 0], [2, 4, 5]);
+        let global = bcp_tensor::layout::contiguous_strides(&[3, 4, 5]);
+        let value = |c: &[usize]| (c.iter().zip(&global).map(|(a, b)| a * b).sum::<usize>()) as f32;
+        let stored_bytes: Vec<u8> = (0..45)
+            .flat_map(|flat| {
+                let c = bcp_tensor::layout::unravel_index(flat, &stored_len);
+                let g: Vec<usize> = c.iter().zip(&stored_off).map(|(a, o)| a + o).collect();
+                value(&g).to_le_bytes()
+            })
+            .collect();
+        let stored = Bytes::from(stored_bytes);
+        let ranges =
+            |lo: usize, hi: usize| (lo..hi).flat_map(move |o| (1..=hi - o).map(move |l| (o, l)));
+        let mut boxes = 0;
+        for (o0, l0) in ranges(1, 3) {
+            for (o1, l1) in ranges(1, 4) {
+                for (o2, l2) in ranges(0, 5) {
+                    let item = ReadItem {
+                        stored_offsets: stored_off.to_vec().into(),
+                        stored_lengths: stored_len.to_vec().into(),
+                        isect_offsets: [o0, o1, o2].into(),
+                        isect_lengths: [l0, l1, l2].into(),
+                        dest_offsets: dest_off.to_vec().into(),
+                        dest_lengths: dest_len.to_vec().into(),
+                        dest_local_elem_start: 7,
+                        ..item_2d()
+                    };
+                    let (fo, fl) = item.fetch_range();
+                    let mut dst = vec![0u8; (7 + 40) * 4];
+                    copy_isect(&item, &stored[fo as usize..(fo + fl) as usize], &mut dst).unwrap();
+                    let mut want = vec![0.0f32; 7 + 40];
+                    for flat in 0..40 {
+                        let c = bcp_tensor::layout::unravel_index(flat, &dest_len);
+                        let g: Vec<usize> = c.iter().zip(&dest_off).map(|(a, o)| a + o).collect();
+                        let inside = (0..3).all(|d| {
+                            let (o, l) = ([o0, o1, o2][d], [l0, l1, l2][d]);
+                            o <= g[d] && g[d] < o + l
+                        });
+                        if inside {
+                            want[7 + flat] = value(&g);
+                        }
+                    }
+                    assert_eq!(
+                        f32s(&dst),
+                        want,
+                        "box {:?} + {:?}",
+                        item.isect_offsets,
+                        item.isect_lengths
+                    );
+                    boxes += 1;
+                }
+            }
         }
-        state
-    }
-
-    /// A piece of the stored shard landing in the whole local tensor.
-    fn piece(isect_offsets: Vec<usize>, isect_lengths: Vec<usize>) -> ReadItem {
-        ReadItem {
-            isect_offsets: isect_offsets.into(),
-            isect_lengths: isect_lengths.into(),
-            ..item_2d()
-        }
-    }
-
-    /// `item`'s intersection as the load path hands it to the assembler.
-    fn fetched(item: &ReadItem) -> Bytes {
-        let (fo, fl) = item.fetch_range();
-        extract_isect(item, &stored().slice(fo as usize..(fo + fl) as usize)).unwrap()
-    }
-
-    fn restore(pieces: &[(&ReadItem, Bytes)]) -> Result<Bytes> {
-        let mut state = targets(&["t"]);
-        let mut asm = Assembler::new(&state, pieces.iter().map(|(item, _)| *item))?;
-        for (item, payload) in pieces {
-            asm.apply(item, payload)?;
-        }
-        asm.finish(&mut state)?;
-        Ok(state.model.get("t").unwrap().tensor.bytes_cloned().unwrap())
+        assert_eq!(boxes, 3 * 6 * 15);
     }
 
     #[test]

@@ -68,35 +68,6 @@ impl LatencyAccumulator {
         w.next = (w.next + 1) % self.capacity;
     }
 
-    /// The retained window in insertion order (oldest first) plus the
-    /// total-ever-recorded count — the durable form a control-plane
-    /// snapshot persists so percentiles survive a coordinator restart.
-    pub fn export_window(&self) -> (Vec<f64>, u64) {
-        let w = lock(&self.samples);
-        let ordered = if w.ring.len() < self.capacity {
-            w.ring.clone()
-        } else {
-            let mut v = Vec::with_capacity(w.ring.len());
-            v.extend_from_slice(&w.ring[w.next..]);
-            v.extend_from_slice(&w.ring[..w.next]);
-            v
-        };
-        (ordered, w.total)
-    }
-
-    /// Rebuild an accumulator from an [`export_window`](Self::export_window)
-    /// dump, keeping only the newest `capacity` samples.
-    pub fn restore(capacity: usize, window: &[f64], total: u64) -> LatencyAccumulator {
-        let capacity = capacity.max(1);
-        let keep = window.len().saturating_sub(capacity);
-        let ring: Vec<f64> = window[keep..].to_vec();
-        let next = if ring.len() < capacity { ring.len() } else { 0 };
-        LatencyAccumulator {
-            samples: Mutex::new(Window { ring, next, total: total.max(window.len() as u64) }),
-            capacity,
-        }
-    }
-
     /// Percentile summary of the retained window (all zeros when empty).
     pub fn snapshot(&self) -> LatencySnapshot {
         let w = lock(&self.samples);
@@ -159,27 +130,5 @@ mod tests {
         // Window holds 90..=99.
         assert_eq!(s.max_ms, 99.0);
         assert!(s.p50_ms >= 90.0, "window should have evicted old samples: {s:?}");
-    }
-
-    #[test]
-    fn export_restore_round_trips_exact_percentiles() {
-        let acc = LatencyAccumulator::new(10);
-        for i in 0..100u64 {
-            acc.record(Duration::from_millis(i));
-        }
-        let (window, total) = acc.export_window();
-        assert_eq!(window.len(), 10);
-        assert_eq!(total, 100);
-        // Oldest-first order: the surviving window is 90..=99.
-        assert_eq!(window[0], 90.0);
-        assert_eq!(*window.last().unwrap(), 99.0);
-        let back = LatencyAccumulator::restore(10, &window, total);
-        assert_eq!(back.snapshot(), acc.snapshot());
-        // Restoring into a smaller capacity keeps the newest samples.
-        let small = LatencyAccumulator::restore(4, &window, total);
-        let s = small.snapshot();
-        assert_eq!(s.count, 100);
-        assert_eq!(s.max_ms, 99.0);
-        assert!(s.p50_ms >= 96.0, "restore should keep the newest samples: {s:?}");
     }
 }

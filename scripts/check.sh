@@ -159,6 +159,22 @@ if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine;
   exit 1
 fi
 
+echo "==> the load path gathers into no heap buffer (a piece is adopted, or copied once from its run into the arena; coalesce_chunks is the one copy, for backends whose reads copy)"
+# vec![0 is a zero-filled byte buffer; vec![...] of run members, read
+# ranges or pending pieces is plan-sized and holds no tensor byte.
+if grep -rn 'extract_isect' crates src tests examples; then
+  echo "the strided gather is gone: Assembler::apply copies each piece from its slice of the run straight to its place in the arena"
+  exit 1
+fi
+load_heap="$(awk 'FNR==1{t=0; c=0} /^#\[cfg\(test\)\]/{t=1} /^fn coalesce_chunks\(/{c=1}
+  !t && !c && /BytesMut|Vec<u8>|vec!\[0|extend_from_slice|copy_from_slice\(&/{print FILENAME ":" FNR ": " $0}
+  c && /^}/{c=0}' crates/core/src/engine/mod.rs crates/core/src/engine/load.rs)"
+if [ -n "$load_heap" ]; then
+  printf '%s\n' "$load_heap"
+  echo "crates/core/src/engine/{mod,load}.rs build no byte buffer outside load.rs's coalesce_chunks: pieces are views of their run, assembled in the Arena"
+  exit 1
+fi
+
 echo "==> two unsafe sites (the mapping module and the CRC's carry-less kernel; DESIGN.md \"unsafe inventory\")"
 stray_unsafe="$(find crates/*/src src -name '*.rs' ! -path crates/tensor/src/checksum.rs \
   ! -path crates/storage/src/mapping.rs -print0 | sort -z |

@@ -1,50 +1,65 @@
 //! Heap allocations of load planning, counted: decoding the global metadata,
 //! building a rank's load plan and eliminating redundant reads each stay
 //! within a fixed budget per entry, item or request on the many-tensor shape
-//! (`perf/`'s `manytensor_dp2_disk`), same-parallelism and resharded.
+//! (`perf/`'s `manytensor_dp2_disk`), same-parallelism and resharded. And
+//! the heap bytes a reshard's `execute_load` allocates do not grow with the
+//! bytes it restores (`zero3_dp2_disk`'s shape): every restored byte is
+//! adopted or copied into the load's arena, none gathered into a heap
+//! buffer on the way.
 //!
-//! The counter is per thread, so tests running in parallel do not disturb
-//! each other's counts.
+//! The counters are per thread, so tests running in parallel do not
+//! disturb each other's counts.
 
-use bytecheckpoint::core::metadata::GlobalMetadata;
+mod common;
+
+use bytecheckpoint::core::engine::iopool::IoPool;
+use bytecheckpoint::core::engine::load::{execute_load, LoadConfig};
+use bytecheckpoint::core::integrity::FailureLog;
+use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::core::plan::{build_tensor_map, local_load_plan, local_save_plan, LoadPlan};
 use bytecheckpoint::core::planner::balance::{
     dedup_save_plans, eliminate_redundant_reads, DedupStrategy,
 };
+use bytecheckpoint::core::FaultHook;
 use bytecheckpoint::model::{ArchKind, TransformerConfig};
+use bytecheckpoint::monitor::SpanContext;
 use bytecheckpoint::prelude::*;
+use common::run_ranks;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// The system allocator, counting this thread's allocations and
-/// reallocations.
+/// reallocations and the bytes they ask for.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the slot is gone while the thread tears down.
+fn count_one(bytes: usize) {
+    // `try_with`: the slots are gone while the thread tears down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; counting touches a const-initialised thread-local `Cell`,
-// which never allocates.
+// unchanged; counting touches const-initialised thread-local `Cell`s,
+// which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -61,6 +76,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the heap bytes it allocated on this thread.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// The `manytensor_dp2_disk` benchmark shape (as in `metadata_codec.rs`).
@@ -132,6 +154,112 @@ fn planning_a_load_costs_at_most_four_allocations_per_item_and_one_per_request()
         assert!(
             allocs <= requests as u64,
             "{target}: eliminate_redundant_reads made {allocs} allocations for {requests} requests"
+        );
+    }
+}
+
+/// `zero3_dp2_disk`'s reshard at test size, `hidden` wide: an FSDP ZeRO-3
+/// DP2 save on memory (whose reads are views, so the I/O threads allocate
+/// nothing), loaded into Megatron TP2. Returns, per rank, the heap bytes
+/// `execute_load` allocated on the rank's thread and the bytes it restored.
+///
+/// The plan is the same at every width this test uses: the same items, and
+/// one run per shard file, because no run is capped (`chunk_bytes` is
+/// unbounded) and at both widths every gap between two reads of a file is
+/// a column-parallel half below `RUN_GAP_BYTES`. Every row-parallel weight
+/// and its three optimizer states is a strided piece: 2–9 MiB per rank.
+fn reshard_heap_bytes(hidden: usize) -> Vec<(u64, u64)> {
+    let arch = TransformerConfig {
+        name: "zero3-reshard".into(),
+        kind: ArchKind::Gpt,
+        hidden,
+        heads: 4,
+        layers: 72,
+        vocab: 192,
+        ffn_mult: 3,
+        dtype: DType::F32,
+        num_experts: 0,
+    };
+    let zero3 = Framework::Fsdp { zero3: true };
+    let (saving, loading) =
+        (Parallelism::data_parallel(2).unwrap(), Parallelism::new(2, 1, 1).unwrap());
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let mut registry = BackendRegistry::new();
+    registry.register(Scheme::Memory, mem.clone());
+    let saved = arch.clone();
+    run_ranks(saving, zero3, Arc::new(registry), move |rank, ckpt| {
+        let state = build_train_state(&saved, zero3, saving, rank, true);
+        ckpt.save(&SaveRequest::new("mem://x/j/step_1", &state, 1)).unwrap().wait().unwrap();
+    });
+    let meta = GlobalMetadata::from_bytes(&mem.read(&format!("j/step_1/{METADATA_FILE}")).unwrap())
+        .unwrap();
+    let mut states: Vec<TrainState> =
+        (0..2).map(|rank| build_train_state(&arch, FW, loading, rank, true)).collect();
+    let plans: Vec<LoadPlan> = states
+        .iter()
+        .enumerate()
+        .map(|(rank, state)| local_load_plan(rank, state, &meta).unwrap())
+        .collect();
+    let assigned = eliminate_redundant_reads(&plans);
+    let world = CommWorld::new(2, Backend::Flat);
+    std::thread::scope(|scope| {
+        let ranks: Vec<_> = states
+            .iter_mut()
+            .zip(&assigned)
+            .map(|(state, plan)| {
+                let (world, mem) = (world.clone(), mem.clone());
+                scope.spawn(move || {
+                    let comm = world.communicator(plan.rank).unwrap();
+                    let io = IoPool::new(2);
+                    let (sink, log) = (MetricsSink::disabled(), Arc::new(FailureLog::new()));
+                    let cfg = LoadConfig { chunk_bytes: u64::MAX, ..LoadConfig::default() };
+                    let faults = FaultHook::inert(plan.rank);
+                    let (stats, bytes) = counted_bytes(|| {
+                        execute_load(
+                            plan,
+                            state,
+                            mem,
+                            "j/step_1",
+                            Some(&comm),
+                            &io,
+                            &sink,
+                            log,
+                            &cfg,
+                            1,
+                            &faults,
+                            SpanContext::none(),
+                        )
+                        .unwrap()
+                    });
+                    // An arena below 2 MiB would be a heap buffer of its own.
+                    let arena = stats.assembled_bytes;
+                    assert!(arena == 0 || arena >= 2 << 20, "a mapped arena, not {arena} bytes");
+                    (bytes, state.model.local_bytes() + state.optimizer.local_bytes())
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+#[test]
+fn a_reshard_allocates_no_heap_bytes_in_proportion_to_the_bytes_it_restores() {
+    let (narrow, wide) = (reshard_heap_bytes(32), reshard_heap_bytes(64));
+    for (rank, (&(narrow_heap, narrow_state), &(wide_heap, wide_state))) in
+        narrow.iter().zip(&wide).enumerate()
+    {
+        eprintln!(
+            "rank {rank}: {narrow_heap} heap bytes restoring {narrow_state}, \
+             {wide_heap} restoring {wide_state}"
+        );
+        assert!(
+            wide_state > 3 * narrow_state,
+            "rank {rank}: the wide shape restores ~4x the bytes"
+        );
+        assert!(
+            wide_heap <= narrow_heap + narrow_heap / 8,
+            "rank {rank}: execute_load allocated {narrow_heap} heap bytes restoring \
+             {narrow_state} bytes, and {wide_heap} restoring {wide_state}"
         );
     }
 }

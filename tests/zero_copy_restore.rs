@@ -6,7 +6,11 @@
 //! than the load's `chunk_bytes` included, which is read as one run. A
 //! resharded load, which assembles tensors from several pieces, stays
 //! bitwise equal to the reference, and every tensor it assembles lives in
-//! one 2 MiB-aligned arena per rank, sized from the plan.
+//! one 2 MiB-aligned arena per rank, sized from the plan. A reshard from
+//! disk restores every tensor in one of two places only: a mapping of a
+//! shard file (adopted) or the rank's arena (copied once) — a tensor whose
+//! rows are strided in the stored shard included, which no heap buffer
+//! holds on the way.
 
 mod common;
 
@@ -17,6 +21,7 @@ use common::{assert_states_eq, reference_state, run_ranks};
 use std::sync::Arc;
 
 const MEGATRON: Framework = Framework::Megatron { distributed_optimizer: true };
+const ZERO3: Framework = Framework::Fsdp { zero3: true };
 const HUGE_PAGE: usize = 2 << 20;
 
 /// A memory registry holding step 1 of `arch` saved under TP2, and the
@@ -133,6 +138,26 @@ fn an_unresharded_load_adopts_the_stored_bytes_and_a_reshard_is_bitwise() {
     }
 }
 
+/// Assert that `copied`, the `(fqn, start, byte length)` of rank `rank`'s
+/// assembled tensors, lie in one arena: pairwise disjoint, the lowest on a
+/// 2 MiB boundary, all within Σ `nbytes` rounded up to 64.
+fn assert_in_one_arena(rank: usize, mut copied: Vec<(String, usize, usize)>) {
+    copied.sort_by_key(|&(_, start, _)| start);
+    for pair in copied.windows(2) {
+        let ((a, a_start, a_len), (b, b_start, _)) = (&pair[0], &pair[1]);
+        assert!(a_start + a_len <= *b_start, "rank {rank}: {a} overlaps {b}");
+    }
+    let (_, lowest, _) = &copied[0];
+    assert_eq!(lowest % HUGE_PAGE, 0, "rank {rank}: the arena starts on a 2 MiB boundary");
+    let (_, last, last_len) = copied.last().unwrap();
+    let span = last + last_len - lowest;
+    let budget: usize = copied.iter().map(|(_, _, len)| len.next_multiple_of(64)).sum();
+    assert!(
+        span <= budget,
+        "rank {rank}: assembled tensors span {span} bytes, more than one arena of {budget}"
+    );
+}
+
 #[test]
 fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
     let arch = wide_gpt();
@@ -140,7 +165,7 @@ fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
     for (rank, state) in
         load(&arch, Parallelism::new(1, 2, 1).unwrap(), &registry).iter().enumerate()
     {
-        let mut copied: Vec<(String, usize, usize)> = extents(state)
+        let copied: Vec<(String, usize, usize)> = extents(state)
             .into_iter()
             .filter(|&(_, start, len)| !inside_stored(&stored, start, len))
             .collect();
@@ -153,20 +178,7 @@ fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
             assembled >= HUGE_PAGE,
             "rank {rank}: the scenario must assemble >= 2 MiB, got {assembled} bytes"
         );
-        copied.sort_by_key(|&(_, start, _)| start);
-        for pair in copied.windows(2) {
-            let ((a, a_start, a_len), (b, b_start, _)) = (&pair[0], &pair[1]);
-            assert!(a_start + a_len <= *b_start, "rank {rank}: {a} overlaps {b}");
-        }
-        let (_, lowest, _) = &copied[0];
-        assert_eq!(lowest % HUGE_PAGE, 0, "rank {rank}: the arena starts on a 2 MiB boundary");
-        let (_, last, last_len) = copied.last().unwrap();
-        let span = last + last_len - lowest;
-        let budget: usize = copied.iter().map(|(_, _, len)| len.next_multiple_of(64)).sum();
-        assert!(
-            span <= budget,
-            "rank {rank}: assembled tensors span {span} bytes, more than one arena of {budget}"
-        );
+        assert_in_one_arena(rank, copied);
     }
 }
 
@@ -186,31 +198,42 @@ fn read_only_file_mappings() -> Vec<(usize, usize, std::path::PathBuf)> {
         .collect()
 }
 
+/// A `DiskBackend` under a fresh temp dir named after `tag`, and a
+/// registry serving it for `file://`.
+#[cfg(target_os = "linux")]
+fn disk_registry(tag: &str) -> (std::path::PathBuf, DynBackend, Arc<BackendRegistry>) {
+    let dir = std::env::temp_dir().join(format!("bcp-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::File, disk.clone());
+    (dir, disk, Arc::new(reg))
+}
+
+/// The canonical paths of the model and optimizer shard files of
+/// `job/step_1` under `dir`.
+#[cfg(target_os = "linux")]
+fn shard_files(dir: &std::path::Path, disk: &DynBackend) -> Vec<std::path::PathBuf> {
+    disk.list("job/step_1/")
+        .unwrap()
+        .iter()
+        .filter(|key| key.contains("/model_") || key.contains("/optim_"))
+        .map(|key| dir.join(key).canonicalize().unwrap())
+        .collect()
+}
+
 #[test]
 #[cfg(target_os = "linux")]
 fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
     let arch = wide_gpt();
     let par = Parallelism::new(2, 1, 1).unwrap();
-    let dir = std::env::temp_dir().join(format!("bcp-zero-copy-disk-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
-    let registry = {
-        let mut reg = BackendRegistry::new();
-        reg.register(Scheme::File, disk.clone());
-        Arc::new(reg)
-    };
+    let (dir, disk, registry) = disk_registry("zero-copy-disk");
     let saving = arch.clone();
     run_ranks(par, MEGATRON, registry.clone(), move |rank, ckpt| {
         let state = with_oversized(reference_state(&saving, MEGATRON, par, rank, 1), rank, false);
         ckpt.save(&SaveRequest::new("file:///job/step_1", &state, 1)).unwrap().wait().unwrap();
     });
-    let shard_files: Vec<std::path::PathBuf> = disk
-        .list("job/step_1/")
-        .unwrap()
-        .iter()
-        .filter(|key| key.contains("/model_") || key.contains("/optim_"))
-        .map(|key| dir.join(key).canonicalize().unwrap())
-        .collect();
+    let shard_files = shard_files(&dir, &disk);
     assert_eq!(shard_files.len(), 4, "{shard_files:?}");
 
     let loading = arch.clone();
@@ -236,6 +259,71 @@ fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
                 "rank {rank} {fqn}: restored into anonymous memory, not a mapping of a shard file"
             );
         }
+    }
+    drop(states);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `zero3_dp2_disk`'s reshard at test size: an FSDP ZeRO-3 DP2 save on
+/// disk, loaded into Megatron TP2. Every FSDP rank stores whole rows of
+/// each matrix it holds, and the row-parallel weights (`proj`, `fc2`) and
+/// their optimizer states are cut across those rows, so each TP rank's
+/// shard of one is a whole tensor strided in the stored one. Each rank's
+/// tensors lie either in a read-only mapping of the step's shard files or
+/// in the rank's arena, none in anonymous heap: the bytes outside the
+/// mappings are exactly `LoadStats::assembled_bytes`, pairwise disjoint,
+/// the lowest on a 2 MiB boundary, within one arena's span.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_disk_reshard_restores_into_shard_file_mappings_or_the_arena_only() {
+    let arch = TransformerConfig { hidden: 64, layers: 16, vocab: 192, ffn_mult: 3, ..wide_gpt() };
+    let (saving, loading) =
+        (Parallelism::data_parallel(2).unwrap(), Parallelism::new(2, 1, 1).unwrap());
+    let (dir, disk, registry) = disk_registry("zero3-reshard");
+    let saved = arch.clone();
+    run_ranks(saving, ZERO3, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&saved, ZERO3, saving, rank, 1);
+        ckpt.save(&SaveRequest::new("file:///job/step_1", &state, 1)).unwrap().wait().unwrap();
+    });
+    let shard_files = shard_files(&dir, &disk);
+    assert_eq!(shard_files.len(), 4, "{shard_files:?}");
+
+    let loaded = arch.clone();
+    let states = run_ranks(loading, MEGATRON, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&loaded, MEGATRON, loading, rank, true);
+        let out = ckpt.load(&mut LoadRequest::new("file:///job/step_1", &mut state)).unwrap();
+        assert_states_eq(&state, &reference_state(&loaded, MEGATRON, loading, rank, 1), rank);
+        (state, out.report.stats.assembled_bytes as usize)
+    });
+    let mapped: Vec<_> = read_only_file_mappings()
+        .into_iter()
+        .filter(|(_, _, file)| shard_files.contains(file))
+        .collect();
+    for (rank, (state, assembled)) in states.iter().enumerate() {
+        let copied: Vec<(String, usize, usize)> = extents(state)
+            .into_iter()
+            .filter(|&(_, start, len)| {
+                !mapped.iter().any(|&(lo, hi, _)| lo <= start && start + len <= hi)
+            })
+            .collect();
+        let outside: usize = copied.iter().map(|(_, _, len)| len).sum();
+        assert_eq!(
+            outside,
+            *assembled,
+            "rank {rank}: {outside} bytes in {} tensors lie outside the shard-file mappings, \
+             but the arena assembled {assembled}: the rest is anonymous heap",
+            copied.len()
+        );
+        assert!(*assembled >= HUGE_PAGE, "rank {rank}: the arena is mapped, {assembled} bytes");
+        let row_parallel =
+            |fqn: &str| fqn.ends_with("attn.out.weight") || fqn.ends_with("mlp.down.weight");
+        let strided = copied.iter().filter(|(fqn, _, _)| row_parallel(fqn)).count();
+        assert_eq!(
+            strided,
+            4 * 2 * arch.layers,
+            "rank {rank}: every row-parallel weight and its three optimizer states are copied"
+        );
+        assert_in_one_arena(rank, copied);
     }
     drop(states);
     let _ = std::fs::remove_dir_all(&dir);
