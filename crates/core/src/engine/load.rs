@@ -319,6 +319,9 @@ pub fn execute_load(
         Assembler::new(state, assigned.reads.iter().chain(assigned.recvs.iter().map(|r| &r.2)))?;
     let assembled_bytes = assembler.assembled_bytes();
     read_span.set_attr("assembled_bytes", assembled_bytes.to_string());
+    let (arena_bytes, recycled) = assembler.arena();
+    read_span.set_attr("arena_bytes", arena_bytes.to_string());
+    read_span.set_attr("arena", if recycled { "recycled" } else { "fresh" });
 
     // Sort inbound expectations by the source's read index: same-rank
     // duplicates apply straight from the local read; remote ones wait on the

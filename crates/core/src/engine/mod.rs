@@ -22,7 +22,11 @@
 //! as the tensor; every other piece is copied once, from its slice of the
 //! fetched run straight to its final place in `arena`, the one
 //! huge-page-backed buffer per load that resharded tensors are assembled
-//! into.
+//! into. Its mapping outlives the load: when the last tensor in it drops,
+//! it goes on a process-wide free list (advised `MADV_FREE`) for the next
+//! load's arena, so only a process's first reshard faults its arena in. A
+//! recycled arena is not zeroed again; the plan covers every byte of every
+//! region exactly once, so `apply` overwrites whatever it held.
 
 mod arena;
 pub mod iopool;
@@ -182,13 +186,20 @@ impl<'a> Assembler<'a> {
                 assembled_bytes += target.nbytes as u64;
             }
         }
-        Ok(Assembler { targets, arena: Arena::zeroed(arena_len), assembled_bytes })
+        Ok(Assembler { targets, arena: Arena::new(arena_len), assembled_bytes })
     }
 
     /// Bytes of the tensors this rank assembles in its arena: the restored
     /// bytes it copies rather than adopts.
     pub fn assembled_bytes(&self) -> u64 {
         self.assembled_bytes
+    }
+
+    /// The arena's length in bytes (the assembled bytes, each region rounded
+    /// up to 64), and whether its memory was recycled from an earlier load
+    /// rather than freshly mapped or allocated.
+    pub fn arena(&self) -> (usize, bool) {
+        (self.arena.len(), self.arena.recycled())
     }
 
     /// Apply one piece, `fetched` being its slice of a fetched run, to the
@@ -480,6 +491,50 @@ mod tests {
             }
         }
         assert_eq!(boxes, 3 * 6 * 15);
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn a_recycled_arena_restores_bitwise_from_stale_contents() {
+        // Exactly one huge page, the shortest mapped arena: every other one
+        // this binary makes is more than twice as long, and a free mapping
+        // is lent only to an arena between half its length and its length,
+        // so no other test takes this mapping or lends its own here between
+        // the steps below; and the list never unmaps its shortest mapping.
+        const LEN: usize = 2 << 20;
+        let mut first = Arena::new(LEN);
+        assert!((first.as_ptr() as usize).is_multiple_of(LEN), "a mapped arena");
+        first.fill(0xA5);
+        let base = first.as_ptr();
+        drop(first);
+        let second = Arena::new(LEN);
+        assert_eq!((second.as_ptr(), second.recycled()), (base, true), "the same mapping");
+        drop(second);
+
+        // A (512, 1024) f32 tensor from its two row halves, each its own
+        // stored shard: no piece is the whole tensor, so the 2 MiB of it are
+        // assembled into the stale mapping.
+        let half = |h: usize| ReadItem {
+            fqn: "w".into(),
+            stored_offsets: [256 * h, 0].into(),
+            stored_lengths: [256, 1024].into(),
+            isect_offsets: [256 * h, 0].into(),
+            isect_lengths: [256, 1024].into(),
+            dest_offsets: [0, 0].into(),
+            dest_lengths: [512, 1024].into(),
+            ..item_2d()
+        };
+        let want: Vec<u8> = (0..512 * 1024u32).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        let (top, bottom) = (half(0), half(1));
+        let mut state = targets_shaped(&["w"], &[512, 1024]);
+        let mut asm = Assembler::new(&state, [&top, &bottom]).unwrap();
+        assert_eq!((asm.arena(), asm.arena.as_ptr()), ((LEN, true), base));
+        asm.apply(&top, &Bytes::copy_from_slice(&want[..LEN / 2])).unwrap();
+        asm.apply(&bottom, &Bytes::copy_from_slice(&want[LEN / 2..])).unwrap();
+        asm.finish(&mut state).unwrap();
+        let got = state.model.get("w").unwrap().tensor.bytes_cloned().unwrap();
+        assert_eq!(got.as_ptr(), base, "restored in the recycled mapping");
+        assert!(got[..] == want[..], "a byte of the stale contents survived");
     }
 
     #[test]

@@ -240,15 +240,27 @@ pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -
     Ok(LoadPlan { rank, items })
 }
 
+/// One destination box's intersection with a saved entry: its offsets and
+/// lengths, the entry's index, and whether it is kept (not a replica of an
+/// earlier one).
+type Piece = (Axes, Axes, usize, bool);
+
 /// Items are built in place from the saved entries: names are the
 /// metadata's shared ones and boxes are inline, so planning allocates one
 /// box list per tensor and nothing per item beyond the plan's own growth.
+///
+/// The pieces of one destination box are disjoint, so their element counts
+/// add up to what they cover: a replica (an intersection identical to an
+/// earlier one) is skipped, and two that overlap without being identical
+/// are refused. The load arena rests on this: the assembler writes every
+/// byte of a region exactly once, and nothing zeroes it first.
 fn plan_dict_reads(
     items: &mut Vec<ReadItem>,
     dict: &StateDict,
     category: Category,
     meta: &GlobalMetadata,
 ) -> Result<()> {
+    let (mut pieces, mut active) = (Vec::<Piece>::new(), Vec::new());
     for entry in dict.entries.values() {
         let saved = meta.tensor_map.get(&entry.fqn).map_or(&[][..], Vec::as_slice);
         // The name the saved entries share, unless a hand-built map files
@@ -259,23 +271,21 @@ fn plan_dict_reads(
         };
         let mut local_cursor = 0usize;
         for (dest_offsets, dest_lengths) in shard_boxes(&entry.global_shape, &entry.spec) {
-            let first = items.len();
-            let (mut covered, mut mismatch) = (0usize, None);
-            for e in saved {
-                let Some((io, il)) = intersect_boxes(
+            pieces.clear();
+            for (at, e) in saved.iter().enumerate() {
+                if let Some((io, il)) = intersect_boxes(
                     &e.shard.offsets,
                     &e.shard.lengths,
                     &dest_offsets,
                     &dest_lengths,
-                ) else {
-                    continue;
-                };
-                // A checkpoint saved without deduplication (DP replicas saved
-                // verbatim) contains byte-identical shards under several
-                // files; reading any one replica suffices.
-                if items[first..].iter().any(|i| i.isect_offsets == io && i.isect_lengths == il) {
-                    continue;
+                ) {
+                    pieces.push((io, il, at, true));
                 }
+            }
+            keep_disjoint(&mut pieces, &mut active, saved, &entry.fqn)?;
+            let (mut covered, mut mismatch) = (0usize, None);
+            for (io, il, at, _) in pieces.drain(..) {
+                let e = &saved[at];
                 if e.basic.dtype != entry.dtype {
                     mismatch.get_or_insert(e.basic.dtype);
                 }
@@ -311,6 +321,52 @@ fn plan_dict_reads(
             local_cursor += numel;
         }
     }
+    Ok(())
+}
+
+/// Leave `pieces`, one destination box's intersections in saved-entry
+/// order, disjoint and in that order: drop each replica of an earlier
+/// piece (a checkpoint saved without deduplication holds DP replicas
+/// verbatim under several files, and reading any one suffices) and refuse
+/// two that overlap without being identical, which would make a summed
+/// element count pay for a hole. A sort on the first axis and a sweep
+/// compare each piece only with those still open on that axis; `active`
+/// is the sweep's scratch.
+fn keep_disjoint(
+    pieces: &mut Vec<Piece>,
+    active: &mut Vec<usize>,
+    saved: &[TensorShardEntry],
+    fqn: &str,
+) -> Result<()> {
+    // A scalar has no axis: its pieces all open at 0 and span 1.
+    let start = |p: &Piece| p.0.first().copied().unwrap_or(0);
+    let end = |p: &Piece| start(p) + p.1.first().copied().unwrap_or(1);
+    pieces.sort_unstable_by_key(|p| (start(p), p.2));
+    active.clear();
+    for i in 0..pieces.len() {
+        let from = start(&pieces[i]);
+        active.retain(|&j| end(&pieces[j]) > from);
+        for &j in active.iter() {
+            let (a, b) = (&pieces[j], &pieces[i]);
+            if a.0 == b.0 && a.1 == b.1 {
+                pieces[i].3 = false;
+                break;
+            }
+            let meet = (0..a.0.len()).all(|d| a.0[d] < b.0[d] + b.1[d] && b.0[d] < a.0[d] + a.1[d]);
+            if meet {
+                let (x, y) = (&saved[a.2].shard, &saved[b.2].shard);
+                return Err(BcpError::Corrupt(format!(
+                    "{fqn}: saved shards {:?}/{:?} and {:?}/{:?} overlap without being identical",
+                    x.offsets, x.lengths, y.offsets, y.lengths
+                )));
+            }
+        }
+        if pieces[i].3 {
+            active.push(i);
+        }
+    }
+    pieces.retain(|p| p.3);
+    pieces.sort_unstable_by_key(|p| p.2);
     Ok(())
 }
 
@@ -422,6 +478,53 @@ mod tests {
         let state = build_train_state(&arch, Framework::Ddp, par, 0, false);
         let err = local_load_plan(0, &state, &meta).unwrap_err();
         assert!(matches!(err, BcpError::Missing(_)));
+    }
+
+    #[test]
+    fn saved_shards_that_overlap_in_part_are_refused_and_replicas_read_once() {
+        let saved = |offset: usize, len: usize, file: &str| TensorShardEntry {
+            shard: ShardMeta { fqn: "w".into(), offsets: [offset].into(), lengths: [len].into() },
+            basic: BasicMeta::contiguous(DType::F32, vec![10], "cpu".to_string()),
+            byte: ByteMeta {
+                file: file.into(),
+                offset: 16 + 64 * offset as u64,
+                length: 4 * len as u64,
+            },
+        };
+        let plan_of = |entries: Vec<TensorShardEntry>| {
+            let mut meta = GlobalMetadata::new("ddp", 0, "DP=1", 1);
+            meta.tensor_map.insert("w".into(), entries);
+            meta.validate().unwrap();
+            let mut state = TrainState::default();
+            state.model.insert(bcp_model::StateEntry {
+                fqn: "w".into(),
+                global_shape: vec![10],
+                dtype: DType::F32,
+                spec: bcp_topology::ShardSpec::Replicated,
+                tensor: bcp_tensor::Tensor::zeros(DType::F32, vec![10]),
+            });
+            local_load_plan(0, &state, &meta)
+        };
+        // [0, 6) and [4, 8) count 6 + 4 = 10 elements of 10, yet [8, 10) is
+        // in neither: summed coverage alone would plan a hole.
+        let err =
+            plan_of(vec![saved(0, 6, "model_0.bin"), saved(4, 4, "model_1.bin")]).unwrap_err();
+        assert!(
+            matches!(&err, BcpError::Corrupt(m) if m.contains("overlap without being identical")),
+            "{err}"
+        );
+        // A DP replica saved verbatim is no overlap: the first one in saved
+        // order is read, once, whatever order the sweep visits them in.
+        let plan = plan_of(vec![
+            saved(6, 4, "model_0.bin"),
+            saved(0, 6, "model_1.bin"),
+            saved(0, 6, "model_0.bin"),
+            saved(6, 4, "model_1.bin"),
+        ])
+        .unwrap();
+        let read: Vec<(&str, usize, usize)> =
+            plan.items.iter().map(|i| (&*i.file, i.isect_offsets[0], i.isect_lengths[0])).collect();
+        assert_eq!(read, [("model_0.bin", 6, 4), ("model_1.bin", 0, 6)]);
     }
 
     #[test]

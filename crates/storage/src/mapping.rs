@@ -7,7 +7,11 @@
 //!   2 MiB-aligned and advised `MADV_HUGEPAGE`, so the kernel faults it in
 //!   2 MiB at a time (where transparent huge pages are `always` or
 //!   `madvise`; elsewhere the advice is a no-op). The load arena that
-//!   resharded tensors are assembled into is one.
+//!   resharded tensors are assembled into is one. An owner that keeps a
+//!   range for reuse advises it `MADV_FREE` while it is idle
+//!   ([`HugePages::advise_free`]): the kernel may then reclaim its pages
+//!   under memory pressure instead of swapping them, and a reclaimed page
+//!   reads as zero until it is written again.
 //! * `FileView` — a read-only private mapping of a byte range of a file,
 //!   populated when it is made (`MAP_POPULATE`): the page-table work is done
 //!   by the read that maps it, not by the first touch of the bytes later.
@@ -44,6 +48,7 @@ const PROT_WRITE: c_int = 0x2;
 const MAP_PRIVATE: c_int = 0x02;
 const MAP_ANONYMOUS: c_int = 0x20;
 const MAP_POPULATE: c_int = 0x8000;
+const MADV_FREE: c_int = 8;
 const MADV_HUGEPAGE: c_int = 14;
 
 extern "C" {
@@ -100,9 +105,10 @@ impl Drop for Region {
     }
 }
 
-/// `len` zero-filled, readable and writable bytes at a 2 MiB boundary,
-/// inside a mapping of `len` rounded up to a 64 KiB grain that this value
-/// owns.
+/// `len` readable and writable bytes at a 2 MiB boundary, inside a mapping
+/// of `len` rounded up to a 64 KiB grain that this value owns. Zero-filled
+/// when made; after [`HugePages::advise_free`], each byte reads as what was
+/// last written to it or as zero.
 pub struct HugePages {
     region: Region,
     len: usize,
@@ -138,13 +144,33 @@ impl HugePages {
         let region = Region { base: NonNull::new(start as *mut u8)?, len: mapped };
         Some(HugePages { region, len })
     }
+
+    /// Advise the whole mapping `MADV_FREE`: its contents are no longer
+    /// needed, so under memory pressure the kernel may drop a page instead
+    /// of swapping it, and a dropped page reads as zero. A page written
+    /// after the advice is kept. The range stays mapped, readable and
+    /// writable; the advice is a hint (a kernel older than 4.5 refuses it),
+    /// so its result does not matter.
+    pub fn advise_free(&mut self) {
+        // SAFETY: the advised range is exactly the mapping `self.region`
+        // owns. `MADV_FREE` changes no mapping and no protection; a byte
+        // of it reads afterwards either as what it held or as zero, both
+        // initialised `u8`s, and `&mut self` means no reference into the
+        // range is live across the call.
+        unsafe {
+            madvise(self.region.base.as_ptr().cast(), self.region.len, MADV_FREE);
+        }
+    }
 }
 
 impl AsRef<[u8]> for HugePages {
     fn as_ref(&self) -> &[u8] {
         // SAFETY: `base..base + len` is mapped readable and writable for as
         // long as `self` lives, was zero-filled by the kernel, and is only
-        // written through `&mut self`.
+        // written through `&mut self`. After `advise_free` a page nobody has
+        // written since may read as zero instead of its old bytes; every
+        // byte is an initialised `u8` either way, and an owner that reads a
+        // byte back (the load arena) writes it first, which keeps the page.
         unsafe { std::slice::from_raw_parts(self.region.base.as_ptr(), self.len) }
     }
 }
@@ -224,6 +250,26 @@ mod tests {
             pages.as_mut()[len - 1] = 7;
             assert_eq!(pages.as_ref()[len - 1], 7);
         }
+    }
+
+    #[test]
+    fn freed_huge_pages_stay_mapped_and_read_what_was_written_or_zero() {
+        let len = 2 * HUGE_PAGE + 4096;
+        let mut pages = HugePages::zeroed(len).unwrap();
+        let pattern = |i: usize| (i % 251) as u8 + 1;
+        for (i, b) in pages.as_mut().iter_mut().enumerate() {
+            *b = pattern(i);
+        }
+        pages.advise_free();
+        assert_eq!(pages.as_ref().len(), len);
+        // The pattern holds no zero, so a byte of a page the kernel dropped
+        // is told apart from a kept one.
+        let stale = pages.as_ref().iter().enumerate().position(|(i, &b)| b != pattern(i) && b != 0);
+        assert_eq!(stale, None, "a byte that is neither what was written nor zero");
+        for (i, b) in pages.as_mut().iter_mut().enumerate() {
+            *b = pattern(i + 1);
+        }
+        assert!(pages.as_ref().iter().enumerate().all(|(i, &b)| b == pattern(i + 1)));
     }
 
     #[test]

@@ -159,6 +159,19 @@ if grep -rnE 'make_mut|Slot::Assembled|BytesMut::zeroed' crates/core/src/engine;
   exit 1
 fi
 
+echo "==> one owner of engine huge pages (the arena's free list maps them; no load path maps engine memory per call)"
+# mapping.rs defines HugePages and its own tests map some; every other
+# mapping is lent and taken back by crates/core/src/engine/arena.rs.
+huge_named="$(grep -rn 'HugePages' crates src tests examples perf/src --include='*.rs' |
+  grep -vE '^crates/(storage/src/mapping|core/src/engine/arena)\.rs:' || true)"
+huge_mapped="$(awk '/^#\[cfg\(test\)\]/{t=1} !t && /HugePages::zeroed/{print FILENAME ":" FNR ": " $0}' \
+  crates/storage/src/mapping.rs)"
+if [ -n "$huge_named$huge_mapped" ]; then
+  printf '%s\n' "$huge_named" "$huge_mapped" | grep .
+  echo "HugePages::zeroed is called only from crates/core/src/engine/arena.rs, whose free list recycles every mapping it makes"
+  exit 1
+fi
+
 echo "==> the load path gathers into no heap buffer (a piece is adopted, or copied once from its run into the arena; coalesce_chunks is the one copy, for backends whose reads copy)"
 # vec![0 is a zero-filled byte buffer; vec![...] of run members, read
 # ranges or pending pieces is plan-sized and holds no tensor byte.

@@ -10,7 +10,9 @@
 //! disk restores every tensor in one of two places only: a mapping of a
 //! shard file (adopted) or the rank's arena (copied once) — a tensor whose
 //! rows are strided in the stored shard included, which no heap buffer
-//! holds on the way.
+//! holds on the way. A second reshard in the same process assembles into
+//! the first one's arena mappings, recycled with their stale bytes, and
+//! restores bitwise all the same.
 
 mod common;
 
@@ -160,7 +162,11 @@ fn assert_in_one_arena(rank: usize, mut copied: Vec<(String, usize, usize)>) {
 
 #[test]
 fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
-    let arch = wide_gpt();
+    // Four layers: each rank's arena is then over 4 MiB, more than twice
+    // the 2 MiB arenas of the disk reshard below, and a free mapping goes
+    // only to an arena at least half its length, so neither test's loads
+    // take the other's mappings.
+    let arch = TransformerConfig { layers: 4, ..wide_gpt() };
     let (registry, stored) = saved_tp2(&arch);
     for (rank, state) in
         load(&arch, Parallelism::new(1, 2, 1).unwrap(), &registry).iter().enumerate()
@@ -175,8 +181,8 @@ fn a_reshard_assembles_into_one_huge_page_aligned_arena_per_rank() {
             extents(state).iter().map(|e| e.2).sum::<usize>()
         );
         assert!(
-            assembled >= HUGE_PAGE,
-            "rank {rank}: the scenario must assemble >= 2 MiB, got {assembled} bytes"
+            assembled > 2 * HUGE_PAGE,
+            "rank {rank}: the scenario must assemble > 4 MiB, got {assembled} bytes"
         );
         assert_in_one_arena(rank, copied);
     }
@@ -264,18 +270,24 @@ fn an_unresharded_disk_load_restores_into_mappings_of_the_shard_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `zero3_dp2_disk`'s reshard at test size: an FSDP ZeRO-3 DP2 save on
-/// disk, loaded into Megatron TP2. Every FSDP rank stores whole rows of
-/// each matrix it holds, and the row-parallel weights (`proj`, `fc2`) and
-/// their optimizer states are cut across those rows, so each TP rank's
-/// shard of one is a whole tensor strided in the stored one. Each rank's
-/// tensors lie either in a read-only mapping of the step's shard files or
-/// in the rank's arena, none in anonymous heap: the bytes outside the
-/// mappings are exactly `LoadStats::assembled_bytes`, pairwise disjoint,
-/// the lowest on a 2 MiB boundary, within one arena's span.
+/// `zero3_dp2_disk`'s reshard at test size, twice in one process: an FSDP
+/// ZeRO-3 DP2 save on disk, loaded into Megatron TP2. Every FSDP rank
+/// stores whole rows of each matrix it holds, and the row-parallel weights
+/// (`proj`, `fc2`) and their optimizer states are cut across those rows, so
+/// each TP rank's shard of one is a whole tensor strided in the stored one.
+/// Each rank's tensors lie either in a read-only mapping of the step's
+/// shard files or in the rank's arena, none in anonymous heap: the bytes
+/// outside the mappings are exactly `LoadStats::assembled_bytes`, pairwise
+/// disjoint, the lowest on a 2 MiB boundary, within one arena's span. Once
+/// the first load's tensors are dropped, the second load's arenas are the
+/// first one's mappings, recycled with their stale bytes, and both restore
+/// bitwise.
 #[test]
 #[cfg(target_os = "linux")]
 fn a_disk_reshard_restores_into_shard_file_mappings_or_the_arena_only() {
+    // Each rank's arena is exactly 2 MiB (128 tensors of 16 KiB), the
+    // smallest a mapped arena can be: no other test here asks for one so
+    // small, and the free list unmaps its largest mapping first.
     let arch = TransformerConfig { hidden: 64, layers: 16, vocab: 192, ffn_mult: 3, ..wide_gpt() };
     let (saving, loading) =
         (Parallelism::data_parallel(2).unwrap(), Parallelism::new(2, 1, 1).unwrap());
@@ -288,43 +300,68 @@ fn a_disk_reshard_restores_into_shard_file_mappings_or_the_arena_only() {
     let shard_files = shard_files(&dir, &disk);
     assert_eq!(shard_files.len(), 4, "{shard_files:?}");
 
-    let loaded = arch.clone();
-    let states = run_ranks(loading, MEGATRON, registry, move |rank, ckpt| {
-        let mut state = build_train_state(&loaded, MEGATRON, loading, rank, true);
-        let out = ckpt.load(&mut LoadRequest::new("file:///job/step_1", &mut state)).unwrap();
-        assert_states_eq(&state, &reference_state(&loaded, MEGATRON, loading, rank, 1), rank);
-        (state, out.report.stats.assembled_bytes as usize)
-    });
-    let mapped: Vec<_> = read_only_file_mappings()
-        .into_iter()
-        .filter(|(_, _, file)| shard_files.contains(file))
-        .collect();
-    for (rank, (state, assembled)) in states.iter().enumerate() {
-        let copied: Vec<(String, usize, usize)> = extents(state)
+    // One reshard, checked; returns each rank's arena base and what its
+    // `load/read` span says of the arena. The restored tensors, and with
+    // them the arenas, drop on return.
+    let wants: Arc<Vec<TrainState>> =
+        Arc::new((0..2).map(|rank| reference_state(&arch, MEGATRON, loading, rank, 1)).collect());
+    let reshard = || -> (Vec<usize>, Vec<(String, String)>) {
+        let (loaded, wants) = (arch.clone(), wants.clone());
+        let states = run_ranks(loading, MEGATRON, registry.clone(), move |rank, ckpt| {
+            let mut state = build_train_state(&loaded, MEGATRON, loading, rank, true);
+            let out = ckpt.load(&mut LoadRequest::new("file:///job/step_1", &mut state)).unwrap();
+            assert_states_eq(&state, &wants[rank], rank);
+            (state, out.report.stats.assembled_bytes as usize)
+        });
+        let mapped: Vec<_> = read_only_file_mappings()
             .into_iter()
-            .filter(|&(_, start, len)| {
-                !mapped.iter().any(|&(lo, hi, _)| lo <= start && start + len <= hi)
-            })
+            .filter(|(_, _, file)| shard_files.contains(file))
             .collect();
-        let outside: usize = copied.iter().map(|(_, _, len)| len).sum();
-        assert_eq!(
-            outside,
-            *assembled,
-            "rank {rank}: {outside} bytes in {} tensors lie outside the shard-file mappings, \
-             but the arena assembled {assembled}: the rest is anonymous heap",
-            copied.len()
-        );
-        assert!(*assembled >= HUGE_PAGE, "rank {rank}: the arena is mapped, {assembled} bytes");
-        let row_parallel =
-            |fqn: &str| fqn.ends_with("attn.out.weight") || fqn.ends_with("mlp.down.weight");
-        let strided = copied.iter().filter(|(fqn, _, _)| row_parallel(fqn)).count();
-        assert_eq!(
-            strided,
-            4 * 2 * arch.layers,
-            "rank {rank}: every row-parallel weight and its three optimizer states are copied"
-        );
-        assert_in_one_arena(rank, copied);
-    }
-    drop(states);
+        let mut bases = Vec::new();
+        for (rank, (state, assembled)) in states.iter().enumerate() {
+            let copied: Vec<(String, usize, usize)> = extents(state)
+                .into_iter()
+                .filter(|&(_, start, len)| {
+                    !mapped.iter().any(|&(lo, hi, _)| lo <= start && start + len <= hi)
+                })
+                .collect();
+            let outside: usize = copied.iter().map(|(_, _, len)| len).sum();
+            assert_eq!(
+                outside,
+                *assembled,
+                "rank {rank}: {outside} bytes in {} tensors lie outside the shard-file mappings, \
+                 but the arena assembled {assembled}: the rest is anonymous heap",
+                copied.len()
+            );
+            assert!(*assembled >= HUGE_PAGE, "rank {rank}: the arena is mapped, {assembled} bytes");
+            let row_parallel =
+                |fqn: &str| fqn.ends_with("attn.out.weight") || fqn.ends_with("mlp.down.weight");
+            let strided = copied.iter().filter(|(fqn, _, _)| row_parallel(fqn)).count();
+            assert_eq!(
+                strided,
+                4 * 2 * arch.layers,
+                "rank {rank}: every row-parallel weight and its three optimizer states are copied"
+            );
+            bases.push(copied.iter().map(|&(_, start, _)| start).min().unwrap());
+            assert_in_one_arena(rank, copied);
+        }
+        bases.sort_unstable();
+        let artifact = dir.join("job/step_1").join(TELEMETRY_LOAD_FILE);
+        let doc = StepTelemetry::from_jsonl(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+        let arenas = doc
+            .all_spans()
+            .into_iter()
+            .filter(|span| span.name == "load/read")
+            .map(|span| (span.attrs["arena_bytes"].clone(), span.attrs["arena"].clone()))
+            .collect();
+        (bases, arenas)
+    };
+    let (first, fresh) = reshard();
+    let (second, recycled) = reshard();
+    // Both ranks' arenas have one length, so which rank gets which mapping
+    // back is a race; the set of mappings is not.
+    assert_eq!(second, first, "the second reshard assembles into the first one's arenas");
+    let arena = |kind: &str| vec![(HUGE_PAGE.to_string(), kind.to_string()); 2];
+    assert_eq!((fresh, recycled), (arena("fresh"), arena("recycled")), "the load/read spans");
     let _ = std::fs::remove_dir_all(&dir);
 }
