@@ -16,7 +16,7 @@
 //!   NCCL's lazily-built P2P channels whose setup cost and device-memory
 //!   footprint blow up at 10k ranks.
 //! * [`Backend::Tree`] — gather/scatter/barrier run hierarchically over a
-//!   [`tree::TreeTopology`] built from the `ClusterLayout`: ranks on one
+//!   [`tree::TreeTopology`] built from ranks per host: ranks on one
 //!   host form first-level subtrees rooted at local rank 0, then hosts are
 //!   grouped iteratively until a single root remains (the coordinator).
 //!   Connections are only parent↔child, so the connection count stays

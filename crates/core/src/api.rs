@@ -30,7 +30,7 @@ use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
 use crate::scrub::scrub_step;
 use crate::workflow::{
-    load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveArgs, SaveTicket, WorkflowOptions,
+    load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveTicket, WorkflowOptions,
 };
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
@@ -222,8 +222,7 @@ impl CheckpointerBuilder {
         self
     }
 
-    /// Replace the whole workflow/engine option block (defaults = all
-    /// optimizations on).
+    /// Replace the whole workflow/engine option block.
     pub fn workflow(mut self, workflow: WorkflowOptions) -> CheckpointerBuilder {
         self.workflow = workflow;
         self
@@ -247,15 +246,6 @@ impl CheckpointerBuilder {
     /// Injected crash schedule (recovery tests only).
     pub fn fault_plan(mut self, faults: FaultPlan) -> CheckpointerBuilder {
         self.workflow.faults = faults;
-        self
-    }
-
-    /// Verified-fallback loading for [`Checkpointer::load_latest`]: scrub
-    /// the newest committed step before loading it, and when it fails CRC
-    /// or metadata cross-checks, quarantine it and fall back to the
-    /// previous committed step instead of erroring. Defaults to **on**.
-    pub fn verified_fallback(mut self, enabled: bool) -> CheckpointerBuilder {
-        self.workflow.verified_fallback = enabled;
         self
     }
 
@@ -380,12 +370,7 @@ impl Checkpointer {
     pub fn save(&self, req: &SaveRequest<'_>) -> Result<SaveTicket> {
         let uri = req.location.uri();
         let backend = self.instrumented(self.registry.resolve(uri)?);
-        save_checkpoint(
-            &self.ctx,
-            backend,
-            &uri.key,
-            SaveArgs { state: req.state, loader: req.loader, extra: req.extra, step: req.step },
-        )
+        save_checkpoint(&self.ctx, backend, &uri.key, req)
     }
 
     /// `bytecheckpoint.load`: fill the request's target states from the
@@ -423,8 +408,8 @@ impl Checkpointer {
     /// once its retries are spent, every rank returns an error promptly (the
     /// peers with `PeerFailed`).
     ///
-    /// With verified fallback on (the default), the coordinator scrubs the
-    /// candidate step *before* broadcasting it: a step whose CRCs or
+    /// The coordinator scrubs the candidate step *before* broadcasting it
+    /// (verified fallback): a step whose CRCs or
     /// metadata cross-checks fail is logged to the [`FailureLog`],
     /// quarantined under `<root>/quarantine/`, and the previous committed
     /// step is tried instead — so one silently corrupted checkpoint costs
@@ -461,8 +446,8 @@ impl Checkpointer {
     }
 
     /// The coordinator's half of [`Self::load_latest`]: GC torn steps, then
-    /// pick the newest committed step under `job_root` — with verified
-    /// fallback on, the newest that scrubs clean, quarantining the rest.
+    /// pick the newest committed step under `job_root` that scrubs clean,
+    /// quarantining the newer ones that do not.
     fn discover(
         &self,
         backend: &DynBackend,
@@ -474,9 +459,6 @@ impl Checkpointer {
         let chosen = loop {
             let latest = self.retried("load/discover", job_root, || mgr.latest())?;
             let Some(candidate) = latest else { break None };
-            if !self.ctx.options.verified_fallback {
-                break Some(candidate.step);
-            }
             // Under the load retry policy: a transient backend error
             // must neither fail the resume nor condemn a healthy step.
             let report = self.retried("load/verify", &candidate.prefix, || {

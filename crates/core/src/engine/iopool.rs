@@ -8,9 +8,9 @@
 //! load's fetches interleave on the same workers without per-call
 //! thread-spawn latency.
 //!
-//! Discipline: only leaf I/O closures run on the pool. Orchestration
-//! (async-save tails, finalize, the load-path communication receiver) stays
-//! on dedicated threads, and a job must never submit further jobs and wait
+//! Discipline: only leaf I/O closures run on the pool. Orchestration (a
+//! save's finalize thread, the load-path communication receiver) stays on
+//! dedicated threads, and a job must never submit further jobs and wait
 //! for them — with `io_threads = 1` that would deadlock. Span parenting
 //! across workers uses the usual `enter_context` pattern *inside* the job
 //! closure (each job captures the `SpanContext` of the phase that enqueued

@@ -1,10 +1,13 @@
 //! The saving pipeline (§4.2): D2H capture → serialize → dump to shared
 //! memory → (split-file) upload, with serialization done inside capture.
 //!
-//! In async mode only the capture blocks the caller ("checkpoint stall");
-//! dump and upload run on a background thread, like the paper's
-//! "symmetrical, fully asynchronous pipeline comprising D2H copy,
-//! serialization, and file uploading operations".
+//! [`execute_save`] runs the capture and returns; only the capture blocks
+//! the caller ("checkpoint stall"). Dump and upload are the returned
+//! [`SaveHandle`]'s to run: [`SaveHandle::wait`] runs them on the calling
+//! thread, which in the workflow is the save's one background thread
+//! (`bcp-finalize-{rank}`), so the whole is the paper's "symmetrical, fully
+//! asynchronous pipeline comprising D2H copy, serialization, and file
+//! uploading operations". A handle dropped unwaited uploads nothing.
 //!
 //! Single-copy, single-read data path: capture builds each shard file's
 //! whole image in one pooled (pinned) buffer — frame header, payload, CRC,
@@ -20,7 +23,7 @@
 //! files and split parts) run concurrently as leaf jobs on the persistent
 //! [`IoPool`].
 //!
-//! Split rule: a file goes up as `split_parts` parts plus a `concat` iff it
+//! Split rule: a file goes up as [`SPLIT_PARTS`] parts plus a `concat` iff it
 //! is larger than `split_threshold` *and* the backend's
 //! [`bcp_storage::StorageBackend::concat_is_metadata_op`] holds (HDFS).
 //! Everywhere else the merge would move every byte a second time — a copy
@@ -43,21 +46,20 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Number of sub-files a split upload carves a shard file into (§4.3).
+pub const SPLIT_PARTS: usize = 4;
+
 /// Engine tuning knobs for saving.
 #[derive(Debug, Clone)]
 pub struct SaveConfig {
     /// Upload threads per rank.
     pub io_threads: usize,
-    /// Split files larger than this into sub-files uploaded concurrently
-    /// and merged by metadata concat (§4.3 HDFS write path). Tunes that path
-    /// only: on a backend whose `concat` moves bytes
+    /// Split files larger than this into [`SPLIT_PARTS`] sub-files uploaded
+    /// concurrently and merged by metadata concat (§4.3 HDFS write path).
+    /// Tunes that path only: on a backend whose `concat` moves bytes
     /// (`concat_is_metadata_op() == false`: memory, disk) nothing is split
     /// whatever the value.
     pub split_threshold: u64,
-    /// Number of sub-files when splitting (same scope as `split_threshold`).
-    pub split_parts: usize,
-    /// Async (pipeline off the critical path) vs fully synchronous saving.
-    pub async_upload: bool,
     /// Retry policy for uploads.
     pub retries: RetryPolicy,
     /// Inert, pinned by perf/ until ROADMAP 1 (d): the engine never reads
@@ -71,8 +73,6 @@ impl Default for SaveConfig {
         SaveConfig {
             io_threads: 4,
             split_threshold: 8 * 1024 * 1024,
-            split_parts: 4,
-            async_upload: true,
             retries: RetryPolicy::default(),
             chunk_bytes: 0,
         }
@@ -82,9 +82,9 @@ impl Default for SaveConfig {
 /// Timing and volume results of one rank's save.
 #[derive(Debug, Clone)]
 pub struct SaveStats {
-    /// Training-blocking time (capture; everything in sync mode).
+    /// Training-blocking time (capture).
     pub blocking: Duration,
-    /// End-to-end time including the async tail.
+    /// End-to-end time including the upload.
     pub end_to_end: Duration,
     /// Bytes uploaded.
     pub bytes: u64,
@@ -99,11 +99,12 @@ pub struct SaveStats {
 /// What the upload tail resolves to: (bytes, files).
 type UploadTail = (u64, usize);
 
-/// Handle to a possibly-still-running asynchronous save.
+/// A captured save whose dump and upload have not run yet. Dropped without
+/// [`SaveHandle::wait`] (its save failed elsewhere first), it releases the
+/// sealed images and writes nothing into the abandoned step.
 pub struct SaveHandle {
     blocking: Duration,
-    join: Option<std::thread::JoinHandle<Result<UploadTail>>>,
-    sync_result: Option<UploadTail>,
+    upload: Box<dyn FnOnce() -> Result<UploadTail> + Send>,
     started: Instant,
 }
 
@@ -113,12 +114,10 @@ impl SaveHandle {
         self.blocking
     }
 
-    /// Wait for the pipeline to finish and collect stats.
-    pub fn wait(mut self) -> Result<SaveStats> {
-        let (bytes, files) = match self.join.take() {
-            Some(h) => h.join().map_err(|_| BcpError::Corrupt("save thread panicked".into()))??,
-            None => self.sync_result.take().expect("sync result present when no thread"),
-        };
+    /// Dump and upload the sealed images on the calling thread, the files
+    /// concurrently on the I/O pool, and collect stats.
+    pub fn wait(self) -> Result<SaveStats> {
+        let (bytes, files) = (self.upload)()?;
         Ok(SaveStats {
             blocking: self.blocking,
             end_to_end: self.started.elapsed(),
@@ -129,20 +128,10 @@ impl SaveHandle {
     }
 }
 
-/// A handle dropped unwaited (its save failed elsewhere first) still joins
-/// the pipeline, so no upload into the abandoned step outlives the save.
-impl Drop for SaveHandle {
-    fn drop(&mut self) {
-        if let Some(h) = self.join.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Execute a rank's save plan against `backend` under `prefix`.
 ///
-/// Returns once the blocking part is done; the returned handle resolves
-/// when uploads complete. The serialized files are bit-deterministic: frame
+/// Returns once the blocking part is done; the returned handle uploads
+/// when it is waited on. The serialized files are bit-deterministic: frame
 /// order follows the plan (capture is sequential; only uploads fan out, and
 /// each file/part is one atomic write), so payload offsets match
 /// [`SavePlan::byte_metas`] (checked before each payload is copied) for any
@@ -217,13 +206,13 @@ pub fn execute_save(
     }
     let blocking = capture_timer.elapsed();
 
-    // ---- Phases 2–3 (async-able): dump, upload. ----
+    // ---- Phases 2–3 (run by `wait`): dump, upload. ----
     let prefix = prefix.to_string();
     let sink = sink.clone();
-    let cfg2 = cfg.clone();
+    let cfg = cfg.clone();
     let faults = faults.clone();
     let io = io.clone();
-    let pipeline = move || -> Result<UploadTail> {
+    let upload = move || -> Result<UploadTail> {
         // The boundary between capture and upload: the images are sealed.
         faults.check("save/serialize")?;
         // Dump: freeze the sealed images into sharable `Bytes` (the
@@ -250,7 +239,7 @@ pub fn execute_save(
             let mut file_spans = Vec::with_capacity(nfiles);
             let mut jobs: Vec<Box<dyn FnOnce() -> Result<()> + Send + 'static>> = Vec::new();
             let mut concats: Vec<(String, Vec<String>, SpanContext)> = Vec::new();
-            let split = cfg2.split_parts > 1 && backend.concat_is_metadata_op();
+            let split = backend.concat_is_metadata_op();
             for (file, image) in staged {
                 let bytes = image.len() as u64;
                 total += bytes;
@@ -262,14 +251,14 @@ pub fn execute_save(
                     .path(path.clone())
                     .bytes(bytes);
                 let fctx = f.context();
-                if split && bytes > cfg2.split_threshold {
-                    f.set_attr("split_parts", cfg2.split_parts.to_string());
-                    let parts = split_image(&image, cfg2.split_parts, &path);
+                if split && bytes > cfg.split_threshold {
+                    f.set_attr("split_parts", SPLIT_PARTS.to_string());
+                    let parts = split_image(&image, &path);
                     concats.push((path, parts.iter().map(|(n, _)| n.clone()).collect(), fctx));
                     for (name, part) in parts {
                         let backend = backend.clone();
                         let log = log.clone();
-                        let retries = cfg2.retries;
+                        let retries = cfg.retries;
                         jobs.push(Box::new(move || {
                             let _e = enter_context(fctx);
                             with_retries(
@@ -285,7 +274,7 @@ pub fn execute_save(
                 } else {
                     let backend = backend.clone();
                     let log = log.clone();
-                    let retries = cfg2.retries;
+                    let retries = cfg.retries;
                     jobs.push(Box::new(move || {
                         let _e = enter_context(fctx);
                         with_retries(retries, &log, rank, "save/upload", Some(&path), || {
@@ -304,7 +293,7 @@ pub fn execute_save(
                 .map(|(path, part_names, fctx)| {
                     let backend = backend.clone();
                     let log = log.clone();
-                    let retries = cfg2.retries;
+                    let retries = cfg.retries;
                     Box::new(move || {
                         let _e = enter_context(fctx);
                         with_retries(retries, &log, rank, "save/concat", Some(&path), || {
@@ -319,31 +308,16 @@ pub fn execute_save(
         }
         Ok((total, nfiles))
     };
-
-    if cfg.async_upload {
-        let join = std::thread::Builder::new()
-            .name(format!("bcp-save-{rank}"))
-            .spawn(pipeline)
-            .map_err(|e| BcpError::Corrupt(format!("spawn failed: {e}")))?;
-        Ok(SaveHandle { blocking, join: Some(join), sync_result: None, started })
-    } else {
-        let result = pipeline()?;
-        Ok(SaveHandle {
-            blocking: started.elapsed(),
-            join: None,
-            sync_result: Some(result),
-            started,
-        })
-    }
+    Ok(SaveHandle { blocking, upload: Box::new(upload), started })
 }
 
-/// §4.3 split upload: carve the file image into `parts` byte windows at
-/// [`bcp_tensor::layout::even_split`] boundaries. Slicing `Bytes` shares the
-/// image's allocation — no bytes are copied.
-fn split_image(image: &Bytes, parts: usize, path: &str) -> Vec<(String, Bytes)> {
-    (0..parts)
+/// §4.3 split upload: carve the file image into [`SPLIT_PARTS`] byte windows
+/// at [`bcp_tensor::layout::even_split`] boundaries. Slicing `Bytes` shares
+/// the image's allocation — no bytes are copied.
+fn split_image(image: &Bytes, path: &str) -> Vec<(String, Bytes)> {
+    (0..SPLIT_PARTS)
         .map(|i| {
-            let (off, len) = bcp_tensor::layout::even_split(image.len(), parts, i);
+            let (off, len) = bcp_tensor::layout::even_split(image.len(), SPLIT_PARTS, i);
             (format!("{path}.part{i}"), image.slice(off..off + len))
         })
         .collect()
@@ -382,7 +356,7 @@ mod tests {
             &io,
             &sink,
             log,
-            &SaveConfig { async_upload: false, ..Default::default() },
+            &SaveConfig::default(),
             0,
             &FaultHook::inert(0),
             SpanContext::none(),
@@ -486,7 +460,7 @@ mod tests {
             &io,
             &sink,
             log,
-            &SaveConfig { async_upload: true, ..Default::default() },
+            &SaveConfig::default(),
             0,
             &FaultHook::inert(0),
             SpanContext::none(),
@@ -502,6 +476,28 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_dropped_unwaited_writes_nothing() {
+        let (plan, state, backend) = setup();
+        let handle = execute_save(
+            &plan,
+            &state,
+            backend.clone(),
+            "ckpt",
+            &PinnedPool::new(2),
+            &IoPool::new(2),
+            &MetricsSink::disabled(),
+            Arc::new(FailureLog::new()),
+            &SaveConfig::default(),
+            0,
+            &FaultHook::inert(0),
+            SpanContext::none(),
+        )
+        .unwrap();
+        drop(handle);
+        assert_eq!(backend.list("ckpt/").unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
     fn split_upload_round_trips_through_concat() {
         // Only a backend whose concat is a metadata operation is split for.
         let (plan, state, _) = setup();
@@ -511,12 +507,7 @@ mod tests {
         let io = IoPool::new(4);
         let sink = MetricsSink::disabled();
         let log = Arc::new(FailureLog::new());
-        let cfg = SaveConfig {
-            async_upload: false,
-            split_threshold: 1024, // force splitting
-            split_parts: 4,
-            ..Default::default()
-        };
+        let cfg = SaveConfig { split_threshold: 1024, ..Default::default() }; // force splitting
         execute_save(
             &plan,
             &state,
@@ -568,7 +559,7 @@ mod tests {
             &io,
             &sink,
             log.clone(),
-            &SaveConfig { async_upload: false, ..Default::default() },
+            &SaveConfig::default(),
             0,
             &FaultHook::inert(0),
             SpanContext::none(),

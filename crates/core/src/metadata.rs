@@ -46,8 +46,9 @@
 //! --json` prints the decoded struct for people.
 
 use crate::format::{dtype_code, dtype_from_code};
+use crate::plan::Sweep;
 use bcp_tensor::checksum::crc32;
-use bcp_tensor::layout::{contiguous_strides, intersect_boxes, Axes};
+use bcp_tensor::layout::{contiguous_strides, Axes};
 use bcp_tensor::DType;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -171,10 +172,6 @@ pub struct GlobalMetadata {
     /// Per-rank extra-state files (packed byte objects).
     pub extra_files: BTreeMap<usize, String>,
 }
-
-/// One overlap-query hit: the saved entry and the intersection box
-/// `(offsets, lengths)` in global coordinates.
-pub type OverlapHit<'a> = (&'a TensorShardEntry, (Axes, Axes));
 
 /// Current metadata format version.
 pub const METADATA_VERSION: u32 = 2;
@@ -592,37 +589,17 @@ impl GlobalMetadata {
         })
     }
 
-    /// All saved shards of `fqn` that overlap the query box, with the
-    /// intersection of each (Fig. 8 step 2: "identifying matching segments
-    /// between the saved tensor shards and the sharding specification of new
-    /// shards").
-    pub fn overlapping_shards<'a>(
-        &'a self,
-        fqn: &str,
-        offsets: &[usize],
-        lengths: &[usize],
-    ) -> Vec<OverlapHit<'a>> {
-        let Some(entries) = self.tensor_map.get(fqn) else {
-            return Vec::new();
-        };
-        entries
-            .iter()
-            .filter_map(|e| {
-                intersect_boxes(&e.shard.offsets, &e.shard.lengths, offsets, lengths)
-                    .map(|i| (e, i))
-            })
-            .collect()
-    }
-
     /// Total payload bytes across all tensor shards.
     pub fn total_tensor_bytes(&self) -> u64 {
         self.tensor_map.values().flatten().map(|e| e.byte.length).sum()
     }
 
     /// Sanity-check invariants: every entry's box fits its global shape,
-    /// byte length matches the element count, and offset + length fits a
-    /// `u64`. Returns the first violation.
+    /// byte length matches the element count, offset + length fits a `u64`,
+    /// and the boxes of one tensor share its global shape and are disjoint
+    /// or identical (replicas). Returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
+        let mut sweep = Sweep::default();
         for (fqn, entries) in &self.tensor_map {
             for e in entries {
                 if *e.shard.fqn != **fqn {
@@ -634,6 +611,9 @@ impl GlobalMetadata {
                     &e.shard.lengths,
                 ) {
                     return Err(format!("{fqn}: shard box out of bounds"));
+                }
+                if e.basic.global_shape != entries[0].basic.global_shape {
+                    return Err(format!("{fqn}: entries disagree on the global shape"));
                 }
                 // Checked: the lengths come from varints in an untrusted file.
                 let expect = e
@@ -654,6 +634,7 @@ impl GlobalMetadata {
                     return Err(format!("{fqn}: byte offset {} overflows", e.byte.offset));
                 }
             }
+            sweep.check_saved(entries, fqn)?;
         }
         Ok(())
     }
@@ -728,19 +709,6 @@ mod tests {
         let back = GlobalMetadata::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(back, m);
         assert!(back.validate().unwrap_err().contains("overflows"));
-    }
-
-    #[test]
-    fn overlap_query_finds_matching_segments() {
-        let m = sample_meta();
-        // Query the middle two rows: overlaps both shards, one row each.
-        let hits = m.overlapping_shards("w", &[1, 0], &[2, 4]);
-        assert_eq!(hits.len(), 2);
-        let (_, (off0, len0)) = &hits[0];
-        assert_eq!((off0.as_slice(), len0.as_slice()), ([1, 0].as_slice(), [1, 4].as_slice()));
-        // Query outside any shard: nothing. Unknown fqn: nothing.
-        assert!(m.overlapping_shards("w", &[4, 0], &[0, 4]).is_empty());
-        assert!(m.overlapping_shards("nope", &[0, 0], &[1, 1]).is_empty());
     }
 
     #[test]

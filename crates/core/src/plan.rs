@@ -234,16 +234,47 @@ fn push_dict_items(
 /// TensorShardToBasicByteMap and emit one [`ReadItem`] per overlapping saved
 /// segment (Fig. 8 step 2). Fails if any target element is uncovered.
 pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -> Result<LoadPlan> {
-    let mut items = Vec::new();
-    plan_dict_reads(&mut items, &state.model, Category::Model, meta)?;
-    plan_dict_reads(&mut items, &state.optimizer, Category::Optimizer, meta)?;
+    let (mut items, mut sweep) = (Vec::new(), Sweep::default());
+    plan_dict_reads(&mut items, &mut sweep, &state.model, Category::Model, meta)?;
+    plan_dict_reads(&mut items, &mut sweep, &state.optimizer, Category::Optimizer, meta)?;
     Ok(LoadPlan { rank, items })
 }
 
-/// One destination box's intersection with a saved entry: its offsets and
-/// lengths, the entry's index, and whether it is kept (not a replica of an
-/// earlier one).
+/// One box of a tensor: its offsets and lengths, the index of the saved
+/// entry it comes from, and whether it is kept (not a replica of an earlier
+/// one).
 type Piece = (Axes, Axes, usize, bool);
+
+/// The scratch of [`keep_disjoint`], reused across tensors: the boxes of one
+/// tensor (or of one destination box) and the sweep's open set.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    pieces: Vec<Piece>,
+    active: Vec<usize>,
+}
+
+impl Sweep {
+    /// Refuse a tensor whose saved boxes overlap without being identical;
+    /// replicas (identical boxes) pass. [`GlobalMetadata::validate`]'s check.
+    pub(crate) fn check_saved(
+        &mut self,
+        saved: &[TensorShardEntry],
+        fqn: &str,
+    ) -> std::result::Result<(), String> {
+        // Most tensors are one saved box: nothing to sweep.
+        if saved.len() < 2 {
+            return Ok(());
+        }
+        self.pieces.clear();
+        self.pieces.extend(
+            saved
+                .iter()
+                .enumerate()
+                .map(|(at, e)| (e.shard.offsets.clone(), e.shard.lengths.clone(), at, true)),
+        );
+        keep_disjoint(&mut self.pieces, &mut self.active, saved, fqn)
+    }
+}
 
 /// Items are built in place from the saved entries: names are the
 /// metadata's shared ones and boxes are inline, so planning allocates one
@@ -256,11 +287,12 @@ type Piece = (Axes, Axes, usize, bool);
 /// byte of a region exactly once, and nothing zeroes it first.
 fn plan_dict_reads(
     items: &mut Vec<ReadItem>,
+    sweep: &mut Sweep,
     dict: &StateDict,
     category: Category,
     meta: &GlobalMetadata,
 ) -> Result<()> {
-    let (mut pieces, mut active) = (Vec::<Piece>::new(), Vec::new());
+    let Sweep { pieces, active } = sweep;
     for entry in dict.entries.values() {
         let saved = meta.tensor_map.get(&entry.fqn).map_or(&[][..], Vec::as_slice);
         // The name the saved entries share, unless a hand-built map files
@@ -282,7 +314,7 @@ fn plan_dict_reads(
                     pieces.push((io, il, at, true));
                 }
             }
-            keep_disjoint(&mut pieces, &mut active, saved, &entry.fqn)?;
+            keep_disjoint(pieces, active, saved, &entry.fqn).map_err(BcpError::Corrupt)?;
             let (mut covered, mut mismatch) = (0usize, None);
             for (io, il, at, _) in pieces.drain(..) {
                 let e = &saved[at];
@@ -324,20 +356,19 @@ fn plan_dict_reads(
     Ok(())
 }
 
-/// Leave `pieces`, one destination box's intersections in saved-entry
-/// order, disjoint and in that order: drop each replica of an earlier
-/// piece (a checkpoint saved without deduplication holds DP replicas
-/// verbatim under several files, and reading any one suffices) and refuse
-/// two that overlap without being identical, which would make a summed
-/// element count pay for a hole. A sort on the first axis and a sweep
-/// compare each piece only with those still open on that axis; `active`
-/// is the sweep's scratch.
+/// Leave `pieces`, boxes of one tensor in saved-entry order, disjoint and
+/// in that order: drop each replica of an earlier piece (a checkpoint saved
+/// without deduplication holds DP replicas verbatim under several files,
+/// and reading any one suffices) and refuse two that overlap without being
+/// identical, which would make a summed element count pay for a hole. A
+/// sort on the first axis and a sweep compare each piece only with those
+/// still open on that axis; `active` is the sweep's scratch.
 fn keep_disjoint(
     pieces: &mut Vec<Piece>,
     active: &mut Vec<usize>,
     saved: &[TensorShardEntry],
     fqn: &str,
-) -> Result<()> {
+) -> std::result::Result<(), String> {
     // A scalar has no axis: its pieces all open at 0 and span 1.
     let start = |p: &Piece| p.0.first().copied().unwrap_or(0);
     let end = |p: &Piece| start(p) + p.1.first().copied().unwrap_or(1);
@@ -355,10 +386,10 @@ fn keep_disjoint(
             let meet = (0..a.0.len()).all(|d| a.0[d] < b.0[d] + b.1[d] && b.0[d] < a.0[d] + a.1[d]);
             if meet {
                 let (x, y) = (&saved[a.2].shard, &saved[b.2].shard);
-                return Err(BcpError::Corrupt(format!(
+                return Err(format!(
                     "{fqn}: saved shards {:?}/{:?} and {:?}/{:?} overlap without being identical",
                     x.offsets, x.lengths, y.offsets, y.lengths
-                )));
+                ));
             }
         }
         if pieces[i].3 {
@@ -491,10 +522,10 @@ mod tests {
                 length: 4 * len as u64,
             },
         };
+        // Planned without `validate`, which refuses the same metadata.
         let plan_of = |entries: Vec<TensorShardEntry>| {
             let mut meta = GlobalMetadata::new("ddp", 0, "DP=1", 1);
             meta.tensor_map.insert("w".into(), entries);
-            meta.validate().unwrap();
             let mut state = TrainState::default();
             state.model.insert(bcp_model::StateEntry {
                 fqn: "w".into(),

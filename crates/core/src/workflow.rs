@@ -1,16 +1,21 @@
 //! The generic save/load (resharding) workflow (§3.3, Fig. 8).
 //!
 //! Save: local plans → gather at the coordinator → balanced dedup → global
-//! metadata construction → scatter final plans → engine pipeline (capture
-//! sealing each frame with its CRC as it copies, upload) → integrity barrier → coordinator commits (metadata +
-//! `COMPLETE` marker). The plan cache (§4.1) turns everything before the
-//! engine into a one-time cost, so a warm save's collectives are the cache
-//! agreement and the two barriers (telemetry adds its gather when on).
+//! metadata construction → scatter final plans → engine capture (sealing
+//! each frame with its CRC as it copies) → return to the caller. One
+//! background thread per save (`bcp-finalize-{rank}`) then puts the
+//! dataloader and extra-state writes onto the I/O pool, runs the shard
+//! upload, and passes the integrity barrier; the coordinator commits
+//! (metadata + `COMPLETE` marker). The plan cache (§4.1) turns everything
+//! before the engine into a one-time cost, so a warm save's collectives are
+//! the cache agreement and the two barriers (telemetry adds its gather when
+//! on).
 //!
 //! Load: read global metadata → local load plans (box matching against the
 //! TensorShardToBasicByteMap) → gather → redundant-read elimination →
 //! scatter → engine pipeline (reads + all-to-all forwarding) → barrier.
 
+use crate::api::SaveRequest;
 use crate::engine::iopool::IoPool;
 use crate::engine::load::{execute_load, LoadConfig, LoadStats};
 use crate::engine::pool::PinnedPool;
@@ -30,12 +35,13 @@ use bcp_collectives::Communicator;
 use bcp_dataloader::{LoaderReplicatedState, LoaderShardState};
 use bcp_model::{ExtraState, Framework, TrainState};
 use bcp_monitor::{
-    enter_context, MetricsHub, MetricsSink, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
+    enter_context, MetricsHub, MetricsSink, SpanGuard, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
 use bcp_storage::DynBackend;
 use bytes::Bytes;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,40 +83,18 @@ impl JobContext {
     }
 }
 
-/// Workflow-level options.
-#[derive(Clone)]
+/// Workflow-level options. The plan cache, balanced save dedup,
+/// redundant-read elimination and verified resume (§4.1, Appendix B) are
+/// the design, not options.
+#[derive(Clone, Default)]
 pub struct WorkflowOptions {
-    /// Save dedup strategy (§4.1). `WorstFit` is ByteCheckpoint.
-    pub dedup: DedupStrategy,
     /// Engine save configuration.
     pub save: SaveConfig,
     /// Engine load configuration.
     pub load: LoadConfig,
-    /// Use the plan & metadata cache (§4.1).
-    pub plan_cache: bool,
-    /// Eliminate redundant reads across DP replicas on load (§4.1).
-    pub dedup_reads: bool,
     /// Injected crash schedule (empty in production; recovery tests kill
     /// ranks at named pipeline stages through it).
     pub faults: FaultPlan,
-    /// Verified-fallback loading: `load_latest` scrubs the newest committed
-    /// step first and falls back past corrupt ones (quarantining them)
-    /// instead of erroring.
-    pub verified_fallback: bool,
-}
-
-impl Default for WorkflowOptions {
-    fn default() -> WorkflowOptions {
-        WorkflowOptions {
-            dedup: DedupStrategy::WorstFit,
-            save: SaveConfig::default(),
-            load: LoadConfig::default(),
-            plan_cache: true,
-            dedup_reads: true,
-            faults: FaultPlan::new(),
-            verified_fallback: true,
-        }
-    }
 }
 
 /// What each rank contributes to the gathered save-planning round.
@@ -126,47 +110,30 @@ struct LocalSaveMsg {
 pub struct SaveTicket {
     /// Training-blocking duration (capture + planning when uncached).
     pub blocking: Duration,
-    finalize: Option<std::thread::JoinHandle<Result<SaveStats>>>,
-    sync_stats: Option<SaveStats>,
+    finalize: std::thread::JoinHandle<Result<SaveStats>>,
 }
 
 impl SaveTicket {
     /// Wait for the asynchronous tail (upload + barrier + commit).
     pub fn wait(self) -> Result<SaveStats> {
-        match self.finalize {
-            Some(h) => {
-                h.join().map_err(|_| BcpError::Corrupt("finalize thread panicked".into()))?
-            }
-            None => Ok(self.sync_stats.expect("sync stats")),
-        }
+        self.finalize.join().map_err(|_| BcpError::Corrupt("finalize thread panicked".into()))?
     }
 }
 
-/// Inputs to one checkpoint save.
-pub struct SaveArgs<'a> {
-    /// Training state (model + optimizer dicts).
-    pub state: &'a TrainState,
-    /// Dataloader states, when the caller owns a dataloader shard.
-    pub loader: Option<(&'a LoaderReplicatedState, &'a LoaderShardState)>,
-    /// Extra (CPU) state for this rank.
-    pub extra: Option<&'a ExtraState>,
-    /// Global step being checkpointed.
-    pub step: u64,
-}
-
-/// Execute the full save workflow on this rank.
+/// Execute the full save workflow on this rank: `req` under `prefix` of
+/// `backend` (the request's location, resolved).
 pub fn save_checkpoint(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
-    args: SaveArgs<'_>,
+    req: &SaveRequest<'_>,
 ) -> Result<SaveTicket> {
     let JobContext { options, cache, pool, io, sink, .. } = ctx;
     let (log, telemetry) = (ctx.failures.clone(), ctx.telemetry.clone());
     let rank = ctx.rank();
-    let step = args.step;
+    let step = req.step;
     let planner = planner_for(ctx.framework);
-    planner.validate(args.state, ctx.parallelism, rank)?;
+    planner.validate(req.state, ctx.parallelism, rank)?;
     // A crashing rank declares itself dead to its peers so their collectives
     // abort with `PeerFailed` instead of waiting out the timeout.
     let faults = {
@@ -190,25 +157,25 @@ pub fn save_checkpoint(
     // the state's structure plus the shape of the request.
     let sig = {
         let mut h = DefaultHasher::new();
-        PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, args.state)
+        PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, req.state)
             .hash(&mut h);
-        args.extra.is_some().hash(&mut h);
-        args.loader.map(|(_, shard)| (shard.readers.len(), shard.dp_rank)).hash(&mut h);
+        req.extra.is_some().hash(&mut h);
+        req.loader.map(|(_, shard)| (shard.readers.len(), shard.dp_rank)).hash(&mut h);
         h.finish()
     };
-    let cached: Option<Arc<CachedSave>> = if options.plan_cache { cache.get(sig) } else { None };
+    let cached = cache.get(sig);
     // All ranks must agree on the cache path or the collectives deadlock.
     let all_hit = ctx.comm.all_gather(cached.is_some() as u8)?.into_iter().all(|h| h == 1);
 
-    let planned: Arc<CachedSave> = if all_hit {
+    let planned = if all_hit {
         cached.expect("all_hit implies local hit")
     } else {
         let _t = root.child("save/plan");
         let msg = LocalSaveMsg {
-            plan: planner.local_save_plan(rank, args.state)?,
-            loader_files: loader_file_entries(args.loader),
-            has_replicated_loader: rank == ctx.coordinator() && args.loader.is_some(),
-            extra_file: args.extra.map(|_| format!("extra_{rank}.bin")),
+            plan: planner.local_save_plan(rank, req.state)?,
+            loader_files: loader_file_entries(req.loader),
+            has_replicated_loader: rank == ctx.coordinator() && req.loader.is_some(),
+            extra_file: req.extra.map(|_| format!("extra_{rank}.bin")),
         };
         let gathered = ctx.comm.gather(ctx.coordinator(), msg)?;
         let (plan, metadata) = if let Some(msgs) = gathered {
@@ -232,26 +199,24 @@ pub fn save_checkpoint(
                 }
                 plans.push(m.plan);
             }
-            dedup_save_plans(&mut plans, options.dedup);
+            dedup_save_plans(&mut plans, DedupStrategy::WorstFit);
             meta.tensor_map = build_tensor_map(&plans);
             let plan = ctx.comm.scatter(ctx.coordinator(), Some(plans))?;
+            // Seal only what a load would accept. A refusal here fails the
+            // peers' barrier now rather than at their timeout.
+            meta.validate().map_err(BcpError::Plan).inspect_err(|_| ctx.comm.mark_self_failed())?;
             (plan, Some(Bytes::from(meta.to_bytes())))
         } else {
             (ctx.comm.scatter(ctx.coordinator(), None)?, None)
         };
         debug_assert_eq!(plan.rank, rank, "scatter must deliver this rank's plan");
-        let fresh = CachedSave { plan, metadata };
-        if options.plan_cache {
-            cache.insert(sig, fresh)
-        } else {
-            Arc::new(fresh)
-        }
+        cache.insert(sig, CachedSave { plan, metadata })
     };
 
     // ---- Engine pipeline (blocking part = capture). ----
     let handle = execute_save(
         &planned.plan,
-        args.state,
+        req.state,
         backend.clone(),
         prefix,
         pool,
@@ -265,9 +230,10 @@ pub fn save_checkpoint(
     )?;
     let blocking = blocking_start.elapsed();
 
-    // ---- Small-state uploads + integrity + commit, off the critical path. ----
-    let loader_payloads = build_loader_payloads(ctx, args.loader);
-    let extra_payload = args.extra.map(|e| (format!("extra_{rank}.bin"), Bytes::from(e.pack())));
+    // ---- Small-state uploads, shard upload, integrity + commit: the one
+    // background thread. ----
+    let loader_payloads = build_loader_payloads(ctx, req.loader);
+    let extra_payload = req.extra.map(|e| (format!("extra_{rank}.bin"), Bytes::from(e.pack())));
     let comm = ctx.comm.clone();
     let coordinator = ctx.coordinator();
     let prefix2 = prefix.to_string();
@@ -276,43 +242,45 @@ pub fn save_checkpoint(
     let comm_abort = ctx.comm.clone();
     let finalize_inner = move || -> Result<SaveStats> {
         let mut root = root;
-        // Upload dataloader shard files concurrently ("we implemented a
-        // process pool for concurrent uploads", §6.4) and the extra state.
-        faults.check("save/loader")?;
-        {
-            let mut t = root.child("save/loader");
-            let tctx = t.context();
-            let jobs: Vec<Box<dyn FnOnce() -> Result<()> + Send + 'static>> = loader_payloads
-                .iter()
-                .map(|(file, data)| {
-                    let backend = backend.clone();
-                    let log = log.clone();
-                    let path = format!("{prefix2}/{file}");
-                    let data = data.clone();
-                    Box::new(move || {
-                        // Parent the worker's storage spans under the phase.
-                        let _e = enter_context(tctx);
-                        with_retries(retries, &log, rank, "save/loader", Some(&path), || {
-                            backend.write(&path, data.clone())
-                        })
-                    }) as Box<dyn FnOnce() -> Result<()> + Send + 'static>
-                })
-                .collect();
-            for res in io2.run_batch(jobs) {
-                res?;
+        // The dataloader shard files ("we implemented a process pool for
+        // concurrent uploads", §6.4) and the extra state go onto the I/O
+        // pool ahead of the shard upload `handle.wait()` runs, so they
+        // overlap it. A phase span ends with the last write it covers.
+        let (done, small) = channel();
+        let write_on_pool = |phase: SpanGuard, stage: &'static str, files: Vec<(String, Bytes)>| {
+            let phase = Arc::new(phase);
+            for (file, data) in files {
+                let (backend, log, phase) = (backend.clone(), log.clone(), phase.clone());
+                let path = format!("{prefix2}/{file}");
+                io2.submit(done.clone(), 0, move || {
+                    // Parent the worker's storage spans under the phase.
+                    let _e = enter_context(phase.context());
+                    with_retries(retries, &log, rank, stage, Some(&path), || {
+                        backend.write(&path, data.clone())
+                    })
+                });
             }
-            t.add_bytes(loader_payloads.iter().map(|(_, d)| d.len() as u64).sum());
-        }
+        };
+        faults.check("save/loader")?;
+        let loader_bytes = loader_payloads.iter().map(|(_, d)| d.len() as u64).sum();
+        write_on_pool(
+            root.child("save/loader").bytes(loader_bytes),
+            "save/loader",
+            loader_payloads,
+        );
         faults.check("save/extra")?;
-        if let Some((file, data)) = &extra_payload {
-            let path = format!("{prefix2}/{file}");
-            let t = root.child("save/extra").bytes(data.len() as u64).path(path.clone());
-            let _in_extra = t.enter();
-            with_retries(retries, &log, rank, "save/extra", Some(&path), || {
-                backend.write(&path, data.clone())
-            })?;
+        if let Some((file, data)) = extra_payload {
+            let phase = root.child("save/extra").bytes(data.len() as u64);
+            let phase = phase.path(format!("{prefix2}/{file}"));
+            write_on_pool(phase, "save/extra", vec![(file, data)]);
         }
-        let stats = handle.wait()?;
+        drop(done);
+        let uploaded = handle.wait();
+        // The channel closes once every small write has finished: none
+        // outlives the save, whichever write failed.
+        let written: Vec<Result<()>> = small.iter().map(|(_, r)| r).collect();
+        written.into_iter().collect::<Result<()>>()?;
+        let stats = uploaded?;
         // Integrity barrier (tree-based when the backend is Tree), then the
         // coordinator alone commits.
         faults.check("save/barrier")?;
@@ -385,20 +353,11 @@ pub fn save_checkpoint(
         result
     };
 
-    if options.save.async_upload {
-        let join = std::thread::Builder::new()
-            .name(format!("bcp-finalize-{rank}"))
-            .spawn(finalize)
-            .map_err(|e| BcpError::Corrupt(format!("spawn failed: {e}")))?;
-        Ok(SaveTicket { blocking, finalize: Some(join), sync_stats: None })
-    } else {
-        let stats = finalize()?;
-        Ok(SaveTicket {
-            blocking: blocking_start.elapsed(),
-            finalize: None,
-            sync_stats: Some(stats),
-        })
-    }
+    let finalize = std::thread::Builder::new()
+        .name(format!("bcp-finalize-{rank}"))
+        .spawn(finalize)
+        .map_err(|e| BcpError::Corrupt(format!("spawn failed: {e}")))?;
+    Ok(SaveTicket { blocking, finalize })
 }
 
 fn loader_file_entries(
@@ -512,28 +471,18 @@ pub fn load_checkpoint(
         let assigned: AssignedLoadPlan = {
             let _t = root.child("load/plan");
             let local: LoadPlan = local_load_plan(rank, state, &metadata)?;
-            if options.dedup_reads {
-                let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
-                let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
-                ctx.comm.scatter(ctx.coordinator(), assigned)?
-            } else {
-                AssignedLoadPlan {
-                    rank,
-                    send_to: vec![Vec::new(); local.items.len()],
-                    reads: local.items,
-                    recvs: Vec::new(),
-                }
-            }
+            let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
+            let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
+            ctx.comm.scatter(ctx.coordinator(), assigned)?
         };
 
         // Step 5: engine pipeline.
-        let comm_opt = if options.dedup_reads { Some(&ctx.comm) } else { None };
         let stats = execute_load(
             &assigned,
             state,
             backend.clone(),
             prefix,
-            comm_opt,
+            Some(&ctx.comm),
             io,
             sink,
             log.clone(),

@@ -1,6 +1,6 @@
 //! Save-output determinism: the execution engine must produce *bit-identical*
 //! checkpoint files no matter how its I/O pool interleaves uploads — for any
-//! `io_threads`, and for asynchronous vs synchronous save — because every
+//! `io_threads` — because every
 //! worker writes through offsets fixed by `SavePlan::byte_metas()`, never by
 //! arrival order. Restored state must likewise be identical across load
 //! configurations (any thread count).
@@ -140,19 +140,17 @@ fn assert_file_maps_identical(
 }
 
 #[test]
-fn saved_bytes_are_identical_for_any_io_threads_and_sync_mode() {
+fn saved_bytes_are_identical_for_any_io_threads() {
     let (registry, mem) = memory_registry();
     let mut variants = Vec::new();
     for io_threads in [1usize, 4, 16] {
-        for async_upload in [false, true] {
-            let options = WorkflowOptions {
-                save: SaveConfig { io_threads, async_upload, ..Default::default() },
-                ..Default::default()
-            };
-            let tag = format!("t{io_threads}_{}", if async_upload { "async" } else { "sync" });
-            let files = save_with(registry.clone(), mem.clone(), options, &tag);
-            variants.push((tag, files));
-        }
+        let options = WorkflowOptions {
+            save: SaveConfig { io_threads, ..Default::default() },
+            ..Default::default()
+        };
+        let tag = format!("t{io_threads}");
+        let files = save_with(registry.clone(), mem.clone(), options, &tag);
+        variants.push((tag, files));
     }
     let (ref_tag, reference) = &variants[0];
     for (tag, files) in &variants[1..] {

@@ -5,9 +5,7 @@
 
 use bcp_collectives::{Backend, CommWorld};
 use bcp_core::api::{Checkpointer, LoadRequest, SaveRequest};
-use bcp_core::planner::balance::DedupStrategy;
 use bcp_core::registry::BackendRegistry;
-use bcp_core::workflow::WorkflowOptions;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
@@ -311,41 +309,6 @@ fn extra_state_round_trips() {
     });
     for (rank, (want, got)) in extras.iter().zip(&loaded).enumerate() {
         assert_eq!(want, got, "rank {rank} extra state");
-    }
-}
-
-#[test]
-fn first_replica_baseline_also_round_trips() {
-    // The baseline dedup strategy must stay *correct* (it is only slower).
-    let (registry, _mem) = memory_registry();
-    let par = Parallelism::data_parallel(3).unwrap();
-    let comm_world = CommWorld::new(3, Backend::Flat);
-    let mut handles = Vec::new();
-    for rank in 0..3 {
-        let comm_world = comm_world.clone();
-        let registry = registry.clone();
-        handles.push(std::thread::spawn(move || {
-            let comm = comm_world.communicator(rank).unwrap();
-            let ckpt = Checkpointer::builder(comm)
-                .framework(Framework::Ddp)
-                .parallelism(par)
-                .registry(registry)
-                .workflow(WorkflowOptions {
-                    dedup: DedupStrategy::FirstReplica,
-                    ..Default::default()
-                })
-                .build()
-                .unwrap();
-            let state = reference_state(&zoo::tiny_gpt(), Framework::Ddp, par, rank, 2);
-            ckpt.save(&SaveRequest::new("mem://t/baseline", &state, 2)).unwrap().wait().unwrap();
-            let mut fresh = build_train_state(&zoo::tiny_gpt(), Framework::Ddp, par, rank, true);
-            ckpt.load(&mut LoadRequest::new("mem://t/baseline", &mut fresh)).unwrap();
-            let want = reference_state(&zoo::tiny_gpt(), Framework::Ddp, par, rank, 2);
-            assert_states_bitwise_eq(&fresh, &want, rank);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
     }
 }
 

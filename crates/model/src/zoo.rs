@@ -167,11 +167,6 @@ pub fn tiny_moe() -> TransformerConfig {
     TransformerConfig { name: "tiny-MoE".into(), num_experts: 8, ..tiny_gpt() }
 }
 
-/// A production-shaped MoE text model (16 experts) for simulator workloads.
-pub fn tgpt_moe_16e() -> TransformerConfig {
-    TransformerConfig { name: "tGPT-MoE-16E".into(), num_experts: 16, ..tgpt_13b() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,6 @@ pub struct GroupProfile {
     pub model_items: u64,
     /// Plan items for the optimizer dict.
     pub optim_items: u64,
-    /// Logical tensors held (pre-decomposition).
-    pub tensors: u64,
     /// Decomposed pieces in excess of one per tensor — the irregular-shard
     /// metadata overhead the paper accepts in exchange for zero
     /// communication.
@@ -82,7 +80,6 @@ impl WorkloadProfile {
                     }
                     *per_fqn.entry(&*item.shard.fqn).or_default() += 1;
                 }
-                g.tensors = per_fqn.len() as u64;
                 g.extra_pieces = per_fqn.values().map(|&c| c.saturating_sub(1)).sum::<u64>();
                 groups.push(g);
             }
@@ -188,18 +185,6 @@ impl WorkloadProfile {
         per_group_model * (self.par.dp as f64 - 1.0) / self.par.dp as f64
     }
 
-    /// Total decomposed irregular pieces across all ranks (metadata
-    /// overhead; also the per-save decomposition CPU work).
-    pub fn total_extra_pieces(&self) -> u64 {
-        self.groups.iter().map(|g| g.extra_pieces).sum::<u64>() * self.par.dp as u64
-    }
-
-    /// Number of logical tensors per rank (drives the per-tensor all-gather
-    /// latency of the DCP irregular path).
-    pub fn tensors_per_rank(&self) -> u64 {
-        self.groups.iter().map(|g| g.tensors).max().unwrap_or(0)
-    }
-
     /// Optimizer-state bytes one rank holds — the irregular (flat-sharded)
     /// portion that DCP's all-gather pass must regularize.
     pub fn optim_bytes_per_rank(&self) -> u64 {
@@ -269,7 +254,10 @@ mod tests {
         let arch = zoo::vdit_4b();
         let par = Parallelism::data_parallel(32).unwrap();
         let p = WorkloadProfile::compute(&arch, Framework::Fsdp { zero3: false }, par);
-        assert!(p.total_extra_pieces() > 0, "ZeRO-2 must produce decomposed pieces");
+        assert!(
+            p.groups.iter().any(|g| g.extra_pieces > 0),
+            "ZeRO-2 must produce decomposed pieces"
+        );
         // ZeRO-2: model replicated -> every rank holds the full 4B * 2 B.
         let per = p.per_rank_state_bytes();
         assert!(per[0] as f64 > 8e9, "per-rank {} bytes", per[0]);

@@ -18,9 +18,9 @@
 //! * **Ranged multi-threaded reads.** Reads are served from the object
 //!   store without NameNode involvement beyond an open, mirroring the SDK's
 //!   random-read capability the paper exploits for 2-3 GB/s downloads.
-//! * **SSD→HDD cool-down.** [`HdfsBackend::cool_down`] migrates objects not
-//!   touched within a retention window to the cold tier via pure metadata
-//!   remapping; original paths keep working (§5.1).
+//!
+//! Not modeled: §5.1's SSD→HDD cool-down. Nothing in the checkpointing path
+//! reads a storage class, so the simulation keeps one tier.
 //!
 //! Data sits in in-process memory — the *behavioural* contract (who pays
 //! which metadata ops, what must be concatenated, what can be read in
@@ -48,9 +48,6 @@ pub struct HdfsConfig {
     pub parallel_concat: bool,
     /// Whether the NNProxy metadata cache is enabled.
     pub nnproxy_cache: bool,
-    /// Cool-down retention: objects idle longer than this are eligible for
-    /// SSD→HDD migration.
-    pub cooldown_retention: Duration,
 }
 
 impl Default for HdfsConfig {
@@ -62,7 +59,6 @@ impl Default for HdfsConfig {
             meta_qps_limit: None,
             parallel_concat: true,
             nnproxy_cache: true,
-            cooldown_retention: Duration::from_secs(3600),
         }
     }
 }
@@ -90,21 +86,6 @@ impl NameNodeStats {
             self.throttle_wait_us.load(Ordering::Relaxed),
         )
     }
-}
-
-/// Storage tier an object currently lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Hot SSD tier (fresh checkpoints; evaluation tasks read from here).
-    Ssd,
-    /// Cold HDD tier (older checkpoints kept for traceability).
-    Hdd,
-}
-
-struct Object {
-    data: Bytes,
-    tier: Tier,
-    last_access: Instant,
 }
 
 struct NameNode {
@@ -160,7 +141,7 @@ impl NameNode {
 pub struct HdfsBackend {
     cfg: HdfsConfig,
     namenode: NameNode,
-    objects: RwLock<BTreeMap<String, Object>>,
+    objects: RwLock<BTreeMap<String, Bytes>>,
     /// NNProxy metadata cache: path -> size (None = known-absent).
     proxy_cache: Mutex<BTreeMap<String, Option<u64>>>,
 }
@@ -186,41 +167,6 @@ impl HdfsBackend {
         &self.namenode.stats
     }
 
-    /// Tier an object currently resides on.
-    pub fn tier_of(&self, path: &str) -> Result<Tier> {
-        read(&self.objects)
-            .get(path)
-            .map(|o| o.tier)
-            .ok_or_else(|| StorageError::NotFound(path.to_string()))
-    }
-
-    /// Run one cool-down pass: migrate every SSD object whose last access
-    /// is older than the retention threshold to HDD. Paths are preserved
-    /// ("remap ... through pure metadata operations"), so readers notice
-    /// nothing. Returns the number of objects migrated.
-    pub fn cool_down(&self) -> usize {
-        self.namenode.meta_op(&self.cfg);
-        let now = Instant::now();
-        let mut migrated = 0;
-        for obj in write(&self.objects).values_mut() {
-            if obj.tier == Tier::Ssd
-                && now.duration_since(obj.last_access) >= self.cfg.cooldown_retention
-            {
-                obj.tier = Tier::Hdd;
-                migrated += 1;
-            }
-        }
-        migrated
-    }
-
-    /// Force an object's last-access far into the past (tests).
-    pub fn age_object(&self, path: &str, by: Duration) -> Result<()> {
-        let mut objects = write(&self.objects);
-        let obj = objects.get_mut(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        obj.last_access = obj.last_access.checked_sub(by).unwrap_or(obj.last_access);
-        Ok(())
-    }
-
     fn invalidate_proxy(&self, path: &str) {
         if self.cfg.nnproxy_cache {
             lock(&self.proxy_cache).remove(path);
@@ -231,7 +177,7 @@ impl HdfsBackend {
     fn proxied_size(&self, path: &str) -> Option<u64> {
         if !self.cfg.nnproxy_cache {
             self.namenode.meta_op(&self.cfg);
-            return read(&self.objects).get(path).map(|o| o.data.len() as u64);
+            return read(&self.objects).get(path).map(|o| o.len() as u64);
         }
         {
             let cache = lock(&self.proxy_cache);
@@ -241,7 +187,7 @@ impl HdfsBackend {
             }
         }
         self.namenode.meta_op(&self.cfg);
-        let result = read(&self.objects).get(path).map(|o| o.data.len() as u64);
+        let result = read(&self.objects).get(path).map(|o| o.len() as u64);
         lock(&self.proxy_cache).insert(path.to_string(), result);
         result
     }
@@ -271,10 +217,7 @@ impl StorageBackend for HdfsBackend {
         // Create = one metadata op (the paper's §6.4 lesson: avoid the SDK's
         // redundant parent-dir checks; we charge exactly one op).
         self.namenode.meta_op(&self.cfg);
-        write(&self.objects).insert(
-            path.to_string(),
-            Object { data, tier: Tier::Ssd, last_access: Instant::now() },
-        );
+        write(&self.objects).insert(path.to_string(), data);
         self.invalidate_proxy(path);
         Ok(())
     }
@@ -282,16 +225,11 @@ impl StorageBackend for HdfsBackend {
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
         self.namenode.meta_op(&self.cfg);
         let mut objects = write(&self.objects);
-        let obj = objects.entry(path.to_string()).or_insert_with(|| Object {
-            data: Bytes::new(),
-            tier: Tier::Ssd,
-            last_access: Instant::now(),
-        });
-        let mut buf = BytesMut::with_capacity(obj.data.len() + data.len());
-        buf.extend_from_slice(&obj.data);
+        let obj = objects.entry(path.to_string()).or_default();
+        let mut buf = BytesMut::with_capacity(obj.len() + data.len());
+        buf.extend_from_slice(obj);
         buf.extend_from_slice(data);
-        obj.data = buf.freeze();
-        obj.last_access = Instant::now();
+        *obj = buf.freeze();
         drop(objects);
         self.invalidate_proxy(path);
         Ok(())
@@ -300,10 +238,10 @@ impl StorageBackend for HdfsBackend {
     fn read(&self, path: &str) -> Result<Bytes> {
         // Open = one metadata op; the data path bypasses the NameNode.
         self.namenode.meta_op(&self.cfg);
-        let mut objects = write(&self.objects);
-        let obj = objects.get_mut(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        obj.last_access = Instant::now();
-        Ok(obj.data.clone())
+        read(&self.objects)
+            .get(path)
+            .cloned()
+            .ok_or_else(|| StorageError::NotFound(path.to_string()))
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
@@ -311,7 +249,7 @@ impl StorageBackend for HdfsBackend {
         // NameNode op per chunk (block locations are cached client-side).
         let objects = read(&self.objects);
         let obj = objects.get(path).ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        Ok(obj.data.slice(checked_range(path, obj.data.len() as u64, offset, len)?))
+        Ok(obj.slice(checked_range(path, obj.len() as u64, offset, len)?))
     }
 
     fn size(&self, path: &str) -> Result<u64> {
@@ -367,15 +305,12 @@ impl StorageBackend for HdfsBackend {
             let mut buf = BytesMut::new();
             for p in parts {
                 let obj = objects.get(p).ok_or_else(|| StorageError::NotFound(p.clone()))?;
-                buf.extend_from_slice(&obj.data);
+                buf.extend_from_slice(obj);
             }
             for p in parts {
                 objects.remove(p);
             }
-            objects.insert(
-                target.to_string(),
-                Object { data: buf.freeze(), tier: Tier::Ssd, last_access: Instant::now() },
-            );
+            objects.insert(target.to_string(), buf.freeze());
         }
         for p in parts {
             self.invalidate_proxy(p);
@@ -395,7 +330,6 @@ mod tests {
             meta_qps_limit: None,
             parallel_concat: true,
             nnproxy_cache: true,
-            cooldown_retention: Duration::from_millis(10),
         })
     }
 
@@ -433,7 +367,6 @@ mod tests {
             meta_qps_limit: Some(100),
             parallel_concat: true,
             nnproxy_cache: false,
-            cooldown_retention: Duration::from_secs(3600),
         });
         let start = Instant::now();
         for i in 0..20 {
@@ -447,20 +380,6 @@ mod tests {
         );
         let (_, _, _, wait) = h.namenode_stats().snapshot();
         assert!(wait > 0);
-    }
-
-    #[test]
-    fn cool_down_migrates_idle_objects_and_preserves_paths() {
-        let h = fast();
-        h.write("old", Bytes::from_static(b"old-data")).unwrap();
-        h.write("new", Bytes::from_static(b"new-data")).unwrap();
-        h.age_object("old", Duration::from_secs(100)).unwrap();
-        let migrated = h.cool_down();
-        assert_eq!(migrated, 1);
-        assert_eq!(h.tier_of("old").unwrap(), Tier::Hdd);
-        assert_eq!(h.tier_of("new").unwrap(), Tier::Ssd);
-        // Original path keeps working.
-        assert_eq!(&h.read("old").unwrap()[..], b"old-data");
     }
 
     #[test]
@@ -496,7 +415,6 @@ mod tests {
             meta_qps_limit: None,
             parallel_concat: false,
             nnproxy_cache: false,
-            cooldown_retention: Duration::from_secs(3600),
         }));
         for j in 0..2 {
             for i in 0..4 {

@@ -15,7 +15,7 @@
 //! * [`hdfs::HdfsBackend`] — a simulated HDFS: append-only files, a
 //!   NameNode with per-metadata-op latency, QPS throttling and
 //!   (configurable) serial vs. parallel concat, an NNProxy metadata cache,
-//!   sub-file concatenation (§4.3), and SSD→HDD cool-down tiering (§5.1).
+//!   and sub-file concatenation (§4.3).
 //!
 //! There is no object-store client here: `object://` and `s3://` parse to
 //! [`uri::Scheme::Object`], for which a deployment registers its own

@@ -26,11 +26,6 @@ impl MemoryBackend {
     pub fn total_bytes(&self) -> u64 {
         read(&self.objects).values().map(|b| b.len() as u64).sum()
     }
-
-    /// Number of objects stored.
-    pub fn num_objects(&self) -> usize {
-        read(&self.objects).len()
-    }
 }
 
 /// One object holding `segments` in order. A single segment is stored as the
@@ -164,7 +159,6 @@ mod tests {
         m.write("a", Bytes::from_static(b"1234")).unwrap();
         m.write("b", Bytes::from_static(b"56")).unwrap();
         assert_eq!(m.total_bytes(), 6);
-        assert_eq!(m.num_objects(), 2);
         m.delete("a").unwrap();
         assert_eq!(m.total_bytes(), 2);
     }

@@ -10,15 +10,13 @@
 //! * [`ShardSpec`] — how one logical tensor is split: replicated, sharded
 //!   along grid dimensions, or a **flat 1-D range of the flattened tensor**
 //!   (ZeRO-style), which is what produces the paper's *irregular tensors*.
-//! * [`ClusterLayout`] — rank → (host, local rank) mapping, needed by the
-//!   tree-based collective topology (paper §5.2) and the cluster simulator.
 
 pub mod mesh;
 pub mod parallelism;
 pub mod shard;
 
 pub use mesh::DeviceMesh;
-pub use parallelism::{ClusterLayout, Parallelism, RankCoord};
+pub use parallelism::{Parallelism, RankCoord};
 pub use shard::{DimShard, ShardSpec};
 
 /// Errors produced by topology operations.

@@ -30,19 +30,9 @@ impl DeviceMesh {
         DeviceMesh::new(axes.iter().map(|(n, s)| (n.to_string(), *s)).collect())
     }
 
-    /// The standard 3D mesh matching [`crate::Parallelism`] rank order.
-    pub fn from_parallelism(p: crate::Parallelism) -> DeviceMesh {
-        DeviceMesh::of(&[("pp", p.pp), ("dp", p.dp), ("tp", p.tp)]).expect("non-zero degrees")
-    }
-
     /// Total number of ranks.
     pub fn world_size(&self) -> usize {
         self.axes.iter().map(|(_, s)| s).product()
-    }
-
-    /// Axis names in order.
-    pub fn axis_names(&self) -> Vec<&str> {
-        self.axes.iter().map(|(n, _)| n.as_str()).collect()
     }
 
     /// Size of a named axis.
@@ -69,26 +59,6 @@ impl DeviceMesh {
         }
         Err(TopologyError::UnknownAxis(axis.to_string()))
     }
-
-    /// All ranks that share every coordinate with `rank` except along `axis`
-    /// (i.e. the communication group along that axis), in axis order.
-    pub fn group_along(&self, rank: usize, axis: &str) -> Result<Vec<usize>> {
-        let size = self.axis_size(axis)?;
-        if rank >= self.world_size() {
-            return Err(TopologyError::RankOutOfRange { rank, world: self.world_size() });
-        }
-        // Stride of the axis in the row-major rank numbering.
-        let mut stride = 1usize;
-        for (name, s) in self.axes.iter().rev() {
-            if name == axis {
-                break;
-            }
-            stride *= s;
-        }
-        let my_coord = self.coord(rank, axis)?;
-        let base = rank - my_coord * stride;
-        Ok((0..size).map(|i| base + i * stride).collect())
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +69,7 @@ mod tests {
     #[test]
     fn mesh_matches_parallelism_rank_order() {
         let p = Parallelism::new(2, 3, 4).unwrap();
-        let m = DeviceMesh::from_parallelism(p);
+        let m = DeviceMesh::of(&[("pp", 4), ("dp", 3), ("tp", 2)]).unwrap();
         assert_eq!(m.world_size(), p.world_size());
         for r in 0..p.world_size() {
             let c = p.coords(r).unwrap();
@@ -110,22 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn group_along_matches_parallelism_groups() {
-        let p = Parallelism::new(2, 3, 4).unwrap();
-        let m = DeviceMesh::from_parallelism(p);
-        for r in [0, 7, 13, 23] {
-            assert_eq!(m.group_along(r, "tp").unwrap(), p.tp_group(r).unwrap());
-            assert_eq!(m.group_along(r, "dp").unwrap(), p.dp_group(r).unwrap());
-            assert_eq!(m.group_along(r, "pp").unwrap(), p.pp_group(r).unwrap());
-        }
-    }
-
-    #[test]
     fn unknown_axis_and_bad_rank() {
         let m = DeviceMesh::of(&[("dp", 4)]).unwrap();
         assert!(matches!(m.coord(0, "tp"), Err(TopologyError::UnknownAxis(_))));
         assert!(matches!(m.coord(4, "dp"), Err(TopologyError::RankOutOfRange { .. })));
-        assert!(m.group_along(5, "dp").is_err());
     }
 
     #[test]

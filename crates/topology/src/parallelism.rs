@@ -1,4 +1,4 @@
-//! 3D parallelism (TP × DP × PP) rank arithmetic and cluster layout.
+//! 3D parallelism (TP × DP × PP) rank arithmetic.
 
 use crate::{Result, TopologyError};
 use serde::{Deserialize, Serialize};
@@ -74,27 +74,6 @@ impl Parallelism {
         Ok(c.pp * self.tp * self.dp + c.dp * self.tp + c.tp)
     }
 
-    /// All global ranks in the same TP group as `rank` (fixed dp, pp).
-    pub fn tp_group(&self, rank: usize) -> Result<Vec<usize>> {
-        let c = self.coords(rank)?;
-        (0..self.tp).map(|t| self.rank_of(RankCoord { tp: t, ..c })).collect()
-    }
-
-    /// All global ranks in the same DP group as `rank` (fixed tp, pp).
-    ///
-    /// Model states are *replicated* across this group; ZeRO shards optimizer
-    /// (and, for ZeRO-3, parameter) state across it.
-    pub fn dp_group(&self, rank: usize) -> Result<Vec<usize>> {
-        let c = self.coords(rank)?;
-        (0..self.dp).map(|d| self.rank_of(RankCoord { dp: d, ..c })).collect()
-    }
-
-    /// All global ranks in the same PP group as `rank` (fixed tp, dp).
-    pub fn pp_group(&self, rank: usize) -> Result<Vec<usize>> {
-        let c = self.coords(rank)?;
-        (0..self.pp).map(|p| self.rank_of(RankCoord { pp: p, ..c })).collect()
-    }
-
     /// Whether `rank` is the one that saves dataloader state files.
     ///
     /// Per the paper (Fig. 6): "the dataloader state file is generated only
@@ -119,53 +98,9 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// Physical placement of ranks onto hosts, used by the tree-based collective
-/// topology (local-rank-0 as first-level subtree roots, paper §5.2) and by
-/// the cluster simulator's per-host NIC model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterLayout {
-    /// GPUs (ranks) per host; 8 on the paper's A100/H800 machines.
-    pub gpus_per_host: usize,
-    /// Total number of ranks.
-    pub world_size: usize,
-}
-
-impl ClusterLayout {
-    /// Create a layout; the last host may be partially filled.
-    pub fn new(world_size: usize, gpus_per_host: usize) -> Result<ClusterLayout> {
-        if gpus_per_host == 0 {
-            return Err(TopologyError::ZeroDegree);
-        }
-        Ok(ClusterLayout { gpus_per_host, world_size })
-    }
-
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.world_size.div_ceil(self.gpus_per_host)
-    }
-
-    /// Host index of a rank.
-    pub fn host_of(&self, rank: usize) -> usize {
-        rank / self.gpus_per_host
-    }
-
-    /// Local rank (index within the host) of a rank.
-    pub fn local_rank(&self, rank: usize) -> usize {
-        rank % self.gpus_per_host
-    }
-
-    /// All ranks on a host.
-    pub fn ranks_on_host(&self, host: usize) -> Vec<usize> {
-        let start = host * self.gpus_per_host;
-        let end = ((host + 1) * self.gpus_per_host).min(self.world_size);
-        (start..end).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn rank_coord_round_trip_tp_fastest() {
@@ -179,21 +114,6 @@ mod tests {
         for r in 0..p.world_size() {
             assert_eq!(p.rank_of(p.coords(r).unwrap()).unwrap(), r);
         }
-    }
-
-    #[test]
-    fn groups_have_correct_shape() {
-        let p = Parallelism::new(2, 3, 4).unwrap();
-        let r = 13; // arbitrary
-        let tp = p.tp_group(r).unwrap();
-        let dp = p.dp_group(r).unwrap();
-        let pp = p.pp_group(r).unwrap();
-        assert_eq!(tp.len(), 2);
-        assert_eq!(dp.len(), 3);
-        assert_eq!(pp.len(), 4);
-        assert!(tp.contains(&r) && dp.contains(&r) && pp.contains(&r));
-        // TP group members are contiguous ranks.
-        assert_eq!(tp, vec![12, 13]);
     }
 
     #[test]
@@ -211,35 +131,6 @@ mod tests {
         for &h in &holders {
             let c = p.coords(h).unwrap();
             assert_eq!((c.tp, c.pp), (0, 0));
-        }
-    }
-
-    #[test]
-    fn cluster_layout_basics() {
-        let l = ClusterLayout::new(20, 8).unwrap();
-        assert_eq!(l.num_hosts(), 3);
-        assert_eq!(l.host_of(15), 1);
-        assert_eq!(l.local_rank(15), 7);
-        assert_eq!(l.ranks_on_host(2), vec![16, 17, 18, 19]);
-    }
-
-    proptest! {
-        #[test]
-        fn groups_partition_world(tp in 1usize..5, dp in 1usize..5, pp in 1usize..5) {
-            let p = Parallelism::new(tp, dp, pp).unwrap();
-            // Every rank appears in exactly one DP group when iterating over
-            // (tp, pp) representative pairs.
-            let mut seen = vec![false; p.world_size()];
-            for t in 0..tp {
-                for s in 0..pp {
-                    let rep = p.rank_of(RankCoord { tp: t, dp: 0, pp: s }).unwrap();
-                    for r in p.dp_group(rep).unwrap() {
-                        prop_assert!(!seen[r], "rank {} in two DP groups", r);
-                        seen[r] = true;
-                    }
-                }
-            }
-            prop_assert!(seen.into_iter().all(|s| s));
         }
     }
 }

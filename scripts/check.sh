@@ -71,11 +71,19 @@ if grep -rnE 'bcp_coordinator|bcp-coordinator|CoordinatorService|CoordinatorClie
 fi
 
 echo "==> one recovery path (the hot tier, its placement, its tier metrics, its chaos model and bcp-baselines must not come back)"
-# HDFS's SSD/HDD `Tier` is a storage class, not a recovery tier, so only the
-# deleted items' own names are matched.
+# Only the deleted items' own names are matched.
 if grep -rnE 'HotTier|HotStaging|TieredReadBackend|TierBreakdown|TierOverlay|ReplicaPlacement|ettr_tiered|run_chaos|hot_hit_rate|tier_files_total|hot_fraction|execute_save_staged|load/tier|save/hot|load/hot|bcp_baselines|bcp-baselines' \
      Cargo.toml Cargo.lock crates src tests examples; then
   echo "load_latest recovers from the persistent tree with load-time resharding, and execute_save is the engine's one save entry"
+  exit 1
+fi
+
+echo "==> no option nothing sets (the synchronous save, the uncached save, the forward-free load, the unverified resume, the split-part knob and HDFS cool-down must not come back)"
+# bcp-sim's own `plan_cache` / `dedup_reads` model fields and the engine's
+# `split_parts` span attribute are not matched.
+if grep -rnE 'options\.(plan_cache|dedup_reads|verified_fallback|dedup)\b|async_upload|\.split_parts\b|split_parts:|cooldown_retention|verified_fallback\(|fn (cool_down|tier_of|age_object)\b' \
+     crates src tests examples; then
+  echo "a save has one background thread; the plan cache, balanced save dedup, read forwarding and verified resume are always on; a split upload has SPLIT_PARTS parts; the simulated HDFS has one tier"
   exit 1
 fi
 

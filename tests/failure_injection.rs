@@ -5,7 +5,11 @@
 
 mod common;
 
-use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
+use bytecheckpoint::core::format::encode_frame;
+use bytecheckpoint::core::integrity::commit_checkpoint;
+use bytecheckpoint::core::metadata::{
+    BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry, METADATA_FILE,
+};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{Fault, FaultRule, OpSet};
 use common::{assert_states_eq, reference_state, run_ranks};
@@ -138,6 +142,37 @@ fn metadata_tampering_is_caught_by_validation() {
         ckpt.load(&mut LoadRequest::new("mem://x/j/t", &mut state)).err().map(|e| e.to_string())
     });
     assert!(errs[0].as_ref().unwrap().contains("byte length"), "{errs:?}");
+}
+
+#[test]
+fn saved_shards_that_overlap_in_part_are_refused_by_validate_and_scrub() {
+    // [0, 6) and [4, 8) of a 10-element tensor: well-formed frames, CRCs
+    // that verify, byte lengths that match, yet element 4 is stored twice
+    // and [8, 10) not at all.
+    let mem: DynBackend = Arc::new(MemoryBackend::new());
+    let mut meta = GlobalMetadata::new("ddp", 1, "TP=1,DP=2,PP=1", 2);
+    for (rank, (offset, len)) in [(0usize, 6usize), (4, 4)].into_iter().enumerate() {
+        let shard = ShardMeta { fqn: "w".into(), offsets: [offset].into(), lengths: [len].into() };
+        let payload: Vec<u8> = (0..4 * len).map(|b| b as u8).collect();
+        let (frame, payload_offset) = encode_frame(&shard, DType::F32, &payload).unwrap();
+        let file = format!("model_{rank}.bin");
+        mem.write(&format!("j/s1/{file}"), frame.freeze()).unwrap();
+        meta.tensor_map.entry("w".into()).or_default().push(TensorShardEntry {
+            shard,
+            basic: BasicMeta::contiguous(DType::F32, [10], "cpu"),
+            byte: ByteMeta { file: file.into(), offset: payload_offset, length: 4 * len as u64 },
+        });
+    }
+    let err = meta.validate().unwrap_err();
+    assert!(err.contains("overlap without being identical"), "{err}");
+    mem.write(&format!("j/s1/{METADATA_FILE}"), bytes::Bytes::from(meta.to_bytes())).unwrap();
+    commit_checkpoint(&mem, "j/s1").unwrap();
+    let report = scrub_step(&mem, "j/s1", 1).unwrap();
+    assert!(
+        report.defects().iter().any(|i| i.detail.contains("overlap without being identical")),
+        "{:?}",
+        report.issues
+    );
 }
 
 #[test]

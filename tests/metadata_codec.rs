@@ -13,7 +13,7 @@ use bytecheckpoint::core::plan::{build_tensor_map, local_save_plan, SavePlan};
 use bytecheckpoint::core::planner::balance::{dedup_save_plans, DedupStrategy};
 use bytecheckpoint::model::{ArchKind, TransformerConfig};
 use bytecheckpoint::prelude::*;
-use bytecheckpoint::tensor::layout::Axes;
+use bytecheckpoint::tensor::layout::{even_split, Axes};
 use common::{reference_state, run_ranks};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -32,50 +32,76 @@ const DTYPES: [DType; 9] = [
     DType::Bool,
 ];
 
-/// One entry of a 0-6-D tensor (past `INLINE_AXES`, so its axes spill to
-/// the heap): per axis `(dim, offset seed, length seed)`, then dtype,
-/// `requires_grad`, contiguity, device, file and byte offset.
-fn arb_entry() -> impl Strategy<Value = TensorShardEntry> {
+/// The saved entries of one 0-6-D tensor (past `INLINE_AXES`, so its axes
+/// spill to the heap): per axis `(dim, offset seed, length seed)` of one
+/// box, then per entry dtype, `requires_grad`, contiguity, device, file and
+/// byte offset. The entries share the tensor's global shape, and their
+/// boxes are disjoint slabs of that box along its first axis, or replicas
+/// of it where that axis is too short to cut (or there is none), as
+/// `GlobalMetadata::validate` requires.
+fn arb_tensor() -> impl Strategy<Value = Vec<TensorShardEntry>> {
     (
         proptest::collection::vec((1usize..40, any::<usize>(), any::<usize>()), 0..7),
-        0usize..DTYPES.len(),
-        (any::<bool>(), any::<bool>()),
-        (0usize..3, 0usize..4),
-        any::<u32>(),
+        proptest::collection::vec(
+            (
+                0usize..DTYPES.len(),
+                (any::<bool>(), any::<bool>()),
+                (0usize..3, 0usize..4),
+                any::<u32>(),
+            ),
+            0..4,
+        ),
     )
-        .prop_map(|(axes, dtype, (requires_grad, contiguous), (device, file), offset)| {
+        .prop_map(|(axes, entries)| {
             let global_shape: Vec<usize> = axes.iter().map(|a| a.0).collect();
             let offsets: Vec<usize> = axes.iter().map(|&(dim, o, _)| o % dim).collect();
             let lengths: Vec<usize> =
                 axes.iter().zip(&offsets).map(|(&(dim, _, l), &o)| 1 + l % (dim - o)).collect();
-            let mut basic =
-                BasicMeta::contiguous(DTYPES[dtype], global_shape, format!("cuda:{device}"));
-            basic.requires_grad = requires_grad;
-            if !contiguous {
-                // Column-major: not what the shape derives (above rank 1).
-                basic.stride.reverse();
-            }
-            let length = (lengths.iter().product::<usize>() * basic.dtype.size()) as u64;
-            TensorShardEntry {
-                shard: ShardMeta {
-                    fqn: String::new().into(),
-                    offsets: offsets.into(),
-                    lengths: lengths.into(),
-                },
-                basic,
-                byte: ByteMeta {
-                    file: format!("model_{file}.bin").into(),
-                    offset: offset as u64,
-                    length,
-                },
-            }
+            let n = entries.len();
+            entries
+                .into_iter()
+                .enumerate()
+                .map(|(i, (dtype, (requires_grad, contiguous), (device, file), offset))| {
+                    let (mut offsets, mut lengths) = (offsets.clone(), lengths.clone());
+                    if let (Some(o), Some(l)) = (offsets.first_mut(), lengths.first_mut()) {
+                        if *l >= n {
+                            let (slab_offset, slab_len) = even_split(*l, n, i);
+                            (*o, *l) = (*o + slab_offset, slab_len);
+                        }
+                    }
+                    let mut basic = BasicMeta::contiguous(
+                        DTYPES[dtype],
+                        global_shape.clone(),
+                        format!("cuda:{device}"),
+                    );
+                    basic.requires_grad = requires_grad;
+                    if !contiguous {
+                        // Column-major: not what the shape derives (above rank 1).
+                        basic.stride.reverse();
+                    }
+                    let length = (lengths.iter().product::<usize>() * basic.dtype.size()) as u64;
+                    TensorShardEntry {
+                        shard: ShardMeta {
+                            fqn: String::new().into(),
+                            offsets: offsets.into(),
+                            lengths: lengths.into(),
+                        },
+                        basic,
+                        byte: ByteMeta {
+                            file: format!("model_{file}.bin").into(),
+                            offset: offset as u64,
+                            length,
+                        },
+                    }
+                })
+                .collect()
         })
 }
 
 fn arb_metadata() -> impl Strategy<Value = GlobalMetadata> {
     (
         any::<u64>(),
-        proptest::collection::vec(proptest::collection::vec(arb_entry(), 0..4), 0..6),
+        proptest::collection::vec(arb_tensor(), 0..6),
         prop_oneof![Just(None), Just(Some("loader/replicated.json".to_string()))],
         proptest::collection::vec((0usize..4, 0usize..3), 0..4),
         proptest::collection::vec(0usize..8, 0..3),
