@@ -250,7 +250,7 @@ pub fn fig14() -> String {
                     // Bitwise check against an uninterrupted run.
                     let want = reference_state(&arch2, fw, par, rank, from);
                     verify_bitwise(&s, &want, rank);
-                    assert_eq!(out.report.extra.expect("extra").step, from);
+                    assert_eq!(out.extra.expect("extra").step, from);
                     s
                 };
                 TrainerConfig::default().run(&mut state, from, to - from);

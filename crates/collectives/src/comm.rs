@@ -16,8 +16,8 @@ pub enum Backend {
     Flat,
     /// Hierarchical gather/scatter/broadcast/barrier over a host-aware tree
     /// (gRPC-style; parent↔child connections only). Data-plane ops
-    /// (`all_gather`, `all_to_all`, `all_reduce`) remain direct, as in the
-    /// paper where the tree serves the planning/integrity control plane.
+    /// (`all_gather`, `all_reduce`) remain direct, as in the paper where the
+    /// tree serves the planning/integrity control plane.
     Tree {
         /// GPUs per host (first-level star subtrees).
         gpus_per_host: usize,
@@ -160,20 +160,6 @@ impl Communicator {
     /// deterministically instead of waiting out the timeout.
     pub fn mark_self_failed(&self) {
         self.world.inject_failure(self.rank);
-    }
-
-    /// Derive a communicator over a subset of the world's ranks. The calling
-    /// rank must be in `ranks`. All members must derive the subgroup before
-    /// using it (no registration step is needed — groups are identified by
-    /// their member set).
-    pub fn subgroup(&self, ranks: &[usize]) -> Result<Communicator> {
-        if !ranks.contains(&self.rank) {
-            return Err(CollectiveError::NotAMember { rank: self.rank });
-        }
-        let mut sorted = ranks.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Ok(Communicator::new(self.world.clone(), self.rank, Arc::new(sorted)))
     }
 
     fn next_key(&self) -> SlotKey {
@@ -500,7 +486,7 @@ impl Communicator {
     /// Directional channel key for messages `from → to` within this group.
     /// Order-dependent (unlike [`group_key`]) so the two directions of a
     /// pair have independent sequence streams, and seeded with the group key
-    /// so distinct subgroups over the same ranks never collide.
+    /// so distinct groups over the same ranks never collide.
     fn p2p_channel(&self, from: usize, to: usize) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.group.rotate_left(29);
         for r in [from, to] {
@@ -564,56 +550,6 @@ impl Communicator {
             |inputs: BTreeMap<usize, T>| {
                 let all: Vec<T> = inputs.values().cloned().collect();
                 inputs.into_keys().map(|r| (r, all.clone())).collect()
-            },
-        )
-    }
-
-    /// All-to-all: `sends[j]` goes to the j-th member; the result's i-th
-    /// element came from the i-th member. This is the tensor-exchange
-    /// primitive of redundancy-eliminated loading (§4.1).
-    pub fn all_to_all<T: Send + 'static>(&self, sends: Vec<T>) -> Result<Vec<T>> {
-        if sends.len() != self.size() {
-            return Err(CollectiveError::BadInput(format!(
-                "all_to_all needs {} sends, got {}",
-                self.size(),
-                sends.len()
-            )));
-        }
-        for (i, &a) in self.members.iter().enumerate() {
-            for &b in self.members.iter().skip(i + 1) {
-                self.world.stats.record_connection(a, b);
-            }
-        }
-        self.world.stats.record_op(self.size(), 0);
-        let key = self.next_key();
-        let members = self.members.clone();
-        let member_list = self.members.as_ref().clone();
-        self.world.rdv.exchange(
-            "all_to_all",
-            key,
-            &members,
-            self.rank,
-            sends,
-            self.world.timeout,
-            move |inputs: BTreeMap<usize, Vec<T>>| {
-                // inputs[src][dst_idx] -> outputs[dst][src_idx]
-                let mut outs: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-                let mut columns: Vec<Vec<T>> = Vec::new();
-                for (_, row) in inputs {
-                    columns.push(row);
-                }
-                // columns[src_idx][dst_idx]; transpose.
-                let n = columns.len();
-                let mut transposed: Vec<Vec<T>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-                for row in columns.into_iter() {
-                    for (dst_idx, item) in row.into_iter().enumerate() {
-                        transposed[dst_idx].push(item);
-                    }
-                }
-                for (dst_idx, items) in transposed.into_iter().enumerate() {
-                    outs.insert(member_list[dst_idx], items);
-                }
-                outs
             },
         )
     }
@@ -761,18 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_transposes() {
-        let results = run_world(4, Backend::Flat, |c| {
-            let sends: Vec<String> = (0..4).map(|d| format!("{}->{}", c.rank(), d)).collect();
-            c.all_to_all(sends).unwrap()
-        });
-        for (dst, got) in results.into_iter().enumerate() {
-            let want: Vec<String> = (0..4).map(|s| format!("{s}->{dst}")).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn all_reduce_sums() {
         let results = run_world(3, Backend::Flat, |c| {
             c.all_reduce_f32(vec![c.rank() as f32, 1.0], ReduceOp::Sum).unwrap()
@@ -780,19 +704,6 @@ mod tests {
         for r in results {
             assert_eq!(r, vec![3.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn subgroups_are_independent() {
-        let results = run_world(6, Backend::Flat, |c| {
-            // Two DP groups: evens and odds.
-            let mine: Vec<usize> = if c.rank() % 2 == 0 { vec![0, 2, 4] } else { vec![1, 3, 5] };
-            let sub = c.subgroup(&mine).unwrap();
-            sub.all_gather(c.rank()).unwrap()
-        });
-        assert_eq!(results[0], vec![0, 2, 4]);
-        assert_eq!(results[1], vec![1, 3, 5]);
-        assert_eq!(results[4], vec![0, 2, 4]);
     }
 
     #[test]

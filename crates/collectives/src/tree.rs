@@ -99,12 +99,6 @@ impl TreeTopology {
         self.children.iter().map(|c| c.len()).max().unwrap_or(0)
     }
 
-    /// Total number of edges (== world_size - 1): the connection count a
-    /// tree backend needs, vs. O(world²) worst case for flat P2P channels.
-    pub fn num_edges(&self) -> usize {
-        self.world_size() - 1
-    }
-
     /// All ranks in the subtree rooted at `rank` (including `rank`), in
     /// ascending order. Used by hierarchical scatter to route each child its
     /// subtree's payload.
@@ -119,14 +113,6 @@ impl TreeTopology {
         }
         members.sort_unstable();
         members
-    }
-
-    /// Ranks ordered bottom-up (children before parents): the order in which
-    /// a hierarchical gather completes.
-    pub fn bottom_up_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.world_size()).collect();
-        order.sort_by_key(|&r| std::cmp::Reverse(self.depth(r)));
-        order
     }
 }
 
@@ -153,7 +139,6 @@ mod tests {
         assert_eq!(t.parent(8), Some(0));
         assert_eq!(t.depth(12), 2);
         assert_eq!(t.depth(13), 3);
-        assert_eq!(t.num_edges(), 15);
     }
 
     #[test]
@@ -183,7 +168,6 @@ mod tests {
         // nearly 300x smaller than the flat coordinator's 8959.
         assert!(t.max_fanin() <= 40, "fan-in {} too large", t.max_fanin());
         assert!(t.height() <= 8, "height {} too large", t.height());
-        assert_eq!(t.num_edges(), world - 1);
     }
 
     #[test]
@@ -192,23 +176,5 @@ mod tests {
         // Host 0: ranks 0-7, host 1: ranks 8-9.
         assert_eq!(t.parent(9), Some(8));
         assert_eq!(t.parent(8), Some(0));
-    }
-
-    #[test]
-    fn bottom_up_order_puts_children_first() {
-        let t = TreeTopology::build(16, 4, 2);
-        let order = t.bottom_up_order();
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 16];
-            for (i, &r) in order.iter().enumerate() {
-                p[r] = i;
-            }
-            p
-        };
-        for r in 0..16 {
-            if let Some(parent) = t.parent(r) {
-                assert!(pos[r] < pos[parent], "child {r} must come before parent {parent}");
-            }
-        }
     }
 }

@@ -24,11 +24,11 @@ use crate::fault::FaultPlan;
 use crate::integrity::{
     with_retries, FailureLog, FailureRecord, RetryClock, RetryPolicy, SystemClock,
 };
-use crate::loader_reshard::load_loader_states;
 use crate::manager::{CheckpointManager, QuarantinedStep};
 use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
 use crate::scrub::scrub_step;
+use crate::state_files::{self, restore_extra, restore_loader};
 use crate::workflow::{
     load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveTicket, WorkflowOptions,
 };
@@ -136,8 +136,11 @@ impl<'a> LoadRequest<'a> {
 
 /// What a load returns.
 pub struct LoadOutcome {
-    /// Workflow-level report (engine stats, metadata, extra state).
+    /// Workflow-level report (engine stats, metadata).
     pub report: LoadReport,
+    /// Extra state recovered for this rank (the coordinator's when the
+    /// world grew), when the step has any.
+    pub extra: Option<ExtraState>,
     /// Resharded dataloader states, when requested and present.
     pub loader: Option<(LoaderReplicatedState, LoaderShardState)>,
     /// Steps verified-fallback loading set aside because they failed
@@ -375,25 +378,32 @@ impl Checkpointer {
 
     /// `bytecheckpoint.load`: fill the request's target states from the
     /// request's location, resharding automatically when the parallelism
-    /// changed.
+    /// changed, and restore the step's extra state and (when the request
+    /// names a target) its dataloader states.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
         let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state)?;
-        let loader = match req.loader_target {
-            Some(t) => load_loader_states(
-                |file| {
-                    let path = format!("{}/{file}", uri.key);
-                    self.retried("load/loader", &path, || backend.read(&path))
-                },
-                &report.metadata,
-                t.dp_size,
-                t.workers_per_rank,
-                t.my_dp_rank,
-            )?,
-            None => None,
+        // The one reader of state files: a CRC-checked frame, under the load
+        // retry policy.
+        let read = |name: &str| {
+            let path = format!("{}/{name}", uri.key);
+            let data = self.retried("load/state", &path, || backend.read(&path))?;
+            state_files::decode(name, &data)
         };
-        Ok(LoadOutcome { report, loader, quarantined: Vec::new() })
+        let names = &report.metadata.state_files;
+        let restore = || -> Result<_> {
+            let extra = restore_extra(read, names, self.ctx.rank(), self.ctx.coordinator())?;
+            let loader = match req.loader_target {
+                Some(target) => restore_loader(read, names, target)?,
+                None => None,
+            };
+            Ok((extra, loader))
+        };
+        // As in the load workflow: a rank that fails here will not reach its
+        // peers' next collective, so it declares itself failed.
+        let (extra, loader) = restore().inspect_err(|_| self.ctx.comm.mark_self_failed())?;
+        Ok(LoadOutcome { report, extra, loader, quarantined: Vec::new() })
     }
 
     /// One-call crash recovery: under `root` (a job's checkpoint root

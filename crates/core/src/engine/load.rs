@@ -535,7 +535,7 @@ mod tests {
         // download).
         let n = 100_000usize;
         let payload = counting_floats(n);
-        let hdfs = Arc::new(HdfsBackend::with_defaults());
+        let hdfs = Arc::new(HdfsBackend::new());
         hdfs.write("ckpt/model_0.bin", payload.clone()).unwrap();
         let counting = Arc::new(OpCountingBackend::new(hdfs));
         let backend: DynBackend = counting.clone();

@@ -501,7 +501,7 @@ mod tests {
     fn split_upload_round_trips_through_concat() {
         // Only a backend whose concat is a metadata operation is split for.
         let (plan, state, _) = setup();
-        let hdfs = Arc::new(bcp_storage::HdfsBackend::with_defaults());
+        let hdfs = Arc::new(bcp_storage::HdfsBackend::new());
         let backend: DynBackend = hdfs.clone();
         let pool = PinnedPool::new(2);
         let io = IoPool::new(4);
@@ -529,7 +529,7 @@ mod tests {
         // whole file decodes.
         let listing = backend.list("ckpt/").unwrap();
         assert!(listing.iter().all(|f| !f.contains(".part")), "{listing:?}");
-        let (_, _, concats, _) = hdfs.namenode_stats().snapshot();
+        let (_, _, concats) = hdfs.namenode_stats().snapshot();
         assert_eq!(concats as usize, listing.len());
         let file = backend.read("ckpt/optim_0.bin").unwrap();
         assert!(!crate::format::decode_frames(&file).unwrap().is_empty());

@@ -18,16 +18,15 @@ use std::sync::Arc;
 
 /// Named fault points of the save pipeline, in execution order: planning
 /// and capture on the caller's thread, the rest on the save's background
-/// thread, which puts the loader and extra writes onto the I/O pool before
-/// it runs the shard upload. The matrix test in
+/// thread, which puts the state-file writes onto the I/O pool before it
+/// runs the shard upload. The matrix test in
 /// `crates/core/tests/recovery.rs` iterates this list, kills a rank at each
 /// stage (the coordinator at `save/metadata` and `save/commit`, which only
 /// it reaches) and asserts the torn step never commits.
 pub const SAVE_STAGES: &[&str] = &[
     "save/plan",
     "save/capture",
-    "save/loader",
-    "save/extra",
+    "save/state",
     "save/serialize",
     "save/upload",
     "save/barrier",

@@ -15,7 +15,7 @@
 //! | §4.1 balanced dedup, redundant-read elimination, plan cache | [`planner::balance`], [`planner::cache`] |
 //! | §4.2 fully asynchronous engine pipelines | [`engine`] |
 //! | §3.3 load-time resharding workflow (Fig. 8) | [`workflow`] |
-//! | §3.3/Fig. 9 dataloader resharding | [`loader_reshard`] |
+//! | §3.2 extra state, §3.3/Fig. 9 dataloader states and resharding | [`state_files`] |
 //! | Appendix B integrity barrier, retries, failure logging | [`integrity`] |
 //! | Appendix B stage-level crash injection for recovery tests | [`fault`] |
 //! | §3.1 `bytecheckpoint.save` / `.load` API (Fig. 5) | [`api`] |
@@ -38,13 +38,13 @@ pub mod export;
 pub mod fault;
 pub mod format;
 pub mod integrity;
-pub mod loader_reshard;
 pub mod manager;
 pub mod metadata;
 pub mod plan;
 pub mod planner;
 pub mod registry;
 pub mod scrub;
+pub mod state_files;
 pub mod telemetry;
 pub mod workflow;
 

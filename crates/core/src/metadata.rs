@@ -6,9 +6,10 @@
 //! parts: [`BasicMeta`] (runtime recovery info), [`ShardMeta`] (position in
 //! the global tensor), and [`ByteMeta`] (location in a storage file). The
 //! [`GlobalMetadata`] file carries the `TensorShardToBasicByteMap` and the
-//! `LoaderShardToByteMap`.
+//! names of the step's state files (the dataloader's LoaderShardToByteMap
+//! and the extra state, see [`crate::state_files`]).
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! This module is the only code that knows the layout of
 //! [`METADATA_FILE`]; everything else goes through
@@ -22,8 +23,7 @@
 //! strings   count | str ...                 (storage files and devices, by id)
 //! shapes    count | (rank | dim ...) ...    (global shapes, by id)
 //! tensors   fqn count | per FQN, ascending: fqn str | entry count | entry ...
-//! loader    has-replicated u8 [| file str] | shard count | (dp | worker | file str) ...
-//! extras    count | per rank, ascending: rank | file str
+//! state     count | name str ...            (state files, ascending)
 //! trailer   CRC32 u32 LE over every byte before it
 //! ```
 //!
@@ -41,8 +41,10 @@
 //! plan signature, the step and the trailer are the only bytes that differ
 //! between two checkpoints, and a repeated save re-stamps the sealed image
 //! instead of encoding again (§4.1). There is no reader for the version-1
-//! JSON document: nothing written by this code base outlives its test run,
-//! and a second decoder is a second parse surface to fuzz. `bcpctl inspect
+//! JSON document or the version-2 layout (which indexed dataloader and
+//! extra-state files in two sections of their own): nothing written by this
+//! code base outlives its test run, and a second decoder is a second parse
+//! surface to fuzz. `bcpctl inspect
 //! --json` prints the decoded struct for people.
 
 use crate::format::{dtype_code, dtype_from_code};
@@ -50,7 +52,7 @@ use crate::plan::Sweep;
 use bcp_tensor::checksum::crc32;
 use bcp_tensor::layout::{contiguous_strides, Axes};
 use bcp_tensor::DType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -127,31 +129,8 @@ pub struct TensorShardEntry {
     pub byte: ByteMeta,
 }
 
-/// Entry of the LoaderShardToByteMap: which file holds which dataloader
-/// shard's states.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LoaderShardFileEntry {
-    /// DP rank whose reader states the file holds.
-    pub dp_rank: usize,
-    /// Read worker index within the rank.
-    pub worker: usize,
-    /// File path relative to the checkpoint prefix.
-    pub file: String,
-}
-
-/// Dataloader section of the global metadata: replicated states saved once
-/// (by global rank 0's loader), sharded states in individual files.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
-pub struct LoaderMap {
-    /// File holding the replicated dataloader state, if a dataloader was
-    /// checkpointed.
-    pub replicated_file: Option<String>,
-    /// Per-(dp, worker) sharded state files.
-    pub shards: Vec<LoaderShardFileEntry>,
-}
-
 /// The global metadata file (Fig. 6): one per checkpoint, consolidating all
-/// tensor metadata plus the dataloader and extra-state file indexes.
+/// tensor metadata plus the names of the step's state files.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GlobalMetadata {
     /// Format version for forward compatibility.
@@ -167,14 +146,13 @@ pub struct GlobalMetadata {
     pub source_world_size: usize,
     /// TensorShardToBasicByteMap: fqn → saved shard entries.
     pub tensor_map: BTreeMap<String, Vec<TensorShardEntry>>,
-    /// LoaderShardToByteMap.
-    pub loader_map: LoaderMap,
-    /// Per-rank extra-state files (packed byte objects).
-    pub extra_files: BTreeMap<usize, String>,
+    /// The step's state files (paths relative to the checkpoint prefix),
+    /// ascending: each one sealed frame, named as its file.
+    pub state_files: Vec<String>,
 }
 
 /// Current metadata format version.
-pub const METADATA_VERSION: u32 = 2;
+pub const METADATA_VERSION: u32 = 3;
 
 /// File name of the global metadata within a checkpoint prefix.
 pub const METADATA_FILE: &str = "global_metadata.bin";
@@ -349,8 +327,7 @@ impl GlobalMetadata {
             source_parallelism: parallelism.to_string(),
             source_world_size: world,
             tensor_map: BTreeMap::new(),
-            loader_map: LoaderMap::default(),
-            extra_files: BTreeMap::new(),
+            state_files: Vec::new(),
         }
     }
 
@@ -416,23 +393,9 @@ impl GlobalMetadata {
             put_dims(&mut out, shape);
         }
         out.extend_from_slice(&tensors);
-        match &self.loader_map.replicated_file {
-            Some(file) => {
-                out.push(1);
-                put_str(&mut out, file);
-            }
-            None => out.push(0),
-        }
-        put_varint(&mut out, self.loader_map.shards.len() as u64);
-        for shard in &self.loader_map.shards {
-            put_varint(&mut out, shard.dp_rank as u64);
-            put_varint(&mut out, shard.worker as u64);
-            put_str(&mut out, &shard.file);
-        }
-        put_varint(&mut out, self.extra_files.len() as u64);
-        for (&rank, file) in &self.extra_files {
-            put_varint(&mut out, rank as u64);
-            put_str(&mut out, file);
+        put_varint(&mut out, self.state_files.len() as u64);
+        for name in &self.state_files {
+            put_str(&mut out, name);
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -468,7 +431,10 @@ impl GlobalMetadata {
         let word = |at: usize| u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
         let version = word(4);
         if version != METADATA_VERSION {
-            return Err(format!("unsupported metadata version {version}"));
+            return Err(format!(
+                "metadata parse error: unsupported version {version} (this build reads \
+                 {METADATA_VERSION})"
+            ));
         }
         let body = data.len() - TRAILER_LEN;
         if word(body) != crc32(&data[..body]) {
@@ -552,28 +518,8 @@ impl GlobalMetadata {
         }
         let tensor_map = BTreeMap::from_iter(tensors);
 
-        let replicated_file = match r.u8()? {
-            0 => None,
-            1 => Some(r.str()?.to_string()),
-            _ => return r.err("bad replicated-loader flag"),
-        };
-        let shards = (0..r.count(3)?)
-            .map(|_| {
-                Ok(LoaderShardFileEntry {
-                    dp_rank: r.usize()?,
-                    worker: r.usize()?,
-                    file: r.str()?.to_string(),
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let mut extra_files = BTreeMap::new();
-        for _ in 0..r.count(2)? {
-            let rank = r.usize()?;
-            if extra_files.last_key_value().is_some_and(|(&last, _)| last >= rank) {
-                return r.err("extra-state ranks are not strictly ascending");
-            }
-            extra_files.insert(rank, r.str()?.to_string());
-        }
+        let state_files =
+            (0..r.count(1)?).map(|_| r.str().map(str::to_string)).collect::<Result<_, _>>()?;
         if r.remaining() != 0 {
             return r.err("trailing bytes");
         }
@@ -584,8 +530,7 @@ impl GlobalMetadata {
             source_parallelism,
             source_world_size,
             tensor_map,
-            loader_map: LoaderMap { replicated_file, shards },
-            extra_files,
+            state_files,
         })
     }
 
@@ -597,7 +542,8 @@ impl GlobalMetadata {
     /// Sanity-check invariants: every entry's box fits its global shape,
     /// byte length matches the element count, offset + length fits a `u64`,
     /// and the boxes of one tensor share its global shape and are disjoint
-    /// or identical (replicas). Returns the first violation.
+    /// or identical (replicas); the state files are named, ascending, listed
+    /// once each, and none is a shard file. Returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
         let mut sweep = Sweep::default();
         for (fqn, entries) in &self.tensor_map {
@@ -635,6 +581,20 @@ impl GlobalMetadata {
                 }
             }
             sweep.check_saved(entries, fqn)?;
+        }
+        for pair in self.state_files.windows(2) {
+            if pair[0] >= pair[1] {
+                let how = if pair[0] == pair[1] { "twice" } else { "out of order" };
+                return Err(format!("state file {} is listed {how}", pair[1]));
+            }
+        }
+        for name in &self.state_files {
+            if name.is_empty() {
+                return Err("a state file has an empty name".into());
+            }
+            if self.tensor_map.values().flatten().any(|e| *e.byte.file == **name) {
+                return Err(format!("state file {name} is also a shard file"));
+            }
         }
         Ok(())
     }
@@ -685,8 +645,7 @@ mod tests {
         e.shard.offsets = [1].into();
         e.basic.stride = [1, 4].into();
         e.basic.requires_grad = false;
-        m.loader_map.replicated_file = Some("loader/replicated.json".into());
-        m.extra_files.insert(3, "extra_3.bin".into());
+        m.state_files = vec!["extra_3.bin".into(), "extra_3.bin".into(), String::new()];
         let back = GlobalMetadata::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(back, m);
         assert!(back.validate().is_err());
@@ -720,6 +679,32 @@ mod tests {
         let mut m2 = sample_meta();
         m2.tensor_map.get_mut("w").unwrap()[1].shard.offsets = [3, 0].into();
         assert!(m2.validate().unwrap_err().contains("out of bounds"));
+    }
+
+    #[test]
+    fn state_files_must_be_named_listed_once_and_apart_from_the_shards() {
+        for (names, why) in [
+            (vec!["", "extra_0.bin"], "empty name"),
+            (vec!["extra_0.bin", "extra_0.bin"], "listed twice"),
+            (vec!["extra_1.bin", "extra_0.bin"], "out of order"),
+            (vec!["extra_0.bin", "model_1.bin"], "also a shard file"),
+        ] {
+            let mut m = sample_meta();
+            m.state_files = names.into_iter().map(String::from).collect();
+            assert!(m.validate().unwrap_err().contains(why), "{why}");
+        }
+        let mut m = sample_meta();
+        m.state_files = vec!["extra_0.bin".into(), "loader/replicated.bin".into()];
+        m.validate().unwrap();
+        assert_eq!(GlobalMetadata::from_bytes(&m.to_bytes()).unwrap(), m);
+    }
+
+    #[test]
+    fn a_version_2_file_is_refused_by_version() {
+        let mut image = sample_meta().to_bytes();
+        image[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = GlobalMetadata::from_bytes(&image).unwrap_err();
+        assert!(err.starts_with("metadata parse error: unsupported version 2"), "{err}");
     }
 
     #[test]

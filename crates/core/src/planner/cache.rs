@@ -12,10 +12,9 @@
 //! of the global metadata. A hit borrows the plan through the `Arc` and
 //! re-stamps the image ([`crate::GlobalMetadata::restamp_step`]); nothing is
 //! cloned, encoded or shipped. The key must therefore cover everything the
-//! image depends on: [`PlanCache::signature`] hashes the state's structure,
-//! and `workflow::save_checkpoint` folds in the shape of the request (extra
-//! state present, loader present, its reader count and DP rank), because
-//! the metadata names those files too.
+//! image depends on: [`PlanCache::key`] folds the names of the request's
+//! state files ([`crate::state_files`]), which the metadata lists, into
+//! [`PlanCache::signature`]'s hash of the state's structure.
 
 use crate::plan::SavePlan;
 use bcp_model::TrainState;
@@ -106,6 +105,16 @@ impl PlanCache {
         h.finish()
     }
 
+    /// The cache key of one save: `signature` and the names of this rank's
+    /// state files, which the sealed metadata lists. A change on any rank
+    /// misses there, and the workflow's all-rank agreement then replans
+    /// everywhere.
+    pub fn key(signature: u64, state_files: &[String]) -> u64 {
+        let mut h = WordHasher::default();
+        (signature, state_files).hash(&mut h);
+        h.finish()
+    }
+
     /// Look up a cached plan.
     pub fn get(&self, sig: u64) -> Option<Arc<CachedSave>> {
         let got = lock(&self.entries).get(&sig).cloned();
@@ -166,6 +175,24 @@ mod tests {
             PlanCache::signature("megatron", &par.describe(), 0, &s)
         };
         assert_ne!(with_flat_length(1), with_flat_length(2));
+    }
+
+    #[test]
+    fn the_key_tells_state_file_lists_apart() {
+        let key = |names: &[&str]| {
+            PlanCache::key(7, &names.iter().map(|n| n.to_string()).collect::<Vec<_>>())
+        };
+        let keys = [
+            key(&[]),
+            key(&["extra_0.bin"]),
+            key(&["extra_1.bin"]),
+            key(&["extra_0.bin", "loader/dp0_w0.bin"]),
+            key(&["extra_0.binloader/dp0_w0.bin"]),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            assert!(keys[i + 1..].iter().all(|b| a != b), "key {i} collides");
+        }
+        assert_ne!(key(&[]), PlanCache::key(8, &[]));
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! promise end to end: the global metadata parses and validates, every
 //! [`crate::ByteMeta`] points at a real file, every storage file decodes
 //! into CRC-verified frames, every referenced payload region lands exactly
-//! on a frame payload, and every file under the prefix is accounted for.
+//! on a frame payload, every state file (dataloader, extra state) decodes
+//! into its one CRC-verified frame, and every file under the prefix is
+//! accounted for.
 //! Orphans (files nothing references) are reported but do not dirty a
 //! step — extra observability artifacts must not fail CI.
 
 use crate::format::{decode_frames, header_len, Frame};
 use crate::manager::CheckpointManager;
 use crate::metadata::{GlobalMetadata, TensorShardEntry, COMPLETE_MARKER, METADATA_FILE};
+use crate::state_files;
 use crate::Result;
 use bcp_monitor::{TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE};
 use bcp_storage::{DynBackend, StorageError, StorageErrorKind};
@@ -270,24 +273,27 @@ pub fn scrub_step(
             }
         }
 
-        // 4. Loader and extra-state files: existence checks.
-        let mut aux: Vec<String> = Vec::new();
-        if let Some(f) = &meta.loader_map.replicated_file {
-            aux.push(f.clone());
-        }
-        aux.extend(meta.loader_map.shards.iter().map(|s| s.file.clone()));
-        aux.extend(meta.extra_files.values().cloned());
-        for file in aux {
-            let path = format!("{prefix}/{file}");
+        // 4. Every state file must exist and decode into its one
+        // CRC-verified frame, named as the file.
+        for name in &meta.state_files {
+            let path = format!("{prefix}/{name}");
             known.insert(path.clone());
-            if present.contains(&path) {
-                report.files_checked += 1;
-            } else {
+            if !present.contains(&path) {
                 report.issues.push(ScrubIssue {
                     path,
                     kind: IssueKind::MissingFile,
-                    detail: "referenced by loader/extra map but absent".into(),
+                    detail: "state file listed in the metadata is missing".into(),
                 });
+                continue;
+            }
+            report.files_checked += 1;
+            match state_files::decode(name, &backend.read(&path)?) {
+                Ok(_) => report.frames_verified += 1,
+                Err(e) => report.issues.push(ScrubIssue {
+                    path,
+                    kind: IssueKind::BadFrame,
+                    detail: e.to_string(),
+                }),
             }
         }
     }
@@ -437,6 +443,29 @@ mod tests {
         let err = scrub_step(&flaky, &prefix, 10).unwrap_err();
         assert_eq!(err.kind(), StorageErrorKind::Retryable, "{err}");
         assert!(scrub_step(&flaky, &prefix, 10).unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_state_file_is_decoded_not_just_found() {
+        let b = mem();
+        let (prefix, _) = build_checkpoint(&b, "job", 10);
+        let meta_path = format!("{prefix}/{METADATA_FILE}");
+        let mut meta = GlobalMetadata::from_bytes(&b.read(&meta_path).unwrap()).unwrap();
+        meta.state_files = vec!["extra_0.bin".into(), "loader/replicated.bin".into()];
+        b.write(&meta_path, Bytes::from(meta.to_bytes())).unwrap();
+        let path = format!("{prefix}/extra_0.bin");
+        let segments = state_files::frame("extra_0.bin", Bytes::from_static(b"{}")).unwrap();
+        b.write_segments(&path, &segments).unwrap();
+        let r = scrub_step(&b, &prefix, 10).unwrap();
+        let defects: Vec<_> = r.defects().iter().map(|i| (i.kind, i.path.clone())).collect();
+        let replicated = format!("{prefix}/loader/replicated.bin");
+        assert_eq!(defects, [(IssueKind::MissingFile, replicated)]);
+        assert_eq!(r.frames_verified, 2);
+        // Its own frame under another name fails as a shard file's would.
+        b.write_segments(&format!("{prefix}/loader/replicated.bin"), &segments).unwrap();
+        let r = scrub_step(&b, &prefix, 10).unwrap();
+        let defects: Vec<_> = r.defects().iter().map(|i| (i.kind, i.path.clone())).collect();
+        assert_eq!(defects, [(IssueKind::BadFrame, format!("{prefix}/loader/replicated.bin"))]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! metadata construction → scatter final plans → engine capture (sealing
 //! each frame with its CRC as it copies) → return to the caller. One
 //! background thread per save (`bcp-finalize-{rank}`) then puts the
-//! dataloader and extra-state writes onto the I/O pool, runs the shard
-//! upload, and passes the integrity barrier; the coordinator commits
+//! state-file writes ([`crate::state_files`]) onto the I/O pool, runs the
+//! shard upload, and passes the integrity barrier; the coordinator commits
 //! (metadata + `COMPLETE` marker). The plan cache (§4.1) turns everything
 //! before the engine into a one-time cost, so a warm save's collectives are
 //! the cache agreement and the two barriers (telemetry adds its gather when
@@ -22,25 +22,23 @@ use crate::engine::pool::PinnedPool;
 use crate::engine::save::{execute_save, SaveConfig, SaveStats};
 use crate::fault::{FaultHook, FaultPlan};
 use crate::integrity::{commit_checkpoint, with_retries, FailureLog, FailureRecord};
-use crate::metadata::{GlobalMetadata, LoaderShardFileEntry, COMPLETE_MARKER, METADATA_FILE};
+use crate::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
 use crate::plan::{build_tensor_map, local_load_plan, LoadPlan, SavePlan};
 use crate::planner::balance::{
     dedup_save_plans, eliminate_redundant_reads, AssignedLoadPlan, DedupStrategy,
 };
 use crate::planner::cache::{CachedSave, PlanCache};
 use crate::planner::planner_for;
+use crate::state_files;
 use crate::telemetry::{collect_rank_telemetry, persist_step_telemetry};
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
-use bcp_dataloader::{LoaderReplicatedState, LoaderShardState};
-use bcp_model::{ExtraState, Framework, TrainState};
+use bcp_model::{Framework, TrainState};
 use bcp_monitor::{
-    enter_context, MetricsHub, MetricsSink, SpanGuard, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
+    enter_context, MetricsHub, MetricsSink, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
 use bcp_storage::DynBackend;
 use bytes::Bytes;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,9 +99,7 @@ pub struct WorkflowOptions {
 #[derive(Debug, Clone)]
 struct LocalSaveMsg {
     plan: SavePlan,
-    loader_files: Vec<LoaderShardFileEntry>,
-    has_replicated_loader: bool,
-    extra_file: Option<String>,
+    state_files: Vec<String>,
 }
 
 /// Everything a save leaves behind for the caller.
@@ -142,6 +138,8 @@ pub fn save_checkpoint(
     };
     faults.check("save/plan")?;
     let blocking_start = Instant::now();
+    // Packed now: the request borrows state training mutates next.
+    let files = state_files::payloads(req, rank, ctx.coordinator());
     // Root span for the whole save. Uncounted: phase spans below it carry
     // the durations that feed the per-phase aggregations.
     let root = sink
@@ -153,16 +151,13 @@ pub fn save_checkpoint(
 
     // ---- Planning (Fig. 8 steps 2-4, save direction), cache-aware. ----
     // The cached value is the plan *and* the sealed metadata, and the
-    // metadata also names the request's loader and extra files: the key is
-    // the state's structure plus the shape of the request.
-    let sig = {
-        let mut h = DefaultHasher::new();
-        PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, req.state)
-            .hash(&mut h);
-        req.extra.is_some().hash(&mut h);
-        req.loader.map(|(_, shard)| (shard.readers.len(), shard.dp_rank)).hash(&mut h);
-        h.finish()
-    };
+    // metadata also names the request's state files: the key is the state's
+    // structure plus those names.
+    let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
+    let sig = PlanCache::key(
+        PlanCache::signature(planner.name(), &ctx.parallelism.describe(), rank, req.state),
+        &names,
+    );
     let cached = cache.get(sig);
     // All ranks must agree on the cache path or the collectives deadlock.
     let all_hit = ctx.comm.all_gather(cached.is_some() as u8)?.into_iter().all(|h| h == 1);
@@ -171,12 +166,8 @@ pub fn save_checkpoint(
         cached.expect("all_hit implies local hit")
     } else {
         let _t = root.child("save/plan");
-        let msg = LocalSaveMsg {
-            plan: planner.local_save_plan(rank, req.state)?,
-            loader_files: loader_file_entries(req.loader),
-            has_replicated_loader: rank == ctx.coordinator() && req.loader.is_some(),
-            extra_file: req.extra.map(|_| format!("extra_{rank}.bin")),
-        };
+        let msg =
+            LocalSaveMsg { plan: planner.local_save_plan(rank, req.state)?, state_files: names };
         let gathered = ctx.comm.gather(ctx.coordinator(), msg)?;
         let (plan, metadata) = if let Some(msgs) = gathered {
             // Coordinator: dedup + balance, build the metadata, scatter the
@@ -189,16 +180,11 @@ pub fn save_checkpoint(
                 ctx.comm.size(),
             );
             let mut plans = Vec::with_capacity(msgs.len());
-            for (m, &member) in msgs.into_iter().zip(ctx.comm.members()) {
-                meta.loader_map.shards.extend(m.loader_files);
-                if m.has_replicated_loader {
-                    meta.loader_map.replicated_file = Some("loader/replicated.json".to_string());
-                }
-                if let Some(f) = m.extra_file {
-                    meta.extra_files.insert(member, f);
-                }
+            for m in msgs {
+                meta.state_files.extend(m.state_files);
                 plans.push(m.plan);
             }
+            meta.state_files.sort();
             dedup_save_plans(&mut plans, DedupStrategy::WorstFit);
             meta.tensor_map = build_tensor_map(&plans);
             let plan = ctx.comm.scatter(ctx.coordinator(), Some(plans))?;
@@ -230,10 +216,8 @@ pub fn save_checkpoint(
     )?;
     let blocking = blocking_start.elapsed();
 
-    // ---- Small-state uploads, shard upload, integrity + commit: the one
+    // ---- State-file uploads, shard upload, integrity + commit: the one
     // background thread. ----
-    let loader_payloads = build_loader_payloads(ctx, req.loader);
-    let extra_payload = req.extra.map(|e| (format!("extra_{rank}.bin"), Bytes::from(e.pack())));
     let comm = ctx.comm.clone();
     let coordinator = ctx.coordinator();
     let prefix2 = prefix.to_string();
@@ -242,41 +226,32 @@ pub fn save_checkpoint(
     let comm_abort = ctx.comm.clone();
     let finalize_inner = move || -> Result<SaveStats> {
         let mut root = root;
-        // The dataloader shard files ("we implemented a process pool for
-        // concurrent uploads", §6.4) and the extra state go onto the I/O
-        // pool ahead of the shard upload `handle.wait()` runs, so they
-        // overlap it. A phase span ends with the last write it covers.
+        // The state files (the dataloader's per-worker files: "we
+        // implemented a process pool for concurrent uploads", §6.4) go onto
+        // the I/O pool ahead of the shard upload `handle.wait()` runs, so they
+        // overlap it. Each job frames its file and hands header, payload and
+        // CRC to one gather-write; the phase span ends with the last write.
         let (done, small) = channel();
-        let write_on_pool = |phase: SpanGuard, stage: &'static str, files: Vec<(String, Bytes)>| {
-            let phase = Arc::new(phase);
-            for (file, data) in files {
+        faults.check("save/state")?;
+        if !files.is_empty() {
+            let bytes = files.iter().map(|(_, d)| d.len() as u64).sum();
+            let phase = Arc::new(root.child("save/state").bytes(bytes));
+            for (name, payload) in files {
                 let (backend, log, phase) = (backend.clone(), log.clone(), phase.clone());
-                let path = format!("{prefix2}/{file}");
+                let path = format!("{prefix2}/{name}");
                 io2.submit(done.clone(), 0, move || {
                     // Parent the worker's storage spans under the phase.
                     let _e = enter_context(phase.context());
-                    with_retries(retries, &log, rank, stage, Some(&path), || {
-                        backend.write(&path, data.clone())
+                    let segments = state_files::frame(&name, payload)?;
+                    with_retries(retries, &log, rank, "save/state", Some(&path), || {
+                        backend.write_segments(&path, &segments)
                     })
                 });
             }
-        };
-        faults.check("save/loader")?;
-        let loader_bytes = loader_payloads.iter().map(|(_, d)| d.len() as u64).sum();
-        write_on_pool(
-            root.child("save/loader").bytes(loader_bytes),
-            "save/loader",
-            loader_payloads,
-        );
-        faults.check("save/extra")?;
-        if let Some((file, data)) = extra_payload {
-            let phase = root.child("save/extra").bytes(data.len() as u64);
-            let phase = phase.path(format!("{prefix2}/{file}"));
-            write_on_pool(phase, "save/extra", vec![(file, data)]);
         }
         drop(done);
         let uploaded = handle.wait();
-        // The channel closes once every small write has finished: none
+        // The channel closes once every state-file write has finished: none
         // outlives the save, whichever write failed.
         let written: Vec<Result<()>> = small.iter().map(|(_, r)| r).collect();
         written.into_iter().collect::<Result<()>>()?;
@@ -360,53 +335,12 @@ pub fn save_checkpoint(
     Ok(SaveTicket { blocking, finalize })
 }
 
-fn loader_file_entries(
-    loader: Option<(&LoaderReplicatedState, &LoaderShardState)>,
-) -> Vec<LoaderShardFileEntry> {
-    let Some((_, shard)) = loader else { return Vec::new() };
-    shard
-        .readers
-        .iter()
-        .enumerate()
-        .map(|(w, _)| LoaderShardFileEntry {
-            dp_rank: shard.dp_rank,
-            worker: w,
-            file: format!("loader/dp{}_w{}.json", shard.dp_rank, w),
-        })
-        .collect()
-}
-
-fn build_loader_payloads(
-    ctx: &JobContext,
-    loader: Option<(&LoaderReplicatedState, &LoaderShardState)>,
-) -> Vec<(String, Bytes)> {
-    let Some((replicated, shard)) = loader else { return Vec::new() };
-    let mut out = Vec::new();
-    // Sharded states: one file per read worker (the 6-parts-per-loader
-    // layout of §6.4), each independently loadable during resharding.
-    for (w, reader) in shard.readers.iter().enumerate() {
-        let single = LoaderShardState {
-            dp_rank: shard.dp_rank,
-            readers: vec![reader.clone()],
-            next_worker: shard.next_worker,
-        };
-        out.push((format!("loader/dp{}_w{w}.json", shard.dp_rank), Bytes::from(single.pack())));
-    }
-    // Replicated states: saved only by the coordinator's worker.
-    if ctx.rank() == ctx.coordinator() {
-        out.push(("loader/replicated.json".to_string(), Bytes::from(replicated.pack())));
-    }
-    out
-}
-
 /// Result of one checkpoint load on this rank.
 pub struct LoadReport {
     /// Engine statistics.
     pub stats: LoadStats,
     /// The checkpoint's global metadata.
     pub metadata: GlobalMetadata,
-    /// Extra state recovered for this rank (rank 0's when the world grew).
-    pub extra: Option<ExtraState>,
 }
 
 /// Execute the full load (resharding) workflow on this rank. The state dict
@@ -492,35 +426,6 @@ pub fn load_checkpoint(
             root.context(),
         )?;
 
-        // Extra state: this rank's file, else the coordinator's (world grew).
-        let extra = {
-            let file = metadata
-                .extra_files
-                .get(&rank)
-                .or_else(|| metadata.extra_files.get(&ctx.coordinator()))
-                .or_else(|| metadata.extra_files.values().next());
-            match file {
-                Some(f) => {
-                    let path = format!("{prefix}/{f}");
-                    let mut t = root.child("load/extra").path(path.clone());
-                    let _in_extra = t.enter();
-                    let data = with_retries(
-                        options.load.retries,
-                        log,
-                        rank,
-                        "load/extra",
-                        Some(&path),
-                        || backend.read(&path),
-                    )?;
-                    t.add_bytes(data.len() as u64);
-                    Some(ExtraState::unpack(&data).ok_or_else(|| {
-                        BcpError::Corrupt(format!("extra state file {f} is unreadable"))
-                    })?)
-                }
-                None => None,
-            }
-        };
-
         // Step 6: the optimized collective barrier guarantees atomicity.
         faults.check("load/barrier")?;
         {
@@ -545,7 +450,7 @@ pub fn load_checkpoint(
                 });
             }
         }
-        Ok(LoadReport { stats, metadata, extra })
+        Ok(LoadReport { stats, metadata })
     };
     let result = load();
     if result.is_err() {

@@ -31,7 +31,7 @@ fn valid_frame_file() -> Vec<u8> {
 }
 
 /// A valid global-metadata file to mutate: tensor entries on both the short
-/// and the explicit-stride path, a loader map and an extra file.
+/// and the explicit-stride path, and two state files.
 fn valid_metadata_bytes() -> Vec<u8> {
     let mut meta = GlobalMetadata::new("ddp", 42, "TP=1,DP=2,PP=1", 2);
     for i in 0..3usize {
@@ -54,8 +54,7 @@ fn valid_metadata_bytes() -> Vec<u8> {
             },
         });
     }
-    meta.loader_map.replicated_file = Some("loader/replicated.json".to_string());
-    meta.extra_files.insert(0, "extra_0.bin".to_string());
+    meta.state_files = vec!["extra_0.bin".into(), "loader/replicated.bin".into()];
     meta.validate().expect("the document to mutate is valid");
     meta.to_bytes()
 }

@@ -305,7 +305,7 @@ fn extra_state_round_trips() {
     let loaded = run_ranks(2, registry, Framework::Ddp, par, move |rank, ckpt| {
         let mut state = build_train_state(&arch, Framework::Ddp, par, rank, true);
         let out = ckpt.load(&mut LoadRequest::new("mem://t/extra", &mut state)).unwrap();
-        out.report.extra.expect("extra state present")
+        out.extra.expect("extra state present")
     });
     for (rank, (want, got)) in extras.iter().zip(&loaded).enumerate() {
         assert_eq!(want, got, "rank {rank} extra state");

@@ -102,22 +102,6 @@ pub fn text_405b() -> TransformerConfig {
     }
 }
 
-/// GPT 175B: the motivating example in §2.3 ("saving checkpoints of a GPT
-/// 175B model trained on 4096 GPUs to HDFS can take 200 seconds").
-pub fn gpt_175b() -> TransformerConfig {
-    TransformerConfig {
-        name: "GPT-175B".into(),
-        kind: ArchKind::Gpt,
-        hidden: 12288,
-        heads: 96,
-        layers: 96,
-        vocab: 50_304,
-        ffn_mult: 4,
-        dtype: DType::BF16,
-        num_experts: 0,
-    }
-}
-
 /// Tiny GPT for real-execution tests: 4 layers, hidden 16 — small enough
 /// to materialize, shard, and verify bitwise in milliseconds.
 pub fn tiny_gpt() -> TransformerConfig {
@@ -188,6 +172,5 @@ mod tests {
         assert!(close(tgpt_13b().num_params(), 13e9), "{}", tgpt_13b().num_params());
         assert!(close(tgpt_30b().num_params(), 30e9), "{}", tgpt_30b().num_params());
         assert!(close(text_405b().num_params(), 405e9), "{}", text_405b().num_params());
-        assert!(close(gpt_175b().num_params(), 175e9), "{}", gpt_175b().num_params());
     }
 }

@@ -49,16 +49,16 @@ pub fn finish_times(demands: &[f64], per_flow_cap: f64, bottleneck: f64) -> Vec<
     finish
 }
 
-/// Convenience: the last finish time (the straggler).
-pub fn makespan(demands: &[f64], per_flow_cap: f64, bottleneck: f64) -> f64 {
-    finish_times(demands, per_flow_cap, bottleneck).into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const GB: f64 = 1e9;
+
+    /// The last finish time (the straggler).
+    fn last_finish(demands: &[f64], per_flow_cap: f64, bottleneck: f64) -> f64 {
+        finish_times(demands, per_flow_cap, bottleneck).into_iter().fold(0.0, f64::max)
+    }
 
     #[test]
     fn single_flow_hits_its_cap() {
@@ -105,8 +105,8 @@ mod tests {
     fn imbalance_hurts_makespan() {
         // Same total bytes: balanced finishes faster than skewed under a
         // per-flow cap — the Worst-Fit vs first-DP-group effect.
-        let balanced = makespan(&[2.0 * GB; 8], 1.0 * GB, f64::INFINITY);
-        let skewed = makespan(&[16.0 * GB, 0., 0., 0., 0., 0., 0., 0.], 1.0 * GB, f64::INFINITY);
+        let balanced = last_finish(&[2.0 * GB; 8], 1.0 * GB, f64::INFINITY);
+        let skewed = last_finish(&[16.0 * GB, 0., 0., 0., 0., 0., 0., 0.], 1.0 * GB, f64::INFINITY);
         assert!(skewed >= balanced * 7.9, "balanced {balanced}, skewed {skewed}");
     }
 
@@ -114,7 +114,7 @@ mod tests {
     fn work_conservation() {
         // Total service equals total demand / bottleneck when the
         // bottleneck binds throughout (all flows equal).
-        let f = makespan(&[1.0 * GB; 10], f64::INFINITY, 5.0 * GB);
+        let f = last_finish(&[1.0 * GB; 10], f64::INFINITY, 5.0 * GB);
         assert!((f - 2.0).abs() < 1e-6);
     }
 }

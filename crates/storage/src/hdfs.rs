@@ -7,20 +7,23 @@
 //!   merge them with a *metadata-level concat* — the §4.3 write path. The
 //!   backend enforces this: `write` creates/replaces whole objects,
 //!   `append` extends, there is no ranged write.
-//! * **NameNode metadata costs.** Every metadata operation (create, exists,
-//!   list, rename, concat, delete) pays a configurable latency and passes a
-//!   QPS throttle, reproducing "massive read/write requests ... can overload
-//!   the master node". Concat is serial under a NameNode-wide lock unless
-//!   [`HdfsConfig::parallel_concat`] is set — the §6.4 bottleneck and fix.
+//! * **NameNode metadata operations.** Every metadata operation (create,
+//!   open, exists, list, rename, concat, delete) is counted
+//!   ([`NameNodeStats`]); a concat costs one per participating file plus
+//!   one. The backend charges no time of its own: a test that wants
+//!   NameNode latency puts a `Fault::Delay` rule in front of it, as the NAS
+//!   profile does.
 //! * **NNProxy.** A metadata cache in front of the NameNode serving
-//!   `exists`/`size` hits without paying NameNode latency, with
-//!   write-path invalidation (§5.1).
+//!   `exists`/`size` hits without a NameNode operation, with write-path
+//!   invalidation (§5.1).
 //! * **Ranged multi-threaded reads.** Reads are served from the object
 //!   store without NameNode involvement beyond an open, mirroring the SDK's
 //!   random-read capability the paper exploits for 2-3 GB/s downloads.
 //!
-//! Not modeled: §5.1's SSD→HDD cool-down. Nothing in the checkpointing path
-//! reads a storage class, so the simulation keeps one tier.
+//! Not modeled: §5.1's SSD→HDD cool-down (nothing reads a storage class),
+//! §6.4's serial concat under a NameNode-wide lock and the NameNode QPS
+//! throttle (no caller configured either): the simulation keeps one tier,
+//! concatenates in parallel and never throttles.
 //!
 //! Data sits in in-process memory — the *behavioural* contract (who pays
 //! which metadata ops, what must be concatenated, what can be read in
@@ -33,35 +36,6 @@ use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
-use std::time::{Duration, Instant};
-
-/// Tunables for the simulated HDFS cluster.
-#[derive(Debug, Clone)]
-pub struct HdfsConfig {
-    /// Latency charged per NameNode metadata operation.
-    pub meta_latency: Duration,
-    /// Maximum metadata operations per second (token bucket); `None`
-    /// disables throttling.
-    pub meta_qps_limit: Option<u32>,
-    /// Whether concat executes in parallel (the §6.4 fix) or serially under
-    /// the NameNode lock (the bottleneck as found).
-    pub parallel_concat: bool,
-    /// Whether the NNProxy metadata cache is enabled.
-    pub nnproxy_cache: bool,
-}
-
-impl Default for HdfsConfig {
-    fn default() -> HdfsConfig {
-        HdfsConfig {
-            // Keep simulated latencies tiny so tests stay fast; benches and
-            // monitoring demos raise them to realistic values.
-            meta_latency: Duration::from_micros(50),
-            meta_qps_limit: None,
-            parallel_concat: true,
-            nnproxy_cache: true,
-        }
-    }
-}
 
 /// Counters exposed by the NameNode for storage-side monitoring (§5.3).
 #[derive(Debug, Default)]
@@ -72,121 +46,58 @@ pub struct NameNodeStats {
     pub proxy_hits: AtomicU64,
     /// Concat operations executed.
     pub concats: AtomicU64,
-    /// Total time spent waiting on the QPS throttle, in microseconds.
-    pub throttle_wait_us: AtomicU64,
 }
 
 impl NameNodeStats {
-    /// Snapshot (meta_ops, proxy_hits, concats, throttle_wait_us).
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
+    /// Snapshot (meta_ops, proxy_hits, concats).
+    pub fn snapshot(&self) -> (u64, u64, u64) {
         (
             self.meta_ops.load(Ordering::Relaxed),
             self.proxy_hits.load(Ordering::Relaxed),
             self.concats.load(Ordering::Relaxed),
-            self.throttle_wait_us.load(Ordering::Relaxed),
         )
     }
-}
 
-struct NameNode {
-    /// QPS token bucket state: (tokens, last refill).
-    bucket: Mutex<(f64, Instant)>,
-    /// Serial-concat lock (held across the whole concat when
-    /// `parallel_concat` is false).
-    concat_lock: Mutex<()>,
-    stats: NameNodeStats,
-}
-
-impl NameNode {
-    fn new() -> NameNode {
-        NameNode {
-            bucket: Mutex::new((0.0, Instant::now())),
-            concat_lock: Mutex::new(()),
-            stats: NameNodeStats::default(),
-        }
-    }
-
-    /// Pay for one metadata operation: QPS throttle + latency.
-    fn meta_op(&self, cfg: &HdfsConfig) {
-        self.stats.meta_ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(qps) = cfg.meta_qps_limit {
-            let wait = {
-                let mut bucket = lock(&self.bucket);
-                let (ref mut tokens, ref mut last) = *bucket;
-                let now = Instant::now();
-                // Deficit-based limiter: tokens may go negative; each op
-                // consumes one and sleeps off its share of the deficit, so
-                // sustained throughput converges to exactly `qps`.
-                *tokens = (*tokens + now.duration_since(*last).as_secs_f64() * qps as f64).min(1.0);
-                *last = now;
-                *tokens -= 1.0;
-                if *tokens < 0.0 {
-                    Duration::from_secs_f64(-*tokens / qps as f64)
-                } else {
-                    Duration::ZERO
-                }
-            };
-            if !wait.is_zero() {
-                self.stats.throttle_wait_us.fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
-                std::thread::sleep(wait);
-            }
-        }
-        if !cfg.meta_latency.is_zero() {
-            std::thread::sleep(cfg.meta_latency);
-        }
+    /// Count one NameNode metadata operation.
+    fn meta_op(&self) {
+        self.meta_ops.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// The simulated HDFS backend. Cheap to share: wrap in `Arc`.
+#[derive(Default)]
 pub struct HdfsBackend {
-    cfg: HdfsConfig,
-    namenode: NameNode,
+    namenode: NameNodeStats,
     objects: RwLock<BTreeMap<String, Bytes>>,
     /// NNProxy metadata cache: path -> size (None = known-absent).
     proxy_cache: Mutex<BTreeMap<String, Option<u64>>>,
 }
 
 impl HdfsBackend {
-    /// Create a cluster with the given configuration.
-    pub fn new(cfg: HdfsConfig) -> HdfsBackend {
-        HdfsBackend {
-            cfg,
-            namenode: NameNode::new(),
-            objects: RwLock::new(BTreeMap::new()),
-            proxy_cache: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Create with defaults (fast metadata, parallel concat, proxy on).
-    pub fn with_defaults() -> HdfsBackend {
-        HdfsBackend::new(HdfsConfig::default())
+    /// An empty cluster.
+    pub fn new() -> HdfsBackend {
+        HdfsBackend::default()
     }
 
     /// NameNode statistics for storage-side monitoring.
     pub fn namenode_stats(&self) -> &NameNodeStats {
-        &self.namenode.stats
+        &self.namenode
     }
 
     fn invalidate_proxy(&self, path: &str) {
-        if self.cfg.nnproxy_cache {
-            lock(&self.proxy_cache).remove(path);
-        }
+        lock(&self.proxy_cache).remove(path);
     }
 
     /// Size lookup through the NNProxy: cache hit skips the NameNode.
     fn proxied_size(&self, path: &str) -> Option<u64> {
-        if !self.cfg.nnproxy_cache {
-            self.namenode.meta_op(&self.cfg);
-            return read(&self.objects).get(path).map(|o| o.len() as u64);
-        }
         {
             let cache = lock(&self.proxy_cache);
             if let Some(entry) = cache.get(path) {
-                self.namenode.stats.proxy_hits.fetch_add(1, Ordering::Relaxed);
+                self.namenode.proxy_hits.fetch_add(1, Ordering::Relaxed);
                 return *entry;
             }
         }
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         let result = read(&self.objects).get(path).map(|o| o.len() as u64);
         lock(&self.proxy_cache).insert(path.to_string(), result);
         result
@@ -199,11 +110,7 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn op_attrs(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("parallel_concat", self.cfg.parallel_concat.to_string()),
-            ("nnproxy_cache", self.cfg.nnproxy_cache.to_string()),
-            ("meta_ops", self.namenode.stats.meta_ops.load(Ordering::Relaxed).to_string()),
-        ]
+        vec![("meta_ops", self.namenode.meta_ops.load(Ordering::Relaxed).to_string())]
     }
 
     fn concat_is_metadata_op(&self) -> bool {
@@ -216,14 +123,14 @@ impl StorageBackend for HdfsBackend {
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
         // Create = one metadata op (the paper's §6.4 lesson: avoid the SDK's
         // redundant parent-dir checks; we charge exactly one op).
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         write(&self.objects).insert(path.to_string(), data);
         self.invalidate_proxy(path);
         Ok(())
     }
 
     fn append(&self, path: &str, data: &[u8]) -> Result<()> {
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         let mut objects = write(&self.objects);
         let obj = objects.entry(path.to_string()).or_default();
         let mut buf = BytesMut::with_capacity(obj.len() + data.len());
@@ -237,7 +144,7 @@ impl StorageBackend for HdfsBackend {
 
     fn read(&self, path: &str) -> Result<Bytes> {
         // Open = one metadata op; the data path bypasses the NameNode.
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         read(&self.objects)
             .get(path)
             .cloned()
@@ -261,7 +168,7 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         Ok(read(&self.objects)
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -270,7 +177,7 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         self.invalidate_proxy(path);
         write(&self.objects)
             .remove(path)
@@ -279,7 +186,7 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.namenode.meta_op(&self.cfg);
+        self.namenode.meta_op();
         self.invalidate_proxy(from);
         self.invalidate_proxy(to);
         let mut objects = write(&self.objects);
@@ -289,16 +196,11 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn concat(&self, target: &str, parts: &[String]) -> Result<()> {
-        self.namenode.stats.concats.fetch_add(1, Ordering::Relaxed);
-        // Metadata-level merge. Serial mode holds the NameNode-wide lock for
-        // the entire operation (the §6.4 bottleneck); parallel mode only
-        // pays its own metadata latency.
-        let _guard =
-            if self.cfg.parallel_concat { None } else { Some(lock(&self.namenode.concat_lock)) };
-        // One metadata op per participating file plus one for the target —
-        // concat cost scales with the number of sub-files.
+        self.namenode.concats.fetch_add(1, Ordering::Relaxed);
+        // Metadata-level merge: one metadata op per participating file plus
+        // one for the target — concat cost scales with the number of parts.
         for _ in 0..=parts.len() {
-            self.namenode.meta_op(&self.cfg);
+            self.namenode.meta_op();
         }
         {
             let mut objects = write(&self.objects);
@@ -324,36 +226,27 @@ impl StorageBackend for HdfsBackend {
 mod tests {
     use super::*;
 
-    fn fast() -> HdfsBackend {
-        HdfsBackend::new(HdfsConfig {
-            meta_latency: Duration::ZERO,
-            meta_qps_limit: None,
-            parallel_concat: true,
-            nnproxy_cache: true,
-        })
-    }
-
     #[test]
     fn conformance() {
-        crate::conformance::run_all(&fast());
+        crate::conformance::run_all(&HdfsBackend::new());
     }
 
     #[test]
-    fn nnproxy_cache_absorbs_repeat_metadata_queries() {
-        let h = fast();
+    fn the_proxy_absorbs_repeat_metadata_queries() {
+        let h = HdfsBackend::new();
         h.write("ckpt/file", Bytes::from_static(b"abc")).unwrap();
-        let (ops0, hits0, _, _) = h.namenode_stats().snapshot();
+        let (ops0, hits0, _) = h.namenode_stats().snapshot();
         for _ in 0..10 {
             assert_eq!(h.size("ckpt/file").unwrap(), 3);
         }
-        let (ops1, hits1, _, _) = h.namenode_stats().snapshot();
+        let (ops1, hits1, _) = h.namenode_stats().snapshot();
         assert_eq!(ops1 - ops0, 1, "only the first size() should hit the NameNode");
         assert_eq!(hits1 - hits0, 9);
     }
 
     #[test]
     fn proxy_cache_invalidated_on_write() {
-        let h = fast();
+        let h = HdfsBackend::new();
         h.write("f", Bytes::from_static(b"1")).unwrap();
         assert_eq!(h.size("f").unwrap(), 1);
         h.write("f", Bytes::from_static(b"22")).unwrap();
@@ -361,32 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn qps_throttle_delays_metadata_ops() {
-        let h = HdfsBackend::new(HdfsConfig {
-            meta_latency: Duration::ZERO,
-            meta_qps_limit: Some(100),
-            parallel_concat: true,
-            nnproxy_cache: false,
-        });
-        let start = Instant::now();
-        for i in 0..20 {
-            h.write(&format!("f{i}"), Bytes::from_static(b"x")).unwrap();
-        }
-        // 20 ops at 100 QPS needs ~190ms beyond the first token.
-        assert!(
-            start.elapsed() >= Duration::from_millis(150),
-            "throttle too weak: {:?}",
-            start.elapsed()
-        );
-        let (_, _, _, wait) = h.namenode_stats().snapshot();
-        assert!(wait > 0);
-    }
-
-    #[test]
     fn split_upload_then_concat_matches_whole_write() {
         // The §4.3 write path: split into sub-files, upload concurrently,
         // metadata-concat back into one object.
-        let h = std::sync::Arc::new(fast());
+        let h = std::sync::Arc::new(HdfsBackend::new());
         let payload: Vec<u8> = (0..4096u32).flat_map(|i| i.to_le_bytes()).collect();
         let chunk = payload.len() / 4;
         let mut handles = Vec::new();
@@ -407,45 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn serial_concat_serializes() {
-        // Two concats in serial mode cannot overlap; with per-op latency L
-        // and k parts each, total time >= 2 * (k+1) * L.
-        let h = std::sync::Arc::new(HdfsBackend::new(HdfsConfig {
-            meta_latency: Duration::from_millis(5),
-            meta_qps_limit: None,
-            parallel_concat: false,
-            nnproxy_cache: false,
-        }));
-        for j in 0..2 {
-            for i in 0..4 {
-                h.write(&format!("s{j}/p{i}"), Bytes::from_static(b"z")).unwrap();
-            }
-        }
-        let start = Instant::now();
-        let mut handles = Vec::new();
-        for j in 0..2 {
-            let h = h.clone();
-            handles.push(std::thread::spawn(move || {
-                let parts: Vec<String> = (0..4).map(|i| format!("s{j}/p{i}")).collect();
-                h.concat(&format!("s{j}/merged"), &parts).unwrap();
-            }));
-        }
-        for hd in handles {
-            hd.join().unwrap();
-        }
-        // Each concat: 5 meta ops * 5ms = 25ms; serial => >= 50ms.
-        assert!(start.elapsed() >= Duration::from_millis(45), "got {:?}", start.elapsed());
-    }
-
-    #[test]
     fn ranged_reads_bypass_namenode() {
-        let h = fast();
+        let h = HdfsBackend::new();
         h.write("big", Bytes::from(vec![7u8; 1024])).unwrap();
-        let (ops0, _, _, _) = h.namenode_stats().snapshot();
+        let (ops0, _, _) = h.namenode_stats().snapshot();
         for i in 0..16 {
             let _ = h.read_range("big", i * 64, 64).unwrap();
         }
-        let (ops1, _, _, _) = h.namenode_stats().snapshot();
+        let (ops1, _, _) = h.namenode_stats().snapshot();
         assert_eq!(ops1, ops0, "ranged reads must not hit the NameNode");
     }
 }

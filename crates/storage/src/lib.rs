@@ -13,9 +13,8 @@
 //!   Gemini-style in-memory checkpoint storage.
 //! * [`DiskBackend`] — real files under a root directory.
 //! * [`hdfs::HdfsBackend`] — a simulated HDFS: append-only files, a
-//!   NameNode with per-metadata-op latency, QPS throttling and
-//!   (configurable) serial vs. parallel concat, an NNProxy metadata cache,
-//!   and sub-file concatenation (§4.3).
+//!   NameNode that counts metadata operations (and charges no time of its
+//!   own), an NNProxy metadata cache, and sub-file concatenation (§4.3).
 //!
 //! There is no object-store client here: `object://` and `s3://` parse to
 //! [`uri::Scheme::Object`], for which a deployment registers its own
@@ -67,7 +66,7 @@ pub mod uri;
 pub use counting::OpCountingBackend;
 pub use disk::DiskBackend;
 pub use fault::{Damage, Fault, FaultLayer, FaultRule, OpSet};
-pub use hdfs::{HdfsBackend, HdfsConfig, NameNodeStats};
+pub use hdfs::{HdfsBackend, NameNodeStats};
 pub use instrument::InstrumentedBackend;
 pub use journal::{JournalBackend, JournalOp};
 pub use layer::{Layer, Op, Reply};

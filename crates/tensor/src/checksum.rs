@@ -5,7 +5,7 @@
 //! (paper Appendix B: integrity guarantee). A save seals every payload with
 //! [`extend_crc32`], which copies it into the capture image and computes its
 //! CRC from the same loads, so the kernel's speed is capture's; scrub,
-//! `decode_frames` and the hot tier re-verify through [`crc32`].
+//! `decode_frames` and the state-file reader re-verify through [`crc32`].
 //!
 //! One surface ([`Crc32`], [`crc32`], [`extend_crc32`]), two kernels, same
 //! polynomial and same values as zlib / `crc32fast`, hand-rolled to stay

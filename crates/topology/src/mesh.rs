@@ -35,15 +35,6 @@ impl DeviceMesh {
         self.axes.iter().map(|(_, s)| s).product()
     }
 
-    /// Size of a named axis.
-    pub fn axis_size(&self, name: &str) -> Result<usize> {
-        self.axes
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .ok_or_else(|| TopologyError::UnknownAxis(name.to_string()))
-    }
-
     /// This rank's coordinate along a named axis.
     pub fn coord(&self, rank: usize, axis: &str) -> Result<usize> {
         if rank >= self.world_size() {

@@ -120,7 +120,7 @@ fn main() {
             assert!(g.tensor.bitwise_eq(&w.tensor), "rank {rank}: {fqn} differs");
         }
         // Extra state carried over.
-        assert_eq!(out.report.extra.expect("extra").step, checkpoint_step);
+        assert_eq!(out.extra.expect("extra").step, checkpoint_step);
         // Dataloader resharded 8x2 -> 6x2 readers; buffers merged.
         let (replicated, shard) = out.loader.expect("loader state");
         assert_eq!(replicated.dp_size, 6);

@@ -87,6 +87,19 @@ if grep -rnE 'options\.(plan_cache|dedup_reads|verified_fallback|dedup)\b|async_
   exit 1
 fi
 
+echo "==> one list of state files (the loader map, the extra-state index, the HDFS knobs and the surface only its own tests reached must not come back)"
+if grep -rnE 'loader_map|extra_files|LoaderShardFileEntry|LoaderMap|HdfsConfig|meta_qps_limit|parallel_concat|nnproxy_cache|throttle_wait_us|fn (subgroup|all_to_all|num_edges|bottom_up_order|axis_size|gpt_175b|makespan)\b' \
+     crates src tests examples; then
+  echo "a step's dataloader and extra state are GlobalMetadata::state_files, each a sealed frame (crates/core/src/state_files.rs); the simulated HDFS counts NameNode operations and has no knobs"
+  exit 1
+fi
+state_types="$(awk '/^#\[cfg\(test\)\]/{t=1} !t && /bcp_dataloader|ExtraState/{print FILENAME ":" FNR ": " $0}' crates/core/src/workflow.rs)"
+if [ -n "$state_types" ]; then
+  printf '%s\n' "$state_types"
+  echo "the workflow moves state files by name; crates/core/src/state_files.rs alone knows the dataloader and extra-state types"
+  exit 1
+fi
+
 echo "==> one fault injector (the object-store simulator, its knobs, stats and URI parameters must not come back)"
 if grep -rnE 'ObjectStoreBackend|ObjectStoreConfig|ObjectStoreStats|orphaned_uploads|abort_orphans|set_rate_limit|outage_now|fail_requests|ConnectionReset|from_params|part_size_floor' \
      crates src tests examples; then

@@ -171,11 +171,9 @@ fn cmd_inspect(dir: &str, json: bool) -> Result<(), AnyError> {
     let shards: usize = meta.tensor_map.values().map(Vec::len).sum();
     println!("tensors      {tensors} logical, {shards} stored shards");
     println!("tensor bytes {}", human_bytes(meta.total_tensor_bytes()));
-    if let Some(rep) = &meta.loader_map.replicated_file {
-        println!("dataloader   {} shard files + replicated ({rep})", meta.loader_map.shards.len());
-    }
-    if !meta.extra_files.is_empty() {
-        println!("extra state  {} rank files", meta.extra_files.len());
+    println!("state files  {}", meta.state_files.len());
+    for name in &meta.state_files {
+        println!("  {name}");
     }
     // Top tensors by size.
     let mut sizes: Vec<(&String, u64)> = meta

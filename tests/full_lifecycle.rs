@@ -78,7 +78,7 @@ fn pretrain_resume_sft_eval_export() {
             })
             .unwrap();
         assert_states_eq(&state, &reference_state(&arch_c, fw1, par2, rank, s1_steps), rank);
-        assert_eq!(out.report.extra.as_ref().unwrap().step, s1_steps);
+        assert_eq!(out.extra.as_ref().unwrap().step, s1_steps);
         if let Some((rep, shard)) = out.loader {
             assert_eq!(rep.dp_size, 3);
             let mut dl = Dataloader::from_states(rep, shard);
@@ -214,7 +214,7 @@ fn two_tier_memory_plus_hdfs_checkpointing() {
     let fw = Framework::Ddp;
     let par = Parallelism::data_parallel(2).unwrap();
     let mem: DynBackend = Arc::new(MemoryBackend::new());
-    let hdfs: DynBackend = Arc::new(bytecheckpoint::storage::HdfsBackend::with_defaults());
+    let hdfs: DynBackend = Arc::new(bytecheckpoint::storage::HdfsBackend::new());
     let registry = {
         let mut reg = BackendRegistry::new();
         reg.register(Scheme::Memory, mem.clone());

@@ -6,8 +6,7 @@ mod common;
 
 use bytecheckpoint::core::export::metadata_json;
 use bytecheckpoint::core::metadata::{
-    BasicMeta, ByteMeta, GlobalMetadata, LoaderShardFileEntry, ShardMeta, TensorShardEntry,
-    METADATA_FILE,
+    BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry, METADATA_FILE,
 };
 use bytecheckpoint::core::plan::{build_tensor_map, local_save_plan, SavePlan};
 use bytecheckpoint::core::planner::balance::{dedup_save_plans, DedupStrategy};
@@ -102,28 +101,25 @@ fn arb_metadata() -> impl Strategy<Value = GlobalMetadata> {
     (
         any::<u64>(),
         proptest::collection::vec(arb_tensor(), 0..6),
-        prop_oneof![Just(None), Just(Some("loader/replicated.json".to_string()))],
+        prop_oneof![Just(None), Just(Some("loader/replicated.bin".to_string()))],
         proptest::collection::vec((0usize..4, 0usize..3), 0..4),
         proptest::collection::vec(0usize..8, 0..3),
     )
-        .prop_map(|(step, tensors, replicated_file, loader_shards, extra_ranks)| {
+        .prop_map(|(step, tensors, replicated, loader_shards, extra_ranks)| {
             let mut m = GlobalMetadata::new("megatron", step, "TP=2,DP=2,PP=1", 4);
             for (i, mut entries) in tensors.into_iter().enumerate() {
                 let fqn = format!("layers.{i}.weight");
                 entries.iter_mut().for_each(|e| e.shard.fqn = fqn.clone().into());
                 m.tensor_map.insert(fqn, entries);
             }
-            m.loader_map.replicated_file = replicated_file;
-            m.loader_map.shards = loader_shards
+            // Named, ascending and listed once each, as `validate` requires.
+            m.state_files = replicated
                 .into_iter()
-                .map(|(dp_rank, worker)| LoaderShardFileEntry {
-                    dp_rank,
-                    worker,
-                    file: format!("loader/dp{dp_rank}_w{worker}.json"),
-                })
+                .chain(loader_shards.into_iter().map(|(dp, w)| format!("loader/dp{dp}_w{w}.bin")))
+                .chain(extra_ranks.into_iter().map(|r| format!("extra_{r}.bin")))
                 .collect();
-            m.extra_files =
-                extra_ranks.into_iter().map(|r| (r, format!("extra_{r}.bin"))).collect();
+            m.state_files.sort();
+            m.state_files.dedup();
             m
         })
 }
@@ -203,7 +199,7 @@ fn any_bit_flip_and_any_truncation_is_an_error() {
             }],
         );
     }
-    m.extra_files.insert(1, "extra_1.bin".into());
+    m.state_files = vec!["extra_1.bin".into()];
     let good = m.to_bytes();
     assert_eq!(GlobalMetadata::from_bytes(&good).unwrap(), m);
     for at in 0..good.len() {
@@ -327,7 +323,7 @@ fn warm_steps_differ_only_in_the_step_and_the_trailer() {
 
 /// What `bcpctl inspect --json` prints for a fixed metadata, byte for byte:
 /// 0- to 6-axis boxes, a stride that is not row-major, an entry that does
-/// not require gradients, the loader map and the extra-state files.
+/// not require gradients, and the state files.
 #[test]
 fn the_json_view_prints_what_it_always_has() {
     let mut m = GlobalMetadata::new("megatron", 42, "TP=2,DP=1,PP=1", 2);
@@ -358,10 +354,8 @@ fn the_json_view_prints_what_it_always_has() {
         };
         m.tensor_map.insert(fqn, vec![entry]);
     }
-    m.loader_map.replicated_file = Some("loader/replicated.json".into());
-    m.loader_map.shards =
-        vec![LoaderShardFileEntry { dp_rank: 0, worker: 1, file: "loader/dp0_w1.json".into() }];
-    m.extra_files.insert(1, "extra_1.bin".into());
+    m.state_files =
+        vec!["extra_1.bin".into(), "loader/dp0_w1.bin".into(), "loader/replicated.bin".into()];
     m.validate().unwrap();
     assert_eq!(metadata_json(&m), include_str!("golden/metadata.json"));
 }

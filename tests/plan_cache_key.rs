@@ -70,7 +70,7 @@ fn session(shapes: &'static [Shape]) -> Vec<(u64, u64)> {
             }
             let out = ckpt.load(&mut load).unwrap_or_else(|e| panic!("step {step}: {e}"));
             assert_states_eq(&target, &state, rank);
-            assert_eq!(out.report.extra.map(|e| e.step), shape.extra.then_some(step));
+            assert_eq!(out.extra.map(|e| e.step), shape.extra.then_some(step));
             assert_eq!(out.loader.map(|(_, shard)| shard), loader.map(|(_, shard)| shard));
         }
         ckpt.plan_cache_stats()

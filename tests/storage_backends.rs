@@ -9,7 +9,6 @@ use bytecheckpoint::core::engine::save::SPLIT_PARTS;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::disk::MAP_MIN_BYTES;
-use bytecheckpoint::storage::hdfs::HdfsConfig;
 use bytecheckpoint::storage::{
     assemble, fault, Fault, FaultLayer, FaultRule, JournalBackend, JournalOp, OpSet, StackConfig,
     StorageBackend, TestClock,
@@ -109,7 +108,7 @@ fn default_options_split_a_large_shard_only_where_concat_is_a_metadata_op() {
     // gather-write and no `.partN` object ever exists.
     let dir = std::env::temp_dir().join(format!("bcp-it-who-splits-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let hdfs = Arc::new(HdfsBackend::with_defaults());
+    let hdfs = Arc::new(HdfsBackend::new());
     let cases: [(Scheme, &'static str, DynBackend); 3] = [
         (Scheme::Memory, "mem://x/job/big", Arc::new(MemoryBackend::new())),
         (Scheme::File, "file:///job/big", Arc::new(DiskBackend::new(&dir).unwrap())),
@@ -173,15 +172,10 @@ fn default_options_split_a_large_shard_only_where_concat_is_a_metadata_op() {
 
 #[test]
 fn hdfs_backend_end_to_end_with_metadata_machinery() {
-    let hdfs = Arc::new(HdfsBackend::new(HdfsConfig {
-        meta_latency: Duration::from_micros(20),
-        meta_qps_limit: None,
-        parallel_concat: true,
-        nnproxy_cache: true,
-    }));
+    let hdfs = Arc::new(HdfsBackend::new());
     let registry = registry_for(Scheme::Hdfs, hdfs.clone());
     round_trip("hdfs://prod/job/hdfs-ckpt", registry, WorkflowOptions::default());
-    let (meta_ops, _, _, _) = hdfs.namenode_stats().snapshot();
+    let (meta_ops, _, _) = hdfs.namenode_stats().snapshot();
     assert!(meta_ops > 0, "checkpointing must exercise the NameNode");
     // A second checkpointer world reloads what the first one left.
     let arch = zoo::tiny_gpt();
