@@ -27,8 +27,8 @@ use crate::integrity::{
 use crate::manager::{CheckpointManager, QuarantinedStep};
 use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
-use crate::scrub::scrub_step;
-use crate::state_files::{self, restore_extra, restore_loader};
+use crate::scrub::scrub_step_with;
+use crate::state_files::{restore_extra, restore_loader};
 use crate::workflow::{
     load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveTicket, WorkflowOptions,
 };
@@ -383,26 +383,12 @@ impl Checkpointer {
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
-        let report = load_checkpoint(&self.ctx, backend.clone(), &uri.key, req.state)?;
-        // The one reader of state files: a CRC-checked frame, under the load
-        // retry policy.
-        let read = |name: &str| {
-            let path = format!("{}/{name}", uri.key);
-            let data = self.retried("load/state", &path, || backend.read(&path))?;
-            state_files::decode(name, &data)
-        };
-        let names = &report.metadata.state_files;
-        let restore = || -> Result<_> {
-            let extra = restore_extra(read, names, self.ctx.rank(), self.ctx.coordinator())?;
-            let loader = match req.loader_target {
-                Some(target) => restore_loader(read, names, target)?,
-                None => None,
-            };
-            Ok((extra, loader))
-        };
-        // As in the load workflow: a rank that fails here will not reach its
-        // peers' next collective, so it declares itself failed.
-        let (extra, loader) = restore().inspect_err(|_| self.ctx.comm.mark_self_failed())?;
+        let (report, (extra, loader)) =
+            load_checkpoint(&self.ctx, backend, &uri.key, req.state, |names, read| {
+                let extra = restore_extra(read, names, self.rank(), self.ctx.coordinator())?;
+                let target = req.loader_target;
+                Ok((extra, target.map(|t| restore_loader(read, names, t)).transpose()?.flatten()))
+            })?;
         Ok(LoadOutcome { report, extra, loader, quarantined: Vec::new() })
     }
 
@@ -469,11 +455,13 @@ impl Checkpointer {
         let chosen = loop {
             let latest = self.retried("load/discover", job_root, || mgr.latest())?;
             let Some(candidate) = latest else { break None };
-            // Under the load retry policy: a transient backend error
-            // must neither fail the resume nor condemn a healthy step.
-            let report = self.retried("load/verify", &candidate.prefix, || {
-                scrub_step(backend, &candidate.prefix, candidate.step)
-            })?;
+            // Each storage operation of the scrub under the load retry
+            // policy: a transient backend error must neither fail the resume
+            // nor condemn a healthy step.
+            let report =
+                scrub_step_with(backend, &candidate.prefix, candidate.step, &|path, op| {
+                    self.retried("load/verify", path, op)
+                })?;
             if report.is_clean() {
                 break Some(candidate.step);
             }

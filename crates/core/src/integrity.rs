@@ -134,10 +134,8 @@ pub fn with_retries<T>(
 /// Commit a checkpoint: write the `COMPLETE` marker under `prefix`.
 /// Called by the coordinator after the integrity barrier has confirmed that
 /// every rank finished its uploads.
-pub fn commit_checkpoint(backend: &DynBackend, prefix: &str) -> Result<()> {
-    backend
-        .write(&format!("{prefix}/{COMPLETE_MARKER}"), bytes::Bytes::from_static(b"ok"))
-        .map_err(BcpError::Storage)
+pub fn commit_checkpoint(backend: &DynBackend, prefix: &str) -> bcp_storage::Result<()> {
+    backend.write(&format!("{prefix}/{COMPLETE_MARKER}"), bytes::Bytes::from_static(b"ok"))
 }
 
 #[cfg(test)]

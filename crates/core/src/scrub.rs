@@ -15,9 +15,9 @@ use crate::format::{decode_frames, header_len, Frame};
 use crate::manager::CheckpointManager;
 use crate::metadata::{GlobalMetadata, TensorShardEntry, COMPLETE_MARKER, METADATA_FILE};
 use crate::state_files;
-use crate::Result;
+use crate::{BcpError, Result};
 use bcp_monitor::{TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE};
-use bcp_storage::{DynBackend, StorageError, StorageErrorKind};
+use bcp_storage::{DynBackend, Result as StorageResult, StorageErrorKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Classification of one scrub finding.
@@ -103,29 +103,49 @@ impl ScrubReport {
     }
 }
 
+/// Runs one storage operation of a scrub on a path — once, or under a retry
+/// policy — returning its last error; the operation keeps its own result.
+pub type Attempt<'a> = dyn Fn(&str, &mut dyn FnMut() -> StorageResult<()>) -> Result<()> + 'a;
+
+fn attempted<T>(at: &Attempt, path: &str, mut op: impl FnMut() -> StorageResult<T>) -> Result<T> {
+    let mut out = None;
+    at(path, &mut || op().map(|v| out = Some(v)))?;
+    Ok(out.expect("a successful attempt keeps its result"))
+}
+
 /// Scrub one checkpoint prefix. Collects issues instead of failing fast;
-/// only infrastructure errors (the backend itself failing) return `Err`, so
-/// a caller may retry the scrub under its storage retry policy.
-pub fn scrub_step(
+/// only infrastructure errors (the backend itself failing) return `Err`.
+pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<ScrubReport> {
+    scrub_step_with(backend, prefix, step, &|_, op| Ok(op()?))
+}
+
+/// [`scrub_step`] with each storage operation — the listing, every file
+/// read — run through `attempt`: a transient failure repeats that one
+/// operation, never the sweep.
+pub fn scrub_step_with(
     backend: &DynBackend,
     prefix: &str,
     step: u64,
-) -> std::result::Result<ScrubReport, StorageError> {
+    attempt: &Attempt<'_>,
+) -> Result<ScrubReport> {
+    let listed = format!("{prefix}/");
+    let present: BTreeSet<String> =
+        attempted(attempt, &listed, || backend.list(&listed))?.into_iter().collect();
+    let marker = format!("{prefix}/{COMPLETE_MARKER}");
     let mut report = ScrubReport {
         step,
         prefix: prefix.to_string(),
-        committed: backend.exists(&format!("{prefix}/{COMPLETE_MARKER}"))?,
+        committed: present.contains(&marker),
         issues: Vec::new(),
         files_checked: 0,
         frames_verified: 0,
     };
-    let present: BTreeSet<String> = backend.list(&format!("{prefix}/"))?.into_iter().collect();
     let meta_path = format!("{prefix}/{METADATA_FILE}");
 
     // 1. Metadata must exist, parse, and validate.
     let meta = if present.contains(&meta_path) {
         report.files_checked += 1;
-        match backend.read(&meta_path) {
+        match attempted(attempt, &meta_path, || backend.read(&meta_path)) {
             Ok(bytes) => match GlobalMetadata::from_bytes(&bytes) {
                 Ok(meta) => {
                     if let Err(e) = meta.validate() {
@@ -158,7 +178,7 @@ pub fn scrub_step(
             },
             // A listed file the backend cannot produce is a defect of the
             // step; a transient or throttled read says nothing about it.
-            Err(e) if e.kind() == StorageErrorKind::Terminal => {
+            Err(BcpError::Storage(e)) if e.kind() == StorageErrorKind::Terminal => {
                 report.issues.push(ScrubIssue {
                     path: meta_path.clone(),
                     kind: IssueKind::BadMetadata,
@@ -179,7 +199,7 @@ pub fn scrub_step(
 
     let mut known: BTreeSet<String> = BTreeSet::new();
     known.insert(meta_path);
-    known.insert(format!("{prefix}/{COMPLETE_MARKER}"));
+    known.insert(marker);
     known.insert(format!("{prefix}/{TELEMETRY_SAVE_FILE}"));
     known.insert(format!("{prefix}/{TELEMETRY_LOAD_FILE}"));
 
@@ -192,22 +212,35 @@ pub fn scrub_step(
             }
         }
 
-        // 3. Every referenced storage file must exist, decode into
-        // CRC-verified frames, and cover every ByteMeta range with a frame
+        // 3. Every referenced file must exist and decode into CRC-verified
+        // frames: a state file into its one frame, named as the file; a
+        // storage file into frames that cover every ByteMeta range with a
         // payload at exactly the recorded offset/length.
-        for (file, refs) in &by_file {
+        let state = meta.state_files.iter().map(|name| (name.as_str(), None));
+        for (file, refs) in by_file.iter().map(|(file, refs)| (*file, Some(refs))).chain(state) {
             let path = format!("{prefix}/{file}");
             known.insert(path.clone());
             if !present.contains(&path) {
-                report.issues.push(ScrubIssue {
-                    path,
-                    kind: IssueKind::MissingFile,
-                    detail: format!("{} shard(s) reference this missing file", refs.len()),
-                });
+                let detail = match refs {
+                    Some(refs) => format!("{} shard(s) reference this missing file", refs.len()),
+                    None => "state file listed in the metadata is missing".into(),
+                };
+                report.issues.push(ScrubIssue { path, kind: IssueKind::MissingFile, detail });
                 continue;
             }
             report.files_checked += 1;
-            let data = backend.read(&path)?;
+            let data = attempted(attempt, &path, || backend.read(&path))?;
+            let Some(refs) = refs else {
+                match state_files::decode(file, &data) {
+                    Ok(_) => report.frames_verified += 1,
+                    Err(e) => report.issues.push(ScrubIssue {
+                        path,
+                        kind: IssueKind::BadFrame,
+                        detail: e.to_string(),
+                    }),
+                }
+                continue;
+            };
             let frames = match decode_frames(&data) {
                 Ok(f) => f,
                 Err(e) => {
@@ -272,33 +305,9 @@ pub fn scrub_step(
                 });
             }
         }
-
-        // 4. Every state file must exist and decode into its one
-        // CRC-verified frame, named as the file.
-        for name in &meta.state_files {
-            let path = format!("{prefix}/{name}");
-            known.insert(path.clone());
-            if !present.contains(&path) {
-                report.issues.push(ScrubIssue {
-                    path,
-                    kind: IssueKind::MissingFile,
-                    detail: "state file listed in the metadata is missing".into(),
-                });
-                continue;
-            }
-            report.files_checked += 1;
-            match state_files::decode(name, &backend.read(&path)?) {
-                Ok(_) => report.frames_verified += 1,
-                Err(e) => report.issues.push(ScrubIssue {
-                    path,
-                    kind: IssueKind::BadFrame,
-                    detail: e.to_string(),
-                }),
-            }
-        }
     }
 
-    // 5. Everything else under the prefix is an orphan.
+    // 4. Everything else under the prefix is an orphan.
     for path in &present {
         if !known.contains(path) {
             report.issues.push(ScrubIssue {
@@ -441,7 +450,32 @@ mod tests {
         let once = FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on(METADATA_FILE);
         let flaky: DynBackend = Arc::new(FaultLayer::new(b, 0, vec![once]));
         let err = scrub_step(&flaky, &prefix, 10).unwrap_err();
-        assert_eq!(err.kind(), StorageErrorKind::Retryable, "{err}");
+        assert!(
+            matches!(&err, BcpError::Storage(e) if e.kind() == StorageErrorKind::Retryable),
+            "{err}"
+        );
+        assert!(scrub_step(&flaky, &prefix, 10).unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_transient_failure_repeats_one_operation_not_the_sweep() {
+        use bcp_storage::{Fault, FaultLayer, FaultRule, OpSet};
+        let b = mem();
+        let (prefix, _) = build_checkpoint(&b, "job", 10);
+        // The listing and the first read of each file fail once.
+        let rules = [OpSet::Reads, OpSet::Meta]
+            .map(|ops| FaultRule::new(ops, Fault::Fail { times: 1 }))
+            .to_vec();
+        let flaky: DynBackend = Arc::new(FaultLayer::new(b, 0, rules));
+        let attempts = std::cell::Cell::new(0);
+        let twice = |_: &str, op: &mut dyn FnMut() -> StorageResult<()>| {
+            attempts.set(attempts.get() + 1);
+            op().or_else(|_| op()).map_err(BcpError::Storage)
+        };
+        let r = scrub_step_with(&flaky, &prefix, 10, &twice).unwrap();
+        assert!(r.is_clean(), "{:?}", r.issues);
+        // The listing, the metadata, the shard file: each tried on its own.
+        assert_eq!(attempts.get(), 3);
         assert!(scrub_step(&flaky, &prefix, 10).unwrap().is_clean());
     }
 

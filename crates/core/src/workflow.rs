@@ -285,11 +285,7 @@ pub fn save_checkpoint(
             let t = root.child("save/commit").path(prefix2.clone());
             let _in_commit = t.enter();
             with_retries(retries, &log, rank, "save/commit", Some(&prefix2), || {
-                match commit_checkpoint(&backend, &prefix2) {
-                    Ok(()) => Ok(()),
-                    Err(BcpError::Storage(e)) => Err(e),
-                    Err(_) => unreachable!("commit only produces storage errors"),
-                }
+                commit_checkpoint(&backend, &prefix2)
             })?;
             root.event("commit");
         }
@@ -345,15 +341,18 @@ pub struct LoadReport {
 
 /// Execute the full load (resharding) workflow on this rank. The state dict
 /// passed in defines the *target* sharding; its tensor values are replaced.
-pub fn load_checkpoint(
+/// `restore` rebuilds the caller's non-tensor state from the step's state
+/// files, given their names and the one reader (frame and CRC checked).
+pub fn load_checkpoint<R>(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
     state: &mut TrainState,
-) -> Result<LoadReport> {
+    restore: impl FnOnce(&[String], &dyn Fn(&str) -> Result<Bytes>) -> Result<R>,
+) -> Result<(LoadReport, R)> {
     let JobContext { options, io, sink, failures: log, telemetry, .. } = ctx;
-    let mut load = || -> Result<LoadReport> {
-        let rank = ctx.rank();
+    let load = || -> Result<(LoadReport, R)> {
+        let (rank, retries) = (ctx.rank(), options.load.retries);
         let faults = {
             let comm = ctx.comm.clone();
             FaultHook::new(options.faults.clone(), rank)
@@ -374,7 +373,6 @@ pub fn load_checkpoint(
         let metadata = {
             let mut t = root.child("load/metadata").path(meta_path.clone());
             let _in_meta = t.enter();
-            let retries = options.load.retries;
             let marker = format!("{prefix}/{COMPLETE_MARKER}");
             let committed =
                 with_retries(retries, log, rank, "load/metadata", Some(&marker), || {
@@ -426,6 +424,21 @@ pub fn load_checkpoint(
             root.context(),
         )?;
 
+        // The state files, through the one reader, restored ahead of the
+        // barrier: a rank that cannot restore them fails its peers' load too.
+        let restored = {
+            let names = &metadata.state_files;
+            let t = (!names.is_empty()).then(|| root.child("load/state"));
+            let _in_state = t.as_ref().map(|t| t.enter());
+            restore(names, &|name| {
+                let path = format!("{prefix}/{name}");
+                let stage = "load/state";
+                let data =
+                    with_retries(retries, log, rank, stage, Some(&path), || backend.read(&path))?;
+                state_files::decode(name, &data)
+            })?
+        };
+
         // Step 6: the optimized collective barrier guarantees atomicity.
         faults.check("load/barrier")?;
         {
@@ -450,7 +463,7 @@ pub fn load_checkpoint(
                 });
             }
         }
-        Ok(LoadReport { stats, metadata })
+        Ok((LoadReport { stats, metadata }, restored))
     };
     let result = load();
     if result.is_err() {

@@ -278,8 +278,9 @@ fn a_load_survives_one_failed_commit_marker_probe() {
 }
 
 /// The resume path's storage operations outside the load workflow — step
-/// discovery under the job root, the verification scrub and the state-file
-/// reads — run under the load retry policy like everything inside it.
+/// discovery under the job root and the verification scrub, which reads the
+/// dataloader files — run under the load retry policy like everything
+/// inside it, one operation at a time.
 #[test]
 fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
     let fw = Framework::Ddp;
@@ -309,54 +310,35 @@ fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
         ckpt.save(&req).unwrap().wait().unwrap();
     });
 
-    // The first probe of each path under the job root fails once —
-    // discovery's `step_` listing and commit-marker check, the scrub's
-    // listing of the step — and so does the first read of the replicated
-    // dataloader file, which the verification scrub decodes before any rank
-    // loads it. A failed attempt repeats the whole scrub.
+    // The first read of each dataloader file fails once, and so does the
+    // first probe of each path under the job root: discovery's `step_`
+    // listing and commit-marker check, the scrub's listing of the step.
     let (registry, faulty) = behind_faults(
         &mem,
         vec![
-            FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on("/loader/replicated"),
+            FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on("/loader/"),
             FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 }).on("resume/step_"),
         ],
     );
-    let (rep, shards) = (replicated.clone(), shard_of.clone());
     let logs = run_ranks(par, fw, registry, move |rank, ckpt| {
         let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
         let target = LoaderTarget::new(2, 2, rank);
         let out = ckpt.load_latest("mem://x/resume", &mut state, Some(target)).unwrap().unwrap();
         assert_eq!(out.resumed_step(), 1);
         assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), fw, par, rank, 1), rank);
-        assert_eq!(out.loader, Some((rep.clone(), shards(rank))), "rank {rank}");
-        ckpt.failures().records()
-    });
-    assert_eq!(faulty.injected(), 1 + 3, "every scheduled failure fired");
-    let records: Vec<_> = logs.into_iter().flatten().collect();
-    assert_eq!(records.len(), 4, "one record per injected failure: {records:?}");
-    assert!(records.iter().all(|r| r.retried), "{records:?}");
-    let at = |stage: &str| records.iter().filter(|r| r.stage == stage).count();
-    let by_stage = (at("load/state"), at("load/discover"), at("load/verify"));
-    assert_eq!(by_stage, (0, 2, 2), "{records:?}");
-
-    // A load reads the state files itself: the first read of each fails once.
-    let (registry, faulty) = behind_faults(
-        &mem,
-        vec![FaultRule::new(OpSet::Reads, Fault::Fail { times: 1 }).on("/loader/")],
-    );
-    let logs = run_ranks(par, fw, registry, move |rank, ckpt| {
-        let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
-        let mut req = LoadRequest::new("mem://x/resume/step_1", &mut state)
-            .with_loader_target(LoaderTarget::new(2, 2, rank));
-        let out = ckpt.load(&mut req).unwrap();
         assert_eq!(out.loader, Some((replicated.clone(), shard_of(rank))), "rank {rank}");
         ckpt.failures().records()
     });
-    // replicated.bin + 2 ranks x 2 workers.
-    assert_eq!(faulty.injected(), 5, "every scheduled failure fired");
+    // The coordinator's verification scrub lists the step and reads each
+    // dataloader file (replicated.bin + 2 ranks x 2 workers) before any rank
+    // loads them; discovery's listing and marker probe.
+    assert_eq!(faulty.injected(), 5 + 3, "every scheduled failure fired");
     let records: Vec<_> = logs.into_iter().flatten().collect();
-    assert_eq!(records.len(), 5, "one record per injected failure: {records:?}");
-    assert!(records.iter().all(|r| r.retried && r.stage == "load/state"), "{records:?}");
+    assert_eq!(records.len(), 8, "one record per injected failure: {records:?}");
+    assert!(records.iter().all(|r| r.retried), "{records:?}");
+    let at = |stage: &str| records.iter().filter(|r| r.stage == stage).count();
+    let by_stage = (at("load/state"), at("load/discover"), at("load/verify"));
+    assert_eq!(by_stage, (0, 2, 5 + 1), "{records:?}");
 }
 
 /// A coordinator whose step discovery fails for good (every probe under the

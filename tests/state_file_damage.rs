@@ -1,8 +1,8 @@
 //! Damage to a step's state files — rank 0's extra state, one dataloader
 //! shard file — is caught the way damage to a shard file is: the scrub names
-//! the file, a direct load of the step fails as `Corrupt`, and `load_latest`
-//! quarantines the step and resumes the one before it, with that step's
-//! extra and dataloader state. A bit flip in a digit keeps the JSON payload
+//! the file, a direct load of the step fails on every rank (`Corrupt` on the
+//! ranks that read the damage), and `load_latest` quarantines the step and
+//! resumes the one before it, with that step's extra and dataloader state. A bit flip in a digit keeps the JSON payload
 //! parseable, so only the file's CRC can tell; a truncation breaks the
 //! payload, which must still cost one step rather than the resume.
 
@@ -111,6 +111,9 @@ fn check(damage: Damage, backend: DynBackend, registry: Arc<BackendRegistry>, ro
         }
     });
     assert!(direct[0].starts_with("Corrupt"), "{damage:?}: rank 0 loaded step 2 as {}", direct[0]);
+    // The state files are restored before the load barrier: a rank that
+    // cannot restore them fails every rank's load.
+    assert!(!direct.iter().any(|r| r == "Ok"), "{damage:?}: step 2 loaded as {direct:?}");
 
     run_ranks(par(), FW, registry, move |rank, ckpt| {
         let mut target = state(rank);
