@@ -23,14 +23,6 @@ use std::sync::Arc;
 /// An n-D box as (offsets, lengths).
 pub type Box_ = (Axes, Axes);
 
-/// Decompose the flat element range `[start, start+len)` of a row-major
-/// tensor with `shape` into regular boxes, in flat order.
-pub fn decompose_flat_range(shape: &[usize], start: usize, len: usize) -> Vec<Box_> {
-    let mut out = Vec::new();
-    decompose_into(shape, start, len, &mut Axes::new(), &mut out);
-    out
-}
-
 /// Decompose within `shape`, the trailing axes of a tensor whose leading
 /// axes are fixed at the row indices `lead`: each box found is emitted in
 /// global coordinates, `lead` prepended with length 1 along each.
@@ -96,22 +88,31 @@ fn decompose_into(shape: &[usize], start: usize, len: usize, lead: &mut Axes, ou
 /// shard's flat storage. Regular specs yield one box, flat specs their
 /// decomposition; empty boxes are dropped.
 pub fn shard_boxes(global_shape: &[usize], spec: &ShardSpec) -> Vec<Box_> {
-    let mut boxes = match spec {
+    let mut boxes = Vec::new();
+    shard_boxes_into(global_shape, spec, &mut boxes);
+    boxes
+}
+
+/// [`shard_boxes`] into `out`, replacing what it held: a caller walking
+/// many tensors reuses one list.
+pub fn shard_boxes_into(global_shape: &[usize], spec: &ShardSpec, out: &mut Vec<Box_>) {
+    out.clear();
+    match spec {
         ShardSpec::Replicated | ShardSpec::Grid(_) => {
-            vec![spec.grid_box(global_shape).expect("valid grid spec")]
+            out.push(spec.grid_box(global_shape).expect("valid grid spec"))
         }
-        ShardSpec::Flat { offset, length } => decompose_flat_range(global_shape, *offset, *length),
+        ShardSpec::Flat { offset, length } => {
+            decompose_into(global_shape, *offset, *length, &mut Axes::new(), out)
+        }
         ShardSpec::FlatOfBox { box_offsets, box_lengths, offset, length } => {
             // Decompose within the sub-box, then translate to global coords.
-            let mut boxes = decompose_flat_range(box_lengths, *offset, *length);
-            for (off, _) in &mut boxes {
+            decompose_into(box_lengths, *offset, *length, &mut Axes::new(), out);
+            for (off, _) in out.iter_mut() {
                 off.iter_mut().zip(box_offsets).for_each(|(o, b)| *o += b);
             }
-            boxes
         }
-    };
-    boxes.retain(|(_, l)| l.iter().product::<usize>() > 0);
-    boxes
+    }
+    out.retain(|(_, l)| l.iter().product::<usize>() > 0);
 }
 
 /// The `ShardMeta`s representing a rank's local shard of `fqn` under `spec`:
@@ -131,6 +132,14 @@ pub fn shard_metas(fqn: &str, global_shape: &[usize], spec: &ShardSpec) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decompose the flat element range `[start, start+len)` of a
+    /// row-major tensor with `shape` into regular boxes, in flat order.
+    fn decompose_flat_range(shape: &[usize], start: usize, len: usize) -> Vec<Box_> {
+        let mut out = Vec::new();
+        decompose_into(shape, start, len, &mut Axes::new(), &mut out);
+        out
+    }
     use bcp_tensor::layout::{contiguous_strides, numel, ravel_index};
     use proptest::prelude::*;
 

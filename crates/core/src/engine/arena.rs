@@ -68,6 +68,19 @@ impl Arena {
         self.recycled
     }
 
+    /// Bytes the process's free list holds now: mappings no arena has on
+    /// loan, kept for the next arena to take.
+    pub(crate) fn retained_bytes() -> usize {
+        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let bytes = free_list::retained_bytes(&free_list::FREE);
+        #[cfg(not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )))]
+        let bytes = 0;
+        bytes
+    }
+
     /// The arena as one `Bytes` that owns it: slices of it keep the memory
     /// alive after every other handle is gone.
     pub(crate) fn freeze(self) -> Bytes {
@@ -109,29 +122,53 @@ mod free_list {
     use std::sync::Mutex;
 
     /// The mappings no arena holds, and how many arenas hold one.
-    struct FreeList {
+    pub(super) struct FreeList {
         free: Vec<HugePages>,
         live: usize,
         /// The most arenas that were ever live at once: the list's capacity.
         peak: usize,
     }
 
-    static FREE: Mutex<FreeList> = Mutex::new(FreeList { free: Vec::new(), live: 0, peak: 0 });
+    impl FreeList {
+        pub(super) const fn new() -> FreeList {
+            FreeList { free: Vec::new(), live: 0, peak: 0 }
+        }
+    }
+
+    /// The process's free list.
+    pub(super) static FREE: Mutex<FreeList> = Mutex::new(FreeList::new());
+
+    /// The bytes of the mappings on `list`, read once under its lock.
+    pub(super) fn retained_bytes(list: &Mutex<FreeList>) -> usize {
+        lock(list).free.iter().map(|pages| pages.as_ref().len()).sum()
+    }
 
     /// A mapping on loan to one arena, whose first `len` bytes are the
-    /// arena; dropping the loan puts the mapping back on the free list.
+    /// arena; dropping the loan puts the mapping back on the free list it
+    /// came from.
     pub(super) struct Loan {
         pages: Option<HugePages>,
         len: usize,
+        list: &'static Mutex<FreeList>,
     }
 
     impl Loan {
-        /// A loan of `len` bytes and whether its mapping was recycled: the
-        /// smallest free mapping of `len..=2·len` bytes, or a fresh one
-        /// (mapped outside the lock). `None` if the kernel refuses the map.
+        /// A loan of `len` bytes from the process's free list, and whether
+        /// its mapping was recycled.
         pub(super) fn take(len: usize) -> Option<(Loan, bool)> {
+            Loan::take_from(&FREE, len)
+        }
+
+        /// A loan of `len` bytes and whether its mapping was recycled: the
+        /// smallest free mapping on `list` of `len..=2·len` bytes, or a
+        /// fresh one (mapped outside the lock). `None` if the kernel
+        /// refuses the map.
+        pub(super) fn take_from(
+            list: &'static Mutex<FreeList>,
+            len: usize,
+        ) -> Option<(Loan, bool)> {
             let recycled = {
-                let mut list = lock(&FREE);
+                let mut list = lock(list);
                 list.live += 1;
                 list.peak = list.peak.max(list.live);
                 let fit = (0..list.free.len())
@@ -146,12 +183,12 @@ mod free_list {
                 None => match HugePages::zeroed(len) {
                     Some(pages) => (pages, false),
                     None => {
-                        lock(&FREE).live -= 1;
+                        lock(list).live -= 1;
                         return None;
                     }
                 },
             };
-            Some((Loan { pages: Some(pages), len }, recycled))
+            Some((Loan { pages: Some(pages), len, list }, recycled))
         }
     }
 
@@ -163,7 +200,7 @@ mod free_list {
             let Some(mut pages) = self.pages.take() else { return };
             pages.advise_free();
             let evicted = {
-                let mut list = lock(&FREE);
+                let mut list = lock(self.list);
                 list.live -= 1;
                 list.free.push(pages);
                 let over = list.free.len() > list.peak;
@@ -231,5 +268,25 @@ mod tests {
             };
             assert!(slice.iter().enumerate().all(|(i, &b)| b == ((i + 100) % 251) as u8));
         }
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn the_retained_figure_rises_when_an_arena_drops_and_falls_when_one_takes_the_mapping() {
+        use free_list::{retained_bytes, FreeList, Loan};
+        use std::sync::Mutex;
+        // A list of this test's own: the process's is shared with every
+        // test of the binary that loads.
+        static LIST: Mutex<FreeList> = Mutex::new(FreeList::new());
+        const LEN: usize = 2 * HUGE_PAGE;
+        let (first, recycled) = Loan::take_from(&LIST, LEN).expect("the kernel maps 4 MiB");
+        assert_eq!((retained_bytes(&LIST), recycled), (0, false));
+        drop(first);
+        let kept = retained_bytes(&LIST);
+        assert!(kept >= LEN, "a dropped arena's mapping is retained: {kept} bytes");
+        let (second, recycled) = Loan::take_from(&LIST, LEN).expect("a free mapping fits");
+        assert_eq!((retained_bytes(&LIST), recycled), (0, true), "the new arena took it");
+        drop(second);
+        assert_eq!(retained_bytes(&LIST), kept);
     }
 }

@@ -15,6 +15,7 @@
 //! drains inbound batches concurrently, so read I/O and communication
 //! overlap instead of serializing.
 
+use crate::engine::arena::Arena;
 use crate::engine::iopool::IoPool;
 use crate::engine::Assembler;
 use crate::fault::FaultHook;
@@ -313,6 +314,8 @@ pub fn execute_load(
     // receiver thread) is attributed to it: the load's phase spans leave no
     // gap.
     let mut read_span = sink.span_under("load/read", rank, step, parent);
+    // What earlier loads left mapped for this one to take.
+    read_span.set_attr("retained_arena_bytes", Arena::retained_bytes().to_string());
     // Sized from the plan before any byte is fetched: every piece this rank
     // applies, its reads and its receives.
     let mut assembler =

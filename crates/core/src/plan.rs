@@ -6,11 +6,11 @@
 //! global metadata file *before* any I/O happens, and plans can be cached
 //! and reused across checkpoints (§4.1).
 
-use crate::decompose::{shard_boxes, shard_metas};
+use crate::decompose::{shard_boxes_into, shard_metas, Box_};
 use crate::format;
 use crate::metadata::{BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry};
 use crate::{BcpError, Result};
-use bcp_model::{StateDict, TrainState};
+use bcp_model::{StateDict, StateEntry, TrainState};
 use bcp_tensor::layout::{intersect_boxes, Axes};
 use bcp_tensor::DType;
 use serde::{Deserialize, Serialize};
@@ -233,11 +233,49 @@ fn push_dict_items(
 /// Build a rank's local load plan: for each target shard, query the
 /// TensorShardToBasicByteMap and emit one [`ReadItem`] per overlapping saved
 /// segment (Fig. 8 step 2). Fails if any target element is uncovered.
+///
+/// The items are counted before they are built, so the plan is one
+/// allocation: every target box and saved entry that meet make an item,
+/// less the replicas the sweep drops.
 pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -> Result<LoadPlan> {
-    let (mut items, mut sweep) = (Vec::new(), Sweep::default());
-    plan_dict_reads(&mut items, &mut sweep, &state.model, Category::Model, meta)?;
-    plan_dict_reads(&mut items, &mut sweep, &state.optimizer, Category::Optimizer, meta)?;
+    let dicts = [(&state.model, Category::Model), (&state.optimizer, Category::Optimizer)];
+    let mut sweep = Sweep::default();
+    let mut count = 0;
+    for (dict, _) in dicts {
+        for (entry, saved) in with_saved(dict, meta) {
+            shard_boxes_into(&entry.global_shape, &entry.spec, &mut sweep.boxes);
+            for (offsets, lengths) in &sweep.boxes {
+                count += saved
+                    .iter()
+                    .filter(|e| {
+                        intersect_boxes(&e.shard.offsets, &e.shard.lengths, offsets, lengths)
+                            .is_some()
+                    })
+                    .count();
+            }
+        }
+    }
+    let mut items = Vec::with_capacity(count);
+    for (dict, category) in dicts {
+        plan_dict_reads(&mut items, &mut sweep, dict, category, meta)?;
+    }
     Ok(LoadPlan { rank, items })
+}
+
+/// Each entry of `dict` with the saved entries of its FQN, in one walk of
+/// both maps: the dict's keys and the tensor map's are both sorted by FQN.
+fn with_saved<'a>(
+    dict: &'a StateDict,
+    meta: &'a GlobalMetadata,
+) -> impl Iterator<Item = (&'a StateEntry, &'a [TensorShardEntry])> {
+    let mut saved = meta.tensor_map.iter().peekable();
+    dict.entries.iter().map(move |(fqn, entry)| {
+        while saved.next_if(|&(name, _)| name < fqn).is_some() {}
+        match saved.peek() {
+            Some(&(name, entries)) if name == fqn => (entry, entries.as_slice()),
+            _ => (entry, &[][..]),
+        }
+    })
 }
 
 /// One box of a tensor: its offsets and lengths, the index of the saved
@@ -246,11 +284,13 @@ pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -
 type Piece = (Axes, Axes, usize, bool);
 
 /// The scratch of [`keep_disjoint`], reused across tensors: the boxes of one
-/// tensor (or of one destination box) and the sweep's open set.
+/// tensor (or of one destination box) and the sweep's open set; and the
+/// destination boxes of one target tensor.
 #[derive(Default)]
 pub(crate) struct Sweep {
     pieces: Vec<Piece>,
     active: Vec<usize>,
+    boxes: Vec<Box_>,
 }
 
 impl Sweep {
@@ -277,8 +317,9 @@ impl Sweep {
 }
 
 /// Items are built in place from the saved entries: names are the
-/// metadata's shared ones and boxes are inline, so planning allocates one
-/// box list per tensor and nothing per item beyond the plan's own growth.
+/// metadata's shared ones and boxes are inline, and the box lists are the
+/// sweep's, reused across tensors, so planning allocates nothing per item
+/// or tensor beyond the plan itself.
 ///
 /// The pieces of one destination box are disjoint, so their element counts
 /// add up to what they cover: a replica (an intersection identical to an
@@ -292,9 +333,8 @@ fn plan_dict_reads(
     category: Category,
     meta: &GlobalMetadata,
 ) -> Result<()> {
-    let Sweep { pieces, active } = sweep;
-    for entry in dict.entries.values() {
-        let saved = meta.tensor_map.get(&entry.fqn).map_or(&[][..], Vec::as_slice);
+    let Sweep { pieces, active, boxes } = sweep;
+    for (entry, saved) in with_saved(dict, meta) {
         // The name the saved entries share, unless a hand-built map files
         // an entry under another name (which `validate` refuses).
         let fqn: Arc<str> = match saved.first() {
@@ -302,15 +342,13 @@ fn plan_dict_reads(
             _ => Arc::from(entry.fqn.as_str()),
         };
         let mut local_cursor = 0usize;
-        for (dest_offsets, dest_lengths) in shard_boxes(&entry.global_shape, &entry.spec) {
+        shard_boxes_into(&entry.global_shape, &entry.spec, boxes);
+        for (dest_offsets, dest_lengths) in boxes.iter() {
             pieces.clear();
             for (at, e) in saved.iter().enumerate() {
-                if let Some((io, il)) = intersect_boxes(
-                    &e.shard.offsets,
-                    &e.shard.lengths,
-                    &dest_offsets,
-                    &dest_lengths,
-                ) {
+                if let Some((io, il)) =
+                    intersect_boxes(&e.shard.offsets, &e.shard.lengths, dest_offsets, dest_lengths)
+                {
                     pieces.push((io, il, at, true));
                 }
             }

@@ -2,8 +2,10 @@
 //! and redundant-read elimination.
 
 use crate::plan::{LoadPlan, ReadItem, SavePlan};
+use crate::{BcpError, Result};
 use bcp_tensor::layout::Axes;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -103,13 +105,15 @@ pub fn dedup_save_plans(plans: &mut [SavePlan], strategy: DedupStrategy) -> Dedu
 pub struct AssignedLoadPlan {
     /// Executing rank.
     pub rank: usize,
-    /// Items this rank reads from storage (for itself and/or for peers).
+    /// Items this rank reads from storage (for itself and/or for peers), in
+    /// plan order: a read's index is its number among the plan's reads.
     pub reads: Vec<ReadItem>,
     /// For each read, the peer ranks that need the same source data,
     /// parallel to `reads` (empty = nobody else).
     pub send_to: Vec<Vec<usize>>,
-    /// Items this rank receives from a peer instead of reading:
-    /// `(source_rank, index into the source's reads, item-with-local-dest)`.
+    /// Items this rank receives from a peer instead of reading, in plan
+    /// order: `(source_rank, index into the source's reads,
+    /// item-with-local-dest)`.
     pub recvs: Vec<(usize, usize, ReadItem)>,
 }
 
@@ -120,61 +124,181 @@ impl AssignedLoadPlan {
     }
 }
 
-/// Eliminate repetitive tensor reading across ranks (§4.1): items with
-/// identical sources are read once — by the Worst-Fit-chosen requester — and
-/// forwarded to the rest over the interconnect (all-to-all in the engine).
-pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
-    // Every request as (plan index, item), stably sorted by its borrowed
-    // source key: a group is a run of equal keys, still in plan-then-item
-    // order inside.
-    let mut requests: Vec<(usize, &ReadItem)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, plan)| plan.items.iter().map(move |item| (pi, item)))
-        .collect();
-    requests.sort_by(|a, b| a.1.source_key().cmp(&b.1.source_key()));
-    // Largest fetch first; the stable sort leaves equal sizes in key order.
-    let mut groups: Vec<(u64, &[(usize, &ReadItem)])> = requests
-        .chunk_by(|a, b| a.1.source_key() == b.1.source_key())
-        .map(|members| (members[0].1.fetch_range().1, members))
-        .collect();
-    groups.sort_by_key(|&(bytes, _)| std::cmp::Reverse(bytes));
+/// What one planned item becomes once redundant reads are eliminated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadRole {
+    /// Read from storage, as this rank's read number `n` (plan order).
+    Read(u32),
+    /// Receive read number `read` of rank `rank`: a peer's, or this rank's
+    /// own when it planned the same source into a second dest piece.
+    Recv {
+        /// The reading rank.
+        rank: u32,
+        /// The read's number on that rank.
+        read: u32,
+    },
+    /// A repeat of a source and dest piece this rank reads already.
+    Skip,
+}
 
-    let mut out: Vec<AssignedLoadPlan> = plans
-        .iter()
-        .map(|p| AssignedLoadPlan {
-            rank: p.rank,
-            reads: Vec::new(),
-            send_to: Vec::new(),
-            recvs: Vec::new(),
+/// The coordinator's decision for one rank: small integers only, so plan
+/// items never leave the rank that planned them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReadRoles {
+    /// One role per item of the rank's plan, in plan order.
+    pub roles: Vec<ReadRole>,
+    /// For each of the rank's reads, the peer ranks it forwards to.
+    pub send_to: Vec<Vec<usize>>,
+}
+
+impl ReadRoles {
+    /// This rank's assignment, built by moving the items of `plan` (the
+    /// plan the roles were decided for): reads stay in place, in plan
+    /// order, receives are extracted, and skipped repeats dropped. Only the
+    /// receives allocate.
+    pub fn apply(self, plan: LoadPlan) -> Result<AssignedLoadPlan> {
+        let LoadPlan { rank, mut items } = plan;
+        let ReadRoles { roles, send_to } = self;
+        let is_read = |r: &ReadRole| matches!(r, ReadRole::Read(_));
+        if roles.len() != items.len()
+            || roles.iter().filter(|r| is_read(r)).count() != send_to.len()
+        {
+            return Err(BcpError::Plan(format!(
+                "rank {rank}: {} read roles and {} forward lists for {} planned items",
+                roles.len(),
+                send_to.len(),
+                items.len()
+            )));
+        }
+        let recv_count = roles.iter().filter(|r| matches!(r, ReadRole::Recv { .. })).count();
+        let mut recvs = Vec::with_capacity(recv_count);
+        // `extract_if` visits every item once, in order: the roles of the
+        // items it takes out are the non-read roles, in order.
+        let mut at = roles.iter();
+        let mut taken = roles.iter().filter(|r| !is_read(r));
+        for item in items.extract_if(.., |_| !at.next().is_some_and(is_read)) {
+            if let Some(&ReadRole::Recv { rank, read }) = taken.next() {
+                recvs.push((rank as usize, read as usize, item));
+            }
+        }
+        Ok(AssignedLoadPlan { rank, reads: items, send_to, recvs })
+    }
+}
+
+/// The coordinator half of redundant-read elimination (§4.1): items with
+/// identical sources are read once — by the Worst-Fit-chosen requester —
+/// and forwarded to the rest over the interconnect (all-to-all in the
+/// engine). It borrows the gathered plans and returns, per plan, a role per
+/// item and each read's recipients; [`ReadRoles::apply`] is the rank's half.
+pub fn assign_reads<P: Borrow<LoadPlan>>(plans: &[P]) -> Vec<ReadRoles> {
+    // A request is its position in the plans laid end to end: four bytes,
+    // where its plan is the last one starting at or before it.
+    let mut starts = Vec::with_capacity(plans.len() + 1);
+    starts.push(0usize);
+    for plan in plans {
+        starts.push(starts[starts.len() - 1] + plan.borrow().items.len());
+    }
+    let at = |r: u32| {
+        let pi = starts.partition_point(|&s| s <= r as usize) - 1;
+        (pi, r as usize - starts[pi])
+    };
+    let item = |r: u32| {
+        let (pi, ii) = at(r);
+        &plans[pi].borrow().items[ii]
+    };
+    // Every request, stably sorted by its borrowed source key: a group is a
+    // run of equal keys, in plan-then-item order inside. Plans come out of
+    // planning in key order, so the sort mostly merges runs.
+    let total = u32::try_from(starts[plans.len()]).expect("fewer than 2^32 planned items");
+    let mut requests: Vec<u32> = (0..total).collect();
+    requests.sort_by(|&a, &b| item(a).source_key().cmp(&item(b).source_key()));
+    // Each group as (fetch bytes, start, end) in `requests`: largest fetch
+    // first, equal sizes in key order.
+    let mut groups: Vec<(u64, u32, u32)> = Vec::with_capacity(requests.len());
+    let mut start = 0;
+    for members in requests.chunk_by(|&a, &b| item(a).source_key() == item(b).source_key()) {
+        let end = start + members.len() as u32;
+        groups.push((item(members[0]).fetch_range().1, start, end));
+        start = end;
+    }
+    groups.sort_unstable_by_key(|&(bytes, start, _)| (std::cmp::Reverse(bytes), start));
+    let members =
+        |start: u32, end: u32| requests[start as usize..end as usize].iter().map(|&r| at(r));
+
+    // Worst-Fit: the requester with the fewest bytes to read so far reads
+    // the group, as its first request of it (numbered below).
+    let mut roles: Vec<Vec<ReadRole>> =
+        plans.iter().map(|p| vec![ReadRole::Skip; p.borrow().items.len()]).collect();
+    let mut load = vec![0u64; plans.len()];
+    for &(bytes, start, end) in &groups {
+        let reader = members(start, end).map(|(pi, _)| pi).min_by_key(|&c| (load[c], c));
+        let reader = reader.expect("a group has members");
+        load[reader] += bytes;
+        let (_, first) = members(start, end).find(|&(pi, _)| pi == reader).expect("a requester");
+        roles[reader][first] = ReadRole::Read(0);
+    }
+    // Reads are numbered in plan order.
+    let mut send_to: Vec<Vec<Vec<usize>>> = roles
+        .iter_mut()
+        .map(|roles| {
+            let mut n = 0;
+            for role in roles.iter_mut().filter(|r| matches!(r, ReadRole::Read(_))) {
+                *role = ReadRole::Read(n);
+                n += 1;
+            }
+            vec![Vec::new(); n as usize]
         })
         .collect();
-    let mut load = vec![0u64; plans.len()];
-    for (bytes, members) in groups {
-        let reader =
-            members.iter().map(|&(pi, _)| pi).min_by_key(|&c| (load[c], c)).expect("non-empty");
-        load[reader] += bytes;
-        // The reader keeps its own (first) dest version; every other request
-        // becomes a receive — a peer's from the reader, or the reader's own
-        // when it asked for the same source into a second dest piece.
-        let reader_item =
-            members.iter().find(|&&(pi, _)| pi == reader).expect("reader is a requester").1;
-        let (reader_rank, read_idx) = (plans[reader].rank, out[reader].reads.len());
-        let mut recipients = Vec::new();
-        for &(pi, item) in members {
+    // Every other request becomes a receive of the group's read — a peer's,
+    // or the reader's own when it asked for the same source into a second
+    // dest piece — unless it repeats the read's dest piece. A group's
+    // requests from one plan are adjacent, so each peer is counted once.
+    for &(_, start, end) in &groups {
+        let (reader, first, read) = members(start, end)
+            .find_map(|(pi, ii)| match roles[pi][ii] {
+                ReadRole::Read(n) => Some((pi, ii, n)),
+                _ => None,
+            })
+            .expect("every group has its read");
+        let dest = plans[reader].borrow().items[first].dest_local_elem_start;
+        let rank = u32::try_from(plans[reader].borrow().rank).expect("a rank below 2^32");
+        let from = ReadRole::Recv { rank, read };
+        let mut peers = 0;
+        let mut last = reader;
+        for (pi, ii) in members(start, end) {
             if pi != reader {
-                recipients.push(plans[pi].rank);
-            } else if item.dest_local_elem_start == reader_item.dest_local_elem_start {
-                continue;
+                peers += usize::from(pi != last);
+                roles[pi][ii] = from;
+            } else if ii != first && plans[pi].borrow().items[ii].dest_local_elem_start != dest {
+                roles[pi][ii] = from;
             }
-            out[pi].recvs.push((reader_rank, read_idx, item.clone()));
+            last = pi;
         }
-        recipients.sort_unstable();
-        recipients.dedup();
-        out[reader].reads.push(reader_item.clone());
-        out[reader].send_to.push(recipients);
+        if peers > 0 {
+            let mut recipients = Vec::with_capacity(peers);
+            let mut last = reader;
+            for (pi, _) in members(start, end) {
+                if pi != reader && pi != last {
+                    recipients.push(plans[pi].borrow().rank);
+                }
+                last = pi;
+            }
+            recipients.sort_unstable();
+            recipients.dedup();
+            send_to[reader][read as usize] = recipients;
+        }
     }
-    out
+    roles.into_iter().zip(send_to).map(|(roles, send_to)| ReadRoles { roles, send_to }).collect()
+}
+
+/// Eliminate repetitive tensor reading across ranks (§4.1): [`assign_reads`]
+/// over the plans, then each plan's [`ReadRoles::apply`] to a copy of it.
+pub fn eliminate_redundant_reads(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
+    assign_reads(plans)
+        .into_iter()
+        .zip(plans)
+        .map(|(roles, plan)| roles.apply(plan.clone()).expect("roles decided for this plan"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -295,9 +419,11 @@ mod tests {
         }
     }
 
-    /// The previous implementation, kept as the oracle: owned `BTreeMap`
-    /// keys, a size-then-key comparator, and `fetch_range` by raveling two
-    /// coordinate vectors. The sort-based one must agree element for element.
+    /// The map-based implementation, kept as the oracle: owned `BTreeMap`
+    /// keys, a size-then-key comparator, `fetch_range` by raveling two
+    /// coordinate vectors, and cloned items. Reads and receives are put in
+    /// plan order at the end. The split halves must agree element for
+    /// element.
     fn reference_eliminate(plans: &[LoadPlan]) -> Vec<AssignedLoadPlan> {
         fn fetch_bytes(i: &ReadItem) -> u64 {
             let rel: Vec<usize> =
@@ -308,57 +434,101 @@ mod tests {
             let last = bcp_tensor::layout::ravel_index(&last, &i.stored_lengths);
             ((last - first + 1) * i.dtype.size()) as u64
         }
-        type Key = (crate::plan::Category, String, Vec<usize>, Vec<usize>, String);
-        let mut groups: BTreeMap<Key, Vec<(usize, ReadItem)>> = BTreeMap::new();
+        type Members = Vec<(usize, usize, ReadItem)>;
+        let mut groups: BTreeMap<Key, Members> = BTreeMap::new();
         for (pi, plan) in plans.iter().enumerate() {
-            for item in &plan.items {
+            for (ii, item) in plan.items.iter().enumerate() {
                 let (category, fqn, io, il, file) = item.source_key();
                 let key = (category, fqn.to_string(), io.to_vec(), il.to_vec(), file.to_string());
-                groups.entry(key).or_default().push((pi, item.clone()));
+                groups.entry(key).or_default().push((pi, ii, item.clone()));
             }
         }
-        let mut ordered: Vec<(Key, Vec<(usize, ReadItem)>)> = groups.into_iter().collect();
+        let mut ordered: Vec<(Key, Members)> = groups.into_iter().collect();
         ordered.sort_by(|a, b| {
-            fetch_bytes(&b.1[0].1).cmp(&fetch_bytes(&a.1[0].1)).then_with(|| a.0.cmp(&b.0))
+            fetch_bytes(&b.1[0].2).cmp(&fetch_bytes(&a.1[0].2)).then_with(|| a.0.cmp(&b.0))
         });
-        let mut out: Vec<AssignedLoadPlan> = plans
-            .iter()
-            .map(|p| AssignedLoadPlan {
-                rank: p.rank,
-                reads: vec![],
-                send_to: vec![],
-                recvs: vec![],
-            })
-            .collect();
+        // Per plan: (item index, read) and (item index, receive), in
+        // decision order.
+        type Reads = Vec<(usize, ReadItem, Vec<usize>)>;
+        type Recvs = Vec<(usize, (usize, usize, ReadItem))>;
+        let mut reads: Vec<Reads> = vec![Vec::new(); plans.len()];
+        let mut recvs: Vec<Recvs> = vec![Vec::new(); plans.len()];
         let mut load = vec![0u64; plans.len()];
         for (_key, members) in ordered {
-            let mut candidates: Vec<usize> = members.iter().map(|(pi, _)| *pi).collect();
+            let mut candidates: Vec<usize> = members.iter().map(|(pi, ..)| *pi).collect();
             candidates.sort_unstable();
             candidates.dedup();
             let reader = *candidates.iter().min_by_key(|&&c| (load[c], c)).unwrap();
-            load[reader] += fetch_bytes(&members[0].1);
-            let reader_item = members.iter().find(|(pi, _)| *pi == reader).unwrap().1.clone();
-            let (reader_rank, read_idx) = (plans[reader].rank, out[reader].reads.len());
+            load[reader] += fetch_bytes(&members[0].2);
+            let (_, first, reader_item) =
+                members.iter().find(|(pi, ..)| *pi == reader).unwrap().clone();
+            let (reader_rank, read_idx) = (plans[reader].rank, reads[reader].len());
             let mut recipients = Vec::new();
-            for (pi, item) in &members {
+            for (pi, ii, item) in &members {
                 if *pi == reader {
                     continue;
                 }
                 recipients.push(plans[*pi].rank);
-                out[*pi].recvs.push((reader_rank, read_idx, item.clone()));
+                recvs[*pi].push((*ii, (reader_rank, read_idx, item.clone())));
             }
-            for (pi, item) in &members {
+            for (pi, ii, item) in &members {
                 if *pi == reader && item.dest_local_elem_start != reader_item.dest_local_elem_start
                 {
-                    out[*pi].recvs.push((reader_rank, read_idx, item.clone()));
+                    recvs[*pi].push((*ii, (reader_rank, read_idx, item.clone())));
                 }
             }
             recipients.sort_unstable();
             recipients.dedup();
-            out[reader].reads.push(reader_item);
-            out[reader].send_to.push(recipients);
+            reads[reader].push((first, reader_item, recipients));
         }
-        out
+        // Renumber each plan's reads in plan order, and point the receives
+        // at the new numbers.
+        let renumbered: Vec<Vec<usize>> = reads
+            .iter()
+            .map(|r| {
+                let mut order: Vec<usize> = (0..r.len()).collect();
+                order.sort_by_key(|&i| r[i].0);
+                let mut new = vec![0; r.len()];
+                for (n, &i) in order.iter().enumerate() {
+                    new[i] = n;
+                }
+                new
+            })
+            .collect();
+        let plan_of = |rank: usize| plans.iter().position(|p| p.rank == rank).unwrap();
+        plans
+            .iter()
+            .zip(reads.into_iter().zip(recvs))
+            .map(|(p, (mut reads, mut recvs))| {
+                reads.sort_by_key(|r| r.0);
+                recvs.sort_by_key(|r| r.0);
+                AssignedLoadPlan {
+                    rank: p.rank,
+                    send_to: reads.iter().map(|r| r.2.clone()).collect(),
+                    reads: reads.into_iter().map(|r| r.1).collect(),
+                    recvs: recvs
+                        .into_iter()
+                        .map(|(_, (from, idx, item))| (from, renumbered[plan_of(from)][idx], item))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Worst-Fit's reader per source key and the bytes each rank reads:
+    /// what the reads' numbering leaves alone.
+    type Key = (crate::plan::Category, String, Vec<usize>, Vec<usize>, String);
+
+    fn readers_and_bytes(assigned: &[AssignedLoadPlan]) -> (BTreeMap<Key, usize>, Vec<u64>) {
+        let mut readers = BTreeMap::new();
+        for a in assigned {
+            for r in &a.reads {
+                let (category, fqn, io, il, file) = r.source_key();
+                let key = (category, fqn.to_string(), io.to_vec(), il.to_vec(), file.to_string());
+                assert_eq!(readers.insert(key, a.rank), None, "a source read twice");
+            }
+        }
+        (readers, assigned.iter().map(AssignedLoadPlan::read_bytes).collect())
     }
 
     /// Source `k` of a small pool whose members share files, tensors, sizes
@@ -408,6 +578,25 @@ mod tests {
             proptest::prop_assert_eq!(eliminate_redundant_reads(&plans), reference_eliminate(&plans));
         }
 
+        /// The coordinator's roles, each applied by its own rank to its own
+        /// plan, pick the oracle's reader for every source and leave every
+        /// rank the oracle's read bytes.
+        #[test]
+        fn the_split_halves_pick_the_oracles_readers_and_read_bytes(picks in picks()) {
+            let plans = pooled_plans(&picks);
+            let roles = assign_reads(&plans);
+            proptest::prop_assert_eq!(roles.len(), plans.len());
+            let applied: Vec<AssignedLoadPlan> = roles
+                .into_iter()
+                .zip(plans.iter().cloned())
+                .map(|(roles, plan)| roles.apply(plan).unwrap())
+                .collect();
+            proptest::prop_assert_eq!(
+                readers_and_bytes(&applied),
+                readers_and_bytes(&reference_eliminate(&plans))
+            );
+        }
+
         /// A receive addresses its source's read by index: that read has the
         /// receive's source key, and its `send_to` lists the receiving rank
         /// unless the receiver is the source itself.
@@ -425,6 +614,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn roles_decided_for_another_plan_are_a_plan_error() {
+        let plans = pooled_plans(&[vec![(0, 0), (1, 0)], vec![(0, 0)]]);
+        let mut roles = assign_reads(&plans);
+        let other = roles.remove(1);
+        assert!(matches!(other.apply(plans[0].clone()), Err(BcpError::Plan(_))));
+        let mut extra = roles.remove(0);
+        extra.send_to.push(Vec::new());
+        assert!(matches!(extra.apply(plans[0].clone()), Err(BcpError::Plan(_))));
     }
 
     #[test]

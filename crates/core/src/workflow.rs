@@ -23,9 +23,9 @@ use crate::engine::save::{execute_save, SaveConfig, SaveStats};
 use crate::fault::{FaultHook, FaultPlan};
 use crate::integrity::{commit_checkpoint, with_retries, FailureLog, FailureRecord};
 use crate::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
-use crate::plan::{build_tensor_map, local_load_plan, LoadPlan, SavePlan};
+use crate::plan::{build_tensor_map, local_load_plan, SavePlan};
 use crate::planner::balance::{
-    dedup_save_plans, eliminate_redundant_reads, AssignedLoadPlan, DedupStrategy,
+    assign_reads, dedup_save_plans, AssignedLoadPlan, DedupStrategy, ReadRoles,
 };
 use crate::planner::cache::{CachedSave, PlanCache};
 use crate::planner::planner_for;
@@ -398,14 +398,20 @@ pub fn load_checkpoint<R>(
         root.set_step(step);
 
         // Steps 2-4 under one `load/plan` span: local load plan (box matching),
-        // then the coordinator optimizes (redundant-read elimination) and
-        // scatters the final per-rank assignments.
+        // lent to the gather; the coordinator decides redundant-read
+        // elimination over the borrowed plans, drops them, and scatters one
+        // role per item; each rank then moves its own items into its
+        // assignment.
         let assigned: AssignedLoadPlan = {
             let _t = root.child("load/plan");
-            let local: LoadPlan = local_load_plan(rank, state, &metadata)?;
-            let gathered = ctx.comm.gather(ctx.coordinator(), local)?;
-            let assigned = gathered.map(|plans| eliminate_redundant_reads(&plans));
-            ctx.comm.scatter(ctx.coordinator(), assigned)?
+            let local = Arc::new(local_load_plan(rank, state, &metadata)?);
+            let gathered = ctx.comm.gather(ctx.coordinator(), local.clone())?;
+            let roles = gathered.map(|plans| assign_reads(&plans));
+            let roles: ReadRoles = ctx.comm.scatter(ctx.coordinator(), roles)?;
+            let local = Arc::try_unwrap(local).map_err(|_| {
+                BcpError::Plan("the coordinator still holds this rank's load plan".into())
+            })?;
+            roles.apply(local)?
         };
 
         // Step 5: engine pipeline.

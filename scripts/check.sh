@@ -139,6 +139,12 @@ if grep -rnE 'ReadKey|sent_pairs|seen_pairs|key_to_idx' crates src tests example
   exit 1
 fi
 
+echo "==> plan items stay on their rank (the coordinator scatters one role per item; the load exchange must not go back to cloning items)"
+if grep -n 'eliminate_redundant_reads' crates/core/src/workflow.rs; then
+  echo "load_checkpoint lends each LoadPlan to the gather, scatters assign_reads' roles and moves each rank's own items (ReadRoles::apply); eliminate_redundant_reads clones every item"
+  exit 1
+fi
+
 echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
 second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"

@@ -1,7 +1,10 @@
 //! Heap allocations of load planning, counted: decoding the global metadata,
 //! building a rank's load plan and eliminating redundant reads each stay
 //! within a fixed budget per entry, item or request on the many-tensor shape
-//! (`perf/`'s `manytensor_dp2_disk`), same-parallelism and resharded. And
+//! (`perf/`'s `manytensor_dp2_disk`), same-parallelism and resharded; and so
+//! do their bytes: a plan's items are one allocation, the coordinator's
+//! decision is small integers per request, and a rank applying it
+//! allocates its receives and nothing else. And
 //! the heap bytes a reshard's `execute_load` allocates do not grow with the
 //! bytes it restores (`zero3_dp2_disk`'s shape): every restored byte is
 //! adopted or copied into the load's arena, none gathered into a heap
@@ -16,9 +19,11 @@ use bytecheckpoint::core::engine::iopool::IoPool;
 use bytecheckpoint::core::engine::load::{execute_load, LoadConfig};
 use bytecheckpoint::core::integrity::FailureLog;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
-use bytecheckpoint::core::plan::{build_tensor_map, local_load_plan, local_save_plan, LoadPlan};
+use bytecheckpoint::core::plan::{
+    build_tensor_map, local_load_plan, local_save_plan, LoadPlan, ReadItem,
+};
 use bytecheckpoint::core::planner::balance::{
-    dedup_save_plans, eliminate_redundant_reads, DedupStrategy,
+    assign_reads, dedup_save_plans, eliminate_redundant_reads, DedupStrategy,
 };
 use bytecheckpoint::core::FaultHook;
 use bytecheckpoint::model::{ArchKind, TransformerConfig};
@@ -155,6 +160,51 @@ fn planning_a_load_costs_at_most_four_allocations_per_item_and_one_per_request()
             allocs <= requests as u64,
             "{target}: eliminate_redundant_reads made {allocs} allocations for {requests} requests"
         );
+    }
+}
+
+#[test]
+fn planning_a_load_allocates_its_items_once_and_the_exchange_only_small_integers() {
+    let meta = GlobalMetadata::from_bytes(&saved_image()).unwrap();
+    for (target, par) in
+        [("DP2", Parallelism::new(1, 2, 1).unwrap()), ("TP2", Parallelism::new(2, 1, 1).unwrap())]
+    {
+        let plans: Vec<LoadPlan> = (0..2)
+            .map(|rank| {
+                let state = build_train_state(&many_tensor(), FW, par, rank, false);
+                let (plan, bytes) = counted_bytes(|| local_load_plan(rank, &state, &meta).unwrap());
+                let items = plan.items.len();
+                let budget = items * std::mem::size_of::<ReadItem>() * 11 / 10;
+                assert!(
+                    bytes <= budget as u64,
+                    "{target} rank {rank}: local_load_plan allocated {bytes} bytes for {items} items"
+                );
+                plan
+            })
+            .collect();
+        // The coordinator borrows the plans and allocates roles, read
+        // numbers and recipient lists: no item.
+        let requests: usize = plans.iter().map(|p| p.items.len()).sum();
+        let (roles, bytes) = counted_bytes(|| assign_reads(&plans));
+        assert!(
+            bytes <= 64 * requests as u64,
+            "{target}: assign_reads allocated {bytes} bytes for {requests} requests"
+        );
+        // Each rank moves its own items: its reads stay where they were
+        // planned, and only the receives are a new list.
+        let mut received = 0;
+        for (roles, plan) in roles.into_iter().zip(plans) {
+            let (assigned, bytes) = counted_bytes(|| roles.apply(plan).unwrap());
+            let recvs = assigned.recvs.len();
+            received += recvs;
+            let budget = recvs * std::mem::size_of::<(usize, usize, ReadItem)>();
+            assert_eq!(
+                bytes, budget as u64,
+                "{target} rank {}: applying the roles allocated {bytes} bytes for {recvs} receives",
+                assigned.rank
+            );
+        }
+        assert!(received > 0, "{target}: some request is a receive");
     }
 }
 

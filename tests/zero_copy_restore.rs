@@ -305,7 +305,9 @@ fn a_disk_reshard_restores_into_shard_file_mappings_or_the_arena_only() {
     // them the arenas, drop on return.
     let wants: Arc<Vec<TrainState>> =
         Arc::new((0..2).map(|rank| reference_state(&arch, MEGATRON, loading, rank, 1)).collect());
-    let reshard = || -> (Vec<usize>, Vec<(String, String)>) {
+    // Each load/read span's arena length and kind, and its retained bytes.
+    type ReadSpans = (Vec<(String, String)>, Vec<usize>);
+    let reshard = || -> (Vec<usize>, ReadSpans) {
         let (loaded, wants) = (arch.clone(), wants.clone());
         let states = run_ranks(loading, MEGATRON, registry.clone(), move |rank, ckpt| {
             let mut state = build_train_state(&loaded, MEGATRON, loading, rank, true);
@@ -348,20 +350,26 @@ fn a_disk_reshard_restores_into_shard_file_mappings_or_the_arena_only() {
         bases.sort_unstable();
         let artifact = dir.join("job/step_1").join(TELEMETRY_LOAD_FILE);
         let doc = StepTelemetry::from_jsonl(&std::fs::read_to_string(artifact).unwrap()).unwrap();
-        let arenas = doc
+        let arenas: (Vec<_>, Vec<_>) = doc
             .all_spans()
             .into_iter()
             .filter(|span| span.name == "load/read")
-            .map(|span| (span.attrs["arena_bytes"].clone(), span.attrs["arena"].clone()))
-            .collect();
+            .map(|span| {
+                let retained: usize = span.attrs["retained_arena_bytes"].parse().unwrap();
+                ((span.attrs["arena_bytes"].clone(), span.attrs["arena"].clone()), retained)
+            })
+            .unzip();
         (bases, arenas)
     };
-    let (first, fresh) = reshard();
-    let (second, recycled) = reshard();
+    let (first, (fresh, _)) = reshard();
+    let (second, (recycled, retained)) = reshard();
     // Both ranks' arenas have one length, so which rank gets which mapping
     // back is a race; the set of mappings is not.
     assert_eq!(second, first, "the second reshard assembles into the first one's arenas");
     let arena = |kind: &str| vec![(HUGE_PAGE.to_string(), kind.to_string()); 2];
     assert_eq!((fresh, recycled), (arena("fresh"), arena("recycled")), "the load/read spans");
+    // When a rank's read window opens, at least the mapping it then takes
+    // is on the free list.
+    assert!(retained.iter().all(|&r| r >= HUGE_PAGE), "retained arena bytes {retained:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
