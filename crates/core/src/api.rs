@@ -441,20 +441,20 @@ impl Checkpointer {
         Ok(Some(outcome))
     }
 
-    /// The coordinator's half of [`Self::load_latest`]: GC torn steps, then
-    /// pick the newest committed step under `job_root` that scrubs clean,
-    /// quarantining the newer ones that do not.
+    /// The coordinator's half of [`Self::load_latest`]: from one listing,
+    /// GC the torn steps and pick the newest one that scrubs clean.
     fn discover(
         &self,
         backend: &DynBackend,
         job_root: &str,
     ) -> Result<(Option<u64>, Vec<QuarantinedStep>)> {
         let mgr = CheckpointManager::new(backend.clone(), job_root.to_string());
-        self.retried("load/discover", job_root, || mgr.gc_torn())?;
+        let steps = self.retried("load/discover", job_root, || mgr.list())?;
+        for torn in steps.iter().filter(|c| !c.committed) {
+            self.retried("load/discover", &torn.prefix, || mgr.delete(torn.step))?;
+        }
         let mut quarantined = Vec::new();
-        let chosen = loop {
-            let latest = self.retried("load/discover", job_root, || mgr.latest())?;
-            let Some(candidate) = latest else { break None };
+        for candidate in steps.iter().rev().filter(|c| c.committed) {
             // Each storage operation of the scrub under the load retry
             // policy: a transient backend error must neither fail the resume
             // nor condemn a healthy step.
@@ -463,13 +463,10 @@ impl Checkpointer {
                     self.retried("load/verify", path, op)
                 })?;
             if report.is_clean() {
-                break Some(candidate.step);
+                return Ok((Some(candidate.step), quarantined));
             }
-            let reason = report
-                .defects()
-                .first()
-                .map(|i| format!("{}: {}", i.path, i.detail))
-                .unwrap_or_else(|| "failed verification".into());
+            let reason = report.defects().first().map(|i| i.to_string());
+            let reason = reason.unwrap_or_else(|| "failed verification".into());
             self.ctx.failures.log(FailureRecord {
                 rank: self.ctx.rank(),
                 stage: "load/verify".into(),
@@ -480,7 +477,7 @@ impl Checkpointer {
             });
             self.retried("load/discover", &candidate.prefix, || mgr.quarantine(candidate.step))?;
             quarantined.push(QuarantinedStep { step: candidate.step, reason });
-        };
-        Ok((chosen, quarantined))
+        }
+        Ok((None, quarantined))
     }
 }

@@ -8,7 +8,8 @@
 //! file: `u64` little-endian header length, JSON header with
 //! `{"name": {"dtype", "shape", "data_offsets"}}`, then the raw payloads.
 
-use crate::metadata::{GlobalMetadata, METADATA_FILE};
+use crate::metadata::GlobalMetadata;
+use crate::step::{self, StepView};
 use crate::{BcpError, Result};
 use bcp_storage::DynBackend;
 use bcp_tensor::layout::Axes;
@@ -16,20 +17,6 @@ use bcp_tensor::{DType, Tensor};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn safetensors_dtype(dt: DType) -> &'static str {
-    match dt {
-        DType::F64 => "F64",
-        DType::F32 => "F32",
-        DType::F16 => "F16",
-        DType::BF16 => "BF16",
-        DType::I64 => "I64",
-        DType::I32 => "I32",
-        DType::I16 => "I16",
-        DType::U8 => "U8",
-        DType::Bool => "BOOL",
-    }
-}
 
 /// The decoded global metadata as pretty-printed JSON: the readable view of
 /// the compact binary file (`bcpctl inspect --json`). One way only — nothing
@@ -81,8 +68,7 @@ pub fn export_safetensors(
     prefix: &str,
     include_optimizer: bool,
 ) -> Result<Bytes> {
-    let meta_bytes = backend.read(&format!("{prefix}/{METADATA_FILE}"))?;
-    let meta = GlobalMetadata::from_bytes(&meta_bytes).map_err(BcpError::Corrupt)?;
+    let meta = StepView::open(backend, prefix, None, &step::once)?.committed_metadata()?;
     let fqns: Vec<&String> =
         meta.tensor_map.keys().filter(|f| include_optimizer || !f.starts_with("optim.")).collect();
 
@@ -96,7 +82,8 @@ pub fn export_safetensors(
         header.insert(
             fqn.clone(),
             serde_json::json!({
-                "dtype": safetensors_dtype(t.dtype()),
+                // Safetensors spells the canonical names in capitals.
+                "dtype": t.dtype().name().to_uppercase(),
                 "shape": t.shape(),
                 "data_offsets": [cursor, cursor + nbytes],
             }),
@@ -141,25 +128,18 @@ pub fn import_safetensors(
             offsets: Axes::zeros(tensor.rank()),
             lengths: tensor.shape().into(),
         };
-        let payload = tensor.bytes()?;
-        let (frame, payload_off) = {
-            let base = buf.len() as u64;
-            let (frame, off) = crate::format::encode_frame(&shard, tensor.dtype(), payload)?;
-            (frame, base + off)
-        };
+        let (payload, base) = (tensor.bytes()?, buf.len() as u64);
+        let (frame, offset) = crate::format::encode_frame(&shard, tensor.dtype(), payload)?;
         buf.extend_from_slice(&frame);
+        let (offset, length) = (base + offset, payload.len() as u64);
         meta.tensor_map.entry(fqn.clone()).or_default().push(TensorShardEntry {
             shard,
             basic: BasicMeta::contiguous(tensor.dtype(), tensor.shape(), "import"),
-            byte: ByteMeta {
-                file: file.clone(),
-                offset: payload_off,
-                length: payload.len() as u64,
-            },
+            byte: ByteMeta { file: file.clone(), offset, length },
         });
     }
     backend.write(&format!("{prefix}/{file}"), buf.freeze())?;
-    backend.write(&format!("{prefix}/{METADATA_FILE}"), Bytes::from(meta.to_bytes()))?;
+    backend.write(&step::metadata_path(prefix), Bytes::from(meta.to_bytes()))?;
     crate::integrity::commit_checkpoint(backend, prefix)?;
     Ok(meta)
 }
@@ -182,19 +162,9 @@ pub fn parse_safetensors(data: &Bytes) -> Result<BTreeMap<String, Tensor>> {
         if name == "__metadata__" {
             continue;
         }
-        let dtype_str = spec["dtype"].as_str().unwrap_or("");
-        let dtype = match dtype_str {
-            "F64" => DType::F64,
-            "F32" => DType::F32,
-            "F16" => DType::F16,
-            "BF16" => DType::BF16,
-            "I64" => DType::I64,
-            "I32" => DType::I32,
-            "I16" => DType::I16,
-            "U8" => DType::U8,
-            "BOOL" => DType::Bool,
-            other => return Err(BcpError::Corrupt(format!("unknown dtype {other}"))),
-        };
+        let dtype = spec["dtype"].as_str().unwrap_or("");
+        let dtype = DType::parse(&dtype.to_lowercase())
+            .ok_or_else(|| BcpError::Corrupt(format!("unknown dtype {dtype}")))?;
         let shape: Vec<usize> = spec["shape"]
             .as_array()
             .ok_or_else(|| BcpError::Corrupt("shape not an array".into()))?

@@ -21,14 +21,12 @@
 //!   `MetricsSink` its point spans go to and the [`RetryClock`] it waits on
 //!   (given the clock the stack runs on, a test's virtual time covers the
 //!   backoffs and the injected delays alike).
-//! * An **asynchronous tree-based barrier** (provided by
-//!   `bcp-collectives`' tree backend) after which the coordinator commits
-//!   the checkpoint by writing the global metadata file and a `COMPLETE`
-//!   marker. Loads refuse checkpoints without the marker, so a torn save is
-//!   never observed as a valid checkpoint; `CheckpointManager::gc_torn`
-//!   reclaims the partial files on restart.
+//! * An **asynchronous tree-based barrier** (`bcp-collectives`' tree
+//!   backend) after which the coordinator commits the checkpoint: the
+//!   global metadata, then the `COMPLETE` marker ([`crate::step`]). Loads
+//!   refuse a step without the marker, so a torn save never loads;
+//!   `CheckpointManager::gc_torn` reclaims its files on restart.
 
-use crate::metadata::COMPLETE_MARKER;
 use crate::{BcpError, Result};
 use bcp_monitor::sync::lock;
 use bcp_monitor::MetricsSink;
@@ -135,7 +133,7 @@ pub fn with_retries<T>(
 /// Called by the coordinator after the integrity barrier has confirmed that
 /// every rank finished its uploads.
 pub fn commit_checkpoint(backend: &DynBackend, prefix: &str) -> bcp_storage::Result<()> {
-    backend.write(&format!("{prefix}/{COMPLETE_MARKER}"), bytes::Bytes::from_static(b"ok"))
+    backend.write(&crate::step::marker_path(prefix), bytes::Bytes::from_static(b"ok"))
 }
 
 #[cfg(test)]

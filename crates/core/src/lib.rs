@@ -17,6 +17,7 @@
 //! | §3.3 load-time resharding workflow (Fig. 8) | [`workflow`] |
 //! | §3.2 extra state, §3.3/Fig. 9 dataloader states and resharding | [`state_files`] |
 //! | Appendix B integrity barrier, retries, failure logging | [`integrity`] |
+//! | Appendix B commit protocol: the one reader of a step | [`step`] |
 //! | Appendix B stage-level crash injection for recovery tests | [`fault`] |
 //! | §3.1 `bytecheckpoint.save` / `.load` API (Fig. 5) | [`api`] |
 //! | §5.3 persisted per-step telemetry artifacts | [`telemetry`] |
@@ -45,6 +46,7 @@ pub mod planner;
 pub mod registry;
 pub mod scrub;
 pub mod state_files;
+pub mod step;
 pub mod telemetry;
 pub mod workflow;
 

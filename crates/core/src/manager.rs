@@ -8,9 +8,11 @@
 //! checkpoint root: `<root>/step_<N>/...`, one committed checkpoint per
 //! step, newest steps kept, stale ones garbage-collected.
 
-use crate::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
+use crate::metadata::GlobalMetadata;
+use crate::step::{self, StepView};
 use crate::{BcpError, Result};
 use bcp_storage::{DynBackend, StorageError};
+use std::collections::BTreeSet;
 
 /// A discovered checkpoint under a root prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +21,7 @@ pub struct CheckpointRef {
     pub step: u64,
     /// Full prefix (`<root>/step_<N>`).
     pub prefix: String,
-    /// Whether the `COMPLETE` marker is present.
+    /// Whether the step is committed, by [`step::committed`].
     pub committed: bool,
 }
 
@@ -56,28 +58,22 @@ impl CheckpointManager {
         dir_name.strip_prefix("step_")?.parse().ok()
     }
 
-    /// Discover all checkpoints under the root, ascending by step.
-    /// Uncommitted (torn / in-progress) checkpoints are included with
-    /// `committed = false` so callers can garbage-collect them.
+    /// Every checkpoint under the root, ascending, uncommitted (torn or in
+    /// flight) ones included: one listing of the root, and the commit rule
+    /// ([`step::committed`]) per step, so a marker it shows costs no probe.
     pub fn list(&self) -> bcp_storage::Result<Vec<CheckpointRef>> {
-        let keys = self.backend.list(&format!("{}/step_", self.root))?;
-        let mut steps: Vec<u64> = keys
-            .iter()
-            .filter_map(|k| {
-                let rest = k.strip_prefix(&format!("{}/", self.root))?;
-                Self::step_of(rest.split_once('/')?.0)
-            })
-            .collect();
-        steps.sort_unstable();
-        steps.dedup();
-        steps
-            .into_iter()
-            .map(|step| {
-                let prefix = self.prefix_for(step);
-                let committed = self.backend.exists(&format!("{prefix}/{COMPLETE_MARKER}"))?;
-                Ok(CheckpointRef { step, committed, prefix })
-            })
-            .collect()
+        let root = format!("{}/", self.root);
+        let keys: BTreeSet<String> =
+            self.backend.list(&format!("{root}step_"))?.into_iter().collect();
+        let dirs = keys.iter().filter_map(|k| k.strip_prefix(&root)?.split_once('/'));
+        let steps: BTreeSet<u64> = dirs.filter_map(|(dir, _)| Self::step_of(dir)).collect();
+        let exists = |marker: &str| self.backend.exists(marker);
+        let refs = steps.into_iter().map(|step| {
+            let prefix = self.prefix_for(step);
+            let committed = step::committed(&prefix, |m| keys.contains(m), exists)?;
+            Ok(CheckpointRef { step, committed, prefix })
+        });
+        refs.collect()
     }
 
     /// The newest *committed* checkpoint, if any — what training resumption
@@ -86,49 +82,47 @@ impl CheckpointManager {
         Ok(self.list()?.into_iter().rev().find(|c| c.committed))
     }
 
-    /// Read a checkpoint's global metadata.
+    /// A committed checkpoint's global metadata ([`StepView`]).
     pub fn metadata(&self, step: u64) -> Result<GlobalMetadata> {
-        let bytes = self.backend.read(&format!("{}/{METADATA_FILE}", self.prefix_for(step)))?;
-        GlobalMetadata::from_bytes(&bytes).map_err(BcpError::Corrupt)
+        StepView::open(&self.backend, &self.prefix_for(step), Some(step), &step::once)?
+            .committed_metadata()
     }
 
-    /// Delete a checkpoint entirely (all files under its prefix). The
-    /// `COMPLETE` marker is removed *first*, so a reader racing with the
-    /// deletion sees an uncommitted checkpoint, never a torn "committed"
-    /// one. Already-missing files are treated as deleted — a GC pass that
-    /// crashed mid-deletion must be re-runnable, not error on the files the
-    /// first pass already reclaimed.
+    /// Delete a checkpoint entirely, its marker first, so a racing reader
+    /// never sees a torn "committed" step; a missing file counts as deleted.
     pub fn delete(&self, step: u64) -> bcp_storage::Result<()> {
+        self.take_down(step, |key, _| self.backend.delete(key))
+    }
+
+    /// Move a step that failed verification aside, marker first, to
+    /// `<root>/quarantine/step_<N>/` (returned) for post-mortem analysis,
+    /// where [`CheckpointManager::list`] does not see it.
+    pub fn quarantine(&self, step: u64) -> bcp_storage::Result<String> {
+        let dest = format!("{}/quarantine/step_{step}", self.root);
+        self.take_down(step, |key, name| self.backend.rename(key, &format!("{dest}/{name}")))?;
+        Ok(dest)
+    }
+
+    /// Delete a step's marker — a racing reader then sees an uncommitted
+    /// step, never a torn "committed" one — then run `each` on every file
+    /// under it (and its name there). A missing file counts as done, so a
+    /// pass that crashed midway can be re-run.
+    fn take_down(
+        &self,
+        step: u64,
+        each: impl Fn(&str, &str) -> bcp_storage::Result<()>,
+    ) -> bcp_storage::Result<()> {
         let prefix = self.prefix_for(step);
-        let marker = format!("{prefix}/{COMPLETE_MARKER}");
-        if self.backend.exists(&marker)? {
-            ignore_not_found(self.backend.delete(&marker))?;
-        }
-        for key in self.backend.list(&format!("{prefix}/"))? {
-            ignore_not_found(self.backend.delete(&key))?;
+        let dir = format!("{prefix}/");
+        let done = |r| match r {
+            Err(StorageError::NotFound(_)) => Ok(()),
+            other => other,
+        };
+        done(self.backend.delete(&step::marker_path(&prefix)))?;
+        for key in self.backend.list(&dir)? {
+            done(each(&key, &key[dir.len()..]))?;
         }
         Ok(())
-    }
-
-    /// Move every file of a step aside to `<root>/quarantine/step_<N>/`
-    /// instead of deleting it, for post-mortem analysis of a checkpoint
-    /// that failed verification. The marker is deleted first (same
-    /// reader-race argument as [`CheckpointManager::delete`]), so the step
-    /// is never half-visible as committed; the quarantine prefix does not
-    /// match `step_<N>` discovery, so quarantined data is invisible to
-    /// [`CheckpointManager::list`]. Returns the quarantine prefix.
-    pub fn quarantine(&self, step: u64) -> bcp_storage::Result<String> {
-        let prefix = self.prefix_for(step);
-        let dest_prefix = format!("{}/quarantine/step_{step}", self.root);
-        let marker = format!("{prefix}/{COMPLETE_MARKER}");
-        if self.backend.exists(&marker)? {
-            ignore_not_found(self.backend.delete(&marker))?;
-        }
-        for key in self.backend.list(&format!("{prefix}/"))? {
-            let rel = key.strip_prefix(&format!("{prefix}/")).unwrap_or(&key);
-            ignore_not_found(self.backend.rename(&key, &format!("{dest_prefix}/{rel}")))?;
-        }
-        Ok(dest_prefix)
     }
 
     /// Retention pass: keep the newest `keep_last` committed checkpoints,
@@ -140,68 +134,39 @@ impl CheckpointManager {
             return Err(BcpError::Plan("retain_last(0) would delete every recovery point".into()));
         }
         let all = self.list()?;
-        let committed: Vec<&CheckpointRef> = all.iter().filter(|c| c.committed).collect();
-        let cutoff = committed.len().saturating_sub(keep_last);
-        let mut deleted = Vec::new();
-        for c in &committed[..cutoff] {
-            self.delete(c.step)?;
-            deleted.push(c.step);
-        }
+        let committed: Vec<u64> = all.iter().filter(|c| c.committed).map(|c| c.step).collect();
         // Torn checkpoints are never useful; collect them too — except the
         // newest step overall, which may be a save still in flight.
         let newest = all.last().map(|c| c.step);
-        for c in all.iter().filter(|c| !c.committed) {
-            if Some(c.step) != newest {
-                self.delete(c.step)?;
-                deleted.push(c.step);
-            }
-        }
+        let torn = all.iter().filter(|c| !c.committed && Some(c.step) != newest).map(|c| c.step);
+        let old = &committed[..committed.len().saturating_sub(keep_last)];
+        let mut deleted: Vec<u64> = old.iter().copied().chain(torn).collect();
         deleted.sort_unstable();
+        deleted.iter().try_for_each(|&step| self.delete(step))?;
         Ok(deleted)
     }
 
-    /// Crash-recovery GC: delete *every* uncommitted step prefix, including
-    /// the newest. Unlike [`CheckpointManager::retain_last`] — which spares
-    /// the newest uncommitted step because a save may still be in flight —
-    /// this runs on restart, when the crash guarantees no save is in flight
-    /// and any torn prefix is garbage. Returns the steps deleted, ascending.
+    /// Crash-recovery GC: delete *every* uncommitted step, the newest too
+    /// ([`CheckpointManager::retain_last`] spares it as a save in flight; on
+    /// restart none is). Returns the steps deleted, ascending.
     pub fn gc_torn(&self) -> bcp_storage::Result<Vec<u64>> {
-        let mut deleted = Vec::new();
-        for c in self.list()?.iter().filter(|c| !c.committed) {
-            self.delete(c.step)?;
-            deleted.push(c.step);
-        }
-        Ok(deleted)
-    }
-
-    /// The job root this manager operates on.
-    pub fn root(&self) -> &str {
-        &self.root
+        let torn: Vec<u64> = self.list()?.iter().filter(|c| !c.committed).map(|c| c.step).collect();
+        torn.iter().try_for_each(|&step| self.delete(step))?;
+        Ok(torn)
     }
 
     /// Total stored bytes per checkpoint (capacity accounting; the paper's
     /// storage-side monitoring watches exactly this).
     pub fn stored_bytes(&self, step: u64) -> Result<u64> {
-        let mut total = 0;
-        for key in self.backend.list(&format!("{}/", self.prefix_for(step)))? {
-            total += self.backend.size(&key)?;
-        }
-        Ok(total)
-    }
-}
-
-/// Map `NotFound` to success: deletion/rename of an already-reclaimed file
-/// is the outcome the caller wanted.
-fn ignore_not_found(r: bcp_storage::Result<()>) -> bcp_storage::Result<()> {
-    match r {
-        Err(StorageError::NotFound(_)) => Ok(()),
-        other => other,
+        let keys = self.backend.list(&format!("{}/", self.prefix_for(step)))?;
+        Ok(keys.iter().map(|key| self.backend.size(key)).sum::<bcp_storage::Result<u64>>()?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metadata::{COMPLETE_MARKER, METADATA_FILE};
     use bcp_storage::MemoryBackend;
     use bytes::Bytes;
     use std::sync::Arc;

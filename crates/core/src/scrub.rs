@@ -1,24 +1,21 @@
 //! Offline checkpoint verification ("scrub"): the full-sweep integrity
 //! check behind `bcpctl scrub` and the verified-fallback load path.
 //!
-//! A scrub walks a checkpoint prefix and proves the commit protocol's
-//! promise end to end: the global metadata parses and validates, every
-//! [`crate::ByteMeta`] points at a real file, every storage file decodes
-//! into CRC-verified frames, every referenced payload region lands exactly
-//! on a frame payload, every state file (dataloader, extra state) decodes
-//! into its one CRC-verified frame, and every file under the prefix is
-//! accounted for.
-//! Orphans (files nothing references) are reported but do not dirty a
-//! step — extra observability artifacts must not fail CI.
+//! A scrub opens a step through [`StepView`] (its metadata decoded,
+//! validated and step-checked) and proves the commit protocol's promise end
+//! to end: every [`crate::ByteMeta`] points at a listed file whose frames
+//! verify and land exactly on the recorded payloads, and every state file
+//! decodes into its one CRC-verified frame. Orphans (files nothing
+//! references) are reported but do not dirty a step.
 
 use crate::format::{decode_frames, header_len, Frame};
 use crate::manager::CheckpointManager;
-use crate::metadata::{GlobalMetadata, TensorShardEntry, COMPLETE_MARKER, METADATA_FILE};
+use crate::metadata::TensorShardEntry;
 use crate::state_files;
-use crate::{BcpError, Result};
-use bcp_monitor::{TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE};
-use bcp_storage::{DynBackend, Result as StorageResult, StorageErrorKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::step::{self, attempted, Attempt, FileKind, StepView};
+use crate::Result;
+use bcp_storage::DynBackend;
+use std::collections::BTreeMap;
 
 /// Classification of one scrub finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +56,12 @@ pub struct ScrubIssue {
     pub detail: String,
 }
 
+impl std::fmt::Display for ScrubIssue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.path, self.detail)
+    }
+}
+
 /// Result of scrubbing one step.
 #[derive(Debug, Clone)]
 pub struct ScrubReport {
@@ -66,7 +69,7 @@ pub struct ScrubReport {
     pub step: u64,
     /// Its full prefix.
     pub prefix: String,
-    /// Whether the `COMPLETE` marker was present.
+    /// Whether the step is committed, by [`crate::step::committed`].
     pub committed: bool,
     /// Everything found wrong (orphans included).
     pub issues: Vec<ScrubIssue>,
@@ -103,20 +106,10 @@ impl ScrubReport {
     }
 }
 
-/// Runs one storage operation of a scrub on a path — once, or under a retry
-/// policy — returning its last error; the operation keeps its own result.
-pub type Attempt<'a> = dyn Fn(&str, &mut dyn FnMut() -> StorageResult<()>) -> Result<()> + 'a;
-
-fn attempted<T>(at: &Attempt, path: &str, mut op: impl FnMut() -> StorageResult<T>) -> Result<T> {
-    let mut out = None;
-    at(path, &mut || op().map(|v| out = Some(v)))?;
-    Ok(out.expect("a successful attempt keeps its result"))
-}
-
 /// Scrub one checkpoint prefix. Collects issues instead of failing fast;
 /// only infrastructure errors (the backend itself failing) return `Err`.
 pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<ScrubReport> {
-    scrub_step_with(backend, prefix, step, &|_, op| Ok(op()?))
+    scrub_step_with(backend, prefix, step, &step::once)
 }
 
 /// [`scrub_step`] with each storage operation — the listing, every file
@@ -128,196 +121,116 @@ pub fn scrub_step_with(
     step: u64,
     attempt: &Attempt<'_>,
 ) -> Result<ScrubReport> {
-    let listed = format!("{prefix}/");
-    let present: BTreeSet<String> =
-        attempted(attempt, &listed, || backend.list(&listed))?.into_iter().collect();
-    let marker = format!("{prefix}/{COMPLETE_MARKER}");
-    let mut report = ScrubReport {
-        step,
-        prefix: prefix.to_string(),
-        committed: present.contains(&marker),
-        issues: Vec::new(),
-        files_checked: 0,
-        frames_verified: 0,
+    // 1. The step as its reader opens it: the listing, the commit, and the
+    // metadata decoded, validated and checked against `step`.
+    let view = StepView::open(backend, prefix, Some(step), attempt)?;
+    let (mut issues, mut frames_verified) = (Vec::new(), 0);
+    let mut files_checked = usize::from(view.metadata_bytes > 0);
+    let mut flag = |path: &str, kind, detail: String| {
+        issues.push(ScrubIssue { path: path.to_string(), kind, detail })
     };
-    let meta_path = format!("{prefix}/{METADATA_FILE}");
-
-    // 1. Metadata must exist, parse, and validate.
-    let meta = if present.contains(&meta_path) {
-        report.files_checked += 1;
-        match attempted(attempt, &meta_path, || backend.read(&meta_path)) {
-            Ok(bytes) => match GlobalMetadata::from_bytes(&bytes) {
-                Ok(meta) => {
-                    if let Err(e) = meta.validate() {
-                        report.issues.push(ScrubIssue {
-                            path: meta_path.clone(),
-                            kind: IssueKind::BadMetadata,
-                            detail: e,
-                        });
-                    }
-                    if meta.step != step {
-                        report.issues.push(ScrubIssue {
-                            path: meta_path.clone(),
-                            kind: IssueKind::BadMetadata,
-                            detail: format!(
-                                "metadata step {} does not match prefix step {step}",
-                                meta.step
-                            ),
-                        });
-                    }
-                    Some(meta)
-                }
-                Err(e) => {
-                    report.issues.push(ScrubIssue {
-                        path: meta_path.clone(),
-                        kind: IssueKind::BadMetadata,
-                        detail: e,
-                    });
-                    None
-                }
-            },
-            // A listed file the backend cannot produce is a defect of the
-            // step; a transient or throttled read says nothing about it.
-            Err(BcpError::Storage(e)) if e.kind() == StorageErrorKind::Terminal => {
-                report.issues.push(ScrubIssue {
-                    path: meta_path.clone(),
-                    kind: IssueKind::BadMetadata,
-                    detail: format!("unreadable: {e}"),
-                });
-                None
-            }
-            Err(e) => return Err(e),
-        }
-    } else {
-        report.issues.push(ScrubIssue {
-            path: meta_path.clone(),
-            kind: IssueKind::MissingFile,
-            detail: "global metadata file is missing".into(),
-        });
-        None
-    };
-
-    let mut known: BTreeSet<String> = BTreeSet::new();
-    known.insert(meta_path);
-    known.insert(marker);
-    known.insert(format!("{prefix}/{TELEMETRY_SAVE_FILE}"));
-    known.insert(format!("{prefix}/{TELEMETRY_LOAD_FILE}"));
-
-    if let Some(meta) = &meta {
-        // 2. Group tensor references by storage file.
-        let mut by_file: BTreeMap<&str, Vec<(&str, &TensorShardEntry)>> = BTreeMap::new();
-        for (fqn, entries) in &meta.tensor_map {
-            for e in entries {
+    match &view.metadata {
+        Err(issue) => flag(&issue.path, issue.kind, issue.detail.clone()),
+        Ok(meta) => {
+            // 2. Group tensor references by storage file.
+            let mut by_file: BTreeMap<&str, Vec<(&str, &TensorShardEntry)>> = BTreeMap::new();
+            for (fqn, e) in
+                meta.tensor_map.iter().flat_map(|(f, es)| es.iter().map(move |e| (f, e)))
+            {
                 by_file.entry(&e.byte.file).or_default().push((fqn.as_str(), e));
             }
-        }
 
-        // 3. Every referenced file must exist and decode into CRC-verified
-        // frames: a state file into its one frame, named as the file; a
-        // storage file into frames that cover every ByteMeta range with a
-        // payload at exactly the recorded offset/length.
-        let state = meta.state_files.iter().map(|name| (name.as_str(), None));
-        for (file, refs) in by_file.iter().map(|(file, refs)| (*file, Some(refs))).chain(state) {
-            let path = format!("{prefix}/{file}");
-            known.insert(path.clone());
-            if !present.contains(&path) {
-                let detail = match refs {
-                    Some(refs) => format!("{} shard(s) reference this missing file", refs.len()),
-                    None => "state file listed in the metadata is missing".into(),
-                };
-                report.issues.push(ScrubIssue { path, kind: IssueKind::MissingFile, detail });
-                continue;
-            }
-            report.files_checked += 1;
-            let data = attempted(attempt, &path, || backend.read(&path))?;
-            let Some(refs) = refs else {
-                match state_files::decode(file, &data) {
-                    Ok(_) => report.frames_verified += 1,
-                    Err(e) => report.issues.push(ScrubIssue {
-                        path,
-                        kind: IssueKind::BadFrame,
-                        detail: e.to_string(),
-                    }),
-                }
-                continue;
-            };
-            let frames = match decode_frames(&data) {
-                Ok(f) => f,
-                Err(e) => {
-                    report.issues.push(ScrubIssue {
-                        path,
-                        kind: IssueKind::BadFrame,
-                        detail: e.to_string(),
-                    });
+            // 3. Every referenced file must exist and decode into
+            // CRC-verified frames: a state file into its one frame, named as
+            // the file; a storage file into frames that cover every ByteMeta
+            // range with a payload at exactly the recorded offset/length.
+            let state = meta.state_files.iter().map(|name| (name.as_str(), None));
+            for (file, refs) in by_file.iter().map(|(file, refs)| (*file, Some(refs))).chain(state)
+            {
+                let path = format!("{prefix}/{file}");
+                if !view.listed.contains(&path) {
+                    let detail = match refs {
+                        Some(refs) => {
+                            format!("{} shard(s) reference this missing file", refs.len())
+                        }
+                        None => "state file listed in the metadata is missing".into(),
+                    };
+                    flag(&path, IssueKind::MissingFile, detail);
                     continue;
                 }
-            };
-            report.frames_verified += frames.len();
-            // Recompute each frame's payload location by walking the file.
-            let mut payloads: BTreeMap<(u64, u64), &Frame> = BTreeMap::new();
-            let mut pos = 0u64;
-            for f in &frames {
-                let off = pos + header_len(&f.shard) as u64;
-                payloads.insert((off, f.payload.len() as u64), f);
-                pos = off + f.payload.len() as u64 + 4;
-            }
-            for &(fqn, entry) in refs {
-                let (offset, length) = (entry.byte.offset, entry.byte.length);
-                match payloads.get(&(offset, length)) {
-                    None => report.issues.push(ScrubIssue {
-                        path: path.clone(),
-                        kind: IssueKind::RangeMismatch,
-                        detail: format!(
-                            "{fqn}: recorded payload [{offset}, {}) does not match any \
-                             decoded frame payload",
-                            u128::from(offset) + u128::from(length)
-                        ),
-                    }),
-                    // The frame header is not covered by the payload CRC, so
-                    // cross-check it against the metadata: a flipped fqn
-                    // byte or forged shard coordinates cannot hide.
-                    Some(frame)
-                        if *frame.shard.fqn != *fqn
-                            || frame.shard != entry.shard
-                            || frame.dtype != entry.basic.dtype =>
-                    {
-                        report.issues.push(ScrubIssue {
-                            path: path.clone(),
-                            kind: IssueKind::BadFrame,
-                            detail: format!(
-                                "{fqn}: frame header at payload offset {offset} disagrees \
-                                 with checkpoint metadata"
-                            ),
-                        });
+                files_checked += 1;
+                let data = attempted(attempt, &path, || backend.read(&path))?;
+                let Some(refs) = refs else {
+                    match state_files::decode(file, &data) {
+                        Ok(_) => frames_verified += 1,
+                        Err(e) => flag(&path, IssueKind::BadFrame, e.to_string()),
                     }
-                    Some(_) => {}
+                    continue;
+                };
+                let frames = match decode_frames(&data) {
+                    Ok(f) => f,
+                    Err(e) => {
+                        flag(&path, IssueKind::BadFrame, e.to_string());
+                        continue;
+                    }
+                };
+                frames_verified += frames.len();
+                // Recompute each frame's payload location by walking the file.
+                let mut payloads: BTreeMap<(u64, u64), &Frame> = BTreeMap::new();
+                let mut pos = 0u64;
+                for f in &frames {
+                    let off = pos + header_len(&f.shard) as u64;
+                    payloads.insert((off, f.payload.len() as u64), f);
+                    pos = off + f.payload.len() as u64 + 4;
                 }
-            }
-            if frames.len() != refs.len() {
-                report.issues.push(ScrubIssue {
-                    path: path.clone(),
-                    kind: IssueKind::BadFrame,
-                    detail: format!(
-                        "file holds {} frame(s) but metadata references {}",
-                        frames.len(),
-                        refs.len()
-                    ),
-                });
+                for &(fqn, entry) in refs {
+                    let (offset, length) = (entry.byte.offset, entry.byte.length);
+                    let end = u128::from(offset) + u128::from(length);
+                    let (kind, detail) = match payloads.get(&(offset, length)) {
+                        None => (
+                            IssueKind::RangeMismatch,
+                            format!(
+                                "recorded payload [{offset}, {end}) does not match any decoded \
+                                 frame payload"
+                            ),
+                        ),
+                        // The frame header is not covered by the payload CRC,
+                        // so cross-check it against the metadata: a flipped
+                        // fqn byte or forged shard coordinates cannot hide.
+                        Some(f)
+                            if *f.shard.fqn != *fqn
+                                || f.shard != entry.shard
+                                || f.dtype != entry.basic.dtype =>
+                        {
+                            (
+                                IssueKind::BadFrame,
+                                format!(
+                                    "frame header at payload offset {offset} disagrees with \
+                                     checkpoint metadata"
+                                ),
+                            )
+                        }
+                        Some(_) => continue,
+                    };
+                    flag(&path, kind, format!("{fqn}: {detail}"));
+                }
+                if frames.len() != refs.len() {
+                    let (held, referenced) = (frames.len(), refs.len());
+                    let detail =
+                        format!("file holds {held} frame(s) but metadata references {referenced}");
+                    flag(&path, IssueKind::BadFrame, detail);
+                }
             }
         }
     }
 
     // 4. Everything else under the prefix is an orphan.
-    for path in &present {
-        if !known.contains(path) {
-            report.issues.push(ScrubIssue {
-                path: path.clone(),
-                kind: IssueKind::Orphan,
-                detail: "file not referenced by checkpoint metadata".into(),
-            });
-        }
+    for (path, _) in view.files().filter(|(_, kind)| *kind == FileKind::Other) {
+        flag(path, IssueKind::Orphan, "file not referenced by checkpoint metadata".into());
     }
-    Ok(report)
+    let committed = view.committed;
+    let prefix = prefix.to_string();
+    Ok(ScrubReport { step, prefix, committed, issues, files_checked, frames_verified })
 }
 
 /// Scrub every step under a job root, ascending. Uncommitted steps are
@@ -325,18 +238,18 @@ pub fn scrub_step_with(
 /// callers decide whether those count as failures.
 pub fn scrub_tree(backend: &DynBackend, root: &str) -> Result<Vec<ScrubReport>> {
     let mgr = CheckpointManager::new(backend.clone(), root);
-    let mut reports = Vec::new();
-    for c in mgr.list()? {
-        reports.push(scrub_step(backend, &c.prefix, c.step)?);
-    }
-    Ok(reports)
+    mgr.list()?.iter().map(|c| scrub_step(backend, &c.prefix, c.step)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::{BasicMeta, ByteMeta, ShardMeta, TensorShardEntry};
-    use bcp_storage::MemoryBackend;
+    use crate::metadata::{
+        BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry, COMPLETE_MARKER,
+        METADATA_FILE,
+    };
+    use crate::BcpError;
+    use bcp_storage::{MemoryBackend, Result as StorageResult, StorageErrorKind};
     use bcp_tensor::DType;
     use bytes::Bytes;
     use std::sync::Arc;

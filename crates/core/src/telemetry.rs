@@ -17,7 +17,7 @@ use crate::integrity::FailureLog;
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
 use bcp_monitor::{MetricsHub, RankTelemetry, SpanRecord, StepTelemetry};
-use bcp_storage::DynBackend;
+use bcp_storage::{DynBackend, StorageError};
 use bytes::Bytes;
 
 /// Cut one rank's contribution to the step artifact out of its private hub
@@ -93,10 +93,11 @@ pub fn read_step_telemetry(
     file: &str,
 ) -> Result<Option<StepTelemetry>> {
     let path = format!("{prefix}/{file}");
-    if !backend.exists(&path).map_err(BcpError::Storage)? {
-        return Ok(None);
-    }
-    let raw = backend.read(&path).map_err(BcpError::Storage)?;
+    let raw = match backend.read(&path) {
+        Ok(raw) => raw,
+        Err(StorageError::NotFound(_)) => return Ok(None),
+        Err(e) => return Err(BcpError::Storage(e)),
+    };
     let text = String::from_utf8(raw.to_vec())
         .map_err(|_| BcpError::Corrupt(format!("{path} is not UTF-8")))?;
     StepTelemetry::from_jsonl(&text)

@@ -11,9 +11,9 @@
 //! the cache agreement and the two barriers (telemetry adds its gather when
 //! on).
 //!
-//! Load: read global metadata → local load plans (box matching against the
-//! TensorShardToBasicByteMap) → gather → redundant-read elimination →
-//! scatter → engine pipeline (reads + all-to-all forwarding) → barrier.
+//! Load: open the step ([`crate::step`]) → local load plans (box matching
+//! against the TensorShardToBasicByteMap) → gather → redundant-read
+//! elimination → scatter → engine pipeline (reads + forwarding) → barrier.
 
 use crate::api::SaveRequest;
 use crate::engine::iopool::IoPool;
@@ -22,7 +22,7 @@ use crate::engine::pool::PinnedPool;
 use crate::engine::save::{execute_save, SaveConfig, SaveStats};
 use crate::fault::{FaultHook, FaultPlan};
 use crate::integrity::{commit_checkpoint, with_retries, FailureLog, FailureRecord};
-use crate::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
+use crate::metadata::GlobalMetadata;
 use crate::plan::{build_tensor_map, local_load_plan, SavePlan};
 use crate::planner::balance::{
     assign_reads, dedup_save_plans, AssignedLoadPlan, DedupStrategy, ReadRoles,
@@ -30,6 +30,7 @@ use crate::planner::balance::{
 use crate::planner::cache::{CachedSave, PlanCache};
 use crate::planner::planner_for;
 use crate::state_files;
+use crate::step::{self, StepView};
 use crate::telemetry::{collect_rank_telemetry, persist_step_telemetry};
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
@@ -269,7 +270,7 @@ pub fn save_checkpoint(
                 .metadata
                 .as_ref()
                 .ok_or_else(|| BcpError::Plan("coordinator lost the sealed metadata".into()))?;
-            let meta_path = format!("{prefix2}/{METADATA_FILE}");
+            let meta_path = step::metadata_path(&prefix2);
             {
                 // Cold and warm saves share this tail: the step and the
                 // trailer are the only bytes of the image that change.
@@ -367,30 +368,18 @@ pub fn load_checkpoint<R>(
             .attr("prefix", prefix)
             .attr("parallelism", ctx.parallelism.describe())
             .attr("backend", backend.name());
-        // Step 1: all ranks load the global metadata (committed checkpoints only).
+        // Step 1: all ranks open the step — one listing, the commit rule,
+        // the metadata decoded, validated and step-checked — and refuse it
+        // unless it is committed and sound.
         faults.check("load/metadata")?;
-        let meta_path = format!("{prefix}/{METADATA_FILE}");
         let metadata = {
-            let mut t = root.child("load/metadata").path(meta_path.clone());
+            let mut t = root.child("load/metadata").path(step::metadata_path(prefix));
             let _in_meta = t.enter();
-            let marker = format!("{prefix}/{COMPLETE_MARKER}");
-            let committed =
-                with_retries(retries, log, rank, "load/metadata", Some(&marker), || {
-                    backend.exists(&marker)
-                })?;
-            if !committed {
-                return Err(BcpError::Corrupt(format!(
-                    "checkpoint {prefix} has no {COMPLETE_MARKER} marker \
-                     (torn or in-progress save)"
-                )));
-            }
-            let meta_bytes =
-                with_retries(retries, log, rank, "load/metadata", Some(&meta_path), || {
-                    backend.read(&meta_path)
-                })?;
-            t.add_bytes(meta_bytes.len() as u64);
-            let metadata = GlobalMetadata::from_bytes(&meta_bytes).map_err(BcpError::Corrupt)?;
-            metadata.validate().map_err(BcpError::Corrupt)?;
+            let view = StepView::open(&backend, prefix, None, &|path, op| {
+                with_retries(retries, log, rank, "load/metadata", Some(path), op)
+            })?;
+            t.add_bytes(view.metadata_bytes);
+            let metadata = view.committed_metadata()?;
             t.set_step(metadata.step);
             metadata
         };

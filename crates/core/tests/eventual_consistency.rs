@@ -12,6 +12,7 @@ use bcp_core::api::{Checkpointer, SaveRequest};
 use bcp_core::manager::CheckpointManager;
 use bcp_core::metadata::{GlobalMetadata, COMPLETE_MARKER, METADATA_FILE};
 use bcp_core::registry::BackendRegistry;
+use bcp_core::scrub::scrub_step;
 use bcp_model::states::{build_train_state, Framework};
 use bcp_model::{zoo, TrainState, TrainerConfig};
 use bcp_storage::uri::Scheme;
@@ -82,6 +83,7 @@ fn committed_step_with_list_lagged_marker_is_never_reaped_as_torn() {
     assert_eq!((latest.step, latest.committed), (200, true));
     assert!(mgr.gc_torn().unwrap().is_empty(), "must not reap a committed step");
     assert!(backend.exists(&format!("job/step_200/{COMPLETE_MARKER}")).unwrap());
+    assert!(scrub_step(&backend, "job/step_200", 200).unwrap().committed, "the scrub agrees");
 
     // Window 3: fully propagated — same answers, and the data survived.
     clock.advance(Duration::from_secs(3));

@@ -20,6 +20,17 @@ if grep -n 'to_vec_pretty' crates/core/src/metadata.rs ||
   exit 1
 fi
 
+echo "==> one step reader (crates/core/src/step.rs lists, checks and opens a step; writers take its marker and metadata paths)"
+# metadata.rs defines the two names; test code may spell them.
+step_names="$(find crates/*/src src examples -name '*.rs' ! -path crates/core/src/metadata.rs \
+  ! -path crates/core/src/step.rs -print0 | sort -z |
+  xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /COMPLETE_MARKER|METADATA_FILE|"COMPLETE"|\/COMPLETE"/{print FILENAME ":" FNR ": " $0}')"
+if [ -n "$step_names" ]; then
+  printf '%s\n' "$step_names"
+  echo "a step is read through bcp_core::step::StepView, and its marker and metadata paths come from step::{marker_path, metadata_path}"
+  exit 1
+fi
+
 echo "==> one instrument (perf/ measures, tests gate, repro reproduces: no second benchmark may grow back)"
 if [ "$(ls crates/bench/src/bin)" != repro.rs ]; then
   echo "crates/bench/src/bin/ may hold repro.rs only; a new measurement is a perf/ probe, a new gate is a test"

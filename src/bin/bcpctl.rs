@@ -52,7 +52,8 @@
 //! one table and exits.
 
 use bytecheckpoint::core::export::{export_safetensors, metadata_json};
-use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
+use bytecheckpoint::core::metadata::GlobalMetadata;
+use bytecheckpoint::core::step::{self, StepView};
 use bytecheckpoint::core::telemetry::read_step_telemetry;
 use bytecheckpoint::monitor::analysis::{breakdown_for_rank, phase_percentiles, total_by_rank};
 use bytecheckpoint::monitor::export::{chrome_trace, records_csv};
@@ -148,25 +149,20 @@ fn cmd_list(dir: &str) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn read_metadata(backend: &DynBackend, prefix: &str) -> Result<GlobalMetadata, AnyError> {
-    let bytes = backend.read(&format!("{prefix}/{METADATA_FILE}"))?;
-    Ok(GlobalMetadata::from_bytes(&bytes)?)
-}
-
 fn cmd_inspect(dir: &str, json: bool) -> Result<(), AnyError> {
     let (backend, prefix) = open(dir)?;
-    let meta = read_metadata(&backend, &prefix)?;
+    let view = StepView::open(&backend, &prefix, None, &step::once)?;
+    let meta = view.metadata.map_err(|issue| issue.to_string())?;
     if json {
         // The stored file is a compact binary image; this is its readable view.
         println!("{}", metadata_json(&meta));
         return Ok(());
     }
-    let committed = backend.exists(&format!("{prefix}/COMPLETE"))?;
     println!("checkpoint   {dir}");
     println!("framework    {}", meta.framework);
     println!("step         {}", meta.step);
     println!("parallelism  {} ({} ranks)", meta.source_parallelism, meta.source_world_size);
-    println!("committed    {committed}");
+    println!("committed    {}", view.committed);
     let tensors = meta.tensor_map.len();
     let shards: usize = meta.tensor_map.values().map(Vec::len).sum();
     println!("tensors      {tensors} logical, {shards} stored shards");
@@ -193,7 +189,10 @@ fn cmd_verify(dir: &str) -> Result<(), AnyError> {
     let (backend, prefix) = open(dir)?;
     let step = match CheckpointManager::step_of(&prefix) {
         Some(step) => step,
-        None => read_metadata(&backend, &prefix)?.step,
+        None => {
+            let view = StepView::open(&backend, &prefix, None, &step::once)?;
+            view.metadata.map_err(|issue| issue.to_string())?.step
+        }
     };
     let report = scrub_step(&backend, &prefix, step)?;
     print_scrub(&report);

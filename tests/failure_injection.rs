@@ -10,6 +10,7 @@ use bytecheckpoint::core::integrity::commit_checkpoint;
 use bytecheckpoint::core::metadata::{
     BasicMeta, ByteMeta, GlobalMetadata, ShardMeta, TensorShardEntry, METADATA_FILE,
 };
+use bytecheckpoint::core::BcpError;
 use bytecheckpoint::prelude::*;
 use bytecheckpoint::storage::{Fault, FaultRule, OpSet};
 use common::{assert_states_eq, reference_state, run_ranks};
@@ -113,35 +114,101 @@ fn corrupted_storage_file_is_detected_at_load() {
     assert!(errs[0].is_some(), "truncated file must fail the load");
 }
 
+/// One metadata defect of a committed step: what it does to the step's
+/// files, and what the scrub's finding says.
+type MetadataDefect = (&'static str, fn(&DynBackend), &'static str);
+
+/// A direct load refuses what the scrub refuses. For each defect of step 2's
+/// metadata, every rank's `Checkpointer::load` is `Corrupt` with exactly the
+/// finding `scrub_step` names, and the scrub names nothing else.
 #[test]
 fn metadata_tampering_is_caught_by_validation() {
-    let arch = zoo::tiny_gpt();
+    fn rewrite(mem: &DynBackend, edit: impl FnOnce(&mut GlobalMetadata)) {
+        let path = format!("t/step_2/{METADATA_FILE}");
+        let mut meta = GlobalMetadata::from_bytes(&mem.read(&path).unwrap()).unwrap();
+        edit(&mut meta);
+        mem.write(&path, bytes::Bytes::from(meta.to_bytes())).unwrap();
+    }
+    let rows: [MetadataDefect; 5] = [
+        (
+            "step 1's files copied under step_2",
+            |mem| {
+                for key in mem.list("t/step_1/").unwrap() {
+                    let to = key.replacen("t/step_1/", "t/step_2/", 1);
+                    mem.write(&to, mem.read(&key).unwrap()).unwrap();
+                }
+            },
+            "metadata step 1 does not match prefix step 2",
+        ),
+        ("an unsupported version", |mem| rewrite(mem, |m| m.version = 2), "unsupported version 2"),
+        (
+            "boxes of one tensor that overlap in part",
+            |mem| {
+                rewrite(mem, |m| {
+                    let entries = m.tensor_map.values_mut().find(|e| e[0].shard.lengths[0] >= 3);
+                    let entries = entries.expect("a tensor of three rows or more");
+                    let (mut head, mut tail) = (entries[0].clone(), entries[0].clone());
+                    let rows = head.shard.lengths[0];
+                    let row_bytes = head.byte.length / rows as u64;
+                    head.shard.lengths[0] = rows - 1;
+                    tail.shard.offsets[0] = 1;
+                    tail.shard.lengths[0] = rows - 1;
+                    head.byte.length -= row_bytes;
+                    tail.byte.length -= row_bytes;
+                    *entries = vec![head, tail];
+                })
+            },
+            "overlap without being identical",
+        ),
+        (
+            "metadata cut to half",
+            |mem| {
+                let path = format!("t/step_2/{METADATA_FILE}");
+                let image = mem.read(&path).unwrap();
+                mem.write(&path, image.slice(..image.len() / 2)).unwrap();
+            },
+            "metadata parse error",
+        ),
+        (
+            "an inflated byte length",
+            |mem| rewrite(mem, |m| m.tensor_map.values_mut().next().unwrap()[0].byte.length += 4),
+            "byte length",
+        ),
+    ];
+
     let fw = Framework::Ddp;
-    let par = Parallelism::data_parallel(1).unwrap();
-    let mem: DynBackend = Arc::new(MemoryBackend::new());
-    let registry = {
-        let mut reg = BackendRegistry::new();
-        reg.register(Scheme::Memory, mem.clone());
-        Arc::new(reg)
-    };
-    let arch_c = arch.clone();
-    run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
-        let state = reference_state(&arch_c, fw, par, rank, 1);
-        ckpt.save(&SaveRequest::new("mem://x/j/t", &state, 1)).unwrap().wait().unwrap();
-    });
-    // Tamper: inflate one shard's byte length so it no longer matches its
-    // element count — validate() must reject.
-    let meta_path = format!("j/t/{METADATA_FILE}");
-    let mut meta = GlobalMetadata::from_bytes(&mem.read(&meta_path).unwrap()).unwrap();
-    let first = meta.tensor_map.values_mut().next().unwrap();
-    first[0].byte.length += 4;
-    mem.write(&meta_path, bytes::Bytes::from(meta.to_bytes())).unwrap();
-    let arch_c = arch.clone();
-    let errs = run_ranks(par, fw, registry, move |rank, ckpt| {
-        let mut state = build_train_state(&arch_c, fw, par, rank, true);
-        ckpt.load(&mut LoadRequest::new("mem://x/j/t", &mut state)).err().map(|e| e.to_string())
-    });
-    assert!(errs[0].as_ref().unwrap().contains("byte length"), "{errs:?}");
+    let par = Parallelism::data_parallel(2).unwrap();
+    let mem = two_committed_steps("t", par);
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Memory, mem.clone());
+    let registry = Arc::new(reg);
+    let pristine: Vec<(String, bytes::Bytes)> = mem
+        .list("t/step_2/")
+        .unwrap()
+        .into_iter()
+        .map(|k| (k.clone(), mem.read(&k).unwrap()))
+        .collect();
+    for (defect, damage, says) in rows {
+        for (key, data) in &pristine {
+            mem.write(key, data.clone()).unwrap();
+        }
+        damage(&mem);
+        let report = scrub_step(&mem, "t/step_2", 2).unwrap();
+        let found: Vec<String> = report.defects().iter().map(|i| i.to_string()).collect();
+        assert_eq!(found.len(), 1, "{defect}: {:?}", report.issues);
+        assert!(found[0].contains(says), "{defect}: {found:?}");
+        let errs = run_ranks(par, fw, registry.clone(), move |rank, ckpt| {
+            let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+            ckpt.load(&mut LoadRequest::new("mem://x/t/step_2", &mut state)).err()
+        });
+        for (rank, err) in errs.into_iter().enumerate() {
+            let refused = matches!(&err, Some(BcpError::Corrupt(m)) if *m == found[0]);
+            assert!(
+                refused,
+                "{defect}: rank {rank} loaded with {err:?}, the scrub found {found:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -263,9 +330,10 @@ fn a_load_survives_one_failed_commit_marker_probe() {
     let fw = Framework::Ddp;
     let par = Parallelism::data_parallel(2).unwrap();
     let mem = two_committed_steps("probe", par);
+    // The probe that decides commit status is the step's listing.
     let (registry, faulty) = behind_faults(
         &mem,
-        vec![FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 }).on("step_2/COMPLETE")],
+        vec![FaultRule::new(OpSet::Meta, Fault::Fail { times: 1 }).on("probe/step_2/")],
     );
     let retried = run_ranks(par, fw, registry, move |rank, ckpt| {
         let mut state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
@@ -312,7 +380,8 @@ fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
 
     // The first read of each dataloader file fails once, and so does the
     // first probe of each path under the job root: discovery's `step_`
-    // listing and commit-marker check, the scrub's listing of the step.
+    // listing (which shows the commit marker, so nothing probes it) and the
+    // scrub's listing of the step.
     let (registry, faulty) = behind_faults(
         &mem,
         vec![
@@ -331,14 +400,14 @@ fn a_resume_survives_one_failure_of_every_discovery_probe_and_loader_read() {
     });
     // The coordinator's verification scrub lists the step and reads each
     // dataloader file (replicated.bin + 2 ranks x 2 workers) before any rank
-    // loads them; discovery's listing and marker probe.
-    assert_eq!(faulty.injected(), 5 + 3, "every scheduled failure fired");
+    // loads them; discovery's listing.
+    assert_eq!(faulty.injected(), 5 + 2, "every scheduled failure fired");
     let records: Vec<_> = logs.into_iter().flatten().collect();
-    assert_eq!(records.len(), 8, "one record per injected failure: {records:?}");
+    assert_eq!(records.len(), 7, "one record per injected failure: {records:?}");
     assert!(records.iter().all(|r| r.retried), "{records:?}");
     let at = |stage: &str| records.iter().filter(|r| r.stage == stage).count();
     let by_stage = (at("load/state"), at("load/discover"), at("load/verify"));
-    assert_eq!(by_stage, (0, 2, 5 + 1), "{records:?}");
+    assert_eq!(by_stage, (0, 1, 5 + 1), "{records:?}");
 }
 
 /// A coordinator whose step discovery fails for good (every probe under the

@@ -144,3 +144,69 @@ fn a_warm_save_costs_six_collective_ops() {
         assert_eq!(handle.join().unwrap(), WARM_SAVE_OPS);
     }
 }
+
+/// A registry whose `hdfs://` scheme is one simulated HDFS cluster.
+fn hdfs_registry() -> (Arc<BackendRegistry>, Arc<HdfsBackend>) {
+    let hdfs = Arc::new(HdfsBackend::new());
+    let mut reg = BackendRegistry::new();
+    reg.register(Scheme::Hdfs, hdfs.clone() as DynBackend);
+    (Arc::new(reg), hdfs)
+}
+
+/// Every storage call of a direct load but its ranged reads, which the
+/// simulated HDFS serves without the NameNode: its NameNode operations plus
+/// the `exists` probes its NNProxy answered.
+fn direct_load_calls() -> u64 {
+    let (registry, hdfs) = hdfs_registry();
+    run_ranks(par(), FW, registry.clone(), |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), FW, par(), rank, 1);
+        ckpt.save(&SaveRequest::new("hdfs://nn/job/step_1", &state, 1)).unwrap().wait().unwrap();
+    });
+    let calls = || {
+        let (ops, hits, _) = hdfs.namenode_stats().snapshot();
+        ops + hits
+    };
+    let before = calls();
+    run_ranks(par(), FW, registry, |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), FW, par(), rank, true);
+        ckpt.load(&mut LoadRequest::new("hdfs://nn/job/step_1", &mut state)).unwrap();
+        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), FW, par(), rank, 1), rank);
+    });
+    calls() - before
+}
+
+/// A direct load opens its step with one listing and one metadata read per
+/// rank — as many calls as the marker's `exists` and the read it replaces —
+/// and otherwise only writes the coordinator's telemetry artifact.
+#[test]
+fn a_direct_load_opens_its_step_with_one_listing_and_one_read_per_rank() {
+    assert_eq!(direct_load_calls(), 2 * 2 + 1);
+}
+
+/// NameNode operations of one `load_latest` over a job root that retains
+/// `steps` committed steps, on the simulated HDFS.
+fn resume_namenode_ops(steps: u64) -> u64 {
+    let (registry, hdfs) = hdfs_registry();
+    run_ranks(par(), FW, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), FW, par(), rank, 1);
+        for step in 1..=steps {
+            let location = format!("hdfs://nn/job/step_{step}");
+            ckpt.save(&SaveRequest::new(&location, &state, step)).unwrap().wait().unwrap();
+        }
+    });
+    let before = hdfs.namenode_stats().snapshot().0;
+    run_ranks(par(), FW, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), FW, par(), rank, true);
+        let out = ckpt.load_latest("hdfs://nn/job", &mut state, None).unwrap().unwrap();
+        assert_eq!(out.resumed_step(), steps);
+    });
+    hdfs.namenode_stats().snapshot().0 - before
+}
+
+/// Discovery decides every retained step from one listing of the job root:
+/// each listed marker proves its commit, so a resume's NameNode operations
+/// do not grow with the steps the job keeps.
+#[test]
+fn a_resume_costs_as_many_namenode_operations_with_sixteen_retained_steps_as_with_one() {
+    assert_eq!(resume_namenode_ops(16), resume_namenode_ops(1));
+}
