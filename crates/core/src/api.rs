@@ -264,7 +264,10 @@ impl CheckpointerBuilder {
     /// offline analysis with `bcpctl report`. Defaults to **on**.
     ///
     /// Persistence gathers all ranks' telemetry at the coordinator, so the
-    /// setting must be identical on every rank of the job.
+    /// setting must be identical on every rank of the job. A load's artifact
+    /// lands when the handle's next `save`, `load` or `load_latest` starts
+    /// (before a resume lists any step) or when the handle drops. A line carries
+    /// the failures and drops since that rank's previous line.
     pub fn telemetry(mut self, enabled: bool) -> CheckpointerBuilder {
         self.telemetry = enabled;
         self
@@ -306,6 +309,7 @@ impl CheckpointerBuilder {
             io: IoPool::new(io_threads),
             failures: Arc::new(failures),
             telemetry,
+            pending: Default::default(),
         };
         Ok(Checkpointer { ctx, registry })
     }
@@ -380,6 +384,9 @@ impl Checkpointer {
     /// request's location, resharding automatically when the parallelism
     /// changed, and restore the step's extra state and (when the request
     /// names a target) its dataloader states.
+    /// Returns at the load barrier: `_telemetry_load.jsonl` is written behind
+    /// it (see [`CheckpointerBuilder::telemetry`]), a failure logged as
+    /// `load/telemetry`.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
@@ -420,6 +427,7 @@ impl Checkpointer {
         loader_target: Option<LoaderTarget>,
     ) -> Result<Option<LoadOutcome>> {
         let root: CheckpointLocation = root.into();
+        self.ctx.settle();
         let backend = self.registry.resolve(root.uri())?;
         let coordinator = self.ctx.coordinator();
         let (chosen, quarantined) = if self.ctx.rank() == coordinator {

@@ -32,6 +32,7 @@ use bcp_monitor::sync::lock;
 use bcp_monitor::MetricsSink;
 use bcp_storage::retry::site_seed;
 use bcp_storage::{DynBackend, StorageError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use bcp_monitor::FailureRecord;
@@ -41,6 +42,8 @@ pub use bcp_storage::retry::{RetryClock, RetryPolicy, SystemClock, TestClock, Ve
 /// and the sink [`with_retries`] waits on and reports to.
 pub struct FailureLog {
     records: Mutex<Vec<FailureRecord>>,
+    /// How many records a telemetry line has already carried.
+    reported: AtomicUsize,
     clock: Arc<dyn RetryClock>,
     sink: MetricsSink,
 }
@@ -56,6 +59,7 @@ impl FailureLog {
     pub fn new() -> FailureLog {
         FailureLog {
             records: Mutex::new(Vec::new()),
+            reported: AtomicUsize::new(0),
             clock: Arc::new(SystemClock::default()),
             sink: MetricsSink::disabled(),
         }
@@ -81,6 +85,13 @@ impl FailureLog {
     /// Snapshot of everything logged.
     pub fn records(&self) -> Vec<FailureRecord> {
         lock(&self.records).clone()
+    }
+
+    /// The records logged since the last call (each reported by one
+    /// telemetry line); [`FailureLog::records`] still returns everything.
+    pub fn take_unreported(&self) -> Vec<FailureRecord> {
+        let records = lock(&self.records);
+        records[self.reported.swap(records.len(), Ordering::Relaxed)..].to_vec()
     }
 
     /// Number of failures logged.

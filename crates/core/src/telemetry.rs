@@ -12,6 +12,8 @@
 //! `COMPLETE` marker exists: a torn save never leaves a telemetry file
 //! behind (so GC of torn steps needs no special casing), and a telemetry
 //! write failure degrades observability without failing the checkpoint.
+//! A save gathers and writes on its finalize thread; a load gathers inline
+//! and writes behind itself, on the I/O pool (see `workflow::JobContext`).
 
 use crate::integrity::FailureLog;
 use crate::{BcpError, Result};
@@ -31,7 +33,8 @@ use bytes::Bytes;
 /// lives for a whole training run holds the operations in flight, not every
 /// step it ever ran. The line's drop count is likewise cut, not copied
 /// ([`MetricsHub::take_dropped`]): it counts the spans lost since this
-/// rank's previous line.
+/// rank's previous line, and so are its failures
+/// ([`FailureLog::take_unreported`]).
 pub fn collect_rank_telemetry(
     hub: &MetricsHub,
     log: &FailureLog,
@@ -52,7 +55,7 @@ pub fn collect_rank_telemetry(
     });
     spans.retain(|s| !stray(s));
     spans.iter_mut().for_each(|s| s.step = step);
-    let failures = log.records().into_iter().filter(|f| f.rank == rank).collect();
+    let failures = log.take_unreported().into_iter().filter(|f| f.rank == rank).collect();
     RankTelemetry {
         rank,
         step,
@@ -63,10 +66,8 @@ pub fn collect_rank_telemetry(
     }
 }
 
-/// Gather every rank's [`RankTelemetry`] at the coordinator and write the
-/// JSONL artifact `{prefix}/{file}` through `backend`. Collective: every
-/// member of `comm` must call it (telemetry must therefore be enabled
-/// uniformly across ranks).
+/// Gather every rank's [`RankTelemetry`] and write `{prefix}/{file}` inline
+/// (the save's path). Collective: telemetry is on on every rank or on none.
 pub fn persist_step_telemetry(
     comm: &Communicator,
     backend: &DynBackend,
@@ -74,14 +75,21 @@ pub fn persist_step_telemetry(
     mine: RankTelemetry,
     file: &str,
 ) -> Result<()> {
-    let coordinator = comm.members()[0];
-    if let Some(lines) = comm.gather(coordinator, mine)? {
-        let doc = StepTelemetry { ranks: lines };
-        backend
-            .write(&format!("{prefix}/{file}"), Bytes::from(doc.to_jsonl()))
-            .map_err(BcpError::Storage)?;
-    }
-    Ok(())
+    let doc = gather_step_telemetry(comm, mine)?;
+    doc.map_or(Ok(()), |doc| write_step_telemetry(backend, &format!("{prefix}/{file}"), doc))
+}
+
+/// Every rank's line, gathered at the coordinator (`None` elsewhere).
+pub fn gather_step_telemetry(
+    comm: &Communicator,
+    mine: RankTelemetry,
+) -> Result<Option<StepTelemetry>> {
+    Ok(comm.gather(comm.members()[0], mine)?.map(|ranks| StepTelemetry { ranks }))
+}
+
+/// Encode `doc` and write it to `path` (the coordinator's half).
+pub fn write_step_telemetry(backend: &DynBackend, path: &str, doc: StepTelemetry) -> Result<()> {
+    backend.write(path, Bytes::from(doc.to_jsonl())).map_err(BcpError::Storage)
 }
 
 /// Read a persisted step artifact back, if present. Returns `Ok(None)` when
@@ -155,6 +163,29 @@ mod tests {
         drop(sink.span("save/dump", 0, 2));
         let second = collect_rank_telemetry(&hub, &log, 0, 2, "save");
         assert_eq!((second.spans.len(), second.dropped_records), (1, 0));
+    }
+
+    #[test]
+    fn each_line_reports_the_failures_of_its_own_step() {
+        let (hub, log) = (MetricsHub::new(), FailureLog::new());
+        let failed = |stage: &str| FailureRecord {
+            rank: 0,
+            stage: stage.into(),
+            path: None,
+            attempt: 1,
+            error: "flaky".into(),
+            retried: true,
+        };
+        log.log(failed("save/upload"));
+        assert_eq!(collect_rank_telemetry(&hub, &log, 0, 1, "save").failures.len(), 1);
+        assert!(collect_rank_telemetry(&hub, &log, 0, 2, "save").failures.is_empty());
+        log.log(failed("load/read"));
+        let third = collect_rank_telemetry(&hub, &log, 0, 2, "load");
+        assert_eq!(
+            third.failures.iter().map(|f| f.stage.as_str()).collect::<Vec<_>>(),
+            ["load/read"]
+        );
+        assert_eq!(log.records().len(), 2, "the log keeps every record");
     }
 
     #[test]

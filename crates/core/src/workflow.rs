@@ -13,7 +13,8 @@
 //!
 //! Load: open the step ([`crate::step`]) → local load plans (box matching
 //! against the TensorShardToBasicByteMap) → gather → redundant-read
-//! elimination → scatter → engine pipeline (reads + forwarding) → barrier.
+//! elimination → scatter → engine pipeline (reads + forwarding) → barrier,
+//! where the load returns; its telemetry artifact lands later ([`JobContext::settle`]).
 
 use crate::api::SaveRequest;
 use crate::engine::iopool::IoPool;
@@ -31,17 +32,20 @@ use crate::planner::cache::{CachedSave, PlanCache};
 use crate::planner::planner_for;
 use crate::state_files;
 use crate::step::{self, StepView};
-use crate::telemetry::{collect_rank_telemetry, persist_step_telemetry};
+use crate::telemetry::{
+    collect_rank_telemetry, gather_step_telemetry, persist_step_telemetry, write_step_telemetry,
+};
 use crate::{BcpError, Result};
 use bcp_collectives::Communicator;
 use bcp_model::{Framework, TrainState};
+use bcp_monitor::sync::lock;
 use bcp_monitor::{
     enter_context, MetricsHub, MetricsSink, TELEMETRY_LOAD_FILE, TELEMETRY_SAVE_FILE,
 };
 use bcp_storage::DynBackend;
 use bytes::Bytes;
-use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-job context shared by save and load: everything a
@@ -68,7 +72,11 @@ pub struct JobContext {
     /// The private hub per-step telemetry artifacts are cut from, when
     /// telemetry is on.
     pub telemetry: Option<Arc<MetricsHub>>,
+    /// The coordinator's last load artifact (path, completion), written on `io`.
+    pub(crate) pending: Mutex<Option<PendingArtifact>>,
 }
+
+type PendingArtifact = (String, Receiver<(usize, Result<()>)>);
 
 impl JobContext {
     /// This worker's global rank.
@@ -80,6 +88,26 @@ impl JobContext {
     pub fn coordinator(&self) -> usize {
         self.comm.members()[0]
     }
+
+    /// Wait for the last load's artifact; a failed write logs `load/telemetry`.
+    pub fn settle(&self) {
+        let Some((path, done)) = lock(&self.pending).take() else { return };
+        if let Ok((_, Err(e))) = done.recv() {
+            artifact_failed(&self.failures, self.rank(), "load/telemetry", path, e);
+        }
+    }
+}
+
+impl Drop for JobContext {
+    fn drop(&mut self) {
+        self.settle();
+    }
+}
+
+/// A telemetry artifact not written degrades observability, nothing else.
+fn artifact_failed(log: &FailureLog, rank: usize, stage: &str, path: String, e: BcpError) {
+    let (stage, path, error) = (stage.into(), Some(path), e.to_string());
+    log.log(FailureRecord { rank, stage, path, attempt: 1, error, retried: false });
 }
 
 /// Workflow-level options. The plan cache, balanced save dedup,
@@ -125,6 +153,7 @@ pub fn save_checkpoint(
     prefix: &str,
     req: &SaveRequest<'_>,
 ) -> Result<SaveTicket> {
+    ctx.settle();
     let JobContext { options, cache, pool, io, sink, .. } = ctx;
     let (log, telemetry) = (ctx.failures.clone(), ctx.telemetry.clone());
     let rank = ctx.rank();
@@ -299,14 +328,8 @@ pub fn save_checkpoint(
             if let Err(e) =
                 persist_step_telemetry(&comm, &backend, &prefix2, mine, TELEMETRY_SAVE_FILE)
             {
-                log.log(FailureRecord {
-                    rank,
-                    stage: "save/telemetry".into(),
-                    path: Some(format!("{prefix2}/{TELEMETRY_SAVE_FILE}")),
-                    attempt: 1,
-                    error: e.to_string(),
-                    retried: false,
-                });
+                let path = format!("{prefix2}/{TELEMETRY_SAVE_FILE}");
+                artifact_failed(&log, rank, "save/telemetry", path, e);
             }
         }
         // Second barrier: the commit is visible to every rank once their
@@ -351,6 +374,7 @@ pub fn load_checkpoint<R>(
     state: &mut TrainState,
     restore: impl FnOnce(&[String], &dyn Fn(&str) -> Result<Bytes>) -> Result<R>,
 ) -> Result<(LoadReport, R)> {
+    ctx.settle();
     let JobContext { options, io, sink, failures: log, telemetry, .. } = ctx;
     let load = || -> Result<(LoadReport, R)> {
         let (rank, retries) = (ctx.rank(), options.load.retries);
@@ -440,22 +464,21 @@ pub fn load_checkpoint<R>(
             let _t = root.child("sync/load_barrier").attr("collective", ctx.comm.backend_info());
             ctx.comm.barrier()?;
         }
-        // Close the root span, then persist this load's telemetry next to the
-        // checkpoint (best-effort, separate artifact from the save's).
+        // Close the root span and gather; the coordinator's artifact is
+        // written behind the load, on the I/O pool (nothing waits for it).
         drop(root);
         if let Some(hub) = telemetry {
             let mine = collect_rank_telemetry(hub, log, rank, step, "load");
-            if let Err(e) =
-                persist_step_telemetry(&ctx.comm, &backend, prefix, mine, TELEMETRY_LOAD_FILE)
-            {
-                log.log(FailureRecord {
-                    rank,
-                    stage: "load/telemetry".into(),
-                    path: Some(format!("{prefix}/{TELEMETRY_LOAD_FILE}")),
-                    attempt: 1,
-                    error: e.to_string(),
-                    retried: false,
-                });
+            let path = format!("{prefix}/{TELEMETRY_LOAD_FILE}");
+            match gather_step_telemetry(&ctx.comm, mine) {
+                Ok(Some(doc)) => {
+                    let (tx, done) = channel();
+                    let (backend, to) = (backend.clone(), path.clone());
+                    io.submit(tx, 0, move || write_step_telemetry(&backend, &to, doc));
+                    *lock(&ctx.pending) = Some((path, done));
+                }
+                Ok(None) => {}
+                Err(e) => artifact_failed(log, rank, "load/telemetry", path, e),
             }
         }
         Ok((LoadReport { stats, metadata }, restored))

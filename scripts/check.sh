@@ -156,6 +156,12 @@ if grep -n 'eliminate_redundant_reads' crates/core/src/workflow.rs; then
   exit 1
 fi
 
+echo "==> a load returns at its barrier (its telemetry artifact is encoded and written behind it)"
+if tr '\n' ' ' < crates/core/src/workflow.rs | grep -o 'persist_step_telemetry([^;]*;' | grep 'TELEMETRY_LOAD_FILE'; then
+  echo "load_checkpoint gathers its telemetry inline and hands the artifact's encode and write to the I/O pool (the pending slot JobContext::settle waits on); persist_step_telemetry writes inline, for the save's finalize thread only"
+  exit 1
+fi
+
 echo "==> one reclaim mechanism for pooled capture buffers (the owner's Drop; the segment-list save path must not come back)"
 second_reclaim="$(find crates/core/src/engine -name '*.rs' -print0 | sort -z |
   xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /PooledBytes|slice_window|try_into_mut/{print FILENAME ":" FNR ": " $0}')"

@@ -550,3 +550,59 @@ fn a_panicking_take_where_predicate_leaves_the_hub_usable() {
     assert!(hub.spans().is_empty());
     assert_eq!(hub.dropped_records(), 0);
 }
+
+/// Each artifact line carries the failures logged since the rank's previous
+/// line, the way it carries its own drops: a retried write while step 1
+/// commits is step 1's failure, and a clean step 2 through the same handles
+/// reports none — while the handle's log still holds it.
+#[test]
+fn a_line_carries_only_the_failures_of_its_own_step() {
+    let _turn = one_job_at_a_time();
+    let dir = std::env::temp_dir().join(format!("bcp-telemetry-cut-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk: DynBackend = Arc::new(DiskBackend::new(&dir).unwrap());
+    let flaky = vec![FaultRule::new(OpSet::Writes, Fault::Fail { times: 1 }).on("step_1/COMPLETE")];
+    let backend: DynBackend = Arc::new(FaultLayer::new(disk.clone(), 0, flaky));
+    let (fw, par) = (Framework::Ddp, Parallelism::data_parallel(2).unwrap());
+    let world = CommWorld::new(2, Backend::Flat);
+    let handles: Vec<_> = (0..2)
+        .map(|rank| {
+            let (world, backend) = (world.clone(), backend.clone());
+            std::thread::spawn(move || {
+                let mut registry = BackendRegistry::new();
+                registry.register(Scheme::File, backend);
+                let ckpt = Checkpointer::builder(world.communicator(rank).unwrap())
+                    .framework(fw)
+                    .parallelism(par)
+                    .registry(Arc::new(registry))
+                    .build()
+                    .unwrap();
+                let state = build_train_state(&zoo::tiny_gpt(), fw, par, rank, true);
+                for step in [1u64, 2] {
+                    let url = format!("file:///job/step_{step}");
+                    ckpt.save(&SaveRequest::new(url, &state, step)).unwrap().wait().unwrap();
+                }
+                ckpt.failures().records()
+            })
+        })
+        .collect();
+    let logged: Vec<_> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    assert_eq!(logged.len(), 1, "the handle's log keeps the failure: {logged:?}");
+    assert_eq!((logged[0].rank, logged[0].stage.as_str()), (0, "save/commit"));
+
+    let failures = |step: u64| {
+        let prefix = format!("job/step_{step}");
+        let doc = read_step_telemetry(&disk, &prefix, TELEMETRY_SAVE_FILE).unwrap().unwrap();
+        doc.ranks.iter().flat_map(|line| line.failures.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(failures(1), logged, "step 1's artifact carries its own failure");
+    assert!(failures(2).is_empty(), "step 2 re-reported step 1's failure: {:?}", failures(2));
+    let job = dir.join("job").to_string_lossy().to_string();
+    for (step, alerts) in [("1", 1), ("2", 0)] {
+        let (ok, text) = bcpctl(&["report", &job, "--step", step]);
+        assert!(ok, "{text}");
+        let raised = text.lines().filter(|l| l.starts_with("ALERT failure")).count();
+        assert_eq!(raised, alerts, "step {step}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
