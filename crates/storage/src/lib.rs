@@ -35,9 +35,10 @@
 //! * [`counting::OpCountingBackend`] — counts reads and read bytes; the
 //!   instrument the load tests measure with.
 //!
-//! [`mapping`] (Linux x86_64 and aarch64) holds every memory mapping in the
-//! workspace: the read-only file views `DiskBackend`'s large reads return,
-//! and the huge-page ranges the engine's load arena is.
+//! [`mapping`] (Linux x86_64 and aarch64) is the workspace's one libc
+//! module: every memory mapping (the read-only file views `DiskBackend`'s
+//! large reads return, the huge-page ranges the engine's load arena is) and
+//! the writeback hint `DiskBackend`'s durable writes give each full window.
 //!
 //! [`stack::assemble`] is the one place layers are composed, always in the
 //! order instrument → fault → base (see [`stack`] for why).

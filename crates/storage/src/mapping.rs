@@ -1,7 +1,8 @@
-//! Every memory mapping in the workspace, and every `unsafe` line one takes.
+//! The workspace's one libc module: every memory mapping, the writeback
+//! hint, and every `unsafe` line they take.
 //!
-//! Two kinds of mapping live here, both declared against the libc that std
-//! already links:
+//! All three are declared against the libc that std already links. Two
+//! kinds of mapping live here:
 //!
 //! * [`HugePages`] — a private anonymous, zero-filled, writable range,
 //!   2 MiB-aligned and advised `MADV_HUGEPAGE`, so the kernel faults it in
@@ -18,6 +19,12 @@
 //!   `DiskBackend`'s large reads are one, so a restore's bytes go from page
 //!   cache to tensor without a copy.
 //!
+//! The hint is `start_writeback`: `sync_file_range(SYNC_FILE_RANGE_WRITE)`
+//! over a range of a file being written, so the device writes it while the
+//! writer copies the next one. `DiskBackend`'s durable writes give it each
+//! full window of their temp file; the `fsync` after them still decides
+//! durability.
+//!
 //! A file view stays what the file held when it was mapped only as long as
 //! nobody modifies that file in place: every writer in this workspace
 //! replaces an object by temp file + rename and `append` only grows one, so
@@ -26,9 +33,9 @@
 //! new end raise `SIGBUS` in a process holding tensors restored from it.
 //!
 //! The module exists on Linux x86_64 and aarch64 only; callers elsewhere
-//! take their copying or heap path.
+//! take their copying or heap path, and write without the hint.
 
-use std::ffi::{c_int, c_long, c_void};
+use std::ffi::{c_int, c_long, c_uint, c_void};
 use std::fs::File;
 use std::os::fd::AsRawFd;
 use std::ptr::NonNull;
@@ -50,6 +57,7 @@ const MAP_ANONYMOUS: c_int = 0x20;
 const MAP_POPULATE: c_int = 0x8000;
 const MADV_FREE: c_int = 8;
 const MADV_HUGEPAGE: c_int = 14;
+const SYNC_FILE_RANGE_WRITE: c_uint = 2;
 
 extern "C" {
     fn mmap(
@@ -62,6 +70,21 @@ extern "C" {
     ) -> *mut c_void;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
     fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    fn sync_file_range(fd: c_int, offset: i64, nbytes: i64, flags: c_uint) -> c_int;
+}
+
+/// Start the writeback of bytes `[offset, offset + len)` of `file`, a file
+/// open for writing, without waiting for it. A hint: its result is ignored,
+/// because the `fsync` that follows reports every error and makes the file
+/// durable.
+pub(crate) fn start_writeback(file: &File, offset: u64, len: u64) {
+    let (Ok(offset), Ok(len)) = (i64::try_from(offset), i64::try_from(len)) else { return };
+    // SAFETY: the fd is `file`'s, open for the whole call because `file` is
+    // borrowed; the call reads and writes no memory of this process, and
+    // only starts I/O on pages already in the page cache.
+    unsafe {
+        sync_file_range(file.as_raw_fd(), offset, len, SYNC_FILE_RANGE_WRITE);
+    }
 }
 
 /// A fresh mapping of `len` bytes at an address of the kernel's choosing;

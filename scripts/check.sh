@@ -171,15 +171,31 @@ if [ -n "$second_reclaim" ]; then
   exit 1
 fi
 
-echo "==> one mapping module (every mmap, munmap and madvise is in crates/storage/src/mapping.rs; a file view is populated when it is mapped)"
-if grep -rnE '(mmap|munmap|madvise)\(' crates src tests examples perf/src --include='*.rs' |
+echo "==> one mapping module (every mmap, munmap, madvise and sync_file_range is in crates/storage/src/mapping.rs; a file view is populated when it is mapped)"
+if grep -rnE '(mmap|munmap|madvise|sync_file_range)\(' crates src tests examples perf/src --include='*.rs' |
    grep -v '^crates/storage/src/mapping.rs:'; then
-  echo "mmap, munmap and madvise are called only in crates/storage/src/mapping.rs"
+  echo "mmap, munmap, madvise and sync_file_range are declared and called only in crates/storage/src/mapping.rs"
   exit 1
 fi
 if ! grep -qE '^const MAP_POPULATE: c_int = 0x8000;$' crates/storage/src/mapping.rs ||
    ! grep -qE '^ +let flags = MAP_PRIVATE \| MAP_POPULATE;$' crates/storage/src/mapping.rs; then
   echo "FileView maps with MAP_PRIVATE | MAP_POPULATE (0x8000): the page-table work stays inside the read that maps, not the first touch after it"
+  exit 1
+fi
+
+echo "==> one durable disk writer (DiskBackend::write_durably creates every file; append only grows one)"
+# Prints each non-test line of disk.rs that opens a file for writing, with
+# the fn it is in: File::create in write_durably (its windows, fsync and
+# rename), OpenOptions in append with .append(true) and nothing that could
+# truncate or overwrite.
+disk_opens="$(awk '/^#\[cfg\(test\)\]/{t=1} !t && match($0, /fn [a-z_0-9]+/){f=substr($0, RSTART+3, RLENGTH-3)}
+  !t && /File::create|OpenOptions|fs::(write|copy)\(|\.write\(true\)|\.truncate\(/{print f ": " $0}' crates/storage/src/disk.rs)"
+stray_open="$(printf '%s\n' "$disk_opens" | grep . |
+  grep -vE '^write_durably: .*fs::File::create\(&tmp\)' |
+  grep -vE '^append: .*fs::OpenOptions::new\(\)\.create\(true\)\.append\(true\)\.open\(' || true)"
+if [ -n "$stray_open" ] || [ "$(printf '%s\n' "$disk_opens" | grep -c '^write_durably: ')" -ne 1 ]; then
+  printf '%s\n' "$disk_opens"
+  echo "crates/storage/src/disk.rs creates files in DiskBackend::write_durably only (window writeback hints, fsync, rename, directory fsync); append opens with .append(true) and nothing else opens a file for writing"
   exit 1
 fi
 
