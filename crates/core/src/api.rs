@@ -344,8 +344,12 @@ impl Checkpointer {
     }
 
     /// The private telemetry hub (when telemetry is enabled): the live span
-    /// trees and records the per-step artifacts are cut from.
+    /// trees and records the per-step artifacts are cut from. The last
+    /// load's artifact, written behind it, is settled first, so the hub
+    /// holds what the handle's finished operations left, whether or not
+    /// that write had landed yet.
     pub fn telemetry_hub(&self) -> Option<&Arc<MetricsHub>> {
+        self.ctx.settle();
         self.ctx.telemetry.as_ref()
     }
 

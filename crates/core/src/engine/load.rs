@@ -265,9 +265,9 @@ fn fetch_runs(
 
 /// Apply one batch forwarded by `from` to the items waiting on its entries;
 /// returns the batch's bytes. An entry nothing waits for is a plan mismatch.
-fn apply_forwarded<'a>(
-    assembler: &mut Assembler<'a>,
-    waiting: &mut HashMap<(usize, usize), Vec<&'a ReadItem>>,
+fn apply_forwarded(
+    assembler: &mut Assembler,
+    waiting: &mut HashMap<(usize, usize), Vec<&ReadItem>>,
     from: usize,
     batch: Batch,
 ) -> Result<u64> {
@@ -488,6 +488,7 @@ mod tests {
             dest_offsets: [0].into(),
             dest_lengths: [len_elems].into(),
             dest_local_elem_start: 0,
+            slot: 0,
         }
     }
 

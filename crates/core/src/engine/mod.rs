@@ -39,10 +39,7 @@ use crate::{BcpError, Result};
 use arena::Arena;
 use bcp_model::TrainState;
 use bcp_tensor::layout::{contiguous_strides, ravel_index, Axes};
-use bcp_tensor::Tensor;
 use bytes::Bytes;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Byte alignment of every tensor's region in the arena.
 const REGION_ALIGN: usize = 64;
@@ -62,22 +59,28 @@ const REGION_ALIGN: usize = 64;
 /// the plan before any byte is fetched, and each of its pieces is copied
 /// once, from the run straight to its final place there. The finished
 /// tensors are written back into the state dicts at the end (the real
-/// system's H2D copies). Tensors are keyed by the names the plan's items
-/// carry, borrowed for `'a`.
-pub struct Assembler<'a> {
-    targets: HashMap<(Category, &'a str), Target>,
+/// system's H2D copies).
+///
+/// Tensors are addressed by position, never by name: the assembler is one
+/// target per local tensor, model entries then optimizer entries in the
+/// dicts' order, and a piece's [`ReadItem::slot`] is its target's index.
+/// The planner resolved each name once; `new` checks, one string compare
+/// per piece, that each slot still holds the tensor the piece names.
+pub struct Assembler {
+    targets: Vec<Target>,
     arena: Arena,
     assembled_bytes: u64,
 }
 
-/// One restored tensor: its byte size and where its bytes go.
+/// One local tensor: its byte size and where its restored bytes go.
 struct Target {
     nbytes: usize,
     slot: Slot,
 }
 
 enum Slot {
-    /// Every piece is adoptable: the last one to arrive, not copied.
+    /// Every piece is adoptable: the last one to arrive, not copied; `None`
+    /// until one does (and for a tensor no piece restores, which is kept).
     Adopted(Option<Bytes>),
     /// Some piece is not: the offset of the tensor's arena region.
     Region(usize),
@@ -155,31 +158,35 @@ fn copy_isect(item: &ReadItem, fetched: &[u8], dst: &mut [u8]) -> Result<()> {
     }
 }
 
-impl<'a> Assembler<'a> {
+impl Assembler {
     /// An assembler for `pieces`, every item this rank will apply (its reads
-    /// and its receives, same-rank duplicates included): records each
-    /// tensor's byte size and gives each tensor some piece cannot be adopted
-    /// as its region of the arena.
-    pub fn new(
+    /// and its receives, same-rank duplicates included), into `state`, the
+    /// state they were planned for: records each local tensor's byte size and
+    /// gives each tensor some piece cannot be adopted its region of the
+    /// arena. A piece whose slot is out of range, or holds a tensor of
+    /// another name or dict, is refused (`Missing`) before the arena is made.
+    pub fn new<'a>(
         state: &TrainState,
         pieces: impl IntoIterator<Item = &'a ReadItem>,
-    ) -> Result<Assembler<'a>> {
-        let mut targets: HashMap<(Category, &'a str), Target> = HashMap::new();
+    ) -> Result<Assembler> {
+        let model_len = state.model.len();
+        let len = model_len + state.optimizer.len();
+        let (mut names, mut targets) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        for (fqn, entry) in [&state.model, &state.optimizer].into_iter().flat_map(|d| &d.entries) {
+            names.push(fqn.as_str());
+            targets.push(Target { nbytes: entry.tensor.nbytes(), slot: Slot::Adopted(None) });
+        }
         let (mut arena_len, mut assembled_bytes) = (0usize, 0u64);
         for item in pieces {
-            let target = match targets.entry((item.category, &*item.fqn)) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let dict = match item.category {
-                        Category::Model => &state.model,
-                        Category::Optimizer => &state.optimizer,
-                    };
-                    let entry = dict.get(&item.fqn).ok_or_else(|| {
-                        BcpError::Missing(format!("no local entry for {}", item.fqn))
-                    })?;
-                    e.insert(Target { nbytes: entry.tensor.nbytes(), slot: Slot::Adopted(None) })
-                }
+            let at = item.slot as usize;
+            let in_dict = match item.category {
+                Category::Model => at < model_len,
+                Category::Optimizer => at >= model_len,
             };
+            if !in_dict || names.get(at) != Some(&&*item.fqn) {
+                return Err(BcpError::Missing(format!("no local entry for {}", item.fqn)));
+            }
+            let target = &mut targets[at];
             if matches!(target.slot, Slot::Adopted(_)) && !adoptable(item, target.nbytes) {
                 target.slot = Slot::Region(arena_len);
                 arena_len += target.nbytes.next_multiple_of(REGION_ALIGN);
@@ -203,16 +210,16 @@ impl<'a> Assembler<'a> {
     }
 
     /// Apply one piece, `fetched` being its slice of a fetched run, to the
-    /// local tensor it belongs to: a piece of a tensor with an arena region
-    /// is copied into that region; an adoptable piece of any other tensor is
+    /// local tensor at its slot: a piece of a tensor with an arena region is
+    /// copied into that region; an adoptable piece of any other tensor is
     /// adopted. A slice of any other length than the item's fetch range (a
     /// short read clamped by the caller, a wrong forwarded payload) is
     /// refused before a byte is copied or adopted.
-    pub fn apply(&mut self, item: &'a ReadItem, fetched: &Bytes) -> Result<()> {
-        let target = self.targets.get_mut(&(item.category, &*item.fqn)).ok_or_else(|| {
+    pub fn apply(&mut self, item: &ReadItem, fetched: &Bytes) -> Result<()> {
+        let target = self.targets.get_mut(item.slot as usize).ok_or_else(|| {
             BcpError::Plan(format!(
-                "{}: a piece of a tensor the assembler has no plan for",
-                item.fqn
+                "{}: a piece of slot {}, which the assembler has no tensor for",
+                item.fqn, item.slot
             ))
         })?;
         let (_, span) = item.fetch_range();
@@ -238,26 +245,28 @@ impl<'a> Assembler<'a> {
         }
     }
 
-    /// Write every restored tensor back into the state dicts, replacing the
-    /// local tensors: the arena is frozen once and each assembled tensor is a
-    /// slice of it. Consumes the assembler.
+    /// Write every restored tensor back into `state`, the state `new` was
+    /// given, each target into the entry at its position: the arena is
+    /// frozen once, each assembled tensor is a slice of it, and each tensor
+    /// keeps its shape, so nothing is allocated per tensor. Consumes the
+    /// assembler.
     pub fn finish(self, state: &mut TrainState) -> Result<()> {
+        let len = state.model.len() + state.optimizer.len();
+        if len != self.targets.len() {
+            return Err(BcpError::Plan(format!(
+                "{} restored tensors for a state of {len}",
+                self.targets.len()
+            )));
+        }
         let arena = self.arena.freeze();
-        for ((category, fqn), target) in self.targets {
+        let entries = state.model.entries.values_mut().chain(state.optimizer.entries.values_mut());
+        for (target, entry) in self.targets.into_iter().zip(entries) {
             let bytes = match target.slot {
                 Slot::Region(at) => arena.slice(at..at + target.nbytes),
                 Slot::Adopted(Some(bytes)) => bytes,
                 Slot::Adopted(None) => continue,
             };
-            let dict = match category {
-                Category::Model => &mut state.model,
-                Category::Optimizer => &mut state.optimizer,
-            };
-            let entry = dict
-                .entries
-                .get_mut(fqn)
-                .ok_or_else(|| BcpError::Missing(format!("no local entry for {fqn}")))?;
-            entry.tensor = Tensor::from_bytes(entry.dtype, entry.tensor.shape().to_vec(), bytes)?;
+            entry.tensor.replace_bytes(bytes)?;
         }
         Ok(())
     }
@@ -266,7 +275,7 @@ impl<'a> Assembler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcp_tensor::DType;
+    use bcp_tensor::{DType, Tensor};
 
     fn item_2d() -> ReadItem {
         // Stored box: rows 0..4 x cols 0..6 of a (8,6) tensor, payload at 0.
@@ -285,6 +294,7 @@ mod tests {
             dest_offsets: [0, 0].into(),
             dest_lengths: [4, 6].into(),
             dest_local_elem_start: 0,
+            slot: 0,
         }
     }
 
@@ -402,7 +412,7 @@ mod tests {
         let strided = whole_of(item_2d());
         let state = targets_shaped(&["t"], &[2, 3]);
         let asm = Assembler::new(&state, [&strided]).unwrap();
-        assert!(matches!(asm.targets[&(Category::Model, "t")].slot, Slot::Region(0)));
+        assert!(matches!(asm.targets[0].slot, Slot::Region(0)));
         assert_eq!((asm.assembled_bytes(), asm.arena.len()), (24, 64));
         let view = fetched(&strided);
         let got = restore_shaped(&[(&strided, view.clone())], &[2, 3]).unwrap();
@@ -576,20 +586,25 @@ mod tests {
 
     #[test]
     fn the_arena_holds_the_tensors_covered_in_part_and_no_adopted_one() {
-        let of = |fqn: &str, item: ReadItem| ReadItem { fqn: fqn.into(), ..item };
+        let of = |slot: u32, fqn: &str, item: ReadItem| ReadItem { fqn: fqn.into(), slot, ..item };
         let (whole, top) = (piece(vec![0, 0], vec![4, 6]), piece(vec![0, 0], vec![2, 6]));
-        let pieces = [of("a", whole.clone()), of("b", top.clone()), of("c", whole), of("c", top)];
+        let pieces = [
+            of(0, "a", whole.clone()),
+            of(1, "b", top.clone()),
+            of(2, "c", whole),
+            of(2, "c", top),
+        ];
         let state = targets(&["a", "b", "c"]);
         let asm = Assembler::new(&state, &pieces).unwrap();
         // "b" and "c" are covered in part: 96 bytes each, in 64-byte-aligned
         // regions; "a" is adopted.
         assert_eq!(asm.assembled_bytes(), 2 * 96);
         assert_eq!(asm.arena.len(), 2 * 128);
-        let region = |fqn| match asm.targets[&(Category::Model, fqn)].slot {
+        let region = |slot: usize| match asm.targets[slot].slot {
             Slot::Region(at) => Some(at),
             Slot::Adopted(_) => None,
         };
-        assert_eq!([region("a"), region("b"), region("c")], [None, Some(0), Some(128)]);
+        assert_eq!([region(0), region(1), region(2)], [None, Some(0), Some(128)]);
         // With every piece whole, the arena is empty.
         let asm = Assembler::new(&state, &pieces[..1]).unwrap();
         assert_eq!((asm.assembled_bytes(), asm.arena.len()), (0, 0));
@@ -602,10 +617,43 @@ mod tests {
         let mut asm = Assembler::new(&state, [&whole]).unwrap();
         let err = asm.apply(&inner, &fetched(&inner)).unwrap_err();
         assert!(matches!(&err, BcpError::Plan(m) if m.contains("no arena region")), "{err}");
-        // A piece of a tensor the plan never named is one too.
-        let other = ReadItem { fqn: "u".into(), ..whole.clone() };
+        // A piece of a slot past the state's tensors is one too.
+        let other = ReadItem { slot: 1, ..whole.clone() };
         let err = asm.apply(&other, &fetched(&whole)).unwrap_err();
-        assert!(matches!(&err, BcpError::Plan(_)), "{err}");
+        assert!(matches!(&err, BcpError::Plan(m) if m.contains("slot 1")), "{err}");
+    }
+
+    #[test]
+    fn a_piece_whose_slot_is_out_of_range_or_holds_another_tensor_is_refused_up_front() {
+        // Model "a" (slot 0) and "t" (slot 1), optimizer "t.m" (slot 2).
+        let mut state = targets(&["a", "t"]);
+        state.optimizer.insert(bcp_model::StateEntry {
+            fqn: "t.m".into(),
+            global_shape: vec![4, 6],
+            dtype: DType::F32,
+            spec: bcp_topology::ShardSpec::Replicated,
+            tensor: Tensor::zeros(DType::F32, vec![4, 6]),
+        });
+        let good = ReadItem { slot: 1, ..piece(vec![0, 0], vec![4, 6]) };
+        let optim =
+            ReadItem { category: Category::Optimizer, fqn: "t.m".into(), slot: 2, ..good.clone() };
+        assert!(Assembler::new(&state, [&good, &optim]).is_ok());
+        let before = state.model.get("t").unwrap().tensor.bytes_cloned().unwrap();
+        for (bad, why) in [
+            (ReadItem { slot: 3, ..good.clone() }, "out of range"),
+            (ReadItem { slot: 0, ..good.clone() }, "holds \"a\""),
+            (ReadItem { slot: 2, ..good.clone() }, "an optimizer slot for a model piece"),
+            (ReadItem { slot: 1, ..optim.clone() }, "a model slot for an optimizer piece"),
+        ] {
+            // The good piece comes first: a refusal in `new` leaves nothing
+            // to apply, and the state as it was.
+            let err =
+                Assembler::new(&state, [&good, &bad]).err().unwrap_or_else(|| panic!("{why}"));
+            assert!(matches!(&err, BcpError::Missing(m) if m.contains(&*bad.fqn)), "{why}: {err}");
+            let after = state.model.get("t").unwrap().tensor.bytes_cloned().unwrap();
+            assert_eq!(after.as_ptr(), before.as_ptr(), "{why}: nothing adopted");
+            assert!(after.iter().all(|&b| b == 0), "{why}: nothing copied");
+        }
     }
 
     #[test]

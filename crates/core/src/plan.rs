@@ -137,6 +137,14 @@ pub struct ReadItem {
     pub dest_lengths: Axes,
     /// Element offset of the target piece within the local shard storage.
     pub dest_local_elem_start: usize,
+    /// The destination tensor's position in the planning rank's state: its
+    /// index among the model dict's entries, then the optimizer dict's, in
+    /// the dicts' (FQN) order. The name is resolved once, by the planner;
+    /// the load's assembler addresses the tensor by this index. A slot is
+    /// local to the rank that planned the item: a forwarded payload is
+    /// applied to the receiver's own item, never to the sender's. A `u32`,
+    /// so it fits beside `category` and `dtype` and the item grows no byte.
+    pub slot: u32,
 }
 
 impl ReadItem {
@@ -256,8 +264,10 @@ pub fn local_load_plan(rank: usize, state: &TrainState, meta: &GlobalMetadata) -
         }
     }
     let mut items = Vec::with_capacity(count);
+    let mut first_slot = 0;
     for (dict, category) in dicts {
-        plan_dict_reads(&mut items, &mut sweep, dict, category, meta)?;
+        plan_dict_reads(&mut items, &mut sweep, dict, category, first_slot, meta)?;
+        first_slot += dict.len();
     }
     Ok(LoadPlan { rank, items })
 }
@@ -319,7 +329,8 @@ impl Sweep {
 /// Items are built in place from the saved entries: names are the
 /// metadata's shared ones and boxes are inline, and the box lists are the
 /// sweep's, reused across tensors, so planning allocates nothing per item
-/// or tensor beyond the plan itself.
+/// or tensor beyond the plan itself. The dict's `n`th entry is the state's
+/// slot `first_slot + n`.
 ///
 /// The pieces of one destination box are disjoint, so their element counts
 /// add up to what they cover: a replica (an intersection identical to an
@@ -331,10 +342,12 @@ fn plan_dict_reads(
     sweep: &mut Sweep,
     dict: &StateDict,
     category: Category,
+    first_slot: usize,
     meta: &GlobalMetadata,
 ) -> Result<()> {
     let Sweep { pieces, active, boxes } = sweep;
-    for (entry, saved) in with_saved(dict, meta) {
+    for (n, (entry, saved)) in with_saved(dict, meta).enumerate() {
+        let slot = u32::try_from(first_slot + n).expect("fewer than 2^32 local tensors");
         // The name the saved entries share, unless a hand-built map files
         // an entry under another name (which `validate` refuses).
         let fqn: Arc<str> = match saved.first() {
@@ -373,6 +386,7 @@ fn plan_dict_reads(
                     dest_offsets: dest_offsets.clone(),
                     dest_lengths: dest_lengths.clone(),
                     dest_local_elem_start: local_cursor,
+                    slot,
                 });
             }
             let numel: usize = dest_lengths.iter().product();
@@ -597,6 +611,53 @@ mod tests {
     }
 
     #[test]
+    fn every_resharded_item_names_the_tensor_at_its_slot() {
+        let arch = zoo::tiny_gpt();
+        let dist_opt = Framework::Megatron { distributed_optimizer: true };
+        let (dp2, tp2) = (Parallelism::new(1, 2, 1).unwrap(), Parallelism::new(2, 1, 1).unwrap());
+        // (saved framework and parallelism, loaded framework and parallelism)
+        for (from, to) in [
+            ((dist_opt, dp2), (dist_opt, tp2)),
+            ((Framework::Fsdp { zero3: true }, dp2), (dist_opt, tp2)),
+            ((dist_opt, tp2), (Framework::Fsdp { zero3: true }, dp2)),
+        ] {
+            let (fw, par) = from;
+            let plans: Vec<SavePlan> = (0..2)
+                .map(|r| local_save_plan(r, &build_train_state(&arch, fw, par, r, false), "cpu"))
+                .collect();
+            let mut meta = GlobalMetadata::new("x", 0, &par.describe(), 2);
+            meta.tensor_map = build_tensor_map(&plans);
+            let (fw, par) = to;
+            for rank in 0..2 {
+                let state = build_train_state(&arch, fw, par, rank, false);
+                let plan = local_load_plan(rank, &state, &meta).unwrap();
+                let slots: Vec<(Category, &str)> = state
+                    .model
+                    .entries
+                    .keys()
+                    .map(|k| (Category::Model, k.as_str()))
+                    .chain(
+                        state.optimizer.entries.keys().map(|k| (Category::Optimizer, k.as_str())),
+                    )
+                    .collect();
+                assert!(plan.items.len() > slots.len() / 2, "{to:?} rank {rank}");
+                for item in &plan.items {
+                    assert_eq!(
+                        slots[item.slot as usize],
+                        (item.category, &*item.fqn),
+                        "{to:?} rank {rank}: slot {}",
+                        item.slot
+                    );
+                }
+                // Every tensor is some item's destination.
+                let mut named = vec![false; slots.len()];
+                plan.items.iter().for_each(|i| named[i.slot as usize] = true);
+                assert!(named.iter().all(|&n| n), "{to:?} rank {rank}: a tensor with no item");
+            }
+        }
+    }
+
+    #[test]
     fn fetch_range_covers_intersection_tightly() {
         // Stored box (4, 8) at payload offset 100; intersection = rows 1..3,
         // cols 2..6 (f32). First elem = (1,2) -> flat 10; last = (2,5) ->
@@ -614,6 +675,7 @@ mod tests {
             dest_offsets: [1, 2].into(),
             dest_lengths: [2, 4].into(),
             dest_local_elem_start: 0,
+            slot: 0,
         };
         assert_eq!(item.fetch_range(), (100 + 40, 48));
         assert_eq!(item.isect_bytes(), 32);

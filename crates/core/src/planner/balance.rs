@@ -403,6 +403,7 @@ mod tests {
             dest_offsets: vec![0].into(),
             dest_lengths: vec![128].into(),
             dest_local_elem_start: 0,
+            slot: 0,
         };
         let plans: Vec<LoadPlan> =
             (0..3).map(|r| LoadPlan { rank: r, items: vec![item.clone()] }).collect();
@@ -547,6 +548,7 @@ mod tests {
             dest_offsets: vec![k % 3, (k % 2) * 2].into(),
             dest_lengths: vec![1 + k % 2, 2 + k % 3].into(),
             dest_local_elem_start: 16 * dest,
+            slot: (k % 2 * 2 + k / 2 % 2) as u32,
         }
     }
 
@@ -644,6 +646,7 @@ mod tests {
                 dest_offsets: vec![0].into(),
                 dest_lengths: vec![4].into(),
                 dest_local_elem_start: 0,
+                slot: 0,
             }],
         };
         let assigned = eliminate_redundant_reads(&[mk(0, "a.bin"), mk(1, "b.bin")]);
@@ -672,6 +675,7 @@ mod tests {
                     dest_offsets: vec![0].into(),
                     dest_lengths: vec![256].into(),
                     dest_local_elem_start: 0,
+                    slot: s as u32,
                 });
             }
         }

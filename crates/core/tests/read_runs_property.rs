@@ -32,6 +32,7 @@ fn item(idx: usize, file: usize, offset: u64, len: u64) -> ReadItem {
         dest_offsets: vec![0].into(),
         dest_lengths: vec![len as usize].into(),
         dest_local_elem_start: 0,
+        slot: idx as u32,
     }
 }
 

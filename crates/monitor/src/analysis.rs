@@ -31,13 +31,29 @@ pub fn breakdown_for_rank(spans: &[SpanRecord], rank: usize) -> BTreeMap<String,
     out
 }
 
+/// The byte floor of [`slow_ios`]: an op that moves fewer bytes is judged
+/// as if it had moved this many. Below it an op's time is its fixed cost
+/// (an open, an fsync, a rename), not bandwidth: at 10 MB/s a 2-byte commit
+/// marker gets the 6.5 ms that 64 KiB would take. 64 KiB is also where the
+/// disk backend starts mapping reads instead of copying them.
+pub const SLOW_IO_MIN_BYTES: u64 = 64 * 1024;
+
 /// Spans with throughput below `min_bps` — the alerting rule the paper
 /// applies on the storage-client side ("unexpectedly high latency or low
 /// bandwidth triggers alerts"). Scans counted spans *and* uncounted detail
 /// spans (per-file uploads, per-op storage I/Os), so a single slow write is
-/// caught even when its phase total looks healthy.
+/// caught even when its phase total looks healthy. A span of fewer than
+/// [`SLOW_IO_MIN_BYTES`] is flagged only when it took longer than that many
+/// bytes would at `min_bps`: a small op is judged by its latency, not by a
+/// throughput its fixed cost makes meaningless.
 pub fn slow_ios(spans: &[SpanRecord], min_bps: f64) -> Vec<&SpanRecord> {
-    spans.iter().filter(|s| matches!(s.throughput(), Some(t) if t < min_bps)).collect()
+    spans
+        .iter()
+        .filter(|s| {
+            s.throughput().is_some()
+                && (s.io_bytes.max(SLOW_IO_MIN_BYTES) as f64) < min_bps * s.duration.as_secs_f64()
+        })
+        .collect()
 }
 
 /// Percentile summary of one phase's durations across ranks/occurrences.
@@ -211,6 +227,24 @@ mod tests {
         let slow = slow_ios(&spans, 1024.0 * 1024.0);
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].path.as_deref(), Some("slow.bin"));
+    }
+
+    #[test]
+    fn a_small_op_is_judged_by_its_latency_and_a_large_one_by_its_throughput() {
+        const MBPS_10: f64 = 10e6; // `bcpctl report`'s default threshold
+        let io = |io_bytes: u64, us: u64| SpanRecord {
+            io_bytes,
+            duration: Duration::from_micros(us),
+            ..rec("storage/disk/write", 0, 0)
+        };
+        // A 2-byte commit marker, fsync'd in 0.3 ms (6.7 KB/s), or in 3 ms.
+        assert!(slow_ios(&[io(2, 300), io(2, 3_000)], MBPS_10).is_empty());
+        // A multi-MiB write at 1 MB/s is slow, and so is a small op whose
+        // latency alone exceeds what 64 KiB would take at the threshold.
+        assert_eq!(slow_ios(&[io(4 << 20, 4_194_304), io(2, 50_000)], MBPS_10).len(), 2);
+        // At the floor and above, throughput alone decides.
+        let floor = SLOW_IO_MIN_BYTES;
+        assert_eq!(slow_ios(&[io(floor, 6_000), io(floor, 7_000)], MBPS_10).len(), 1);
     }
 
     #[test]

@@ -249,8 +249,10 @@ mod tests {
         let sink = hub.sink();
         {
             let mut s = sink.span("storage/disk/write", 0, 1).uncounted().path("slow.bin");
-            std::thread::sleep(Duration::from_millis(10));
-            s.add_bytes(10); // ~1 KB/s
+            // Longer than `SLOW_IO_MIN_BYTES` takes at the threshold: 10
+            // bytes are judged by their latency.
+            std::thread::sleep(Duration::from_millis(100));
+            s.add_bytes(10); // ~100 B/s
         }
         let spans = hub.spans();
         let slow = slow_ios(&spans, 1024.0 * 1024.0);

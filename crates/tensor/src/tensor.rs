@@ -41,6 +41,19 @@ impl Tensor {
         Ok(Tensor { dtype, shape, storage: Storage::Materialized(data) })
     }
 
+    /// Make `data`, raw little-endian bytes, the tensor's storage, keeping
+    /// its dtype and shape: a restore that swaps a tensor's bytes allocates
+    /// nothing. Errors, leaving the tensor as it was, unless `data` holds
+    /// exactly the tensor's bytes.
+    pub fn replace_bytes(&mut self, data: Bytes) -> Result<()> {
+        let expected = self.nbytes();
+        if data.len() != expected {
+            return Err(TensorError::BufferSizeMismatch { expected, got: data.len() });
+        }
+        self.storage = Storage::Materialized(data);
+        Ok(())
+    }
+
     /// Create a zero-filled materialized tensor.
     pub fn zeros(dtype: DType, shape: Vec<usize>) -> Tensor {
         let nbytes = numel(&shape) * dtype.size();
@@ -349,6 +362,23 @@ mod tests {
     fn from_bytes_validates_length() {
         let err = Tensor::from_bytes(DType::F32, vec![2, 2], Bytes::from_static(&[0u8; 10]));
         assert!(matches!(err, Err(TensorError::BufferSizeMismatch { expected: 16, got: 10 })));
+    }
+
+    #[test]
+    fn replace_bytes_keeps_the_shape_and_refuses_a_wrong_length() {
+        let mut t = iota(vec![2, 3]);
+        let data = Bytes::from(
+            (0..6u32).flat_map(|i| (i as f32 * 2.0).to_le_bytes()).collect::<Vec<u8>>(),
+        );
+        t.replace_bytes(data.clone()).unwrap();
+        assert_eq!((t.shape(), t.dtype()), (&[2, 3][..], DType::F32));
+        assert_eq!(t.bytes().unwrap().as_ptr(), data.as_ptr(), "adopted, not copied");
+        let err = t.replace_bytes(data.slice(..20)).unwrap_err();
+        assert!(matches!(err, TensorError::BufferSizeMismatch { expected: 24, got: 20 }));
+        assert_eq!(t.get_f32(5).unwrap(), 10.0, "a refused replacement leaves the bytes");
+        let mut m = Tensor::meta(DType::F32, vec![2, 3]);
+        m.replace_bytes(data).unwrap();
+        assert!(!m.is_meta());
     }
 
     #[test]

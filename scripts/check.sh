@@ -156,6 +156,16 @@ if grep -n 'eliminate_redundant_reads' crates/core/src/workflow.rs; then
   exit 1
 fi
 
+echo "==> a load addresses tensors by slot (the planner resolves each name once; the assembler is a vector indexed by ReadItem::slot)"
+# Non-test engine/mod.rs flattened, so a lookup split across lines is seen.
+by_name="$(awk '/^#\[cfg\(test\)\]/{t=1} !t' crates/core/src/engine/mod.rs | tr '\n' ' ' | tr -s ' ' |
+  grep -oE 'HashMap|(dict|\.model|\.optimizer|\.entries) ?\.get(_mut)?\(' || true)"
+if [ -n "$by_name" ]; then
+  printf '%s\n' "$by_name"
+  echo "crates/core/src/engine/mod.rs looks no tensor up by name: Assembler::new checks each piece's slot once, apply indexes its Vec<Target>, finish zips the targets with the dicts' entries"
+  exit 1
+fi
+
 echo "==> a load returns at its barrier (its telemetry artifact is encoded and written behind it)"
 if tr '\n' ' ' < crates/core/src/workflow.rs | grep -o 'persist_step_telemetry([^;]*;' | grep 'TELEMETRY_LOAD_FILE'; then
   echo "load_checkpoint gathers its telemetry inline and hands the artifact's encode and write to the I/O pool (the pending slot JobContext::settle waits on); persist_step_telemetry writes inline, for the save's finalize thread only"

@@ -17,6 +17,7 @@ mod common;
 
 use bytecheckpoint::core::engine::iopool::IoPool;
 use bytecheckpoint::core::engine::load::{execute_load, LoadConfig};
+use bytecheckpoint::core::engine::Assembler;
 use bytecheckpoint::core::integrity::FailureLog;
 use bytecheckpoint::core::metadata::{GlobalMetadata, METADATA_FILE};
 use bytecheckpoint::core::plan::{
@@ -29,6 +30,7 @@ use bytecheckpoint::core::FaultHook;
 use bytecheckpoint::model::{ArchKind, TransformerConfig};
 use bytecheckpoint::monitor::SpanContext;
 use bytecheckpoint::prelude::*;
+use bytes::Bytes;
 use common::run_ranks;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -206,6 +208,37 @@ fn planning_a_load_allocates_its_items_once_and_the_exchange_only_small_integers
         }
         assert!(received > 0, "{target}: some request is a receive");
     }
+}
+
+#[test]
+fn assembling_a_load_allocates_the_same_few_times_however_many_tensors_it_restores() {
+    let meta = GlobalMetadata::from_bytes(&saved_image()).unwrap();
+    let par = Parallelism::new(1, 2, 1).unwrap();
+    let mut state = build_train_state(&many_tensor(), FW, par, 0, false);
+    let plan = local_load_plan(0, &state, &meta).unwrap();
+    let tensors = state.model.len() + state.optimizer.len();
+    assert!(tensors > 3_000, "the shape is many-tensor: {tensors} tensors");
+    // Each item's slice of a fetched run, cut before counting: views of one
+    // buffer, as the load path's are views of its runs.
+    let longest = plan.items.iter().map(|i| i.fetch_range().1).max().unwrap() as usize;
+    let runs = Bytes::from(vec![0u8; longest]);
+    let fetched: Vec<Bytes> =
+        plan.items.iter().map(|i| runs.slice(..i.fetch_range().1 as usize)).collect();
+    let (_, allocs) = counted(|| {
+        let mut asm = Assembler::new(&state, &plan.items).unwrap();
+        for (item, bytes) in plan.items.iter().zip(&fetched) {
+            asm.apply(item, bytes).unwrap();
+        }
+        asm.finish(&mut state).unwrap();
+    });
+    eprintln!("{allocs} allocations restoring {tensors} tensors from {} items", plan.items.len());
+    assert!(
+        allocs <= 8,
+        "Assembler::new, apply and finish made {allocs} allocations restoring {tensors} tensors"
+    );
+    let restored = state.model.entries.values().chain(state.optimizer.entries.values());
+    assert!(restored.clone().all(|e| !e.tensor.is_meta()), "every tensor restored");
+    assert!(restored.clone().all(|e| e.tensor.bytes().unwrap().len() == e.tensor.nbytes()));
 }
 
 /// `zero3_dp2_disk`'s reshard at test size, `hidden` wide: an FSDP ZeRO-3

@@ -8,9 +8,11 @@
 //! and from its artifact yields the same phase series, and the resilience
 //! series have a production producer — the engine's retry loop, nothing
 //! wired by hand. A reshard's wait on its peers' forwards is reported as a
-//! wait, never as slow storage I/O. A `take_where` predicate that panics
-//! leaves the hub usable.
+//! wait, never as slow storage I/O, and a healthy disk save raises no
+//! slow-I/O alert. A `take_where` predicate that panics leaves the hub
+//! usable.
 
+use bytecheckpoint::core::metadata::COMPLETE_MARKER;
 use bytecheckpoint::monitor::analysis::total_by_rank;
 use bytecheckpoint::monitor::sync::lock;
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
@@ -477,6 +479,36 @@ fn on_disk_ranks<T: Send + 'static>(
         })
         .collect();
     handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// A healthy disk save raises no slow-I/O alert: its small fsync'd writes
+/// (the 2-byte `COMPLETE` marker above all) are judged by their latency,
+/// not by a throughput their fixed cost makes look like a stall.
+#[test]
+fn a_healthy_disk_save_prints_no_slow_io_alert() {
+    let _turn = one_job_at_a_time();
+    let dir = std::env::temp_dir().join(format!("bcp-telemetry-healthy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dp2 = Parallelism::new(1, 2, 1).unwrap();
+    on_disk_ranks(&dir, dp2, move |rank, ckpt| {
+        let fw = Framework::Megatron { distributed_optimizer: true };
+        let state = build_train_state(&zoo::tiny_gpt(), fw, dp2, rank, true);
+        ckpt.save(&SaveRequest::new("file:///job/step_3", &state, 3)).unwrap().wait().unwrap();
+    });
+    let job = dir.join("job");
+    let artifact = job.join("step_3").join(TELEMETRY_SAVE_FILE);
+    let doc = StepTelemetry::from_jsonl(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
+    let spans = doc.all_spans();
+    let marker = spans
+        .iter()
+        .find(|s| s.path.as_deref().is_some_and(|p| p.ends_with(COMPLETE_MARKER)))
+        .unwrap_or_else(|| panic!("the commit marker's write is traced: {spans:?}"));
+    assert!(marker.io_bytes > 0 && marker.io_bytes < 16, "{marker:?}");
+    let (ok, text) = bcpctl(&["report", &job.to_string_lossy()]);
+    assert!(ok, "{text}");
+    assert!(text.contains("step 3 (save)"), "{text}");
+    assert!(!text.contains("ALERT slow I/O"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Forwarded bytes are not storage I/O: a healthy 2-rank reshard's
