@@ -27,8 +27,9 @@ use crate::integrity::{
 use crate::manager::{CheckpointManager, QuarantinedStep};
 use crate::planner::cache::PlanCache;
 use crate::registry::BackendRegistry;
-use crate::scrub::scrub_step_with;
+use crate::scrub::scrub_view;
 use crate::state_files::{restore_extra, restore_loader};
+use crate::step::StepView;
 use crate::workflow::{
     load_checkpoint, save_checkpoint, JobContext, LoadReport, SaveTicket, WorkflowOptions,
 };
@@ -315,6 +316,10 @@ impl CheckpointerBuilder {
     }
 }
 
+/// A resume's choice: the step and the view its scrub opened (none for a
+/// fresh start), and the steps quarantined on the way.
+type Discovery = (Option<(u64, StepView)>, Vec<QuarantinedStep>);
+
 /// Per-worker checkpointing handle: the Rust shape of the paper's
 /// `bytecheckpoint` module entry points.
 pub struct Checkpointer {
@@ -387,15 +392,22 @@ impl Checkpointer {
     /// `bytecheckpoint.load`: fill the request's target states from the
     /// request's location, resharding automatically when the parallelism
     /// changed, and restore the step's extra state and (when the request
-    /// names a target) its dataloader states.
+    /// names a target) its dataloader states. Every rank calls it; the
+    /// coordinator alone opens the step (one listing, one metadata read)
+    /// and broadcasts its metadata, or the refusal every rank returns.
     /// Returns at the load barrier: `_telemetry_load.jsonl` is written behind
     /// it (see [`CheckpointerBuilder::telemetry`]), a failure logged as
     /// `load/telemetry`.
     pub fn load(&self, req: &mut LoadRequest<'_>) -> Result<LoadOutcome> {
+        self.load_from(req, None)
+    }
+
+    /// [`Self::load`] from the coordinator's scrubbed view, when it has one.
+    fn load_from(&self, req: &mut LoadRequest<'_>, view: Option<StepView>) -> Result<LoadOutcome> {
         let uri = req.location.uri().clone();
         let backend = self.instrumented(self.registry.resolve(&uri)?);
         let (report, (extra, loader)) =
-            load_checkpoint(&self.ctx, backend, &uri.key, req.state, |names, read| {
+            load_checkpoint(&self.ctx, backend, &uri.key, view, req.state, |names, read| {
                 let extra = restore_extra(read, names, self.rank(), self.ctx.coordinator())?;
                 let target = req.loader_target;
                 Ok((extra, target.map(|t| restore_loader(read, names, t)).transpose()?.flatten()))
@@ -409,11 +421,12 @@ impl Checkpointer {
     /// `Ok(None)` when no committed checkpoint exists (fresh start).
     ///
     /// The coordinator alone GCs and picks the step (so the decision is
-    /// consistent even while torn prefixes are mid-deletion) and broadcasts
-    /// it; every rank then runs the normal load workflow. The resumed step
-    /// is available as [`LoadOutcome::resumed_step`]. If discovery fails
-    /// once its retries are spent, every rank returns an error promptly (the
-    /// peers with `PeerFailed`).
+    /// consistent even while torn prefixes are mid-deletion), broadcasts it
+    /// and loads it with the ranks from the view its scrub opened: the
+    /// chosen step is opened once per resume. The resumed step is
+    /// [`LoadOutcome::resumed_step`]. If discovery fails once its retries
+    /// are spent, every rank returns an error promptly (the peers with
+    /// `PeerFailed`).
     ///
     /// The coordinator scrubs the candidate step *before* broadcasting it
     /// (verified fallback): a step whose CRCs or
@@ -434,32 +447,30 @@ impl Checkpointer {
         self.ctx.settle();
         let backend = self.registry.resolve(root.uri())?;
         let coordinator = self.ctx.coordinator();
-        let (chosen, quarantined) = if self.ctx.rank() == coordinator {
+        let (view, (chosen, quarantined)) = if self.ctx.rank() == coordinator {
             // A discovery error returns before the broadcast: declare this
             // rank failed so its peers get `PeerFailed` from the broadcast
             // now, instead of waiting out the collective timeout.
-            let chosen = self.discover(&backend, &root.uri().key).inspect_err(|_| {
-                self.ctx.comm.mark_self_failed();
-            })?;
-            self.ctx.comm.broadcast(coordinator, Some(chosen))?
+            let (view, quarantined) = self
+                .discover(&backend, &root.uri().key)
+                .inspect_err(|_| self.ctx.comm.mark_self_failed())?;
+            let chosen = view.as_ref().map(|(step, _)| *step);
+            let chosen = self.ctx.comm.broadcast(coordinator, Some((chosen, quarantined)))?;
+            (view.map(|(_, view)| view), chosen)
         } else {
-            self.ctx.comm.broadcast(coordinator, None)?
+            (None, self.ctx.comm.broadcast(coordinator, None)?)
         };
         let Some(step) = chosen else { return Ok(None) };
         let location = root.join(&format!("step_{step}"));
         let mut req = LoadRequest { location, state, loader_target };
-        let mut outcome = self.load(&mut req)?;
+        let mut outcome = self.load_from(&mut req, view)?;
         outcome.quarantined = quarantined;
         Ok(Some(outcome))
     }
 
     /// The coordinator's half of [`Self::load_latest`]: from one listing,
     /// GC the torn steps and pick the newest one that scrubs clean.
-    fn discover(
-        &self,
-        backend: &DynBackend,
-        job_root: &str,
-    ) -> Result<(Option<u64>, Vec<QuarantinedStep>)> {
+    fn discover(&self, backend: &DynBackend, job_root: &str) -> Result<Discovery> {
         let mgr = CheckpointManager::new(backend.clone(), job_root.to_string());
         let steps = self.retried("load/discover", job_root, || mgr.list())?;
         for torn in steps.iter().filter(|c| !c.committed) {
@@ -470,12 +481,12 @@ impl Checkpointer {
             // Each storage operation of the scrub under the load retry
             // policy: a transient backend error must neither fail the resume
             // nor condemn a healthy step.
-            let report =
-                scrub_step_with(backend, &candidate.prefix, candidate.step, &|path, op| {
-                    self.retried("load/verify", path, op)
-                })?;
+            let attempt =
+                |path: &str, op: &mut dyn FnMut() -> _| self.retried("load/verify", path, op);
+            let view = StepView::open(backend, &candidate.prefix, Some(candidate.step), &attempt)?;
+            let report = scrub_view(backend, &view, candidate.step, &attempt)?;
             if report.is_clean() {
-                return Ok((Some(candidate.step), quarantined));
+                return Ok((Some((candidate.step, view)), quarantined));
             }
             let reason = report.defects().first().map(|i| i.to_string());
             let reason = reason.unwrap_or_else(|| "failed verification".into());

@@ -529,7 +529,7 @@ mod tests {
         // whole file decodes.
         let listing = backend.list("ckpt/").unwrap();
         assert!(listing.iter().all(|f| !f.contains(".part")), "{listing:?}");
-        let (_, _, concats) = hdfs.namenode_stats().snapshot();
+        let (_, concats) = hdfs.namenode_stats().snapshot();
         assert_eq!(concats as usize, listing.len());
         let file = backend.read("ckpt/optim_0.bin").unwrap();
         assert!(!crate::format::decode_frames(&file).unwrap().is_empty());

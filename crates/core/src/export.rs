@@ -68,7 +68,9 @@ pub fn export_safetensors(
     prefix: &str,
     include_optimizer: bool,
 ) -> Result<Bytes> {
-    let meta = StepView::open(backend, prefix, None, &step::once)?.committed_metadata()?;
+    let meta = StepView::open(backend, prefix, None, &step::once)?
+        .committed_metadata()
+        .map_err(BcpError::Corrupt)?;
     let fqns: Vec<&String> =
         meta.tensor_map.keys().filter(|f| include_optimizer || !f.starts_with("optim.")).collect();
 

@@ -86,6 +86,7 @@ impl CheckpointManager {
     pub fn metadata(&self, step: u64) -> Result<GlobalMetadata> {
         StepView::open(&self.backend, &self.prefix_for(step), Some(step), &step::once)?
             .committed_metadata()
+            .map_err(BcpError::Corrupt)
     }
 
     /// Delete a checkpoint entirely, its marker first, so a racing reader

@@ -109,21 +109,21 @@ impl ScrubReport {
 /// Scrub one checkpoint prefix. Collects issues instead of failing fast;
 /// only infrastructure errors (the backend itself failing) return `Err`.
 pub fn scrub_step(backend: &DynBackend, prefix: &str, step: u64) -> Result<ScrubReport> {
-    scrub_step_with(backend, prefix, step, &step::once)
+    let view = StepView::open(backend, prefix, Some(step), &step::once)?;
+    scrub_view(backend, &view, step, &step::once)
 }
 
-/// [`scrub_step`] with each storage operation — the listing, every file
-/// read — run through `attempt`: a transient failure repeats that one
-/// operation, never the sweep.
-pub fn scrub_step_with(
+/// Scrub a step as [`StepView::open`] opened it, checked against `step`:
+/// the view holds its listing, commit and metadata; every file read runs
+/// through `attempt`, so a transient failure repeats that one read, never
+/// the sweep. A resume hands the view on to its load.
+pub(crate) fn scrub_view(
     backend: &DynBackend,
-    prefix: &str,
+    view: &StepView,
     step: u64,
     attempt: &Attempt<'_>,
 ) -> Result<ScrubReport> {
-    // 1. The step as its reader opens it: the listing, the commit, and the
-    // metadata decoded, validated and checked against `step`.
-    let view = StepView::open(backend, prefix, Some(step), attempt)?;
+    let prefix = view.prefix.as_str();
     let (mut issues, mut frames_verified) = (Vec::new(), 0);
     let mut files_checked = usize::from(view.metadata_bytes > 0);
     let mut flag = |path: &str, kind, detail: String| {
@@ -385,7 +385,8 @@ mod tests {
             attempts.set(attempts.get() + 1);
             op().or_else(|_| op()).map_err(BcpError::Storage)
         };
-        let r = scrub_step_with(&flaky, &prefix, 10, &twice).unwrap();
+        let view = StepView::open(&flaky, &prefix, Some(10), &twice).unwrap();
+        let r = scrub_view(&flaky, &view, 10, &twice).unwrap();
         assert!(r.is_clean(), "{:?}", r.issues);
         // The listing, the metadata, the shard file: each tried on its own.
         assert_eq!(attempts.get(), 3);

@@ -144,16 +144,17 @@ impl StepView {
         })
     }
 
-    /// The metadata of a committed step, or why a load refuses the step:
-    /// first an absent commit, then a metadata defect.
-    pub fn committed_metadata(self) -> Result<GlobalMetadata> {
+    /// The metadata of a committed step, or why a load refuses the step
+    /// (returned as [`BcpError::Corrupt`]): first an absent commit, then a
+    /// metadata defect.
+    pub fn committed_metadata(self) -> std::result::Result<GlobalMetadata, String> {
         if !self.committed {
             let prefix = self.prefix;
-            return Err(BcpError::Corrupt(format!(
+            return Err(format!(
                 "checkpoint {prefix} has no {COMPLETE_MARKER} marker (torn or in-progress save)"
-            )));
+            ));
         }
-        self.metadata.map_err(|issue| BcpError::Corrupt(issue.to_string()))
+        self.metadata.map_err(|issue| issue.to_string())
     }
 }
 
@@ -198,7 +199,7 @@ mod tests {
         step(&b, "j/c", 3, false);
         let view = StepView::open(&b, "j/c", None, &once).unwrap();
         assert!(!view.committed && view.metadata.is_ok());
-        assert!(view.committed_metadata().unwrap_err().to_string().contains("no COMPLETE marker"));
+        assert!(view.committed_metadata().unwrap_err().contains("no COMPLETE marker"));
         let view = StepView::open(&b, "j/step_9", None, &once).unwrap();
         assert_eq!(view.metadata.unwrap_err().kind, IssueKind::MissingFile);
     }

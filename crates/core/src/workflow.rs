@@ -11,10 +11,11 @@
 //! the cache agreement and the two barriers (telemetry adds its gather when
 //! on).
 //!
-//! Load: open the step ([`crate::step`]) → local load plans (box matching
-//! against the TensorShardToBasicByteMap) → gather → redundant-read
-//! elimination → scatter → engine pipeline (reads + forwarding) → barrier,
-//! where the load returns; its telemetry artifact lands later ([`JobContext::settle`]).
+//! Load: the coordinator opens the step ([`crate::step`]) and broadcasts its
+//! metadata → local load plans (box matching against the
+//! TensorShardToBasicByteMap) → gather → redundant-read elimination →
+//! scatter → engine pipeline (reads + forwarding) → barrier, where the load
+//! returns; its telemetry artifact lands later ([`JobContext::settle`]).
 
 use crate::api::SaveRequest;
 use crate::engine::iopool::IoPool;
@@ -359,18 +360,21 @@ pub fn save_checkpoint(
 pub struct LoadReport {
     /// Engine statistics.
     pub stats: LoadStats,
-    /// The checkpoint's global metadata.
-    pub metadata: GlobalMetadata,
+    /// The checkpoint's global metadata, as the coordinator broadcast it.
+    pub metadata: Arc<GlobalMetadata>,
 }
 
 /// Execute the full load (resharding) workflow on this rank. The state dict
 /// passed in defines the *target* sharding; its tensor values are replaced.
 /// `restore` rebuilds the caller's non-tensor state from the step's state
 /// files, given their names and the one reader (frame and CRC checked).
+/// Only the coordinator opens the step, unless it passes `opened` (a resume's
+/// scrubbed view).
 pub fn load_checkpoint<R>(
     ctx: &JobContext,
     backend: DynBackend,
     prefix: &str,
+    opened: Option<StepView>,
     state: &mut TrainState,
     restore: impl FnOnce(&[String], &dyn Fn(&str) -> Result<Bytes>) -> Result<R>,
 ) -> Result<(LoadReport, R)> {
@@ -392,18 +396,27 @@ pub fn load_checkpoint<R>(
             .attr("prefix", prefix)
             .attr("parallelism", ctx.parallelism.describe())
             .attr("backend", backend.name());
-        // Step 1: all ranks open the step — one listing, the commit rule,
-        // the metadata decoded, validated and step-checked — and refuse it
-        // unless it is committed and sound.
+        // Step 1: the coordinator opens the step (one listing, the commit
+        // rule, the metadata decoded, validated and step-checked) and
+        // broadcasts its metadata or the refusal, which every rank returns
+        // as the same `Corrupt`. Its span alone counts the metadata's bytes.
         faults.check("load/metadata")?;
         let metadata = {
             let mut t = root.child("load/metadata").path(step::metadata_path(prefix));
             let _in_meta = t.enter();
-            let view = StepView::open(&backend, prefix, None, &|path, op| {
-                with_retries(retries, log, rank, "load/metadata", Some(path), op)
-            })?;
-            t.add_bytes(view.metadata_bytes);
-            let metadata = view.committed_metadata()?;
+            let outcome = if rank == ctx.coordinator() {
+                let attempt = |path: &str, op: &mut dyn FnMut() -> _| {
+                    with_retries(retries, log, rank, "load/metadata", Some(path), op)
+                };
+                let view =
+                    opened.map_or_else(|| StepView::open(&backend, prefix, None, &attempt), Ok)?;
+                t.add_bytes(view.metadata_bytes);
+                Some(view.committed_metadata().map(Arc::new))
+            } else {
+                None
+            };
+            let metadata = ctx.comm.broadcast(ctx.coordinator(), outcome)?;
+            let metadata = metadata.map_err(BcpError::Corrupt)?;
             t.set_step(metadata.step);
             metadata
         };

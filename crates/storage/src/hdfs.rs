@@ -8,19 +8,19 @@
 //!   backend enforces this: `write` creates/replaces whole objects,
 //!   `append` extends, there is no ranged write.
 //! * **NameNode metadata operations.** Every metadata operation (create,
-//!   open, exists, list, rename, concat, delete) is counted
+//!   open, exists, size, list, rename, concat, delete) is counted
 //!   ([`NameNodeStats`]); a concat costs one per participating file plus
 //!   one. The backend charges no time of its own: a test that wants
 //!   NameNode latency puts a `Fault::Delay` rule in front of it, as the NAS
 //!   profile does.
-//! * **NNProxy.** A metadata cache in front of the NameNode serving
-//!   `exists`/`size` hits without a NameNode operation, with write-path
-//!   invalidation (§5.1).
 //! * **Ranged multi-threaded reads.** Reads are served from the object
 //!   store without NameNode involvement beyond an open, mirroring the SDK's
 //!   random-read capability the paper exploits for 2-3 GB/s downloads.
 //!
-//! Not modeled: §5.1's SSD→HDD cool-down (nothing reads a storage class),
+//! Not modeled: §5.1's NNProxy metadata cache (no workflow asks the
+//! NameNode the same question twice: a step is opened once per load, a
+//! marker is probed only when its listing misses it, and a file's size is
+//! asked once), §5.1's SSD→HDD cool-down (nothing reads a storage class),
 //! §6.4's serial concat under a NameNode-wide lock and the NameNode QPS
 //! throttle (no caller configured either): the simulation keeps one tier,
 //! concatenates in parallel and never throttles.
@@ -31,31 +31,25 @@
 //! table.
 
 use crate::{checked_range, Result, StorageBackend, StorageError};
-use bcp_monitor::sync::{lock, read, write};
+use bcp_monitor::sync::{read, write};
 use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 /// Counters exposed by the NameNode for storage-side monitoring (§5.3).
 #[derive(Debug, Default)]
 pub struct NameNodeStats {
     /// Total metadata operations served by the NameNode.
     pub meta_ops: AtomicU64,
-    /// Metadata operations absorbed by the NNProxy cache.
-    pub proxy_hits: AtomicU64,
     /// Concat operations executed.
     pub concats: AtomicU64,
 }
 
 impl NameNodeStats {
-    /// Snapshot (meta_ops, proxy_hits, concats).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.meta_ops.load(Ordering::Relaxed),
-            self.proxy_hits.load(Ordering::Relaxed),
-            self.concats.load(Ordering::Relaxed),
-        )
+    /// Snapshot (meta_ops, concats).
+    pub fn snapshot(&self) -> (u64, u64) {
+        (self.meta_ops.load(Ordering::Relaxed), self.concats.load(Ordering::Relaxed))
     }
 
     /// Count one NameNode metadata operation.
@@ -69,8 +63,6 @@ impl NameNodeStats {
 pub struct HdfsBackend {
     namenode: NameNodeStats,
     objects: RwLock<BTreeMap<String, Bytes>>,
-    /// NNProxy metadata cache: path -> size (None = known-absent).
-    proxy_cache: Mutex<BTreeMap<String, Option<u64>>>,
 }
 
 impl HdfsBackend {
@@ -84,23 +76,10 @@ impl HdfsBackend {
         &self.namenode
     }
 
-    fn invalidate_proxy(&self, path: &str) {
-        lock(&self.proxy_cache).remove(path);
-    }
-
-    /// Size lookup through the NNProxy: cache hit skips the NameNode.
-    fn proxied_size(&self, path: &str) -> Option<u64> {
-        {
-            let cache = lock(&self.proxy_cache);
-            if let Some(entry) = cache.get(path) {
-                self.namenode.proxy_hits.fetch_add(1, Ordering::Relaxed);
-                return *entry;
-            }
-        }
+    /// A file's length, if it exists: one NameNode operation.
+    fn stat(&self, path: &str) -> Option<u64> {
         self.namenode.meta_op();
-        let result = read(&self.objects).get(path).map(|o| o.len() as u64);
-        lock(&self.proxy_cache).insert(path.to_string(), result);
-        result
+        read(&self.objects).get(path).map(|o| o.len() as u64)
     }
 }
 
@@ -125,7 +104,6 @@ impl StorageBackend for HdfsBackend {
         // redundant parent-dir checks; we charge exactly one op).
         self.namenode.meta_op();
         write(&self.objects).insert(path.to_string(), data);
-        self.invalidate_proxy(path);
         Ok(())
     }
 
@@ -137,8 +115,6 @@ impl StorageBackend for HdfsBackend {
         buf.extend_from_slice(obj);
         buf.extend_from_slice(data);
         *obj = buf.freeze();
-        drop(objects);
-        self.invalidate_proxy(path);
         Ok(())
     }
 
@@ -160,11 +136,11 @@ impl StorageBackend for HdfsBackend {
     }
 
     fn size(&self, path: &str) -> Result<u64> {
-        self.proxied_size(path).ok_or_else(|| StorageError::NotFound(path.to_string()))
+        self.stat(path).ok_or_else(|| StorageError::NotFound(path.to_string()))
     }
 
     fn exists(&self, path: &str) -> Result<bool> {
-        Ok(self.proxied_size(path).is_some())
+        Ok(self.stat(path).is_some())
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
@@ -178,7 +154,6 @@ impl StorageBackend for HdfsBackend {
 
     fn delete(&self, path: &str) -> Result<()> {
         self.namenode.meta_op();
-        self.invalidate_proxy(path);
         write(&self.objects)
             .remove(path)
             .map(|_| ())
@@ -187,8 +162,6 @@ impl StorageBackend for HdfsBackend {
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         self.namenode.meta_op();
-        self.invalidate_proxy(from);
-        self.invalidate_proxy(to);
         let mut objects = write(&self.objects);
         let obj = objects.remove(from).ok_or_else(|| StorageError::NotFound(from.to_string()))?;
         objects.insert(to.to_string(), obj);
@@ -202,22 +175,16 @@ impl StorageBackend for HdfsBackend {
         for _ in 0..=parts.len() {
             self.namenode.meta_op();
         }
-        {
-            let mut objects = write(&self.objects);
-            let mut buf = BytesMut::new();
-            for p in parts {
-                let obj = objects.get(p).ok_or_else(|| StorageError::NotFound(p.clone()))?;
-                buf.extend_from_slice(obj);
-            }
-            for p in parts {
-                objects.remove(p);
-            }
-            objects.insert(target.to_string(), buf.freeze());
+        let mut objects = write(&self.objects);
+        let mut buf = BytesMut::new();
+        for p in parts {
+            let obj = objects.get(p).ok_or_else(|| StorageError::NotFound(p.clone()))?;
+            buf.extend_from_slice(obj);
         }
         for p in parts {
-            self.invalidate_proxy(p);
+            objects.remove(p);
         }
-        self.invalidate_proxy(target);
+        objects.insert(target.to_string(), buf.freeze());
         Ok(())
     }
 }
@@ -229,28 +196,6 @@ mod tests {
     #[test]
     fn conformance() {
         crate::conformance::run_all(&HdfsBackend::new());
-    }
-
-    #[test]
-    fn the_proxy_absorbs_repeat_metadata_queries() {
-        let h = HdfsBackend::new();
-        h.write("ckpt/file", Bytes::from_static(b"abc")).unwrap();
-        let (ops0, hits0, _) = h.namenode_stats().snapshot();
-        for _ in 0..10 {
-            assert_eq!(h.size("ckpt/file").unwrap(), 3);
-        }
-        let (ops1, hits1, _) = h.namenode_stats().snapshot();
-        assert_eq!(ops1 - ops0, 1, "only the first size() should hit the NameNode");
-        assert_eq!(hits1 - hits0, 9);
-    }
-
-    #[test]
-    fn proxy_cache_invalidated_on_write() {
-        let h = HdfsBackend::new();
-        h.write("f", Bytes::from_static(b"1")).unwrap();
-        assert_eq!(h.size("f").unwrap(), 1);
-        h.write("f", Bytes::from_static(b"22")).unwrap();
-        assert_eq!(h.size("f").unwrap(), 2, "stale proxy entry must be invalidated");
     }
 
     #[test]
@@ -281,11 +226,11 @@ mod tests {
     fn ranged_reads_bypass_namenode() {
         let h = HdfsBackend::new();
         h.write("big", Bytes::from(vec![7u8; 1024])).unwrap();
-        let (ops0, _, _) = h.namenode_stats().snapshot();
+        let (ops0, _) = h.namenode_stats().snapshot();
         for i in 0..16 {
             let _ = h.read_range("big", i * 64, 64).unwrap();
         }
-        let (ops1, _, _) = h.namenode_stats().snapshot();
+        let (ops1, _) = h.namenode_stats().snapshot();
         assert_eq!(ops1, ops0, "ranged reads must not hit the NameNode");
     }
 }

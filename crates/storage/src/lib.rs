@@ -14,7 +14,7 @@
 //! * [`DiskBackend`] — real files under a root directory.
 //! * [`hdfs::HdfsBackend`] — a simulated HDFS: append-only files, a
 //!   NameNode that counts metadata operations (and charges no time of its
-//!   own), an NNProxy metadata cache, and sub-file concatenation (§4.3).
+//!   own), and sub-file concatenation (§4.3).
 //!
 //! There is no object-store client here: `object://` and `s3://` parse to
 //! [`uri::Scheme::Object`], for which a deployment registers its own

@@ -30,6 +30,12 @@ if [ -n "$step_names" ]; then
   echo "a step is read through bcp_core::step::StepView, and its marker and metadata paths come from step::{marker_path, metadata_path}"
   exit 1
 fi
+# A load opens its step once, on the coordinator, and broadcasts the outcome.
+opens="$(awk '/^#\[cfg\(test\)\]/{t=1} !t && /StepView::open\(/{n++} END{print n+0}' crates/core/src/workflow.rs)"
+if [ "$opens" != 1 ]; then
+  echo "crates/core/src/workflow.rs opens a step $opens times: only the coordinator opens it (or takes a resume's scrubbed view) and broadcasts the metadata"
+  exit 1
+fi
 
 echo "==> one instrument (perf/ measures, tests gate, repro reproduces: no second benchmark may grow back)"
 if [ "$(ls crates/bench/src/bin)" != repro.rs ]; then
@@ -99,9 +105,9 @@ if grep -rnE 'options\.(plan_cache|dedup_reads|verified_fallback|dedup)\b|async_
 fi
 
 echo "==> one list of state files (the loader map, the extra-state index, the HDFS knobs and the surface only its own tests reached must not come back)"
-if grep -rnE 'loader_map|extra_files|LoaderShardFileEntry|LoaderMap|HdfsConfig|meta_qps_limit|parallel_concat|nnproxy_cache|throttle_wait_us|fn (subgroup|all_to_all|num_edges|bottom_up_order|axis_size|gpt_175b|makespan)\b' \
+if grep -rnE 'loader_map|extra_files|LoaderShardFileEntry|LoaderMap|HdfsConfig|meta_qps_limit|parallel_concat|nnproxy_cache|proxy_cache|proxy_hits|proxied_size|invalidate_proxy|throttle_wait_us|fn (subgroup|all_to_all|num_edges|bottom_up_order|axis_size|gpt_175b|makespan)\b' \
      crates src tests examples; then
-  echo "a step's dataloader and extra state are GlobalMetadata::state_files, each a sealed frame (crates/core/src/state_files.rs); the simulated HDFS counts NameNode operations and has no knobs"
+  echo "a step's dataloader and extra state are GlobalMetadata::state_files, each a sealed frame (crates/core/src/state_files.rs); the simulated HDFS counts NameNode operations and has no knobs and no NNProxy cache"
   exit 1
 fi
 state_types="$(awk '/^#\[cfg\(test\)\]/{t=1} !t && /bcp_dataloader|ExtraState/{print FILENAME ":" FNR ": " $0}' crates/core/src/workflow.rs)"

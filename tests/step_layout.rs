@@ -153,34 +153,32 @@ fn hdfs_registry() -> (Arc<BackendRegistry>, Arc<HdfsBackend>) {
     (Arc::new(reg), hdfs)
 }
 
-/// Every storage call of a direct load but its ranged reads, which the
-/// simulated HDFS serves without the NameNode: its NameNode operations plus
-/// the `exists` probes its NNProxy answered.
-fn direct_load_calls() -> u64 {
+/// Every storage call of a direct load at `ranks` data-parallel ranks but
+/// its ranged reads, which the simulated HDFS serves without the NameNode:
+/// its NameNode operations.
+fn direct_load_calls(ranks: usize) -> u64 {
     let (registry, hdfs) = hdfs_registry();
-    run_ranks(par(), FW, registry.clone(), |rank, ckpt| {
-        let state = reference_state(&zoo::tiny_gpt(), FW, par(), rank, 1);
+    let par = Parallelism::data_parallel(ranks).unwrap();
+    run_ranks(par, FW, registry.clone(), move |rank, ckpt| {
+        let state = reference_state(&zoo::tiny_gpt(), FW, par, rank, 1);
         ckpt.save(&SaveRequest::new("hdfs://nn/job/step_1", &state, 1)).unwrap().wait().unwrap();
     });
-    let calls = || {
-        let (ops, hits, _) = hdfs.namenode_stats().snapshot();
-        ops + hits
-    };
-    let before = calls();
-    run_ranks(par(), FW, registry, |rank, ckpt| {
-        let mut state = build_train_state(&zoo::tiny_gpt(), FW, par(), rank, true);
+    let before = hdfs.namenode_stats().snapshot().0;
+    run_ranks(par, FW, registry, move |rank, ckpt| {
+        let mut state = build_train_state(&zoo::tiny_gpt(), FW, par, rank, true);
         ckpt.load(&mut LoadRequest::new("hdfs://nn/job/step_1", &mut state)).unwrap();
-        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), FW, par(), rank, 1), rank);
+        assert_states_eq(&state, &reference_state(&zoo::tiny_gpt(), FW, par, rank, 1), rank);
     });
-    calls() - before
+    hdfs.namenode_stats().snapshot().0 - before
 }
 
-/// A direct load opens its step with one listing and one metadata read per
-/// rank — as many calls as the marker's `exists` and the read it replaces —
-/// and otherwise only writes the coordinator's telemetry artifact.
+/// A direct load opens its step once, at the coordinator — one listing
+/// (which shows the marker) and one metadata read — and otherwise only
+/// writes the coordinator's telemetry artifact, however many ranks load.
 #[test]
-fn a_direct_load_opens_its_step_with_one_listing_and_one_read_per_rank() {
-    assert_eq!(direct_load_calls(), 2 * 2 + 1);
+fn a_direct_load_opens_its_step_once_at_two_ranks_and_at_four() {
+    assert_eq!(direct_load_calls(2), 3);
+    assert_eq!(direct_load_calls(4), 3);
 }
 
 /// NameNode operations of one `load_latest` over a job root that retains
@@ -203,10 +201,13 @@ fn resume_namenode_ops(steps: u64) -> u64 {
     hdfs.namenode_stats().snapshot().0 - before
 }
 
-/// Discovery decides every retained step from one listing of the job root:
-/// each listed marker proves its commit, so a resume's NameNode operations
-/// do not grow with the steps the job keeps.
+/// Discovery decides every retained step from one listing of the job root
+/// (each listed marker proves its commit), and the load plans from the view
+/// the coordinator's scrub opened. At DP2: the root listing, the chosen
+/// step's listing and metadata read, its four shard files read by the
+/// scrub, and the telemetry artifact — 8, however many steps the job keeps.
 #[test]
 fn a_resume_costs_as_many_namenode_operations_with_sixteen_retained_steps_as_with_one() {
-    assert_eq!(resume_namenode_ops(16), resume_namenode_ops(1));
+    assert_eq!(resume_namenode_ops(1), 8);
+    assert_eq!(resume_namenode_ops(16), 8);
 }

@@ -145,7 +145,7 @@ fn default_options_split_a_large_shard_only_where_concat_is_a_metadata_op() {
                 assert_eq!(writes_of(&format!("job/big/optim_0.bin.part{i}")), 1, "{seen:?}");
             }
             assert_eq!(writes_of("job/big/optim_0.bin"), 0, "{seen:?}");
-            assert!(concats >= 1 && hdfs.namenode_stats().snapshot().2 >= 1, "{seen:?}");
+            assert!(concats >= 1 && hdfs.namenode_stats().snapshot().1 >= 1, "{seen:?}");
         } else {
             let parts = seen.iter().filter(|label| label.contains(".part")).count();
             assert_eq!((parts, concats), (0, 0), "{scheme:?} split a shard: {seen:?}");
@@ -175,7 +175,7 @@ fn hdfs_backend_end_to_end_with_metadata_machinery() {
     let hdfs = Arc::new(HdfsBackend::new());
     let registry = registry_for(Scheme::Hdfs, hdfs.clone());
     round_trip("hdfs://prod/job/hdfs-ckpt", registry, WorkflowOptions::default());
-    let (meta_ops, _, _) = hdfs.namenode_stats().snapshot();
+    let (meta_ops, _) = hdfs.namenode_stats().snapshot();
     assert!(meta_ops > 0, "checkpointing must exercise the NameNode");
     // A second checkpointer world reloads what the first one left.
     let arch = zoo::tiny_gpt();

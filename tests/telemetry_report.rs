@@ -10,9 +10,10 @@
 //! wired by hand. A reshard's wait on its peers' forwards is reported as a
 //! wait, never as slow storage I/O, and a healthy disk save raises no
 //! slow-I/O alert. A `take_where` predicate that panics leaves the hub
-//! usable.
+//! usable. A load's metadata bytes are counted once, at the coordinator
+//! that opened the step.
 
-use bytecheckpoint::core::metadata::COMPLETE_MARKER;
+use bytecheckpoint::core::metadata::{COMPLETE_MARKER, METADATA_FILE};
 use bytecheckpoint::monitor::analysis::total_by_rank;
 use bytecheckpoint::monitor::sync::lock;
 use bytecheckpoint::monitor::{labels, JsonReport, MetricsRegistry};
@@ -153,6 +154,16 @@ fn persisted_telemetry_drives_offline_report() {
     assert_eq!(doc.op(), Some("load"));
     assert_eq!(doc.ranks.len(), WORLD);
     assert!(doc.all_spans().iter().any(|s| s.name == "load/read"));
+    // The coordinator alone opens the step: every rank keeps its
+    // `load/metadata` phase, and the metadata's bytes are counted once per
+    // load, not once per rank.
+    let image = std::fs::metadata(job.join("step_20").join(METADATA_FILE)).unwrap().len();
+    let spans = doc.all_spans();
+    let opens: Vec<_> = spans.iter().filter(|s| s.name == "load/metadata").collect();
+    assert_eq!(opens.len(), WORLD, "{opens:?}");
+    let counted: Vec<_> =
+        opens.iter().filter(|s| s.io_bytes > 0).map(|s| (s.rank, s.io_bytes)).collect();
+    assert_eq!(counted, [(0, image)], "{opens:?}");
     // The phases tile the load: metadata, plan (with its exchange), read,
     // all2all, finish and the barrier leave under a tenth unattributed.
     for rank in &doc.ranks {
